@@ -437,25 +437,27 @@ func (rep *replica) step(bd batchData) {
 	}
 	bufs := rep.model.Buffers()
 	loss, dLogits := nn.SoftmaxCrossEntropyPooled(bufs, logits, labels)
-	dX := rep.model.Backward(rep.trainPool, dLogits)
-	// Local regime: hand the input-feature gradient to the router. All
-	// input ids are passed; the local-regime source accumulates the
-	// rows across the epoch and flushes them to their owners in one
-	// batched exchange at epoch end, so boundary rows' credit reaches
-	// the replica that owns them at a per-epoch (not per-batch) wire
-	// cost.
-	if rep.router != nil {
-		if err := rep.router.ScatterGradients(mb.InputNodes(), dX); err != nil {
+	// Only the local regime reads the input-feature gradient: its
+	// router receives all input ids, accumulates the rows across the
+	// epoch and flushes them to their owners in one batched exchange at
+	// epoch end, so boundary rows' credit reaches the replica that owns
+	// them at a per-epoch (not per-batch) wire cost. The exact regime
+	// skips computing it.
+	if rep.router == nil {
+		rep.model.Backward(rep.trainPool, dLogits)
+	} else {
+		dX := rep.model.BackwardInput(rep.trainPool, dLogits)
+		err := rep.router.ScatterGradients(mb.InputNodes(), dX)
+		bufs.Put(dX)
+		if err != nil {
 			rep.lastErr = err
 			return
 		}
 	}
-	// The input gradient is otherwise unused and the gathered features
-	// and logit gradient are consumed; recycling all three through the
-	// replica's buffer pool keeps the steady-state step free of
-	// per-batch matrix allocations (DataSource matrices are
-	// caller-owned by contract).
-	bufs.Put(dX)
+	// The gathered features and logit gradient are consumed; recycling
+	// them through the replica's buffer pool keeps the steady-state
+	// step free of per-batch matrix allocations (DataSource matrices
+	// are caller-owned by contract).
 	bufs.Put(dLogits)
 	bufs.Put(x0)
 	rep.lastLoss = loss

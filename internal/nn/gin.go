@@ -23,9 +23,7 @@ type GINLayer struct {
 	Bias          *Param
 
 	bufs *tensor.BufPool
-	db   []float32
 
-	x   *tensor.Matrix
 	agg *tensor.Matrix
 	out *tensor.Matrix
 }
@@ -66,7 +64,6 @@ func (l *GINLayer) aggRow(row []float32, adj Adj, x *tensor.Matrix, i int) {
 // Forward implements Layer.
 func (l *GINLayer) Forward(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.Matrix {
 	numDst := adj.NumDst()
-	l.x = x
 	l.bufs.Put(l.agg)
 	l.bufs.Put(l.out)
 	l.agg = l.bufs.Get(numDst, l.InDim)
@@ -106,30 +103,12 @@ func (l *GINLayer) Infer(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.M
 }
 
 // Backward implements Layer.
-func (l *GINLayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix {
+func (l *GINLayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+	dAgg := denseBackward(pool, l.bufs, l.Weight, l.Bias, l.Relu, l.out, l.agg, dOut, wantInput)
+	if dAgg == nil {
+		return nil
+	}
 	numDst := adj.NumDst()
-	dZ := dOut
-	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
-		tensor.ReLUBackward(dZ, dOut, l.out)
-	}
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulAT(pool, dW, l.agg, dZ)
-	tensor.Add(l.Weight.Grad, dW)
-	l.bufs.Put(dW)
-	if cap(l.db) < l.OutDim {
-		l.db = make([]float32, l.OutDim)
-	}
-	db := l.db[:l.OutDim]
-	tensor.ColSum(db, dZ)
-	for k, v := range db {
-		l.Bias.Grad.Data[k] += v
-	}
-	dAgg := l.bufs.Get(numDst, l.InDim)
-	tensor.MatMulBT(pool, dAgg, dZ, l.Weight.W)
-	if l.Relu {
-		l.bufs.Put(dZ)
-	}
 	dX := l.bufs.Get(adj.NumSrc(), l.InDim)
 	selfW := 1 + l.Epsilon
 	for i := 0; i < numDst; i++ {

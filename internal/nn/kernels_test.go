@@ -171,11 +171,18 @@ func TestSteadyStateStepIsMatrixAllocationFree(t *testing.T) {
 		batchLabels[i] = labels[v]
 	}
 	bufs := m.Buffers()
+	rounds := 0
 	step := func() {
 		x0 := GatherPooled(bufs, feats, mb.InputNodes())
 		logits := m.Forward(pool, mb, x0)
 		_, dLogits := SoftmaxCrossEntropyPooled(bufs, logits, batchLabels)
-		dX := m.Backward(pool, dLogits)
+		// Alternate the two entry points: the exact regime's (no input
+		// gradient) and the local regime's.
+		backward := m.Backward
+		if rounds++; rounds%2 == 0 {
+			backward = m.BackwardInput
+		}
+		dX := backward(pool, dLogits)
 		bufs.Put(dX)
 		bufs.Put(dLogits)
 		bufs.Put(x0)
@@ -186,17 +193,27 @@ func TestSteadyStateStepIsMatrixAllocationFree(t *testing.T) {
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
-	const rounds = 50
+	const measured = 50
 	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
+	for i := 0; i < measured; i++ {
 		step()
 	}
 	runtime.ReadMemStats(&after)
-	perStep := (after.TotalAlloc - before.TotalAlloc) / rounds
+	perStep := (after.TotalAlloc - before.TotalAlloc) / measured
 	// One unpooled x0 alone is 64+ rows of k-hop inputs × 32 cols × 4B
 	// ≈ 100KB+; the whole pooled step must stay far under a single
 	// matrix.
 	if perStep > 16*1024 {
 		t.Fatalf("steady-state step allocates %d bytes, want < 16KB (matrices are leaking from the pool)", perStep)
+	}
+	// ZeroGrad and Params run once per step per replica: the parameter
+	// list is built once in NewModel, never per call.
+	if n := testing.AllocsPerRun(100, func() {
+		m.ZeroGrad()
+		if len(m.Params()) != 4 {
+			t.Fatal("2-layer SAGE model must expose 4 parameters")
+		}
+	}); n != 0 {
+		t.Fatalf("ZeroGrad+Params allocate %v objects per call, want 0", n)
 	}
 }

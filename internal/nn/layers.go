@@ -15,9 +15,12 @@ import (
 // with buffer pooling the storage is recycled into the next batch.
 type Layer interface {
 	Forward(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.Matrix
-	// Backward consumes the gradient w.r.t. the layer output and returns
-	// the gradient w.r.t. the layer input, accumulating parameter grads.
-	Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix
+	// Backward consumes the gradient w.r.t. the layer output and
+	// accumulates parameter grads. With wantInput it also returns the
+	// gradient w.r.t. the layer input; without, it skips that work (the
+	// widest MatMulBT and the scatter) and returns nil. Parameter grads
+	// are bit-identical either way.
+	Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix
 	// Infer is the fused forward-only path: same bit-exact math as
 	// Forward, but it neither caches activations for Backward nor
 	// materialises the intermediate aggregation matrix — each row is
@@ -52,27 +55,44 @@ func reluRowInPlace(row []float32) {
 	}
 }
 
-// denseRowMulAdd computes out = row·W + bias with MatMul's exact ikj
-// reduction order (zero the output, skip zero inputs, stream W rows),
-// followed by AddRowVector's bias add — the fused per-row equivalent of
-// the unfused MatMul+AddRowVector pair.
+// denseRowMulAdd computes out = row·W + bias: MatMul's own row kernel on
+// a zeroed row, followed by AddRowVector's bias add — the fused per-row
+// equivalent of the unfused MatMul+AddRowVector pair.
 func denseRowMulAdd(out, row []float32, w *tensor.Matrix, bias []float32) {
-	for j := range out {
-		out[j] = 0
-	}
-	n := w.Cols
-	for p, av := range row {
-		if av == 0 {
-			continue
-		}
-		wr := w.Data[p*n : (p+1)*n]
-		for j, wv := range wr {
-			out[j] += av * wv
-		}
-	}
+	clear(out)
+	tensor.RowMulAdd(out, row, w)
 	for j, b := range bias {
 		out[j] += b
 	}
+}
+
+// denseBackward is the weight-application half of every layer's
+// backward pass. Given dOut (gradient w.r.t. the layer output out) and
+// agg (the aggregated input the forward pass multiplied by W), it
+// accumulates dW = aggᵀ·dZ and db = colsum(dZ) into the parameter grads
+// and, only when wantInput is set, returns dZ·Wᵀ — the gradient w.r.t.
+// agg, which the layer then scatters back through its aggregation.
+func denseBackward(pool *tensor.Pool, bufs *tensor.BufPool, weight, bias *Param, relu bool, out, agg, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+	dZ := dOut
+	if relu {
+		dZ = bufs.Get(dOut.Rows, dOut.Cols)
+		defer bufs.Put(dZ)
+		tensor.ReLUBackward(dZ, dOut, out)
+	}
+	dW := bufs.Get(weight.W.Rows, weight.W.Cols)
+	tensor.MatMulAT(pool, dW, agg, dZ)
+	tensor.Add(weight.Grad, dW)
+	bufs.Put(dW)
+	db := bufs.Get(1, bias.W.Cols)
+	tensor.ColSum(db.Data, dZ)
+	tensor.Add(bias.Grad, db)
+	bufs.Put(db)
+	if !wantInput {
+		return nil
+	}
+	dAgg := bufs.Get(dZ.Rows, weight.W.Rows)
+	tensor.MatMulBT(pool, dAgg, dZ, weight.W)
+	return dAgg
 }
 
 // SAGELayer implements GraphSAGE (paper Eq. 2 and 3):
@@ -89,10 +109,8 @@ type SAGELayer struct {
 	Bias          *Param // 1 × OutDim
 
 	bufs *tensor.BufPool // nil → plain allocation
-	db   []float32       // bias-gradient scratch
 
 	// cached activations from the last Forward
-	x      *tensor.Matrix // layer input (numSrc × InDim)
 	concat *tensor.Matrix // numDst × 2·InDim
 	out    *tensor.Matrix // numDst × OutDim (post-activation)
 }
@@ -142,7 +160,6 @@ func (l *SAGELayer) aggConcatRow(row []float32, adj Adj, x *tensor.Matrix, i int
 // Forward implements Layer.
 func (l *SAGELayer) Forward(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.Matrix {
 	numDst := adj.NumDst()
-	l.x = x
 	// Recycle the previous batch's activations: the layer processes one
 	// batch at a time, so by the time Forward runs again the prior
 	// output has been consumed.
@@ -189,32 +206,12 @@ func (l *SAGELayer) Infer(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.
 }
 
 // Backward implements Layer.
-func (l *SAGELayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix {
+func (l *SAGELayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+	dConcat := denseBackward(pool, l.bufs, l.Weight, l.Bias, l.Relu, l.out, l.concat, dOut, wantInput)
+	if dConcat == nil {
+		return nil
+	}
 	numDst := adj.NumDst()
-	dZ := dOut
-	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
-		tensor.ReLUBackward(dZ, dOut, l.out)
-	}
-	// Parameter gradients.
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulAT(pool, dW, l.concat, dZ)
-	tensor.Add(l.Weight.Grad, dW)
-	l.bufs.Put(dW)
-	if cap(l.db) < l.OutDim {
-		l.db = make([]float32, l.OutDim)
-	}
-	db := l.db[:l.OutDim]
-	tensor.ColSum(db, dZ)
-	for k, v := range db {
-		l.Bias.Grad.Data[k] += v
-	}
-	// Input gradient through the concat.
-	dConcat := l.bufs.Get(numDst, 2*l.InDim)
-	tensor.MatMulBT(pool, dConcat, dZ, l.Weight.W)
-	if l.Relu {
-		l.bufs.Put(dZ)
-	}
 	dX := l.bufs.Get(adj.NumSrc(), l.InDim)
 	in := l.InDim
 	// Self half maps straight onto the dst prefix; the neighbour half
@@ -260,9 +257,7 @@ type GCNLayer struct {
 	InvSqrtDeg    []float32 // 1/sqrt(D(v)+1) indexed by global node ID
 
 	bufs *tensor.BufPool
-	db   []float32
 
-	x   *tensor.Matrix
 	agg *tensor.Matrix
 	out *tensor.Matrix
 }
@@ -327,7 +322,6 @@ func (l *GCNLayer) aggRow(row []float32, adj Adj, x *tensor.Matrix, i int) {
 func (l *GCNLayer) Forward(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.Matrix {
 	l.checkAdj(adj)
 	numDst := adj.NumDst()
-	l.x = x
 	l.bufs.Put(l.agg)
 	l.bufs.Put(l.out)
 	l.agg = l.bufs.Get(numDst, l.InDim)
@@ -368,30 +362,12 @@ func (l *GCNLayer) Infer(pool *tensor.Pool, adj Adj, x *tensor.Matrix) *tensor.M
 }
 
 // Backward implements Layer.
-func (l *GCNLayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix) *tensor.Matrix {
+func (l *GCNLayer) Backward(pool *tensor.Pool, adj Adj, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
+	dAgg := denseBackward(pool, l.bufs, l.Weight, l.Bias, l.Relu, l.out, l.agg, dOut, wantInput)
+	if dAgg == nil {
+		return nil
+	}
 	numDst := adj.NumDst()
-	dZ := dOut
-	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
-		tensor.ReLUBackward(dZ, dOut, l.out)
-	}
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulAT(pool, dW, l.agg, dZ)
-	tensor.Add(l.Weight.Grad, dW)
-	l.bufs.Put(dW)
-	if cap(l.db) < l.OutDim {
-		l.db = make([]float32, l.OutDim)
-	}
-	db := l.db[:l.OutDim]
-	tensor.ColSum(db, dZ)
-	for k, v := range db {
-		l.Bias.Grad.Data[k] += v
-	}
-	dAgg := l.bufs.Get(numDst, l.InDim)
-	tensor.MatMulBT(pool, dAgg, dZ, l.Weight.W)
-	if l.Relu {
-		l.bufs.Put(dZ)
-	}
 	dX := l.bufs.Get(adj.NumSrc(), l.InDim)
 	for i := 0; i < numDst; i++ {
 		ci := l.InvSqrtDeg[adj.DstGlobal(i)]

@@ -44,6 +44,10 @@ type GNN struct {
 	// Buffers.
 	bufs *tensor.BufPool
 
+	// params is every layer's parameters in layer order, collected once
+	// in NewModel: Params and ZeroGrad run once per step per replica.
+	params []*Param
+
 	// cached between Forward and Backward
 	lastBatch *sampler.MiniBatch
 }
@@ -79,6 +83,7 @@ func NewModel(spec ModelSpec, degrees []int) (*GNN, error) {
 		if bl, ok := l.(bufferedLayer); ok {
 			bl.setBufPool(m.bufs)
 		}
+		m.params = append(m.params, l.Params()...)
 	}
 	return m, nil
 }
@@ -92,18 +97,14 @@ func (m *GNN) NumLayers() int { return len(m.Layers) }
 // Put matrix must no longer be referenced by the caller.
 func (m *GNN) Buffers() *tensor.BufPool { return m.bufs }
 
-// Params returns all trainable parameters in a stable order.
-func (m *GNN) Params() []*Param {
-	var ps []*Param
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns all trainable parameters in a stable order. The slice
+// is the model's own and is shared between calls; callers must not
+// modify it.
+func (m *GNN) Params() []*Param { return m.params }
 
 // ZeroGrad clears all gradient accumulators.
 func (m *GNN) ZeroGrad() {
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		p.ZeroGrad()
 	}
 }
@@ -195,12 +196,30 @@ func (m *GNN) InferReuse(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Ma
 }
 
 // Backward propagates dLogits (gradient w.r.t. Forward's return value)
-// through the model, accumulating parameter gradients. It returns the
-// gradient w.r.t. the gathered input features (rarely needed; exposed for
-// testing). Intermediate layer gradients are recycled through the
-// model's buffer pool; the returned matrix is the caller's to keep (or
-// Put back via Buffers).
+// through the model, accumulating parameter gradients. It does not
+// compute the gradient w.r.t. the gathered input features — the first
+// layer's widest product and scatter, which training never reads — and
+// always returns nil; the result exists so callers written against
+// BackwardInput's shape (Put the returned matrix back) keep working.
 func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix {
+	return m.backward(pool, dLogits, false)
+}
+
+// BackwardInput is Backward that also returns the gradient w.r.t. the
+// gathered input features (one row per mb.InputNodes() entry), for the
+// callers that consume it: the partition-local regime's gradient router
+// and the gradient checks. Parameter gradients are bit-identical to
+// Backward's. The returned matrix is the caller's to keep (or Put back
+// via Buffers).
+func (m *GNN) BackwardInput(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix {
+	return m.backward(pool, dLogits, true)
+}
+
+// backward runs the layers in reverse. Every layer but the first must
+// produce its input gradient (it is the next layer's dOut); the first
+// does so only when wantInput is set. Intermediate gradients are
+// recycled through the model's buffer pool.
+func (m *GNN) backward(pool *tensor.Pool, dLogits *tensor.Matrix, wantInput bool) *tensor.Matrix {
 	mb := m.lastBatch
 	if mb == nil {
 		panic("nn: Backward before Forward")
@@ -216,7 +235,7 @@ func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix
 		adjFor = func(int) Adj { return adj }
 	}
 	for li := len(m.Layers) - 1; li >= 0; li-- {
-		next := m.Layers[li].Backward(pool, adjFor(li), grad)
+		next := m.Layers[li].Backward(pool, adjFor(li), grad, li > 0 || wantInput)
 		if grad != dLogits {
 			m.bufs.Put(grad)
 		}

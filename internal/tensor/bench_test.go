@@ -1,41 +1,55 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-func benchMatrices(b *testing.B, m, k, n int) (*Matrix, *Matrix, *Matrix) {
+// benchDense times one dense kernel on the logical product
+// dst(m×n) = A(m×k)·B(k×n).
+func benchDense(b *testing.B, kern denseKernel, workers, m, k, n int) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	return randomMatrix(rng, m, k), randomMatrix(rng, k, n), New(m, n)
-}
-
-func BenchmarkMatMul128(b *testing.B) {
-	a, x, dst := benchMatrices(b, 128, 128, 128)
-	pool := NewPool(1)
+	x, y := kern.operands(rand.New(rand.NewSource(1)), m, k, n)
+	dst, pool := New(m, n), NewPool(workers)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(pool, dst, a, x)
+		kern.run(pool, dst, x, y)
 	}
 }
 
-func BenchmarkMatMul128Parallel4(b *testing.B) {
-	a, x, dst := benchMatrices(b, 128, 128, 128)
-	pool := NewPool(4)
-	for i := 0; i < b.N; i++ {
-		MatMul(pool, dst, a, x)
+// benchStep times one kernel on the (numDst, 2·in, out) triples a
+// training step issues per layer on the repo benchmark's train_single
+// workload (a 64→32→32→10 SAGE model, 128 targets, fan-outs 15/10/5).
+// shape maps a triple to the kernel's logical (m, k, n).
+func benchStep(b *testing.B, kern denseKernel, shape func(numDst, in2, out int) (m, k, n int)) {
+	for _, s := range [][3]int{{4097, 128, 32}, {701, 64, 32}, {128, 64, 10}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			m, k, n := shape(s[0], s[1], s[2])
+			benchDense(b, kern, 1, m, k, n)
+		})
 	}
 }
 
-func BenchmarkMatMulBT128(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a, x := randomMatrix(rng, 128, 128), randomMatrix(rng, 128, 128)
-	dst := New(128, 128)
-	pool := NewPool(1)
-	for i := 0; i < b.N; i++ {
-		MatMulBT(pool, dst, a, x)
-	}
+func BenchmarkMatMul128(b *testing.B)          { benchDense(b, kernMatMul, 1, 128, 128, 128) }
+func BenchmarkMatMul128Parallel4(b *testing.B) { benchDense(b, kernMatMul, 4, 128, 128, 128) }
+func BenchmarkMatMulBT128(b *testing.B)        { benchDense(b, kernMatMulBT, 1, 128, 128, 128) }
+func BenchmarkMatMulAT128(b *testing.B)        { benchDense(b, kernMatMulAT, 1, 128, 128, 128) }
+
+// Forward: concat(numDst×2in) · W(2in×out).
+func BenchmarkMatMulTall(b *testing.B) {
+	benchStep(b, kernMatMul, func(numDst, in2, out int) (int, int, int) { return numDst, in2, out })
+}
+
+// Weight gradient: concatᵀ · dZ(numDst×out), reduced over numDst.
+func BenchmarkMatMulATTall(b *testing.B) {
+	benchStep(b, kernMatMulAT, func(numDst, in2, out int) (int, int, int) { return in2, numDst, out })
+}
+
+// Input gradient: dZ(numDst×out) · Wᵀ, reduced over out.
+func BenchmarkMatMulBTTall(b *testing.B) {
+	benchStep(b, kernMatMulBT, func(numDst, in2, out int) (int, int, int) { return numDst, out, in2 })
 }
 
 func BenchmarkSoftmaxRows(b *testing.B) {

@@ -5,6 +5,71 @@ import (
 	"math"
 )
 
+// The three dense kernels below follow one rule: loop order and register
+// blocking are free to change, the per-element reduction is not. Every
+// dst[i][j] is zeroed and then receives av·bv for p = 0, 1, 2, … with
+// av == 0 skipped (so a zero never meets a NaN or Inf on the other
+// side), one rounding per multiply and per add. That is what keeps
+// sharded == single-store, tcp == inproc and Infer == Forward bit-equal.
+
+// mulAdd1 computes d[j] += av·b[j].
+func mulAdd1(d []float32, av float32, b []float32) {
+	b = b[:len(d)]
+	for j := range d {
+		d[j] += av * b[j]
+	}
+}
+
+// mulAdd4 is four successive mulAdd1 calls fused into one pass over d:
+// the running sum of each element lives in a register instead of being
+// stored and reloaded between the four products.
+func mulAdd4(d []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j := range d {
+		s := d[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		d[j] = s
+	}
+}
+
+// RowMulAdd computes dst += a·b for one row: a has b.Rows entries, dst
+// b.Cols. Zero entries of a are skipped; the surviving rows of b are
+// consumed in ascending order, four per pass over dst. It is the row
+// kernel of MatMul and of nn's fused inference, so the two cannot
+// drift apart.
+func RowMulAdd(dst, a []float32, b *Matrix) {
+	n := b.Cols
+	var av [4]float32
+	var br [4][]float32
+	g := 0
+	for p, v := range a {
+		if v == 0 {
+			continue
+		}
+		av[g], br[g] = v, b.Data[p*n:(p+1)*n]
+		if g++; g == 4 {
+			mulAdd4(dst, av[0], av[1], av[2], av[3], br[0], br[1], br[2], br[3])
+			g = 0
+		}
+	}
+	for q := 0; q < g; q++ {
+		mulAdd1(dst, av[q], br[q])
+	}
+}
+
+// dispatch runs a range kernel over [0, n) on pool. A single-worker pool
+// calls it directly, so the serial path allocates no closure.
+func dispatch(pool *Pool, n int, dst, a, b *Matrix, kernel func(dst, a, b *Matrix, lo, hi int)) {
+	if pool.Workers() == 1 {
+		kernel(dst, a, b, 0, n)
+		return
+	}
+	pool.ParallelWeighted(n, nil, func(lo, hi int) { kernel(dst, a, b, lo, hi) })
+}
+
 // MatMul computes dst = a·b, parallelised over row blocks of a on pool
 // with work-stealing dispatch (row results are per-row, so stealing
 // never reorders a reduction). Shapes: a is m×k, b is k×n, dst is m×n.
@@ -14,78 +79,111 @@ func MatMul(pool *Pool, dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	dispatch(pool, a.Rows, dst, a, b, matMulRows)
+}
+
+func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Cols
-	pool.ParallelWeighted(a.Rows, nil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*k : (i+1)*k]
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := range dr {
-				dr[j] = 0
-			}
-			// ikj loop order: stream b rows, accumulate into dst row.
-			for p, av := range ar {
-				if av == 0 {
-					continue
-				}
-				br := b.Data[p*n : (p+1)*n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
+	clear(dst.Data[lo*n : hi*n])
+	for i := lo; i < hi; i++ {
+		RowMulAdd(dst.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b)
+	}
 }
 
 // MatMulBT computes dst = a·bᵀ. Shapes: a is m×k, b is n×k, dst is m×n.
+// Four output columns are reduced per pass over a's row, each in its own
+// accumulator, so the four serial add chains overlap.
 func MatMulBT(pool *Pool, dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulBT shape mismatch (%dx%d)·(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	k, n := a.Cols, b.Rows
-	pool.ParallelWeighted(a.Rows, nil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*k : (i+1)*k]
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				br := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for p, av := range ar {
-					sum += av * br[p]
-				}
-				dr[j] = sum
-			}
-		}
-	})
+	dispatch(pool, a.Rows, dst, a, b, matMulBTRows)
 }
+
+func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
+	k, n := a.Cols, b.Rows
+	for i := lo; i < hi; i++ {
+		ar := a.Data[i*k : (i+1)*k]
+		dr := dst.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			// Reslicing to len(ar) lets the compiler drop the bounds
+			// checks in the reduction loop.
+			bs := b.Data[j*k : (j+4)*k]
+			b0, b1, b2, b3 := bs[:k][:len(ar)], bs[k:][:len(ar)], bs[2*k:][:len(ar)], bs[3*k:][:len(ar)]
+			var s0, s1, s2, s3 float32
+			for p, av := range ar {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			dr[j], dr[j+1], dr[j+2], dr[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			br := b.Data[j*k : (j+1)*k][:len(ar)]
+			var sum float32
+			for p, av := range ar {
+				sum += av * br[p]
+			}
+			dr[j] = sum
+		}
+	}
+}
+
+// matMulATTile bounds, in floats, the block of dst rows MatMulAT keeps
+// hot per pass over a and b, so the block stays in L1 next to the
+// streamed rows.
+const matMulATTile = 4096
 
 // MatMulAT computes dst = aᵀ·b. Shapes: a is k×m, b is k×n, dst is m×n.
 // The parallel split is over columns of a (rows of dst) so partial sums
-// never race.
+// never race. Within a chunk, p runs outermost: the rows of a and b are
+// streamed once per dst block, four at a time, so a is read along its
+// rows (a column walk touches one cache line per float) and the block
+// of dst stays resident while everything else passes through.
 func MatMulAT(pool *Pool, dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAT shape mismatch (%dx%d)T·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	m, n := a.Cols, b.Cols
-	pool.ParallelWeighted(m, nil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := range dr {
-				dr[j] = 0
-			}
-			for p := 0; p < a.Rows; p++ {
-				av := a.Data[p*m+i]
-				if av == 0 {
+	dispatch(pool, a.Cols, dst, a, b, matMulATRows)
+}
+
+func matMulATRows(dst, a, b *Matrix, lo, hi int) {
+	k, m, n := a.Rows, a.Cols, b.Cols
+	clear(dst.Data[lo*n : hi*n])
+	tile := max(1, matMulATTile/max(1, n))
+	for tlo := lo; tlo < hi; tlo += tile {
+		thi := min(tlo+tile, hi)
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			as, bs := a.Data[p*m:(p+4)*m], b.Data[p*n:(p+4)*n]
+			br := [4][]float32{bs[:n], bs[n : 2*n], bs[2*n : 3*n], bs[3*n:]}
+			for i := tlo; i < thi; i++ {
+				dr := dst.Data[i*n : (i+1)*n]
+				av := [4]float32{as[i], as[m+i], as[2*m+i], as[3*m+i]}
+				if av[0] != 0 && av[1] != 0 && av[2] != 0 && av[3] != 0 {
+					mulAdd4(dr, av[0], av[1], av[2], av[3], br[0], br[1], br[2], br[3])
 					continue
 				}
-				br := b.Data[p*n : (p+1)*n]
-				for j, bv := range br {
-					dr[j] += av * bv
+				for q, v := range av {
+					if v != 0 {
+						mulAdd1(dr, v, br[q])
+					}
 				}
 			}
 		}
-	})
+		for ; p < k; p++ {
+			ar, br := a.Data[p*m:(p+1)*m], b.Data[p*n:(p+1)*n]
+			for i := tlo; i < thi; i++ {
+				if v := ar[i]; v != 0 {
+					mulAdd1(dst.Data[i*n:(i+1)*n], v, br)
+				}
+			}
+		}
+	}
 }
 
 // Add computes dst += src elementwise. Shapes must match.

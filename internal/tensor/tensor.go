@@ -1,12 +1,15 @@
 // Package tensor provides dense float32 matrices and the parallel kernels
 // the GNN training stack is built on. It is a deliberately small substrate:
-// row-major matrices, blocked matrix multiplication parallelised over a
-// bounded worker pool, and the handful of elementwise and reduction kernels
+// row-major matrices, three dense products (a·b, a·bᵀ, aᵀ·b) written as
+// plain Go loops — register-accumulated and ordered for the cache, but
+// not blocked over the reduction — parallelised over a bounded worker
+// pool, and the handful of elementwise and reduction kernels
 // backpropagation needs.
 //
-// Everything is deterministic: kernels never reorder floating-point
-// reductions across calls with the same worker count, and random
-// initialisation takes an explicit source.
+// Everything is deterministic: a kernel may choose which output element
+// it works on when, but never reorders the floating-point reduction that
+// produces an element, so results are bit-identical for any worker
+// count; random initialisation takes an explicit source.
 package tensor
 
 import "fmt"
