@@ -54,10 +54,7 @@ func (l *GINLayer) aggRow(row []float32, adj Adj, x *tensor.Matrix, i int) {
 		row[k] = v * selfW
 	}
 	for _, j := range adj.Neighbors(i) {
-		src := x.Row(int(j))
-		for k, v := range src {
-			row[k] += v
-		}
+		addRow(row, x.Row(int(j)))
 	}
 }
 
