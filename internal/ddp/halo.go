@@ -2,6 +2,7 @@ package ddp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,13 +46,14 @@ type HaloExchange struct {
 	peers    [][]PeerCounts // [from][to] remote traffic matrix
 	lastSnap HaloStats      // cumulative total at the previous Snapshot call
 
-	gmu sync.Mutex
 	// grads[owner][from] holds the partial sums contributed by replica
-	// `from` to nodes owned by `owner`. Keeping sources separate and
-	// reducing them in ascending replica order at collect time makes
-	// the accumulated floats independent of message arrival order —
-	// the same bit-reproducibility the forward path gets for free.
-	grads [][]map[graph.NodeID][]float32
+	// `from` to nodes owned by `owner`, under gmu[owner]. Keeping sources
+	// separate and reducing them in ascending replica order at collect
+	// time makes the accumulated floats independent of message arrival
+	// order — the same bit-reproducibility the forward path gets for
+	// free. The tables are emptied by a collect, never reallocated.
+	gmu   []sync.Mutex
+	grads [][]*tensor.RowTable
 }
 
 // HaloStats counts one replica's exchange traffic. RemoteBytes is the
@@ -244,10 +246,14 @@ func NewHaloExchangeOpts(
 		plan:       opt.Plan,
 		wireDtype:  opt.WireDtype,
 		stats:      make([]HaloStats, numReplicas),
-		grads:      make([][]map[graph.NodeID][]float32, numReplicas),
+		gmu:        make([]sync.Mutex, numReplicas),
+		grads:      make([][]*tensor.RowTable, numReplicas),
 	}
 	for o := range h.grads {
-		h.grads[o] = make([]map[graph.NodeID][]float32, numReplicas)
+		h.grads[o] = make([]*tensor.RowTable, numReplicas)
+		for from := range h.grads[o] {
+			h.grads[o][from] = tensor.NewRowTable(featDim)
+		}
 	}
 	h.peers = make([][]PeerCounts, numReplicas)
 	for r := range h.peers {
@@ -311,19 +317,11 @@ func (h *HaloExchange) handle(o int, req *Request) (*Response, error) {
 // pair accumulation follows the source's own call order; sources only
 // mix at collect time, in replica order.
 func (h *HaloExchange) accumGradients(o, from int, ids []graph.NodeID, grad []float32) {
-	h.gmu.Lock()
-	defer h.gmu.Unlock()
+	h.gmu[o].Lock()
+	defer h.gmu[o].Unlock()
 	buf := h.grads[o][from]
-	if buf == nil {
-		buf = make(map[graph.NodeID][]float32)
-		h.grads[o][from] = buf
-	}
 	for i, v := range ids {
-		row := buf[v]
-		if row == nil {
-			row = make([]float32, h.featDim)
-			buf[v] = row
-		}
+		row, _ := buf.Add(v)
 		src := grad[i*h.featDim : (i+1)*h.featDim]
 		for j := range row {
 			row[j] += src[j]
@@ -533,18 +531,7 @@ func (h *HaloExchange) ScatterGradients(r int, ids []graph.NodeID, grads *tensor
 		return err
 	}
 	if len(localIDs) > 0 {
-		flat := make([]float32, 0, len(localIDs)*h.featDim)
-		for _, i := range localRows {
-			flat = append(flat, grads.Row(i)...)
-		}
-		// With an fp16 wire, local contributions are quantised exactly
-		// like remote ones — before any accumulation — so the collected
-		// sums do not depend on which replica a contribution came from,
-		// and therefore not on the shard count or transport either.
-		if h.wireDtype == graph.DtypeF16 {
-			quantizeF16(flat)
-		}
-		h.accumGradients(r, r, localIDs, flat)
+		h.accumGradients(r, r, localIDs, h.gradRows(grads, localRows))
 		st.LocalRows += int64(len(localIDs))
 	}
 	perPeer := make([]PeerCounts, len(h.stats))
@@ -553,16 +540,7 @@ func (h *HaloExchange) ScatterGradients(r int, ids []graph.NodeID, grads *tensor
 		if len(b.ids) == 0 {
 			continue
 		}
-		flat := make([]float32, 0, len(b.ids)*h.featDim)
-		for _, pos := range b.pos {
-			flat = append(flat, grads.Row(pos)...)
-		}
-		// Quantise before transport so the fp16 wire encode is exact:
-		// the bits the peer accumulates match what an inproc call hands
-		// over directly.
-		if h.wireDtype == graph.DtypeF16 {
-			quantizeF16(flat)
-		}
+		flat := h.gradRows(grads, b.pos)
 		req := &Request{From: r, Kind: MsgGradients, Dtype: h.wireDtype, IDs: b.ids, Grad: flat}
 		resp, err := h.tr.Call(p, req)
 		if err != nil {
@@ -580,6 +558,24 @@ func (h *HaloExchange) ScatterGradients(r int, ids []graph.NodeID, grads *tensor
 	return nil
 }
 
+// gradRows copies the given rows of grads into one row-major slice, the
+// form they are accumulated and shipped in. With an fp16 wire every
+// contribution — to a local row or a remote one — is quantised here,
+// before any accumulation: the fp16 wire encode is then exact (a peer
+// accumulates the bits an inproc call hands over directly), and the
+// collected sums do not depend on which replica a contribution came
+// from, and therefore not on the shard count or transport either.
+func (h *HaloExchange) gradRows(grads *tensor.Matrix, rows []int) []float32 {
+	flat := make([]float32, 0, len(rows)*h.featDim)
+	for _, i := range rows {
+		flat = append(flat, grads.Row(i)...)
+	}
+	if h.wireDtype == graph.DtypeF16 {
+		quantizeF16(flat)
+	}
+	return flat
+}
+
 // CollectGradients drains the halo-gradient contributions accumulated
 // for replica r's owned nodes and clears the buffer. The result is
 // fully deterministic — nodes in ascending order, each row the sum of
@@ -590,34 +586,31 @@ func (h *HaloExchange) CollectGradients(r int) ([]graph.NodeID, *tensor.Matrix, 
 	if r < 0 || r >= len(h.stats) {
 		return nil, nil, fmt.Errorf("ddp: replica %d of %d", r, len(h.stats))
 	}
-	h.gmu.Lock()
+	h.gmu[r].Lock()
+	defer h.gmu[r].Unlock()
 	bufs := h.grads[r]
-	h.grads[r] = make([]map[graph.NodeID][]float32, len(h.stats))
-	h.gmu.Unlock()
-	seen := make(map[graph.NodeID]bool)
 	var ids []graph.NodeID
 	for _, buf := range bufs {
-		for v := range buf {
-			if !seen[v] {
-				seen[v] = true
-				ids = append(ids, v)
-			}
-		}
+		ids = append(ids, buf.IDs()...)
 	}
 	if len(ids) == 0 {
 		return nil, nil, nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	out := tensor.New(len(ids), h.featDim)
 	for i, v := range ids {
 		row := out.Row(i)
-		for from := range bufs {
-			if partial := bufs[from][v]; partial != nil {
+		for _, buf := range bufs {
+			if partial := buf.Row(v); partial != nil {
 				for j := range row {
 					row[j] += partial[j]
 				}
 			}
 		}
+	}
+	for _, buf := range bufs {
+		buf.Reset()
 	}
 	return ids, out, nil
 }

@@ -2,6 +2,11 @@ package engine
 
 import (
 	"testing"
+
+	"argo/internal/datasets"
+	"argo/internal/graph"
+	"argo/internal/nn"
+	"argo/internal/sampler"
 )
 
 // BenchmarkEpoch measures a real training epoch of the scaled unit
@@ -23,5 +28,67 @@ func BenchmarkEpoch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLocalEpoch measures a partition-local epoch with a warm halo
+// cache: arxiv-sim in 4 shards on 2 replicas over the in-process
+// transport, i.e. the sampling, cached gather, step, and the per-epoch
+// gradient flush and drain.
+func BenchmarkLocalEpoch(b *testing.B) {
+	ds, err := datasets.Resolve("arxiv-sim", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 4, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ss.Close()
+	skel, err := ss.Skeleton()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const numProcs = 2
+	fanouts := []int{10, 5}
+	sources, ex, err := NewShardSources(ss, numProcs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ex.Close()
+	setup, err := NewPartitionSetup(ss, skel, numProcs, fanouts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(Config{
+		Dataset:        skel,
+		Sampler:        sampler.NewNeighbor(skel.Graph, fanouts),
+		Model:          nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{skel.Spec.ScaledF0, skel.Spec.ScaledHidden, skel.NumClasses}, Seed: 3},
+		BatchSize:      128,
+		LR:             0.01,
+		NumProcs:       numProcs,
+		SampleWorkers:  1,
+		TrainWorkers:   1,
+		Seed:           3,
+		Sources:        sources,
+		SamplingRegime: RegimeLocal,
+		LocalSamplers:  setup.Samplers,
+		LocalTargets:   setup.Targets,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const warm = 2 // fill the feature cache and grow the slabs and pools
+	for ep := 0; ep < warm; ep++ {
+		if _, err := e.RunEpoch(ep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RunEpoch(warm + i); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -175,8 +175,9 @@ func New(cfg Config) (*Engine, error) {
 			// The caching wrapper makes the regime's locality pay:
 			// partition-bounded batches hit a static working set, so
 			// features cross the wire once per run and gradients once
-			// per epoch.
-			ls := newLocalSource(src)
+			// per epoch. Its batches come from the pool step recycles
+			// them into.
+			ls := newLocalSource(src, cfg.Model.Dims[0], m.Buffers())
 			rep.source = ls
 			rep.router = ls
 		}
@@ -210,37 +211,14 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	ds := e.cfg.Dataset
 
 	// Build per-replica job lists. With AdjustBatch each iteration is one
-	// global batch split n ways; without it (ablation) each replica
-	// consumes full-size batches from its own partition. The local
-	// regime shuffles each replica's owned targets independently into
-	// B/n-sized shares, preserving the effective global batch ≈ B.
+	// global batch split n ways. Otherwise every replica shuffles a target
+	// set of its own: under the local regime its owned targets, in
+	// B/n-sized shares (preserving the effective global batch ≈ B);
+	// in the ablation a round-robin part of the train split, in
+	// full-size batches.
 	perReplicaJobs := make([][]prefetchJob, n)
 	var numIters int
-	if e.cfg.SamplingRegime == RegimeLocal {
-		share := e.cfg.BatchSize / n
-		if share < 1 {
-			share = 1
-		}
-		for r := 0; r < n; r++ {
-			batches := epochBatches(e.cfg.LocalTargets[r], share, seedFor(e.cfg.Seed, epoch, -2-r))
-			for it, b := range batches {
-				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{
-					index: it, seed: seedFor(e.cfg.Seed, epoch, it*n+r), targets: b,
-				})
-			}
-			if len(batches) > numIters {
-				numIters = len(batches)
-			}
-		}
-		// Shards own unequal train counts; pad the short replicas with
-		// empty jobs (weight 0 in the all-reduce) to keep the barrier
-		// square.
-		for r := 0; r < n; r++ {
-			for len(perReplicaJobs[r]) < numIters {
-				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{index: len(perReplicaJobs[r])})
-			}
-		}
-	} else if e.cfg.AdjustBatch {
+	if e.cfg.SamplingRegime != RegimeLocal && e.cfg.AdjustBatch {
 		globalBatches := epochBatches(ds.TrainIdx, e.cfg.BatchSize, seedFor(e.cfg.Seed, epoch, -1))
 		numIters = len(globalBatches)
 		for it, gb := range globalBatches {
@@ -254,22 +232,24 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 			}
 		}
 	} else {
-		parts := make([][]graph.NodeID, n)
-		for i, v := range ds.TrainIdx {
-			parts[i%n] = append(parts[i%n], v)
+		parts, size := e.cfg.LocalTargets, max(e.cfg.BatchSize/n, 1)
+		if e.cfg.SamplingRegime != RegimeLocal {
+			parts, size = make([][]graph.NodeID, n), e.cfg.BatchSize
+			for i, v := range ds.TrainIdx {
+				parts[i%n] = append(parts[i%n], v)
+			}
 		}
 		for r := 0; r < n; r++ {
-			batches := epochBatches(parts[r], e.cfg.BatchSize, seedFor(e.cfg.Seed, epoch, -2-r))
-			for it, b := range batches {
+			for it, b := range epochBatches(parts[r], size, seedFor(e.cfg.Seed, epoch, -2-r)) {
 				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{
 					index: it, seed: seedFor(e.cfg.Seed, epoch, it*n+r), targets: b,
 				})
-				if it+1 > numIters {
-					numIters = it + 1
-				}
 			}
+			numIters = max(numIters, len(perReplicaJobs[r]))
 		}
-		// Pad shorter replicas with empty jobs so the barrier stays square.
+		// Target sets are unequal (shards own unequal train counts); pad
+		// the short replicas with empty jobs (weight 0 in the all-reduce)
+		// to keep the barrier square.
 		for r := 0; r < n; r++ {
 			for len(perReplicaJobs[r]) < numIters {
 				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{index: len(perReplicaJobs[r])})
@@ -316,21 +296,16 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	weights := make([]float64, n)
 
 	for it := 0; it < numIters; it++ {
-		var wg sync.WaitGroup
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				e.replicas[r].step(prefetchers[r].NextData())
-			}(r)
+		if err := eachReplica(n, "", func(r int) error {
+			e.replicas[r].step(prefetchers[r].NextData())
+			return e.replicas[r].lastErr
+		}); err != nil {
+			e.discardGradients()
+			return res, err
 		}
-		wg.Wait()
 		anyWork := false
 		for r := 0; r < n; r++ {
 			rep := e.replicas[r]
-			if rep.lastErr != nil {
-				return res, fmt.Errorf("engine: replica %d: %w", r, rep.lastErr)
-			}
 			weights[r] = float64(rep.lastCount)
 			if rep.lastCount > 0 {
 				anyWork = true
@@ -342,6 +317,7 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 		}
 		if anyWork {
 			if err := ddp.AllReduceMeanWeighted(sets, weights); err != nil {
+				e.discardGradients()
 				return res, err
 			}
 			for r := 0; r < n; r++ {
@@ -354,40 +330,40 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 		}
 	}
 	// Local regime: the epoch's accumulated input-feature gradients are
-	// flushed to their owning replicas — every replica flushes before
-	// any drains, so each drain sees the complete epoch — and drained
-	// in a fixed order (replica ascending, ids ascending, contributors
-	// ascending), making the digest deterministic across transports.
-	// Features are frozen inputs here, so the collected sums serve as
-	// an accounting/parity digest; a trainable embedding layer would
-	// apply them to its owned rows at this point.
+	// flushed to their owning replicas — every replica before any drain,
+	// so each drain sees the complete epoch — then drained, replicas in
+	// parallel both times. Per-source partial sums stay separate in the
+	// exchange until a drain reduces them (ids ascending, contributors
+	// ascending) and the digest is folded here in replica → row → column
+	// order, so it is the same on every transport and schedule. Features
+	// are frozen inputs, so the sums serve as an accounting/parity digest;
+	// a trainable embedding layer would apply them to its owned rows.
 	if e.cfg.SamplingRegime == RegimeLocal {
-		for r := 0; r < n; r++ {
-			if ls, ok := e.replicas[r].source.(*localSource); ok {
-				if err := ls.FlushGradients(); err != nil {
-					return res, fmt.Errorf("engine: replica %d gradient flush: %w", r, err)
-				}
-			}
+		err := eachReplica(n, " gradient flush", func(r int) error {
+			return e.replicas[r].source.(*localSource).FlushGradients()
+		})
+		ids := make([][]graph.NodeID, n)
+		sums := make([]*tensor.Matrix, n)
+		if err == nil {
+			err = eachReplica(n, " gradient drain", func(r int) (err error) {
+				ids[r], sums[r], err = e.replicas[r].source.(*localSource).CollectGradients()
+				return err
+			})
+		}
+		if err != nil {
+			e.discardGradients()
+			return res, err
 		}
 		for r := 0; r < n; r++ {
-			c, ok := e.replicas[r].source.(GradientCollector)
-			if !ok {
+			res.GradNodes += int64(len(ids[r]))
+			if sums[r] == nil {
 				continue
 			}
-			ids, sums, err := c.CollectGradients()
-			if err != nil {
-				return res, fmt.Errorf("engine: replica %d gradient drain: %w", r, err)
-			}
-			res.GradNodes += int64(len(ids))
-			if sums != nil {
-				for i := range ids {
-					for _, x := range sums.Row(i) {
-						if x < 0 {
-							x = -x
-						}
-						res.GradAbsSum += float64(x)
-					}
+			for _, x := range sums[r].Data {
+				if x < 0 {
+					x = -x
 				}
+				res.GradAbsSum += float64(x)
 			}
 		}
 	}
@@ -396,6 +372,40 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	}
 	res.Duration = time.Since(start)
 	return res, nil
+}
+
+// eachReplica runs f(r) for r in [0, n) concurrently, waits for all, and
+// returns the error of the lowest failing replica, named with what it
+// was doing.
+func eachReplica(n int, doing string, f func(r int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = f(r)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			return fmt.Errorf("engine: replica %d%s: %w", r, doing, err)
+		}
+	}
+	return nil
+}
+
+// discardGradients drops what a failed epoch left in the local regime's
+// gradient path — sums not yet flushed, rows already routed to their
+// owners — so it cannot leak into the next epoch's digest. No-op under
+// the exact regime.
+func (e *Engine) discardGradients() {
+	for _, rep := range e.replicas {
+		if ls, ok := rep.source.(*localSource); ok {
+			ls.discardGradients()
+		}
+	}
 }
 
 // step computes one replica's gradient contribution for a mini-batch,

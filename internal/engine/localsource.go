@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"argo/internal/graph"
@@ -15,37 +15,46 @@ import (
 // Cluster-GCN observation — and the source exploits that in both
 // directions:
 //
-//   - Features are fetched through the inner (exchange-backed) source
-//     on first touch and cached for the rest of the run. Training
-//     features never change, so each remote halo row crosses the wire
-//     at most once per run instead of once per batch.
-//   - Input-feature gradients are accumulated locally per row and
-//     flushed through the inner GradientRouter once per epoch
-//     (FlushGradients), so the backhaul is one row per touched node
-//     per epoch instead of one per batch.
+//   - Features: every row a batch or an evaluation asks for, owned or
+//     halo, is fetched through the inner (exchange-backed) source on
+//     first touch and kept in cache for the rest of the run, so a remote
+//     row crosses the wire at most once per run instead of once per
+//     batch. A miss fetch that fails leaves the cache as it was.
+//   - Input-feature gradients are summed per row into gsum as batches
+//     finish; once per epoch FlushGradients routes the sums through the
+//     inner GradientRouter and empties gsum, so the backhaul is one row
+//     per touched node per epoch instead of one per batch.
 //
-// Gathered values are pure functions of the ids, so losses are
-// bit-identical to an uncached source. Row/byte traffic counts are
-// deterministic too (each distinct row moves exactly once); with more
-// than one sampling worker the *message* counts may vary run to run,
-// since which batch first touches a row depends on scheduling.
+// Both tables are one slab each, reset rather than reallocated, and the
+// gathered batch and the flush matrix come from the replica's BufPool.
+// None of it shows in the floats: gathered rows are copies of the
+// fetched rows, and each replica steps on one goroutine in batch order,
+// so a row's sum adds the same operands in the same order whatever
+// holds it. Row/byte traffic counts are deterministic too (each
+// distinct row moves exactly once); with more than one sampling worker
+// the *message* counts may vary run to run, since which batch first
+// touches a row depends on scheduling.
 type localSource struct {
 	inner DataSource
+	bufs  *tensor.BufPool
 
-	mu    sync.Mutex
-	dim   int
-	cache map[graph.NodeID][]float32
+	mu      sync.Mutex
+	cache   *tensor.RowTable
+	missing []graph.NodeID // scratch: the ids of one gather's miss fetch
 
-	gmu  sync.Mutex
-	gdim int
-	gsum map[graph.NodeID][]float32
+	gmu   sync.Mutex
+	gsum  *tensor.RowTable
+	order []graph.NodeID // FlushGradients' scratch (one flush at a time): gsum's ids, ascending
 }
 
-func newLocalSource(inner DataSource) *localSource {
+// newLocalSource wraps inner for dim-wide features. bufs is the
+// replica's buffer pool (nil falls back to plain allocation).
+func newLocalSource(inner DataSource, dim int, bufs *tensor.BufPool) *localSource {
 	return &localSource{
 		inner: inner,
-		cache: make(map[graph.NodeID][]float32),
-		gsum:  make(map[graph.NodeID][]float32),
+		bufs:  bufs,
+		cache: tensor.NewRowTable(dim),
+		gsum:  tensor.NewRowTable(dim),
 	}
 }
 
@@ -59,29 +68,32 @@ func (s *localSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error)
 	// replica's owned + halo set (plus any evaluation rows).
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var missing []graph.NodeID
-	seen := map[graph.NodeID]bool{}
+	// Misses claim their cache rows up front (which dedupes them) and
+	// are filled from one inner gather, or rolled back if it fails.
+	mark := s.cache.Len()
+	s.missing = s.missing[:0]
 	for _, v := range ids {
-		if _, ok := s.cache[v]; !ok && !seen[v] {
-			seen[v] = true
-			missing = append(missing, v)
+		if _, fresh := s.cache.Add(v); fresh {
+			s.missing = append(s.missing, v)
 		}
 	}
-	if len(missing) > 0 {
-		m, err := s.inner.GatherFeatures(missing)
+	if len(s.missing) > 0 {
+		m, err := s.inner.GatherFeatures(s.missing)
+		if err == nil && (m.Rows != len(s.missing) || m.Cols != s.cache.Width()) {
+			err = fmt.Errorf("engine: inner source gathered %d×%d for %d ids of width %d",
+				m.Rows, m.Cols, len(s.missing), s.cache.Width())
+		}
 		if err != nil {
+			s.cache.Truncate(mark)
 			return nil, err
 		}
-		s.dim = m.Cols
-		for i, v := range missing {
-			row := make([]float32, m.Cols)
-			copy(row, m.Row(i))
-			s.cache[v] = row
+		for i := range s.missing {
+			copy(s.cache.At(mark+i), m.Row(i))
 		}
 	}
-	out := tensor.New(len(ids), s.dim)
+	out := s.bufs.Get(len(ids), s.cache.Width())
 	for i, v := range ids {
-		copy(out.Row(i), s.cache[v])
+		copy(out.Row(i), s.cache.Row(v))
 	}
 	return out, nil
 }
@@ -95,18 +107,14 @@ func (s *localSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
 // ScatterGradients implements GradientRouter by accumulating into the
 // epoch buffer; nothing crosses the wire until FlushGradients.
 func (s *localSource) ScatterGradients(ids []graph.NodeID, grads *tensor.Matrix) error {
-	if grads.Rows != len(ids) {
-		return fmt.Errorf("engine: %d gradient rows for %d ids", grads.Rows, len(ids))
+	if grads.Rows != len(ids) || grads.Cols != s.gsum.Width() {
+		return fmt.Errorf("engine: %d×%d gradient matrix for %d ids of width %d",
+			grads.Rows, grads.Cols, len(ids), s.gsum.Width())
 	}
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
-	s.gdim = grads.Cols
 	for i, v := range ids {
-		row := s.gsum[v]
-		if row == nil {
-			row = make([]float32, grads.Cols)
-			s.gsum[v] = row
-		}
+		row, _ := s.gsum.Add(v)
 		for j, x := range grads.Row(i) {
 			row[j] += x
 		}
@@ -116,31 +124,39 @@ func (s *localSource) ScatterGradients(ids []graph.NodeID, grads *tensor.Matrix)
 
 // FlushGradients routes the accumulated per-row sums to their owners
 // through the inner GradientRouter (one batched exchange, ids
-// ascending) and resets the buffer. Each replica's step runs on a
-// single goroutine in batch order, so the accumulated floats — and
-// therefore the flushed rows — are deterministic.
+// ascending) and empties the buffer, whether or not the exchange
+// succeeds. Each replica's step runs on a single goroutine in batch
+// order, so the accumulated floats — and therefore the flushed rows —
+// are deterministic.
 func (s *localSource) FlushGradients() error {
 	s.gmu.Lock()
-	if len(s.gsum) == 0 {
+	if s.gsum.Len() == 0 {
 		s.gmu.Unlock()
 		return nil
 	}
-	ids := make([]graph.NodeID, 0, len(s.gsum))
-	for v := range s.gsum {
-		ids = append(ids, v)
+	s.order = append(s.order[:0], s.gsum.IDs()...)
+	slices.Sort(s.order)
+	m := s.bufs.Get(len(s.order), s.gsum.Width())
+	defer s.bufs.Put(m)
+	for i, v := range s.order {
+		copy(m.Row(i), s.gsum.Row(v))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	m := tensor.New(len(ids), s.gdim)
-	for i, v := range ids {
-		copy(m.Row(i), s.gsum[v])
-	}
-	s.gsum = make(map[graph.NodeID][]float32)
+	s.gsum.Reset()
 	s.gmu.Unlock()
 	rt, ok := s.inner.(GradientRouter)
 	if !ok {
 		return fmt.Errorf("engine: local source's inner source has no gradient reverse path")
 	}
-	return rt.ScatterGradients(ids, m)
+	return rt.ScatterGradients(s.order, m)
+}
+
+// discardGradients drops the sums not yet flushed and whatever other
+// replicas already routed to this one.
+func (s *localSource) discardGradients() {
+	s.gmu.Lock()
+	s.gsum.Reset()
+	s.gmu.Unlock()
+	_, _, _ = s.CollectGradients() // a failing drain has nothing to keep either
 }
 
 // CollectGradients implements GradientCollector by delegating to the

@@ -8,17 +8,18 @@ import (
 	"argo/internal/sampler"
 )
 
-// runLocalRegime trains epochs under the partition-local regime over
-// the given transport and returns the per-epoch results plus the
-// exchange totals.
-func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs int) ([]EpochResult, ddp.HaloStats) {
+// newShardedEngine builds a 2-replica engine over a 3-shard set of ds
+// on the given transport, under the given sampling regime. wrap, when
+// non-nil, decorates each replica's shard source before the engine sees
+// it.
+func newShardedEngine(t testing.TB, ds *graph.Dataset, transport string, regime SamplingRegime, wrap func(r int, s DataSource) DataSource) (*Engine, *ddp.HaloExchange) {
 	t.Helper()
 	const numProcs = 2
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
+	t.Cleanup(func() { ss.Close() })
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)
@@ -27,21 +28,37 @@ func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs in
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Close()
-	setup, err := NewPartitionSetup(ss, skel, numProcs, []int{5, 4, 3})
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { ex.Close() })
+	if wrap != nil {
+		for r := range sources {
+			sources[r] = wrap(r, sources[r])
+		}
 	}
 	cfg := shardedEngineConfig(skel, numProcs)
 	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
 	cfg.Sources = sources
-	cfg.SamplingRegime = RegimeLocal
-	cfg.LocalSamplers = setup.Samplers
-	cfg.LocalTargets = setup.Targets
+	if regime == RegimeLocal {
+		setup, err := NewPartitionSetup(ss, skel, numProcs, []int{5, 4, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SamplingRegime = RegimeLocal
+		cfg.LocalSamplers = setup.Samplers
+		cfg.LocalTargets = setup.Targets
+	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e, ex
+}
+
+// runLocalRegime trains epochs under the partition-local regime over
+// the given transport and returns the per-epoch results plus the
+// exchange totals.
+func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs int) ([]EpochResult, ddp.HaloStats) {
+	t.Helper()
+	e, ex := newShardedEngine(t, ds, transport, RegimeLocal, nil)
 	var out []EpochResult
 	for ep := 0; ep < epochs; ep++ {
 		res, err := e.RunEpoch(ep)
@@ -143,29 +160,8 @@ func TestLocalRegimeDeterministic(t *testing.T) {
 // feature direction alone must still shrink.)
 func TestLocalRegimeCutsRemoteFeatureTraffic(t *testing.T) {
 	ds := shardedTestDataset(t)
-	const numProcs, epochs = 2, 2
-
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	skel, err := ss.Skeleton()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources, ex, err := NewShardSources(ss, numProcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	cfg := shardedEngineConfig(skel, numProcs)
-	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
-	cfg.Sources = sources
-	exact, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const epochs = 2
+	exact, ex := newShardedEngine(t, ds, "inproc", RegimeExact, nil)
 	for ep := 0; ep < epochs; ep++ {
 		if res, err := exact.RunEpoch(ep); err != nil {
 			t.Fatal(err)

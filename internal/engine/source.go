@@ -19,7 +19,8 @@ import (
 type DataSource interface {
 	// GatherFeatures returns the feature rows of ids, in order. The
 	// returned matrix is freshly assembled and owned by the caller,
-	// which may recycle it into a buffer pool once consumed.
+	// which may recycle it into a buffer pool once consumed; ids stays
+	// the caller's and is not kept.
 	GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error)
 	// TargetLabels returns the labels of ids, in order.
 	TargetLabels(ids []graph.NodeID) ([]int32, error)
@@ -53,7 +54,8 @@ func (s datasetSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
 // topology. The in-memory dataset source has no reverse path.
 type GradientRouter interface {
 	// ScatterGradients sends grads (len(ids)×featDim, row i the
-	// contribution to ids[i]) to the owners of ids.
+	// contribution to ids[i]) to the owners of ids. It keeps neither
+	// argument once it returns: callers recycle both.
 	ScatterGradients(ids []graph.NodeID, grads *tensor.Matrix) error
 }
 
