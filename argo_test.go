@@ -44,38 +44,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 	}
 }
 
-// The deprecated Options/New/RunLegacy shim must keep old callers working
-// against the new run loop.
-func TestLegacyShim(t *testing.T) {
-	bad := []Options{
-		{},
-		{Epochs: 10},
-		{Epochs: 10, NumSearches: 0},
-		{Epochs: 5, NumSearches: 10},
-	}
-	for i, o := range bad {
-		if _, err := New(o); err == nil {
-			t.Fatalf("options %d must be rejected", i)
-		}
-	}
-	var lines []string
-	rt, err := New(Options{Epochs: 6, NumSearches: 2, TotalCores: 64, Seed: 1,
-		Logf: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := rt.RunLegacy(func(Config, int) (float64, error) { return 1, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.History) != 6 {
-		t.Fatalf("legacy run recorded %d epochs, want 6", len(rep.History))
-	}
-	if len(lines) == 0 {
-		t.Fatal("legacy Logf not wired through")
-	}
-}
-
 // Run must implement Algorithm 1: NumSearches single-epoch probes, then
 // per-epoch reuse of the best configuration (each reuse epoch recorded at
 // its own measured cost, not a duplicated mean).

@@ -1,12 +1,12 @@
 // Command argo-data manages .argograph binary dataset stores: it
 // generates the registry's synthetic workload profiles to disk (at test
-// size or scaled up to 1000×), inspects stored graphs lazily, verifies
-// a store's section table, checksums, and structural invariants, and
-// upgrades legacy v1 stores to the sectioned v2 layout. Generating once
-// and loading thereafter turns dataset setup from tens of milliseconds
-// (or much more for bigger profiles) into a single fast read shared by
-// argo-train, argo-bench, and argo-sweep — and with v2's lazy loading,
-// metadata and topology reads stay fast no matter how large the store.
+// size or scaled up to 1000×), inspects stored graphs lazily, and
+// verifies a store's section table, checksums, and structural
+// invariants. Generating once and loading thereafter turns dataset setup
+// from tens of milliseconds (or much more for bigger profiles) into a
+// single fast read shared by argo-train and argo-serve — and with lazy
+// loading, metadata and topology reads stay fast no matter how large the
+// store.
 //
 // Usage:
 //
@@ -16,7 +16,6 @@
 //	argo-data import edges.csv -labels labels.csv -o mygraph.argograph
 //	argo-data inspect arxiv.argograph
 //	argo-data verify arxiv.argograph
-//	argo-data upgrade old.argograph [-o new.argograph]
 package main
 
 import (
@@ -50,7 +49,6 @@ Subcommands:
                              (fp16 stores: every value finite and fp16-exact); on a
                              manifest-carrying shard store, also validate the
                              whole shard set (coverage, disjointness, halo edges)
-  upgrade <file> [-o <out>]  rewrite a v1 store in the sectioned v2 format
   convert <file> -feat-dtype fp32|fp16 [-o <out>]
                              re-encode the store's features in the given dtype
                              (fp16 halves the features section; idempotent)
@@ -78,8 +76,6 @@ func main() {
 		err = runInspect(os.Args[2:])
 	case "verify":
 		err = runVerify(os.Args[2:])
-	case "upgrade":
-		err = runUpgrade(os.Args[2:])
 	case "convert":
 		err = runConvert(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -514,45 +510,6 @@ func runConvert(args []string) error {
 	if report != nil {
 		fmt.Printf("  fp16 rounding over %d×%d: max |err| %.3g (column %d), mean |err| %.3g\n",
 			report.Rows, report.Cols, report.OverallMax, report.WorstCol, report.MeanAbs)
-	}
-	return nil
-}
-
-func runUpgrade(args []string) error {
-	fs := flag.NewFlagSet("upgrade", flag.ExitOnError)
-	out := fs.String("o", "", "output path (default: rewrite in place)")
-	// Accept both `upgrade store.argograph -o out` and `upgrade -o out store.argograph`.
-	var src string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		src = args[0]
-		args = args[1:]
-	}
-	fs.Parse(args)
-	if src == "" && fs.NArg() == 1 {
-		src = fs.Arg(0)
-	} else if fs.NArg() > 0 {
-		return fmt.Errorf("upgrade takes one .argograph path (plus optional -o out)")
-	}
-	if src == "" {
-		return fmt.Errorf("upgrade takes one .argograph path (plus optional -o out)")
-	}
-	dst := *out
-	if dst == "" {
-		dst = src
-	}
-	start := time.Now()
-	srcVersion, identical, err := graph.UpgradeStore(src, dst)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start).Round(time.Microsecond)
-	switch {
-	case srcVersion >= 2 && identical:
-		fmt.Printf("%s: already format v2; rewritten byte-identically to %s in %s\n", src, dst, elapsed)
-	case srcVersion >= 2:
-		fmt.Printf("%s: already format v2; re-encoded canonically to %s in %s\n", src, dst, elapsed)
-	default:
-		fmt.Printf("%s: upgraded v%d → v2 at %s in %s\n", src, srcVersion, dst, elapsed)
 	}
 	return nil
 }

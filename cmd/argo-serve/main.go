@@ -86,6 +86,27 @@ func main() {
 	}
 }
 
+// Server-side connection deadlines. A predict request is a few hundred
+// bytes, so a client that has not finished its headers in
+// readHeaderTimeout, or its body in readTimeout, is stalled or hostile
+// and would otherwise hold its connection (and goroutine) forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the deadlines above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serveConfig carries the serving-stack flags into run.
 type serveConfig struct {
 	window      time.Duration
@@ -157,7 +178,7 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := newHTTPServer(addr, srv)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

@@ -44,58 +44,6 @@ import (
 	"argo/internal/sampler"
 )
 
-// benchWarmStart turns a BENCH_argo.json artifact into a warm-start
-// prior: the bench entry whose dataset profile is nearest the current
-// workload's stats (datasets.NearestProfile) contributes one prior
-// observation per benchmarked strategy. Simulated epoch seconds are not
-// this machine's epoch seconds, but as a prior they rank configurations
-// — which is all a warm start needs.
-func benchWarmStart(path string, st graph.Stats) (argo.Report, string, error) {
-	var bench struct {
-		Datasets []struct {
-			Dataset    string `json:"dataset"`
-			Strategies []struct {
-				Best             argo.Config `json:"best"`
-				BestEpochSeconds float64     `json:"best_epoch_seconds"`
-			} `json:"strategies"`
-		} `json:"datasets"`
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return argo.Report{}, "", err
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		return argo.Report{}, "", fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if len(bench.Datasets) == 0 {
-		return argo.Report{}, "", fmt.Errorf("%s has no dataset entries", path)
-	}
-	nearest, _, err := datasets.NearestProfile(st)
-	if err != nil {
-		return argo.Report{}, "", err
-	}
-	// Prefer the nearest profile's entry; fall back to the first one so
-	// a single-dataset bench file always warm-starts something.
-	pick := 0
-	for i, d := range bench.Datasets {
-		if d.Dataset == nearest.Name {
-			pick = i
-			break
-		}
-	}
-	var rep argo.Report
-	for _, s := range bench.Datasets[pick].Strategies {
-		if s.Best == (argo.Config{}) || s.BestEpochSeconds <= 0 {
-			continue
-		}
-		rep.History = append(rep.History, argo.EpochRecord{Config: s.Best, Seconds: s.BestEpochSeconds})
-	}
-	if len(rep.History) == 0 {
-		return argo.Report{}, "", fmt.Errorf("%s: entry %q carries no usable observations", path, bench.Datasets[pick].Dataset)
-	}
-	return rep, bench.Datasets[pick].Dataset, nil
-}
-
 func main() {
 	dataset := flag.String("dataset", "products-sim",
 		"dataset: a registry profile ("+strings.Join(datasets.Names(), ", ")+") or an .argograph file path")
@@ -112,8 +60,6 @@ func main() {
 	earlyStop := flag.Int("early-stop", 0, "stop searching after N stale search epochs (0 = off)")
 	reportPath := flag.String("report", "", "write the final report as JSON to this file")
 	warmPath := flag.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
-	warmBench := flag.String("warmstart-bench", "",
-		"warm-start from a BENCH_argo.json file: the entry for the registry profile nearest this workload's stats seeds the strategy")
 	lazyFlag := flag.String("lazy", "auto",
 		"store loading for .argograph paths: auto (lazy at ≥32MB), on, off")
 	shards := flag.Bool("shards", false,
@@ -264,14 +210,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("argo-train: %v", err)
 		}
-		opts = append(opts, argo.WithWarmStart(prior))
-	}
-	if *warmBench != "" {
-		prior, from, err := benchWarmStart(*warmBench, st)
-		if err != nil {
-			log.Fatalf("argo-train: %v", err)
-		}
-		fmt.Printf("warm-starting from %s's entry in %s (%d prior observations)\n", from, *warmBench, len(prior.History))
 		opts = append(opts, argo.WithWarmStart(prior))
 	}
 	rt, err := argo.NewRuntime(*epochs, *searches, opts...)

@@ -145,11 +145,11 @@ func TestWarmStartAcrossDatasetsDropsInfeasible(t *testing.T) {
 	}
 
 	// Prior run: reddit-sim workload on a 112-core machine.
-	redditSpec, err := datasets.ResolveSpec("reddit-sim")
+	reddit, err := datasets.Get("reddit-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	redditObj := objective(redditSpec)
+	redditObj := objective(reddit.Spec)
 	prior, err := NewRuntime(8, 6, WithTotalCores(112), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +166,11 @@ func TestWarmStartAcrossDatasetsDropsInfeasible(t *testing.T) {
 
 	// New run: arxiv-sim workload on 16 cores, warm-started from the
 	// foreign report.
-	arxivSpec, err := datasets.ResolveSpec("arxiv-sim")
+	arxiv, err := datasets.Get("arxiv-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	arxivObj := objective(arxivSpec)
+	arxivObj := objective(arxiv.Spec)
 	space := DefaultSpace(16)
 	var dropLogged bool
 	rt, err := NewRuntime(6, 3, WithSpace(space), WithSeed(2), WithWarmStart(priorRep),

@@ -57,12 +57,12 @@ func TestScaledProfileOpensLazily(t *testing.T) {
 	}
 
 	// Metadata resolves without touching topology or features.
-	gotSpec, err := ResolveSpec(path)
+	gotSpec, err := graph.LoadSpec(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotSpec, spec) {
-		t.Fatalf("ResolveSpec = %+v", gotSpec)
+		t.Fatalf("LoadSpec = %+v", gotSpec)
 	}
 	st, err := graph.LoadStats(path)
 	if err != nil {
@@ -144,9 +144,9 @@ func TestResolveWithModesAgree(t *testing.T) {
 }
 
 // LoadEager is the trust-nothing mode: a store whose feature section is
-// corrupt resolves its spec on the lazy paths (metadata sections are
-// intact and individually checksummed) but fails eager resolution.
-func TestResolveSpecModeEagerCatchesDeepCorruption(t *testing.T) {
+// corrupt opens on the lazy path (metadata sections are intact and
+// individually checksummed) but fails eager resolution at open.
+func TestResolveLazyEagerCatchesDeepCorruption(t *testing.T) {
 	ds, err := Build("tiny", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +165,15 @@ func TestResolveSpecModeEagerCatchesDeepCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResolveSpecMode(path, LoadLazy); err != nil {
-		t.Fatalf("lazy spec resolution failed on intact metadata: %v", err)
+	lz, err := ResolveLazy(path, 0, LoadLazy)
+	if err != nil {
+		t.Fatalf("lazy open failed on intact metadata: %v", err)
 	}
-	if _, err := ResolveSpecMode(path, LoadEager); err == nil {
-		t.Fatal("eager spec resolution accepted a corrupt store")
+	if lz.Spec().Name != ds.Spec.Name {
+		t.Fatalf("lazy open resolved spec %q", lz.Spec().Name)
+	}
+	lz.Close()
+	if _, err := ResolveLazy(path, 0, LoadEager); err == nil {
+		t.Fatal("eager resolution accepted a corrupt store")
 	}
 }

@@ -103,18 +103,6 @@ func Names() []string {
 	return out
 }
 
-// PaperNames returns the profiles that stand in for the paper's
-// benchmark datasets — everything except tiny — in registry order.
-func PaperNames() []string {
-	var out []string
-	for _, p := range registry {
-		if p.Name != "tiny" {
-			out = append(out, p.Name)
-		}
-	}
-	return out
-}
-
 // Get returns the profile registered under name. Legacy graph-registry
 // names ("flickr", "ogbn-products", …) resolve too, so older scripts keep
 // working. A "@xN" suffix (the provenance syntax Scale stamps on stored
@@ -268,35 +256,4 @@ func ResolveLazy(nameOrPath string, seed int64, mode LoadMode) (*graph.LazyDatas
 		}
 	}
 	return lz, nil
-}
-
-// ResolveSpec returns just the dataset specification for a registry name
-// or an .argograph path — what the platform simulator consumes when no
-// materialised graph is needed. For paths only the store's spec section
-// (v2) or spec prefix (v1) is read (graph.LoadSpec), so arbitrarily
-// large stores resolve in microseconds.
-func ResolveSpec(nameOrPath string) (graph.DatasetSpec, error) {
-	return ResolveSpecMode(nameOrPath, LoadAuto)
-}
-
-// ResolveSpecMode is ResolveSpec with an explicit load mode. LoadEager
-// forces a path workload through a full load — every checksum and
-// structural invariant verified — before its spec is trusted; the other
-// modes stay on the metadata-only fast path.
-func ResolveSpecMode(nameOrPath string, mode LoadMode) (graph.DatasetSpec, error) {
-	p, gerr := Get(nameOrPath)
-	if gerr == nil {
-		return p.Spec, nil
-	}
-	if _, serr := os.Stat(nameOrPath); serr != nil {
-		return graph.DatasetSpec{}, fmt.Errorf("%w; and no such file: %v", gerr, serr)
-	}
-	if mode == LoadEager {
-		ds, err := graph.LoadDataset(nameOrPath)
-		if err != nil {
-			return graph.DatasetSpec{}, err
-		}
-		return ds.Spec, nil
-	}
-	return graph.LoadSpec(nameOrPath)
 }

@@ -13,9 +13,6 @@ func TestRegistryNamesAndOrder(t *testing.T) {
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	if got := PaperNames(); !reflect.DeepEqual(got, want[1:]) {
-		t.Fatalf("PaperNames() = %v, want %v", got, want[1:])
-	}
 }
 
 func TestGetLegacyGraphNames(t *testing.T) {
@@ -144,24 +141,6 @@ func TestResolveNameAndPath(t *testing.T) {
 	}
 	if _, err := Resolve("definitely-not-a-dataset", 1); err == nil {
 		t.Fatal("unknown name resolved")
-	}
-
-	spec, err := ResolveSpec(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spec, built.Spec) {
-		t.Fatalf("ResolveSpec(path) = %+v, want %+v", spec, built.Spec)
-	}
-	spec, err = ResolveSpec("reddit-sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Name != "reddit" {
-		t.Fatalf("reddit-sim resolves to spec %q", spec.Name)
-	}
-	if _, err := ResolveSpec("definitely-not-a-dataset"); err == nil {
-		t.Fatal("unknown name resolved to a spec")
 	}
 }
 

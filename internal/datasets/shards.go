@@ -2,11 +2,9 @@ package datasets
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"argo/internal/graph"
 )
@@ -55,79 +53,4 @@ func ResolveShards(spec string, seed int64) (*graph.ShardSet, error) {
 		return nil, fmt.Errorf("datasets: %q is neither name#k nor a shard store path: %v", spec, serr)
 	}
 	return graph.OpenShardSet(spec)
-}
-
-// profileSignatures caches each registry profile's *realised* stats —
-// what its scaled instance actually generates at the canonical seed —
-// computed once on first use. Matching against realisations rather than
-// raw spec numbers matters because the generator's dedup and power-law
-// clipping land the arc count well under 2× the edge target for the
-// denser profiles.
-var (
-	profileStatsOnce sync.Once
-	profileStats     map[string]graph.Stats
-)
-
-func signatures() map[string]graph.Stats {
-	profileStatsOnce.Do(func() {
-		profileStats = make(map[string]graph.Stats, len(registry))
-		for _, p := range registry {
-			if p.Spec.ScaledNodes < 1 {
-				continue
-			}
-			d, err := graph.Build(p.Spec, 1)
-			if err != nil {
-				continue // an unbuildable profile simply cannot be matched
-			}
-			profileStats[p.Name] = graph.ComputeStats(d)
-		}
-	})
-	return profileStats
-}
-
-// NearestProfile returns the registry profile whose shape is closest to
-// the given workload stats — the warm-start prior matcher: a finished
-// BENCH_argo.json entry for a similar profile is a better starting
-// point for the tuner than cold random probes. Distance is measured in
-// log space over node count, average degree, feature width, and class
-// count against each profile's realised instance, so "similar" means
-// similar orders of magnitude rather than similar absolute sizes. Ties
-// resolve to registry order.
-func NearestProfile(st graph.Stats) (Profile, float64, error) {
-	if st.NumNodes < 1 {
-		return Profile{}, 0, fmt.Errorf("datasets: stats describe no nodes")
-	}
-	sigs := signatures()
-	best := -1
-	bestDist := math.Inf(1)
-	for i, p := range registry {
-		sig, ok := sigs[p.Name]
-		if !ok {
-			continue
-		}
-		d := logDist(float64(st.NumNodes), float64(sig.NumNodes)) +
-			logDist(st.AvgDegree, sig.AvgDegree) +
-			logDist(float64(st.FeatCols), float64(sig.FeatCols)) +
-			logDist(float64(st.NumClasses), float64(sig.NumClasses))
-		if d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	if best < 0 {
-		return Profile{}, 0, fmt.Errorf("datasets: no sized registry profile to match against")
-	}
-	return registry[best], bestDist, nil
-}
-
-// logDist is the squared distance between a and b in log space; zero or
-// negative values clamp to 1 so degenerate stats stay comparable.
-func logDist(a, b float64) float64 {
-	if a < 1 {
-		a = 1
-	}
-	if b < 1 {
-		b = 1
-	}
-	d := math.Log(a) - math.Log(b)
-	return d * d
 }

@@ -89,69 +89,3 @@ func TestResolveShardsErrors(t *testing.T) {
 		t.Fatalf("missing path: %v", err)
 	}
 }
-
-// The matcher must map each profile's own materialised stats back to
-// itself: the build is the spec's realisation, so no other registry
-// entry may be closer.
-func TestNearestProfileIdentity(t *testing.T) {
-	for _, name := range Names() {
-		ds, err := Build(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, dist, err := NearestProfile(graph.ComputeStats(ds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Name != name {
-			t.Fatalf("stats of %s matched %s (dist %.3f)", name, p.Name, dist)
-		}
-	}
-}
-
-// Matching is robust to realisation noise: a different generator seed
-// produces a slightly different instance of the same profile, which
-// must still match its own profile.
-func TestNearestProfileOtherSeed(t *testing.T) {
-	for _, name := range []string{"tiny", "arxiv-sim", "reddit-sim"} {
-		ds, err := Build(name, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := NearestProfile(graph.ComputeStats(ds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Name != name {
-			t.Fatalf("%s (seed 17) matched %s", name, got.Name)
-		}
-	}
-}
-
-// The matcher is size-aware: scaling tiny up moderately keeps it far
-// below every paper profile, so it stays matched to tiny, while a
-// heavily scaled mid-size profile may legitimately migrate to the
-// profile whose size it has grown into.
-func TestNearestProfileScaledInstance(t *testing.T) {
-	p, err := Get("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := graph.Build(p.Spec.Scale(4), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := NearestProfile(graph.ComputeStats(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "tiny" {
-		t.Fatalf("tiny@x4 matched %s", got.Name)
-	}
-}
-
-func TestNearestProfileRejectsEmptyStats(t *testing.T) {
-	if _, _, err := NearestProfile(graph.Stats{}); err == nil {
-		t.Fatal("empty stats accepted")
-	}
-}

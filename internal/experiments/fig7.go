@@ -27,7 +27,7 @@ type HeatmapData struct {
 }
 
 // Heatmap sweeps the (n, s) plane at fixed t for any setup — the primitive
-// behind Fig. 7, Fig. 12 and cmd/argo-sweep.
+// behind Fig. 7 and Fig. 12.
 func Heatmap(setup Setup, trainCores int) (HeatmapData, error) {
 	hd := HeatmapData{Setup: setup, TrainC: trainCores, BestSec: math.Inf(1)}
 	sc := setup.Scenario()

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure from the paper's
-// evaluation section (the per-experiment index lives in DESIGN.md §6).
+// evaluation section (`argo-bench -list` prints the per-experiment index).
 // Each experiment writes a human-readable rendition to an io.Writer and
 // returns its structured data so tests can assert the expected shapes.
 package experiments
@@ -22,23 +22,13 @@ type Setup struct {
 	Sampler platsim.SamplerKind
 	Model   platsim.ModelKind
 	Dataset string
-	// Spec, when non-nil, supplies the dataset specification directly —
-	// for workloads resolved outside the graph registry (a *-sim profile
-	// or a loaded .argograph store). Dataset stays the display name.
-	Spec *graph.DatasetSpec
 }
 
 // Scenario materialises the setup's simulator scenario.
 func (s Setup) Scenario() platsim.Scenario {
-	ds := graph.DatasetSpec{}
-	if s.Spec != nil {
-		ds = *s.Spec
-	} else {
-		var err error
-		ds, err = graph.Spec(s.Dataset)
-		if err != nil {
-			panic(err) // setups are compile-time constants; a bad name is a bug
-		}
+	ds, err := graph.Spec(s.Dataset)
+	if err != nil {
+		panic(err) // setups are compile-time constants; a bad name is a bug
 	}
 	return platsim.Scenario{
 		Platform: s.Plat,

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,7 +14,7 @@ import (
 	"argo/internal/tensor/half"
 )
 
-// LazyDataset is an opened .argograph v2 store that materialises
+// LazyDataset is an opened .argograph store that materialises
 // sections on demand. Open reads only the header, section table, spec,
 // and stats — a few hundred bytes regardless of store size — so a
 // papers100M-class file yields its metadata in microseconds. Each
@@ -28,20 +27,15 @@ import (
 // page faulting against the page cache and an out-of-RAM store can be
 // traversed section by section; elsewhere a portable ReadAt fallback
 // preserves the same laziness with one copy per touched section.
-//
-// A LazyDataset opened over a version-1 store degrades gracefully: the
-// whole payload is decoded eagerly (v1 has no section offsets) and the
-// accessors serve from memory. Callers see one API either way.
 type LazyDataset struct {
 	path     string
-	version  uint32
 	kind     uint32
 	mapped   bool // true when backed by an mmap, not ReadAt
 	spec     DatasetSpec
 	stats    Stats
 	sections []sectionEntry
 	// featDtype is the store's feature encoding, decided by which
-	// features section the table carries (v1 and pre-dtype v2: fp32).
+	// features section the table carries (pre-dtype stores: fp32).
 	featDtype FeatDtype
 
 	src   sectionSource
@@ -58,8 +52,8 @@ type LazyDataset struct {
 	// slice straight into the payload on every later call.
 	featRowsChecked bool
 
-	// eager holds the fully decoded dataset for v1 stores (and caches
-	// the assembled one for v2).
+	// eager holds the wrapped dataset of LazyFromDataset, and caches the
+	// one Dataset assembles.
 	eager *Dataset
 }
 
@@ -151,16 +145,9 @@ func openLazySource(src sectionSource, closeFn func() error) (*LazyDataset, erro
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading .argograph header: %w", err)
 	}
-	h, version, err := parseHeader2(hdr)
+	h, err := parseHeader2(hdr)
 	if err != nil {
 		return nil, err
-	}
-	switch version {
-	case storeVersion:
-		return openLazyV1(src, closeFn, h.kind)
-	case storeVersion2:
-	default:
-		return nil, fmt.Errorf("graph: unsupported .argograph version %d (supported: %d, %d)", version, storeVersion, storeVersion2)
 	}
 	if h.kind != storeKindDataset && h.kind != storeKindCSR {
 		return nil, fmt.Errorf("graph: unknown .argograph payload kind %d", h.kind)
@@ -177,7 +164,6 @@ func openLazySource(src sectionSource, closeFn func() error) (*LazyDataset, erro
 		return nil, err
 	}
 	lz := &LazyDataset{
-		version:  storeVersion2,
 		kind:     h.kind,
 		sections: entries,
 		src:      src,
@@ -218,38 +204,6 @@ func openLazySource(src sectionSource, closeFn func() error) (*LazyDataset, erro
 	return lz, nil
 }
 
-// openLazyV1 is the read-compat shim: v1 stores have one monolithic
-// checksummed payload, so laziness is impossible and the store is
-// decoded eagerly behind the same API.
-func openLazyV1(src sectionSource, closeFn func() error, kind uint32) (*LazyDataset, error) {
-	all, err := src.view(0, uint64(src.size()))
-	if err != nil {
-		return nil, err
-	}
-	lz := &LazyDataset{version: storeVersion, kind: kind, close: closeFn}
-	switch kind {
-	case storeKindDataset:
-		d, err := readDatasetV1(bytes.NewReader(all))
-		if err != nil {
-			return nil, err
-		}
-		lz.spec = d.Spec
-		lz.stats = ComputeStats(d)
-		lz.eager = d
-		lz.graph = d.Graph
-	case storeKindCSR:
-		g, err := readCSRV1(bytes.NewReader(all))
-		if err != nil {
-			return nil, err
-		}
-		lz.stats = csrStats(g)
-		lz.graph = g
-	default:
-		return nil, fmt.Errorf("graph: unknown .argograph payload kind %d", kind)
-	}
-	return lz, nil
-}
-
 // Close releases the mapping / file handle. Accessors must not be
 // called after Close; slices already returned (features, labels) remain
 // valid because decoding copies out of the mapping.
@@ -263,23 +217,20 @@ func (l *LazyDataset) Close() error {
 	return err
 }
 
-// Version reports the store format version (1 or 2).
-func (l *LazyDataset) Version() int { return int(l.version) }
+// Version reports the store format version.
+func (l *LazyDataset) Version() int { return storeVersion2 }
 
 // Mapped reports whether the store is served by an mmap (linux) rather
-// than the ReadAt fallback or an eager v1 decode.
+// than the ReadAt fallback.
 func (l *LazyDataset) Mapped() bool { return l.mapped }
 
 // AccessMode describes how sections are served: "memory" for a wrapped
-// in-memory dataset, "eager" for a v1 store (no section table to be
-// lazy over), "mmap" for a mapped v2 store, "pread" for the portable
+// in-memory dataset, "mmap" for a mapped store, "pread" for the portable
 // fallback.
 func (l *LazyDataset) AccessMode() string {
 	switch {
 	case l.path == "" && l.src == nil:
 		return "memory"
-	case l.version == storeVersion:
-		return "eager"
 	case l.mapped:
 		return "mmap"
 	default:
@@ -314,7 +265,7 @@ type SectionInfo struct {
 	CRC    uint32
 }
 
-// Sections lists the store's sections in file order. Empty for v1.
+// Sections lists the store's sections in file order.
 func (l *LazyDataset) Sections() []SectionInfo {
 	out := make([]SectionInfo, len(l.sections))
 	for i, e := range l.sections {
@@ -327,8 +278,7 @@ func (l *LazyDataset) Sections() []SectionInfo {
 // ids this version of the code does not understand, which lazy
 // materialisation would otherwise never touch. It is what makes
 // `argo-data verify`'s "corruption anywhere is detected" claim hold on
-// stores carrying future section kinds. No-op for v1 (the eager decode
-// already verified the single payload checksum).
+// stores carrying future section kinds.
 func (l *LazyDataset) verifyAllSections() error {
 	for _, e := range l.sections {
 		b, err := l.src.view(e.Offset, e.Length)
@@ -443,8 +393,8 @@ func (l *LazyDataset) NumFeatureRows() int { return l.stats.FeatRows }
 // filled slice returned, so a caller with a pooled buffer pays no
 // allocation. On an mmap-backed store the read is one row-sized slice of
 // the mapping; on the ReadAt fallback it is one pread. Already
-// materialised features (eager stores, or after Features was called)
-// are served from the cached matrix.
+// materialised features (a wrapped dataset, or after Features was
+// called) are served from the cached matrix.
 //
 // Row reads deliberately skip the section CRC: verifying it would read
 // every feature byte, which is exactly what the row-granular path
@@ -641,7 +591,6 @@ func LazyFromDataset(d *Dataset) *LazyDataset {
 // per-shard stats once in buildShards).
 func lazyFromDatasetWithStats(d *Dataset, st Stats) *LazyDataset {
 	return &LazyDataset{
-		version:   storeVersion2,
 		kind:      storeKindDataset,
 		spec:      d.Spec,
 		stats:     st,

@@ -168,37 +168,6 @@ func TestLoadCSRIgnoresCorruptFeatureSection(t *testing.T) {
 	}
 }
 
-// OpenLazy over a v1 file degrades to an eager decode behind the same
-// API: same data, stats computed, accessors all work.
-func TestOpenLazyV1Fallback(t *testing.T) {
-	want := storeTestDataset(t)
-	lz, err := OpenLazy("testdata/golden-v1.argograph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lz.Close()
-	if lz.Version() != 1 || lz.AccessMode() != "eager" {
-		t.Fatalf("version %d access %s", lz.Version(), lz.AccessMode())
-	}
-	if lz.Stats().NumNodes != int64(want.Graph.NumNodes) {
-		t.Fatalf("v1 stats nodes %d", lz.Stats().NumNodes)
-	}
-	g, err := lz.Topology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Graph, g) {
-		t.Fatal("v1 lazy topology differs")
-	}
-	d, err := lz.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, d) {
-		t.Fatal("v1 lazy dataset differs")
-	}
-}
-
 // OpenLazy on linux serves sections from an mmap; everywhere it must
 // report a coherent access mode and produce identical data.
 func TestOpenLazyFileAccessMode(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // Partition assigns every node to one of k parts. It is the output of the
 // data-splitting strategies discussed in paper §VII-A: ARGO's default
 // random split versus a METIS-style balanced edge-cut partitioner
-// (substituted here by a greedy BFS-grown partitioner, see DESIGN.md §2).
+// (substituted here by a greedy BFS-grown partitioner).
 type Partition struct {
 	K      int
 	Assign []int32 // len NumNodes, values in [0,K)

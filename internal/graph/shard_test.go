@@ -323,28 +323,6 @@ func TestOpenShardSetRejectsNonShardAndCorruptStores(t *testing.T) {
 	}
 }
 
-// UpgradeStore carries the shard sections through a rewrite untouched:
-// upgrading a shard store in place is byte-idempotent, halo profile and
-// manifest included.
-func TestUpgradeStorePreservesShardSections(t *testing.T) {
-	ds := shardTestDataset(t)
-	_, paths, _ := writeTestShards(t, ds, 2)
-	for i, p := range paths {
-		before, _ := os.ReadFile(p)
-		version, identical, err := UpgradeStore(p, p)
-		if err != nil {
-			t.Fatalf("shard %d upgrade: %v", i, err)
-		}
-		if version != 2 || !identical {
-			t.Fatalf("shard %d upgrade not byte-idempotent (v%d, identical=%v)", i, version, identical)
-		}
-		after, _ := os.ReadFile(p)
-		if !bytes.Equal(before, after) {
-			t.Fatalf("shard %d bytes changed by upgrade", i)
-		}
-	}
-}
-
 // A shard set whose partition starves any shard of training nodes is
 // refused at write time rather than failing mid-train.
 func TestShardSetRefusesTrainStarvedShards(t *testing.T) {

@@ -1,9 +1,8 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,31 +10,15 @@ import (
 	"os"
 	"path/filepath"
 
-	"argo/internal/tensor"
 	"argo/internal/tensor/half"
 )
 
-// The .argograph version-1 container: a fixed 32-byte header followed by
-// a single checksummed payload. Writers emit version 2 (the sectioned
-// layout in storev2.go) since PR 3; v1 is retained read-only so every
-// store ever written keeps loading through the same entry points.
-//
-//	offset  size  field
-//	0       8     magic "ARGOGRPH"
-//	8       4     format version (little-endian uint32)
-//	12      4     payload kind: 1 = Dataset, 2 = CSR
-//	16      8     payload length in bytes (v1)
-//	24      4     CRC-32C (Castagnoli) of the payload (v1)
-//	28      4     reserved, zero (v1)
-//
-// The v1 payload is a flat little-endian encoding (see encodeDataset /
-// encodeCSR). Every multi-byte integer is little-endian; floats are stored
-// as their IEEE-754 bit patterns, so features round-trip bit-exactly. The
-// header checksum means corruption anywhere in the payload — a flipped
-// bit, a truncated tail — is detected before any field is trusted.
+// Constants shared by every .argograph container (the sectioned layout
+// is described in storev2.go). Every multi-byte integer is little-endian;
+// floats are stored as their IEEE-754 bit patterns, so features
+// round-trip bit-exactly.
 const (
-	storeMagic   = "ARGOGRPH"
-	storeVersion = 1
+	storeMagic = "ARGOGRPH"
 
 	storeKindDataset = 1
 	storeKindCSR     = 2
@@ -43,12 +26,18 @@ const (
 	storeHeaderLen = 32
 )
 
+// ErrUnsupportedVersion is wrapped (with the version found) by every
+// opener handed a well-formed .argograph header of a format version this
+// build does not read — including version 1, the monolithic layout
+// written before the sectioned one replaced it.
+var ErrUnsupportedVersion = errors.New("graph: unsupported .argograph version")
+
 // CRC-32C has hardware support on both amd64 and arm64, which keeps the
 // integrity check far off the load critical path (multiple GB/s).
 var storeCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Write serialises the dataset in .argograph format (version 2, the
-// sectioned layout: see storev2.go).
+// Write serialises the dataset in .argograph format (the sectioned
+// layout: see storev2.go).
 func (d *Dataset) Write(w io.Writer) error {
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("graph: refusing to write invalid dataset: %w", err)
@@ -61,20 +50,6 @@ func (d *Dataset) Write(w io.Writer) error {
 	return err
 }
 
-// writeV1 serialises the dataset in the legacy monolithic v1 format. It
-// exists for the v1→v2 compatibility fixtures and tests; new stores are
-// always written as v2.
-func (d *Dataset) writeV1(w io.Writer) error {
-	if err := d.Validate(); err != nil {
-		return fmt.Errorf("graph: refusing to write invalid dataset: %w", err)
-	}
-	payload, err := encodeDataset(d)
-	if err != nil {
-		return err
-	}
-	return writeContainer(w, storeKindDataset, payload)
-}
-
 // Save writes the dataset to path in .argograph format. The file is
 // written to a temporary sibling first and renamed into place, so readers
 // never observe a torn store.
@@ -82,165 +57,68 @@ func (d *Dataset) Save(path string) error {
 	return saveAtomic(path, func(w io.Writer) error { return d.Write(w) })
 }
 
-// ReadDataset deserialises a dataset written with Dataset.Write — either
-// format version. The header, every checksum, and every structural
-// invariant (CSR shape, label range, split bounds) are verified before
-// the dataset is returned.
-func ReadDataset(r io.Reader) (*Dataset, error) {
-	version, full, err := sniffVersion(r)
-	if err != nil {
-		return nil, err
-	}
-	if version == storeVersion {
-		return readDatasetV1(full)
-	}
-	data, err := io.ReadAll(full)
+// openReader opens the complete store read from r as an in-memory image.
+func openReader(r io.Reader) (*LazyDataset, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading .argograph store: %w", err)
 	}
-	lz, err := openLazySource(mmapSource{data}, nil)
+	return openLazySource(mmapSource{data}, nil)
+}
+
+// wantDataset rejects a bare-CSR store where a dataset store is needed.
+func (l *LazyDataset) wantDataset() error {
+	if l.kind != storeKindDataset {
+		return fmt.Errorf("graph: .argograph payload kind %d, want %d", l.kind, storeKindDataset)
+	}
+	return nil
+}
+
+// ReadDataset deserialises a dataset written with Dataset.Write. The
+// header, every checksum, and every structural invariant (CSR shape,
+// label range, split bounds) are verified before the dataset is
+// returned.
+func ReadDataset(r io.Reader) (*Dataset, error) {
+	lz, err := openReader(r)
 	if err != nil {
 		return nil, err
 	}
-	if lz.kind != storeKindDataset {
-		return nil, fmt.Errorf("graph: .argograph payload kind %d, want %d", lz.kind, storeKindDataset)
+	if err := lz.wantDataset(); err != nil {
+		return nil, err
 	}
 	return lz.Dataset()
 }
 
-// sniffVersion peeks the container version without losing bytes: the
-// returned reader replays the consumed header before the rest of r.
-func sniffVersion(r io.Reader) (version uint32, full io.Reader, err error) {
-	var hdr [storeHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("graph: reading .argograph header: %w", err)
-	}
-	_, version, err = parseHeader2(hdr[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if version != storeVersion && version != storeVersion2 {
-		return 0, nil, fmt.Errorf("graph: unsupported .argograph version %d (supported: %d, %d)", version, storeVersion, storeVersion2)
-	}
-	return version, io.MultiReader(bytes.NewReader(hdr[:]), r), nil
-}
-
-// readDatasetV1 decodes a complete legacy v1 dataset container.
-func readDatasetV1(r io.Reader) (*Dataset, error) {
-	payload, err := readContainer(r, storeKindDataset)
-	if err != nil {
-		return nil, err
-	}
-	d, err := decodeDataset(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: stored dataset invalid: %w", err)
-	}
-	return d, nil
-}
-
-// ReadSpec decodes only the DatasetSpec from a .argograph dataset store.
-// In a v2 store that is the spec section (CRC-verified); in a v1 store
-// the spec is the first payload field, so arbitrarily large stores
-// yield their metadata without materialising topology or features. For
-// v1 the header is validated but the payload checksum is NOT (it covers
-// bytes this function never reads); use ReadDataset / argo-data verify
-// for integrity.
+// ReadSpec decodes only the DatasetSpec (the CRC-verified spec section)
+// from a .argograph dataset store.
 func ReadSpec(r io.Reader) (DatasetSpec, error) {
-	version, full, err := sniffVersion(r)
+	lz, err := openReader(r)
 	if err != nil {
 		return DatasetSpec{}, err
 	}
-	if version == storeVersion2 {
-		data, err := io.ReadAll(full)
-		if err != nil {
-			return DatasetSpec{}, fmt.Errorf("graph: reading .argograph store: %w", err)
-		}
-		lz, err := openLazySource(mmapSource{data}, nil)
-		if err != nil {
-			return DatasetSpec{}, err
-		}
-		if lz.kind != storeKindDataset {
-			return DatasetSpec{}, fmt.Errorf("graph: .argograph payload kind %d, want %d", lz.kind, storeKindDataset)
-		}
-		return lz.Spec(), nil
-	}
-	return readSpecV1(full)
-}
-
-func readSpecV1(r io.Reader) (DatasetSpec, error) {
-	payloadLen, _, err := readHeader(r, storeKindDataset)
-	if err != nil {
+	if err := lz.wantDataset(); err != nil {
 		return DatasetSpec{}, err
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return DatasetSpec{}, fmt.Errorf("graph: truncated .argograph payload: %w", err)
-	}
-	specLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if uint64(specLen)+4 > payloadLen || specLen > 1<<20 {
-		return DatasetSpec{}, fmt.Errorf("graph: spec of %d bytes exceeds payload", specLen)
-	}
-	specJSON := make([]byte, specLen)
-	if _, err := io.ReadFull(r, specJSON); err != nil {
-		return DatasetSpec{}, fmt.Errorf("graph: truncated .argograph payload: %w", err)
-	}
-	var spec DatasetSpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return DatasetSpec{}, fmt.Errorf("graph: decoding stored spec: %w", err)
-	}
-	return spec, nil
-}
-
-// LoadSpec reads just the DatasetSpec from a .argograph store at path:
-// the spec section of a v2 store, or the spec prefix of a v1 store (see
-// ReadSpec for the v1 integrity caveat). Either way no topology or
-// feature bytes are touched, so arbitrarily large stores resolve in
-// microseconds.
-func LoadSpec(path string) (DatasetSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return DatasetSpec{}, err
-	}
-	var hdr [storeHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return DatasetSpec{}, fmt.Errorf("graph: %s: reading .argograph header: %w", path, err)
-	}
-	_, version, err := parseHeader2(hdr[:])
-	if err != nil {
-		f.Close()
-		return DatasetSpec{}, fmt.Errorf("graph: %s: %w", path, err)
-	}
-	if version == storeVersion {
-		defer f.Close()
-		spec, err := readSpecV1(io.MultiReader(bytes.NewReader(hdr[:]), f))
-		if err != nil {
-			return DatasetSpec{}, fmt.Errorf("graph: %s: %w", path, err)
-		}
-		return spec, nil
-	}
-	// v2 (and future-version rejection): the lazy opener works off
-	// ReadAt/mmap, so the 32 bytes consumed above don't matter. It
-	// takes ownership of f on success.
-	lz, err := openLazyFile(f)
-	if err != nil {
-		f.Close()
-		return DatasetSpec{}, fmt.Errorf("graph: %s: %w", path, err)
-	}
-	defer lz.Close()
-	if lz.kind != storeKindDataset {
-		return DatasetSpec{}, fmt.Errorf("graph: %s: .argograph payload kind %d, want %d", path, lz.kind, storeKindDataset)
 	}
 	return lz.Spec(), nil
 }
 
-// LoadStats reads the precomputed stats of the .argograph store at path.
-// For v2 stores only the header, section table, and stats section are
-// read; v1 stores (which predate the stats section) are decoded eagerly
-// and their stats computed.
+// LoadSpec reads just the DatasetSpec from the .argograph store at path.
+// No topology or feature bytes are touched, so arbitrarily large stores
+// resolve in microseconds.
+func LoadSpec(path string) (DatasetSpec, error) {
+	lz, err := OpenLazy(path)
+	if err != nil {
+		return DatasetSpec{}, err
+	}
+	defer lz.Close()
+	if err := lz.wantDataset(); err != nil {
+		return DatasetSpec{}, fmt.Errorf("graph: %s: %w", path, err)
+	}
+	return lz.Spec(), nil
+}
+
+// LoadStats reads the precomputed stats of the .argograph store at path:
+// only the header, section table, and stats section are read.
 func LoadStats(path string) (Stats, error) {
 	lz, err := OpenLazy(path)
 	if err != nil {
@@ -250,8 +128,8 @@ func LoadStats(path string) (Stats, error) {
 	return lz.Stats(), nil
 }
 
-// LoadDataset reads a .argograph dataset store from path, either format
-// version, fully materialised and validated.
+// LoadDataset reads a .argograph dataset store from path, fully
+// materialised and validated.
 func LoadDataset(path string) (*Dataset, error) {
 	lz, err := OpenLazy(path)
 	if err != nil {
@@ -265,7 +143,7 @@ func LoadDataset(path string) (*Dataset, error) {
 	return d, nil
 }
 
-// Write serialises the CSR graph alone in .argograph v2 format (payload
+// Write serialises the CSR graph alone in .argograph format (payload
 // kind 2, stats + csr sections), for callers that persist topology
 // without features or labels.
 func (g *CSR) Write(w io.Writer) error {
@@ -280,66 +158,24 @@ func (g *CSR) Write(w io.Writer) error {
 	return err
 }
 
-// writeV1 serialises the CSR in the legacy monolithic v1 format, for
-// compatibility fixtures and tests.
-func (g *CSR) writeV1(w io.Writer) error {
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("graph: refusing to write invalid CSR: %w", err)
-	}
-	var e enc
-	encodeCSR(&e, g)
-	return writeContainer(w, storeKindCSR, e.buf)
-}
-
 // Save writes the CSR graph to path, atomically (see Dataset.Save).
 func (g *CSR) Save(path string) error {
 	return saveAtomic(path, func(w io.Writer) error { return g.Write(w) })
 }
 
 // ReadCSR deserialises a graph written with CSR.Write, verifying the
-// checksum and the CSR structural invariants. A v2 *dataset* store is
+// checksum and the CSR structural invariants. A *dataset* store is
 // accepted too: its csr section decodes without touching feature bytes,
 // which is the point of the sectioned layout.
 func ReadCSR(r io.Reader) (*CSR, error) {
-	version, full, err := sniffVersion(r)
-	if err != nil {
-		return nil, err
-	}
-	if version == storeVersion {
-		return readCSRV1(full)
-	}
-	data, err := io.ReadAll(full)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading .argograph store: %w", err)
-	}
-	lz, err := openLazySource(mmapSource{data}, nil)
+	lz, err := openReader(r)
 	if err != nil {
 		return nil, err
 	}
 	return lz.Topology()
 }
 
-// readCSRV1 decodes a complete legacy v1 CSR container.
-func readCSRV1(r io.Reader) (*CSR, error) {
-	payload, err := readContainer(r, storeKindCSR)
-	if err != nil {
-		return nil, err
-	}
-	d := dec{buf: payload}
-	g := decodeCSR(&d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("graph: %d trailing payload bytes", len(d.buf)-d.off)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: stored CSR invalid: %w", err)
-	}
-	return g, nil
-}
-
-// LoadCSR reads the topology of the .argograph store at path. For a v2
+// LoadCSR reads the topology of the .argograph store at path. For a
 // store of either kind only the header, table, stats, and csr sections
 // are read — a topology-only consumer of a dataset store never
 // materialises (or, under mmap, even faults in) its feature bytes.
@@ -419,75 +255,6 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// writeContainer frames payload with the .argograph header.
-func writeContainer(w io.Writer, kind uint32, payload []byte) error {
-	var hdr [storeHeaderLen]byte
-	copy(hdr[:8], storeMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], storeVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], kind)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[24:], crc32.Checksum(payload, storeCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readHeader reads and validates the fixed .argograph header, returning
-// the declared payload length and checksum. Truncated input, a foreign
-// or corrupted header, a version from the future, and the wrong payload
-// kind are all distinct errors.
-func readHeader(r io.Reader, wantKind uint32) (payloadLen uint64, checksum uint32, err error) {
-	var hdr [storeHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("graph: reading .argograph header: %w", err)
-	}
-	if string(hdr[:8]) != storeMagic {
-		return 0, 0, fmt.Errorf("graph: not an .argograph store (magic %q)", hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != storeVersion {
-		return 0, 0, fmt.Errorf("graph: unsupported .argograph version %d (supported: %d)", v, storeVersion)
-	}
-	if k := binary.LittleEndian.Uint32(hdr[12:]); k != wantKind {
-		return 0, 0, fmt.Errorf("graph: .argograph payload kind %d, want %d", k, wantKind)
-	}
-	return binary.LittleEndian.Uint64(hdr[16:]), binary.LittleEndian.Uint32(hdr[24:]), nil
-}
-
-// readContainer reads the header via readHeader, then the payload,
-// verifying its checksum before any field is trusted.
-func readContainer(r io.Reader, wantKind uint32) ([]byte, error) {
-	payloadLen, checksum, err := readHeader(r, wantKind)
-	if err != nil {
-		return nil, err
-	}
-	var payload []byte
-	if payloadLen <= 1<<26 {
-		// Sane sizes get a single allocation and one read.
-		payload = make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("graph: truncated .argograph payload: %w", err)
-		}
-	} else {
-		// A header declaring a huge payload is more likely corruption than
-		// a 64MB+ graph: grow while reading instead of trusting the length
-		// with one giant allocation, so corruption fails cleanly, not OOM.
-		var err error
-		payload, err = io.ReadAll(io.LimitReader(r, int64(payloadLen)))
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading .argograph payload: %w", err)
-		}
-		if uint64(len(payload)) != payloadLen {
-			return nil, fmt.Errorf("graph: truncated .argograph payload: %d of %d bytes", len(payload), payloadLen)
-		}
-	}
-	if sum := crc32.Checksum(payload, storeCRC); sum != checksum {
-		return nil, fmt.Errorf("graph: .argograph checksum mismatch (payload corrupted)")
-	}
-	return payload, nil
-}
-
 // saveAtomic writes via a temporary file in path's directory and renames
 // it into place.
 func saveAtomic(path string, write func(io.Writer) error) error {
@@ -513,87 +280,6 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// Payload layout (version 1, Dataset):
-//
-//	u32 specLen, specLen bytes  DatasetSpec as JSON
-//	u32                         NumClasses
-//	CSR block:
-//	  u64 numNodes, u64 numArcs
-//	  u64×(numNodes+1)          RowPtr
-//	  u32×numArcs               Col
-//	u64 featRows, u64 featCols
-//	f32×(featRows·featCols)     Features, row-major IEEE-754 bits
-//	u32×numNodes                Labels
-//	3 × (u64 count, u32×count)  TrainIdx, ValIdx, TestIdx
-func encodeDataset(d *Dataset) ([]byte, error) {
-	specJSON, err := json.Marshal(d.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("graph: encoding spec: %w", err)
-	}
-	var e enc
-	e.u32(uint32(len(specJSON)))
-	e.bytes(specJSON)
-	e.u32(uint32(d.NumClasses))
-	encodeCSR(&e, d.Graph)
-	e.u64(uint64(d.Features.Rows))
-	e.u64(uint64(d.Features.Cols))
-	e.f32s(d.Features.Data)
-	e.i32s(d.Labels)
-	for _, split := range [][]NodeID{d.TrainIdx, d.ValIdx, d.TestIdx} {
-		e.u64(uint64(len(split)))
-		e.i32s(split)
-	}
-	return e.buf, nil
-}
-
-func decodeDataset(payload []byte) (*Dataset, error) {
-	d := dec{buf: payload}
-	specJSON := d.bytes(int(d.u32()))
-	var spec DatasetSpec
-	if d.err == nil {
-		if err := json.Unmarshal(specJSON, &spec); err != nil {
-			return nil, fmt.Errorf("graph: decoding stored spec: %w", err)
-		}
-	}
-	numClasses := int(d.u32())
-	g := decodeCSR(&d)
-	// Every declared count is checked against the bytes actually present
-	// before any allocation, with division (never multiplication) so a
-	// crafted count cannot overflow past the guard.
-	featRows := int(d.u64())
-	featCols := int(d.u64())
-	if d.err == nil && (featRows < 0 || featCols < 0 || featRows > math.MaxInt32 || featCols > math.MaxInt32 ||
-		(featCols > 0 && featRows > d.remaining()/4/featCols)) {
-		return nil, fmt.Errorf("graph: feature block %dx%d exceeds payload", featRows, featCols)
-	}
-	feats := d.f32s(featRows * featCols)
-	labels := d.i32s(g.numNodesHint())
-	var splits [3][]NodeID
-	for i := range splits {
-		n := int(d.u64())
-		if d.err == nil && (n < 0 || n > d.remaining()/4) {
-			return nil, fmt.Errorf("graph: split of %d ids exceeds payload", n)
-		}
-		splits[i] = d.i32s(n)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("graph: %d trailing payload bytes", len(d.buf)-d.off)
-	}
-	return &Dataset{
-		Spec:       spec,
-		Graph:      g,
-		Features:   tensor.FromSlice(featRows, featCols, feats),
-		Labels:     labels,
-		NumClasses: numClasses,
-		TrainIdx:   splits[0],
-		ValIdx:     splits[1],
-		TestIdx:    splits[2],
-	}, nil
-}
-
 func encodeCSR(e *enc, g *CSR) {
 	e.u64(uint64(g.NumNodes))
 	e.u64(uint64(len(g.Col)))
@@ -607,8 +293,8 @@ func encodeCSR(e *enc, g *CSR) {
 var nilCSR = &CSR{RowPtr: []int64{0}}
 
 func decodeCSR(d *dec) *CSR {
-	// As in decodeDataset: division-only bounds checks so declared counts
-	// can neither overflow the guard nor drive an oversized allocation.
+	// Division-only bounds checks, so declared counts can neither overflow
+	// the guard nor drive an oversized allocation.
 	numNodes := int(d.u64())
 	numArcs := int(d.u64())
 	if d.err == nil && (numNodes < 0 || numArcs < 0 ||
@@ -628,13 +314,6 @@ func decodeCSR(d *dec) *CSR {
 	return &CSR{NumNodes: numNodes, RowPtr: rowPtr, Col: col}
 }
 
-func (g *CSR) numNodesHint() int {
-	if g == nil {
-		return 0
-	}
-	return g.NumNodes
-}
-
 // enc builds the little-endian payload. Slices are appended in one grow
 // per field, keeping Save roughly memcpy-speed.
 type enc struct{ buf []byte }
@@ -645,9 +324,8 @@ func (e *enc) grow(n int) []byte {
 	return e.buf[off:]
 }
 
-func (e *enc) u32(v uint32)   { binary.LittleEndian.PutUint32(e.grow(4), v) }
-func (e *enc) u64(v uint64)   { binary.LittleEndian.PutUint64(e.grow(8), v) }
-func (e *enc) bytes(b []byte) { e.buf = append(e.buf, b...) }
+func (e *enc) u32(v uint32) { binary.LittleEndian.PutUint32(e.grow(4), v) }
+func (e *enc) u64(v uint64) { binary.LittleEndian.PutUint64(e.grow(8), v) }
 func (e *enc) i64s(xs []int64) {
 	b := e.grow(8 * len(xs))
 	for i, x := range xs {
@@ -714,8 +392,6 @@ func (d *dec) u64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
-
-func (d *dec) bytes(n int) []byte { return d.take(n) }
 
 func (d *dec) i64s(n int) []int64 {
 	b := d.take(8 * n)

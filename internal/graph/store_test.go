@@ -86,8 +86,8 @@ func TestStoreGoldenHeader(t *testing.T) {
 		t.Fatalf("declared file size %d, actual %d", sz, len(b))
 	}
 	// Writes are deterministic: the same dataset encodes to the same bytes.
-	// Upgrade idempotence and the bench-smoke byte-stability gate in CI
-	// both lean on this.
+	// Convert idempotence and the shard byte-stability gate in CI both
+	// lean on this.
 	var again bytes.Buffer
 	if err := ds.Write(&again); err != nil {
 		t.Fatal(err)
@@ -97,20 +97,33 @@ func TestStoreGoldenHeader(t *testing.T) {
 	}
 }
 
-// The v1 writer is kept (read-compat fixtures); its framing stays pinned
-// too so old stores remain decodable forever.
+// goldenV1 is a store in the retired monolithic version-1 layout (one
+// checksummed payload after the 32-byte header), checked in and never
+// regenerated: the negative fixture for ErrUnsupportedVersion.
+const goldenV1 = "testdata/golden-v1.argograph"
+
+// The negative fixture must stay a well-formed version-1 store — magic,
+// version 1, dataset kind, a payload length and checksum that hold — so
+// the rejection tests reject it for its version and nothing else.
 func TestStoreGoldenHeaderV1(t *testing.T) {
-	ds := storeTestDataset(t)
-	var buf bytes.Buffer
-	if err := ds.writeV1(&buf); err != nil {
+	b, err := os.ReadFile(goldenV1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
+	if string(b[:8]) != storeMagic {
+		t.Fatalf("magic %q", b[:8])
+	}
 	if v := binary.LittleEndian.Uint32(b[8:]); v != 1 {
 		t.Fatalf("version %d, want 1", v)
 	}
+	if k := binary.LittleEndian.Uint32(b[12:]); k != storeKindDataset {
+		t.Fatalf("kind %d, want %d", k, storeKindDataset)
+	}
 	if l := binary.LittleEndian.Uint64(b[16:]); int(l) != len(b)-storeHeaderLen {
 		t.Fatalf("declared payload %d, actual %d", l, len(b)-storeHeaderLen)
+	}
+	if sum := binary.LittleEndian.Uint32(b[24:]); sum != crc32.Checksum(b[storeHeaderLen:], storeCRC) {
+		t.Fatal("fixture payload checksum does not hold")
 	}
 }
 
@@ -190,16 +203,18 @@ func TestStoreRejectsTruncation(t *testing.T) {
 func TestStoreRejectsTrailingBytes(t *testing.T) {
 	ds := storeTestDataset(t)
 	var buf bytes.Buffer
-	if err := ds.writeV1(&buf); err != nil {
+	if err := ds.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Padding the payload while fixing up the header length and checksum
-	// must still be rejected: version-1 payloads are exactly sized.
+	// Padding the file must be rejected, with or without the header's
+	// file size fixed up to match: the sections tile the file exactly.
 	b := append(buf.Bytes(), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint64(b[16:], uint64(len(b)-storeHeaderLen))
-	binary.LittleEndian.PutUint32(b[24:], crc32.Checksum(b[storeHeaderLen:], storeCRC))
-	if _, err := ReadDataset(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("padded payload accepted: %v", err)
+	if _, err := ReadDataset(bytes.NewReader(b)); err == nil {
+		t.Fatal("padded store accepted")
+	}
+	binary.LittleEndian.PutUint64(b[24:], uint64(len(b)))
+	if _, err := ReadDataset(bytes.NewReader(b)); err == nil {
+		t.Fatal("padded store with a matching declared size accepted")
 	}
 }
 
@@ -241,13 +256,13 @@ func FuzzReadDataset(f *testing.F) {
 	f.Add(valid[:storeHeaderLen])
 	f.Add([]byte("ARGOGRPH"))
 	f.Add([]byte{})
-	// The legacy v1 encoding goes through its own decode path; seed it too.
-	var v1 bytes.Buffer
-	if err := ds.writeV1(&v1); err != nil {
+	// A retired-version store must be rejected from the header alone.
+	v1, err := os.ReadFile(goldenV1)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
-	f.Add(v1.Bytes()[:len(v1.Bytes())/2])
+	f.Add(v1)
+	f.Add(v1[:len(v1)/2])
 	// The fp16 encoding decodes through its own section path; seed it too.
 	var f16 bytes.Buffer
 	if err := f16TestDataset(f).Write(&f16); err != nil {
@@ -270,70 +285,74 @@ func FuzzReadDataset(f *testing.F) {
 	})
 }
 
+// craftedStore swaps the payload of one section of a valid store of ds
+// (a dataset store, or a bare-CSR one when csrOnly) for raw and
+// re-frames it, so the table and every checksum hold and only the
+// section decoder stands between the crafted counts and an allocation.
+func craftedStore(t *testing.T, ds *Dataset, csrOnly bool, id uint32, raw []byte) []byte {
+	t.Helper()
+	write, kind := ds.Write, uint32(storeKindDataset)
+	if csrOnly {
+		write, kind = ds.Graph.Write, storeKindCSR
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	var sections []section
+	for _, e := range sectionTableOf(t, b) {
+		payload := b[e.Offset : e.Offset+e.Length]
+		if e.ID == id {
+			payload = raw
+		}
+		sections = append(sections, section{e.ID, payload})
+	}
+	return encodeSections(kind, sections)
+}
+
 // A crafted store whose declared counts are near MaxInt64 must be
 // rejected, not panic in makeslice: the length guards must be
 // overflow-proof (they divide, never multiply).
 func TestStoreRejectsOverflowingCounts(t *testing.T) {
-	craft := func(kind uint32, payload []byte) []byte {
-		var buf bytes.Buffer
-		if err := writeContainer(&buf, kind, payload); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	// CSR payload: numNodes=1, numArcs=2^62+1, a plausible rowPtr, no cols.
+	ds := storeTestDataset(t)
+	// CSR section: numNodes=1, numArcs=2^62+1, a plausible rowPtr, no cols.
 	var e enc
 	e.u64(1)
 	e.u64(1<<62 + 1)
 	e.i64s([]int64{0, 0})
-	if _, err := ReadCSR(bytes.NewReader(craft(storeKindCSR, e.buf))); err == nil {
+	if _, err := ReadCSR(bytes.NewReader(craftedStore(t, ds, true, secCSR, e.buf))); err == nil {
 		t.Fatal("2^62+1 arcs accepted")
 	}
-	// Dataset payload: empty spec JSON, tiny CSR, then a feature block and
-	// split counts that would overflow n*4 / rows*cols*4 guards.
+	// Features section: a block whose size would overflow the rows*cols*4
+	// guard.
 	for _, counts := range [][2]uint64{
 		{1<<62 + 1, 1},     // featRows overflow
 		{1 << 31, 1 << 31}, // featRows*featCols overflow
 	} {
 		var p enc
-		p.u32(2)
-		p.bytes([]byte("{}"))
-		p.u32(1) // numClasses
-		p.u64(0)
-		p.u64(0) // empty CSR
-		p.i64s([]int64{0})
 		p.u64(counts[0])
 		p.u64(counts[1])
-		if _, err := ReadDataset(bytes.NewReader(craft(storeKindDataset, p.buf))); err == nil {
+		if _, err := ReadDataset(bytes.NewReader(craftedStore(t, ds, false, secFeatures, p.buf))); err == nil {
 			t.Fatalf("feature block %d x %d accepted", counts[0], counts[1])
 		}
 	}
-	// Split count overflow: valid empty feature block, then a huge count.
-	var p enc
-	p.u32(2)
-	p.bytes([]byte("{}"))
-	p.u32(1)
-	p.u64(0)
-	p.u64(0)
-	p.i64s([]int64{0})
-	p.u64(0)
-	p.u64(0)         // 0x0 features
-	p.u64(1<<62 + 1) // train split count
-	if _, err := ReadDataset(bytes.NewReader(craft(storeKindDataset, p.buf))); err == nil {
-		t.Fatal("2^62+1 split ids accepted")
+	// Labels and splits sections: a huge id count over an empty body.
+	for _, id := range []uint32{secLabels, secSplits} {
+		var p enc
+		p.u64(1<<62 + 1)
+		if _, err := ReadDataset(bytes.NewReader(craftedStore(t, ds, false, id, p.buf))); err == nil {
+			t.Fatalf("2^62+1 ids accepted in the %s section", SectionName(id))
+		}
 	}
 }
 
-// V1 stores have no section table; ReadSpec serves their spec from the
-// payload prefix, so a reader holding only the head of a giant v1 store
-// still resolves its metadata.
+// ReadSpec serves the spec from the metadata sections alone: damage to
+// the sections behind them does not reach it, damage inside the spec
+// section does.
 func TestReadSpecPrefixOnly(t *testing.T) {
 	ds := storeTestDataset(t)
-	var buf bytes.Buffer
-	if err := ds.writeV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b, entries := v2TestBytes(t)
 	spec, err := ReadSpec(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
@@ -341,16 +360,24 @@ func TestReadSpecPrefixOnly(t *testing.T) {
 	if !reflect.DeepEqual(spec, ds.Spec) {
 		t.Fatalf("ReadSpec = %+v, want %+v", spec, ds.Spec)
 	}
-	// The spec must decode even when everything after it is absent —
-	// that is the point of the prefix read.
-	const specPrefix = storeHeaderLen + 4
-	specLen := int(binary.LittleEndian.Uint32(b[storeHeaderLen:]))
-	if _, err := ReadSpec(bytes.NewReader(b[:specPrefix+specLen])); err != nil {
-		t.Fatalf("prefix-only read failed: %v", err)
+	// The spec must decode even when everything behind the metadata is
+	// garbage — that is the point of reading the spec section only.
+	tail := append([]byte(nil), b...)
+	for i := len(tail) / 2; i < len(tail); i++ {
+		tail[i] ^= 0xff
 	}
-	// But a store truncated inside the spec must be rejected.
-	if _, err := ReadSpec(bytes.NewReader(b[:specPrefix+specLen/2])); err == nil {
-		t.Fatal("truncated spec accepted")
+	if got, err := ReadSpec(bytes.NewReader(tail)); err != nil || !reflect.DeepEqual(got, ds.Spec) {
+		t.Fatalf("spec read reached past the metadata sections: %v", err)
+	}
+	// But a store damaged inside the spec section must be rejected.
+	e, ok := findSection(entries, secSpec)
+	if !ok {
+		t.Fatal("store has no spec section")
+	}
+	head := append([]byte(nil), b...)
+	head[e.Offset+e.Length/2] ^= 0x40
+	if _, err := ReadSpec(bytes.NewReader(head)); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("damaged spec accepted: %v", err)
 	}
 	if _, err := ReadSpec(bytes.NewReader([]byte("ARGOGRPH"))); err == nil {
 		t.Fatal("bare magic accepted")
@@ -364,11 +391,8 @@ func TestStoreRejectsRowPtrPastCol(t *testing.T) {
 	e.u64(1) // numNodes
 	e.u64(0) // numArcs
 	e.i64s([]int64{0, 100})
-	var buf bytes.Buffer
-	if err := writeContainer(&buf, storeKindCSR, e.buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCSR(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "exceeds len(Col)") {
+	b := craftedStore(t, storeTestDataset(t), true, secCSR, e.buf)
+	if _, err := ReadCSR(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "exceeds len(Col)") {
 		t.Fatalf("RowPtr past Col accepted: %v", err)
 	}
 }

@@ -8,108 +8,8 @@ import (
 )
 
 // knownSection reports whether this version of the code understands the
-// section id (and can therefore carry it through a rewrite). The shard
-// sections are position-independent, so UpgradeStore preserves their
-// raw bytes rather than re-encoding them.
+// section id (and can therefore carry it through a rewrite).
 func knownSection(id uint32) bool { return id >= secSpec && id <= secFeaturesF16 }
-
-// UpgradeStore rewrites the .argograph store at src in format v2 at dst
-// (dst may equal src; the write is atomic either way). Both payload
-// kinds upgrade. A v2 source carrying a section id this code cannot
-// re-encode is refused rather than silently stripped. The source handle
-// is closed before the destination is written, so an in-place upgrade
-// never renames over an open file (Windows forbids that). Returns the
-// source's format version and whether the rewrite changed the bytes —
-// the v2 writer is canonical, so upgrading an already-v2 store normally
-// reproduces it byte-for-byte (identical == true) and the operation is
-// idempotent with every section CRC unchanged.
-func UpgradeStore(src, dst string) (srcVersion int, identical bool, err error) {
-	lz, err := OpenLazy(src)
-	if err != nil {
-		return 0, false, err
-	}
-	// Extra sections beyond the six dataset ones (the shard sections)
-	// are position-independent, so they are carried through raw — copied
-	// out of the mapping, which is released before dst is written. Ids
-	// this version has never heard of are refused rather than dropped.
-	var extras []section
-	for _, e := range lz.sections {
-		if !knownSection(e.ID) {
-			lz.Close()
-			return 0, false, fmt.Errorf("graph: %s: has a %s section this version cannot re-encode; upgrading would drop it", src, SectionName(e.ID))
-		}
-		// features16 is not an extra: like the fp32 features section it is
-		// re-encoded from the decoded dataset (the canonical writer places
-		// it itself).
-		if e.ID > secSplits && e.ID != secFeaturesF16 {
-			raw, err := lz.sectionBytes(e.ID)
-			if err != nil {
-				lz.Close()
-				return 0, false, fmt.Errorf("graph: %s: %w", src, err)
-			}
-			extras = append(extras, section{e.ID, append([]byte(nil), raw...)})
-		}
-	}
-	srcVersion = lz.Version()
-	var srcRaw []byte
-	var statsOverride *Stats
-	if srcVersion >= 2 {
-		// Snapshot the source bytes before an in-place rewrite so the
-		// idempotence claim can be checked rather than assumed. The
-		// decoded stats are reused verbatim so a shard store's halo
-		// profile survives the rewrite.
-		if srcRaw, err = os.ReadFile(src); err != nil {
-			lz.Close()
-			return 0, false, err
-		}
-		st := lz.Stats()
-		statsOverride = &st
-	}
-	var d *Dataset
-	var g *CSR
-	switch lz.kind {
-	case storeKindDataset:
-		d, err = lz.Dataset()
-	case storeKindCSR:
-		if len(extras) > 0 {
-			err = fmt.Errorf("bare-CSR store carries shard sections; refusing to rewrite")
-		} else {
-			g, err = lz.Topology()
-		}
-	default:
-		err = fmt.Errorf("unknown .argograph payload kind %d", lz.kind)
-	}
-	closeErr := lz.Close()
-	if err != nil {
-		return 0, false, fmt.Errorf("graph: %s: %w", src, err)
-	}
-	if closeErr != nil {
-		return 0, false, closeErr
-	}
-	if d != nil {
-		raw, encErr := encodeDatasetV2Extra(d, statsOverride, extras)
-		if encErr != nil {
-			return 0, false, encErr
-		}
-		err = saveAtomic(dst, func(w io.Writer) error {
-			_, werr := w.Write(raw)
-			return werr
-		})
-	} else {
-		err = g.Save(dst)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	if srcRaw != nil {
-		dstRaw, err := os.ReadFile(dst)
-		if err != nil {
-			return 0, false, err
-		}
-		identical = bytes.Equal(srcRaw, dstRaw)
-	}
-	return srcVersion, identical, nil
-}
 
 // ConvertStore rewrites the dataset store at src with its features
 // re-encoded in the requested dtype at dst (dst may equal src; the
@@ -180,7 +80,7 @@ type StoreCheck struct {
 }
 
 // VerifyStore checks the .argograph store at path end to end, in
-// trust-nothing order: header, then (v2) the section table — where
+// trust-nothing order: header, then the section table — where
 // overlapping extents surface as ErrSectionOverlap and out-of-file
 // extents as ErrSectionBounds, both before a single payload byte is
 // decoded — then every section checksum (including sections with ids

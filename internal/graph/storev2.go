@@ -256,8 +256,7 @@ func encodeDatasetV2(d *Dataset) ([]byte, error) {
 // shard writer embeds its halo profile) and optional extra sections with
 // ids above secSplits, appended after the standard six in the given
 // order. It is the single writer both ordinary stores and shard stores
-// (and UpgradeStore's extra-section carry-through) go through, so the
-// encoding stays canonical.
+// go through, so the encoding stays canonical.
 func encodeDatasetV2Extra(d *Dataset, statsOverride *Stats, extras []section) ([]byte, error) {
 	specJSON, err := json.Marshal(d.Spec)
 	if err != nil {
@@ -343,22 +342,23 @@ type header2 struct {
 	fileSize uint64
 }
 
-// parseHeader2 validates the fixed 32-byte header of a v2 store.
-// Version-1 headers are the caller's problem (see the dispatch in
-// ReadDataset/OpenLazy); this reports the version so they can branch.
-func parseHeader2(hdr []byte) (h header2, version uint32, err error) {
+// parseHeader2 validates the fixed 32-byte header of a v2 store. Any
+// other format version — older or newer — is ErrUnsupportedVersion.
+func parseHeader2(hdr []byte) (h header2, err error) {
 	if len(hdr) < storeHeaderLen {
-		return h, 0, fmt.Errorf("graph: .argograph header truncated: %d bytes", len(hdr))
+		return h, fmt.Errorf("graph: .argograph header truncated: %d bytes", len(hdr))
 	}
 	if string(hdr[:8]) != storeMagic {
-		return h, 0, fmt.Errorf("graph: not an .argograph store (magic %q)", hdr[:8])
+		return h, fmt.Errorf("graph: not an .argograph store (magic %q)", hdr[:8])
 	}
-	version = binary.LittleEndian.Uint32(hdr[8:])
+	if version := binary.LittleEndian.Uint32(hdr[8:]); version != storeVersion2 {
+		return h, fmt.Errorf("%w %d (this build reads version %d)", ErrUnsupportedVersion, version, storeVersion2)
+	}
 	h.kind = binary.LittleEndian.Uint32(hdr[12:])
 	h.count = binary.LittleEndian.Uint32(hdr[16:])
 	h.tableCRC = binary.LittleEndian.Uint32(hdr[20:])
 	h.fileSize = binary.LittleEndian.Uint64(hdr[24:])
-	return h, version, nil
+	return h, nil
 }
 
 // parseSectionTable validates a v2 section table against the header and

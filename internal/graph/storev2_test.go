@@ -23,15 +23,21 @@ func v2TestBytes(t testing.TB) ([]byte, []sectionEntry) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	h, version, err := parseHeader2(b)
-	if err != nil || version != storeVersion2 {
-		t.Fatalf("parseHeader2: version %d, err %v", version, err)
+	return b, sectionTableOf(t, b)
+}
+
+// sectionTableOf parses the section table of the valid store b.
+func sectionTableOf(t testing.TB, b []byte) []sectionEntry {
+	t.Helper()
+	h, err := parseHeader2(b)
+	if err != nil {
+		t.Fatal(err)
 	}
 	entries, err := parseSectionTable(h, b[storeHeaderLen:], int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, entries
+	return entries
 }
 
 // rewriteTable mutates one table entry and fixes the table CRC so the
@@ -139,115 +145,37 @@ func TestV2SectionCorruptionIsolated(t *testing.T) {
 	}
 }
 
-// Golden v1 fixture: bytes written by the version-1 encoder (checked in,
-// never regenerated) must load through the v2 entry points with every
-// field bit-identical to a fresh build, and the retained v1 encoder must
-// still reproduce the file byte-for-byte.
-func TestGoldenV1FixtureLoadsThroughV2EntryPoints(t *testing.T) {
-	const fixture = "testdata/golden-v1.argograph"
-	want := storeTestDataset(t)
-	got, err := LoadDataset(fixture)
+// A version-1 store is outside input: every entry point must refuse it
+// from the header alone with ErrUnsupportedVersion naming the version
+// found — no partial decode, no panic.
+func TestGoldenV1FixtureRejectedEverywhere(t *testing.T) {
+	raw, err := os.ReadFile(goldenV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("golden v1 fixture did not load bit-identically through LoadDataset")
+	entryPoints := map[string]func() error{
+		"ReadDataset": func() error { _, err := ReadDataset(bytes.NewReader(raw)); return err },
+		"ReadSpec":    func() error { _, err := ReadSpec(bytes.NewReader(raw)); return err },
+		"ReadCSR":     func() error { _, err := ReadCSR(bytes.NewReader(raw)); return err },
+		"LoadSpec":    func() error { _, err := LoadSpec(goldenV1); return err },
+		"OpenLazy":    func() error { _, err := OpenLazy(goldenV1); return err },
+		"LoadDataset": func() error { _, err := LoadDataset(goldenV1); return err },
+		"LoadCSR":     func() error { _, err := LoadCSR(goldenV1); return err },
+		"LoadStats":   func() error { _, err := LoadStats(goldenV1); return err },
+		"VerifyStore": func() error { _, err := VerifyStore(goldenV1); return err },
+		"ConvertStore": func() error {
+			_, _, err := ConvertStore(goldenV1, filepath.Join(t.TempDir(), "out.argograph"), DtypeF16)
+			return err
+		},
+		"OpenShardSet": func() error { _, err := OpenShardSet(goldenV1); return err },
 	}
-	raw, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reader-based entry point too.
-	got2, err := ReadDataset(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got2) {
-		t.Fatal("golden v1 fixture did not load through ReadDataset")
-	}
-	// Spec fast path.
-	spec, err := LoadSpec(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spec, want.Spec) {
-		t.Fatalf("LoadSpec on v1 fixture = %+v", spec)
-	}
-	// Encoder stability: today's v1 writer reproduces yesterday's bytes.
-	var again bytes.Buffer
-	if err := want.writeV1(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, again.Bytes()) {
-		t.Fatal("v1 encoder no longer reproduces the golden fixture bytes")
-	}
-}
-
-// Upgrade is idempotent: v1 → v2 loads identically, and upgrading a v2
-// store rewrites it byte-for-byte (so every section CRC is unchanged).
-func TestUpgradeStoreIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "v1.argograph")
-	raw, err := os.ReadFile("testdata/golden-v1.argograph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(src, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	up := filepath.Join(dir, "v2.argograph")
-	srcVersion, _, err := UpgradeStore(src, up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srcVersion != 1 {
-		t.Fatalf("source version %d, want 1", srcVersion)
-	}
-	want, err := LoadDataset(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDataset(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("upgraded store loads differently from the v1 original")
-	}
-	// Second upgrade: byte-identical output, same CRCs.
-	up2 := filepath.Join(dir, "v2-again.argograph")
-	srcVersion, identical, err := UpgradeStore(up, up2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srcVersion != 2 {
-		t.Fatalf("source version %d, want 2", srcVersion)
-	}
-	if !identical {
-		t.Fatal("v2→v2 upgrade did not report byte-identical output")
-	}
-	b1, err := os.ReadFile(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(up2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("upgrading a v2 store is not byte-idempotent")
-	}
-	// In-place upgrade works too (the source handle is closed before
-	// the atomic rename, so this is portable beyond linux).
-	if _, identical, err := UpgradeStore(up, up); err != nil || !identical {
-		t.Fatalf("in-place upgrade: identical=%v err=%v", identical, err)
-	}
-	b3, err := os.ReadFile(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b3) {
-		t.Fatal("in-place upgrade changed the bytes")
+	for name, open := range entryPoints {
+		err := open()
+		if !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("%s on a v1 store: %v, want ErrUnsupportedVersion", name, err)
+		} else if !strings.Contains(err.Error(), "version 1 ") {
+			t.Errorf("%s: error does not name the version found: %v", name, err)
+		}
 	}
 }
 
@@ -297,7 +225,7 @@ func TestLyingStatsSectionRejectedEverywhere(t *testing.T) {
 
 // Future section ids are accepted by the table parser (the layout is
 // extensible without a version bump), but they are still covered by
-// verification — and upgrade refuses to rewrite what it would have to
+// verification — and convert refuses to rewrite what it would have to
 // drop.
 func TestUnknownSectionVerifiedAndNotDropped(t *testing.T) {
 	ds := storeTestDataset(t)
@@ -352,12 +280,12 @@ func TestUnknownSectionVerifiedAndNotDropped(t *testing.T) {
 	if _, err := VerifyStore(path); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupt unknown section passed verify: %v", err)
 	}
-	// Upgrade must refuse rather than silently drop the section.
+	// A rewrite must refuse rather than silently drop the section.
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := UpgradeStore(path, filepath.Join(t.TempDir(), "out.argograph")); err == nil || !strings.Contains(err.Error(), "cannot re-encode") {
-		t.Fatalf("upgrade silently handled an unknown section: %v", err)
+	if _, _, err := ConvertStore(path, filepath.Join(t.TempDir(), "out.argograph"), DtypeF16); err == nil || !strings.Contains(err.Error(), "cannot re-encode") {
+		t.Fatalf("convert silently handled an unknown section: %v", err)
 	}
 }
 

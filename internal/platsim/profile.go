@@ -1,5 +1,5 @@
 // Package platsim is the discrete-event performance simulator that stands
-// in for the paper's two evaluation machines (DESIGN.md §2). It models the
+// in for the paper's two evaluation machines. It models the
 // resources whose contention produces every effect the paper measures:
 //
 //   - per-process pipelines of sampling / gather / aggregate / dense /
@@ -51,7 +51,6 @@ const (
 // and kernel work. Both libraries' ShaDow implementations are poorly
 // parallelised within a process (the paper's explanation for ShaDow's
 // large ARGO speedups: multi-processing is what parallelises them).
-// EXPERIMENTS.md records where our calibration deviates from the paper.
 type Profile struct {
 	Name string
 

@@ -31,7 +31,7 @@ func (c Config) TotalCores() int { return c.Procs * (c.SampleCores + c.TrainCore
 // Bounds default to n ∈ [1,8], s ∈ [1,10], t ∈ [1,10] (DefaultSpace) —
 // n=1 is core-binding without multi-processing — which yields 766
 // feasible configs on a 112-core platform and 563 on a 64-core platform,
-// the same order as the paper's 726 and 408 (DESIGN.md §5).
+// the same order as the paper's 726 and 408.
 type Space struct {
 	TotalCores         int
 	MinProcs, MaxProcs int

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDefaultSpaceSizesMatchDesign(t *testing.T) {
-	// DESIGN.md §5: 766 configs at 112 cores, 563 at 64 — same order as
+	// 766 configs at 112 cores, 563 at 64 — same order as
 	// the paper's 726 and 408.
 	if n := DefaultSpace(112).Size(); n != 766 {
 		t.Fatalf("112-core space has %d configs, want 766", n)

@@ -113,16 +113,3 @@ func StoredRowBytes(dim int, dt graph.FeatDtype) int64 {
 	}
 	return int64(dim) * 4
 }
-
-// EffectiveRowCapacity returns how many feature rows of the given width
-// a cache byte budget holds under the given storage dtype, counting the
-// per-entry overhead the policies charge. It is pure arithmetic — the
-// byte-stable capacity figure argo-bench -serve reports, which makes
-// the fp16 packing win (~2× rows per budget) visible without running
-// traffic.
-func EffectiveRowCapacity(capBytes int64, dim int, dt graph.FeatDtype) int64 {
-	if capBytes <= 0 || dim <= 0 {
-		return 0
-	}
-	return capBytes / (StoredRowBytes(dim, dt) + cacheEntryOverheadBytes)
-}

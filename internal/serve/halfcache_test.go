@@ -55,7 +55,7 @@ func TestHalfCacheLosslessRoundTrip(t *testing.T) {
 }
 
 // The packing win: under one byte budget the packed cache holds ~2× the
-// rows of the plain cache, and EffectiveRowCapacity predicts both.
+// rows of the plain cache: budget / (stored row bytes + entry overhead).
 func TestHalfCacheCapacityWin(t *testing.T) {
 	const dim = 64
 	const capBytes = int64(40 * (dim*4 + cacheEntryOverheadBytes)) // 40 fp32 rows
@@ -71,11 +71,14 @@ func TestHalfCacheCapacityWin(t *testing.T) {
 	}
 	plain := fill(NewFeatureCache(capBytes))
 	packed := fill(newHalfCache(NewFeatureCache(capBytes), dim))
-	if int64(plain) != EffectiveRowCapacity(capBytes, dim, graph.DtypeF32) {
-		t.Fatalf("plain entries %d, predicted %d", plain, EffectiveRowCapacity(capBytes, dim, graph.DtypeF32))
+	capacity := func(dt graph.FeatDtype) int64 {
+		return capBytes / (StoredRowBytes(dim, dt) + cacheEntryOverheadBytes)
 	}
-	if int64(packed) != EffectiveRowCapacity(capBytes, dim, graph.DtypeF16) {
-		t.Fatalf("packed entries %d, predicted %d", packed, EffectiveRowCapacity(capBytes, dim, graph.DtypeF16))
+	if int64(plain) != capacity(graph.DtypeF32) {
+		t.Fatalf("plain entries %d, predicted %d", plain, capacity(graph.DtypeF32))
+	}
+	if int64(packed) != capacity(graph.DtypeF16) {
+		t.Fatalf("packed entries %d, predicted %d", packed, capacity(graph.DtypeF16))
 	}
 	if float64(packed) < 1.5*float64(plain) {
 		t.Fatalf("packed cache holds %d rows vs %d plain — no capacity win", packed, plain)
@@ -97,14 +100,20 @@ func TestHalfCacheWidthGuard(t *testing.T) {
 	}
 }
 
+// f16Tagged marks a source's rows as fp16-exact, as the lazy and shard
+// sources do for an fp16 store.
+type f16Tagged struct{ FeatureSource }
+
+func (f16Tagged) FeatDtype() graph.FeatDtype { return graph.DtypeF16 }
+
 // Dtype detection: tagged sources report their dtype, untagged default
 // to fp32.
 func TestFeatureSourceDtype(t *testing.T) {
-	m := tensor.New(3, 2)
-	if dt := FeatureSourceDtype(NewMatrixFeatureSource(m)); dt != graph.DtypeF32 {
+	src := NewMatrixFeatureSource(tensor.New(3, 2))
+	if dt := FeatureSourceDtype(src); dt != graph.DtypeF32 {
 		t.Fatalf("plain matrix source dtype %v", dt)
 	}
-	if dt := FeatureSourceDtype(NewMatrixFeatureSourceDtype(m, graph.DtypeF16)); dt != graph.DtypeF16 {
-		t.Fatalf("tagged matrix source dtype %v", dt)
+	if dt := FeatureSourceDtype(f16Tagged{src}); dt != graph.DtypeF16 {
+		t.Fatalf("tagged source dtype %v", dt)
 	}
 }

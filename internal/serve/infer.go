@@ -92,28 +92,10 @@ func (s *shardSource) FeatDtype() graph.FeatDtype { return s.dt }
 // matrixSource serves rows from a materialised feature matrix — the
 // reference path the bit-match gates compare against, and the fast path
 // for stores small enough to hold in memory.
-type matrixSource struct {
-	m  *tensor.Matrix
-	dt graph.FeatDtype
-}
+type matrixSource struct{ m *tensor.Matrix }
 
 // NewMatrixFeatureSource serves rows from an in-memory matrix.
-func NewMatrixFeatureSource(m *tensor.Matrix) FeatureSource {
-	return matrixSource{m: m, dt: graph.DtypeF32}
-}
-
-// NewMatrixFeatureSourceDtype is NewMatrixFeatureSource with an
-// explicit storage dtype tag — for matrices materialised from (or
-// converted to) an fp16 store, whose values are fp16-exact, so the
-// serving cache may pack them. Tagging a matrix that holds non-fp16
-// values as fp16 would make cached reads lossy; callers own that
-// invariant (Dataset.ConvertFeatures establishes it).
-func NewMatrixFeatureSourceDtype(m *tensor.Matrix, dt graph.FeatDtype) FeatureSource {
-	return matrixSource{m: m, dt: dt}
-}
-
-// FeatDtype reports the tagged storage dtype.
-func (s matrixSource) FeatDtype() graph.FeatDtype { return s.dt }
+func NewMatrixFeatureSource(m *tensor.Matrix) FeatureSource { return matrixSource{m} }
 
 func (s matrixSource) Row(id graph.NodeID, dst []float32) ([]float32, error) {
 	if id < 0 || int(id) >= s.m.Rows {

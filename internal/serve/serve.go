@@ -26,7 +26,6 @@ type serverConfig struct {
 	tailPolicy string
 	hubPin     float64
 	precompute float64
-	workers    int
 	batch      BatcherConfig
 }
 
@@ -60,10 +59,6 @@ func WithPrecomputeHubs(frac float64) Option {
 	return func(cfg *serverConfig) { cfg.precompute = frac }
 }
 
-// WithWorkers bounds the tensor worker pool (default 1;
-// performance-only, never changes served bits).
-func WithWorkers(n int) Option { return func(cfg *serverConfig) { cfg.workers = n } }
-
 // WithBatchWindow sets how long the micro-batcher holds a request open
 // for coalescing (default: no batching window).
 func WithBatchWindow(d time.Duration) Option { return func(cfg *serverConfig) { cfg.batch.Window = d } }
@@ -74,8 +69,8 @@ func WithBatchMaxNodes(n int) Option { return func(cfg *serverConfig) { cfg.batc
 
 // New assembles the serving stack — cache, inferencer, hub store,
 // micro-batcher, HTTP handler — from a source, a checkpointed model,
-// and functional options. It replaces the positional
-// NewInferencer/NewServer pair (both retained for compatibility):
+// and functional options (NewInferencer and NewServer are its building
+// blocks):
 //
 //	srv, err := serve.New(serve.Source{Graph: g, Features: feats}, model,
 //	        serve.WithPolicy(serve.PolicyTwoTier),
@@ -126,7 +121,6 @@ func New(src Source, model *nn.GNN, opts ...Option) (*Server, error) {
 		Graph:    src.Graph,
 		Features: src.Features,
 		Cache:    cache,
-		Workers:  cfg.workers,
 	})
 	if err != nil {
 		return nil, err

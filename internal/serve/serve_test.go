@@ -23,7 +23,6 @@ func TestNewAssemblesStack(t *testing.T) {
 		WithCacheBytes(1<<16),
 		WithHubPin(0.05),
 		WithPrecomputeHubs(0.05),
-		WithWorkers(2),
 		WithBatchWindow(time.Millisecond),
 		WithBatchMaxNodes(64),
 	)

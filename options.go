@@ -1,7 +1,6 @@
 package argo
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -100,58 +99,4 @@ func WithWarmStart(rep Report) Option {
 		r.warmStart = append(r.warmStart, rep.searchHistory()...)
 		return nil
 	}
-}
-
-// Options is the legacy struct-field configuration of a Runtime.
-//
-// Deprecated: build runtimes with NewRuntime and functional options
-// instead; see the README migration table. Options and New are retained
-// so legacy construction code keeps compiling; call sites of the old
-// context-free Run(train) must switch to RunLegacy (or to Run with a
-// context).
-type Options struct {
-	// NumSearches is the online-learning budget: how many epochs are
-	// spent evaluating auto-tuner proposals (paper Table VI uses 5–6 % of
-	// the space: 35/45 on 112 cores, 20/25 on 64).
-	NumSearches int
-	// Epochs is the total number of training epochs, tuning included.
-	Epochs int
-	// TotalCores bounds the configuration space. Defaults to
-	// runtime.NumCPU().
-	TotalCores int
-	// Seed drives the tuner's random probes.
-	Seed int64
-	// Logf, when set, receives one line per tuning step.
-	Logf func(format string, args ...any)
-}
-
-// New validates opts and returns a Runtime.
-//
-// Deprecated: use NewRuntime with functional options.
-func New(opts Options) (*Runtime, error) {
-	var fns []Option
-	if opts.TotalCores != 0 {
-		fns = append(fns, WithTotalCores(opts.TotalCores))
-	}
-	if opts.Seed != 0 {
-		fns = append(fns, WithSeed(opts.Seed))
-	}
-	if opts.Logf != nil {
-		fns = append(fns, WithLogf(opts.Logf))
-	}
-	return NewRuntime(opts.Epochs, opts.NumSearches, fns...)
-}
-
-// TrainFunc is the pre-context training-step contract.
-//
-// Deprecated: implement TrainStep, which receives the run's context.
-type TrainFunc func(cfg Config, epochs int) (secondsPerEpoch float64, err error)
-
-// RunLegacy executes the run loop without cancellation support.
-//
-// Deprecated: use Run with a context.
-func (r *Runtime) RunLegacy(train TrainFunc) (Report, error) {
-	return r.Run(context.Background(), func(_ context.Context, cfg Config, epochs int) (float64, error) {
-		return train(cfg, epochs)
-	})
 }

@@ -73,19 +73,27 @@ func TestStrategyParityOnSyntheticSurface(t *testing.T) {
 			t.Fatalf("built-in strategy %q not registered", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			rt, err := NewRuntime(budget+4, budget,
-				WithSpace(space),
-				WithStrategy(name),
-				WithSeed(11),
-			)
-			if err != nil {
-				t.Fatal(err)
+			run := func() Report {
+				rt, err := NewRuntime(budget+4, budget,
+					WithSpace(space),
+					WithStrategy(name),
+					WithSeed(11),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := rt.Run(context.Background(), func(_ context.Context, cfg Config, _ int) (float64, error) {
+					return bowl(cfg), nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
-			rep, err := rt.Run(context.Background(), func(_ context.Context, cfg Config, _ int) (float64, error) {
-				return bowl(cfg), nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			rep := run()
+			// The proposal sequence is a pure function of the seed.
+			if again := run(); !reflect.DeepEqual(rep.History, again.History) {
+				t.Fatalf("strategy %s: two runs of one seed diverged:\n%v\n%v", name, rep.History, again.History)
 			}
 			if rep.BestEpochSeconds > optimum*1.10 {
 				t.Fatalf("strategy %s found %.4f, true optimum %.4f (>10%% off)", name, rep.BestEpochSeconds, optimum)
