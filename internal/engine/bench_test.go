@@ -9,14 +9,16 @@ import (
 	"argo/internal/sampler"
 )
 
-// BenchmarkEpoch measures a real training epoch of the scaled unit
-// dataset with the multi-process engine, the workload ARGO's online tuner
-// times on live systems.
+// BenchmarkEpoch measures a real training epoch with the multi-process
+// engine, the workload ARGO's online tuner times on live systems: the
+// scaled unit dataset on 1, 2 and 4 replicas, and one replica at the
+// shape of the repo benchmark's train_single workload (arxiv-sim@x16 cut
+// to 512 targets, fan-outs 15/10/5, 3-layer SAGE, n = s = t = 1) — the
+// epoch that tensor's BenchmarkRowMulAdd kernel pays for.
 func BenchmarkEpoch(b *testing.B) {
-	for _, n := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "1proc", 2: "2proc", 4: "4proc"}[n], func(b *testing.B) {
-			ds := testDataset(b)
-			e, err := New(testConfig(b, ds, n))
+	run := func(name string, config func(b *testing.B) Config) {
+		b.Run(name, func(b *testing.B) {
+			e, err := New(config(b))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -29,6 +31,29 @@ func BenchmarkEpoch(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{1, 2, 4} {
+		run(map[int]string{1: "1proc", 2: "2proc", 4: "4proc"}[n], func(b *testing.B) Config {
+			return testConfig(b, testDataset(b), n)
+		})
+	}
+	run("train_single", func(b *testing.B) Config {
+		ds, err := datasets.Resolve("arxiv-sim@x16", 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.TrainIdx = ds.TrainIdx[:512]
+		return Config{
+			Dataset:       ds,
+			Sampler:       sampler.NewNeighbor(ds.Graph, []int{15, 10, 5}),
+			Model:         nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: 3},
+			BatchSize:     128,
+			LR:            0.01,
+			NumProcs:      1,
+			SampleWorkers: 1,
+			TrainWorkers:  1,
+			Seed:          3,
+		}
+	})
 }
 
 // BenchmarkLocalEpoch measures a partition-local epoch with a warm halo

@@ -53,9 +53,7 @@ func (l *GINLayer) aggRow(row []float32, adj Adj, x *tensor.Matrix, i int) {
 	for k, v := range self {
 		row[k] = v * selfW
 	}
-	for _, j := range adj.Neighbors(i) {
-		addRow(row, x.Row(int(j)))
-	}
+	tensor.AddRows(row, x, adj.Neighbors(i))
 }
 
 // Forward implements Layer.

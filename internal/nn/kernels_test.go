@@ -139,9 +139,9 @@ func TestWeightedChunksBalancePowerLawGraph(t *testing.T) {
 		}
 		return worst
 	}
-	fixed := maxChunk(tensor.SplitWeighted(g.NumNodes, workers, nil))
-	weighted := maxChunk(tensor.SplitWeighted(g.NumNodes, workers*tensor.StealFactor, cost))
-	sameCount := maxChunk(tensor.SplitWeighted(g.NumNodes, workers*tensor.StealFactor, nil))
+	fixed := maxChunk(tensor.AppendSplitWeighted(nil, g.NumNodes, workers, nil))
+	weighted := maxChunk(tensor.AppendSplitWeighted(nil, g.NumNodes, workers*tensor.StealFactor, cost))
+	sameCount := maxChunk(tensor.AppendSplitWeighted(nil, g.NumNodes, workers*tensor.StealFactor, nil))
 	if weighted < maxRow {
 		t.Fatalf("heaviest chunk %d is lighter than the heaviest row %d", weighted, maxRow)
 	}

@@ -55,26 +55,6 @@ func reluRowInPlace(row []float32) {
 	}
 }
 
-// addRow computes dst[k] += src[k], the inner loop of sum and mean
-// aggregation and most of a served request's inference time. Four
-// independent elements per iteration: at one per iteration the loop is
-// front-end bound, and whether it straddled a cache line in a given
-// binary moved Infer by 25%.
-func addRow(dst, src []float32) {
-	dst = dst[:len(src)]
-	k := 0
-	for ; k+4 <= len(src); k += 4 {
-		d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
-		d[0] += s[0]
-		d[1] += s[1]
-		d[2] += s[2]
-		d[3] += s[3]
-	}
-	for ; k < len(src); k++ {
-		dst[k] += src[k]
-	}
-}
-
 // denseRowMulAdd computes out = row·W + bias: MatMul's own row kernel on
 // a zeroed row, followed by AddRowVector's bias add — the fused per-row
 // equivalent of the unfused MatMul+AddRowVector pair.
@@ -165,9 +145,7 @@ func (l *SAGELayer) aggConcatRow(row []float32, adj Adj, x *tensor.Matrix, i int
 		return
 	}
 	agg := row[in:]
-	for _, j := range nbrs {
-		addRow(agg, x.Row(int(j)))
-	}
+	tensor.AddRows(agg, x, nbrs)
 	invDeg := float32(1) / float32(len(nbrs))
 	for k := range agg {
 		agg[k] *= invDeg

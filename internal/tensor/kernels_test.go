@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,30 +136,47 @@ func TestDenseKernelsBitEqualReference(t *testing.T) {
 		// a dst taller than one MatMulAT tile
 		{300, 9, 32},
 	}
-	for _, kern := range []denseKernel{kernMatMul, kernMatMulBT, kernMatMulAT} {
-		for _, sh := range shapes {
-			for _, specials := range []bool{false, true} {
-				m, k, n := sh[0], sh[1], sh[2]
-				rng := rand.New(rand.NewSource(int64(m*1000003 + k*1009 + n)))
-				a, b := kern.operands(rng, m, k, n)
-				if specials {
-					sprinkle(rng, a)
-					sprinkle(rng, b)
-				}
-				want := New(m, n)
-				kern.ref(want, a, b)
-				for _, workers := range []int{1, 2, 3, 8} {
-					got := New(m, n)
-					got.Fill(7) // the kernel must overwrite, not accumulate
-					kern.run(NewPool(workers), got, a, b)
-					if at, ok := sameBits(got, want); !ok {
-						t.Fatalf("%s %dx%dx%d specials=%v workers=%d: element %d = %g, reference %g",
-							kern.name, m, k, n, specials, workers, at, got.Data[at], want.Data[at])
+	// widths on either side of one vector, one 32-column tile and two
+	for _, n := range []int{7, 8, 9, 31, 33, 40, 64, 65, 72} {
+		shapes = append(shapes, [3]int{5, 11, n})
+	}
+	for _, portable := range []bool{false, true} {
+		if portable {
+			usePortableKernels(t)
+		}
+		for _, kern := range []denseKernel{kernMatMul, kernMatMulBT, kernMatMulAT} {
+			for _, sh := range shapes {
+				for _, specials := range []bool{false, true} {
+					m, k, n := sh[0], sh[1], sh[2]
+					rng := rand.New(rand.NewSource(int64(m*1000003 + k*1009 + n)))
+					a, b := kern.operands(rng, m, k, n)
+					if specials {
+						sprinkle(rng, a)
+						sprinkle(rng, b)
+					}
+					want := New(m, n)
+					kern.ref(want, a, b)
+					for _, workers := range []int{1, 2, 3, 8} {
+						got := New(m, n)
+						got.Fill(7) // the kernel must overwrite, not accumulate
+						kern.run(NewPool(workers), got, a, b)
+						if at, ok := sameBits(got, want); !ok {
+							t.Fatalf("%s %dx%dx%d specials=%v workers=%d portable=%v: element %d = %g, reference %g",
+								kern.name, m, k, n, specials, workers, portable, at, got.Data[at], want.Data[at])
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// usePortableKernels puts the Go row loops in charge for the rest of
+// the test, whatever start-up selected.
+func usePortableKernels(t *testing.T) {
+	r, m, at, ad := rowMulAdd, matMulRows, matMulATRows, addRows
+	rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddGo, matMulRowsGo, matMulATRowsGo, addRowsGo
+	t.Cleanup(func() { rowMulAdd, matMulRows, matMulATRows, addRows = r, m, at, ad })
 }
 
 // TestRowMulAddMatchesMatMulRow pins the exported row kernel to MatMul:
@@ -178,4 +197,183 @@ func TestRowMulAddMatchesMatMulRow(t *testing.T) {
 			t.Fatalf("k=%d: element %d = %g, want %g", k, at, got[at], want.Data[at])
 		}
 	}
+}
+
+// The tests below compare the row loops start-up selected — the AVX2
+// ones on an amd64 CPU that has them — with the portable Go loops, on
+// storage laid out to catch what a vector kernel gets wrong: nothing
+// 32-byte aligned, every operand ending where its allocation ends, and
+// canaries on both sides of dst.
+
+const canary = 12345.5
+
+// unaligned copies m into storage that starts one float into an
+// allocation and ends at its end.
+func unaligned(m *Matrix) *Matrix {
+	buf := make([]float32, 1+len(m.Data))
+	copy(buf[1:], m.Data)
+	return FromSlice(m.Rows, m.Cols, buf[1:])
+}
+
+// fenced is unaligned with canaries in front of and behind the data;
+// check fails the test if a kernel wrote to one.
+func fenced(m *Matrix) (fm *Matrix, check func(t *testing.T, what string)) {
+	end := 1 + len(m.Data)
+	buf := make([]float32, end+40)
+	for i := range buf {
+		buf[i] = canary
+	}
+	copy(buf[1:], m.Data)
+	return FromSlice(m.Rows, m.Cols, buf[1:end:end]), func(t *testing.T, what string) {
+		t.Helper()
+		for i, v := range buf {
+			if (i < 1 || i >= end) && v != canary {
+				t.Fatalf("%s: wrote %g at offset %d of a %d-float dst", what, v, i-1, len(m.Data))
+			}
+		}
+	}
+}
+
+func TestSelectedRowKernelsBitEqualPortable(t *testing.T) {
+	const m = 5
+	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 63, 64, 65, 130} // 64: the AVX2 MatMulAT's p block
+	for n := 0; n <= 72; n++ {
+		for _, k := range ks {
+			for _, specials := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(n*1009 + k)))
+				a, at, b, init := randomMatrix(rng, m, k), randomMatrix(rng, k, m), randomMatrix(rng, k, n), randomMatrix(rng, m, n)
+				// every count of surviving entries modulo the Go loop's four-row pass
+				for z := 0; z < len(a.Data); z += 3 {
+					a.Data[z], at.Data[z] = 0, 0
+				}
+				if specials {
+					sprinkle(rng, a)
+					sprinkle(rng, at)
+					sprinkle(rng, b)
+					sprinkle(rng, init)
+				}
+				a, at, b = unaligned(a), unaligned(at), unaligned(b)
+				compare := func(kern string, run func(dst *Matrix), ref func(dst *Matrix), init *Matrix) {
+					t.Helper()
+					what := fmt.Sprintf("%s %dx%dx%d specials=%v", kern, m, k, n, specials)
+					got, check := fenced(init)
+					want := init.Clone()
+					run(got)
+					ref(want)
+					check(t, what)
+					if at, ok := sameBits(got, want); !ok {
+						t.Fatalf("%s: element %d = %g, portable %g", what, at, got.Data[at], want.Data[at])
+					}
+				}
+				// Rows outside [lo, hi) keep what they held.
+				for _, r := range [][2]int{{0, m}, {1, 4}, {2, 2}} {
+					lo, hi := r[0], r[1]
+					compare("matMulRows",
+						func(dst *Matrix) { matMulRows(dst, a, b, lo, hi) },
+						func(dst *Matrix) { matMulRowsGo(dst, a, b, lo, hi) }, init)
+					compare("matMulATRows",
+						func(dst *Matrix) { matMulATRows(dst, at, b, lo, hi) },
+						func(dst *Matrix) { matMulATRowsGo(dst, at, b, lo, hi) }, init)
+				}
+				// RowMulAdd accumulates into what dst holds.
+				compare("rowMulAdd",
+					func(dst *Matrix) { rowMulAdd(dst.Data, a.Data[:k], b) },
+					func(dst *Matrix) { rowMulAddGo(dst.Data, a.Data[:k], b) }, FromSlice(1, n, init.Data[:n]))
+			}
+		}
+	}
+}
+
+func TestSelectedAddRowsBitEqualPortable(t *testing.T) {
+	const rows = 9
+	for n := 0; n <= 72; n++ {
+		for count := 0; count <= 6; count++ {
+			for _, specials := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(n*1009 + count)))
+				x, init := randomMatrix(rng, rows, n), randomMatrix(rng, 1, n)
+				if specials {
+					sprinkle(rng, x)
+					sprinkle(rng, init)
+				}
+				x = unaligned(x)
+				ids := make([]int32, count)
+				for i := range ids {
+					ids[i] = int32(rng.Intn(rows))
+				}
+				if count > 0 {
+					ids[0] = rows - 1 // the row that ends the allocation
+				}
+				what := fmt.Sprintf("addRows %d rows of width %d specials=%v", count, n, specials)
+				got, check := fenced(init)
+				want := init.Clone()
+				addRows(got.Data, x, ids)
+				addRowsGo(want.Data, x, ids)
+				check(t, what)
+				if at, ok := sameBits(got, want); !ok {
+					t.Fatalf("%s: element %d = %g, portable %g", what, at, got.Data[at], want.Data[at])
+				}
+			}
+		}
+	}
+}
+
+// TestRowKernelShapeMismatchPanics: a wrong length is a panic on either
+// path, never a read or write past a row. Before the up-front check a
+// dst longer than b.Cols read into b's next row (the row slices keep
+// their capacity to the end of b.Data).
+func TestRowKernelShapeMismatchPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	b, x := New(6, 8), New(6, 8)
+	for _, portable := range []bool{false, true} {
+		if portable {
+			usePortableKernels(t)
+		}
+		mustPanic("RowMulAdd with a long dst", func() { RowMulAdd(make([]float32, 9), make([]float32, 6), b) })
+		mustPanic("RowMulAdd with a short dst", func() { RowMulAdd(make([]float32, 7), make([]float32, 6), b) })
+		mustPanic("RowMulAdd with a long a", func() { RowMulAdd(make([]float32, 8), make([]float32, 7), b) })
+		mustPanic("RowMulAdd with a short a", func() { RowMulAdd(make([]float32, 8), make([]float32, 5), b) })
+		mustPanic("AddRows with a long dst", func() { AddRows(make([]float32, 9), x, []int32{0}) })
+		mustPanic("AddRows with a short dst", func() { AddRows(make([]float32, 7), x, []int32{0}) })
+		mustPanic("AddRows past the last row", func() { AddRows(make([]float32, 8), x, []int32{0, 6}) })
+		mustPanic("AddRows with a negative row", func() { AddRows(make([]float32, 8), x, []int32{-1}) })
+	}
+}
+
+// FuzzRowMulAddPaths feeds the selected and the portable row kernel the
+// same raw bit patterns — denormals, NaNs, infinities, whatever the
+// fuzzer finds — at a fuzzed width.
+func FuzzRowMulAddPaths(f *testing.F) {
+	f.Add(uint8(10), []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127, 0, 0, 128, 255})
+	f.Add(uint8(33), []byte("the dst row, then a, then as much of b as the bytes reach"))
+	f.Fuzz(func(t *testing.T, width uint8, raw []byte) {
+		n := int(width % 80)
+		vals := make([]float32, len(raw)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		// vals holds dst (n), then k entries of a and k rows of b.
+		if len(vals) < n {
+			return
+		}
+		k := (len(vals) - n) / (1 + n)
+		init := FromSlice(1, n, vals[:n])
+		a := vals[n : n+k]
+		b := unaligned(FromSlice(k, n, vals[n+k:n+k+k*n]))
+		got, check := fenced(init)
+		want := init.Clone()
+		rowMulAdd(got.Data, a, b)
+		rowMulAddGo(want.Data, a, b)
+		check(t, "rowMulAdd")
+		if at, ok := sameBits(got, want); !ok {
+			t.Fatalf("width %d k %d: element %d = %g, portable %g", n, k, at, got.Data[at], want.Data[at])
+		}
+	})
 }

@@ -9,8 +9,21 @@ import (
 // blocking are free to change, the per-element reduction is not. Every
 // dst[i][j] is zeroed and then receives av·bv for p = 0, 1, 2, … with
 // av == 0 skipped (so a zero never meets a NaN or Inf on the other
-// side), one rounding per multiply and per add. That is what keeps
-// sharded == single-store, tcp == inproc and Infer == Forward bit-equal.
+// side), one rounding per multiply and per add — no fused multiply-add,
+// which rounds once. That is what keeps sharded == single-store,
+// tcp == inproc and Infer == Forward bit-equal.
+
+// The row loops the multiply-accumulate kernels reduce to. They start
+// out as the portable Go loops in this file, which is all that other
+// architectures and CPUs without AVX2 ever run and what the SIMD tests
+// compare against; simd_amd64.go swaps in the assembly ones at start-up
+// when the CPU has AVX2. Both compute the same bits.
+var (
+	rowMulAdd    = rowMulAddGo
+	matMulRows   = matMulRowsGo
+	matMulATRows = matMulATRowsGo
+	addRows      = addRowsGo
+)
 
 // mulAdd1 computes d[j] += av·b[j].
 func mulAdd1(d []float32, av float32, b []float32) {
@@ -37,10 +50,18 @@ func mulAdd4(d []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 
 // RowMulAdd computes dst += a·b for one row: a has b.Rows entries, dst
 // b.Cols. Zero entries of a are skipped; the surviving rows of b are
-// consumed in ascending order, four per pass over dst. It is the row
-// kernel of MatMul and of nn's fused inference, so the two cannot
-// drift apart.
+// consumed in ascending order. It is the row kernel of MatMul and of
+// nn's fused inference, so the two cannot drift apart.
 func RowMulAdd(dst, a []float32, b *Matrix) {
+	if len(dst) != b.Cols || len(a) != b.Rows {
+		panic(fmt.Sprintf("tensor: RowMulAdd shape mismatch (1x%d)·(%dx%d)->(1x%d)",
+			len(a), b.Rows, b.Cols, len(dst)))
+	}
+	rowMulAdd(dst, a, b)
+}
+
+// rowMulAddGo takes the surviving rows of b four per pass over dst.
+func rowMulAddGo(dst, a []float32, b *Matrix) {
 	n := b.Cols
 	var av [4]float32
 	var br [4][]float32
@@ -82,11 +103,11 @@ func MatMul(pool *Pool, dst, a, b *Matrix) {
 	dispatch(pool, a.Rows, dst, a, b, matMulRows)
 }
 
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
+func matMulRowsGo(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Cols
 	clear(dst.Data[lo*n : hi*n])
 	for i := lo; i < hi; i++ {
-		RowMulAdd(dst.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b)
+		rowMulAddGo(dst.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b)
 	}
 }
 
@@ -139,10 +160,7 @@ const matMulATTile = 4096
 
 // MatMulAT computes dst = aᵀ·b. Shapes: a is k×m, b is k×n, dst is m×n.
 // The parallel split is over columns of a (rows of dst) so partial sums
-// never race. Within a chunk, p runs outermost: the rows of a and b are
-// streamed once per dst block, four at a time, so a is read along its
-// rows (a column walk touches one cache line per float) and the block
-// of dst stays resident while everything else passes through.
+// never race.
 func MatMulAT(pool *Pool, dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAT shape mismatch (%dx%d)T·(%dx%d)->(%dx%d)",
@@ -151,7 +169,11 @@ func MatMulAT(pool *Pool, dst, a, b *Matrix) {
 	dispatch(pool, a.Cols, dst, a, b, matMulATRows)
 }
 
-func matMulATRows(dst, a, b *Matrix, lo, hi int) {
+// matMulATRowsGo runs p outermost within a chunk: the rows of a and b
+// are streamed once per dst block, four at a time, so a is read along
+// its rows (a column walk touches one cache line per float) and the
+// block of dst stays resident while everything else passes through.
+func matMulATRowsGo(dst, a, b *Matrix, lo, hi int) {
 	k, m, n := a.Rows, a.Cols, b.Cols
 	clear(dst.Data[lo*n : hi*n])
 	tile := max(1, matMulATTile/max(1, n))
@@ -182,6 +204,34 @@ func matMulATRows(dst, a, b *Matrix, lo, hi int) {
 					mulAdd1(dst.Data[i*n:(i+1)*n], v, br)
 				}
 			}
+		}
+	}
+}
+
+// AddRows computes dst += x.Row(id) for every id in order: the inner
+// loop of sum and mean aggregation. dst has x.Cols entries.
+func AddRows(dst []float32, x *Matrix, ids []int32) {
+	if len(dst) != x.Cols {
+		panic(fmt.Sprintf("tensor: AddRows adds %d-wide rows into %d entries", x.Cols, len(dst)))
+	}
+	addRows(dst, x, ids)
+}
+
+// addRowsGo adds four independent elements per iteration: at one per
+// iteration the loop is front-end bound.
+func addRowsGo(dst []float32, x *Matrix, ids []int32) {
+	for _, id := range ids {
+		src := x.Row(int(id))[:len(dst)]
+		k := 0
+		for ; k+4 <= len(src); k += 4 {
+			d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
+			d[0] += s[0]
+			d[1] += s[1]
+			d[2] += s[2]
+			d[3] += s[3]
+		}
+		for ; k < len(src); k++ {
+			dst[k] += src[k]
 		}
 	}
 }

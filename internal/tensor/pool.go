@@ -135,13 +135,8 @@ func AppendSplitWeighted(dst []int, n, parts int, cost func(i int) int) []int {
 	return append(dst, n)
 }
 
-// SplitWeighted is AppendSplitWeighted into a fresh slice.
-func SplitWeighted(n, parts int, cost func(i int) int) []int {
-	return AppendSplitWeighted(make([]int, 0, parts+1), n, parts, cost)
-}
-
 // ParallelChunks dispatches the chunks described by bounds (as produced
-// by SplitWeighted: bounds[k] to bounds[k+1] is chunk k) over the pool's
+// by AppendSplitWeighted: bounds[k] to bounds[k+1] is chunk k) over the pool's
 // workers with work-stealing: workers pull the next chunk index from a
 // shared atomic counter, so a worker stuck on an expensive chunk never
 // blocks the others from draining the rest. Which worker runs a chunk is

@@ -4,7 +4,9 @@
 // plain Go loops — register-accumulated and ordered for the cache, but
 // not blocked over the reduction — parallelised over a bounded worker
 // pool, and the handful of elementwise and reduction kernels
-// backpropagation needs.
+// backpropagation needs. On amd64 CPUs with AVX2 the row loops of a·b,
+// aᵀ·b and the neighbour sum run in assembly that computes the same
+// bits (simd_amd64.s); the Go loops are the portable path.
 //
 // Everything is deterministic: a kernel may choose which output element
 // it works on when, but never reorders the floating-point reduction that

@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// splitWeighted is AppendSplitWeighted into a fresh slice.
+func splitWeighted(n, parts int, cost func(i int) int) []int {
+	return AppendSplitWeighted(nil, n, parts, cost)
+}
+
 // checkBounds asserts the structural invariants every split must hold:
 // starts at 0, ends at n, strictly increasing.
 func checkBounds(t *testing.T, bounds []int, n int) {
@@ -27,7 +32,7 @@ func checkBounds(t *testing.T, bounds []int, n int) {
 
 func TestSplitWeightedUniformEqualsEqualCount(t *testing.T) {
 	for _, cost := range []func(int) int{nil, func(int) int { return 3 }} {
-		bounds := SplitWeighted(100, 4, cost)
+		bounds := splitWeighted(100, 4, cost)
 		checkBounds(t, bounds, 100)
 		if len(bounds) != 5 {
 			t.Fatalf("uniform cost: bounds %v, want 4 chunks", bounds)
@@ -41,27 +46,27 @@ func TestSplitWeightedUniformEqualsEqualCount(t *testing.T) {
 }
 
 func TestSplitWeightedDegenerateInputs(t *testing.T) {
-	if got := SplitWeighted(0, 4, nil); !reflect.DeepEqual(got, []int{0}) {
+	if got := splitWeighted(0, 4, nil); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("n=0: %v", got)
 	}
-	if got := SplitWeighted(-3, 4, nil); !reflect.DeepEqual(got, []int{0}) {
+	if got := splitWeighted(-3, 4, nil); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("n<0: %v", got)
 	}
-	if got := SplitWeighted(5, 1, nil); !reflect.DeepEqual(got, []int{0, 5}) {
+	if got := splitWeighted(5, 1, nil); !reflect.DeepEqual(got, []int{0, 5}) {
 		t.Fatalf("parts=1: %v", got)
 	}
-	if got := SplitWeighted(5, 0, nil); !reflect.DeepEqual(got, []int{0, 5}) {
+	if got := splitWeighted(5, 0, nil); !reflect.DeepEqual(got, []int{0, 5}) {
 		t.Fatalf("parts=0: %v", got)
 	}
 	// parts > n clamps to n: one item per chunk.
-	got := SplitWeighted(3, 16, nil)
+	got := splitWeighted(3, 16, nil)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Fatalf("parts>n: %v", got)
 	}
 	// All-zero (and negative) costs fall back to equal-count chunks.
-	zero := SplitWeighted(100, 4, func(int) int { return 0 })
-	neg := SplitWeighted(100, 4, func(int) int { return -7 })
-	uniform := SplitWeighted(100, 4, nil)
+	zero := splitWeighted(100, 4, func(int) int { return 0 })
+	neg := splitWeighted(100, 4, func(int) int { return -7 })
+	uniform := splitWeighted(100, 4, nil)
 	if !reflect.DeepEqual(zero, uniform) || !reflect.DeepEqual(neg, uniform) {
 		t.Fatalf("zero/negative cost %v / %v, want uniform %v", zero, neg, uniform)
 	}
@@ -78,7 +83,7 @@ func TestSplitWeightedHubGetsOwnChunk(t *testing.T) {
 		}
 		return 3
 	}
-	bounds := SplitWeighted(n, 8, cost)
+	bounds := splitWeighted(n, 8, cost)
 	checkBounds(t, bounds, n)
 	for k := 1; k < len(bounds); k++ {
 		lo, hi := bounds[k-1], bounds[k]
@@ -120,8 +125,8 @@ func TestSplitWeightedBalancesPowerLawCost(t *testing.T) {
 		}
 		return worst
 	}
-	weighted := SplitWeighted(n, 8, costFn)
-	equal := SplitWeighted(n, 8, nil)
+	weighted := splitWeighted(n, 8, costFn)
+	equal := splitWeighted(n, 8, nil)
 	checkBounds(t, weighted, n)
 	if w, e := maxChunk(weighted), maxChunk(equal); w >= e {
 		t.Fatalf("weighted max chunk cost %d not better than equal-count %d", w, e)
@@ -130,9 +135,9 @@ func TestSplitWeightedBalancesPowerLawCost(t *testing.T) {
 
 func TestSplitWeightedDeterministic(t *testing.T) {
 	cost := func(i int) int { return (i*i)%97 + 1 }
-	a := SplitWeighted(1000, 16, cost)
+	a := splitWeighted(1000, 16, cost)
 	for r := 0; r < 10; r++ {
-		if b := SplitWeighted(1000, 16, cost); !reflect.DeepEqual(a, b) {
+		if b := splitWeighted(1000, 16, cost); !reflect.DeepEqual(a, b) {
 			t.Fatalf("run %d differs: %v vs %v", r, a, b)
 		}
 	}
