@@ -343,7 +343,7 @@ func runInspect(args []string) error {
 	}
 	st := lz.Stats()
 	fmt.Printf("store:      %s (%d bytes, format v%d, opened in %s, %s)\n",
-		args[0], fi.Size(), lz.Version(), openTime.Round(time.Microsecond), lz.AccessMode())
+		args[0], fi.Size(), graph.StoreVersion, openTime.Round(time.Microsecond), lz.AccessMode())
 	spec := lz.Spec()
 	if spec.Name != "" {
 		fmt.Printf("dataset:    %s\n", spec.Name)
@@ -416,7 +416,7 @@ func runVerify(args []string) error {
 	}
 	st := check.Stats
 	fmt.Printf("%s: OK (format v%d %s, %d nodes, %d arcs, %d classes, %s features, %d sections, checksums + invariants verified)\n",
-		args[0], check.Version, check.Kind, st.NumNodes, st.NumArcs, st.NumClasses, check.FeatDtype, len(check.Sections))
+		args[0], graph.StoreVersion, check.Kind, st.NumNodes, st.NumArcs, st.NumClasses, check.FeatDtype, len(check.Sections))
 	// A manifest-carrying store is a shard-set handle: validate the set
 	// end to end too (topology-only — feature bytes stay untouched).
 	hasManifest := false

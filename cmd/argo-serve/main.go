@@ -2,18 +2,18 @@
 // a trained checkpoint and an .argograph store — the inference-side
 // counterpart of argo-train. Queries are coalesced into micro-batches
 // (one forward pass per batch) and feature rows are read row-granularly
-// through a policy-driven hot-node cache (-cache-policy: lru, tinylfu,
-// midpoint, twotier), so a store much larger than RAM can be served
-// directly off disk. -hub-pin pins the top-degree rows in the twotier
-// cache; -precompute-hubs computes top-degree nodes' per-layer
-// activations at startup so their deep frontiers are never gathered —
-// both leave served logits bit-identical to direct inference.
+// through a hot-node cache (-cache-policy: lru, the default, or tinylfu,
+// which keeps the hot set through the scan every deep gather is), so a
+// store much larger than RAM can be served directly off disk.
+// -precompute-hubs computes top-degree nodes' per-layer activations at
+// startup so their deep frontiers are never gathered. Neither changes a
+// served logit: both are bit-identical to direct inference.
 //
 // Usage:
 //
 //	argo-train -dataset tiny -epochs 2 -save-checkpoint model.ckpt
 //	argo-serve -store tiny.argograph -checkpoint model.ckpt -addr :8090 \
-//	    -cache-policy twotier -hub-pin 0.01 -precompute-hubs 0.01
+//	    -cache-policy tinylfu -precompute-hubs 0.01
 //	curl -s localhost:8090/v1/predict -d '{"nodes":[0,1,2]}'
 //
 // Endpoints: POST /v1/predict ({"nodes":[...]} -> labels + logits),
@@ -24,7 +24,8 @@
 // runs one reference forward pass for -nodes, and prints the same JSON
 // a /v1/predict call returns. CI pins the served path against it —
 // the two must match bit for bit, whatever policy and hub settings are
-// in effect.
+// in effect. A node id outside the store is an error, as it is a 400
+// from the server.
 package main
 
 import (
@@ -60,7 +61,6 @@ func main() {
 		cacheBytes  = flag.Int64("cache-bytes", 4<<20, "hot-node feature cache budget in bytes (0 disables)")
 		cachePolicy = flag.String("cache-policy", serve.PolicyLRU,
 			"cache replacement policy: "+strings.Join(serve.Policies(), ", "))
-		hubPin     = flag.Float64("hub-pin", 0, "pin the top fraction of nodes by degree in the twotier cache (0..1)")
 		precompute = flag.Float64("precompute-hubs", 0, "precompute per-layer activations for the top fraction of nodes by degree (0..1; 0 disables)")
 		seed       = flag.Int64("seed", 1, "generation seed when -store/-shards is a registry name")
 		direct     = flag.Bool("direct", false, "no server: print the reference predictions for -nodes and exit")
@@ -78,7 +78,6 @@ func main() {
 		batchMax:    *batchMax,
 		cacheBytes:  *cacheBytes,
 		cachePolicy: *cachePolicy,
-		hubPin:      *hubPin,
 		precompute:  *precompute,
 	}
 	if err := run(*store, *shards, *checkpoint, *addr, cfg, *seed, *direct, *nodes); err != nil {
@@ -113,13 +112,20 @@ type serveConfig struct {
 	batchMax    int
 	cacheBytes  int64
 	cachePolicy string
-	hubPin      float64
 	precompute  float64
 }
 
 func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, direct bool, nodeList string) error {
-	// Open the store and the topology first: the model loader needs the
-	// degree array for GCN checkpoints.
+	// Flag values first: a typo should not cost a store mapping, a
+	// topology assembly and a checkpoint load before it is reported.
+	if _, err := serve.NewCache(cfg.cachePolicy, serve.CacheConfig{}); err != nil {
+		return err
+	}
+	if cfg.precompute < 0 || cfg.precompute > 1 {
+		return fmt.Errorf("-precompute-hubs %g outside [0,1]", cfg.precompute)
+	}
+	// The store and its topology come before the model: the loader needs
+	// the degree array for GCN checkpoints.
 	var (
 		feats   serve.FeatureSource
 		g       *graph.CSR
@@ -170,7 +176,6 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	srv, err := serve.New(serve.Source{Graph: g, Features: feats}, model,
 		serve.WithPolicy(cfg.cachePolicy),
 		serve.WithCacheBytes(cfg.cacheBytes),
-		serve.WithHubPin(cfg.hubPin),
 		serve.WithPrecomputeHubs(cfg.precompute),
 		serve.WithBatchWindow(cfg.window),
 		serve.WithBatchMaxNodes(cfg.batchMax),
@@ -178,16 +183,24 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	if err != nil {
 		return err
 	}
-	httpSrv := newHTTPServer(addr, srv)
+	log.Printf("serving %s (%s, %d nodes, %d classes) on %s with %s cache (%d bytes), %d precomputed hubs",
+		dsName, model.Spec.Kind, g.NumNodes, srv.Inferencer().NumClasses(), addr, cfg.cachePolicy, cfg.cacheBytes, srv.Inferencer().HubStats().Nodes)
+	return listenAndServe(srv, addr)
+}
 
+// listenAndServe answers HTTP on addr until SIGINT/SIGTERM, then drains:
+// in-flight requests finish, the listener and the batcher shut down.
+// srv is closed on every return, a listener that never came up
+// included, so its collector goroutine does not outlive the call.
+func listenAndServe(srv *serve.Server, addr string) error {
+	defer srv.Close()
+	httpSrv := newHTTPServer(addr, srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	inf := srv.Inferencer()
-	log.Printf("serving %s (%s, %d nodes, %d classes) on %s with %s cache (%d bytes), %d precomputed hubs",
-		dsName, model.Spec.Kind, g.NumNodes, inf.NumClasses(), addr, cfg.cachePolicy, cfg.cacheBytes, inf.HubStats().Nodes)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	select {
 	case err := <-errCh:
 		return err
@@ -199,7 +212,6 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		return err
 	}
-	srv.Close()
 	log.Print("drained")
 	return nil
 }

@@ -1,11 +1,19 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"argo/internal/datasets"
+	"argo/internal/graph"
+	"argo/internal/nn"
+	"argo/internal/serve"
 )
 
 // A client that never finishes its request line must not hold a
@@ -59,5 +67,76 @@ func TestStalledHeaderConnectionIsClosed(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < readHeaderTimeout {
 		t.Fatalf("connection closed after %s, before readHeaderTimeout %s", waited, readHeaderTimeout)
+	}
+}
+
+// tinyFixture writes the tiny dataset and a seeded (untrained) SAGE
+// checkpoint for it into a temp dir.
+func tinyFixture(t *testing.T) (ds *graph.Dataset, model *nn.GNN, store, checkpoint string) {
+	t.Helper()
+	ds, err := datasets.Build("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err = nn.NewModel(nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Features.Cols, 8, ds.NumClasses}, Seed: 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, checkpoint = filepath.Join(dir, "tiny.argograph"), filepath.Join(dir, "m.ckpt")
+	if err := ds.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.SaveCheckpointFile(checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	return ds, model, store, checkpoint
+}
+
+// -direct with a node id the store does not have is a bad-request
+// error, not an index-out-of-range panic in the gather.
+func TestDirectRejectsOutOfRangeNodes(t *testing.T) {
+	_, _, store, checkpoint := tinyFixture(t)
+	for _, nodes := range []string{"0,999", "-1", "120"} {
+		err := run(store, "", checkpoint, "", serveConfig{cachePolicy: serve.PolicyLRU}, 1, true, nodes)
+		if !errors.Is(err, serve.ErrBadRequest) {
+			t.Fatalf("-direct -nodes %s: %v, want ErrBadRequest", nodes, err)
+		}
+	}
+}
+
+// A bad -cache-policy or -precompute-hubs is reported before the store
+// or the checkpoint is touched: neither file exists here.
+func TestFlagsValidatedBeforeStoreIsOpened(t *testing.T) {
+	for want, cfg := range map[string]serveConfig{
+		"cache policy":     {cachePolicy: "twotier"},
+		"-precompute-hubs": {cachePolicy: serve.PolicyTinyLFU, precompute: 1.5},
+	} {
+		err := run("no-such.argograph", "", "no-such.ckpt", "", cfg, 1, false, "")
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%+v: error %v, want one about the %s", cfg, err, want)
+		}
+	}
+}
+
+// When the listener cannot come up, listenAndServe returns the error
+// with the server closed: its batcher refuses instead of leaving the
+// collector goroutine running.
+func TestListenErrorClosesServer(t *testing.T) {
+	ds, model, _, _ := tinyFixture(t)
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	srv, err := serve.New(serve.Source{Graph: ds.Graph, Features: serve.NewMatrixFeatureSource(ds.Features)}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := listenAndServe(srv, busy.Addr().String()); err == nil {
+		t.Fatal("listening on a taken address succeeded")
+	}
+	if _, err := srv.Batcher().Predict([]graph.NodeID{1}); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("Predict after a failed listen: %v, want ErrClosed", err)
 	}
 }

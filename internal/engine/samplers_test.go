@@ -9,17 +9,15 @@ import (
 	"argo/internal/sampler"
 )
 
-// Every sampler in the repository must plug into the multi-process engine
-// and train: subgraph-based (ShaDow, Cluster, SAINT-RW, full-graph) and
+// Every training sampler in the repository must plug into the
+// multi-process engine and train: subgraph-based (ShaDow, SAINT-RW) and
 // block-based (Neighbor) batches share the model and gradient paths.
 func TestAllSamplersTrainEndToEnd(t *testing.T) {
 	ds := testDataset(t)
 	samplers := map[string]sampler.Sampler{
-		"neighbor":  sampler.NewNeighbor(ds.Graph, []int{5, 5}),
-		"shadow":    sampler.NewShaDow(ds.Graph, []int{5, 3}, 2),
-		"cluster":   sampler.NewCluster(ds.Graph, 10, 2),
-		"saint-rw":  sampler.NewSaintRW(ds.Graph, 2, 3, 2),
-		"fullgraph": sampler.NewFullGraph(ds.Graph, 2),
+		"neighbor": sampler.NewNeighbor(ds.Graph, []int{5, 5}),
+		"shadow":   sampler.NewShaDow(ds.Graph, []int{5, 3}, 2),
+		"saint-rw": sampler.NewSaintRW(ds.Graph, 2, 3, 2),
 	}
 	for name, smp := range samplers {
 		t.Run(name, func(t *testing.T) {
@@ -85,8 +83,9 @@ func TestFullGraphConvergesSlower(t *testing.T) {
 		}
 		return e.Evaluate(ds.ValIdx)
 	}
-	// Full-graph: batch = whole training set → 1 update/epoch, 4 updates.
-	fullAcc := run(sampler.NewFullGraph(ds.Graph, 2), len(ds.TrainIdx))
+	// Full-graph: batch = whole training set over every target's complete
+	// 2-hop neighbourhood → 1 update/epoch, 4 updates.
+	fullAcc := run(sampler.NewFullNeighbor(ds.Graph, 2), len(ds.TrainIdx))
 	// Mini-batch: batch 25 → 6 updates/epoch, 24 updates.
 	miniAcc := run(sampler.NewNeighbor(ds.Graph, []int{5, 5}), 25)
 	if miniAcc <= fullAcc {

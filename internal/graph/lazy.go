@@ -217,9 +217,6 @@ func (l *LazyDataset) Close() error {
 	return err
 }
 
-// Version reports the store format version.
-func (l *LazyDataset) Version() int { return storeVersion2 }
-
 // Mapped reports whether the store is served by an mmap (linux) rather
 // than the ReadAt fallback.
 func (l *LazyDataset) Mapped() bool { return l.mapped }

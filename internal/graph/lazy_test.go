@@ -117,8 +117,8 @@ func TestLazyOpenReadsOnlyMetadataSections(t *testing.T) {
 	}
 }
 
-// File-level check of the same property: LoadCSR on a v2 *dataset*
-// store extracts topology without materialising features, and the
+// File-level check of the same property: OpenLazy + Topology on a v2
+// *dataset* store extracts topology without materialising features, and the
 // result matches the eager load.
 func TestLoadCSRFromDatasetStore(t *testing.T) {
 	ds := storeTestDataset(t)
@@ -126,17 +126,17 @@ func TestLoadCSRFromDatasetStore(t *testing.T) {
 	if err := ds.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadCSR(path)
+	g, err := topologyAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ds.Graph, g) {
-		t.Fatal("LoadCSR on dataset store differs from original topology")
+		t.Fatal("topology of a dataset store differs from the original")
 	}
 }
 
 // A v2 store with a corrupt features section still serves topology —
-// proof that LoadCSR never touches feature bytes even on-disk.
+// proof that a topology read never touches feature bytes even on-disk.
 func TestLoadCSRIgnoresCorruptFeatureSection(t *testing.T) {
 	ds := storeTestDataset(t)
 	var buf bytes.Buffer
@@ -155,9 +155,9 @@ func TestLoadCSRIgnoresCorruptFeatureSection(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadCSR(path)
+	g, err := topologyAt(path)
 	if err != nil {
-		t.Fatalf("LoadCSR failed on a store whose only damage is in features: %v", err)
+		t.Fatalf("topology read failed on a store whose only damage is in features: %v", err)
 	}
 	if !reflect.DeepEqual(ds.Graph, g) {
 		t.Fatal("topology mismatch")

@@ -127,10 +127,12 @@ func TestShardStoresArePlainStores(t *testing.T) {
 			t.Fatalf("shard %d has %d local nodes, manifest says %d+%d",
 				i, local.Graph.NumNodes, man.Shards[i].Owned, man.Shards[i].Halo)
 		}
-		st, err := LoadStats(p)
+		lz, err := OpenLazy(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := lz.Stats()
+		lz.Close()
 		if st.Shard == nil || st.Shard.Index != i || st.Shard.Count != 3 ||
 			st.Shard.Owned != man.Shards[i].Owned || st.Shard.Halo != man.Shards[i].Halo ||
 			st.Shard.CutArcs != man.Shards[i].CutArcs {

@@ -89,45 +89,6 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 	return lz.Dataset()
 }
 
-// ReadSpec decodes only the DatasetSpec (the CRC-verified spec section)
-// from a .argograph dataset store.
-func ReadSpec(r io.Reader) (DatasetSpec, error) {
-	lz, err := openReader(r)
-	if err != nil {
-		return DatasetSpec{}, err
-	}
-	if err := lz.wantDataset(); err != nil {
-		return DatasetSpec{}, err
-	}
-	return lz.Spec(), nil
-}
-
-// LoadSpec reads just the DatasetSpec from the .argograph store at path.
-// No topology or feature bytes are touched, so arbitrarily large stores
-// resolve in microseconds.
-func LoadSpec(path string) (DatasetSpec, error) {
-	lz, err := OpenLazy(path)
-	if err != nil {
-		return DatasetSpec{}, err
-	}
-	defer lz.Close()
-	if err := lz.wantDataset(); err != nil {
-		return DatasetSpec{}, fmt.Errorf("graph: %s: %w", path, err)
-	}
-	return lz.Spec(), nil
-}
-
-// LoadStats reads the precomputed stats of the .argograph store at path:
-// only the header, section table, and stats section are read.
-func LoadStats(path string) (Stats, error) {
-	lz, err := OpenLazy(path)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer lz.Close()
-	return lz.Stats(), nil
-}
-
 // LoadDataset reads a .argograph dataset store from path, fully
 // materialised and validated.
 func LoadDataset(path string) (*Dataset, error) {
@@ -161,35 +122,6 @@ func (g *CSR) Write(w io.Writer) error {
 // Save writes the CSR graph to path, atomically (see Dataset.Save).
 func (g *CSR) Save(path string) error {
 	return saveAtomic(path, func(w io.Writer) error { return g.Write(w) })
-}
-
-// ReadCSR deserialises a graph written with CSR.Write, verifying the
-// checksum and the CSR structural invariants. A *dataset* store is
-// accepted too: its csr section decodes without touching feature bytes,
-// which is the point of the sectioned layout.
-func ReadCSR(r io.Reader) (*CSR, error) {
-	lz, err := openReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return lz.Topology()
-}
-
-// LoadCSR reads the topology of the .argograph store at path. For a
-// store of either kind only the header, table, stats, and csr sections
-// are read — a topology-only consumer of a dataset store never
-// materialises (or, under mmap, even faults in) its feature bytes.
-func LoadCSR(path string) (*CSR, error) {
-	lz, err := OpenLazy(path)
-	if err != nil {
-		return nil, err
-	}
-	defer lz.Close()
-	g, err := lz.Topology()
-	if err != nil {
-		return nil, fmt.Errorf("graph: %s: %w", path, err)
-	}
-	return g, nil
 }
 
 // Validate checks every structural invariant the training stack relies

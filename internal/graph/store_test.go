@@ -42,13 +42,43 @@ func TestDatasetStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// topologyAt opens the store at path lazily and decodes its topology
+// alone, as a topology-only consumer does.
+func topologyAt(path string) (*CSR, error) {
+	lz, err := OpenLazy(path)
+	if err != nil {
+		return nil, err
+	}
+	defer lz.Close()
+	return lz.Topology()
+}
+
+// topologyOf is topologyAt for a store image held in memory.
+func topologyOf(b []byte) (*CSR, error) {
+	lz, err := openReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return lz.Topology()
+}
+
+// specOf opens a store image and returns its spec; only the metadata
+// sections are decoded.
+func specOf(b []byte) (DatasetSpec, error) {
+	lz, err := openReader(bytes.NewReader(b))
+	if err != nil {
+		return DatasetSpec{}, err
+	}
+	return lz.Spec(), nil
+}
+
 func TestCSRStoreRoundTrip(t *testing.T) {
 	ds := storeTestDataset(t)
 	path := filepath.Join(t.TempDir(), "topo.argograph")
 	if err := ds.Graph.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCSR(path)
+	back, err := topologyAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +177,7 @@ func TestStoreRejectsFutureVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	binary.LittleEndian.PutUint32(b[8:], storeVersion2+1)
+	binary.LittleEndian.PutUint32(b[8:], StoreVersion+1)
 	if _, err := ReadDataset(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version accepted: %v", err)
 	}
@@ -321,7 +351,7 @@ func TestStoreRejectsOverflowingCounts(t *testing.T) {
 	e.u64(1)
 	e.u64(1<<62 + 1)
 	e.i64s([]int64{0, 0})
-	if _, err := ReadCSR(bytes.NewReader(craftedStore(t, ds, true, secCSR, e.buf))); err == nil {
+	if _, err := topologyOf(craftedStore(t, ds, true, secCSR, e.buf)); err == nil {
 		t.Fatal("2^62+1 arcs accepted")
 	}
 	// Features section: a block whose size would overflow the rows*cols*4
@@ -347,18 +377,18 @@ func TestStoreRejectsOverflowingCounts(t *testing.T) {
 	}
 }
 
-// ReadSpec serves the spec from the metadata sections alone: damage to
+// Opening a store serves the spec from the metadata sections alone: damage to
 // the sections behind them does not reach it, damage inside the spec
 // section does.
 func TestReadSpecPrefixOnly(t *testing.T) {
 	ds := storeTestDataset(t)
 	b, entries := v2TestBytes(t)
-	spec, err := ReadSpec(bytes.NewReader(b))
+	spec, err := specOf(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spec, ds.Spec) {
-		t.Fatalf("ReadSpec = %+v, want %+v", spec, ds.Spec)
+		t.Fatalf("spec = %+v, want %+v", spec, ds.Spec)
 	}
 	// The spec must decode even when everything behind the metadata is
 	// garbage — that is the point of reading the spec section only.
@@ -366,7 +396,7 @@ func TestReadSpecPrefixOnly(t *testing.T) {
 	for i := len(tail) / 2; i < len(tail); i++ {
 		tail[i] ^= 0xff
 	}
-	if got, err := ReadSpec(bytes.NewReader(tail)); err != nil || !reflect.DeepEqual(got, ds.Spec) {
+	if got, err := specOf(tail); err != nil || !reflect.DeepEqual(got, ds.Spec) {
 		t.Fatalf("spec read reached past the metadata sections: %v", err)
 	}
 	// But a store damaged inside the spec section must be rejected.
@@ -376,10 +406,10 @@ func TestReadSpecPrefixOnly(t *testing.T) {
 	}
 	head := append([]byte(nil), b...)
 	head[e.Offset+e.Length/2] ^= 0x40
-	if _, err := ReadSpec(bytes.NewReader(head)); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := specOf(head); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("damaged spec accepted: %v", err)
 	}
-	if _, err := ReadSpec(bytes.NewReader([]byte("ARGOGRPH"))); err == nil {
+	if _, err := specOf([]byte("ARGOGRPH")); err == nil {
 		t.Fatal("bare magic accepted")
 	}
 }
@@ -392,7 +422,7 @@ func TestStoreRejectsRowPtrPastCol(t *testing.T) {
 	e.u64(0) // numArcs
 	e.i64s([]int64{0, 100})
 	b := craftedStore(t, storeTestDataset(t), true, secCSR, e.buf)
-	if _, err := ReadCSR(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "exceeds len(Col)") {
+	if _, err := topologyOf(b); err == nil || !strings.Contains(err.Error(), "exceeds len(Col)") {
 		t.Fatalf("RowPtr past Col accepted: %v", err)
 	}
 }

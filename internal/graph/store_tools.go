@@ -72,7 +72,6 @@ func ConvertStore(src, dst string, dt FeatDtype) (from FeatDtype, identical bool
 
 // StoreCheck summarises a fully verified store for tooling output.
 type StoreCheck struct {
-	Version   int
 	Kind      string
 	FeatDtype FeatDtype
 	Stats     Stats
@@ -94,7 +93,6 @@ func VerifyStore(path string) (*StoreCheck, error) {
 	}
 	defer lz.Close()
 	check := &StoreCheck{
-		Version:   lz.Version(),
 		Kind:      lz.Kind(),
 		FeatDtype: lz.FeatDtype(),
 		Stats:     lz.Stats(),

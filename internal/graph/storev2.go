@@ -48,7 +48,9 @@ import (
 // graph's shape — degree histogram, feature dims, split sizes — without
 // touching the CSR or feature payloads at all.
 const (
-	storeVersion2 = 2
+	// StoreVersion is the one .argograph format version this build reads
+	// and writes; any other is ErrUnsupportedVersion.
+	StoreVersion = 2
 
 	secSpec     = 1 // DatasetSpec as JSON
 	secStats    = 2 // Stats as JSON
@@ -227,7 +229,7 @@ func encodeSections(kind uint32, sections []section) []byte {
 	}
 	out := make([]byte, storeHeaderLen+tableLen, total)
 	copy(out[:8], storeMagic)
-	binary.LittleEndian.PutUint32(out[8:], storeVersion2)
+	binary.LittleEndian.PutUint32(out[8:], StoreVersion)
 	binary.LittleEndian.PutUint32(out[12:], kind)
 	binary.LittleEndian.PutUint32(out[16:], uint32(len(sections)))
 	binary.LittleEndian.PutUint64(out[24:], uint64(total))
@@ -351,8 +353,8 @@ func parseHeader2(hdr []byte) (h header2, err error) {
 	if string(hdr[:8]) != storeMagic {
 		return h, fmt.Errorf("graph: not an .argograph store (magic %q)", hdr[:8])
 	}
-	if version := binary.LittleEndian.Uint32(hdr[8:]); version != storeVersion2 {
-		return h, fmt.Errorf("%w %d (this build reads version %d)", ErrUnsupportedVersion, version, storeVersion2)
+	if version := binary.LittleEndian.Uint32(hdr[8:]); version != StoreVersion {
+		return h, fmt.Errorf("%w %d (this build reads version %d)", ErrUnsupportedVersion, version, StoreVersion)
 	}
 	h.kind = binary.LittleEndian.Uint32(hdr[12:])
 	h.count = binary.LittleEndian.Uint32(hdr[16:])

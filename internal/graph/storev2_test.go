@@ -155,13 +155,8 @@ func TestGoldenV1FixtureRejectedEverywhere(t *testing.T) {
 	}
 	entryPoints := map[string]func() error{
 		"ReadDataset": func() error { _, err := ReadDataset(bytes.NewReader(raw)); return err },
-		"ReadSpec":    func() error { _, err := ReadSpec(bytes.NewReader(raw)); return err },
-		"ReadCSR":     func() error { _, err := ReadCSR(bytes.NewReader(raw)); return err },
-		"LoadSpec":    func() error { _, err := LoadSpec(goldenV1); return err },
 		"OpenLazy":    func() error { _, err := OpenLazy(goldenV1); return err },
 		"LoadDataset": func() error { _, err := LoadDataset(goldenV1); return err },
-		"LoadCSR":     func() error { _, err := LoadCSR(goldenV1); return err },
-		"LoadStats":   func() error { _, err := LoadStats(goldenV1); return err },
 		"VerifyStore": func() error { _, err := VerifyStore(goldenV1); return err },
 		"ConvertStore": func() error {
 			_, _, err := ConvertStore(goldenV1, filepath.Join(t.TempDir(), "out.argograph"), DtypeF16)
@@ -218,8 +213,8 @@ func TestLyingStatsSectionRejectedEverywhere(t *testing.T) {
 	if _, err := VerifyStore(path); err == nil || !strings.Contains(err.Error(), "disagrees with stats") {
 		t.Fatalf("VerifyStore accepted lying stats: %v", err)
 	}
-	if _, err := LoadCSR(path); err == nil || !strings.Contains(err.Error(), "disagrees with stats") {
-		t.Fatalf("LoadCSR accepted lying stats: %v", err)
+	if _, err := topologyAt(path); err == nil || !strings.Contains(err.Error(), "disagrees with stats") {
+		t.Fatalf("a topology read accepted lying stats: %v", err)
 	}
 }
 
@@ -297,10 +292,12 @@ func TestStatsSectionMatchesDataset(t *testing.T) {
 	if err := ds.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	st, err := LoadStats(path)
+	lz, err := OpenLazy(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lz.Close()
+	st := lz.Stats()
 	if !reflect.DeepEqual(st, ComputeStats(ds)) {
 		t.Fatalf("stored stats %+v != computed %+v", st, ComputeStats(ds))
 	}
@@ -329,8 +326,8 @@ func TestCSRStoreV2RoundTripWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lz.Close()
-	if lz.Kind() != "csr" || lz.Version() != 2 {
-		t.Fatalf("kind %s version %d", lz.Kind(), lz.Version())
+	if lz.Kind() != "csr" {
+		t.Fatalf("kind %s", lz.Kind())
 	}
 	if got := lz.Stats().NumArcs; got != ds.Graph.NumEdges() {
 		t.Fatalf("stats arcs %d, want %d", got, ds.Graph.NumEdges())

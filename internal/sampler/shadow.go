@@ -62,23 +62,7 @@ func (sh *ShaDow) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 		frontier = next
 	}
 
-	// Induce the subgraph: keep every arc whose endpoints are both in the
-	// localized node set.
-	sub := &Subgraph{
-		Nodes:      nodes,
-		NumTargets: numTargets,
-		RowPtr:     make([]int32, len(nodes)+1),
-	}
-	sub.Col = make([]int32, 0, len(nodes)*4)
-	for i, v := range nodes {
-		for _, u := range sh.Graph.Neighbors(v) {
-			if j, ok := local[u]; ok {
-				sub.Col = append(sub.Col, j)
-			}
-		}
-		sub.RowPtr[i+1] = int32(len(sub.Col))
-	}
-
+	sub := induce(sh.Graph, nodes, local, numTargets)
 	mb := &MiniBatch{Targets: targets, Sub: sub}
 	mb.Stats.InputNodes = int64(len(nodes))
 	mb.Stats.SampledEdges = int64(len(sub.Col)) * int64(sh.Layers)
@@ -87,6 +71,27 @@ func (sh *ShaDow) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 		mb.Stats.LayerEdges[l] = int64(len(sub.Col))
 	}
 	return mb
+}
+
+// induce builds the induced subgraph over nodes — every arc of g whose
+// endpoints are both in the set (local gives each node's local index;
+// the first numTargets nodes are the readout rows).
+func induce(g *graph.CSR, nodes []graph.NodeID, local map[graph.NodeID]int32, numTargets int) *Subgraph {
+	sub := &Subgraph{
+		Nodes:      nodes,
+		NumTargets: numTargets,
+		RowPtr:     make([]int32, len(nodes)+1),
+	}
+	sub.Col = make([]int32, 0, len(nodes)*4)
+	for i, v := range nodes {
+		for _, u := range g.Neighbors(v) {
+			if j, ok := local[u]; ok {
+				sub.Col = append(sub.Col, j)
+			}
+		}
+		sub.RowPtr[i+1] = int32(len(sub.Col))
+	}
+	return sub
 }
 
 func maxFanout(fanouts []int) int {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -101,11 +100,8 @@ func (b *Batcher) Predict(nodes []graph.NodeID) ([]Prediction, error) {
 	if len(nodes) == 0 {
 		return nil, nil
 	}
-	n := b.inf.NumNodes()
-	for _, v := range nodes {
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("%w: node %d outside [0,%d)", ErrBadRequest, v, n)
-		}
+	if err := b.inf.checkNodes(nodes); err != nil {
+		return nil, err // refused before it can fail a whole coalesced batch
 	}
 	r := &batchRequest{nodes: nodes, reply: make(chan batchReply, 1), enq: time.Now()}
 	select {

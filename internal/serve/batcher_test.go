@@ -12,11 +12,7 @@ import (
 func batcherFixture(t *testing.T, cfg BatcherConfig) (*Batcher, *Inferencer, func()) {
 	t.Helper()
 	ds, m, _ := serveFixture(t)
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    m,
-		Graph:    ds.Graph,
-		Features: NewMatrixFeatureSource(ds.Features),
-	})
+	inf, err := newInferencer(m, ds.Graph, NewMatrixFeatureSource(ds.Features), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

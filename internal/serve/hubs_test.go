@@ -35,21 +35,11 @@ func TestHubServingBitMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache, err := NewCache(PolicyTwoTier, CacheConfig{
-			CapBytes: 1 << 16,
-			RowBytes: int64(ds.Features.Cols) * 4,
-			Pinned:   hubs,
-		})
+		cache, err := newRowCache(PolicyTinyLFU, 1<<16, ds.Features.Cols, graph.DtypeF32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inf, err := NewInferencer(InferencerOptions{
-			Model:    m,
-			Graph:    ds.Graph,
-			Features: NewMatrixFeatureSource(ds.Features),
-			Cache:    cache,
-			Workers:  3,
-		})
+		inf, err := newInferencer(m, ds.Graph, NewMatrixFeatureSource(ds.Features), cache, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,11 +79,7 @@ func TestHubServingBitMatchesDirect(t *testing.T) {
 // are rejected, and an empty set detaches hub serving.
 func TestPrecomputeHubsValidates(t *testing.T) {
 	ds, m, _ := serveFixture(t)
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    m,
-		Graph:    ds.Graph,
-		Features: NewMatrixFeatureSource(ds.Features),
-	})
+	inf, err := newInferencer(m, ds.Graph, NewMatrixFeatureSource(ds.Features), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +105,7 @@ func TestPrecomputeHubsValidates(t *testing.T) {
 // the target and its hubs, not the 2-hop ball.
 func TestHubServingPrunesGather(t *testing.T) {
 	ds, m, _ := serveFixture(t)
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    m,
-		Graph:    ds.Graph,
-		Features: NewMatrixFeatureSource(ds.Features),
-	})
+	inf, err := newInferencer(m, ds.Graph, NewMatrixFeatureSource(ds.Features), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

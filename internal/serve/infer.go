@@ -131,7 +131,7 @@ type Inferencer struct {
 	graph  *graph.CSR
 	gather *sampler.FullNeighbor
 	feats  FeatureSource
-	cache  Cache
+	cache  *rowCache // nil when caching is off
 	hubs   *HubStore
 	pool   *tensor.Pool
 	// scratch row reused across gathers (Predict is serialised).
@@ -140,39 +140,25 @@ type Inferencer struct {
 	hubHits atomic.Int64
 }
 
-// InferencerOptions configures NewInferencer.
-type InferencerOptions struct {
-	Model    *nn.GNN
-	Graph    *graph.CSR
-	Features FeatureSource
-	// Cache, when non-nil, fronts Features with a hot-node row cache
-	// (any registered policy; see NewCache).
-	Cache Cache
-	// Workers bounds the tensor worker pool (default 1). Per-row kernel
-	// results are worker-count-independent, so this is performance-only.
-	Workers int
-}
-
-// NewInferencer validates the pieces and builds an inferencer.
-func NewInferencer(opt InferencerOptions) (*Inferencer, error) {
-	if opt.Model == nil || opt.Graph == nil || opt.Features == nil {
+// newInferencer validates the pieces and builds an inferencer. A nil
+// cache reads every row from feats. workers bounds the tensor worker
+// pool; per-row kernel results are worker-count-independent, so it is
+// performance-only.
+func newInferencer(model *nn.GNN, g *graph.CSR, feats FeatureSource, cache *rowCache, workers int) (*Inferencer, error) {
+	if model == nil || g == nil || feats == nil {
 		return nil, fmt.Errorf("serve: model, graph, and features are required")
 	}
-	if opt.Features.Dim() != opt.Model.Spec.Dims[0] {
-		return nil, fmt.Errorf("serve: feature dim %d, model expects %d", opt.Features.Dim(), opt.Model.Spec.Dims[0])
-	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
+	if feats.Dim() != model.Spec.Dims[0] {
+		return nil, fmt.Errorf("serve: feature dim %d, model expects %d", feats.Dim(), model.Spec.Dims[0])
 	}
 	return &Inferencer{
-		model:   opt.Model,
-		graph:   opt.Graph,
-		gather:  sampler.NewFullNeighbor(opt.Graph, opt.Model.NumLayers()),
-		feats:   opt.Features,
-		cache:   opt.Cache,
-		pool:    tensor.NewPool(workers),
-		scratch: make([]float32, opt.Features.Dim()),
+		model:   model,
+		graph:   g,
+		gather:  sampler.NewFullNeighbor(g, model.NumLayers()),
+		feats:   feats,
+		cache:   cache,
+		pool:    tensor.NewPool(max(workers, 1)),
+		scratch: make([]float32, feats.Dim()),
 	}, nil
 }
 
@@ -183,8 +169,21 @@ func (inf *Inferencer) NumNodes() int { return inf.graph.NumNodes }
 // NumClasses returns the model's output width.
 func (inf *Inferencer) NumClasses() int { return inf.model.Spec.Dims[len(inf.model.Spec.Dims)-1] }
 
+// checkNodes rejects node ids outside the served graph, so no caller's
+// input reaches the gather unvalidated.
+func (inf *Inferencer) checkNodes(nodes []graph.NodeID) error {
+	n := inf.graph.NumNodes
+	for _, v := range nodes {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("%w: node %d outside [0,%d)", ErrBadRequest, v, n)
+		}
+	}
+	return nil
+}
+
 // Predict runs one forward pass for the given nodes (which must be
-// unique and in range) and returns one prediction per node, in order.
+// unique; an id out of range is an ErrBadRequest) and returns one
+// prediction per node, in order.
 // Logits are a pure function of (model, graph, features, node): batch
 // composition cannot change them — and neither can hub serving: with a
 // HubStore attached the gather is pruned at hubs and their stored
@@ -193,6 +192,9 @@ func (inf *Inferencer) NumClasses() int { return inf.model.Spec.Dims[len(inf.mod
 func (inf *Inferencer) Predict(nodes []graph.NodeID) ([]Prediction, error) {
 	if len(nodes) == 0 {
 		return nil, nil
+	}
+	if err := inf.checkNodes(nodes); err != nil {
+		return nil, err
 	}
 	inf.mu.Lock()
 	defer inf.mu.Unlock()
@@ -296,12 +298,7 @@ func argmax(row []float32) int {
 // no cache, no batcher, no row-granular reads. CI asserts a served
 // prediction bit-matches this for the same checkpoint and store.
 func DirectPredict(m *nn.GNN, ds *graph.Dataset, nodes []graph.NodeID, workers int) ([]Prediction, error) {
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    m,
-		Graph:    ds.Graph,
-		Features: NewMatrixFeatureSource(ds.Features),
-		Workers:  workers,
-	})
+	inf, err := newInferencer(m, ds.Graph, NewMatrixFeatureSource(ds.Features), nil, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -60,13 +61,11 @@ func TestServedPredictionBitMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    m,
-		Graph:    g,
-		Features: NewLazyFeatureSource(lz),
-		Cache:    NewFeatureCache(1 << 16),
-		Workers:  3,
-	})
+	cache, err := newRowCache(PolicyLRU, 1<<16, lz.FeatureDim(), graph.DtypeF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := newInferencer(m, g, NewLazyFeatureSource(lz), cache, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestShardedServingBitMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := NewInferencer(InferencerOptions{Model: m, Graph: g, Features: feats})
+	inf, err := newInferencer(m, g, feats, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +146,22 @@ func TestNewInferencerRejectsDimMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewInferencer(InferencerOptions{
-		Model:    wrong,
-		Graph:    ds.Graph,
-		Features: NewMatrixFeatureSource(ds.Features),
-	})
-	if err == nil {
+	if _, err := newInferencer(wrong, ds.Graph, NewMatrixFeatureSource(ds.Features), nil, 1); err == nil {
 		t.Fatal("feature-dim mismatch must be rejected")
+	}
+}
+
+// Ids outside the graph are refused by the inferencer itself, so the
+// paths that skip the batcher (DirectPredict, argo-serve -direct) get
+// ErrBadRequest instead of an index panic in the gather.
+func TestPredictRejectsOutOfRangeNodes(t *testing.T) {
+	ds, m, _ := serveFixture(t)
+	for _, nodes := range [][]graph.NodeID{{0, 999}, {-1}, {graph.NodeID(ds.Graph.NumNodes)}} {
+		if _, err := DirectPredict(m, ds, nodes, 1); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("DirectPredict(%v): %v, want ErrBadRequest", nodes, err)
+		}
+	}
+	if _, err := DirectPredict(m, ds, []graph.NodeID{graph.NodeID(ds.Graph.NumNodes - 1)}, 1); err != nil {
+		t.Fatalf("last valid node refused: %v", err)
 	}
 }

@@ -20,30 +20,17 @@ func testRow(id graph.NodeID, dim int) []float32 {
 }
 
 func TestPolicyRegistry(t *testing.T) {
-	want := []string{PolicyLRU, PolicyMidpoint, PolicyTinyLFU, PolicyTwoTier}
-	got := Policies()
-	for _, name := range want {
-		found := false
-		for _, g := range got {
-			if g == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("Policies() = %v, missing %q", got, name)
+	if got, want := Policies(), []string{PolicyLRU, PolicyTinyLFU}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Policies() = %v, want %v", got, want)
+	}
+	for _, name := range []string{"clock", "midpoint", "twotier", ""} {
+		if _, err := NewCache(name, CacheConfig{CapBytes: 1024, RowBytes: 16}); err == nil {
+			t.Fatalf("unknown policy %q did not error", name)
 		}
 	}
-	if _, err := NewCache("clock", CacheConfig{CapBytes: 1024}); err == nil {
-		t.Fatal("unknown policy did not error")
-	}
-	if err := RegisterPolicy(PolicyLRU, func(CacheConfig) (Cache, error) { return nil, nil }); err == nil {
-		t.Fatal("duplicate registration did not error")
-	}
-	if err := RegisterPolicy("", func(CacheConfig) (Cache, error) { return nil, nil }); err == nil {
-		t.Fatal("empty name did not error")
-	}
-	if err := RegisterPolicy("nilfactory", nil); err == nil {
-		t.Fatal("nil factory did not error")
+	c, err := NewCache(" TinyLFU ", CacheConfig{CapBytes: 1024, RowBytes: 16})
+	if err != nil || c.Stats().Policy != PolicyTinyLFU {
+		t.Fatalf("policy names are case-insensitive: %v, %v", c, err)
 	}
 }
 
@@ -53,11 +40,7 @@ func TestPolicyContract(t *testing.T) {
 	const dim = 8
 	for _, name := range Policies() {
 		t.Run(name, func(t *testing.T) {
-			c, err := NewCache(name, CacheConfig{
-				CapBytes: 1 << 20,
-				RowBytes: dim * 4,
-				Pinned:   []graph.NodeID{1, 2},
-			})
+			c, err := NewCache(name, CacheConfig{CapBytes: 1 << 20, RowBytes: dim * 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,9 +115,9 @@ func scanCache(c Cache, hot []graph.NodeID, rounds, scanLen, dim int) {
 	}
 }
 
-// TestScanResistance is the point of the redesign: under tinylfu and
-// midpoint a long one-pass scan must NOT flush the re-referenced hot
-// set, while plain lru — the old behaviour — demonstrably loses it.
+// TestScanResistance is the reason tinylfu exists: under it a long
+// one-pass scan must NOT flush the re-referenced hot set, while plain
+// lru demonstrably loses it.
 func TestScanResistance(t *testing.T) {
 	const dim = 8
 	hot := []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
@@ -151,21 +134,20 @@ func TestScanResistance(t *testing.T) {
 		return n
 	}
 
-	for _, name := range []string{PolicyTinyLFU, PolicyMidpoint} {
+	caches := map[string]Cache{}
+	for _, name := range Policies() {
 		c, err := NewCache(name, CacheConfig{CapBytes: cap, RowBytes: dim * 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		scanCache(c, hot, 40, 64, dim)
-		if n := resident(c); n != len(hot) {
-			t.Errorf("%s: scan evicted the hot set: %d/%d resident", name, n, len(hot))
-		}
+		caches[name] = c
 	}
-
-	lru, _ := NewCache(PolicyLRU, CacheConfig{CapBytes: cap})
-	scanCache(lru, hot, 40, 64, dim)
-	if n := resident(lru); n == len(hot) {
-		t.Error("lru unexpectedly scan-resistant; the tinylfu/midpoint assertions prove nothing")
+	if n := resident(caches[PolicyTinyLFU]); n != len(hot) {
+		t.Errorf("tinylfu: scan evicted the hot set: %d/%d resident", n, len(hot))
+	}
+	if n := resident(caches[PolicyLRU]); n == len(hot) {
+		t.Error("lru unexpectedly scan-resistant; the tinylfu assertion proves nothing")
 	}
 }
 
@@ -203,119 +185,12 @@ func TestTinyLFUAdmissionCounts(t *testing.T) {
 	}
 }
 
-// TestMidpointPromotion pins segment mechanics: a once-touched row sits
-// in probation and a new-arrival wave evicts it; a twice-touched row is
-// protected and survives the same wave.
-func TestMidpointPromotion(t *testing.T) {
-	const dim = 8
-	cap := int64(8) * (dim*4 + cacheEntryOverheadBytes)
-	c, err := NewCache(PolicyMidpoint, CacheConfig{CapBytes: cap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put(1, testRow(1, dim)) // probation only
-	c.Put(2, testRow(2, dim))
-	c.Get(2, nil) // promoted to protected
-	for id := graph.NodeID(50); id < 70; id++ {
-		c.Put(id, testRow(id, dim))
-	}
-	if _, ok := c.Get(1, nil); ok {
-		t.Error("once-touched row survived a probation flush")
-	}
-	if _, ok := c.Get(2, nil); !ok {
-		t.Error("protected row lost to one-touch arrivals")
-	}
-}
-
-// TestTwoTierPinningAndBudget pins the two-tier invariants: pinned rows
-// are never evicted no matter the traffic, and the combined byte budget
-// holds across tiers with the pinned tier at most half.
-func TestTwoTierPinningAndBudget(t *testing.T) {
-	const dim = 8
-	rowBytes := int64(dim * 4)
-	pinned := []graph.NodeID{1, 2, 3, 4}
-	cap := int64(20) * (rowBytes + cacheEntryOverheadBytes)
-	c, err := NewCache(PolicyTwoTier, CacheConfig{
-		CapBytes: cap,
-		RowBytes: rowBytes,
-		Pinned:   pinned,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range pinned {
-		c.Put(id, testRow(id, dim))
-	}
-	// Hostile traffic: a large scan plus repeated references that would
-	// dominate any recency or frequency order.
-	for r := 0; r < 20; r++ {
-		for id := graph.NodeID(100); id < 200; id++ {
-			if _, ok := c.Get(id, nil); !ok {
-				c.Put(id, testRow(id, dim))
-			}
-		}
-	}
-	for _, id := range pinned {
-		got, ok := c.Get(id, nil)
-		if !ok {
-			t.Fatalf("pinned node %d evicted", id)
-		}
-		if !reflect.DeepEqual(got, testRow(id, dim)) {
-			t.Fatalf("pinned node %d row corrupted", id)
-		}
-	}
-	s := c.Stats()
-	if s.UsedBytes > s.CapBytes {
-		t.Fatalf("combined tiers over budget: %+v", s)
-	}
-	if s.PinnedEntries != len(pinned) {
-		t.Fatalf("pinned entries = %d, want %d", s.PinnedEntries, len(pinned))
-	}
-	if s.PinnedBytes > cap/2 {
-		t.Fatalf("pinned tier exceeds half the budget: %+v", s)
-	}
-	if s.Hits == 0 || s.Misses == 0 {
-		t.Fatalf("tier stats not merged: %+v", s)
-	}
-}
-
-// TestTwoTierPinnedOverflowFallsToTail: pinned ids beyond the reserved
-// budget still get cached (in the tail) rather than dropped.
-func TestTwoTierPinnedOverflowFallsToTail(t *testing.T) {
-	const dim = 8
-	rowBytes := int64(dim * 4)
-	// Budget for 4 rows total → pinned reserve covers ~2 of 4 pinned ids.
-	cap := int64(4) * (rowBytes + cacheEntryOverheadBytes)
-	c, err := NewCache(PolicyTwoTier, CacheConfig{
-		CapBytes: cap,
-		RowBytes: rowBytes,
-		Pinned:   []graph.NodeID{1, 2, 3, 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := graph.NodeID(1); id <= 4; id++ {
-		c.Put(id, testRow(id, dim))
-	}
-	s := c.Stats()
-	if s.PinnedBytes > cap/2 {
-		t.Fatalf("pinned reserve overflowed: %+v", s)
-	}
-	if s.Entries <= s.PinnedEntries {
-		t.Fatalf("overflow pinned ids were dropped, not tailed: %+v", s)
-	}
-}
-
 // TestCacheConcurrentStats drives Get/Put/Stats from many goroutines on
 // every policy — the counter-synchronization fix; run with -race.
 func TestCacheConcurrentStats(t *testing.T) {
 	const dim = 8
 	for _, name := range Policies() {
-		c, err := NewCache(name, CacheConfig{
-			CapBytes: 1 << 16,
-			RowBytes: dim * 4,
-			Pinned:   []graph.NodeID{0, 1, 2},
-		})
+		c, err := NewCache(name, CacheConfig{CapBytes: 1 << 16, RowBytes: dim * 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,19 +223,19 @@ func TestCacheConcurrentStats(t *testing.T) {
 	}
 }
 
-// TestScanResistantPoliciesConvertSkew gates the reason tinylfu and
-// twotier exist. With a 2-layer model every request's full-neighbour
+// TestScanResistantPoliciesConvertSkew gates the reason tinylfu
+// exists. With a 2-layer model every request's full-neighbour
 // gather is a scan over hundreds of one-off frontier rows, which flushes
 // a plain LRU; a scan-resistant policy must still turn query skew into
 // hits — a Zipf(2.5) stream at least 0.10 of hit-rate above a uniform one
-// (0.207 / 0.199 when written; lru manages 0.133). arxiv-sim@x16 keeps a
+// (0.207 when written; lru manages 0.133). arxiv-sim@x16 keeps a
 // 2-hop frontier to ~3% of the graph: on the unscaled 2000-node graph one
 // frontier covers half the nodes and no policy can show a gap. Requests
 // are driven one at a time with no batch window, so every count is a
 // pure function of the seed.
 func TestScanResistantPoliciesConvertSkew(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four 400-request serving runs on arxiv-sim@x16 (≈5s)")
+		t.Skip("two 400-request serving runs on arxiv-sim@x16 (≈3s)")
 	}
 	const seed = 7
 	ds, err := datasets.Resolve("arxiv-sim@x16", seed)
@@ -377,7 +252,7 @@ func TestScanResistantPoliciesConvertSkew(t *testing.T) {
 	}
 	run := func(policy string, gen Generator) CacheStats {
 		srv, err := New(Source{Graph: ds.Graph, Features: NewMatrixFeatureSource(ds.Features)}, model,
-			WithPolicy(policy), WithCacheBytes(512<<10), WithHubPin(0.01))
+			WithPolicy(policy), WithCacheBytes(512<<10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +264,7 @@ func TestScanResistantPoliciesConvertSkew(t *testing.T) {
 		}
 		return srv.Inferencer().CacheStats()
 	}
-	for _, policy := range []string{PolicyTinyLFU, PolicyTwoTier} {
+	for _, policy := range []string{PolicyTinyLFU} {
 		zipf, err := NewZipfGenerator(ds.Graph, seed, 2.5)
 		if err != nil {
 			t.Fatal(err)
@@ -401,9 +276,6 @@ func TestScanResistantPoliciesConvertSkew(t *testing.T) {
 		z, u := run(policy, zipf), run(policy, uniform)
 		if gap := z.HitRate - u.HitRate; gap < 0.10 {
 			t.Errorf("%s: zipf hit-rate %.3f − uniform %.3f = %.3f < 0.10", policy, z.HitRate, u.HitRate, gap)
-		}
-		if policy == PolicyTwoTier && z.PinnedEntries == 0 {
-			t.Errorf("twotier pinned no entries under hub-pin 0.01: %+v", z)
 		}
 		t.Logf("%s: zipf %.3f, uniform %.3f", policy, z.HitRate, u.HitRate)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"time"
 
 	"argo/internal/graph"
@@ -20,36 +21,19 @@ type Source struct {
 type Option func(*serverConfig)
 
 type serverConfig struct {
-	cache      Cache
 	policy     string
 	cacheBytes int64
-	tailPolicy string
-	hubPin     float64
 	precompute float64
 	batch      BatcherConfig
 }
 
-// WithCache installs a pre-built cache instance, overriding WithPolicy,
-// WithCacheBytes, and WithHubPin. The server takes ownership (Close
-// closes it).
-func WithCache(c Cache) Option { return func(cfg *serverConfig) { cfg.cache = c } }
-
-// WithPolicy selects the cache replacement policy by registry name
-// (default lru; see Policies for the built-ins).
+// WithPolicy selects the cache replacement policy by name (default lru;
+// see Policies).
 func WithPolicy(name string) Option { return func(cfg *serverConfig) { cfg.policy = name } }
 
 // WithCacheBytes sets the cache byte budget. 0 (the default) disables
 // row caching entirely.
 func WithCacheBytes(n int64) Option { return func(cfg *serverConfig) { cfg.cacheBytes = n } }
-
-// WithTailPolicy selects the policy managing the twotier cache's
-// unpinned tail (default tinylfu). Ignored by single-tier policies.
-func WithTailPolicy(name string) Option { return func(cfg *serverConfig) { cfg.tailPolicy = name } }
-
-// WithHubPin pins the top frac (0..1] of nodes by degree into the
-// cache's pinned tier. Only the twotier policy has one; other policies
-// ignore the pin set.
-func WithHubPin(frac float64) Option { return func(cfg *serverConfig) { cfg.hubPin = frac } }
 
 // WithPrecomputeHubs precomputes per-layer activations for the top frac
 // (0..1] of nodes by degree at construction time, so hub frontiers are
@@ -69,13 +53,11 @@ func WithBatchMaxNodes(n int) Option { return func(cfg *serverConfig) { cfg.batc
 
 // New assembles the serving stack — cache, inferencer, hub store,
 // micro-batcher, HTTP handler — from a source, a checkpointed model,
-// and functional options (NewInferencer and NewServer are its building
-// blocks):
+// and functional options:
 //
 //	srv, err := serve.New(serve.Source{Graph: g, Features: feats}, model,
-//	        serve.WithPolicy(serve.PolicyTwoTier),
+//	        serve.WithPolicy(serve.PolicyTinyLFU),
 //	        serve.WithCacheBytes(4<<20),
-//	        serve.WithHubPin(0.01),
 //	        serve.WithPrecomputeHubs(0.01))
 func New(src Source, model *nn.GNN, opts ...Option) (*Server, error) {
 	if model == nil {
@@ -88,40 +70,18 @@ func New(src Source, model *nn.GNN, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.hubPin < 0 || cfg.hubPin > 1 || cfg.precompute < 0 || cfg.precompute > 1 {
-		return nil, fmt.Errorf("serve: hub fractions must be in [0,1]: pin=%g precompute=%g", cfg.hubPin, cfg.precompute)
+	if cfg.precompute < 0 || cfg.precompute > 1 {
+		return nil, fmt.Errorf("serve: precompute-hubs fraction %g outside [0,1]", cfg.precompute)
 	}
-	cache := cfg.cache
-	if cache == nil && cfg.cacheBytes > 0 {
-		var pinned []graph.NodeID
-		if cfg.hubPin > 0 {
-			pinned = graph.TopDegree(src.Graph, graph.HubCount(src.Graph.NumNodes, cfg.hubPin))
-		}
-		// An fp16 source's rows are fp16-exact, so the cache stores them
-		// packed (two values per float32 element): the policy budgets
-		// against the packed row size and the same byte budget holds
-		// roughly twice the rows, losslessly.
-		dt := FeatureSourceDtype(src.Features)
+	var cache *rowCache
+	if cfg.cacheBytes > 0 {
 		var err error
-		cache, err = NewCache(cfg.policy, CacheConfig{
-			CapBytes:   cfg.cacheBytes,
-			RowBytes:   StoredRowBytes(src.Features.Dim(), dt),
-			Pinned:     pinned,
-			TailPolicy: cfg.tailPolicy,
-		})
+		cache, err = newRowCache(cfg.policy, cfg.cacheBytes, src.Features.Dim(), FeatureSourceDtype(src.Features))
 		if err != nil {
 			return nil, err
 		}
-		if dt == graph.DtypeF16 {
-			cache = newHalfCache(cache, src.Features.Dim())
-		}
 	}
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    model,
-		Graph:    src.Graph,
-		Features: src.Features,
-		Cache:    cache,
-	})
+	inf, err := newInferencer(model, src.Graph, src.Features, cache, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -131,5 +91,15 @@ func New(src Source, model *nn.GNN, opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	return NewServer(inf, cfg.batch, string(model.Spec.Kind)), nil
+	s := &Server{
+		inf:     inf,
+		batcher: NewBatcher(inf, cfg.batch),
+		mux:     http.NewServeMux(),
+		kind:    string(model.Spec.Kind),
+		started: time.Now(),
+	}
+	s.mux.HandleFunc("/v1/predict", s.handlePredict)
+	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/statz", s.handleStatz)
+	return s, nil
 }

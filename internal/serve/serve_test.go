@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,9 +20,8 @@ import (
 func TestNewAssemblesStack(t *testing.T) {
 	ds, m, _ := serveFixture(t)
 	srv, err := New(Source{Graph: ds.Graph, Features: NewMatrixFeatureSource(ds.Features)}, m,
-		WithPolicy(PolicyTwoTier),
+		WithPolicy(PolicyTinyLFU),
 		WithCacheBytes(1<<16),
-		WithHubPin(0.05),
 		WithPrecomputeHubs(0.05),
 		WithBatchWindow(time.Millisecond),
 		WithBatchMaxNodes(64),
@@ -56,7 +56,7 @@ func TestNewAssemblesStack(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.CachePolicy != PolicyTwoTier || st.Cache.Policy != PolicyTwoTier {
+	if st.CachePolicy != PolicyTinyLFU || st.Cache.Policy != PolicyTinyLFU {
 		t.Fatalf("statz does not echo the policy: %+v", st)
 	}
 	if st.Hubs.Nodes == 0 || st.Hubs.Layers != m.NumLayers() || st.Hubs.Bytes <= 0 {
@@ -105,7 +105,6 @@ func TestConcurrentPredictAndStatz(t *testing.T) {
 		srv, err := New(Source{Graph: ds.Graph, Features: NewMatrixFeatureSource(ds.Features)}, m,
 			WithPolicy(policy),
 			WithCacheBytes(1<<14),
-			WithHubPin(0.05),
 			WithPrecomputeHubs(0.05),
 		)
 		if err != nil {
@@ -142,5 +141,68 @@ func TestConcurrentPredictAndStatz(t *testing.T) {
 		wg.Wait()
 		ts.Close()
 		srv.Close()
+	}
+}
+
+// TestServedBitsMatchDirectEverywhere is the parity pin over the whole
+// option surface that survives: an fp32 and an fp16 store, each policy,
+// with and without precomputed hubs, behind a cache that overflows and
+// one that does not — every served logit equals DirectPredict's, cold
+// and warm, and the fp16 store's cache is sized in fp16 slots.
+func TestServedBitsMatchDirectEverywhere(t *testing.T) {
+	nodes := []graph.NodeID{0, 17, 42, 99, 119}
+	for _, dt := range []graph.FeatDtype{graph.DtypeF32, graph.DtypeF16} {
+		ds, m, _ := serveFixture(t)
+		if err := ds.ConvertFeatures(dt); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "store.argograph")
+		if err := ds.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		lz, err := graph.OpenLazy(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lz.Close()
+		g, err := lz.Topology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := DirectPredict(m, ds, nodes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := int64(1<<12) / (StoredRowBytes(lz.FeatureDim(), dt) + cacheEntryOverheadBytes)
+		for _, policy := range Policies() {
+			for _, hubs := range []float64{0, 0.25} {
+				for _, budget := range []int64{1 << 12, 1 << 16} { // a scan overflows the first, fits the second
+					srv, err := New(Source{Graph: g, Features: NewLazyFeatureSource(lz)}, m,
+						WithPolicy(policy), WithCacheBytes(budget), WithPrecomputeHubs(hubs))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for pass := 0; pass < 2; pass++ {
+						served, err := srv.Batcher().Predict(nodes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range nodes {
+							if !logitsEqual(served[i].Logits, direct[i].Logits) {
+								t.Fatalf("%v/%s/hubs=%g/%dB pass %d: node %d diverges from direct", dt, policy, hubs, budget, pass, nodes[i])
+							}
+						}
+					}
+					s := srv.Inferencer().CacheStats()
+					srv.Close()
+					if budget == 1<<12 && (int64(s.Entries) != slots || s.Evictions+s.Rejections == 0) {
+						t.Fatalf("%v/%s/hubs=%g: small cache not full at %d slots: %+v", dt, policy, hubs, slots, s)
+					}
+					if budget == 1<<16 && (s.Hits == 0 || s.Evictions+s.Rejections != 0) {
+						t.Fatalf("%v/%s/hubs=%g: large cache did not serve the warm pass: %+v", dt, policy, hubs, s)
+					}
+				}
+			}
+		}
 	}
 }

@@ -41,7 +41,8 @@ type StatzResponse struct {
 }
 
 // Server is the HTTP face of the serving stack: it owns a batcher over
-// an inferencer and exposes /v1/predict, /healthz, and /statz.
+// an inferencer and exposes /v1/predict, /healthz, and /statz. New
+// builds one.
 type Server struct {
 	inf     *Inferencer
 	batcher *Batcher
@@ -49,24 +50,6 @@ type Server struct {
 	kind    string
 	started time.Time
 	reqs    atomic.Int64
-}
-
-// NewServer wires the handler around an inferencer. modelKind is a
-// label for /statz (e.g. "sage"). Most callers should use New, which
-// assembles the cache, hub store, and batcher from options; NewServer
-// remains for pre-built inferencers.
-func NewServer(inf *Inferencer, cfg BatcherConfig, modelKind string) *Server {
-	s := &Server{
-		inf:     inf,
-		batcher: NewBatcher(inf, cfg),
-		mux:     http.NewServeMux(),
-		kind:    modelKind,
-		started: time.Now(),
-	}
-	s.mux.HandleFunc("/v1/predict", s.handlePredict)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/statz", s.handleStatz)
-	return s
 }
 
 // ServeHTTP implements http.Handler.
@@ -80,15 +63,10 @@ func (s *Server) Batcher() *Batcher { return s.batcher }
 // reach through it for cache and hub statistics).
 func (s *Server) Inferencer() *Inferencer { return s.inf }
 
-// Close drains the batcher — in-flight requests finish, new predict
-// calls get 503 — then closes the cache. Call after
-// http.Server.Shutdown.
-func (s *Server) Close() {
-	s.batcher.Close()
-	if s.inf.cache != nil {
-		_ = s.inf.cache.Close()
-	}
-}
+// Close drains the batcher: in-flight requests finish, new predict
+// calls get 503. The cache is memory only and goes with the server.
+// Call after http.Server.Shutdown; calling it again is harmless.
+func (s *Server) Close() { s.batcher.Close() }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -12,16 +12,10 @@ import (
 func serverFixture(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	ds, m, _ := serveFixture(t)
-	inf, err := NewInferencer(InferencerOptions{
-		Model:    m,
-		Graph:    ds.Graph,
-		Features: NewMatrixFeatureSource(ds.Features),
-		Cache:    NewFeatureCache(1 << 16),
-	})
+	srv, err := New(Source{Graph: ds.Graph, Features: NewMatrixFeatureSource(ds.Features)}, m, WithCacheBytes(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(inf, BatcherConfig{}, "sage")
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
