@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -45,54 +46,73 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "products-sim",
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatalf("argo-train: %v", err)
+	}
+}
+
+// run is the whole command: it parses args, trains, and writes progress
+// and results to stdout. Every refusal of the flags comes before any
+// dataset is built.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("argo-train", flag.ExitOnError)
+	dataset := fs.String("dataset", "products-sim",
 		"dataset: a registry profile ("+strings.Join(datasets.Names(), ", ")+") or an .argograph file path")
-	samplerName := flag.String("sampler", "neighbor", "sampling algorithm: neighbor or shadow")
-	modelName := flag.String("model", "sage", "GNN model: sage or gcn")
-	epochs := flag.Int("epochs", 20, "total training epochs")
-	searches := flag.Int("searches", 6, "tuning-strategy online-learning epochs")
-	batch := flag.Int("batch", 128, "global mini-batch size")
-	cores := flag.Int("cores", 16, "virtual cores ARGO may bind")
-	lr := flag.Float64("lr", 0.01, "Adam learning rate")
-	seed := flag.Int64("seed", 1, "random seed")
-	strategy := flag.String("strategy", argo.StrategyBayesOpt,
+	samplerName := fs.String("sampler", "neighbor", "sampling algorithm: neighbor or shadow")
+	modelName := fs.String("model", "sage", "GNN model: sage or gcn")
+	epochs := fs.Int("epochs", 20, "total training epochs")
+	searches := fs.Int("searches", 6, "tuning-strategy online-learning epochs")
+	batch := fs.Int("batch", 128, "global mini-batch size")
+	cores := fs.Int("cores", 16, "virtual cores ARGO may bind")
+	lr := fs.Float64("lr", 0.01, "Adam learning rate")
+	seed := fs.Int64("seed", 1, "random seed")
+	strategy := fs.String("strategy", argo.StrategyBayesOpt,
 		"tuning strategy: "+strings.Join(argo.Strategies(), ", "))
-	earlyStop := flag.Int("early-stop", 0, "stop searching after N stale search epochs (0 = off)")
-	reportPath := flag.String("report", "", "write the final report as JSON to this file")
-	warmPath := flag.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
-	lazyFlag := flag.String("lazy", "auto",
+	earlyStop := fs.Int("early-stop", 0, "stop searching after N stale search epochs (0 = off)")
+	reportPath := fs.String("report", "", "write the final report as JSON to this file")
+	warmPath := fs.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
+	lazyFlag := fs.String("lazy", "auto",
 		"store loading for .argograph paths: auto (lazy at ≥32MB), on, off")
-	shards := flag.Bool("shards", false,
+	shards := fs.Bool("shards", false,
 		"treat -dataset as a shard set: name#k (in-memory) or the path of a manifest-carrying .shard0 store; "+
 			"each replica maps only its own shards and exchanges halo features")
-	procs := flag.Int("procs", 0, "pin the process count: restrict the design space to exactly N processes (0 = tune freely)")
-	lossPath := flag.String("loss-json", "", "write the per-epoch mean training loss history (plus exchange traffic for sharded runs) as JSON to this file")
-	transport := flag.String("transport", "inproc",
+	procs := fs.Int("procs", 0, "pin the process count: restrict the design space to exactly N processes (0 = tune freely)")
+	lossPath := fs.String("loss-json", "", "write the per-epoch mean training loss history (plus exchange traffic for sharded runs) as JSON to this file")
+	transport := fs.String("transport", "inproc",
 		"halo-exchange transport for -shards runs: inproc (direct calls) or tcp (batched messages over loopback sockets)")
-	sampling := flag.String("sampling", "exact",
+	sampling := fs.String("sampling", "exact",
 		"sampling regime for -shards runs: exact (global batches, losses bit-identical to single-store) or "+
 			"local (partition-local: each replica samples within its shards' owned + 1-hop halo rows, cutting halo traffic)")
-	overlap := flag.Bool("overlap", true,
+	overlap := fs.Bool("overlap", true,
 		"overlap the halo exchange with sampling: prefetch batch i+1's features while batch i computes (losses are identical either way)")
-	ckptPath := flag.String("save-checkpoint", "",
+	ckptPath := fs.String("save-checkpoint", "",
 		"write the final model weights to this file (atomic temp+rename); argo-serve loads it for inference")
-	flag.Parse()
+	fs.Parse(args)
 
 	mode, err := datasets.ParseLoadMode(*lazyFlag)
 	if err != nil {
-		log.Fatalf("argo-train: %v", err)
+		return err
 	}
 	if *transport != "inproc" && *transport != "tcp" {
-		log.Fatalf("argo-train: unknown -transport %q (inproc, tcp)", *transport)
+		return fmt.Errorf("unknown -transport %q (inproc, tcp)", *transport)
 	}
 	if *sampling != "exact" && *sampling != "local" {
-		log.Fatalf("argo-train: unknown -sampling %q (exact, local)", *sampling)
+		return fmt.Errorf("unknown -sampling %q (exact, local)", *sampling)
 	}
 	if *sampling == "local" && !*shards {
-		log.Fatalf("argo-train: -sampling local needs -shards (partition-local sampling is defined per shard)")
+		return fmt.Errorf("-sampling local needs -shards (partition-local sampling is defined per shard)")
 	}
 	if *sampling == "local" && *samplerName != "neighbor" {
-		log.Fatalf("argo-train: -sampling local supports the neighbor sampler only (got %q)", *samplerName)
+		return fmt.Errorf("-sampling local supports the neighbor sampler only (got %q)", *samplerName)
+	}
+	if *samplerName != "neighbor" && *samplerName != "shadow" {
+		return fmt.Errorf("unknown sampler %q", *samplerName)
+	}
+	kind := nn.KindSAGE
+	if *modelName == "gcn" {
+		kind = nn.KindGCN
+	} else if *modelName != "sage" {
+		return fmt.Errorf("unknown model %q", *modelName)
 	}
 	var (
 		ds       *graph.Dataset
@@ -105,27 +125,26 @@ func main() {
 		// shards and flow through the halo exchange during training.
 		shardSet, err = datasets.ResolveShards(*dataset, *seed)
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		defer shardSet.Close()
 		if err := shardSet.Validate(); err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		ds, err = shardSet.Skeleton()
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		st, err = shardSet.GlobalStats()
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		cut := shardSet.Manifest.TotalCutArcs()
-		fmt.Printf("shard set %s (k=%d, %s partition): %d nodes, %d arcs, %d classes, %d train targets, edge cut %d arcs (%.1f%%)\n",
+		fmt.Fprintf(stdout, "shard set %s (k=%d, %s partition): %d nodes, %d arcs, %d classes, %d train targets, edge cut %d arcs (%.1f%%)\n",
 			ds.Spec.Name, shardSet.K(), shardSet.Manifest.Partitioner,
 			st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount, cut,
 			100*shardSet.Manifest.EdgeCutFraction())
-		fmt.Printf("exchange: %s transport, overlap %v; planner input (cut arcs per replica at n=2): %v\n",
-			*transport, *overlap, shardSet.Manifest.ReplicaCutArcs(2))
+		fmt.Fprintf(stdout, "exchange: %s transport, overlap %v\n", *transport, *overlap)
 	} else {
 		// The lazy handle yields spec and stats from the store header
 		// before any section is decoded, so huge stores announce
@@ -133,34 +152,23 @@ func main() {
 		// it needs.
 		lz, err := datasets.ResolveLazy(*dataset, *seed, mode)
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		defer lz.Close()
 		st = lz.Stats()
-		fmt.Printf("dataset %s (scaled, %s): %d nodes, %d arcs, %d classes, %d train targets\n",
+		fmt.Fprintf(stdout, "dataset %s (scaled, %s): %d nodes, %d arcs, %d classes, %d train targets\n",
 			lz.Spec().Name, lz.AccessMode(), st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount)
 		ds, err = lz.Dataset()
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 	}
 
-	var smp sampler.Sampler
 	layers := 3
 	fanouts := []int{15, 10, 5}
-	switch *samplerName {
-	case "neighbor":
-		smp = sampler.NewNeighbor(ds.Graph, fanouts)
-	case "shadow":
+	smp := sampler.Sampler(sampler.NewNeighbor(ds.Graph, fanouts))
+	if *samplerName == "shadow" {
 		smp = sampler.NewShaDow(ds.Graph, []int{10, 5}, layers)
-	default:
-		log.Fatalf("argo-train: unknown sampler %q", *samplerName)
-	}
-	kind := nn.KindSAGE
-	if *modelName == "gcn" {
-		kind = nn.KindGCN
-	} else if *modelName != "sage" {
-		log.Fatalf("argo-train: unknown model %q", *modelName)
 	}
 	dims := []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.Spec.ScaledHidden, ds.NumClasses}
 
@@ -178,11 +186,11 @@ func main() {
 	}
 	if *sampling == "local" {
 		topts.LocalFanouts = fanouts
-		fmt.Printf("sampling regime: partition-local (frontiers bounded to owned + 1-hop halo rows; fanouts %v)\n", fanouts)
+		fmt.Fprintf(stdout, "sampling regime: partition-local (frontiers bounded to owned + 1-hop halo rows; fanouts %v)\n", fanouts)
 	}
 	trainer, err := argo.NewGNNTrainer(topts)
 	if err != nil {
-		log.Fatalf("argo-train: %v", err)
+		return err
 	}
 	defer trainer.Close()
 
@@ -190,7 +198,7 @@ func main() {
 		argo.WithTotalCores(*cores),
 		argo.WithSeed(*seed),
 		argo.WithStrategy(*strategy),
-		argo.WithLogf(func(f string, a ...any) { fmt.Printf(f+"\n", a...) }),
+		argo.WithLogf(func(f string, a ...any) { fmt.Fprintf(stdout, f+"\n", a...) }),
 	}
 	if *procs > 0 {
 		sp := argo.DefaultSpace(*cores)
@@ -203,20 +211,20 @@ func main() {
 	if *warmPath != "" {
 		f, err := os.Open(*warmPath)
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		prior, err := argo.ReadReport(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		opts = append(opts, argo.WithWarmStart(prior))
 	}
 	rt, err := argo.NewRuntime(*epochs, *searches, opts...)
 	if err != nil {
-		log.Fatalf("argo-train: %v", err)
+		return err
 	}
-	fmt.Printf("strategy %s; design space: %d configurations on %d cores; exploring %d (%.1f%%)\n",
+	fmt.Fprintf(stdout, "strategy %s; design space: %d configurations on %d cores; exploring %d (%.1f%%)\n",
 		rt.StrategyName(), rt.SpaceSize(), *cores, *searches, 100*float64(*searches)/float64(rt.SpaceSize()))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -225,16 +233,16 @@ func main() {
 	report, runErr := rt.Run(ctx, trainer.Step)
 	if runErr != nil {
 		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-			fmt.Printf("argo-train: interrupted after %d epochs, reporting partial run\n", len(report.History))
+			fmt.Fprintf(stdout, "argo-train: interrupted after %d epochs, reporting partial run\n", len(report.History))
 		} else {
-			log.Fatalf("argo-train: %v", runErr)
+			return runErr
 		}
 	}
 	if *ckptPath != "" {
 		if err := trainer.SaveCheckpoint(*ckptPath); err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", *ckptPath)
+		fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptPath)
 	}
 	// A sharded run's exchange traffic rides along in the report and in
 	// -loss-json, with peers in deterministic (from, to) order.
@@ -243,13 +251,16 @@ func main() {
 	if *reportPath != "" {
 		f, err := os.Create(*reportPath)
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		if err := report.WriteJSON(f); err != nil {
-			log.Fatalf("argo-train: %v", err)
+			f.Close()
+			return err
 		}
-		f.Close()
-		fmt.Printf("report written to %s\n", *reportPath)
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "report written to %s\n", *reportPath)
 	}
 	if *lossPath != "" {
 		raw, err := json.MarshalIndent(struct {
@@ -257,12 +268,12 @@ func main() {
 			Exchange *argo.ExchangeStats `json:"exchange,omitempty"`
 		}{trainer.LossHistory(), exchange}, "", "  ")
 		if err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
 		if err := os.WriteFile(*lossPath, append(raw, '\n'), 0o644); err != nil {
-			log.Fatalf("argo-train: %v", err)
+			return err
 		}
-		fmt.Printf("loss history (%d epochs) written to %s\n", len(trainer.LossHistory()), *lossPath)
+		fmt.Fprintf(stdout, "loss history (%d epochs) written to %s\n", len(trainer.LossHistory()), *lossPath)
 	}
 	if exchange != nil {
 		total := exchange.LocalRows + exchange.RemoteRows
@@ -270,26 +281,27 @@ func main() {
 		if total > 0 {
 			pct = 100 * float64(exchange.RemoteRows) / float64(total)
 		}
-		fmt.Printf("halo exchange (%s): %d local rows, %d remote rows (%.1f%%), %d logical bytes → %d wire bytes in %d batched messages\n",
+		fmt.Fprintf(stdout, "halo exchange (%s): %d local rows, %d remote rows (%.1f%%), %d logical bytes → %d wire bytes in %d batched messages\n",
 			exchange.Transport, exchange.LocalRows, exchange.RemoteRows, pct, exchange.RemoteBytes, exchange.WireBytes, exchange.Messages)
 		for _, p := range exchange.Peers {
-			fmt.Printf("  replica %d → %d: %d rows, %d bytes (%d wire), %d messages\n", p.From, p.To, p.Rows, p.Bytes, p.WireBytes, p.Messages)
+			fmt.Fprintf(stdout, "  replica %d → %d: %d rows, %d bytes (%d wire), %d messages\n", p.From, p.To, p.Rows, p.Bytes, p.WireBytes, p.Messages)
 		}
 	}
 	acc, err := trainer.Evaluate()
 	if err != nil {
-		log.Fatalf("argo-train: %v", err)
+		return err
 	}
 	if report.Best == (argo.Config{}) {
-		fmt.Println("\nno configuration was measured before the run stopped")
-		return
+		fmt.Fprintln(stdout, "\nno configuration was measured before the run stopped")
+		return nil
 	}
-	fmt.Printf("\nbest configuration: %s (%.4fs/epoch during search", report.Best, report.BestEpochSeconds)
+	fmt.Fprintf(stdout, "\nbest configuration: %s (%.4fs/epoch during search", report.Best, report.BestEpochSeconds)
 	if report.ReuseEpochSeconds > 0 {
-		fmt.Printf(", %.4fs/epoch during reuse", report.ReuseEpochSeconds)
+		fmt.Fprintf(stdout, ", %.4fs/epoch during reuse", report.ReuseEpochSeconds)
 	}
-	fmt.Printf(")\n")
-	fmt.Printf("total training time: %.2fs over %d epochs (tuner overhead %s)\n",
+	fmt.Fprintf(stdout, ")\n")
+	fmt.Fprintf(stdout, "total training time: %.2fs over %d epochs (tuner overhead %s)\n",
 		report.TotalSeconds, len(report.History), report.TunerOverhead.Round(1000))
-	fmt.Printf("validation accuracy: %.3f\n", acc)
+	fmt.Fprintf(stdout, "validation accuracy: %.3f\n", acc)
+	return nil
 }

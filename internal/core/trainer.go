@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -17,7 +18,6 @@ import (
 	"argo/internal/platform"
 	"argo/internal/sampler"
 	"argo/internal/search"
-	"argo/internal/tensor"
 )
 
 // TrainerOptions configures a real (not simulated) GNN training job that
@@ -60,29 +60,28 @@ type TrainerOptions struct {
 }
 
 // Trainer runs mini-batch GNN training under changing ARGO
-// configurations, preserving model state across re-launches: when the
-// auto-tuner picks a different process count, the current weights are
-// exported from the old Multi-Process Engine and imported into the new
-// one (the re-launch described in paper §VI-F).
+// configurations, preserving training state across re-launches: when
+// the auto-tuner picks a different configuration, the current weights
+// and optimizer state are exported from the old Multi-Process Engine and
+// imported into the new one (the re-launch described in paper §VI-F).
 type Trainer struct {
 	opts TrainerOptions
 
 	cfg     search.Config
 	eng     *engine.Engine
 	cores   []platform.CoreID
-	weights []*tensor.Matrix
+	weights *engine.State // carried into the next engine: weights and optimizer together
 	epoch   int
 	losses  []float64
 
-	// exchange is the current halo exchange (sharded runs only);
-	// haloTotal and peerTotal accumulate traffic from exchanges retired
-	// by re-launches — keyed by directed (from, to) replica pair, so a
-	// process-count change merges rather than resets the matrix — and
-	// HaloStats/ExchangeStats cover the whole run.
-	exchange  *ddp.HaloExchange
-	haloTotal ddp.HaloStats
-	peerTotal map[[2]int]ddp.PeerCounts
-	lastSnap  ddp.HaloStats // whole-run total at the previous SnapshotHaloStats
+	// exchange is the current halo exchange (sharded runs only); retired
+	// accumulates the traffic of exchanges retired by re-launches — peer
+	// edges merged by (from, to), so a process-count change adds to the
+	// matrix rather than resetting it — and HaloStats/ExchangeStats cover
+	// the whole run.
+	exchange *ddp.HaloExchange
+	retired  ddp.ExchangeStats
+	lastSnap ddp.HaloStats // whole-run total at the previous SnapshotHaloStats
 }
 
 // NewTrainer validates opts and returns an idle trainer.
@@ -105,7 +104,9 @@ func NewTrainer(opts TrainerOptions) (*Trainer, error) {
 		spec := platform.Spec{Name: "virtual", Sockets: 1, CoresPerSocket: 8 * 20}
 		opts.Binder = platform.NewAllocator(spec)
 	}
-	return &Trainer{opts: opts}, nil
+	tr := &Trainer{opts: opts}
+	tr.retired.Transport = cmp.Or(opts.Transport, "inproc")
+	return tr, nil
 }
 
 // Epoch returns how many epochs have been trained so far.
@@ -150,16 +151,20 @@ func (tr *Trainer) LossHistory() []float64 {
 	return out
 }
 
+// traffic is the whole-run exchange traffic: every retired exchange's
+// plus the current one's.
+func (tr *Trainer) traffic() ddp.ExchangeStats {
+	out := tr.retired
+	if tr.exchange != nil {
+		out.Add(tr.exchange.Summary())
+	}
+	return out
+}
+
 // HaloStats returns the accumulated halo-exchange traffic of a sharded
 // run (zero for single-store runs), summed across auto-tuner
 // re-launches.
-func (tr *Trainer) HaloStats() ddp.HaloStats {
-	total := tr.haloTotal
-	if tr.exchange != nil {
-		total.Add(tr.exchange.TotalStats())
-	}
-	return total
-}
+func (tr *Trainer) HaloStats() ddp.HaloStats { return tr.traffic().Totals() }
 
 // SnapshotHaloStats returns the halo traffic accumulated since the
 // previous SnapshotHaloStats call (or since construction) and advances
@@ -175,30 +180,6 @@ func (tr *Trainer) SnapshotHaloStats() ddp.HaloStats {
 	return delta
 }
 
-// mergePeerTraffic folds an exchange's directed traffic edges into a
-// (from, to)-keyed accumulator.
-func mergePeerTraffic(dst map[[2]int]ddp.PeerCounts, ex *ddp.HaloExchange) {
-	for _, pt := range ex.PeerTraffic() {
-		key := [2]int{pt.From, pt.To}
-		c := dst[key]
-		c.Add(pt.PeerCounts)
-		dst[key] = c
-	}
-}
-
-// foldExchange folds the current exchange's counters into the running
-// totals (called before the exchange is retired or the trainer closed).
-func (tr *Trainer) foldExchange() {
-	if tr.exchange == nil {
-		return
-	}
-	tr.haloTotal.Add(tr.exchange.TotalStats())
-	if tr.peerTotal == nil {
-		tr.peerTotal = make(map[[2]int]ddp.PeerCounts)
-	}
-	mergePeerTraffic(tr.peerTotal, tr.exchange)
-}
-
 // ExchangeStats returns the whole-run exchange traffic summary of a
 // sharded run — totals plus the directed per-peer matrix in
 // deterministic (From, To) order, accumulated across auto-tuner
@@ -207,34 +188,8 @@ func (tr *Trainer) ExchangeStats() *ddp.ExchangeStats {
 	if tr.opts.Shards == nil {
 		return nil
 	}
-	total := tr.haloTotal
-	merged := make(map[[2]int]ddp.PeerCounts, len(tr.peerTotal))
-	for k, c := range tr.peerTotal {
-		merged[k] = c
-	}
-	transport := tr.opts.Transport
-	if transport == "" {
-		transport = "inproc"
-	}
-	if tr.exchange != nil {
-		total.Add(tr.exchange.TotalStats())
-		mergePeerTraffic(merged, tr.exchange)
-		transport = tr.exchange.TransportName()
-	}
-	out := &ddp.ExchangeStats{
-		Transport:   transport,
-		LocalRows:   total.LocalRows,
-		RemoteRows:  total.RemoteRows,
-		RemoteBytes: total.RemoteBytes,
-		WireBytes:   total.WireBytes,
-		Messages:    total.Messages,
-		GradRows:    total.GradRows,
-	}
-	for key, c := range merged {
-		out.Peers = append(out.Peers, ddp.PeerTraffic{From: key[0], To: key[1], PeerCounts: c})
-	}
-	ddp.SortPeerTraffic(out.Peers)
-	return out
+	out := tr.traffic()
+	return &out
 }
 
 // Evaluate reports validation accuracy under the current weights. Data-
@@ -267,13 +222,13 @@ func (tr *Trainer) Model() (*nn.GNN, error) {
 
 // bind (re-)launches the Multi-Process Engine for cfg: release the old
 // core binding, allocate cfg's cores, rebuild the engine, and carry the
-// model weights over.
+// model weights and optimizer state over.
 func (tr *Trainer) bind(cfg search.Config) error {
 	if tr.eng != nil && cfg == tr.cfg {
 		return nil
 	}
 	if tr.eng != nil {
-		tr.weights = tr.eng.ExportWeights()
+		tr.weights = tr.eng.ExportState()
 		if err := tr.opts.Binder.Release(tr.cores); err != nil {
 			return err
 		}
@@ -286,8 +241,8 @@ func (tr *Trainer) bind(cfg search.Config) error {
 	}
 	// Sharded runs rebuild the replica→shard mapping for the new process
 	// count; the retired exchange's traffic (totals and per-peer rows)
-	// is folded into the running accumulators so the re-launch doesn't
-	// lose it, and its transport is closed.
+	// is folded into tr.retired so the re-launch doesn't lose it, and its
+	// transport is closed.
 	var sources []engine.DataSource
 	var exchange *ddp.HaloExchange
 	fail := func(err error) error {
@@ -339,14 +294,11 @@ func (tr *Trainer) bind(cfg search.Config) error {
 		return fail(err)
 	}
 	if tr.weights != nil {
-		if err := eng.ImportWeights(tr.weights); err != nil {
+		if err := eng.ImportState(tr.weights); err != nil {
 			return fail(err)
 		}
 	}
-	if tr.exchange != nil {
-		tr.foldExchange()
-		tr.exchange.Close()
-	}
+	tr.retireExchange()
 	tr.exchange = exchange
 	tr.eng = eng
 	tr.cores = cores
@@ -354,15 +306,20 @@ func (tr *Trainer) bind(cfg search.Config) error {
 	return nil
 }
 
-// Close releases the trainer's core binding and shuts the exchange's
-// transport down, folding its traffic into the run totals so
-// ExchangeStats stays complete after Close.
-func (tr *Trainer) Close() error {
+// retireExchange folds the current exchange's traffic into the run
+// totals and shuts its transport down.
+func (tr *Trainer) retireExchange() {
 	if tr.exchange != nil {
-		tr.foldExchange()
+		tr.retired = tr.traffic()
 		tr.exchange.Close()
 		tr.exchange = nil
 	}
+}
+
+// Close releases the trainer's core binding and retires the exchange,
+// so ExchangeStats stays complete after Close.
+func (tr *Trainer) Close() error {
+	tr.retireExchange()
 	if tr.cores == nil {
 		return nil
 	}

@@ -220,3 +220,57 @@ func TestBindReleasesCoresWhenImportFails(t *testing.T) {
 		t.Fatalf("trainer unusable after failed re-bind: %v", err)
 	}
 }
+
+// A re-launch carries the optimizer with the weights. Moving only (s, t)
+// cannot change results (engine.TestWorkerCountsDoNotChangeResults), so a
+// schedule that alternates them must reproduce the pinned run's losses
+// bit for bit — which it does not if every re-launch restarts Adam at
+// step 0 with zero moments.
+func TestRelaunchCarriesOptimizerState(t *testing.T) {
+	run := func(cfgs ...search.Config) []float64 {
+		tr, err := NewTrainer(trainerOpts(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		for _, cfg := range cfgs {
+			if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr.LossHistory()
+	}
+	a, b := search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, search.Config{Procs: 1, SampleCores: 2, TrainCores: 2}
+	pinned, moved := run(a, a, a, a), run(a, b, a, b)
+	for ep := range pinned {
+		if pinned[ep] != moved[ep] {
+			t.Fatalf("epoch %d: loss %v under (1,1,1)/(1,2,2), %v pinned at (1,1,1) — the re-launch lost training state", ep, moved[ep], pinned[ep])
+		}
+	}
+}
+
+// Across a process-count change the optimizer's step count continues
+// instead of restarting, on every replica's behalf.
+func TestOptimizerStepsContinueAcrossProcessCounts(t *testing.T) {
+	tr, err := NewTrainer(trainerOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ctx := context.Background()
+	if _, err := tr.Step(ctx, search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Engine().ExportState().Opt.Steps()
+	if before == 0 {
+		t.Fatal("two epochs took no optimizer step")
+	}
+	if _, err := tr.Step(ctx, search.Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	// One epoch is before/2 iterations whatever n is: the global batch is
+	// split n ways, not multiplied.
+	if got, want := tr.Engine().ExportState().Opt.Steps(), before+before/2; got != want {
+		t.Fatalf("optimizer at step %d after the n=2 epoch, want %d (%d carried + %d)", got, want, before, before/2)
+	}
+}

@@ -14,11 +14,11 @@
 //   - The halo exchange. In a sharded run every global node is owned by
 //     exactly one replica; HaloExchange routes feature-row and label
 //     lookups to owners in *batched* messages — at most one message per
-//     (peer, call), planned with the shard manifest's cut-arc counts —
-//     and counts the traffic per directed replica pair. The reverse
-//     path (ScatterGradients/CollectGradients) routes halo-row gradient
-//     contributions back to owners, the building block for
-//     partition-local sampling.
+//     (peer, call), routed by a dense node → replica table and served by
+//     one RowServer call per message — and counts the traffic per
+//     directed replica pair. The reverse path (ScatterGradients /
+//     CollectGradients) routes halo-row gradient contributions back to
+//     owners, the building block for partition-local sampling.
 //
 //   - The transport seam. Transport carries the batched messages:
 //     InprocTransport is a direct function call for replicas sharing an

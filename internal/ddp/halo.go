@@ -28,18 +28,21 @@ import (
 // the same per-peer batching — the building block a partition-local
 // sampler needs to train without ever assembling the global topology.
 //
+// "Where does node v live" is answered by dense tables, never searched:
+// owner maps every node to its replica, and each replica's RowServer (the
+// engine builds them over graph.ShardSet's location table) turns a whole
+// message or gather into rows in one call.
+//
 // The exchange is safe for concurrent use by all replicas (the engine
-// overlaps each replica's halo fetches with its compute); the serve
-// functions it is built over must be read-only, which shard-materialised
+// overlaps each replica's halo fetches with its compute); the row
+// servers it is built over must be read-only, which shard-materialised
 // matrices are.
 type HaloExchange struct {
-	owner      func(graph.NodeID) (int, error)
-	serveFeat  []func(graph.NodeID) ([]float32, error)
-	serveLabel []func(graph.NodeID) (int32, error)
-	featDim    int
-	tr         Transport
-	plan       *ExchangePlan
-	wireDtype  graph.FeatDtype
+	owner     []int32 // node → owning replica
+	servers   []RowServer
+	featDim   int
+	tr        Transport
+	wireDtype graph.FeatDtype
 
 	mu       sync.Mutex
 	stats    []HaloStats
@@ -143,53 +146,55 @@ type ExchangeStats struct {
 	Peers       []PeerTraffic `json:"peers,omitempty"`
 }
 
-// ExchangePlan sizes the exchange's per-peer batch buffers from the
-// shard manifest's cut-arc counts — the planner input a multi-node
-// deployment would use to provision links before moving any feature
-// bytes.
-type ExchangePlan struct {
-	// CutArcs[r] is the total cut-arc count of the shards replica r
-	// owns (graph.ShardManifest.ReplicaCutArcs).
-	CutArcs []int64
-	// Total is the shard set's whole edge cut.
-	Total int64
+// Totals returns the summary's totals without the peer matrix.
+func (s ExchangeStats) Totals() HaloStats {
+	return HaloStats{LocalRows: s.LocalRows, RemoteRows: s.RemoteRows, RemoteBytes: s.RemoteBytes,
+		WireBytes: s.WireBytes, Messages: s.Messages, GradRows: s.GradRows}
 }
 
-// PlanFromCuts builds a plan from per-replica cut-arc counts.
-func PlanFromCuts(cuts []int64) *ExchangePlan {
-	p := &ExchangePlan{CutArcs: cuts}
-	for _, c := range cuts {
-		p.Total += c
-	}
-	return p
+func (s *ExchangeStats) addTotals(t HaloStats) {
+	s.LocalRows += t.LocalRows
+	s.RemoteRows += t.RemoteRows
+	s.RemoteBytes += t.RemoteBytes
+	s.WireBytes += t.WireBytes
+	s.Messages += t.Messages
+	s.GradRows += t.GradRows
 }
 
-// batchHint estimates how many foreign ids one gather by replica r
-// sends to one peer, for buffer preallocation. Cut arcs bound the
-// distinct halo nodes a replica can ever reference; a mini-batch
-// touches a fraction of them, so a conservative per-call hint divides
-// by the peer count (capped to keep pathological manifests from
-// over-allocating).
-func (p *ExchangePlan) batchHint(r, numReplicas int) int {
-	if p == nil || r < 0 || r >= len(p.CutArcs) || numReplicas < 2 {
-		return 0
+// Add accumulates other into s: totals sum, peer edges merge by
+// (From, To) and stay in SortPeerTraffic order, and other's transport,
+// when it names one, becomes s's.
+func (s *ExchangeStats) Add(other ExchangeStats) {
+	if other.Transport != "" {
+		s.Transport = other.Transport
 	}
-	h := int(p.CutArcs[r]) / (numReplicas - 1)
-	const maxHint = 1 << 16
-	if h > maxHint {
-		h = maxHint
+	s.addTotals(other.Totals())
+	peers := slices.Concat(s.Peers, other.Peers) // a copy: s.Peers may be shared
+	SortPeerTraffic(peers)
+	s.Peers = peers[:0]
+	for _, p := range peers {
+		if n := len(s.Peers); n > 0 && s.Peers[n-1].From == p.From && s.Peers[n-1].To == p.To {
+			s.Peers[n-1].PeerCounts.Add(p.PeerCounts)
+		} else {
+			s.Peers = append(s.Peers, p)
+		}
 	}
-	return h
 }
 
-// ExchangeOptions configures NewHaloExchangeOpts.
+// RowServer serves the rows one replica owns, a whole message or gather
+// per call: the row (label) of ids[i] goes to row (entry) at[i] of dst,
+// or to row i when at is nil. The exchange asks only for nodes its owner
+// table gives that replica.
+type RowServer interface {
+	Rows(ids []graph.NodeID, at []int32, dst []float32) error
+	Labels(ids []graph.NodeID, at []int32, dst []int32) error
+}
+
+// ExchangeOptions configures NewHaloExchange.
 type ExchangeOptions struct {
 	// Transport carries the batched messages. Nil defaults to the
 	// in-process transport.
 	Transport Transport
-	// Plan supplies per-replica cut-arc counts for buffer sizing; nil
-	// means no preallocation hints.
-	Plan *ExchangePlan
 	// WireDtype selects the wire encoding of float payloads (feature
 	// responses and gradient pushes). The engine negotiates it from the
 	// store dtype: an fp16 store's rows are fp16-exact, so shipping them
@@ -202,66 +207,48 @@ type ExchangeOptions struct {
 	WireDtype graph.FeatDtype
 }
 
-// NewHaloExchange builds an exchange over numReplicas replicas with the
-// in-process transport. owner maps a global node to its owning replica;
-// serveFeat[r]/serveLabel[r] return the feature row / label of a node
-// replica r owns.
-func NewHaloExchange(
-	numReplicas, featDim int,
-	owner func(graph.NodeID) (int, error),
-	serveFeat []func(graph.NodeID) ([]float32, error),
-	serveLabel []func(graph.NodeID) (int32, error),
-) (*HaloExchange, error) {
-	return NewHaloExchangeOpts(numReplicas, featDim, owner, serveFeat, serveLabel, ExchangeOptions{})
-}
-
-// NewHaloExchangeOpts is NewHaloExchange with an explicit transport and
-// plan. The exchange owns the transport: Close closes it.
-func NewHaloExchangeOpts(
-	numReplicas, featDim int,
-	owner func(graph.NodeID) (int, error),
-	serveFeat []func(graph.NodeID) ([]float32, error),
-	serveLabel []func(graph.NodeID) (int32, error),
-	opt ExchangeOptions,
-) (*HaloExchange, error) {
+// NewHaloExchange builds an exchange over len(servers) replicas serving
+// featDim-wide rows: owner[v] is the replica owning global node v and
+// servers[r] serves replica r's rows. The exchange owns the transport:
+// Close closes it.
+func NewHaloExchange(featDim int, owner []int32, servers []RowServer, opt ExchangeOptions) (*HaloExchange, error) {
+	numReplicas := len(servers)
 	if numReplicas < 1 {
 		return nil, fmt.Errorf("ddp: %d replicas", numReplicas)
 	}
 	if featDim < 1 {
 		return nil, fmt.Errorf("ddp: feature dim %d", featDim)
 	}
-	if owner == nil || len(serveFeat) != numReplicas || len(serveLabel) != numReplicas {
-		return nil, fmt.Errorf("ddp: exchange needs an owner map and %d feature/label servers", numReplicas)
+	if len(owner) == 0 {
+		return nil, fmt.Errorf("ddp: exchange needs an owner table")
+	}
+	for v, o := range owner {
+		if o < 0 || int(o) >= numReplicas {
+			return nil, fmt.Errorf("ddp: node %d owned by replica %d of %d", v, o, numReplicas)
+		}
 	}
 	tr := opt.Transport
 	if tr == nil {
 		tr = NewInprocTransport()
 	}
 	h := &HaloExchange{
-		owner:      owner,
-		serveFeat:  serveFeat,
-		serveLabel: serveLabel,
-		featDim:    featDim,
-		tr:         tr,
-		plan:       opt.Plan,
-		wireDtype:  opt.WireDtype,
-		stats:      make([]HaloStats, numReplicas),
-		gmu:        make([]sync.Mutex, numReplicas),
-		grads:      make([][]*tensor.RowTable, numReplicas),
-	}
-	for o := range h.grads {
-		h.grads[o] = make([]*tensor.RowTable, numReplicas)
-		for from := range h.grads[o] {
-			h.grads[o][from] = tensor.NewRowTable(featDim)
-		}
-	}
-	h.peers = make([][]PeerCounts, numReplicas)
-	for r := range h.peers {
-		h.peers[r] = make([]PeerCounts, numReplicas)
+		owner:     owner,
+		servers:   servers,
+		featDim:   featDim,
+		tr:        tr,
+		wireDtype: opt.WireDtype,
+		stats:     make([]HaloStats, numReplicas),
+		peers:     make([][]PeerCounts, numReplicas),
+		gmu:       make([]sync.Mutex, numReplicas),
+		grads:     make([][]*tensor.RowTable, numReplicas),
 	}
 	handlers := make([]Handler, numReplicas)
-	for r := 0; r < numReplicas; r++ {
-		r := r
+	for r := range handlers {
+		h.peers[r] = make([]PeerCounts, numReplicas)
+		h.grads[r] = make([]*tensor.RowTable, numReplicas)
+		for from := range h.grads[r] {
+			h.grads[r][from] = tensor.NewRowTable(featDim)
+		}
 		handlers[r] = func(req *Request) (*Response, error) { return h.handle(r, req) }
 	}
 	if err := tr.Bind(handlers); err != nil {
@@ -272,30 +259,24 @@ func NewHaloExchangeOpts(
 
 // handle answers one batched request on behalf of owning replica o.
 func (h *HaloExchange) handle(o int, req *Request) (*Response, error) {
+	for _, v := range req.IDs {
+		if v < 0 || int(v) >= len(h.owner) || int(h.owner[v]) != o {
+			return nil, fmt.Errorf("ddp: replica %d asked about node %d, which it does not own", o, v)
+		}
+	}
 	switch req.Kind {
 	case MsgFeatures:
 		// Echo the requested dtype so the response payload travels in the
 		// negotiated encoding whichever transport frames it.
 		resp := &Response{Dtype: req.Dtype, Feat: make([]float32, len(req.IDs)*h.featDim)}
-		for i, v := range req.IDs {
-			row, err := h.serveFeat[o](v)
-			if err != nil {
-				return nil, fmt.Errorf("ddp: replica %d serving node %d: %w", o, v, err)
-			}
-			if len(row) != h.featDim {
-				return nil, fmt.Errorf("ddp: node %d served %d-wide row, want %d", v, len(row), h.featDim)
-			}
-			copy(resp.Feat[i*h.featDim:], row)
+		if err := h.servers[o].Rows(req.IDs, nil, resp.Feat); err != nil {
+			return nil, fmt.Errorf("ddp: replica %d serving %d rows: %w", o, len(req.IDs), err)
 		}
 		return resp, nil
 	case MsgLabels:
 		resp := &Response{Labels: make([]int32, len(req.IDs))}
-		for i, v := range req.IDs {
-			lab, err := h.serveLabel[o](v)
-			if err != nil {
-				return nil, fmt.Errorf("ddp: replica %d serving label %d: %w", o, v, err)
-			}
-			resp.Labels[i] = lab
+		if err := h.servers[o].Labels(req.IDs, nil, resp.Labels); err != nil {
+			return nil, fmt.Errorf("ddp: replica %d serving %d labels: %w", o, len(req.IDs), err)
 		}
 		return resp, nil
 	case MsgGradients:
@@ -329,22 +310,6 @@ func (h *HaloExchange) accumGradients(o, from int, ids []graph.NodeID, grad []fl
 	}
 }
 
-// Replicas returns the number of participating replicas.
-func (h *HaloExchange) Replicas() int { return len(h.stats) }
-
-// FeatDim returns the feature width the exchange serves.
-func (h *HaloExchange) FeatDim() int { return h.featDim }
-
-// TransportName reports which transport carries the exchange.
-func (h *HaloExchange) TransportName() string { return h.tr.Name() }
-
-// Plan returns the exchange's planner input (nil when built without
-// one).
-func (h *HaloExchange) Plan() *ExchangePlan { return h.plan }
-
-// WireDtype reports the negotiated wire encoding of float payloads.
-func (h *HaloExchange) WireDtype() graph.FeatDtype { return h.wireDtype }
-
 // quantizeF16 rounds xs to fp16 in place, clamping to the finite fp16
 // range first so out-of-range magnitudes saturate to ±65504 instead of
 // overflowing to ±Inf. NaN passes through (as it would in fp32).
@@ -363,42 +328,106 @@ func quantizeF16(xs []float32) {
 // Close.
 func (h *HaloExchange) Close() error { return h.tr.Close() }
 
-// peerBatch collects the ids one call sends to one peer, plus their
-// positions in the caller's id list so responses scatter back in order.
-type peerBatch struct {
-	ids []graph.NodeID
-	pos []int
+// routed is one call's ids grouped by owning replica: replica o owns
+// ids[start[o]:start[o+1]], in the caller's order, and at holds their
+// positions in the caller's list so answers land in order.
+type routed struct {
+	ids   []graph.NodeID
+	at    []int32
+	start []int32
 }
 
-// routeForeign partitions ids by owner: local ids are handed to the
-// local callback in order; foreign ids are appended to per-peer batches
-// (allocated with the plan's size hint on first use).
-func (h *HaloExchange) routeForeign(r int, ids []graph.NodeID, local func(i int, v graph.NodeID) error) ([]peerBatch, error) {
-	batches := make([]peerBatch, len(h.stats))
+func (rt *routed) group(o int) ([]graph.NodeID, []int32) {
+	lo, hi := rt.start[o], rt.start[o+1]
+	return rt.ids[lo:hi], rt.at[lo:hi]
+}
+
+// route groups ids by owner for a call by replica r, counting first so
+// the per-peer batches are sized exactly, from the call itself.
+func (h *HaloExchange) route(r int, ids []graph.NodeID) (routed, error) {
+	n := len(h.stats)
+	if r < 0 || r >= n {
+		return routed{}, fmt.Errorf("ddp: replica %d of %d", r, n)
+	}
+	start := make([]int32, n+1)
+	for _, v := range ids {
+		if v < 0 || int(v) >= len(h.owner) {
+			return routed{}, fmt.Errorf("ddp: node %d outside [0,%d)", v, len(h.owner))
+		}
+		start[h.owner[v]+1]++
+	}
+	for o := 0; o < n; o++ {
+		start[o+1] += start[o]
+	}
+	rt := routed{ids: make([]graph.NodeID, len(ids)), at: make([]int32, len(ids)), start: start}
+	next := slices.Clone(start[:n])
 	for i, v := range ids {
-		o, err := h.owner(v)
-		if err != nil {
-			return nil, err
-		}
-		if o < 0 || o >= len(h.stats) {
-			return nil, fmt.Errorf("ddp: node %d owned by replica %d of %d", v, o, len(h.stats))
-		}
-		if o == r {
-			if err := local(i, v); err != nil {
-				return nil, err
-			}
+		k := next[h.owner[v]]
+		next[h.owner[v]]++
+		rt.ids[k], rt.at[k] = v, int32(i)
+	}
+	return rt, nil
+}
+
+// callPeers is the one place a request crosses the transport: for every
+// peer owning some of rt it sends one message of the given kind on
+// behalf of replica r, checks the reply's length, scatters it back —
+// feature rows into feat, labels into labels; a gradient message ships
+// rows of feat and expects an empty acknowledgement — and folds the
+// call's rows, bytes, wire bytes and messages into the counters.
+func (h *HaloExchange) callPeers(r int, kind MsgKind, rt routed, feat *tensor.Matrix, labels []int32) error {
+	own, _ := rt.group(r)
+	st := HaloStats{LocalRows: int64(len(own))}
+	perPeer := make([]PeerCounts, len(h.stats))
+	for p := range perPeer {
+		ids, at := rt.group(p)
+		if p == r || len(ids) == 0 {
 			continue
 		}
-		b := &batches[o]
-		if b.ids == nil {
-			hint := h.plan.batchHint(r, len(h.stats))
-			b.ids = make([]graph.NodeID, 0, hint)
-			b.pos = make([]int, 0, hint)
+		req := &Request{From: r, Kind: kind, Dtype: h.wireDtype, IDs: ids}
+		if kind == MsgGradients {
+			req.Grad = h.gradRows(feat, at)
 		}
-		b.ids = append(b.ids, v)
-		b.pos = append(b.pos, i)
+		resp, err := h.tr.Call(p, req)
+		if err != nil {
+			return fmt.Errorf("ddp: replica %d sending replica %d a %s message of %d rows: %w", r, p, kind, len(ids), err)
+		}
+		rowBytes := int64(h.featDim) * 4
+		switch kind {
+		case MsgFeatures:
+			if len(resp.Feat) != len(ids)*h.featDim {
+				return fmt.Errorf("ddp: replica %d answered %d values for %d rows", p, len(resp.Feat), len(ids))
+			}
+			for i, pos := range at {
+				copy(feat.Row(int(pos)), resp.Feat[i*h.featDim:(i+1)*h.featDim])
+			}
+		case MsgLabels:
+			rowBytes = 4
+			if len(resp.Labels) != len(ids) {
+				return fmt.Errorf("ddp: replica %d answered %d labels for %d ids", p, len(resp.Labels), len(ids))
+			}
+			for i, pos := range at {
+				labels[pos] = resp.Labels[i]
+			}
+		}
+		c := PeerCounts{Rows: int64(len(ids)), Bytes: int64(len(ids)) * rowBytes, WireBytes: req.wireSize() + resp.wireSize(), Messages: 1}
+		if kind == MsgGradients {
+			st.GradRows += c.Rows
+		} else {
+			st.RemoteRows += c.Rows
+		}
+		st.RemoteBytes += c.Bytes
+		st.WireBytes += c.WireBytes
+		st.Messages++
+		perPeer[p] = c
 	}
-	return batches, nil
+	h.mu.Lock()
+	h.stats[r].Add(st)
+	for p, c := range perPeer {
+		h.peers[r][p].Add(c)
+	}
+	h.mu.Unlock()
+	return nil
 }
 
 // GatherFeatures assembles the feature matrix for ids on behalf of
@@ -407,52 +436,18 @@ func (h *HaloExchange) routeForeign(r int, ids []graph.NodeID, local func(i int,
 // so the result is bit-identical to gathering from the global feature
 // matrix.
 func (h *HaloExchange) GatherFeatures(r int, ids []graph.NodeID) (*tensor.Matrix, error) {
-	if r < 0 || r >= len(h.stats) {
-		return nil, fmt.Errorf("ddp: replica %d of %d", r, len(h.stats))
-	}
-	out := tensor.New(len(ids), h.featDim)
-	var st HaloStats
-	batches, err := h.routeForeign(r, ids, func(i int, v graph.NodeID) error {
-		row, err := h.serveFeat[r](v)
-		if err != nil {
-			return fmt.Errorf("ddp: replica %d reading own node %d: %w", r, v, err)
-		}
-		if len(row) != h.featDim {
-			return fmt.Errorf("ddp: node %d served %d-wide row, want %d", v, len(row), h.featDim)
-		}
-		copy(out.Row(i), row)
-		st.LocalRows++
-		return nil
-	})
+	rt, err := h.route(r, ids)
 	if err != nil {
 		return nil, err
 	}
-	perPeer := make([]PeerCounts, len(h.stats))
-	for p := range batches {
-		b := &batches[p]
-		if len(b.ids) == 0 {
-			continue
-		}
-		req := &Request{From: r, Kind: MsgFeatures, Dtype: h.wireDtype, IDs: b.ids}
-		resp, err := h.tr.Call(p, req)
-		if err != nil {
-			return nil, fmt.Errorf("ddp: replica %d fetching %d rows from replica %d: %w", r, len(b.ids), p, err)
-		}
-		if len(resp.Feat) != len(b.ids)*h.featDim {
-			return nil, fmt.Errorf("ddp: replica %d answered %d values for %d rows", p, len(resp.Feat), len(b.ids))
-		}
-		for i, pos := range b.pos {
-			copy(out.Row(pos), resp.Feat[i*h.featDim:(i+1)*h.featDim])
-		}
-		rows, bytes := int64(len(b.ids)), int64(len(b.ids))*int64(h.featDim)*4
-		wire := req.wireSize() + resp.wireSize()
-		st.RemoteRows += rows
-		st.RemoteBytes += bytes
-		st.WireBytes += wire
-		st.Messages++
-		perPeer[p] = PeerCounts{Rows: rows, Bytes: bytes, WireBytes: wire, Messages: 1}
+	out := tensor.New(len(ids), h.featDim)
+	own, at := rt.group(r)
+	if err := h.servers[r].Rows(own, at, out.Data); err != nil {
+		return nil, fmt.Errorf("ddp: replica %d reading %d own rows: %w", r, len(own), err)
 	}
-	h.record(r, st, perPeer)
+	if err := h.callPeers(r, MsgFeatures, rt, out, nil); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -460,49 +455,18 @@ func (h *HaloExchange) GatherFeatures(r int, ids []graph.NodeID) (*tensor.Matrix
 // foreign labels batched into one message per owning peer (4 bytes per
 // remote label).
 func (h *HaloExchange) TargetLabels(r int, ids []graph.NodeID) ([]int32, error) {
-	if r < 0 || r >= len(h.stats) {
-		return nil, fmt.Errorf("ddp: replica %d of %d", r, len(h.stats))
-	}
-	out := make([]int32, len(ids))
-	var st HaloStats
-	batches, err := h.routeForeign(r, ids, func(i int, v graph.NodeID) error {
-		lab, err := h.serveLabel[r](v)
-		if err != nil {
-			return fmt.Errorf("ddp: replica %d reading own label %d: %w", r, v, err)
-		}
-		out[i] = lab
-		st.LocalRows++
-		return nil
-	})
+	rt, err := h.route(r, ids)
 	if err != nil {
 		return nil, err
 	}
-	perPeer := make([]PeerCounts, len(h.stats))
-	for p := range batches {
-		b := &batches[p]
-		if len(b.ids) == 0 {
-			continue
-		}
-		req := &Request{From: r, Kind: MsgLabels, Dtype: h.wireDtype, IDs: b.ids}
-		resp, err := h.tr.Call(p, req)
-		if err != nil {
-			return nil, fmt.Errorf("ddp: replica %d fetching %d labels from replica %d: %w", r, len(b.ids), p, err)
-		}
-		if len(resp.Labels) != len(b.ids) {
-			return nil, fmt.Errorf("ddp: replica %d answered %d labels for %d ids", p, len(resp.Labels), len(b.ids))
-		}
-		for i, pos := range b.pos {
-			out[pos] = resp.Labels[i]
-		}
-		rows, bytes := int64(len(b.ids)), int64(len(b.ids))*4
-		wire := req.wireSize() + resp.wireSize()
-		st.RemoteRows += rows
-		st.RemoteBytes += bytes
-		st.WireBytes += wire
-		st.Messages++
-		perPeer[p] = PeerCounts{Rows: rows, Bytes: bytes, WireBytes: wire, Messages: 1}
+	out := make([]int32, len(ids))
+	own, at := rt.group(r)
+	if err := h.servers[r].Labels(own, at, out); err != nil {
+		return nil, fmt.Errorf("ddp: replica %d reading %d own labels: %w", r, len(own), err)
 	}
-	h.record(r, st, perPeer)
+	if err := h.callPeers(r, MsgLabels, rt, nil, out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -513,49 +477,17 @@ func (h *HaloExchange) TargetLabels(r int, ids []graph.NodeID) ([]int32, error) 
 // travel in one batched message per owning peer and accumulate there.
 // Owners drain their buffers with CollectGradients.
 func (h *HaloExchange) ScatterGradients(r int, ids []graph.NodeID, grads *tensor.Matrix) error {
-	if r < 0 || r >= len(h.stats) {
-		return fmt.Errorf("ddp: replica %d of %d", r, len(h.stats))
+	rt, err := h.route(r, ids)
+	if err != nil {
+		return err
 	}
 	if grads == nil || grads.Rows != len(ids) || grads.Cols != h.featDim {
 		return fmt.Errorf("ddp: gradient matrix must be %d×%d", len(ids), h.featDim)
 	}
-	var st HaloStats
-	var localIDs []graph.NodeID
-	var localRows []int
-	batches, err := h.routeForeign(r, ids, func(i int, v graph.NodeID) error {
-		localIDs = append(localIDs, v)
-		localRows = append(localRows, i)
-		return nil
-	})
-	if err != nil {
-		return err
+	if own, at := rt.group(r); len(own) > 0 {
+		h.accumGradients(r, r, own, h.gradRows(grads, at))
 	}
-	if len(localIDs) > 0 {
-		h.accumGradients(r, r, localIDs, h.gradRows(grads, localRows))
-		st.LocalRows += int64(len(localIDs))
-	}
-	perPeer := make([]PeerCounts, len(h.stats))
-	for p := range batches {
-		b := &batches[p]
-		if len(b.ids) == 0 {
-			continue
-		}
-		flat := h.gradRows(grads, b.pos)
-		req := &Request{From: r, Kind: MsgGradients, Dtype: h.wireDtype, IDs: b.ids, Grad: flat}
-		resp, err := h.tr.Call(p, req)
-		if err != nil {
-			return fmt.Errorf("ddp: replica %d scattering %d gradient rows to replica %d: %w", r, len(b.ids), p, err)
-		}
-		rows, bytes := int64(len(b.ids)), int64(len(b.ids))*int64(h.featDim)*4
-		wire := req.wireSize() + resp.wireSize()
-		st.GradRows += rows
-		st.RemoteBytes += bytes
-		st.WireBytes += wire
-		st.Messages++
-		perPeer[p] = PeerCounts{Rows: rows, Bytes: bytes, WireBytes: wire, Messages: 1}
-	}
-	h.record(r, st, perPeer)
-	return nil
+	return h.callPeers(r, MsgGradients, rt, grads, nil)
 }
 
 // gradRows copies the given rows of grads into one row-major slice, the
@@ -565,10 +497,10 @@ func (h *HaloExchange) ScatterGradients(r int, ids []graph.NodeID, grads *tensor
 // accumulates the bits an inproc call hands over directly), and the
 // collected sums do not depend on which replica a contribution came
 // from, and therefore not on the shard count or transport either.
-func (h *HaloExchange) gradRows(grads *tensor.Matrix, rows []int) []float32 {
+func (h *HaloExchange) gradRows(grads *tensor.Matrix, rows []int32) []float32 {
 	flat := make([]float32, 0, len(rows)*h.featDim)
 	for _, i := range rows {
-		flat = append(flat, grads.Row(i)...)
+		flat = append(flat, grads.Row(int(i))...)
 	}
 	if h.wireDtype == graph.DtypeF16 {
 		quantizeF16(flat)
@@ -613,18 +545,6 @@ func (h *HaloExchange) CollectGradients(r int) ([]graph.NodeID, *tensor.Matrix, 
 		buf.Reset()
 	}
 	return ids, out, nil
-}
-
-// record folds one call's counters into the shared stats under the lock.
-func (h *HaloExchange) record(r int, st HaloStats, perPeer []PeerCounts) {
-	h.mu.Lock()
-	h.stats[r].Add(st)
-	for p := range perPeer {
-		if perPeer[p] != (PeerCounts{}) {
-			h.peers[r][p].Add(perPeer[p])
-		}
-	}
-	h.mu.Unlock()
 }
 
 // Stats returns a copy of the per-replica traffic counters.
@@ -683,15 +603,7 @@ func (h *HaloExchange) PeerTraffic() []PeerTraffic {
 
 // Summary assembles the exchange's ExchangeStats snapshot.
 func (h *HaloExchange) Summary() ExchangeStats {
-	total := h.TotalStats()
-	return ExchangeStats{
-		Transport:   h.tr.Name(),
-		LocalRows:   total.LocalRows,
-		RemoteRows:  total.RemoteRows,
-		RemoteBytes: total.RemoteBytes,
-		WireBytes:   total.WireBytes,
-		Messages:    total.Messages,
-		GradRows:    total.GradRows,
-		Peers:       h.PeerTraffic(),
-	}
+	out := ExchangeStats{Transport: h.tr.Name(), Peers: h.PeerTraffic()}
+	out.addTotals(h.TotalStats())
+	return out
 }

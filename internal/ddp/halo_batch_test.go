@@ -1,8 +1,8 @@
 package ddp
 
 import (
-	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,38 +13,8 @@ import (
 
 // modExchange owns node v on replica v%n; features are [v, 10v, -v],
 // labels v%7.
-func modExchange(t *testing.T, replicas int, tr Transport, plan *ExchangePlan) *HaloExchange {
-	t.Helper()
-	const featDim = 3
-	owner := func(v graph.NodeID) (int, error) {
-		if v < 0 || v >= 10_000 {
-			return 0, fmt.Errorf("node %d out of range", v)
-		}
-		return int(v) % replicas, nil
-	}
-	serveFeat := make([]func(graph.NodeID) ([]float32, error), replicas)
-	serveLabel := make([]func(graph.NodeID) (int32, error), replicas)
-	for r := 0; r < replicas; r++ {
-		r := r
-		serveFeat[r] = func(v graph.NodeID) ([]float32, error) {
-			if int(v)%replicas != r {
-				return nil, fmt.Errorf("replica %d asked for foreign node %d", r, v)
-			}
-			return []float32{float32(v), float32(10 * v), float32(-v)}, nil
-		}
-		serveLabel[r] = func(v graph.NodeID) (int32, error) {
-			if int(v)%replicas != r {
-				return 0, fmt.Errorf("replica %d asked for foreign label %d", r, v)
-			}
-			return v % 7, nil
-		}
-	}
-	ex, err := NewHaloExchangeOpts(replicas, featDim, owner, serveFeat, serveLabel,
-		ExchangeOptions{Transport: tr, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex
+func modExchange(t *testing.T, replicas int, tr Transport) *HaloExchange {
+	return fakeExchange(t, replicas, 10_000, 3, 7, ExchangeOptions{Transport: tr})
 }
 
 // modExchangeWire is modExchange with an explicit wire dtype. The served
@@ -52,15 +22,7 @@ func modExchange(t *testing.T, replicas int, tr Transport, plan *ExchangePlan) *
 // fp16-exact, so an fp16 wire is lossless over them — mirroring the real
 // negotiation, which only enables the fp16 wire over fp16 stores.
 func modExchangeWire(t *testing.T, replicas int, tr Transport, dt graph.FeatDtype) *HaloExchange {
-	t.Helper()
-	base := modExchange(t, replicas, nil, nil)
-	base.Close()
-	ex, err := NewHaloExchangeOpts(replicas, base.featDim, base.owner, base.serveFeat, base.serveLabel,
-		ExchangeOptions{Transport: tr, WireDtype: dt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex
+	return fakeExchange(t, replicas, 10_000, 3, 7, ExchangeOptions{Transport: tr, WireDtype: dt})
 }
 
 // The fp16 wire must gather bit-identically to the fp32 wire (the
@@ -68,7 +30,7 @@ func modExchangeWire(t *testing.T, replicas int, tr Transport, dt graph.FeatDtyp
 // quantise gradients identically on every transport.
 func TestHaloExchangeF16Wire(t *testing.T) {
 	ids := []graph.NodeID{5, 0, 17, 3, 8, 100, 41}
-	ref := modExchange(t, 3, nil, nil)
+	ref := modExchange(t, 3, nil)
 	defer ref.Close()
 	want, err := ref.GatherFeatures(0, ids)
 	if err != nil {
@@ -83,8 +45,8 @@ func TestHaloExchangeF16Wire(t *testing.T) {
 			}
 			ex := modExchangeWire(t, 3, tr, graph.DtypeF16)
 			defer ex.Close()
-			if ex.WireDtype() != graph.DtypeF16 {
-				t.Fatalf("wire dtype %v", ex.WireDtype())
+			if ex.wireDtype != graph.DtypeF16 {
+				t.Fatalf("wire dtype %v", ex.wireDtype)
 			}
 			got, err := ex.GatherFeatures(0, ids)
 			if err != nil {
@@ -134,7 +96,7 @@ func TestHaloExchangeF16Wire(t *testing.T) {
 // One gather sends at most one message per foreign peer, regardless of
 // how many rows each peer owns — the batching contract.
 func TestHaloExchangeBatchesPerPeer(t *testing.T) {
-	ex := modExchange(t, 3, nil, PlanFromCuts([]int64{30, 30, 30}))
+	ex := modExchange(t, 3, nil)
 	defer ex.Close()
 	ids := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11} // 4 per owner
 	m, err := ex.GatherFeatures(0, ids)
@@ -181,9 +143,9 @@ func TestHaloExchangeBatchesPerPeer(t *testing.T) {
 // matrices, labels, and traffic counters as the in-process transport.
 func TestHaloExchangeTCPMatchesInproc(t *testing.T) {
 	ids := []graph.NodeID{5, 0, 17, 3, 3, 8, 100, 41}
-	inproc := modExchange(t, 3, nil, nil)
+	inproc := modExchange(t, 3, nil)
 	defer inproc.Close()
-	tcp := modExchange(t, 3, NewTCPTransport(), nil)
+	tcp := modExchange(t, 3, NewTCPTransport())
 	defer tcp.Close()
 	for r := 0; r < 3; r++ {
 		a, err := inproc.GatherFeatures(r, ids)
@@ -225,8 +187,8 @@ func TestHaloExchangeTCPMatchesInproc(t *testing.T) {
 			t.Fatalf("peer traffic %d: %+v vs %+v", i, ap[i], bp[i])
 		}
 	}
-	if inproc.TransportName() != "inproc" || tcp.TransportName() != "tcp" {
-		t.Fatalf("transport names %q/%q", inproc.TransportName(), tcp.TransportName())
+	if a, b := inproc.Summary().Transport, tcp.Summary().Transport; a != "inproc" || b != "tcp" {
+		t.Fatalf("transport names %q/%q", a, b)
 	}
 }
 
@@ -240,7 +202,7 @@ func TestGradientExchange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := modExchange(t, 2, tr, nil)
+			ex := modExchange(t, 2, tr)
 			defer ex.Close()
 			// Replica 0 contributes to nodes {0,1,2,3}, replica 1 to
 			// {1,2}: node 1 and 2 accumulate two contributions each.
@@ -323,7 +285,7 @@ func TestGradientExchange(t *testing.T) {
 // always sum identically.
 func TestGradientAccumulationOrderIndependent(t *testing.T) {
 	run := func() *tensor.Matrix {
-		ex := modExchange(t, 4, NewTCPTransport(), nil)
+		ex := modExchange(t, 4, NewTCPTransport())
 		defer ex.Close()
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -365,7 +327,7 @@ func TestGradientAccumulationOrderIndependent(t *testing.T) {
 
 // Summary assembles totals + deterministically ordered peers.
 func TestExchangeSummary(t *testing.T) {
-	ex := modExchange(t, 3, nil, nil)
+	ex := modExchange(t, 3, nil)
 	defer ex.Close()
 	ids := []graph.NodeID{0, 1, 2}
 	for r := 2; r >= 0; r-- { // call order must not affect peer order
@@ -391,30 +353,34 @@ func TestExchangeSummary(t *testing.T) {
 	}
 }
 
-// The plan's buffer hint must never change results — only allocation.
-func TestExchangePlanIsBehaviourNeutral(t *testing.T) {
-	ids := []graph.NodeID{9, 4, 2, 7, 7, 1}
-	withPlan := modExchange(t, 2, nil, PlanFromCuts([]int64{1 << 40, 0}))
-	defer withPlan.Close()
-	without := modExchange(t, 2, nil, nil)
-	defer without.Close()
-	a, err := withPlan.GatherFeatures(0, ids)
-	if err != nil {
-		t.Fatal(err)
+// Add is how a trainer carries traffic across re-launches: totals sum,
+// an edge present on both sides merges, the result stays in (From, To)
+// order whatever order the operands were in, the later transport wins,
+// and neither operand's peer slice is written to.
+func TestExchangeStatsAdd(t *testing.T) {
+	edge := func(from, to int, rows int64) PeerTraffic {
+		return PeerTraffic{From: from, To: to, PeerCounts: PeerCounts{Rows: rows, Bytes: 4 * rows, WireBytes: 5 * rows, Messages: 1}}
 	}
-	b, err := without.GatherFeatures(0, ids)
-	if err != nil {
-		t.Fatal(err)
+	a := ExchangeStats{Transport: "inproc", LocalRows: 10, RemoteRows: 3, RemoteBytes: 12, WireBytes: 15, Messages: 2,
+		Peers: []PeerTraffic{edge(0, 1, 1), edge(1, 0, 2)}}
+	b := ExchangeStats{Transport: "tcp", LocalRows: 1, RemoteRows: 8, RemoteBytes: 32, WireBytes: 40, Messages: 2, GradRows: 4,
+		Peers: []PeerTraffic{edge(2, 0, 5), edge(0, 1, 7)}}
+	sum := a
+	sum.Add(b)
+	want := ExchangeStats{Transport: "tcp", LocalRows: 11, RemoteRows: 11, RemoteBytes: 44, WireBytes: 55, Messages: 4, GradRows: 4,
+		Peers: []PeerTraffic{{From: 0, To: 1, PeerCounts: PeerCounts{Rows: 8, Bytes: 32, WireBytes: 40, Messages: 2}}, edge(1, 0, 2), edge(2, 0, 5)}}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("a + b =\n%+v\nwant\n%+v", sum, want)
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("plan changed gather results at %d", i)
-		}
+	if a.Peers[0] != edge(0, 1, 1) || b.Peers[1] != edge(0, 1, 7) {
+		t.Fatalf("Add wrote to an operand's peers: %+v / %+v", a.Peers, b.Peers)
 	}
-	if sa, sb := withPlan.TotalStats(), without.TotalStats(); sa != sb {
-		t.Fatalf("plan changed traffic accounting: %+v vs %+v", sa, sb)
+	if got := sum.Totals(); got != (HaloStats{LocalRows: 11, RemoteRows: 11, RemoteBytes: 44, WireBytes: 55, Messages: 4, GradRows: 4}) {
+		t.Fatalf("Totals() = %+v", got)
 	}
-	if p := PlanFromCuts([]int64{6, 4}); p.Total != 10 {
-		t.Fatalf("plan total %d", p.Total)
+	var zero ExchangeStats
+	zero.Add(ExchangeStats{})
+	if zero.Peers != nil || zero.Transport != "" {
+		t.Fatalf("adding nothing to nothing gave %+v", zero)
 	}
 }

@@ -24,7 +24,7 @@ func TestCollectGradientsMatchesMapReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := modExchange(t, replicas, tr, nil)
+			ex := modExchange(t, replicas, tr)
 			defer ex.Close()
 			rng := rand.New(rand.NewSource(19))
 			for round := 0; round < rounds; round++ {

@@ -2,44 +2,66 @@ package ddp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"argo/internal/graph"
 )
 
-// twoReplicaExchange owns even nodes on replica 0 and odd nodes on
-// replica 1; feature rows are [v, 10v], labels are v mod 3.
-func twoReplicaExchange(t *testing.T, n int) *HaloExchange {
+// fakeServer serves the nodes v with v%n == r: feature rows are the
+// first dim of [v, 10v, -v], labels are v mod labelMod.
+type fakeServer struct{ r, n, dim, labelMod int }
+
+func (f fakeServer) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
+	for i, v := range ids {
+		if int(v)%f.n != f.r {
+			return fmt.Errorf("replica %d asked for foreign node %d", f.r, v)
+		}
+		if at != nil {
+			i = int(at[i])
+		}
+		copy(dst[i*f.dim:(i+1)*f.dim], []float32{float32(v), float32(10 * v), float32(-v)})
+	}
+	return nil
+}
+
+func (f fakeServer) Labels(ids []graph.NodeID, at []int32, dst []int32) error {
+	for i, v := range ids {
+		if int(v)%f.n != f.r {
+			return fmt.Errorf("replica %d asked for foreign label %d", f.r, v)
+		}
+		if at != nil {
+			i = int(at[i])
+		}
+		dst[i] = v % int32(f.labelMod)
+	}
+	return nil
+}
+
+// fakeExchange owns node v < nodes on replica v%replicas, served by
+// fakeServers.
+func fakeExchange(t *testing.T, replicas, nodes, dim, labelMod int, opt ExchangeOptions) *HaloExchange {
 	t.Helper()
-	owner := func(v graph.NodeID) (int, error) {
-		if v < 0 || int(v) >= n {
-			return 0, fmt.Errorf("node %d out of range", v)
-		}
-		return int(v) % 2, nil
+	owner := make([]int32, nodes)
+	for v := range owner {
+		owner[v] = int32(v % replicas)
 	}
-	serveFeat := make([]func(graph.NodeID) ([]float32, error), 2)
-	serveLabel := make([]func(graph.NodeID) (int32, error), 2)
-	for r := 0; r < 2; r++ {
-		r := r
-		serveFeat[r] = func(v graph.NodeID) ([]float32, error) {
-			if int(v)%2 != r {
-				return nil, fmt.Errorf("replica %d asked for foreign node %d", r, v)
-			}
-			return []float32{float32(v), float32(10 * v)}, nil
-		}
-		serveLabel[r] = func(v graph.NodeID) (int32, error) {
-			if int(v)%2 != r {
-				return 0, fmt.Errorf("replica %d asked for foreign label %d", r, v)
-			}
-			return v % 3, nil
-		}
+	servers := make([]RowServer, replicas)
+	for r := range servers {
+		servers[r] = fakeServer{r: r, n: replicas, dim: dim, labelMod: labelMod}
 	}
-	ex, err := NewHaloExchange(2, 2, owner, serveFeat, serveLabel)
+	ex, err := NewHaloExchange(dim, owner, servers, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ex
+}
+
+// twoReplicaExchange owns even nodes on replica 0 and odd nodes on
+// replica 1; feature rows are [v, 10v], labels are v mod 3.
+func twoReplicaExchange(t *testing.T, n int) *HaloExchange {
+	return fakeExchange(t, 2, n, 2, 3, ExchangeOptions{})
 }
 
 func TestHaloExchangeGatherAndAccounting(t *testing.T) {
@@ -89,11 +111,26 @@ func TestHaloExchangeErrors(t *testing.T) {
 	if _, err := ex.TargetLabels(-1, []graph.NodeID{0}); err == nil {
 		t.Fatal("negative replica index accepted")
 	}
-	if _, err := NewHaloExchange(0, 2, nil, nil, nil); err == nil {
+	// A peer may ask a replica only about nodes the owner table gives it,
+	// whatever the message kind; the refusal names the replica and the node.
+	for _, req := range []*Request{
+		{From: 1, Kind: MsgFeatures, IDs: []graph.NodeID{2, 3}},
+		{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{10}},
+		{From: 1, Kind: MsgGradients, IDs: []graph.NodeID{1}, Grad: []float32{1, 1}},
+	} {
+		if _, err := ex.handle(0, req); err == nil || !strings.Contains(err.Error(), "replica 0") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("node %d", req.IDs[len(req.IDs)-1])) {
+			t.Fatalf("%s request for a foreign node: %v", req.Kind, err)
+		}
+	}
+	if _, err := NewHaloExchange(2, []int32{0}, nil, ExchangeOptions{}); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
-	if _, err := NewHaloExchange(2, 2, nil, nil, nil); err == nil {
+	if _, err := NewHaloExchange(2, nil, make([]RowServer, 2), ExchangeOptions{}); err == nil {
 		t.Fatal("nil owner accepted")
+	}
+	if _, err := NewHaloExchange(2, []int32{0, 2}, make([]RowServer, 2), ExchangeOptions{}); err == nil {
+		t.Fatal("owner table naming replica 2 of 2 accepted")
 	}
 }
 

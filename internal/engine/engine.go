@@ -37,7 +37,7 @@ type Config struct {
 	// source (len must equal NumProcs) — the shard-aware training path,
 	// where Dataset carries only topology, splits, spec, and class
 	// count, and every feature/label lookup goes through the replica's
-	// source (NewShardSources). Nil means every replica reads the
+	// source (NewShardSourcesOpts). Nil means every replica reads the
 	// materialised Dataset directly.
 	Sources []DataSource
 	// NoOverlap disables the exchange/sampling overlap: features and
@@ -278,7 +278,7 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 		if e.cfg.SamplingRegime == RegimeLocal {
 			samp = e.cfg.LocalSamplers[r]
 		}
-		prefetchers[r] = newFetchingPrefetcher(samp, perReplicaJobs[r], e.cfg.SampleWorkers, fetch)
+		prefetchers[r] = newPrefetcher(samp, perReplicaJobs[r], e.cfg.SampleWorkers, fetch)
 	}
 	// Closing on every exit path matters: an epoch aborted by a replica
 	// (or remote-fetch) error must not strand workers parked on the
@@ -297,7 +297,7 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 
 	for it := 0; it < numIters; it++ {
 		if err := eachReplica(n, "", func(r int) error {
-			e.replicas[r].step(prefetchers[r].NextData())
+			e.replicas[r].step(prefetchers[r].Next())
 			return e.replicas[r].lastErr
 		}); err != nil {
 			e.discardGradients()
@@ -476,9 +476,7 @@ func (rep *replica) step(bd batchData) {
 }
 
 // ExportWeights returns a deep copy of replica 0's parameters, in the
-// model's stable parameter order. The Multi-Process Engine uses this to
-// carry weights across auto-tuner re-launches with a different process
-// count.
+// model's stable parameter order.
 func (e *Engine) ExportWeights() []*tensor.Matrix {
 	params := e.replicas[0].model.Params()
 	out := make([]*tensor.Matrix, len(params))
@@ -488,20 +486,35 @@ func (e *Engine) ExportWeights() []*tensor.Matrix {
 	return out
 }
 
-// ImportWeights loads weights (as produced by ExportWeights) into every
-// replica, keeping them bit-identical.
-func (e *Engine) ImportWeights(ws []*tensor.Matrix) error {
+// State is the training state a re-launch carries over: replica 0's
+// weights and optimizer (replicas are bit-identical, so one copy stands
+// for all).
+type State struct {
+	Weights []*tensor.Matrix
+	Opt     *nn.Adam
+}
+
+// ExportState returns a deep copy of the engine's training state.
+func (e *Engine) ExportState() *State {
+	return &State{Weights: e.ExportWeights(), Opt: e.replicas[0].opt.Clone()}
+}
+
+// ImportState loads a state (as produced by ExportState) into every
+// replica, keeping them bit-identical: training continues as if the
+// engine had never been rebuilt.
+func (e *Engine) ImportState(st *State) error {
 	for _, rep := range e.replicas {
 		params := rep.model.Params()
-		if len(params) != len(ws) {
-			return fmt.Errorf("engine: ImportWeights got %d tensors, model has %d params", len(ws), len(params))
+		if len(params) != len(st.Weights) {
+			return fmt.Errorf("engine: ImportState got %d tensors, model has %d params", len(st.Weights), len(params))
 		}
 		for i, p := range params {
-			if p.W.Rows != ws[i].Rows || p.W.Cols != ws[i].Cols {
-				return fmt.Errorf("engine: ImportWeights param %d shape mismatch", i)
+			if p.W.Rows != st.Weights[i].Rows || p.W.Cols != st.Weights[i].Cols {
+				return fmt.Errorf("engine: ImportState param %d shape mismatch", i)
 			}
-			p.W.CopyFrom(ws[i])
+			p.W.CopyFrom(st.Weights[i])
 		}
+		rep.opt = st.Opt.Clone()
 	}
 	return nil
 }

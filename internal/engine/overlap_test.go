@@ -146,7 +146,7 @@ func TestShardSourceGradientRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	sources, ex, err := NewShardSources(ss, 2)
+	sources, ex, err := NewShardSourcesOpts(ss, 2, ShardSourceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

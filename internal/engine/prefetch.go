@@ -58,15 +58,10 @@ type fetchFunc func(mb *sampler.MiniBatch) (*tensor.Matrix, []int32, error)
 
 // newPrefetcher starts `workers` sampling goroutines over the given jobs.
 // The prefetch window bounds how far sampling runs ahead of consumption.
-func newPrefetcher(s sampler.Sampler, jobs []prefetchJob, workers int) *prefetcher {
-	return newFetchingPrefetcher(s, jobs, workers, nil)
-}
-
-// newFetchingPrefetcher is newPrefetcher with an optional fetch stage:
-// when fetch is non-nil, workers gather each sampled batch's features
-// and labels before handing it over, overlapping the (possibly remote)
-// gather with the trainer's compute on earlier batches.
-func newFetchingPrefetcher(s sampler.Sampler, jobs []prefetchJob, workers int, fetch fetchFunc) *prefetcher {
+// When fetch is non-nil, workers also gather each sampled batch's
+// features and labels before handing it over, overlapping the (possibly
+// remote) gather with the trainer's compute on earlier batches.
+func newPrefetcher(s sampler.Sampler, jobs []prefetchJob, workers int, fetch fetchFunc) *prefetcher {
 	if workers < 1 {
 		workers = 1
 	}
@@ -127,19 +122,14 @@ func newFetchingPrefetcher(s sampler.Sampler, jobs []prefetchJob, workers int, f
 	return p
 }
 
-// NextData returns the prefetched data for the next job index, blocking
-// until it is ready. Next and NextData together must be called exactly
-// len(jobs) times.
-func (p *prefetcher) NextData() batchData {
+// Next returns the prefetched data for the next job index, blocking
+// until it is ready. It must be called at most len(jobs) times.
+func (p *prefetcher) Next() batchData {
 	bd := <-p.results[p.next]
 	p.next++
 	<-p.window // open a slot for the producer
 	return bd
 }
-
-// Next returns the mini-batch for the next job index, blocking until it
-// is sampled.
-func (p *prefetcher) Next() *sampler.MiniBatch { return p.NextData().mb }
 
 // Close stops the feeder and worker goroutines and waits for them to
 // drain. It is idempotent and safe to call at any point — including

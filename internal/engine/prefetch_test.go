@@ -53,10 +53,10 @@ func TestPrefetcherDeterministicAcrossWorkerCounts(t *testing.T) {
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	collect := func(workers int) []int64 {
 		jobs := prefetchJobs(t, ds, 20)
-		p := newPrefetcher(smp, jobs, workers)
+		p := newPrefetcher(smp, jobs, workers, nil)
 		var edges []int64
 		for range jobs {
-			edges = append(edges, p.Next().Stats.SampledEdges)
+			edges = append(edges, p.Next().mb.Stats.SampledEdges)
 		}
 		p.Close()
 		return edges
@@ -78,7 +78,7 @@ func TestPrefetcherWindowBounded(t *testing.T) {
 	cs := &countingSampler{inner: sampler.NewNeighbor(ds.Graph, []int{4, 4})}
 	jobs := prefetchJobs(t, ds, 30)
 	const workers = 3
-	p := newPrefetcher(cs, jobs, workers)
+	p := newPrefetcher(cs, jobs, workers, nil)
 	for range jobs {
 		p.Next()
 	}
@@ -98,9 +98,9 @@ func TestPrefetcherOrdering(t *testing.T) {
 	for i := range jobs {
 		jobs[i].targets = ds.TrainIdx[i : i+1]
 	}
-	p := newPrefetcher(smp, jobs, 4)
+	p := newPrefetcher(smp, jobs, 4, nil)
 	for i := range jobs {
-		mb := p.Next()
+		mb := p.Next().mb
 		if mb.Targets[0] != ds.TrainIdx[i] {
 			t.Fatalf("batch %d out of order", i)
 		}
@@ -125,9 +125,9 @@ func TestFetchingPrefetcherAttachesGatheredData(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		jobs := prefetchJobs(t, ds, 12)
-		p := newFetchingPrefetcher(smp, jobs, workers, fetch)
+		p := newPrefetcher(smp, jobs, workers, fetch)
 		for i := 0; i < len(jobs); i++ {
-			bd := p.NextData()
+			bd := p.Next()
 			if bd.err != nil {
 				t.Fatal(bd.err)
 			}
@@ -154,9 +154,9 @@ func TestPlainPrefetcherSkipsFetch(t *testing.T) {
 	ds := testDataset(t)
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	jobs := prefetchJobs(t, ds, 3)
-	p := newPrefetcher(smp, jobs, 2)
+	p := newPrefetcher(smp, jobs, 2, nil)
 	for range jobs {
-		bd := p.NextData()
+		bd := p.Next()
 		if bd.x0 != nil || bd.labels != nil || bd.err != nil {
 			t.Fatalf("plain prefetcher attached data: %+v", bd)
 		}
@@ -168,8 +168,8 @@ func TestPrefetcherEmptyJobTargets(t *testing.T) {
 	ds := testDataset(t)
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	jobs := []prefetchJob{{index: 0, seed: 1, targets: nil}}
-	p := newPrefetcher(smp, jobs, 2)
-	mb := p.Next()
+	p := newPrefetcher(smp, jobs, 2, nil)
+	mb := p.Next().mb
 	if len(mb.Targets) != 0 {
 		t.Fatal("empty job should produce an empty batch")
 	}

@@ -10,14 +10,13 @@ import (
 )
 
 // Every training sampler in the repository must plug into the
-// multi-process engine and train: subgraph-based (ShaDow, SAINT-RW) and
+// multi-process engine and train: subgraph-based (ShaDow) and
 // block-based (Neighbor) batches share the model and gradient paths.
 func TestAllSamplersTrainEndToEnd(t *testing.T) {
 	ds := testDataset(t)
 	samplers := map[string]sampler.Sampler{
 		"neighbor": sampler.NewNeighbor(ds.Graph, []int{5, 5}),
 		"shadow":   sampler.NewShaDow(ds.Graph, []int{5, 3}, 2),
-		"saint-rw": sampler.NewSaintRW(ds.Graph, 2, 3, 2),
 	}
 	for name, smp := range samplers {
 		t.Run(name, func(t *testing.T) {

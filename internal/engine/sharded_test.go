@@ -75,7 +75,7 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	if skel.Features != nil || skel.Labels != nil {
 		t.Fatal("skeleton materialised features/labels")
 	}
-	sources, ex, err := NewShardSources(ss, numProcs)
+	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func exchangeTraffic(t *testing.T, dt graph.FeatDtype) ddp.ExchangeStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources, ex, err := NewShardSources(ss, numProcs)
+	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("skeleton dataset without sources accepted")
 	}
-	sources, _, err := NewShardSources(ss, 2)
+	sources, _, err := NewShardSourcesOpts(ss, 2, ShardSourceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewShardSources(ss, 0); err == nil {
+	if _, _, err := NewShardSourcesOpts(ss, 0, ShardSourceOptions{}); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
 }

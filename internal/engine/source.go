@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"argo/internal/ddp"
 	"argo/internal/graph"
@@ -95,21 +94,34 @@ func (s shardSource) CollectGradients() ([]graph.NodeID, *tensor.Matrix, error) 
 	return s.ex.CollectGradients(s.replica)
 }
 
-// replicaShard is one shard materialised into its owning replica's
-// memory: the owned id list plus the shard-resident features/labels.
-type replicaShard struct {
-	owned  []graph.NodeID
-	feats  *tensor.Matrix
-	labels []int32
+// shardRows is every replica's ddp.RowServer: the exchange asks it only
+// for nodes the asking replica owns, and it finds their rows through the
+// shard set's location table.
+type shardRows struct {
+	shard, row []int32          // graph.ShardSet.Locations
+	feats      []*tensor.Matrix // by shard
+	labels     [][]int32        // by shard
 }
 
-// row returns the local row index of global node v, or -1.
-func (rs *replicaShard) row(v graph.NodeID) int {
-	i := sort.Search(len(rs.owned), func(i int) bool { return rs.owned[i] >= v })
-	if i < len(rs.owned) && rs.owned[i] == v {
-		return i
+func (s *shardRows) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
+	for i, v := range ids {
+		if at != nil {
+			i = int(at[i])
+		}
+		src := s.feats[s.shard[v]].Row(int(s.row[v]))
+		copy(dst[i*len(src):(i+1)*len(src)], src)
 	}
-	return -1
+	return nil
+}
+
+func (s *shardRows) Labels(ids []graph.NodeID, at []int32, dst []int32) error {
+	for i, v := range ids {
+		if at != nil {
+			i = int(at[i])
+		}
+		dst[i] = s.labels[s.shard[v]][s.row[v]]
+	}
+	return nil
 }
 
 // ShardSourceOptions configures NewShardSourcesOpts.
@@ -119,12 +131,6 @@ type ShardSourceOptions struct {
 	Transport string
 }
 
-// NewShardSources maps a shard set onto numProcs replicas over the
-// in-process transport. See NewShardSourcesOpts.
-func NewShardSources(ss *graph.ShardSet, numProcs int) ([]DataSource, *ddp.HaloExchange, error) {
-	return NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{})
-}
-
 // NewShardSourcesOpts maps a shard set onto numProcs replicas: shard s
 // is owned by replica s mod numProcs, each replica materialises only
 // its own shards' feature and label sections (lazy / mmap-backed for
@@ -132,79 +138,13 @@ func NewShardSources(ss *graph.ShardSet, numProcs int) ([]DataSource, *ddp.HaloE
 // this replica), and all lookups flow through the returned
 // HaloExchange, whose stats expose the cross-replica traffic a real
 // multi-node run would put on the wire. The exchange batches one
-// message per (peer, gather) over the selected transport, with buffer
-// sizes planned from the manifest's per-shard cut-arc counts; the
-// caller owns the exchange and must Close it (which closes the
-// transport).
+// message per (peer, gather) over the selected transport; the caller
+// owns the exchange and must Close it (which closes the transport).
 func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, opt ShardSourceOptions) ([]DataSource, *ddp.HaloExchange, error) {
 	if numProcs < 1 {
 		return nil, nil, fmt.Errorf("engine: %d replicas for a shard set", numProcs)
 	}
-	k := ss.K()
-	featDim := ss.Manifest.FeatDim
-	perShard := make([]*replicaShard, k)
-	for s := 0; s < k; s++ {
-		sm, err := ss.ShardMap(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		lz, err := ss.Shard(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		feats, err := lz.Features()
-		if err != nil {
-			return nil, nil, err
-		}
-		labels, err := lz.Labels()
-		if err != nil {
-			return nil, nil, err
-		}
-		if feats.Cols != featDim || feats.Rows < len(sm.Owned) || len(labels) < len(sm.Owned) {
-			return nil, nil, fmt.Errorf("engine: shard %d features/labels smaller than its owned set", s)
-		}
-		perShard[s] = &replicaShard{owned: sm.Owned, feats: feats, labels: labels}
-	}
-
-	owner := func(v graph.NodeID) (int, error) {
-		s, err := ss.Owner(v)
-		if err != nil {
-			return 0, err
-		}
-		return s % numProcs, nil
-	}
-	// Per-replica servers look only inside the replica's own shards.
-	serveFeat := make([]func(graph.NodeID) ([]float32, error), numProcs)
-	serveLabel := make([]func(graph.NodeID) (int32, error), numProcs)
-	for r := 0; r < numProcs; r++ {
-		var mine []*replicaShard
-		for s := r; s < k; s += numProcs {
-			mine = append(mine, perShard[s])
-		}
-		find := func(v graph.NodeID) (*replicaShard, int, error) {
-			for _, rs := range mine {
-				if i := rs.row(v); i >= 0 {
-					return rs, i, nil
-				}
-			}
-			return nil, 0, fmt.Errorf("engine: node %d not owned by any mapped shard", v)
-		}
-		serveFeat[r] = func(v graph.NodeID) ([]float32, error) {
-			rs, i, err := find(v)
-			if err != nil {
-				return nil, err
-			}
-			return rs.feats.Row(i), nil
-		}
-		serveLabel[r] = func(v graph.NodeID) (int32, error) {
-			rs, i, err := find(v)
-			if err != nil {
-				return 0, err
-			}
-			return rs.labels[i], nil
-		}
-	}
-	tr, err := ddp.NewTransport(opt.Transport)
+	shard, row, err := ss.Locations()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -215,14 +155,42 @@ func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, opt ShardSourceOption
 	// results transport-dependent — so it is never enabled.)
 	wireDtype, err := graph.ParseFeatDtype(ss.Manifest.FeatDtype)
 	if err != nil {
-		tr.Close()
 		return nil, nil, err
 	}
-	ex, err := ddp.NewHaloExchangeOpts(numProcs, featDim, owner, serveFeat, serveLabel, ddp.ExchangeOptions{
-		Transport: tr,
-		Plan:      ddp.PlanFromCuts(ss.Manifest.ReplicaCutArcs(numProcs)),
-		WireDtype: wireDtype,
-	})
+	featDim := ss.Manifest.FeatDim
+	feats, labels := make([]*tensor.Matrix, ss.K()), make([][]int32, ss.K())
+	for s := range feats {
+		lz, err := ss.Shard(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		if feats[s], err = lz.Features(); err != nil {
+			return nil, nil, err
+		}
+		if labels[s], err = lz.Labels(); err != nil {
+			return nil, nil, err
+		}
+		if feats[s].Cols != featDim {
+			return nil, nil, fmt.Errorf("engine: shard %d stores %d-wide rows, manifest says %d", s, feats[s].Cols, featDim)
+		}
+	}
+	owner := make([]int32, len(shard))
+	for v, s := range shard {
+		if int(row[v]) >= min(feats[s].Rows, len(labels[s])) {
+			return nil, nil, fmt.Errorf("engine: shard %d features/labels smaller than its owned set", s)
+		}
+		owner[v] = s % int32(numProcs)
+	}
+	rows := &shardRows{shard: shard, row: row, feats: feats, labels: labels}
+	servers := make([]ddp.RowServer, numProcs)
+	for r := range servers {
+		servers[r] = rows
+	}
+	tr, err := ddp.NewTransport(opt.Transport)
+	if err != nil {
+		return nil, nil, err
+	}
+	ex, err := ddp.NewHaloExchange(featDim, owner, servers, ddp.ExchangeOptions{Transport: tr, WireDtype: wireDtype})
 	if err != nil {
 		tr.Close()
 		return nil, nil, err

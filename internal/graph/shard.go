@@ -6,7 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 
 	"argo/internal/tensor"
 )
@@ -136,7 +138,7 @@ func (m *ShardManifest) Validate() error {
 	return nil
 }
 
-// Owner returns the shard owning global node v.
+// Owner finds global node v's shard in the owner runs (an opened set has Locate).
 func (m *ShardManifest) Owner(v NodeID) (int, error) {
 	if v < 0 || int64(v) >= m.NumNodes {
 		return 0, fmt.Errorf("graph: node %d outside [0,%d)", v, m.NumNodes)
@@ -166,22 +168,6 @@ func (m *ShardManifest) EdgeCutFraction() float64 {
 		return 0
 	}
 	return float64(m.TotalCutArcs()) / float64(m.NumArcs)
-}
-
-// ReplicaCutArcs aggregates the per-shard cut-arc counts onto numProcs
-// training replicas under the engine's shard→replica mapping (shard s
-// belongs to replica s mod numProcs) — the exchange planner's cost
-// input: replica r's entry bounds the foreign rows its gathers can
-// reference.
-func (m *ShardManifest) ReplicaCutArcs(numProcs int) []int64 {
-	if numProcs < 1 {
-		return nil
-	}
-	out := make([]int64, numProcs)
-	for s, e := range m.Shards {
-		out[s%numProcs] += e.CutArcs
-	}
-	return out
 }
 
 // ownerRuns run-length-encodes a partition assignment.
@@ -538,14 +524,18 @@ func WriteShardSet(d *Dataset, dir, base string, opt ShardOptions) (*ShardManife
 
 // ShardSet is an opened shard set: the manifest plus lazily opened
 // per-shard stores. File-backed sets open each shard's store on first
-// use (mmap on linux), so topology-only consumers — Validate, the
-// halo-exchange planner, AssembleTopology — never touch feature bytes.
+// use (mmap on linux), so topology-only consumers — Validate,
+// AssembleTopology — never touch feature bytes.
 type ShardSet struct {
 	Manifest ShardManifest
 	dir      string
 	lazies   []*LazyDataset
 	maps     []*ShardMap
 	inMemory bool
+
+	locOnce          sync.Once
+	locShard, locRow []int32
+	locErr           error
 }
 
 // OpenShardSet opens the shard set whose manifest-carrying store
@@ -624,8 +614,58 @@ func (ss *ShardSet) K() int { return ss.Manifest.K }
 // Spec returns the global dataset's spec.
 func (ss *ShardSet) Spec() DatasetSpec { return ss.Manifest.Spec }
 
+// Locations returns the set's location table, the one answer to "where
+// does node v live": shard[v] owns global node v at row[v] of its feature
+// and label sections (v's index in ShardMap.Owned). 8 B/node, read-only,
+// built by the first call (safe to race), which fails unless each node is owned once.
+func (ss *ShardSet) Locations() (shard, row []int32, err error) {
+	ss.locOnce.Do(func() { ss.locShard, ss.locRow, ss.locErr = ss.buildLocations() })
+	return ss.locShard, ss.locRow, ss.locErr
+}
+
+func (ss *ShardSet) buildLocations() (shard, row []int32, err error) {
+	n := int(ss.Manifest.NumNodes)
+	shard, row = slices.Repeat([]int32{-1}, n), make([]int32, n)
+	owned := 0
+	for s := 0; s < ss.Manifest.K; s++ {
+		sm, err := ss.ShardMap(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		for l, v := range sm.Owned {
+			if v < 0 || int(v) >= n {
+				return nil, nil, fmt.Errorf("graph: shard %d owns node %d outside [0,%d)", s, v, n)
+			}
+			if shard[v] >= 0 {
+				return nil, nil, fmt.Errorf("graph: node %d owned by shards %d and %d", v, shard[v], s)
+			}
+			shard[v], row[v] = int32(s), int32(l)
+		}
+		owned += len(sm.Owned)
+	}
+	if owned != n { // in range and never twice, so fewer means a node is missing
+		return nil, nil, fmt.Errorf("graph: shard maps own %d of %d nodes", owned, n)
+	}
+	return shard, row, nil
+}
+
+// Locate returns the shard owning global node v and v's row there.
+func (ss *ShardSet) Locate(v NodeID) (shard, row int, err error) {
+	shards, rows, err := ss.Locations()
+	if err != nil {
+		return 0, 0, err
+	}
+	if v < 0 || int(v) >= len(shards) {
+		return 0, 0, fmt.Errorf("graph: node %d outside [0,%d)", v, len(shards))
+	}
+	return int(shards[v]), int(rows[v]), nil
+}
+
 // Owner returns the shard owning global node v.
-func (ss *ShardSet) Owner(v NodeID) (int, error) { return ss.Manifest.Owner(v) }
+func (ss *ShardSet) Owner(v NodeID) (shard int, err error) {
+	shard, _, err = ss.Locate(v)
+	return shard, err
+}
 
 // Shard returns shard i's store, opening it lazily for file-backed
 // sets. The set retains ownership; Close closes every opened shard.

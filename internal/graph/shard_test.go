@@ -142,8 +142,8 @@ func TestShardStoresArePlainStores(t *testing.T) {
 }
 
 // Validate and AssembleTopology are topology-only: no shard's feature
-// section is materialised, which is what lets a halo-exchange planner
-// run over out-of-core stores.
+// section is materialised, which is what lets a set be checked and its
+// skeleton built over out-of-core stores.
 func TestShardValidateIsTopologyOnly(t *testing.T) {
 	ds := shardTestDataset(t)
 	_, paths, _ := writeTestShards(t, ds, 4)
@@ -344,9 +344,8 @@ func TestShardSetRefusesTrainStarvedShards(t *testing.T) {
 	}
 }
 
-// The manifest cost accessors are the exchange planner's input: totals
-// must agree with the per-shard entries, and the replica aggregation
-// must follow the engine's shard→replica mapping (s mod n).
+// The manifest cost accessors' totals must agree with the per-shard
+// entries.
 func TestManifestCostAccessors(t *testing.T) {
 	ds := shardTestDataset(t)
 	ss, err := ShardSetFromDataset(ds, ShardOptions{K: 4})
@@ -368,32 +367,5 @@ func TestManifestCostAccessors(t *testing.T) {
 	}
 	if frac != float64(want)/float64(m.NumArcs) {
 		t.Fatalf("EdgeCutFraction %v inconsistent with totals", frac)
-	}
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		cuts := m.ReplicaCutArcs(n)
-		if len(cuts) != n {
-			t.Fatalf("ReplicaCutArcs(%d) has %d entries", n, len(cuts))
-		}
-		var sum int64
-		for _, c := range cuts {
-			sum += c
-		}
-		if sum != want {
-			t.Fatalf("ReplicaCutArcs(%d) sums to %d, want %d", n, sum, want)
-		}
-	}
-	// Shard s lands on replica s mod n.
-	cuts := m.ReplicaCutArcs(3)
-	var manual [3]int64
-	for s, e := range m.Shards {
-		manual[s%3] += e.CutArcs
-	}
-	for r := range manual {
-		if cuts[r] != manual[r] {
-			t.Fatalf("replica %d cut %d, want %d", r, cuts[r], manual[r])
-		}
-	}
-	if m.ReplicaCutArcs(0) != nil {
-		t.Fatal("ReplicaCutArcs(0) should be nil")
 	}
 }

@@ -22,6 +22,20 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
+// Clone returns a deep copy of the optimizer, step count and moment
+// estimates included — what a re-launch carries beside the weights.
+func (a *Adam) Clone() *Adam {
+	c := *a
+	c.m, c.v = nil, nil // stay nil before the first step: Step allocates on nil
+	for i := range a.m {
+		c.m, c.v = append(c.m, a.m[i].Clone()), append(c.v, a.v[i].Clone())
+	}
+	return &c
+}
+
+// Steps returns how many updates the optimizer has applied.
+func (a *Adam) Steps() int { return a.step }
+
 // Step applies one update to params from their accumulated gradients.
 // State slots are allocated lazily on first use and keyed positionally,
 // so the same parameter slice must be passed every step.

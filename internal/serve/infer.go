@@ -41,14 +41,13 @@ func (s lazySource) FeatDtype() graph.FeatDtype { return s.lz.FeatDtype() }
 func NewLazyFeatureSource(lz *graph.LazyDataset) FeatureSource { return lazySource{lz} }
 
 // shardSource routes each row read to the shard that owns the node,
-// through that shard store's own row-granular reader. Only the
-// shardmap sections are materialised up front; feature bytes are read
-// row by row on demand.
+// through that shard store's own row-granular reader. Only the set's
+// location table is built up front; feature bytes are read row by row
+// on demand.
 type shardSource struct {
-	ss   *graph.ShardSet
-	maps []*graph.ShardMap
-	dim  int
-	dt   graph.FeatDtype
+	ss  *graph.ShardSet
+	dim int
+	dt  graph.FeatDtype
 }
 
 // NewShardFeatureSource builds a row source over a shard set.
@@ -57,31 +56,24 @@ func NewShardFeatureSource(ss *graph.ShardSet) (FeatureSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &shardSource{ss: ss, dim: ss.Manifest.FeatDim, dt: dt, maps: make([]*graph.ShardMap, ss.K())}
-	for i := 0; i < ss.K(); i++ {
-		sm, err := ss.ShardMap(i)
-		if err != nil {
-			return nil, err
-		}
-		src.maps[i] = sm
+	// Building the table decodes every shard map, which opens every shard:
+	// concurrent Row calls then only read the set.
+	if _, _, err := ss.Locations(); err != nil {
+		return nil, err
 	}
-	return src, nil
+	return &shardSource{ss: ss, dim: ss.Manifest.FeatDim, dt: dt}, nil
 }
 
 func (s *shardSource) Row(id graph.NodeID, dst []float32) ([]float32, error) {
-	owner, err := s.ss.Owner(id)
+	shard, row, err := s.ss.Locate(id)
 	if err != nil {
 		return nil, err
 	}
-	local := s.maps[owner].LocalID(id)
-	if local < 0 {
-		return nil, fmt.Errorf("serve: node %d not mapped by its owning shard %d", id, owner)
-	}
-	lz, err := s.ss.Shard(owner)
+	lz, err := s.ss.Shard(shard)
 	if err != nil {
 		return nil, err
 	}
-	return lz.FeatureRow(int(local), dst)
+	return lz.FeatureRow(row, dst)
 }
 
 func (s *shardSource) Dim() int { return s.dim }
