@@ -16,7 +16,6 @@ import (
 	"argo/internal/graph"
 	"argo/internal/platform"
 	"argo/internal/platsim"
-	"argo/internal/sampler"
 	"argo/internal/search"
 )
 
@@ -157,30 +156,6 @@ func BenchmarkTunerOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDedup quantifies the sampler's shared-neighbour reuse:
-// without per-layer dedup the same epoch samples many more feature rows.
-func BenchmarkAblationDedup(b *testing.B) {
-	ds, err := graph.BuildByName("ogbn-products", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, dedup := range []bool{true, false} {
-		name := "dedup"
-		if !dedup {
-			name = "nodedup"
-		}
-		b.Run(name, func(b *testing.B) {
-			ns := &sampler.Neighbor{Graph: ds.Graph, Fanouts: []int{15, 10, 5}, Dedup: dedup}
-			var nodes int64
-			for i := 0; i < b.N; i++ {
-				stats := sampler.EpochWorkload(ns, ds.TrainIdx, 256, 1, 7)
-				nodes = stats.InputNodes
-			}
-			b.ReportMetric(float64(nodes), "input_nodes/epoch")
-		})
-	}
-}
-
 // BenchmarkAblationAcquisition compares Expected Improvement against
 // random acquisition with the same budget.
 func BenchmarkAblationAcquisition(b *testing.B) {
@@ -194,7 +169,7 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 	}
 	sp := search.DefaultSpace(112)
 	obj := platsim.NewObjective(sc)
-	optimal := search.Exhaustive(sp, obj).BestTime
+	optimal := search.Run(search.NewExhaustiveSearcher(sp), obj).BestTime
 	for _, random := range []bool{false, true} {
 		name := "ei"
 		if random {
@@ -205,7 +180,7 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tu := bayesopt.NewTuner(sp, 45, int64(i))
 				tu.RandomAcquisition = random
-				res := tu.Run(obj)
+				res := search.Run(tu, obj)
 				quality = optimal / res.BestTime
 			}
 			b.ReportMetric(quality, "quality_vs_optimal")
@@ -263,21 +238,21 @@ func BenchmarkAblationSearchStrategies(b *testing.B) {
 	b.Run("bayesopt", func(b *testing.B) {
 		var best float64
 		for i := 0; i < b.N; i++ {
-			best = bayesopt.NewTuner(sp, budget, int64(i)).Run(obj).BestTime
+			best = search.Run(bayesopt.NewTuner(sp, budget, int64(i)), obj).BestTime
 		}
 		b.ReportMetric(best, "found_epoch_s")
 	})
 	b.Run("anneal", func(b *testing.B) {
 		var best float64
 		for i := 0; i < b.N; i++ {
-			best = anneal.Run(sp, obj, budget, rand.New(rand.NewSource(int64(i))), anneal.Options{}).BestTime
+			best = search.Run(anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(int64(i)))), obj).BestTime
 		}
 		b.ReportMetric(best, "found_epoch_s")
 	})
 	b.Run("random", func(b *testing.B) {
 		var best float64
 		for i := 0; i < b.N; i++ {
-			best = search.RandomSearch(sp, obj, budget, rand.New(rand.NewSource(int64(i)))).BestTime
+			best = search.Run(search.NewRandomSearcher(sp, budget, rand.New(rand.NewSource(int64(i)))), obj).BestTime
 		}
 		b.ReportMetric(best, "found_epoch_s")
 	})

@@ -39,7 +39,7 @@ func main() {
 
 	// Exhaustive reference over the whole space (the paper calls this
 	// intractable on hardware; the simulator makes it cheap).
-	exh := search.Exhaustive(space, obj)
+	exh := search.Run(search.NewExhaustiveSearcher(space), obj)
 	fmt.Printf("exhaustive optimum (full space): %s at %.2fs/epoch\n\n", exh.Best, exh.BestTime)
 
 	// Every registered strategy on the identical budget, narrating the

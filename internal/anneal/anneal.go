@@ -5,8 +5,8 @@
 //
 // The core type is the stepwise Annealer, which exposes the propose /
 // observe halves of each annealing step separately so a training runtime
-// can interleave real epoch measurements with the walk. Run wraps it for
-// offline use against a search.Objective.
+// can interleave real epoch measurements with the walk; search.Run
+// drives it offline against a search.Objective.
 package anneal
 
 import (
@@ -17,33 +17,23 @@ import (
 	"argo/internal/search"
 )
 
-// Options tune the annealing schedule. Zero values select defaults.
-type Options struct {
-	StartTemp float64 // initial temperature on the relative-cost scale (default 0.3)
-	EndTemp   float64 // final temperature (default 0.01)
-}
-
-func (o Options) withDefaults() Options {
-	if o.StartTemp <= 0 {
-		o.StartTemp = 0.3
-	}
-	if o.EndTemp <= 0 {
-		o.EndTemp = 0.01
-	}
-	return o
-}
+// The annealing schedule: initial and final temperature on the
+// relative-cost scale.
+const (
+	startTemp = 0.3
+	endTemp   = 0.01
+)
 
 // Annealer performs simulated annealing one proposal at a time. Each
 // Next proposes a feasible configuration (a one-dimension move from the
 // current point, with an occasional random restart kick); Observe records
 // its measured cost, applies the Metropolis acceptance rule with
 // probability exp(−Δ/T) on the relative cost increase Δ, and cools T
-// geometrically from StartTemp to EndTemp over the evaluation budget.
+// geometrically from startTemp to endTemp over the evaluation budget.
 type Annealer struct {
 	sp     search.Space
 	budget int
 	rng    *rand.Rand
-	opts   Options
 
 	cur      search.Config
 	curY     float64
@@ -57,15 +47,13 @@ type Annealer struct {
 }
 
 // NewAnnealer builds an annealer over sp with the given evaluation budget.
-func NewAnnealer(sp search.Space, budget int, rng *rand.Rand, opts Options) *Annealer {
-	opts = opts.withDefaults()
+func NewAnnealer(sp search.Space, budget int, rng *rand.Rand) *Annealer {
 	return &Annealer{
 		sp:     sp,
 		budget: budget,
 		rng:    rng,
-		opts:   opts,
-		temp:   opts.StartTemp,
-		alpha:  math.Pow(opts.EndTemp/opts.StartTemp, 1/math.Max(1, float64(budget-1))),
+		temp:   startTemp,
+		alpha:  math.Pow(endTemp/startTemp, 1/math.Max(1, float64(budget-1))),
 	}
 }
 
@@ -123,22 +111,3 @@ func (a *Annealer) Observations() int { return a.observed }
 // Overhead returns the cumulative time spent proposing moves and applying
 // the acceptance rule — the tuning overhead outside the objective itself.
 func (a *Annealer) Overhead() time.Duration { return a.overhead }
-
-// Run performs simulated annealing over sp with the given evaluation
-// budget, driving an Annealer against obj.
-func Run(sp search.Space, obj search.Objective, budget int, rng *rand.Rand, opts Options) search.Result {
-	var res search.Result
-	a := NewAnnealer(sp, budget, rng, opts)
-	for {
-		c, ok := a.Next()
-		if !ok {
-			break
-		}
-		y := obj.Evaluate(c)
-		a.Observe(c, y)
-		res.History = append(res.History, search.Eval{Config: c, Time: y})
-		res.Evals++
-	}
-	res.Best, res.BestTime = a.Best()
-	return res
-}

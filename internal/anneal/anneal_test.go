@@ -16,7 +16,7 @@ func bowl(c search.Config) float64 {
 
 func TestAnnealRespectsBudget(t *testing.T) {
 	sp := search.DefaultSpace(64)
-	res := Run(sp, search.ObjectiveFunc(bowl), 25, rand.New(rand.NewSource(1)), Options{})
+	res := search.Run(NewAnnealer(sp, 25, rand.New(rand.NewSource(1))), search.ObjectiveFunc(bowl))
 	if res.Evals != 25 || len(res.History) != 25 {
 		t.Fatalf("made %d evals, want 25", res.Evals)
 	}
@@ -24,7 +24,7 @@ func TestAnnealRespectsBudget(t *testing.T) {
 
 func TestAnnealZeroBudget(t *testing.T) {
 	sp := search.DefaultSpace(64)
-	res := Run(sp, search.ObjectiveFunc(bowl), 0, rand.New(rand.NewSource(1)), Options{})
+	res := search.Run(NewAnnealer(sp, 0, rand.New(rand.NewSource(1))), search.ObjectiveFunc(bowl))
 	if res.Evals != 0 {
 		t.Fatal("zero budget must not evaluate")
 	}
@@ -35,7 +35,7 @@ func TestAnnealImprovesOverFirstSample(t *testing.T) {
 	worse := 0
 	const trials = 20
 	for seed := int64(0); seed < trials; seed++ {
-		res := Run(sp, search.ObjectiveFunc(bowl), 35, rand.New(rand.NewSource(seed)), Options{})
+		res := search.Run(NewAnnealer(sp, 35, rand.New(rand.NewSource(seed))), search.ObjectiveFunc(bowl))
 		if res.BestTime > res.History[0].Time {
 			t.Fatal("incumbent worse than first sample — impossible")
 		}
@@ -50,7 +50,7 @@ func TestAnnealImprovesOverFirstSample(t *testing.T) {
 
 func TestAnnealBestIsHistoryMinimum(t *testing.T) {
 	sp := search.DefaultSpace(64)
-	res := Run(sp, search.ObjectiveFunc(bowl), 20, rand.New(rand.NewSource(5)), Options{})
+	res := search.Run(NewAnnealer(sp, 20, rand.New(rand.NewSource(5))), search.ObjectiveFunc(bowl))
 	min := res.History[0].Time
 	for _, e := range res.History {
 		if e.Time < min {
@@ -67,10 +67,10 @@ func TestAnnealBestIsHistoryMinimum(t *testing.T) {
 // exactly what Table IV/V report as ±stddev).
 func TestAnnealQualityOnBowl(t *testing.T) {
 	sp := search.DefaultSpace(112)
-	opt := search.Exhaustive(sp, search.ObjectiveFunc(bowl)).BestTime
+	opt := search.Run(search.NewExhaustiveSearcher(sp), search.ObjectiveFunc(bowl)).BestTime
 	var qualities []float64
 	for seed := int64(0); seed < 10; seed++ {
-		res := Run(sp, search.ObjectiveFunc(bowl), 35, rand.New(rand.NewSource(seed)), Options{})
+		res := search.Run(NewAnnealer(sp, 35, rand.New(rand.NewSource(seed))), search.ObjectiveFunc(bowl))
 		qualities = append(qualities, opt/res.BestTime)
 	}
 	var mean float64
@@ -85,8 +85,8 @@ func TestAnnealQualityOnBowl(t *testing.T) {
 
 func TestAnnealDeterministicForSeed(t *testing.T) {
 	sp := search.DefaultSpace(64)
-	a := Run(sp, search.ObjectiveFunc(bowl), 15, rand.New(rand.NewSource(9)), Options{})
-	b := Run(sp, search.ObjectiveFunc(bowl), 15, rand.New(rand.NewSource(9)), Options{})
+	a := search.Run(NewAnnealer(sp, 15, rand.New(rand.NewSource(9))), search.ObjectiveFunc(bowl))
+	b := search.Run(NewAnnealer(sp, 15, rand.New(rand.NewSource(9))), search.ObjectiveFunc(bowl))
 	if a.Best != b.Best || a.BestTime != b.BestTime {
 		t.Fatal("same seed must reproduce the same search")
 	}

@@ -13,8 +13,7 @@ func BenchmarkTunerRun(b *testing.B) {
 	sp := search.DefaultSpace(112)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tu := NewTuner(sp, 35, int64(i))
-		tu.Run(search.ObjectiveFunc(bowl))
+		search.Run(NewTuner(sp, 35, int64(i)), search.ObjectiveFunc(bowl))
 	}
 }
 
@@ -24,7 +23,7 @@ func BenchmarkGPFitAndPredict(b *testing.B) {
 	// Pre-load 44 observations, then measure one full Next() (fit + EI
 	// argmax over the space).
 	for tu.Observations() < 44 {
-		c := tu.Next()
+		c, _ := tu.Next()
 		tu.Observe(c, bowl(c))
 	}
 	b.ResetTimer()

@@ -31,10 +31,8 @@ type Tuner struct {
 	observedY  []float64
 	seen       map[search.Config]bool
 
-	best     search.Config
-	bestY    float64
-	haveBest bool
-	overhead time.Duration // cumulative surrogate fit + acquisition time
+	search.Incumbent               // Best: Algorithm 1's Tuner.get_opt
+	overhead         time.Duration // cumulative surrogate fit + acquisition time
 }
 
 // NewTuner builds a tuner over sp with the given online-learning budget.
@@ -56,14 +54,20 @@ func NewTuner(sp search.Space, numSearches int, seed int64) *Tuner {
 	}
 }
 
-// Done reports whether the online-learning budget is exhausted.
-func (t *Tuner) Done() bool { return len(t.observedX) >= t.NumSearches }
-
 // Next proposes the configuration to run the next training epoch with.
-func (t *Tuner) Next() search.Config {
+// ok is false once the online-learning budget is exhausted.
+func (t *Tuner) Next() (search.Config, bool) {
+	if len(t.observedX) >= t.NumSearches {
+		return search.Config{}, false
+	}
 	start := time.Now()
 	defer func() { t.overhead += time.Since(start) }()
+	return t.propose(), true
+}
 
+// propose is one step of Algorithm 1: a random probe, or the EI argmax
+// under a GP refit to every finite observation.
+func (t *Tuner) propose() search.Config {
 	if len(t.observedX) < t.InitRandom || t.RandomAcquisition {
 		return t.randomUnseen()
 	}
@@ -77,6 +81,7 @@ func (t *Tuner) Next() search.Config {
 	if err != nil {
 		return t.randomUnseen()
 	}
+	_, bestY := t.Best()
 	bestEI := -1.0
 	var bestCfg search.Config
 	found := false
@@ -85,7 +90,7 @@ func (t *Tuner) Next() search.Config {
 			continue
 		}
 		mu, sigma := g.predict(t.normalize(c))
-		if ei := expectedImprovement(mu, sigma, t.bestY); ei > bestEI {
+		if ei := expectedImprovement(mu, sigma, bestY); ei > bestEI {
 			bestEI, bestCfg, found = ei, c, true
 		}
 	}
@@ -103,12 +108,7 @@ func (t *Tuner) Observe(c search.Config, epochTime float64) {
 	t.observedX = append(t.observedX, c)
 	t.observedY = append(t.observedY, epochTime)
 	t.seen[c] = true
-	if !isFinite(epochTime) {
-		return
-	}
-	if !t.haveBest || epochTime < t.bestY {
-		t.best, t.bestY, t.haveBest = c, epochTime, true
-	}
+	t.Incumbent.Observe(c, epochTime)
 }
 
 // finiteObservations filters the training set for the GP.
@@ -126,10 +126,6 @@ func (t *Tuner) finiteObservations() ([][]float64, []float64) {
 
 func isFinite(v float64) bool { return search.IsFinite(v) }
 
-// Best returns the incumbent optimal configuration and its epoch time
-// (Algorithm 1's Tuner.get_opt).
-func (t *Tuner) Best() (search.Config, float64) { return t.best, t.bestY }
-
 // Observations returns how many configurations have been evaluated.
 func (t *Tuner) Observations() int { return len(t.observedX) }
 
@@ -137,21 +133,6 @@ func (t *Tuner) Observations() int { return len(t.observedX) }
 // maximising the acquisition function — the auto-tuning overhead the
 // paper profiles in §VI-D.
 func (t *Tuner) Overhead() time.Duration { return t.overhead }
-
-// Run drives the full online loop against obj: propose, evaluate, observe,
-// for NumSearches rounds.
-func (t *Tuner) Run(obj search.Objective) search.Result {
-	var res search.Result
-	for !t.Done() {
-		c := t.Next()
-		y := obj.Evaluate(c)
-		t.Observe(c, y)
-		res.History = append(res.History, search.Eval{Config: c, Time: y})
-		res.Evals++
-	}
-	res.Best, res.BestTime = t.Best()
-	return res
-}
 
 // randomUnseen draws a random feasible configuration not yet observed
 // (falling back to any random one once the space is exhausted).
@@ -181,12 +162,4 @@ func (t *Tuner) normalize(c search.Config) []float64 {
 		span(c.SampleCores, 1, sp.MaxSample),
 		span(c.TrainCores, 1, sp.MaxTrain),
 	}
-}
-
-func (t *Tuner) normalized() [][]float64 {
-	out := make([][]float64, len(t.observedX))
-	for i, c := range t.observedX {
-		out[i] = t.normalize(c)
-	}
-	return out
 }

@@ -27,12 +27,12 @@ func noisyBowl(c search.Config) float64 {
 func TestTunerRespectsBudget(t *testing.T) {
 	sp := search.DefaultSpace(112)
 	tu := NewTuner(sp, 35, 1)
-	res := tu.Run(search.ObjectiveFunc(bowl))
+	res := search.Run(tu, search.ObjectiveFunc(bowl))
 	if res.Evals != 35 {
 		t.Fatalf("tuner made %d evals, want 35", res.Evals)
 	}
-	if !tu.Done() {
-		t.Fatal("tuner must report Done after the budget")
+	if _, ok := tu.Next(); ok {
+		t.Fatal("tuner must stop proposing after the budget")
 	}
 }
 
@@ -40,8 +40,7 @@ func TestTunerNeverProposesInfeasibleOrDuplicate(t *testing.T) {
 	sp := search.DefaultSpace(64)
 	tu := NewTuner(sp, 20, 2)
 	seen := map[search.Config]bool{}
-	for !tu.Done() {
-		c := tu.Next()
+	for c, ok := tu.Next(); ok; c, ok = tu.Next() {
 		if !sp.Feasible(c) {
 			t.Fatalf("proposed infeasible %v", c)
 		}
@@ -64,11 +63,11 @@ func TestTunerFindsNearOptimal(t *testing.T) {
 		{64, 20},
 	} {
 		sp := search.DefaultSpace(tc.cores)
-		opt := search.Exhaustive(sp, search.ObjectiveFunc(noisyBowl)).BestTime
+		opt := search.Run(search.NewExhaustiveSearcher(sp), search.ObjectiveFunc(noisyBowl)).BestTime
 		var worst float64 = 1
 		for seed := int64(0); seed < 8; seed++ {
 			tu := NewTuner(sp, tc.budget, seed)
-			res := tu.Run(search.ObjectiveFunc(noisyBowl))
+			res := search.Run(tu, search.ObjectiveFunc(noisyBowl))
 			q := opt / res.BestTime
 			if q < worst {
 				worst = q
@@ -88,8 +87,8 @@ func TestTunerBeatsAnnealingOnAverage(t *testing.T) {
 	var boSum, saSum float64
 	const trials = 10
 	for seed := int64(0); seed < trials; seed++ {
-		bo := NewTuner(sp, budget, seed).Run(search.ObjectiveFunc(noisyBowl))
-		sa := anneal.Run(sp, search.ObjectiveFunc(noisyBowl), budget, rand.New(rand.NewSource(seed)), anneal.Options{})
+		bo := search.Run(NewTuner(sp, budget, seed), search.ObjectiveFunc(noisyBowl))
+		sa := search.Run(anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(seed))), search.ObjectiveFunc(noisyBowl))
 		boSum += bo.BestTime
 		saSum += sa.BestTime
 	}
@@ -106,10 +105,10 @@ func TestRandomAcquisitionAblation(t *testing.T) {
 	const trials = 8
 	for seed := int64(0); seed < trials; seed++ {
 		ei := NewTuner(sp, 25, seed)
-		eiSum += ei.Run(search.ObjectiveFunc(noisyBowl)).BestTime
+		eiSum += search.Run(ei, search.ObjectiveFunc(noisyBowl)).BestTime
 		rn := NewTuner(sp, 25, seed)
 		rn.RandomAcquisition = true
-		randSum += rn.Run(search.ObjectiveFunc(noisyBowl)).BestTime
+		randSum += search.Run(rn, search.ObjectiveFunc(noisyBowl)).BestTime
 	}
 	if eiSum > randSum*1.02 {
 		t.Fatalf("EI mean %.3f worse than random acquisition mean %.3f", eiSum/trials, randSum/trials)
@@ -119,7 +118,7 @@ func TestRandomAcquisitionAblation(t *testing.T) {
 func TestTunerBestTracksIncumbent(t *testing.T) {
 	sp := search.DefaultSpace(64)
 	tu := NewTuner(sp, 15, 7)
-	res := tu.Run(search.ObjectiveFunc(bowl))
+	res := search.Run(tu, search.ObjectiveFunc(bowl))
 	min := math.Inf(1)
 	for _, e := range res.History {
 		if e.Time < min {
@@ -137,8 +136,8 @@ func TestTunerBestTracksIncumbent(t *testing.T) {
 
 func TestTunerDeterministicForSeed(t *testing.T) {
 	sp := search.DefaultSpace(64)
-	a := NewTuner(sp, 12, 3).Run(search.ObjectiveFunc(bowl))
-	b := NewTuner(sp, 12, 3).Run(search.ObjectiveFunc(bowl))
+	a := search.Run(NewTuner(sp, 12, 3), search.ObjectiveFunc(bowl))
+	b := search.Run(NewTuner(sp, 12, 3), search.ObjectiveFunc(bowl))
 	for i := range a.History {
 		if a.History[i] != b.History[i] {
 			t.Fatal("same seed must reproduce proposals")
@@ -149,7 +148,7 @@ func TestTunerDeterministicForSeed(t *testing.T) {
 func TestTunerOverheadTracked(t *testing.T) {
 	sp := search.DefaultSpace(64)
 	tu := NewTuner(sp, 10, 4)
-	tu.Run(search.ObjectiveFunc(bowl))
+	search.Run(tu, search.ObjectiveFunc(bowl))
 	if tu.Overhead() <= 0 {
 		t.Fatal("overhead must be measured")
 	}
@@ -161,7 +160,7 @@ func TestTunerOverheadTracked(t *testing.T) {
 func TestTunerSmallBudget(t *testing.T) {
 	sp := search.DefaultSpace(64)
 	tu := NewTuner(sp, 1, 5)
-	res := tu.Run(search.ObjectiveFunc(bowl))
+	res := search.Run(tu, search.ObjectiveFunc(bowl))
 	if res.Evals != 1 {
 		t.Fatalf("budget-1 tuner made %d evals", res.Evals)
 	}
@@ -174,8 +173,7 @@ func TestTunerSurvivesNonFiniteObservations(t *testing.T) {
 	sp := search.DefaultSpace(112)
 	tu := NewTuner(sp, 20, 5)
 	var poisoned []search.Config
-	for !tu.Done() {
-		cfg := tu.Next()
+	for cfg, ok := tu.Next(); ok; cfg, ok = tu.Next() {
 		n := tu.Observations()
 		switch {
 		case n == 2:
@@ -212,8 +210,7 @@ func TestTunerSurvivesNonFiniteObservations(t *testing.T) {
 func TestTunerAllObservationsNonFinite(t *testing.T) {
 	sp := search.DefaultSpace(64)
 	tu := NewTuner(sp, 8, 6)
-	for !tu.Done() {
-		cfg := tu.Next()
+	for cfg, ok := tu.Next(); ok; cfg, ok = tu.Next() {
 		tu.Observe(cfg, math.Inf(1))
 	}
 	if tu.Observations() != 8 {

@@ -201,7 +201,7 @@ func (tr *Trainer) Evaluate() (float64, error) {
 			return 0, err
 		}
 	}
-	return tr.eng.EvaluateErr(tr.opts.Dataset.ValIdx)
+	return tr.eng.Evaluate(tr.opts.Dataset.ValIdx)
 }
 
 // Engine exposes the current Multi-Process Engine (nil before first use).

@@ -522,18 +522,10 @@ func (e *Engine) ImportState(st *State) error {
 // Evaluate returns replica 0's accuracy on the given node IDs, sampling
 // evaluation batches with a fixed seed so results are deterministic.
 // Features and labels flow through replica 0's data source, so sharded
-// and single-store runs evaluate identically.
-func (e *Engine) Evaluate(ids []graph.NodeID) float64 {
-	acc, err := e.EvaluateErr(ids)
-	if err != nil {
-		return 0
-	}
-	return acc
-}
-
-// EvaluateErr is Evaluate with source errors surfaced (a sharded source
-// can fail on an unmapped node; the in-memory source cannot).
-func (e *Engine) EvaluateErr(ids []graph.NodeID) (float64, error) {
+// and single-store runs evaluate identically; a source error (a sharded
+// source can fail on an unmapped node; the in-memory source cannot) is
+// returned, never scored as accuracy 0.
+func (e *Engine) Evaluate(ids []graph.NodeID) (float64, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}

@@ -81,8 +81,8 @@ func TestSingleProcessTrainingReducesLoss(t *testing.T) {
 	if last.MeanLoss >= first.MeanLoss {
 		t.Fatalf("loss did not decrease: %v → %v", first.MeanLoss, last.MeanLoss)
 	}
-	if acc := e.Evaluate(ds.ValIdx); acc < 1.5/float64(ds.NumClasses) {
-		t.Fatalf("validation accuracy %.3f barely above chance", acc)
+	if acc, err := e.Evaluate(ds.ValIdx); err != nil || acc < 1.5/float64(ds.NumClasses) {
+		t.Fatalf("validation accuracy %.3f barely above chance (err %v)", acc, err)
 	}
 }
 
@@ -165,7 +165,9 @@ func TestConvergenceMatchesSingleProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		accs[n] = e.Evaluate(ds.ValIdx)
+		if accs[n], err = e.Evaluate(ds.ValIdx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	gap := accs[1] - accs[4]
 	if gap < 0 {
@@ -251,8 +253,8 @@ func TestEvaluateEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Evaluate(nil) != 0 {
-		t.Fatal("empty evaluation must return 0")
+	if acc, err := e.Evaluate(nil); acc != 0 || err != nil {
+		t.Fatalf("empty evaluation must return 0, got %v (err %v)", acc, err)
 	}
 }
 

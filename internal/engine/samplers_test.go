@@ -80,7 +80,11 @@ func TestFullGraphConvergesSlower(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return e.Evaluate(ds.ValIdx)
+		acc, err := e.Evaluate(ds.ValIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
 	}
 	// Full-graph: batch = whole training set over every target's complete
 	// 2-hop neighbourhood → 1 update/epoch, 4 updates.

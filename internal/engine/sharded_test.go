@@ -115,11 +115,11 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	}
 
 	// Evaluation parity through the sources.
-	accBase, err := base.EvaluateErr(ds.ValIdx)
+	accBase, err := base.Evaluate(ds.ValIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accSharded, err := sharded.EvaluateErr(skel.ValIdx)
+	accSharded, err := sharded.Evaluate(skel.ValIdx)
 	if err != nil {
 		t.Fatal(err)
 	}

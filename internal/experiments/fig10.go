@@ -86,7 +86,7 @@ func endToEndRow(setup Setup) (EndToEndRow, error) {
 	obj.NoiseFrac = epochNoise
 	obj.NoiseSeed = 1
 	tuner := bayesopt.NewTuner(sp, budget, 1)
-	res := tuner.Run(obj)
+	res := search.Run(tuner, obj)
 	for _, ev := range res.History {
 		row.ARGOSec += ev.Time
 	}

@@ -65,16 +65,25 @@ func fig9(w io.Writer, epochs int) (Fig9Data, error) {
 		}
 		curve := Fig9Curve{Label: label}
 		evalEvery := 4
+		var evalErr error
 		e.BatchHook = func(iter int) {
-			if iter%evalEvery != 0 {
+			if iter%evalEvery != 0 || evalErr != nil {
+				return
+			}
+			acc, err := e.Evaluate(ds.ValIdx)
+			if err != nil {
+				evalErr = err
 				return
 			}
 			curve.Batches = append(curve.Batches, iter)
-			curve.Accuracy = append(curve.Accuracy, e.Evaluate(ds.ValIdx))
+			curve.Accuracy = append(curve.Accuracy, acc)
 		}
 		for ep := 0; ep < epochs; ep++ {
 			if _, err := e.RunEpoch(ep); err != nil {
 				return data, err
+			}
+			if evalErr != nil {
+				return data, evalErr
 			}
 		}
 		data.Curves = append(data.Curves, curve)

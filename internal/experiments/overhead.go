@@ -43,7 +43,7 @@ func TunerOverhead(w io.Writer) ([]OverheadRow, error) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			tuner := bayesopt.NewTuner(sp, budget, 7)
-			tuner.Run(obj)
+			search.Run(tuner, obj)
 			runtime.ReadMemStats(&after)
 
 			rows = append(rows, OverheadRow{

@@ -94,7 +94,7 @@ func searchRow(setup Setup) (TableRow, error) {
 	}
 
 	clean := platsim.NewObjective(sc)
-	exh := search.Exhaustive(sp, clean)
+	exh := search.Run(search.NewExhaustiveSearcher(sp), clean)
 	row.Exhaustive, row.ExhaustiveCfg = exh.BestTime, exh.Best
 
 	def, err := platsim.BaselineEpoch(sc, setup.Plat.TotalCores())
@@ -110,12 +110,11 @@ func searchRow(setup Setup) (TableRow, error) {
 	var saTimes, boTimes []float64
 	for _, seed := range tableSeeds {
 		noisy.NoiseSeed = seed
-		sa := anneal.Run(sp, noisy, budget, rand.New(rand.NewSource(seed)), anneal.Options{})
+		sa := search.Run(anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(seed))), noisy)
 		saTimes = append(saTimes, clean.Evaluate(sa.Best))
 
-		bo := bayesopt.NewTuner(sp, budget, seed)
-		res := bo.Run(noisy)
-		boTimes = append(boTimes, clean.Evaluate(res.Best))
+		bo := search.Run(bayesopt.NewTuner(sp, budget, seed), noisy)
+		boTimes = append(boTimes, clean.Evaluate(bo.Best))
 	}
 	row.SAMean, row.SAStd = meanStd(saTimes)
 	row.Tuner, row.TunerStd = meanStd(boTimes)

@@ -32,21 +32,21 @@ func benchBatch(b *testing.B, layers int) (*sampler.MiniBatch, *tensor.Matrix) {
 // the hubs.
 func benchAggregate(b *testing.B, workers int, weighted bool) {
 	mb, x0 := benchBatch(b, 1)
-	adj := BlockAdj{B: &mb.Blocks[0]}
-	numDst := adj.NumDst()
+	adj := &mb.Blocks[0]
+	numDst := adj.NumDst
 	l := NewSAGELayer(rand.New(rand.NewSource(1)), 64, 32, true)
 	concat := tensor.New(numDst, 2*l.InDim)
 	pool := tensor.NewPool(workers)
 	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			l.aggConcatRow(concat.Row(i), adj, x0, i)
+			l.agg.fill(concat.Row(i), adj, x0, i)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if weighted {
-			pool.ParallelWeighted(numDst, adjCost(adj), body)
+			pool.ParallelWeighted(numDst, blockCost(adj), body)
 		} else {
 			pool.ParallelRange(numDst, body)
 		}
@@ -141,3 +141,34 @@ func BenchmarkTrainStepPooled1(b *testing.B) {
 		step()
 	}
 }
+
+// benchBackwardInput times the backward pass with the input gradient —
+// dense backward plus every layer's scatter, the local regime's step —
+// on the BenchmarkTrainStepPooled1 batch.
+func benchBackwardInput(b *testing.B, kind ModelKind) {
+	g, labels := powerLawGraph(b, 20000, 200000)
+	feats := randFeatures(g.NumNodes, 64, 7)
+	targets := make([]graph.NodeID, 1024)
+	batchLabels := make([]int32, len(targets))
+	for i := range targets {
+		targets[i] = graph.NodeID(i * 3)
+		batchLabels[i] = labels[targets[i]]
+	}
+	mb := sampler.NewFullNeighbor(g, 2).Sample(nil, targets)
+	m, err := NewModel(ModelSpec{Kind: kind, Dims: []int{64, 32, 8}, Seed: 1}, Degrees(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := tensor.NewPool(1)
+	bufs := m.Buffers()
+	logits := m.Forward(pool, mb, GatherPooled(bufs, feats, mb.InputNodes()))
+	_, dLogits := SoftmaxCrossEntropyPooled(bufs, logits, batchLabels)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		bufs.Put(m.BackwardInput(pool, dLogits))
+	}
+}
+
+func BenchmarkBackwardInputSAGE(b *testing.B) { benchBackwardInput(b, KindSAGE) }
+func BenchmarkBackwardInputGCN(b *testing.B)  { benchBackwardInput(b, KindGCN) }
+func BenchmarkBackwardInputGIN(b *testing.B)  { benchBackwardInput(b, KindGIN) }

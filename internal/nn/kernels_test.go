@@ -183,7 +183,7 @@ func TestGCNOutOfRangeNodeFailsWithClearError(t *testing.T) {
 			}
 		}
 	}()
-	l.Forward(tensor.NewPool(1), BlockAdj{B: b}, x)
+	l.Forward(tensor.NewPool(1), b, x)
 }
 
 // TestSteadyStateStepIsMatrixAllocationFree drives full training steps

@@ -23,15 +23,11 @@ func tinyBlock() *sampler.Block {
 
 func TestSAGEForwardHandComputed(t *testing.T) {
 	b := tinyBlock()
-	l := &SAGELayer{
-		InDim: 1, OutDim: 1, Relu: false,
-		Weight: NewParam("w", 2, 1),
-		Bias:   NewParam("b", 1, 1),
-	}
+	l := NewSAGELayer(rand.New(rand.NewSource(1)), 1, 1, false)
 	// W = [1; 1], bias 0 → output = self + mean(neighbors).
 	l.Weight.W.Data[0], l.Weight.W.Data[1] = 1, 1
 	x := tensor.FromSlice(4, 1, []float32{10, 20, 30, 40})
-	out := l.Forward(tensor.NewPool(1), BlockAdj{B: b}, x)
+	out := l.Forward(tensor.NewPool(1), b, x)
 	// dst0: self 10 + mean(30,40)=35 → 45; dst1: self 20 + 30 → 50.
 	if out.At(0, 0) != 45 || out.At(1, 0) != 50 {
 		t.Fatalf("SAGE forward = %v, want [45 50]", out.Data)
@@ -46,7 +42,7 @@ func TestSAGEForwardNoNeighbors(t *testing.T) {
 	}
 	l := NewSAGELayer(rand.New(rand.NewSource(1)), 2, 3, true)
 	x := tensor.FromSlice(1, 2, []float32{1, -1})
-	out := l.Forward(tensor.NewPool(1), BlockAdj{B: b}, x)
+	out := l.Forward(tensor.NewPool(1), b, x)
 	if out.Rows != 1 || out.Cols != 3 {
 		t.Fatalf("shape %dx%d", out.Rows, out.Cols)
 	}
@@ -60,18 +56,10 @@ func TestSAGEForwardNoNeighbors(t *testing.T) {
 func TestGCNForwardHandComputed(t *testing.T) {
 	b := tinyBlock()
 	degrees := []int{1, 1, 3, 1} // global degrees of nodes 0..3
-	l := &GCNLayer{
-		InDim: 1, OutDim: 1, Relu: false,
-		Weight:     NewParam("w", 1, 1),
-		Bias:       NewParam("b", 1, 1),
-		InvSqrtDeg: make([]float32, 4),
-	}
-	for v, d := range degrees {
-		l.InvSqrtDeg[v] = float32(1 / math.Sqrt(float64(d)+1))
-	}
+	l := NewGCNLayer(rand.New(rand.NewSource(1)), 1, 1, false, degrees)
 	l.Weight.W.Data[0] = 1
 	x := tensor.FromSlice(4, 1, []float32{10, 20, 30, 40})
-	out := l.Forward(tensor.NewPool(1), BlockAdj{B: b}, x)
+	out := l.Forward(tensor.NewPool(1), b, x)
 	// dst0 (deg1): self 10/2 + 30/sqrt(2·4) + 40/sqrt(2·2) = 5+10.6066+20
 	want0 := 10.0/2 + 30/math.Sqrt(8) + 40/math.Sqrt(4)
 	// dst1 (deg1): self 20/2 + 30/sqrt(2·4)
@@ -179,14 +167,7 @@ func gradCheckSetup(t *testing.T, kind ModelKind, useShadow bool) (*GNN, *sample
 	// ReLU's own gradient is covered by tensor.ReLUBackward tests and by
 	// TestGradientsSAGEWithReLU below.
 	for _, l := range m.Layers {
-		switch ll := l.(type) {
-		case *SAGELayer:
-			ll.Relu = false
-		case *GCNLayer:
-			ll.Relu = false
-		case *GINLayer:
-			ll.Relu = false
-		}
+		l.Relu = false
 	}
 	x0 := Gather(feats, mb.InputNodes())
 	batchLabels := make([]int32, len(targets))
@@ -221,8 +202,8 @@ func TestGradientsGCNShadow(t *testing.T) {
 func TestGradientsSAGEWithReLU(t *testing.T) {
 	m, mb, x0, labels := gradCheckSetup(t, KindSAGE, false)
 	for _, l := range m.Layers {
-		if sl, ok := l.(*SAGELayer); ok && sl.OutDim != 3 {
-			sl.Relu = true
+		if l.OutDim != 3 {
+			l.Relu = true
 		}
 	}
 	checkGradients(t, m, mb, x0, labels)
@@ -261,14 +242,11 @@ func TestBackwardAccumulatesAcrossBatches(t *testing.T) {
 
 func TestGINForwardHandComputed(t *testing.T) {
 	b := tinyBlock()
-	l := &GINLayer{
-		InDim: 1, OutDim: 1, Relu: false, Epsilon: 0.5,
-		Weight: NewParam("w", 1, 1),
-		Bias:   NewParam("b", 1, 1),
-	}
+	l := NewGINLayer(rand.New(rand.NewSource(1)), 1, 1, false)
+	l.agg = ginAgg{epsilon: 0.5}
 	l.Weight.W.Data[0] = 1
 	x := tensor.FromSlice(4, 1, []float32{10, 20, 30, 40})
-	out := l.Forward(tensor.NewPool(1), BlockAdj{B: b}, x)
+	out := l.Forward(tensor.NewPool(1), b, x)
 	// dst0: 1.5·10 + (30+40) = 85; dst1: 1.5·20 + 30 = 60.
 	if out.At(0, 0) != 85 || out.At(1, 0) != 60 {
 		t.Fatalf("GIN forward = %v, want [85 60]", out.Data)

@@ -36,7 +36,7 @@ type ModelSpec struct {
 // matrix storage.
 type GNN struct {
 	Spec   ModelSpec
-	Layers []Layer
+	Layers []*Layer
 
 	// bufs recycles per-batch matrices across all layers of this
 	// replica. Layers built by NewModel share it; callers gathering
@@ -80,9 +80,7 @@ func NewModel(spec ModelSpec, degrees []int) (*GNN, error) {
 		}
 	}
 	for _, l := range m.Layers {
-		if bl, ok := l.(bufferedLayer); ok {
-			bl.setBufPool(m.bufs)
-		}
+		l.bufs = m.bufs
 		m.params = append(m.params, l.Params()...)
 	}
 	return m, nil
@@ -109,28 +107,38 @@ func (m *GNN) ZeroGrad() {
 	}
 }
 
+// layerBlock returns the topology layer li aggregates over: its own
+// block, or the one subgraph every layer of a ShaDow batch runs on.
+func layerBlock(mb *sampler.MiniBatch, li int) *sampler.Block {
+	if mb.Sub != nil {
+		return mb.Sub
+	}
+	return &mb.Blocks[li]
+}
+
+// readout returns the target rows of the last layer's output x: all of
+// it for a block batch, the first NumTargets rows of a subgraph.
+func readout(mb *sampler.MiniBatch, x *tensor.Matrix) *tensor.Matrix {
+	if mb.Sub == nil {
+		return x
+	}
+	nt := mb.Sub.NumTargets
+	return tensor.FromSlice(nt, x.Cols, x.Data[:nt*x.Cols])
+}
+
 // Forward runs the model on a sampled batch. x0 must hold the gathered
 // input features for mb.InputNodes() (one row per input node, in order).
 // It returns the logits for the batch targets.
 func (m *GNN) Forward(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matrix) *tensor.Matrix {
 	m.lastBatch = mb
-	x := x0
-	if mb.Sub != nil {
-		adj := SubAdj{S: mb.Sub}
-		for _, l := range m.Layers {
-			x = l.Forward(pool, adj, x)
-		}
-		// Readout: the first NumTargets subgraph rows are the targets.
-		nt := mb.Sub.NumTargets
-		return tensor.FromSlice(nt, x.Cols, x.Data[:nt*x.Cols])
-	}
-	if len(mb.Blocks) != len(m.Layers) {
+	if mb.Sub == nil && len(mb.Blocks) != len(m.Layers) {
 		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
 	}
+	x := x0
 	for li, l := range m.Layers {
-		x = l.Forward(pool, BlockAdj{B: &mb.Blocks[li]}, x)
+		x = l.Forward(pool, layerBlock(mb, li), x)
 	}
-	return x
+	return readout(mb, x)
 }
 
 // Infer runs a fused forward-only pass: bit-identical logits to Forward
@@ -163,36 +171,27 @@ func (m *GNN) Infer(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matrix)
 // L'-layer prefix pass yields exactly the targets' layer-L' outputs.
 // Subgraph (ShaDow) batches support neither injection nor prefixing.
 func (m *GNN) InferReuse(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matrix, inject func(layer int, x *tensor.Matrix)) *tensor.Matrix {
-	x := x0
+	layers := len(mb.Blocks)
 	if mb.Sub != nil {
 		if inject != nil {
 			panic("nn: InferReuse injection requires a block batch, not a subgraph")
 		}
-		adj := SubAdj{S: mb.Sub}
-		for _, l := range m.Layers {
-			next := l.Infer(pool, adj, x)
-			if x != x0 {
-				m.bufs.Put(x)
-			}
-			x = next
-		}
-		nt := mb.Sub.NumTargets
-		return tensor.FromSlice(nt, x.Cols, x.Data[:nt*x.Cols])
-	}
-	if len(mb.Blocks) > len(m.Layers) {
+		layers = len(m.Layers)
+	} else if layers > len(m.Layers) {
 		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
 	}
-	for li := range mb.Blocks {
+	x := x0
+	for li, l := range m.Layers[:layers] {
 		if inject != nil {
 			inject(li, x)
 		}
-		next := m.Layers[li].Infer(pool, BlockAdj{B: &mb.Blocks[li]}, x)
+		next := l.Infer(pool, layerBlock(mb, li), x)
 		if x != x0 {
 			m.bufs.Put(x)
 		}
 		x = next
 	}
-	return x
+	return readout(mb, x)
 }
 
 // Backward propagates dLogits (gradient w.r.t. Forward's return value)
@@ -225,17 +224,13 @@ func (m *GNN) backward(pool *tensor.Pool, dLogits *tensor.Matrix, wantInput bool
 		panic("nn: Backward before Forward")
 	}
 	grad := dLogits
-	adjFor := func(li int) Adj { return BlockAdj{B: &mb.Blocks[li]} }
 	if mb.Sub != nil {
 		// Expand target-row gradients to the full subgraph width.
-		adj := SubAdj{S: mb.Sub}
-		full := m.bufs.Get(len(mb.Sub.Nodes), dLogits.Cols)
-		copy(full.Data[:dLogits.Rows*dLogits.Cols], dLogits.Data)
-		grad = full
-		adjFor = func(int) Adj { return adj }
+		grad = m.bufs.Get(mb.Sub.NumDst, dLogits.Cols)
+		copy(grad.Data[:dLogits.Rows*dLogits.Cols], dLogits.Data)
 	}
 	for li := len(m.Layers) - 1; li >= 0; li-- {
-		next := m.Layers[li].Backward(pool, adjFor(li), grad, li > 0 || wantInput)
+		next := m.Layers[li].Backward(pool, layerBlock(mb, li), grad, li > 0 || wantInput)
 		if grad != dLogits {
 			m.bufs.Put(grad)
 		}

@@ -23,7 +23,7 @@ func BenchmarkExhaustiveSearch112(b *testing.B) {
 	sp := search.DefaultSpace(112)
 	for i := 0; i < b.N; i++ {
 		obj := NewObjective(sc) // fresh cache: measure the real sweep
-		search.Exhaustive(sp, obj)
+		search.Run(search.NewExhaustiveSearcher(sp), obj)
 	}
 }
 

@@ -1,11 +1,15 @@
-// Package sampler implements the two mini-batch GNN sampling algorithms
-// the paper evaluates: layered Neighbor Sampling (GraphSAGE-style fanout
-// sampling producing message-flow-graph blocks) and ShaDow sampling
-// (localized L'-hop subgraph extraction). Both deduplicate shared
-// neighbours within a batch, which is the mechanism behind the paper's
-// Fig. 5/6 workload-inflation effect: smaller mini-batches share fewer
-// neighbours, so the total sampled workload per epoch grows with the
-// number of ARGO processes.
+// Package sampler builds the mini-batches the GNN trains and serves on.
+// Every sampler is one block builder — walk the destinations, pick each
+// one's neighbours, give every node its first-touch local index — under
+// a different per-destination pick: Neighbor draws up to a fan-out of
+// the adjacency, Partition draws from the neighbours inside an allowed
+// set, FullNeighbor takes the whole adjacency (SamplePruned: nothing for
+// a known destination), and ShaDow expands its targets hop by hop with
+// Neighbor's draw and runs every layer on the subgraph they induce.
+// Sources shared between destinations are stored once per batch, which
+// is the mechanism behind the paper's Fig. 5/6 workload-inflation
+// effect: smaller mini-batches share fewer neighbours, so the total
+// sampled workload per epoch grows with the number of ARGO processes.
 package sampler
 
 import (
@@ -14,16 +18,22 @@ import (
 	"argo/internal/graph"
 )
 
-// Block is one layer of a message-flow graph (the analogue of a DGL MFG).
-// SrcNodes holds global node IDs; by construction its first NumDst entries
-// are the destination nodes themselves, so a destination's own previous-
-// layer representation is always available to the model (GraphSAGE concat,
+// Block is one batch topology: one layer of a message-flow graph (the
+// analogue of a DGL MFG), or a whole ShaDow subgraph. SrcNodes holds
+// global node IDs; by construction its first NumDst entries are the
+// destination nodes themselves, so a destination's own previous-layer
+// representation is always available to the model (GraphSAGE concat,
 // GCN self term). Adjacency is stored dst-major in local src indices.
+//
+// A ShaDow subgraph is the block every layer runs on: every node is a
+// destination (NumDst == len(SrcNodes)), Col holds the induced arcs, and
+// the first NumTargets nodes are the batch targets (readout rows).
 type Block struct {
-	SrcNodes []graph.NodeID // global IDs; SrcNodes[:NumDst] are the dst nodes
-	NumDst   int
-	RowPtr   []int32 // len NumDst+1
-	Col      []int32 // local indices into SrcNodes
+	SrcNodes   []graph.NodeID // global IDs; SrcNodes[:NumDst] are the dst nodes
+	NumDst     int
+	NumTargets int     // ShaDow subgraphs only
+	RowPtr     []int32 // len NumDst+1
+	Col        []int32 // local indices into SrcNodes
 }
 
 // NumSrc returns the number of source nodes feeding this block.
@@ -39,8 +49,8 @@ func (b *Block) Neighbors(i int) []int32 {
 
 // Validate checks the block's structural invariants.
 func (b *Block) Validate() error {
-	if b.NumDst > len(b.SrcNodes) {
-		return fmt.Errorf("sampler: block has %d dst > %d src", b.NumDst, len(b.SrcNodes))
+	if b.NumDst > len(b.SrcNodes) || b.NumTargets > b.NumDst {
+		return fmt.Errorf("sampler: block has %d targets, %d dst, %d src", b.NumTargets, b.NumDst, len(b.SrcNodes))
 	}
 	if len(b.RowPtr) != b.NumDst+1 || b.RowPtr[0] != 0 {
 		return fmt.Errorf("sampler: bad RowPtr")
@@ -61,54 +71,12 @@ func (b *Block) Validate() error {
 	return nil
 }
 
-// Subgraph is a ShaDow-sampled induced subgraph in local CSR form. The
-// first NumTargets nodes are the batch targets (readout rows).
-type Subgraph struct {
-	Nodes      []graph.NodeID // global IDs; Nodes[:NumTargets] are targets
-	NumTargets int
-	RowPtr     []int32
-	Col        []int32 // local indices into Nodes
-}
-
-// NumEdges returns the induced arc count.
-func (s *Subgraph) NumEdges() int { return len(s.Col) }
-
-// Neighbors returns the local adjacency of local node i.
-func (s *Subgraph) Neighbors(i int) []int32 {
-	return s.Col[s.RowPtr[i]:s.RowPtr[i+1]]
-}
-
-// Validate checks the subgraph's structural invariants.
-func (s *Subgraph) Validate() error {
-	n := len(s.Nodes)
-	if s.NumTargets > n {
-		return fmt.Errorf("sampler: subgraph has %d targets > %d nodes", s.NumTargets, n)
-	}
-	if len(s.RowPtr) != n+1 || s.RowPtr[0] != 0 {
-		return fmt.Errorf("sampler: bad subgraph RowPtr")
-	}
-	for i := 0; i < n; i++ {
-		if s.RowPtr[i+1] < s.RowPtr[i] {
-			return fmt.Errorf("sampler: subgraph RowPtr not monotone at %d", i)
-		}
-	}
-	if int(s.RowPtr[n]) != len(s.Col) {
-		return fmt.Errorf("sampler: subgraph RowPtr end mismatch")
-	}
-	for _, c := range s.Col {
-		if c < 0 || int(c) >= n {
-			return fmt.Errorf("sampler: subgraph column %d out of range", c)
-		}
-	}
-	return nil
-}
-
 // MiniBatch is one sampled unit of work: either a stack of blocks
 // (Neighbor Sampling) or an induced subgraph (ShaDow), never both.
 type MiniBatch struct {
 	Targets []graph.NodeID
-	Blocks  []Block   // forward order: Blocks[0] is consumed by GNN layer 0
-	Sub     *Subgraph // non-nil for ShaDow batches
+	Blocks  []Block // forward order: Blocks[0] is consumed by GNN layer 0
+	Sub     *Block  // non-nil for ShaDow batches: the one block of every layer
 	Stats   Stats
 }
 
@@ -116,7 +84,7 @@ type MiniBatch struct {
 // run the model on this batch.
 func (mb *MiniBatch) InputNodes() []graph.NodeID {
 	if mb.Sub != nil {
-		return mb.Sub.Nodes
+		return mb.Sub.SrcNodes
 	}
 	if len(mb.Blocks) == 0 {
 		return mb.Targets

@@ -33,6 +33,24 @@ func BenchmarkNeighborSample(b *testing.B) {
 	b.ReportMetric(float64(edges), "edges/batch")
 }
 
+// BenchmarkPartitionSample is BenchmarkNeighborSample with a quarter of
+// the graph outside the allowed set: the filtered draw.
+func BenchmarkPartitionSample(b *testing.B) {
+	g := benchGraph(b)
+	var allowed []graph.NodeID
+	for v := 0; v < g.NumNodes; v++ {
+		if v%4 != 3 {
+			allowed = append(allowed, graph.NodeID(v))
+		}
+	}
+	ps := NewPartition(g, []int{15, 10, 5}, allowed)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ps.Sample(rng, allowed[:128])
+	}
+}
+
 func BenchmarkShaDowSample(b *testing.B) {
 	g := benchGraph(b)
 	sh := NewShaDow(g, []int{10, 5}, 3)

@@ -56,47 +56,5 @@ func (f *FullNeighbor) Sample(_ *rand.Rand, targets []graph.NodeID) *MiniBatch {
 // callers wanting their logits must answer those targets from the
 // precomputed store instead of the returned batch.
 func (f *FullNeighbor) SamplePruned(targets []graph.NodeID, known func(graph.NodeID) bool) *MiniBatch {
-	mb := &MiniBatch{Targets: targets}
-	mb.Blocks = make([]Block, f.Layers)
-	mb.Stats.LayerEdges = make([]int64, f.Layers)
-	dst := targets
-	for li := f.Layers - 1; li >= 0; li-- {
-		b := buildFullBlock(f.Graph, dst, known)
-		mb.Blocks[li] = b
-		mb.Stats.LayerEdges[li] = int64(b.NumEdges())
-		mb.Stats.SampledEdges += int64(b.NumEdges())
-		dst = b.SrcNodes
-	}
-	mb.Stats.InputNodes = int64(len(mb.Blocks[0].SrcNodes))
-	return mb
-}
-
-// buildFullBlock is buildBlock without the reservoir: every neighbour of
-// every dst, in adjacency order, deduplicated across the batch. A dst
-// for which known returns true gets an empty adjacency row (see
-// SamplePruned); known may be nil.
-func buildFullBlock(g *graph.CSR, dst []graph.NodeID, known func(graph.NodeID) bool) Block {
-	b := Block{NumDst: len(dst)}
-	b.SrcNodes = make([]graph.NodeID, len(dst), len(dst)*2)
-	copy(b.SrcNodes, dst)
-	b.RowPtr = make([]int32, len(dst)+1)
-	local := make(map[graph.NodeID]int32, len(dst)*2)
-	for i, v := range dst {
-		local[v] = int32(i)
-	}
-	for i, v := range dst {
-		if known == nil || !known(v) {
-			for _, u := range g.Neighbors(v) {
-				j, ok := local[u]
-				if !ok {
-					j = int32(len(b.SrcNodes))
-					b.SrcNodes = append(b.SrcNodes, u)
-					local[u] = j
-				}
-				b.Col = append(b.Col, j)
-			}
-		}
-		b.RowPtr[i+1] = int32(len(b.Col))
-	}
-	return b
+	return sampleLayers(&picker{g: f.Graph, known: known}, targets, f.Layers)
 }

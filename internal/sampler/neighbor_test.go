@@ -123,16 +123,15 @@ func TestNeighborSampledNeighborsAreRealAndDistinct(t *testing.T) {
 
 func TestNeighborDedupSharesNodes(t *testing.T) {
 	g, _ := sampleGraph(t, 7)
-	rng1 := rand.New(rand.NewSource(8))
-	rng2 := rand.New(rand.NewSource(8))
 	targets := someTargets(g, 64, rand.New(rand.NewSource(9)))
-
-	dedup := NewNeighbor(g, []int{10, 10})
-	nodedup := &Neighbor{Graph: g, Fanouts: []int{10, 10}, Dedup: false}
-	a := dedup.Sample(rng1, targets)
-	b := nodedup.Sample(rng2, targets)
-	if a.Stats.InputNodes >= b.Stats.InputNodes {
-		t.Fatalf("dedup input nodes %d not below no-dedup %d", a.Stats.InputNodes, b.Stats.InputNodes)
+	mb := NewNeighbor(g, []int{10, 10}).Sample(rand.New(rand.NewSource(8)), targets)
+	// Every sampled edge would add a source of its own if none were
+	// shared; on this hub-heavy fixture many are.
+	for li := range mb.Blocks {
+		b := &mb.Blocks[li]
+		if b.NumSrc()-b.NumDst >= b.NumEdges() {
+			t.Fatalf("block %d: %d new sources for %d edges, no neighbour is shared", li, b.NumSrc()-b.NumDst, b.NumEdges())
+		}
 	}
 }
 
@@ -202,13 +201,14 @@ func TestSampleNeighborsLowDegreeTakesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]graph.NodeID, 10)
-	got := sampleNeighbors(g, 0, 10, scratch, rand.New(rand.NewSource(1)))
+	p := newPicker(g, rand.New(rand.NewSource(1)), []int{10})
+	p.fanout = 10
+	got := p.pick(0)
 	if len(got) != 2 {
 		t.Fatalf("expected full adjacency, got %v", got)
 	}
 	// Zero-degree node: no neighbours, no panic.
-	if got := sampleNeighbors(g, 3, 10, scratch, rand.New(rand.NewSource(1))); len(got) != 0 {
+	if got := p.pick(3); len(got) != 0 {
 		t.Fatalf("expected empty, got %v", got)
 	}
 }

@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"argo/internal/graph"
 )
@@ -22,24 +21,17 @@ import (
 // beyond the fanout, and when every neighbour of every frontier node is
 // allowed it consumes the rng in exactly the same pattern as Neighbor,
 // producing bit-identical blocks.
-type Partition struct {
-	Graph   *graph.CSR
-	Fanouts []int // Fanouts[0] applies to the layer touching the targets
-	Dedup   bool
+//
+// Sample is Neighbor's; targets must lie inside the allowed set (the
+// engine draws them from the shard's owned train nodes), and frontier
+// expansion never leaves it.
+type Partition struct{ Neighbor }
 
-	allowed []uint64 // bitset over global node ids
-}
-
-// NewPartition returns a deduplicating partition-local sampler over the
+// NewPartition returns a partition-local sampler over the
 // global topology g, restricted to the given allowed node sets
 // (typically a ShardMap's Owned and Halo lists; duplicates are fine).
 func NewPartition(g *graph.CSR, fanouts []int, allowed ...[]graph.NodeID) *Partition {
-	ps := &Partition{
-		Graph:   g,
-		Fanouts: fanouts,
-		Dedup:   true,
-		allowed: make([]uint64, (int(g.NumNodes)+63)/64),
-	}
+	ps := &Partition{Neighbor{Graph: g, Fanouts: fanouts, allowed: make(bitset, (int(g.NumNodes)+63)/64)}}
 	for _, set := range allowed {
 		for _, v := range set {
 			ps.allowed[v>>6] |= 1 << (uint(v) & 63)
@@ -48,10 +40,13 @@ func NewPartition(g *graph.CSR, fanouts []int, allowed ...[]graph.NodeID) *Parti
 	return ps
 }
 
+// bitset is a set of global node ids, one bit each.
+type bitset []uint64
+
+func (b bitset) has(v graph.NodeID) bool { return b[v>>6]&(1<<(uint(v)&63)) != 0 }
+
 // Allowed reports whether node v is inside the partition-local set.
-func (ps *Partition) Allowed(v graph.NodeID) bool {
-	return ps.allowed[v>>6]&(1<<(uint(v)&63)) != 0
-}
+func (ps *Partition) Allowed(v graph.NodeID) bool { return ps.allowed.has(v) }
 
 // AllowedCount returns the number of nodes in the allowed set.
 func (ps *Partition) AllowedCount() int {
@@ -64,52 +59,3 @@ func (ps *Partition) AllowedCount() int {
 
 // Name implements Sampler.
 func (ps *Partition) Name() string { return "partition" }
-
-// NumLayers implements Sampler.
-func (ps *Partition) NumLayers() int { return len(ps.Fanouts) }
-
-// Sample implements Sampler. Targets must lie inside the allowed set
-// (the engine draws them from the shard's owned train nodes); frontier
-// expansion never leaves the set.
-func (ps *Partition) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
-	mb := &MiniBatch{Targets: targets}
-	mb.Blocks = make([]Block, len(ps.Fanouts))
-	mb.Stats.LayerEdges = make([]int64, len(ps.Fanouts))
-
-	dst := targets
-	for li := len(ps.Fanouts) - 1; li >= 0; li-- {
-		fanout := ps.Fanouts[len(ps.Fanouts)-1-li]
-		b := buildBlock(ps.Graph, dst, fanout, ps.Dedup, rng, ps.pick)
-		mb.Blocks[li] = b
-		mb.Stats.LayerEdges[li] = int64(b.NumEdges())
-		mb.Stats.SampledEdges += int64(b.NumEdges())
-		dst = b.SrcNodes
-	}
-	mb.Stats.InputNodes = int64(len(mb.Blocks[0].SrcNodes))
-	return mb
-}
-
-// pick draws up to fanout distinct allowed neighbours of v via a
-// filtered reservoir. For the k-th allowed neighbour (1-based) beyond
-// the fanout it draws rng.Intn(k) — exactly the stream sampleNeighbors
-// draws when nothing is filtered — and it consumes no randomness when
-// at most fanout neighbours are allowed.
-func (ps *Partition) pick(g *graph.CSR, v graph.NodeID, fanout int, scratch []graph.NodeID, rng *rand.Rand) []graph.NodeID {
-	adj := g.Neighbors(v)
-	out := scratch[:0]
-	seen := 0
-	for _, u := range adj {
-		if !ps.Allowed(u) {
-			continue
-		}
-		seen++
-		if len(out) < fanout {
-			out = append(out, u)
-			continue
-		}
-		if j := rng.Intn(seen); j < fanout {
-			out[j] = u
-		}
-	}
-	return out
-}

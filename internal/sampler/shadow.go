@@ -35,71 +35,48 @@ func (sh *ShaDow) NumLayers() int { return sh.Layers }
 
 // Sample implements Sampler.
 func (sh *ShaDow) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
-	// Hop expansion with dedup across the whole batch: targets first.
-	local := make(map[graph.NodeID]int32, len(targets)*4)
+	// Hop expansion with dedup across the whole batch: targets first,
+	// then each hop picks from the nodes the hop before it added.
+	idx := make(nodeIndex, len(targets)*4)
 	nodes := make([]graph.NodeID, 0, len(targets)*4)
 	for _, v := range targets {
-		if _, ok := local[v]; !ok {
-			local[v] = int32(len(nodes))
-			nodes = append(nodes, v)
-		}
+		idx.add(&nodes, v)
 	}
 	numTargets := len(nodes)
-
-	frontier := nodes
-	scratch := make([]graph.NodeID, maxFanout(sh.Fanouts))
+	p := newPicker(sh.Graph, rng, sh.Fanouts)
+	lo := 0
 	for _, fanout := range sh.Fanouts {
-		next := make([]graph.NodeID, 0, len(frontier)*fanout/2)
-		for _, v := range frontier {
-			for _, u := range sampleNeighbors(sh.Graph, v, fanout, scratch, rng) {
-				if _, ok := local[u]; !ok {
-					local[u] = int32(len(nodes))
-					nodes = append(nodes, u)
-					next = append(next, u)
-				}
+		p.fanout = fanout
+		for hi := len(nodes); lo < hi; lo++ {
+			for _, u := range p.pick(nodes[lo]) {
+				idx.add(&nodes, u)
 			}
 		}
-		frontier = next
 	}
 
-	sub := induce(sh.Graph, nodes, local, numTargets)
+	// The induced subgraph: every arc of the graph whose endpoints are
+	// both in the set.
+	sub := &Block{
+		SrcNodes:   nodes,
+		NumDst:     len(nodes),
+		NumTargets: numTargets,
+		RowPtr:     make([]int32, len(nodes)+1),
+		Col:        make([]int32, 0, len(nodes)*4),
+	}
+	for i, v := range nodes {
+		for _, u := range sh.Graph.Neighbors(v) {
+			if j, ok := idx[u]; ok {
+				sub.Col = append(sub.Col, j)
+			}
+		}
+		sub.RowPtr[i+1] = int32(len(sub.Col))
+	}
 	mb := &MiniBatch{Targets: targets, Sub: sub}
-	mb.Stats.InputNodes = int64(len(nodes))
+	mb.Stats.InputNodes = int64(len(sub.SrcNodes))
 	mb.Stats.SampledEdges = int64(len(sub.Col)) * int64(sh.Layers)
 	mb.Stats.LayerEdges = make([]int64, sh.Layers)
 	for l := range mb.Stats.LayerEdges {
 		mb.Stats.LayerEdges[l] = int64(len(sub.Col))
 	}
 	return mb
-}
-
-// induce builds the induced subgraph over nodes — every arc of g whose
-// endpoints are both in the set (local gives each node's local index;
-// the first numTargets nodes are the readout rows).
-func induce(g *graph.CSR, nodes []graph.NodeID, local map[graph.NodeID]int32, numTargets int) *Subgraph {
-	sub := &Subgraph{
-		Nodes:      nodes,
-		NumTargets: numTargets,
-		RowPtr:     make([]int32, len(nodes)+1),
-	}
-	sub.Col = make([]int32, 0, len(nodes)*4)
-	for i, v := range nodes {
-		for _, u := range g.Neighbors(v) {
-			if j, ok := local[u]; ok {
-				sub.Col = append(sub.Col, j)
-			}
-		}
-		sub.RowPtr[i+1] = int32(len(sub.Col))
-	}
-	return sub
-}
-
-func maxFanout(fanouts []int) int {
-	m := 0
-	for _, f := range fanouts {
-		if f > m {
-			m = f
-		}
-	}
-	return m
 }

@@ -25,7 +25,7 @@ func TestShaDowSubgraphStructure(t *testing.T) {
 		t.Fatalf("NumTargets = %d, want %d", mb.Sub.NumTargets, len(targets))
 	}
 	for i, v := range targets {
-		if mb.Sub.Nodes[i] != v {
+		if mb.Sub.SrcNodes[i] != v {
 			t.Fatalf("target %d not at subgraph position %d", v, i)
 		}
 	}
@@ -37,10 +37,10 @@ func TestShaDowInducedEdgesAreReal(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	mb := sh.Sample(rng, someTargets(g, 8, rng))
 	sub := mb.Sub
-	for i := range sub.Nodes {
-		v := sub.Nodes[i]
+	for i := range sub.SrcNodes {
+		v := sub.SrcNodes[i]
 		for _, lj := range sub.Neighbors(i) {
-			u := sub.Nodes[lj]
+			u := sub.SrcNodes[lj]
 			if !g.HasEdge(v, u) {
 				t.Fatalf("induced non-edge %d→%d", v, u)
 			}
@@ -56,11 +56,11 @@ func TestShaDowInducedCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	mb := sh.Sample(rng, someTargets(g, 8, rng))
 	sub := mb.Sub
-	inSet := make(map[graph.NodeID]int32, len(sub.Nodes))
-	for i, v := range sub.Nodes {
+	inSet := make(map[graph.NodeID]int32, len(sub.SrcNodes))
+	for i, v := range sub.SrcNodes {
 		inSet[v] = int32(i)
 	}
-	for i, v := range sub.Nodes {
+	for i, v := range sub.SrcNodes {
 		want := 0
 		for _, u := range g.Neighbors(v) {
 			if _, ok := inSet[u]; ok {
@@ -83,8 +83,8 @@ func TestShaDowBoundedByFanouts(t *testing.T) {
 	mb := sh.Sample(rng, targets)
 	// Worst case: 10 targets × (1 + 4 + 4·3) = 170 nodes.
 	bound := len(targets) * (1 + 4 + 4*3)
-	if len(mb.Sub.Nodes) > bound {
-		t.Fatalf("subgraph has %d nodes, bound %d", len(mb.Sub.Nodes), bound)
+	if len(mb.Sub.SrcNodes) > bound {
+		t.Fatalf("subgraph has %d nodes, bound %d", len(mb.Sub.SrcNodes), bound)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestShaDowStats(t *testing.T) {
 	sh := NewShaDow(g, []int{5, 3}, layers)
 	rng := rand.New(rand.NewSource(31))
 	mb := sh.Sample(rng, someTargets(g, 12, rng))
-	if mb.Stats.InputNodes != int64(len(mb.Sub.Nodes)) {
+	if mb.Stats.InputNodes != int64(len(mb.Sub.SrcNodes)) {
 		t.Fatal("InputNodes must equal subgraph size")
 	}
 	// The GNN touches every induced edge once per layer.
@@ -131,7 +131,7 @@ func TestQuickShaDowInvariants(t *testing.T) {
 			return false
 		}
 		for i, v := range targets {
-			if mb.Sub.Nodes[i] != v {
+			if mb.Sub.SrcNodes[i] != v {
 				return false
 			}
 		}

@@ -127,49 +127,11 @@ type Eval struct {
 	Time   float64
 }
 
-// Result summarises a search run.
+// Result summarises a search run: Best is the strategy's incumbent (zero
+// values when no evaluation was finite).
 type Result struct {
 	Best     Config
 	BestTime float64
 	Evals    int
 	History  []Eval
-}
-
-// record appends an evaluation and updates the incumbent.
-func (r *Result) record(c Config, y float64) {
-	r.History = append(r.History, Eval{Config: c, Time: y})
-	r.Evals++
-	if r.Evals == 1 || y < r.BestTime {
-		r.Best, r.BestTime = c, y
-	}
-}
-
-// Exhaustive evaluates every feasible configuration — the paper's optimal
-// but intractably expensive baseline.
-func Exhaustive(sp Space, obj Objective) Result {
-	var res Result
-	e := NewExhaustiveSearcher(sp)
-	for {
-		c, ok := e.Next()
-		if !ok {
-			return res
-		}
-		res.record(c, obj.Evaluate(c))
-	}
-}
-
-// RandomSearch evaluates `budget` configurations drawn uniformly (with
-// replacement avoided best-effort).
-func RandomSearch(sp Space, obj Objective, budget int, rng *rand.Rand) Result {
-	var res Result
-	r := NewRandomSearcher(sp, budget, rng)
-	for {
-		c, ok := r.Next()
-		if !ok {
-			return res
-		}
-		y := obj.Evaluate(c)
-		r.Observe(c, y)
-		res.record(c, y)
-	}
 }

@@ -104,7 +104,7 @@ func bowl(c Config) float64 {
 
 func TestExhaustiveFindsOptimum(t *testing.T) {
 	sp := DefaultSpace(112)
-	res := Exhaustive(sp, ObjectiveFunc(bowl))
+	res := Run(NewExhaustiveSearcher(sp), ObjectiveFunc(bowl))
 	if res.Evals != sp.Size() {
 		t.Fatalf("exhaustive made %d evals, want %d", res.Evals, sp.Size())
 	}
@@ -119,7 +119,7 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 
 func TestRandomSearchBudgetAndIncumbent(t *testing.T) {
 	sp := DefaultSpace(64)
-	res := RandomSearch(sp, ObjectiveFunc(bowl), 30, rand.New(rand.NewSource(3)))
+	res := Run(NewRandomSearcher(sp, 30, rand.New(rand.NewSource(3))), ObjectiveFunc(bowl))
 	if res.Evals != 30 || len(res.History) != 30 {
 		t.Fatalf("random search made %d evals", res.Evals)
 	}

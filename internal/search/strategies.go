@@ -35,10 +35,54 @@ func (in *Incumbent) Observe(c Config, y float64) {
 // values before the first finite observation).
 func (in *Incumbent) Best() (Config, float64) { return in.best, in.bestY }
 
+// Strategy is the pluggable auto-tuning policy: the propose/observe
+// halves of one online-learning step. A driver — Run offline, the
+// training runtime online — calls Next to obtain the configuration for
+// the next epoch, measures it, and feeds the result back through Observe.
+//
+// Implementations must be deterministic given their construction seed and
+// the observation sequence; they are used from a single goroutine.
+type Strategy interface {
+	// Next proposes the next configuration to evaluate. ok is false once
+	// the strategy has nothing further to propose (its budget is
+	// exhausted, or the space is fully explored).
+	Next() (cfg Config, ok bool)
+	// Observe records the measured epoch time (seconds) of a proposed —
+	// or warm-started — configuration. Non-finite times mark a crashed
+	// measurement and must not become the incumbent.
+	Observe(cfg Config, seconds float64)
+	// Best returns the incumbent optimum and its epoch time. Until the
+	// first finite observation it must return zero values (a zero,
+	// infeasible Config) — the runtime relies on this to detect a run
+	// whose measurements all crashed instead of reusing a bogus
+	// configuration. Embedding an Incumbent implements the rule.
+	Best() (Config, float64)
+	// Overhead returns the cumulative time the strategy itself consumed
+	// (surrogate fits, acquisition maximisation, proposal draws) — the
+	// auto-tuning overhead the paper profiles in §VI-D.
+	Overhead() time.Duration
+}
+
+// Run drives s against obj offline — propose, evaluate, observe — until
+// s has nothing further to propose.
+func Run(s Strategy, obj Objective) Result {
+	var res Result
+	for {
+		c, ok := s.Next()
+		if !ok {
+			break
+		}
+		y := obj.Evaluate(c)
+		s.Observe(c, y)
+		res.History = append(res.History, Eval{Config: c, Time: y})
+		res.Evals++
+	}
+	res.Best, res.BestTime = s.Best()
+	return res
+}
+
 // RandomSearcher proposes feasible configurations uniformly at random
-// (avoiding repeats best-effort) one at a time — the stepwise form of
-// RandomSearch, so a training runtime can interleave proposals with real
-// epoch measurements.
+// (avoiding repeats best-effort) one at a time.
 type RandomSearcher struct {
 	sp     Space
 	budget int
@@ -90,8 +134,9 @@ func (r *RandomSearcher) Observations() int { return r.observed }
 func (r *RandomSearcher) Overhead() time.Duration { return r.overhead }
 
 // ExhaustiveSearcher walks every feasible configuration in enumeration
-// order — the stepwise form of Exhaustive. Next returns ok=false once the
-// space is exhausted, regardless of any external budget. Configurations
+// order — the paper's optimal but intractably expensive baseline. Next
+// returns ok=false once the space is exhausted, regardless of any
+// external budget. Configurations
 // already observed (e.g. replayed from a warm start) are skipped, so a
 // resumed enumeration continues instead of re-measuring its prefix.
 type ExhaustiveSearcher struct {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"argo/internal/anneal"
 	"argo/internal/bayesopt"
@@ -14,32 +13,10 @@ import (
 )
 
 // Strategy is the pluggable auto-tuning policy behind Runtime.Run: the
-// propose/observe halves of one online-learning step. The runtime calls
-// Next to obtain the configuration for the next training epoch, measures
-// the epoch, and feeds the result back through Observe.
-//
-// Implementations must be deterministic given their construction seed and
-// the observation sequence; they are used from a single goroutine.
-type Strategy interface {
-	// Next proposes the next configuration to evaluate. ok is false once
-	// the strategy has nothing further to propose (its budget is
-	// exhausted, or the space is fully explored).
-	Next() (cfg Config, ok bool)
-	// Observe records the measured epoch time (seconds) of a proposed —
-	// or warm-started — configuration. Non-finite times mark a crashed
-	// measurement and must not become the incumbent.
-	Observe(cfg Config, seconds float64)
-	// Best returns the incumbent optimum and its epoch time. Until the
-	// first finite observation it must return zero values (a zero,
-	// infeasible Config) — Runtime.Run relies on this to detect a run
-	// whose measurements all crashed instead of reusing a bogus
-	// configuration. Embedding an Incumbent implements the rule.
-	Best() (Config, float64)
-	// Overhead returns the cumulative time the strategy itself consumed
-	// (surrogate fits, acquisition maximisation, proposal draws) — the
-	// auto-tuning overhead the paper profiles in §VI-D.
-	Overhead() time.Duration
-}
+// runtime calls Next to obtain the configuration for the next training
+// epoch, measures the epoch, and feeds the result back through Observe.
+// See search.Strategy for the contract each method carries.
+type Strategy = search.Strategy
 
 // StrategyFactory builds a Strategy over a feasible space with an
 // observation budget and a seed for its random draws.
@@ -66,10 +43,10 @@ var (
 
 func init() {
 	MustRegisterStrategy(StrategyBayesOpt, func(sp Space, budget int, seed int64) Strategy {
-		return bayesAdapter{bayesopt.NewTuner(sp, budget, seed)}
+		return bayesopt.NewTuner(sp, budget, seed)
 	})
 	MustRegisterStrategy(StrategyAnneal, func(sp Space, budget int, seed int64) Strategy {
-		return anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(seed)), anneal.Options{})
+		return anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(seed)))
 	})
 	MustRegisterStrategy(StrategyRandom, func(sp Space, budget int, seed int64) Strategy {
 		return search.NewRandomSearcher(sp, budget, rand.New(rand.NewSource(seed)))
@@ -137,17 +114,4 @@ func NewStrategy(name string, sp Space, budget int, seed int64) (Strategy, error
 		return nil, fmt.Errorf("argo: unknown strategy %q (registered: %s)", name, strings.Join(Strategies(), ", "))
 	}
 	return f(sp, budget, seed), nil
-}
-
-// bayesAdapter narrows bayesopt.Tuner's Done/Next pair to the Strategy
-// contract; Observe, Best and Overhead are promoted unchanged.
-type bayesAdapter struct {
-	*bayesopt.Tuner
-}
-
-func (a bayesAdapter) Next() (Config, bool) {
-	if a.Tuner.Done() {
-		return Config{}, false
-	}
-	return a.Tuner.Next(), true
 }

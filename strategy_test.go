@@ -62,7 +62,7 @@ func TestStrategiesRegistry(t *testing.T) {
 // within 10 % of the true optimum of the synthetic surface.
 func TestStrategyParityOnSyntheticSurface(t *testing.T) {
 	space := DefaultSpace(16)
-	optimum := search.Exhaustive(space, search.ObjectiveFunc(bowl)).BestTime
+	optimum := search.Run(search.NewExhaustiveSearcher(space), search.ObjectiveFunc(bowl)).BestTime
 	if optimum <= 0 {
 		t.Fatal("degenerate surface")
 	}
@@ -116,7 +116,7 @@ func TestStrategyParityOnSyntheticSurface(t *testing.T) {
 // optimum.
 func TestFullBudgetStrategiesFindExactOptimum(t *testing.T) {
 	space := DefaultSpace(16)
-	optimum := search.Exhaustive(space, search.ObjectiveFunc(bowl)).BestTime
+	optimum := search.Run(search.NewExhaustiveSearcher(space), search.ObjectiveFunc(bowl)).BestTime
 	for _, name := range []string{StrategyBayesOpt, StrategyRandom, StrategyExhaustive} {
 		strat, err := NewStrategy(name, space, space.Size(), 5)
 		if err != nil {
@@ -131,6 +131,30 @@ func TestFullBudgetStrategiesFindExactOptimum(t *testing.T) {
 		}
 		if _, best := strat.Best(); best != optimum {
 			t.Fatalf("strategy %s with full budget found %.4f, want exact %.4f", name, best, optimum)
+		}
+	}
+}
+
+// A crashed first evaluation must not become the optimum: the offline
+// loop takes Best from the strategy's incumbent, which ignores
+// non-finite times, for every built-in strategy.
+func TestCrashedFirstEvaluationIsNotTheOptimum(t *testing.T) {
+	space := DefaultSpace(16)
+	for _, name := range []string{StrategyAnneal, StrategyBayesOpt, StrategyExhaustive, StrategyRandom} {
+		strat, err := NewStrategy(name, space, 12, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := true
+		res := search.Run(strat, search.ObjectiveFunc(func(c Config) float64 {
+			if first {
+				first = false
+				return math.NaN()
+			}
+			return bowl(c)
+		}))
+		if !search.IsFinite(res.BestTime) || res.Best == res.History[0].Config || !space.Feasible(res.Best) {
+			t.Errorf("%s: best %v at %v after a crashed first evaluation of %v", name, res.Best, res.BestTime, res.History[0].Config)
 		}
 	}
 }
