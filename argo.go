@@ -6,10 +6,11 @@
 //
 // ARGO improves platform utilisation by running n synchronized training
 // processes whose memory-intensive phases overlap other processes'
-// compute phases, binding each process's sampling and training workers to
-// disjoint cores, and auto-tuning the (n, s, t) configuration online. The
-// tuning policy is a pluggable Strategy: the paper's Bayesian-optimization
-// auto-tuner is the default, with simulated annealing, random search and
+// compute phases, giving each process s sampling and t training workers
+// (goroutine counts: no OS thread is pinned to a core yet), and
+// auto-tuning the (n, s, t) configuration online. The tuning policy is a
+// pluggable Strategy: the paper's Bayesian-optimization auto-tuner is
+// the default, with simulated annealing, random search and
 // exhaustive enumeration (its Table IV/V/VI comparisons) registered
 // alongside it — see Strategies. Training semantics are preserved: the
 // global mini-batch is split n ways and gradients are averaged
@@ -36,13 +37,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"argo/internal/core"
-	"argo/internal/ddp"
-	"argo/internal/engine"
-	"argo/internal/graph"
-	"argo/internal/nn"
-	"argo/internal/platform"
-	"argo/internal/sampler"
 	"argo/internal/search"
 )
 
@@ -280,132 +274,3 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 	}
 	return rep, nil
 }
-
-// GNNTrainerOptions configures a real GNN training job managed by ARGO.
-type GNNTrainerOptions struct {
-	Dataset   *graph.Dataset
-	Sampler   sampler.Sampler
-	Model     nn.ModelSpec
-	BatchSize int
-	LR        float64
-	Seed      int64
-	// Binder supplies virtual cores; nil uses a generous default.
-	Binder *platform.Allocator
-	// Shards switches on shard-aware training: Dataset must be the
-	// set's Skeleton() and the sampler must be built over its graph.
-	// Each replica then maps only its own shards and exchanges halo
-	// features with the others; training losses match the single-store
-	// run on the same configuration to float precision.
-	Shards *graph.ShardSet
-	// Transport selects the exchange transport of a sharded run:
-	// "" or "inproc" (direct calls within this address space) or "tcp"
-	// (batched messages framed over loopback sockets — the seam a
-	// multi-host deployment plugs into). Loss parity holds on both.
-	Transport string
-	// NoOverlap disables prefetching halo features on the sampling
-	// workers (by default the exchange for batch i+1 overlaps batch i's
-	// compute). Performance knob only; losses are bit-identical.
-	NoOverlap bool
-	// SamplingRegime selects how a sharded run draws mini-batches:
-	// "" or "exact" samples the assembled global topology (losses
-	// bit-identical to single-store), "local" samples partition-locally
-	// (each replica within its shards' owned + 1-hop halo rows — the
-	// Cluster-GCN regime, trading a bounded accuracy perturbation for a
-	// large cut in halo traffic). "local" requires Shards and
-	// LocalFanouts.
-	SamplingRegime string
-	// LocalFanouts configures the partition-local samplers' layered
-	// fanouts (typically the exact sampler's fanouts).
-	LocalFanouts []int
-}
-
-// HaloStats is the halo-exchange traffic summary of a sharded run.
-type HaloStats = ddp.HaloStats
-
-// ExchangeStats is the whole-run exchange traffic summary: totals plus
-// the directed per-peer matrix in deterministic (From, To) order,
-// accumulated across auto-tuner re-launches.
-type ExchangeStats = ddp.ExchangeStats
-
-// PeerTraffic is one directed (from, to) edge of the exchange's
-// traffic matrix.
-type PeerTraffic = ddp.PeerTraffic
-
-// GNNTrainer adapts the real multi-process training engine to the
-// TrainStep contract, carrying model weights across configuration
-// changes.
-type GNNTrainer struct {
-	inner *core.Trainer
-}
-
-// NewGNNTrainer builds a GNNTrainer.
-func NewGNNTrainer(opts GNNTrainerOptions) (*GNNTrainer, error) {
-	regime, err := engine.ParseRegime(opts.SamplingRegime)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.NewTrainer(core.TrainerOptions{
-		Dataset:        opts.Dataset,
-		Sampler:        opts.Sampler,
-		Model:          opts.Model,
-		BatchSize:      opts.BatchSize,
-		LR:             opts.LR,
-		Seed:           opts.Seed,
-		Binder:         opts.Binder,
-		Shards:         opts.Shards,
-		Transport:      opts.Transport,
-		NoOverlap:      opts.NoOverlap,
-		SamplingRegime: regime,
-		LocalFanouts:   opts.LocalFanouts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &GNNTrainer{inner: inner}, nil
-}
-
-// Step implements TrainStep.
-func (t *GNNTrainer) Step(ctx context.Context, cfg Config, epochs int) (float64, error) {
-	return t.inner.Step(ctx, cfg, epochs)
-}
-
-// Evaluate returns validation accuracy under the current weights.
-func (t *GNNTrainer) Evaluate() (float64, error) { return t.inner.Evaluate() }
-
-// LossHistory returns the mean training loss of every epoch so far.
-func (t *GNNTrainer) LossHistory() []float64 { return t.inner.LossHistory() }
-
-// HaloStats reports the accumulated halo-exchange traffic of a sharded
-// run; zero for single-store runs.
-func (t *GNNTrainer) HaloStats() HaloStats { return t.inner.HaloStats() }
-
-// SnapshotHaloStats returns the halo traffic accumulated since the
-// previous snapshot call and advances the snapshot mark, without
-// disturbing the cumulative HaloStats view. Calling it once per epoch
-// yields per-epoch traffic curves that stay correct across auto-tuner
-// re-launches.
-func (t *GNNTrainer) SnapshotHaloStats() HaloStats { return t.inner.SnapshotHaloStats() }
-
-// ExchangeStats reports the whole-run exchange traffic of a sharded run
-// (totals + deterministic per-peer matrix, accumulated across tuner
-// re-launches), or nil for single-store runs. Attach it to a Report's
-// Exchange field to persist it with the run.
-func (t *GNNTrainer) ExchangeStats() *ExchangeStats { return t.inner.ExchangeStats() }
-
-// Epochs returns how many epochs have been trained.
-func (t *GNNTrainer) Epochs() int { return t.inner.Epoch() }
-
-// SaveCheckpoint writes the current model weights to path atomically
-// (temp + rename, like .argograph saves). The written checkpoint is
-// self-describing — nn.LoadModel reconstructs the architecture from it —
-// and is what `argo-serve` consumes.
-func (t *GNNTrainer) SaveCheckpoint(path string) error {
-	m, err := t.inner.Model()
-	if err != nil {
-		return err
-	}
-	return m.SaveCheckpointFile(path)
-}
-
-// Close releases the trainer's core binding.
-func (t *GNNTrainer) Close() error { return t.inner.Close() }

@@ -16,10 +16,14 @@
 //
 // With -shards the dataset is a shard set (name#k or a .shard0 store);
 // halo traffic then moves through the batched exchange over the
-// -transport of choice (inproc or loopback tcp), overlapped with
-// sampling unless -overlap=false, and the run's traffic totals plus the
-// per-peer matrix are printed, embedded in -report, and included in
-// -loss-json.
+// -transport of choice (inproc or loopback tcp), gathered by the
+// sampling workers while the trainer computes the previous batch, and
+// the run's traffic totals plus the per-peer matrix are printed,
+// embedded in -report, and included in -loss-json.
+//
+// -cores is the budget the tuner divides among n processes' s sampling
+// and t training workers; the workers are goroutines and no OS thread is
+// pinned to a core.
 //
 // A report written with -report can warm-start a later run via
 // -warmstart, skipping the cold random probes.
@@ -63,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 	epochs := fs.Int("epochs", 20, "total training epochs")
 	searches := fs.Int("searches", 6, "tuning-strategy online-learning epochs")
 	batch := fs.Int("batch", 128, "global mini-batch size")
-	cores := fs.Int("cores", 16, "virtual cores ARGO may bind")
+	cores := fs.Int("cores", 16, "core budget the tuner splits into n×(s+t) sampling and training workers (goroutines, not pinned to cores)")
 	lr := fs.Float64("lr", 0.01, "Adam learning rate")
 	seed := fs.Int64("seed", 1, "random seed")
 	strategy := fs.String("strategy", argo.StrategyBayesOpt,
@@ -83,8 +87,6 @@ func run(args []string, stdout io.Writer) error {
 	sampling := fs.String("sampling", "exact",
 		"sampling regime for -shards runs: exact (global batches, losses bit-identical to single-store) or "+
 			"local (partition-local: each replica samples within its shards' owned + 1-hop halo rows, cutting halo traffic)")
-	overlap := fs.Bool("overlap", true,
-		"overlap the halo exchange with sampling: prefetch batch i+1's features while batch i computes (losses are identical either way)")
 	ckptPath := fs.String("save-checkpoint", "",
 		"write the final model weights to this file (atomic temp+rename); argo-serve loads it for inference")
 	fs.Parse(args)
@@ -144,7 +146,7 @@ func run(args []string, stdout io.Writer) error {
 			ds.Spec.Name, shardSet.K(), shardSet.Manifest.Partitioner,
 			st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount, cut,
 			100*shardSet.Manifest.EdgeCutFraction())
-		fmt.Fprintf(stdout, "exchange: %s transport, overlap %v\n", *transport, *overlap)
+		fmt.Fprintf(stdout, "exchange: %s transport\n", *transport)
 	} else {
 		// The lazy handle yields spec and stats from the store header
 		// before any section is decoded, so huge stores announce
@@ -181,7 +183,6 @@ func run(args []string, stdout io.Writer) error {
 		Seed:           *seed,
 		Shards:         shardSet,
 		Transport:      *transport,
-		NoOverlap:      !*overlap,
 		SamplingRegime: *sampling,
 	}
 	if *sampling == "local" {

@@ -41,11 +41,11 @@ func train(t *testing.T, extra ...string) lossFile {
 }
 
 // The exchange-smoke triple, in process: sharded training matches
-// single-store training on both transports, with and without overlap,
-// and the two transports report the same traffic.
+// single-store training on both transports, and the two transports
+// report the same traffic.
 func TestShardedRunsMatchSingleStore(t *testing.T) {
 	single := train(t, "-dataset", "tiny")
-	inproc := train(t, "-dataset", "tiny#3", "-shards", "-transport", "inproc", "-overlap=false")
+	inproc := train(t, "-dataset", "tiny#3", "-shards", "-transport", "inproc")
 	tcp := train(t, "-dataset", "tiny#3", "-shards", "-transport", "tcp")
 	if single.Exchange != nil {
 		t.Fatalf("single-store run reported exchange traffic: %+v", single.Exchange)

@@ -62,7 +62,7 @@ func TestGeneratedAndReloadedDatasetTrainIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, trainer.inner.Engine().ExportWeights()
+		return rep, trainer.eng.ExportWeights()
 	}
 
 	repGen, wGen := run(ds)

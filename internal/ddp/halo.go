@@ -133,7 +133,7 @@ func SortPeerTraffic(rows []PeerTraffic) {
 
 // ExchangeStats is a run-level traffic summary: the totals plus the
 // directed per-peer matrix, with peers in deterministic (From, To)
-// order. It is what core.Trainer accumulates across auto-tuner
+// order. It is what argo.GNNTrainer accumulates across auto-tuner
 // re-launches and what argo.Report serialises.
 type ExchangeStats struct {
 	Transport   string        `json:"transport,omitempty"`

@@ -82,8 +82,8 @@ func (resp *Response) wireSize() int64 {
 }
 
 // Handler answers batched requests on behalf of one replica. Handlers
-// must be safe for concurrent use: with overlap enabled, a peer's
-// sampling workers issue fetches while its trainer computes.
+// must be safe for concurrent use: a peer's sampling workers issue
+// fetches while its trainer computes.
 type Handler func(req *Request) (*Response, error)
 
 // Transport moves batched exchange messages between replicas. The

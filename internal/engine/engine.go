@@ -40,13 +40,6 @@ type Config struct {
 	// source (NewShardSourcesOpts). Nil means every replica reads the
 	// materialised Dataset directly.
 	Sources []DataSource
-	// NoOverlap disables the exchange/sampling overlap: features and
-	// labels are then gathered inside the training step instead of on
-	// the sampling workers (where the halo fetch for batch i+1 runs
-	// while batch i computes). The knob is performance-only — gathered
-	// values are pure functions of the batch's ids, so losses are
-	// bit-identical either way.
-	NoOverlap bool
 	// SamplingRegime selects exact (default: global batches split n
 	// ways, bit-identical to single-store) or partition-local sampling.
 	// The local regime requires Sources plus the per-replica Samplers
@@ -259,26 +252,11 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 
 	prefetchers := make([]*prefetcher, n)
 	for r := 0; r < n; r++ {
-		var fetch fetchFunc
-		if !e.cfg.NoOverlap {
-			src := e.replicas[r].source
-			fetch = func(mb *sampler.MiniBatch) (*tensor.Matrix, []int32, error) {
-				x0, err := src.GatherFeatures(mb.InputNodes())
-				if err != nil {
-					return nil, nil, err
-				}
-				labels, err := src.TargetLabels(mb.Targets)
-				if err != nil {
-					return nil, nil, err
-				}
-				return x0, labels, nil
-			}
-		}
 		samp := e.cfg.Sampler
 		if e.cfg.SamplingRegime == RegimeLocal {
 			samp = e.cfg.LocalSamplers[r]
 		}
-		prefetchers[r] = newPrefetcher(samp, perReplicaJobs[r], e.cfg.SampleWorkers, fetch)
+		prefetchers[r] = newPrefetcher(samp, e.replicas[r].source, perReplicaJobs[r], e.cfg.SampleWorkers)
 	}
 	// Closing on every exit path matters: an epoch aborted by a replica
 	// (or remote-fetch) error must not strand workers parked on the
@@ -408,11 +386,9 @@ func (e *Engine) discardGradients() {
 	}
 }
 
-// step computes one replica's gradient contribution for a mini-batch,
-// reading features and labels from the prefetched batch when the
-// overlap gathered them ahead of time, or through the replica's data
-// source otherwise. An empty share zeroes the gradients and reports
-// weight 0.
+// step computes one replica's gradient contribution for a mini-batch
+// whose features and labels the prefetcher gathered. An empty share
+// zeroes the gradients and reports weight 0.
 func (rep *replica) step(bd batchData) {
 	rep.model.ZeroGrad()
 	rep.lastCount = 0
@@ -427,26 +403,10 @@ func (rep *replica) step(bd batchData) {
 		rep.lastErr = bd.err
 		return
 	}
-	x0, labels := bd.x0, bd.labels
-	if x0 == nil {
-		var err error
-		x0, err = rep.source.GatherFeatures(mb.InputNodes())
-		if err != nil {
-			rep.lastErr = err
-			return
-		}
-	}
+	x0 := bd.x0
 	logits := rep.model.Forward(rep.trainPool, mb, x0)
-	if labels == nil {
-		var err error
-		labels, err = rep.source.TargetLabels(mb.Targets)
-		if err != nil {
-			rep.lastErr = err
-			return
-		}
-	}
 	bufs := rep.model.Buffers()
-	loss, dLogits := nn.SoftmaxCrossEntropyPooled(bufs, logits, labels)
+	loss, dLogits := nn.SoftmaxCrossEntropyPooled(bufs, logits, bd.labels)
 	// Only the local regime reads the input-feature gradient: its
 	// router receives all input ids, accumulates the rows across the
 	// epoch and flushes them to their owners in one batched exchange at

@@ -13,9 +13,9 @@ import (
 )
 
 // runShardedEpochs trains `epochs` epochs of the sharded test workload
-// with the given transport and overlap setting, returning the loss
-// history, the final weights, and the exchange.
-func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, transport string, noOverlap bool) ([]float64, []*tensor.Matrix, *Engine) {
+// with the given transport, returning the loss history, the final
+// weights, and the engine.
+func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, transport string) ([]float64, []*tensor.Matrix, *Engine) {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
@@ -34,7 +34,6 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, tra
 	cfg := shardedEngineConfig(skel, numProcs)
 	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
 	cfg.Sources = sources
-	cfg.NoOverlap = noOverlap
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +52,9 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, tra
 // The hard invariant of the refactor: batched + overlapped training —
 // in-process and over loopback TCP — bit-matches the per-row baseline,
 // which itself bit-matches single-store training (pinned by
-// TestShardedTrainingMatchesSingleStore). All four variants must agree
-// on every epoch loss and every final weight, bit for bit.
+// TestShardedTrainingMatchesSingleStore). Both transports must agree
+// with single-store on every epoch loss and every final weight, bit for
+// bit.
 func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 	ds := shardedTestDataset(t)
 	const numProcs, epochs = 2, 3
@@ -73,19 +73,9 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 	}
 	baseW := base.ExportWeights()
 
-	variants := []struct {
-		name      string
-		transport string
-		noOverlap bool
-	}{
-		{"inproc-overlap", "inproc", false},
-		{"inproc-inline", "inproc", true},
-		{"tcp-overlap", "tcp", false},
-		{"tcp-inline", "tcp", true},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			losses, weights, _ := runShardedEpochs(t, ds, numProcs, epochs, v.transport, v.noOverlap)
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport+"-overlap", func(t *testing.T) {
+			losses, weights, _ := runShardedEpochs(t, ds, numProcs, epochs, transport)
 			for ep := range losses {
 				if losses[ep] != baseLoss[ep] {
 					t.Fatalf("epoch %d: loss %v, single-store %v (diff %g)",
@@ -101,29 +91,12 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 	}
 }
 
-// Overlap must not change what traffic is counted — only when the
-// gathers happen.
-func TestOverlapTrafficInvariant(t *testing.T) {
-	ds := shardedTestDataset(t)
-	_, _, eager := runShardedEpochs(t, ds, 2, 2, "inproc", false)
-	_, _, inline := runShardedEpochs(t, ds, 2, 2, "inproc", true)
-	exEager := eager.replicas[0].source.(shardSource).ex
-	exInline := inline.replicas[0].source.(shardSource).ex
-	a, b := exEager.TotalStats(), exInline.TotalStats()
-	if a != b {
-		t.Fatalf("overlap changed traffic: %+v vs %+v", a, b)
-	}
-	if a.Messages == 0 {
-		t.Fatal("no batched messages counted")
-	}
-}
-
 // The acceptance gate for batching: a training epoch must send at least
 // 2× fewer exchange messages than the per-row baseline (which sent one
 // message per remote row).
 func TestBatchedExchangeMessageReduction(t *testing.T) {
 	ds := shardedTestDataset(t)
-	_, _, eng := runShardedEpochs(t, ds, 2, 1, "inproc", false)
+	_, _, eng := runShardedEpochs(t, ds, 2, 1, "inproc")
 	total := eng.replicas[0].source.(shardSource).ex.TotalStats()
 	if total.RemoteRows == 0 || total.Messages == 0 {
 		t.Fatalf("no exchange traffic recorded: %+v", total)

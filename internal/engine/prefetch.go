@@ -13,13 +13,12 @@ import (
 // reproducing the sampling/propagation overlap that DGL/PyG dataloaders
 // implement with `num_workers` and that ARGO's `s` parameter sizes.
 //
-// With a fetch callback installed, the workers also gather each batch's
-// feature rows and labels right after sampling it — so in a sharded run
-// the halo exchange for batch i+1 is in flight while batch i computes,
+// The workers also gather each batch's feature rows and labels from the
+// replica's DataSource right after sampling it — so in a sharded run the
+// halo exchange for batch i+1 is in flight while batch i computes,
 // hiding the communication behind compute. Features and labels are pure
-// functions of the batch's node ids, so prefetching them early is
-// invisible to training: the values (and therefore the losses) are
-// bit-identical to gathering inside the training step.
+// functions of the batch's node ids, so gathering them early changes no
+// value the training step sees.
 //
 // Determinism: each job's sampling RNG is seeded from the job's own seed,
 // never from worker identity, and results are consumed strictly in job
@@ -42,8 +41,8 @@ type prefetchJob struct {
 }
 
 // batchData is one prefetched unit of work: the sampled mini-batch plus
-// — when a fetch callback ran — its gathered features and labels (or
-// the error the gather produced, surfaced at consumption time).
+// its gathered features and labels (or the error the gather produced,
+// surfaced at consumption time).
 type batchData struct {
 	mb     *sampler.MiniBatch
 	x0     *tensor.Matrix
@@ -51,17 +50,13 @@ type batchData struct {
 	err    error
 }
 
-// fetchFunc gathers a sampled batch's feature rows and target labels
-// (through a replica's DataSource). It runs on sampling workers, so it
-// must be safe to call concurrently with training.
-type fetchFunc func(mb *sampler.MiniBatch) (*tensor.Matrix, []int32, error)
-
 // newPrefetcher starts `workers` sampling goroutines over the given jobs.
 // The prefetch window bounds how far sampling runs ahead of consumption.
-// When fetch is non-nil, workers also gather each sampled batch's
-// features and labels before handing it over, overlapping the (possibly
-// remote) gather with the trainer's compute on earlier batches.
-func newPrefetcher(s sampler.Sampler, jobs []prefetchJob, workers int, fetch fetchFunc) *prefetcher {
+// Workers gather each non-empty batch's features and labels from src
+// before handing it over, overlapping the (possibly remote) gather with
+// the trainer's compute on earlier batches; src must therefore be safe
+// to call concurrently with training.
+func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, workers int) *prefetcher {
 	if workers < 1 {
 		workers = 1
 	}
@@ -91,8 +86,11 @@ func newPrefetcher(s sampler.Sampler, jobs []prefetchJob, workers int, fetch fet
 				}
 				rng := rand.New(rand.NewSource(job.seed))
 				bd := batchData{mb: s.Sample(rng, job.targets)}
-				if fetch != nil && bd.mb != nil && len(bd.mb.Targets) > 0 {
-					bd.x0, bd.labels, bd.err = fetch(bd.mb)
+				if bd.mb != nil && len(bd.mb.Targets) > 0 {
+					bd.x0, bd.err = src.GatherFeatures(bd.mb.InputNodes())
+					if bd.err == nil {
+						bd.labels, bd.err = src.TargetLabels(bd.mb.Targets)
+					}
 				}
 				select {
 				case p.results[job.index] <- bd:

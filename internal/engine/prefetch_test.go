@@ -7,7 +7,6 @@ import (
 
 	"argo/internal/graph"
 	"argo/internal/sampler"
-	"argo/internal/tensor"
 )
 
 // countingSampler wraps a sampler and records concurrency.
@@ -53,7 +52,7 @@ func TestPrefetcherDeterministicAcrossWorkerCounts(t *testing.T) {
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	collect := func(workers int) []int64 {
 		jobs := prefetchJobs(t, ds, 20)
-		p := newPrefetcher(smp, jobs, workers, nil)
+		p := newPrefetcher(smp, datasetSource{ds: ds}, jobs, workers)
 		var edges []int64
 		for range jobs {
 			edges = append(edges, p.Next().mb.Stats.SampledEdges)
@@ -78,7 +77,7 @@ func TestPrefetcherWindowBounded(t *testing.T) {
 	cs := &countingSampler{inner: sampler.NewNeighbor(ds.Graph, []int{4, 4})}
 	jobs := prefetchJobs(t, ds, 30)
 	const workers = 3
-	p := newPrefetcher(cs, jobs, workers, nil)
+	p := newPrefetcher(cs, datasetSource{ds: ds}, jobs, workers)
 	for range jobs {
 		p.Next()
 	}
@@ -98,7 +97,7 @@ func TestPrefetcherOrdering(t *testing.T) {
 	for i := range jobs {
 		jobs[i].targets = ds.TrainIdx[i : i+1]
 	}
-	p := newPrefetcher(smp, jobs, 4, nil)
+	p := newPrefetcher(smp, datasetSource{ds: ds}, jobs, 4)
 	for i := range jobs {
 		mb := p.Next().mb
 		if mb.Targets[0] != ds.TrainIdx[i] {
@@ -109,23 +108,15 @@ func TestPrefetcherOrdering(t *testing.T) {
 }
 
 // The fetch stage runs on the sampling workers and attaches features
-// and labels that are identical to an inline gather, in job order, for
-// any worker count.
+// and labels that are identical to a direct gather from the source, in
+// job order, for any worker count.
 func TestFetchingPrefetcherAttachesGatheredData(t *testing.T) {
 	ds := testDataset(t)
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	src := datasetSource{ds: ds}
-	fetch := func(mb *sampler.MiniBatch) (*tensor.Matrix, []int32, error) {
-		x0, err := src.GatherFeatures(mb.InputNodes())
-		if err != nil {
-			return nil, nil, err
-		}
-		labels, err := src.TargetLabels(mb.Targets)
-		return x0, labels, err
-	}
 	for _, workers := range []int{1, 4} {
 		jobs := prefetchJobs(t, ds, 12)
-		p := newPrefetcher(smp, jobs, workers, fetch)
+		p := newPrefetcher(smp, src, jobs, workers)
 		for i := 0; i < len(jobs); i++ {
 			bd := p.Next()
 			if bd.err != nil {
@@ -139,7 +130,7 @@ func TestFetchingPrefetcherAttachesGatheredData(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bd.x0.Equal(want) {
-				t.Fatalf("workers=%d: job %d prefetched features differ from inline gather", workers, i)
+				t.Fatalf("workers=%d: job %d prefetched features differ from a direct gather", workers, i)
 			}
 			if len(bd.labels) != len(bd.mb.Targets) {
 				t.Fatalf("workers=%d: job %d has %d labels for %d targets", workers, i, len(bd.labels), len(bd.mb.Targets))
@@ -149,26 +140,11 @@ func TestFetchingPrefetcherAttachesGatheredData(t *testing.T) {
 	}
 }
 
-// Without a fetch callback the prefetcher must not gather anything.
-func TestPlainPrefetcherSkipsFetch(t *testing.T) {
-	ds := testDataset(t)
-	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
-	jobs := prefetchJobs(t, ds, 3)
-	p := newPrefetcher(smp, jobs, 2, nil)
-	for range jobs {
-		bd := p.Next()
-		if bd.x0 != nil || bd.labels != nil || bd.err != nil {
-			t.Fatalf("plain prefetcher attached data: %+v", bd)
-		}
-	}
-	p.Close()
-}
-
 func TestPrefetcherEmptyJobTargets(t *testing.T) {
 	ds := testDataset(t)
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	jobs := []prefetchJob{{index: 0, seed: 1, targets: nil}}
-	p := newPrefetcher(smp, jobs, 2, nil)
+	p := newPrefetcher(smp, datasetSource{ds: ds}, jobs, 2)
 	mb := p.Next().mb
 	if len(mb.Targets) != 0 {
 		t.Fatal("empty job should produce an empty batch")

@@ -27,8 +27,8 @@ type DataSource interface {
 
 // datasetSource serves every replica from the one materialised dataset.
 // bufs, when non-nil, recycles gathered batches (the replica puts them
-// back after each step); the pool is concurrency-safe, so the overlap
-// path's sampling-worker gathers can share it with the training step.
+// back after each step); the pool is concurrency-safe, so the sampling
+// workers' gathers can share it with the training step.
 type datasetSource struct {
 	ds   *graph.Dataset
 	bufs *tensor.BufPool

@@ -1,8 +1,11 @@
 // Package platform encodes the two evaluation machines from the paper's
-// Table II and provides the virtual-core allocator the Core-Binder uses.
-// The machines are *models*: the reproduction runs on commodity hardware,
-// so the specs parameterise the discrete-event simulator in
-// internal/platsim rather than describe the host.
+// Table II, the socket-contiguous core placement the simulator models
+// the paper's core binding with, and the host's file-mapping primitive.
+// The machines are *models*: the reproduction runs on commodity
+// hardware, so the specs and the placement parameterise the
+// discrete-event simulator in internal/platsim rather than describe the
+// host. The real engine binds no cores; its s and t are worker-goroutine
+// counts.
 package platform
 
 import (
@@ -86,12 +89,13 @@ var SapphireRapids2S = Spec{
 	PerCoreBWGBs:   12,
 }
 
-// CoreID identifies one virtual core.
+// CoreID identifies one core of a modelled machine.
 type CoreID int
 
-// Allocator hands out disjoint virtual cores, socket-contiguously — the
-// placement the Core-Binder requests so each GNN process's memory stays
-// mostly socket-local. It is safe for concurrent use.
+// Allocator hands out disjoint cores of a modelled machine,
+// socket-contiguously — the placement the paper's core binding requests
+// so each GNN process's memory stays mostly socket-local. It is safe for
+// concurrent use.
 type Allocator struct {
 	spec Spec
 	mu   sync.Mutex
@@ -101,22 +105,6 @@ type Allocator struct {
 // NewAllocator returns an allocator over all cores of spec.
 func NewAllocator(spec Spec) *Allocator {
 	return &Allocator{spec: spec, used: make([]bool, spec.TotalCores())}
-}
-
-// Spec returns the machine description.
-func (a *Allocator) Spec() Spec { return a.spec }
-
-// Free returns how many cores are unallocated.
-func (a *Allocator) Free() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, u := range a.used {
-		if !u {
-			n++
-		}
-	}
-	return n
 }
 
 // Allocate reserves k cores, preferring a contiguous run within one
@@ -168,24 +156,6 @@ func (a *Allocator) Allocate(k int) ([]CoreID, error) {
 		a.used[c] = true
 	}
 	return out, nil
-}
-
-// Release returns cores to the pool. Releasing a free core is an error.
-func (a *Allocator) Release(cores []CoreID) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, c := range cores {
-		if c < 0 || int(c) >= len(a.used) {
-			return fmt.Errorf("platform: release invalid core %d", c)
-		}
-		if !a.used[c] {
-			return fmt.Errorf("platform: double release of core %d", c)
-		}
-	}
-	for _, c := range cores {
-		a.used[c] = false
-	}
-	return nil
 }
 
 // SocketOf returns the socket a core belongs to.

@@ -1,20 +1,17 @@
-package core
+package argo
 
 import (
 	"context"
 	"testing"
 
-	"argo/internal/ddp"
-	"argo/internal/engine"
 	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
-	"argo/internal/search"
 )
 
 // newLocalRegimeTrainer builds a sharded trainer under the partition-
 // local sampling regime.
-func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *Trainer {
+func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *GNNTrainer {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
@@ -25,11 +22,11 @@ func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *T
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTrainer(TrainerOptions{
+	tr, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: skel, Sampler: sampler.NewNeighbor(skel.Graph, []int{4, 3}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
 		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss, Transport: transport,
-		SamplingRegime: engine.RegimeLocal, LocalFanouts: []int{4, 3},
+		SamplingRegime: "local", LocalFanouts: []int{4, 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +44,9 @@ func TestSnapshotHaloStatsAcrossRelaunches(t *testing.T) {
 	tr := newShardedTrainer(t, ds, "")
 	ctx := context.Background()
 
-	var snapSum ddp.HaloStats
-	var prevTotal ddp.HaloStats
-	for _, cfg := range []search.Config{
+	var snapSum HaloStats
+	var prevTotal HaloStats
+	for _, cfg := range []Config{
 		{Procs: 1, SampleCores: 1, TrainCores: 1},
 		{Procs: 2, SampleCores: 1, TrainCores: 1}, // re-launch: exchange retired + rebuilt
 		{Procs: 1, SampleCores: 1, TrainCores: 2}, // and again
@@ -72,7 +69,7 @@ func TestSnapshotHaloStatsAcrossRelaunches(t *testing.T) {
 		}
 	}
 	// An idle interval snapshots as zero without disturbing the total.
-	if idle := tr.SnapshotHaloStats(); idle != (ddp.HaloStats{}) {
+	if idle := tr.SnapshotHaloStats(); idle != (HaloStats{}) {
 		t.Fatalf("idle snapshot non-zero: %+v", idle)
 	}
 	if tr.HaloStats() != prevTotal {
@@ -86,10 +83,10 @@ func TestSnapshotHaloStatsAcrossRelaunches(t *testing.T) {
 // bit-for-bit across transports.
 func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 	ds := shardedCoreDataset(t)
-	run := func(transport string) ([]float64, ddp.HaloStats) {
+	run := func(transport string) ([]float64, HaloStats) {
 		tr := newLocalRegimeTrainer(t, ds, transport)
 		ctx := context.Background()
-		for _, cfg := range []search.Config{
+		for _, cfg := range []Config{
 			{Procs: 1, SampleCores: 1, TrainCores: 1},
 			{Procs: 2, SampleCores: 1, TrainCores: 1},
 			{Procs: 1, SampleCores: 1, TrainCores: 2},
@@ -122,14 +119,14 @@ func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 // its inputs.
 func TestLocalRegimeOptionValidation(t *testing.T) {
 	ds := shardedCoreDataset(t)
-	base := TrainerOptions{
+	base := GNNTrainerOptions{
 		Dataset: ds, Sampler: sampler.NewNeighbor(ds.Graph, []int{4, 3}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
 		BatchSize: 24, LR: 0.01, Seed: 3,
 	}
 	opts := base
-	opts.SamplingRegime = engine.RegimeLocal
-	if _, err := NewTrainer(opts); err == nil {
+	opts.SamplingRegime = "local"
+	if _, err := NewGNNTrainer(opts); err == nil {
 		t.Fatal("local regime without a shard set accepted")
 	}
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 2})
@@ -138,11 +135,56 @@ func TestLocalRegimeOptionValidation(t *testing.T) {
 	}
 	defer ss.Close()
 	opts.Shards = ss
-	if _, err := NewTrainer(opts); err == nil {
+	if _, err := NewGNNTrainer(opts); err == nil {
 		t.Fatal("local regime without fanouts accepted")
 	}
 	opts.LocalFanouts = []int{4, 3}
-	if _, err := NewTrainer(opts); err != nil {
+	if _, err := NewGNNTrainer(opts); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransportValidation: an unknown transport name is refused by the
+// constructor, not at the first Step inside a tuner's search epoch, and
+// a known one is what the exchange stats report from the start.
+func TestTransportValidation(t *testing.T) {
+	ds := shardedCoreDataset(t)
+	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	skel, err := ss.Skeleton()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		transport, reported string
+		ok                  bool
+	}{
+		{"", "inproc", true},
+		{"inproc", "inproc", true},
+		{"tcp", "tcp", true},
+		{"tcpp", "", false},
+		{"TCP", "", false},
+	} {
+		tr, err := NewGNNTrainer(GNNTrainerOptions{
+			Dataset: skel, Sampler: sampler.NewNeighbor(skel.Graph, []int{4, 3}),
+			Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
+			BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss, Transport: c.transport,
+		})
+		if !c.ok {
+			if err == nil {
+				t.Fatalf("transport %q accepted (exchange reports %q)", c.transport, tr.ExchangeStats().Transport)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("transport %q: %v", c.transport, err)
+		}
+		if got := tr.ExchangeStats().Transport; got != c.reported {
+			t.Fatalf("transport %q reported as %q, want %q", c.transport, got, c.reported)
+		}
+		tr.Close()
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package argo
 
 import (
 	"context"
@@ -6,11 +6,9 @@ import (
 	"math"
 	"testing"
 
-	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
-	"argo/internal/search"
 )
 
 func shardedCoreDataset(t *testing.T) *graph.Dataset {
@@ -38,7 +36,7 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 	newSampler := func(g *graph.CSR) sampler.Sampler { return sampler.NewNeighbor(g, []int{4, 3}) }
 	model := nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5}
 
-	single, err := NewTrainer(TrainerOptions{
+	single, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: ds, Sampler: newSampler(ds.Graph), Model: model,
 		BatchSize: 24, LR: 0.01, Seed: 3,
 	})
@@ -56,7 +54,7 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewTrainer(TrainerOptions{
+	sharded, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: skel, Sampler: newSampler(skel.Graph), Model: model,
 		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss,
 	})
@@ -67,7 +65,7 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 
 	// A config sequence with changing process counts forces two
 	// re-launches (1→2→1 replicas) on each trainer.
-	cfgs := []search.Config{
+	cfgs := []Config{
 		{Procs: 1, SampleCores: 1, TrainCores: 1},
 		{Procs: 2, SampleCores: 1, TrainCores: 1},
 		{Procs: 1, SampleCores: 1, TrainCores: 2},
@@ -115,7 +113,7 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 
 // newShardedTrainer builds a fresh sharded trainer over its own shard
 // set for the relaunch-accounting tests.
-func newShardedTrainer(t *testing.T, ds *graph.Dataset, transport string) *Trainer {
+func newShardedTrainer(t *testing.T, ds *graph.Dataset, transport string) *GNNTrainer {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
@@ -126,7 +124,7 @@ func newShardedTrainer(t *testing.T, ds *graph.Dataset, transport string) *Train
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTrainer(TrainerOptions{
+	tr, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: skel, Sampler: sampler.NewNeighbor(skel.Graph, []int{4, 3}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
 		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss, Transport: transport,
@@ -140,11 +138,11 @@ func newShardedTrainer(t *testing.T, ds *graph.Dataset, transport string) *Train
 
 // relaunchSequence drives a trainer through process-count changes
 // (1→2→1), capturing the exchange summary after every phase.
-func relaunchSequence(t *testing.T, tr *Trainer) []*ddp.ExchangeStats {
+func relaunchSequence(t *testing.T, tr *GNNTrainer) []*ExchangeStats {
 	t.Helper()
 	ctx := context.Background()
-	var snaps []*ddp.ExchangeStats
-	for _, cfg := range []search.Config{
+	var snaps []*ExchangeStats
+	for _, cfg := range []Config{
 		{Procs: 1, SampleCores: 1, TrainCores: 1},
 		{Procs: 2, SampleCores: 1, TrainCores: 1},
 		{Procs: 1, SampleCores: 1, TrainCores: 2},
@@ -240,7 +238,7 @@ func TestRelaunchOverTCPMatchesInproc(t *testing.T) {
 // Single-store trainers report no exchange at all.
 func TestExchangeStatsNilForSingleStore(t *testing.T) {
 	ds := shardedCoreDataset(t)
-	tr, err := NewTrainer(TrainerOptions{
+	tr, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: ds, Sampler: sampler.NewNeighbor(ds.Graph, []int{4, 3}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
 		BatchSize: 24, LR: 0.01, Seed: 3,
@@ -249,7 +247,7 @@ func TestExchangeStatsNilForSingleStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 1); err != nil {
+	if _, err := tr.Step(context.Background(), Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st := tr.ExchangeStats(); st != nil {

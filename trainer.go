@@ -1,0 +1,291 @@
+package argo
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"time"
+
+	"argo/internal/ddp"
+	"argo/internal/engine"
+	"argo/internal/graph"
+	"argo/internal/nn"
+	"argo/internal/sampler"
+)
+
+// GNNTrainerOptions configures a real GNN training job managed by ARGO.
+type GNNTrainerOptions struct {
+	Dataset   *graph.Dataset
+	Sampler   sampler.Sampler
+	Model     nn.ModelSpec
+	BatchSize int
+	LR        float64
+	Seed      int64
+	// Shards switches on shard-aware training: Dataset must be the
+	// set's Skeleton() and the sampler must be built over its graph.
+	// Each replica then maps only its own shards and exchanges halo
+	// features with the others; training losses match the single-store
+	// run on the same configuration to float precision.
+	Shards *graph.ShardSet
+	// Transport selects the exchange transport of a sharded run:
+	// "" or "inproc" (direct calls within this address space) or "tcp"
+	// (batched messages framed over loopback sockets — the seam a
+	// multi-host deployment plugs into). Loss parity holds on both.
+	Transport string
+	// SamplingRegime selects how a sharded run draws mini-batches:
+	// "" or "exact" samples the assembled global topology (losses
+	// bit-identical to single-store), "local" samples partition-locally
+	// (each replica within its shards' owned + 1-hop halo rows — the
+	// Cluster-GCN regime, trading a bounded accuracy perturbation for a
+	// large cut in halo traffic). "local" requires Shards and
+	// LocalFanouts.
+	SamplingRegime string
+	// LocalFanouts configures the partition-local samplers' layered
+	// fanouts (typically the exact sampler's fanouts).
+	LocalFanouts []int
+}
+
+// HaloStats is the halo-exchange traffic summary of a sharded run.
+type HaloStats = ddp.HaloStats
+
+// ExchangeStats is the whole-run exchange traffic summary: totals plus
+// the directed per-peer matrix in deterministic (From, To) order,
+// accumulated across auto-tuner re-launches.
+type ExchangeStats = ddp.ExchangeStats
+
+// PeerTraffic is one directed (from, to) edge of the exchange's
+// traffic matrix.
+type PeerTraffic = ddp.PeerTraffic
+
+// GNNTrainer adapts the real multi-process training engine to the
+// TrainStep contract. When the tuner picks a different configuration it
+// re-launches the engine, carrying the current weights and optimizer
+// state over (paper §VI-F). The engine's s and t are worker-goroutine
+// counts; no OS thread is pinned to a core.
+type GNNTrainer struct {
+	opts   GNNTrainerOptions
+	regime engine.SamplingRegime
+
+	cfg     Config
+	eng     *engine.Engine
+	weights *engine.State // carried into the next engine: weights and optimizer together
+	losses  []float64     // one mean loss per epoch trained
+
+	// exchange is the current halo exchange (sharded runs only); retired
+	// accumulates the traffic of exchanges retired by re-launches — peer
+	// edges merged by (from, to), so a process-count change adds to the
+	// matrix rather than resetting it — and HaloStats/ExchangeStats cover
+	// the whole run.
+	exchange *ddp.HaloExchange
+	retired  ddp.ExchangeStats
+	lastSnap ddp.HaloStats // whole-run total at the previous SnapshotHaloStats
+}
+
+// NewGNNTrainer validates opts and returns an idle trainer.
+func NewGNNTrainer(opts GNNTrainerOptions) (*GNNTrainer, error) {
+	if opts.Dataset == nil || opts.Sampler == nil || opts.BatchSize < 1 {
+		return nil, fmt.Errorf("argo: a dataset, a sampler and a positive batch size are required")
+	}
+	regime, err := engine.ParseRegime(opts.SamplingRegime)
+	if err != nil {
+		return nil, err
+	}
+	if regime == engine.RegimeLocal && (opts.Shards == nil || len(opts.LocalFanouts) == 0) {
+		return nil, fmt.Errorf("argo: the local sampling regime needs a shard set and LocalFanouts")
+	}
+	// The transport is built on every re-launch; an unknown name must
+	// fail here, not inside the tuner's first search epoch.
+	tr, err := ddp.NewTransport(opts.Transport)
+	if err != nil {
+		return nil, err
+	}
+	tr.Close()
+	return &GNNTrainer{opts: opts, regime: regime,
+		retired: ddp.ExchangeStats{Transport: cmp.Or(opts.Transport, "inproc")}}, nil
+}
+
+// Step implements TrainStep: it trains `epochs` epochs under cfg and
+// returns the mean wall-clock epoch time in seconds. Cancellation is
+// honoured between epochs, returning ctx's error without losing the
+// model state accumulated so far.
+func (t *GNNTrainer) Step(ctx context.Context, cfg Config, epochs int) (float64, error) {
+	if epochs < 1 {
+		return 0, nil
+	}
+	if err := t.bind(cfg); err != nil {
+		return 0, err
+	}
+	var total time.Duration
+	for i := 0; i < epochs; i++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		res, err := t.eng.RunEpoch(len(t.losses))
+		if err != nil {
+			return 0, err
+		}
+		t.losses = append(t.losses, res.MeanLoss)
+		total += res.Duration
+	}
+	return total.Seconds() / float64(epochs), nil
+}
+
+// Epochs returns how many epochs have been trained.
+func (t *GNNTrainer) Epochs() int { return len(t.losses) }
+
+// LossHistory returns the mean training loss of every epoch so far, in
+// order — the convergence trace the shard-parity checks compare between
+// sharded and single-store runs.
+func (t *GNNTrainer) LossHistory() []float64 {
+	return append(make([]float64, 0, len(t.losses)), t.losses...)
+}
+
+// traffic is the whole-run exchange traffic: every retired exchange's
+// plus the current one's.
+func (t *GNNTrainer) traffic() ddp.ExchangeStats {
+	out := t.retired
+	if t.exchange != nil {
+		out.Add(t.exchange.Summary())
+	}
+	return out
+}
+
+// HaloStats reports the accumulated halo-exchange traffic of a sharded
+// run, summed across auto-tuner re-launches; zero for single-store runs.
+func (t *GNNTrainer) HaloStats() HaloStats { return t.traffic().Totals() }
+
+// SnapshotHaloStats returns the halo traffic accumulated since the
+// previous snapshot call and advances the snapshot mark, without
+// disturbing the cumulative HaloStats view. Calling it once per epoch
+// yields per-epoch traffic curves that stay correct across auto-tuner
+// re-launches.
+func (t *GNNTrainer) SnapshotHaloStats() HaloStats {
+	total := t.HaloStats()
+	delta := total
+	delta.Sub(t.lastSnap)
+	t.lastSnap = total
+	return delta
+}
+
+// ExchangeStats reports the whole-run exchange traffic of a sharded run
+// (totals + deterministic per-peer matrix, accumulated across tuner
+// re-launches), or nil for single-store runs. Attach it to a Report's
+// Exchange field to persist it with the run.
+func (t *GNNTrainer) ExchangeStats() *ExchangeStats {
+	if t.opts.Shards == nil {
+		return nil
+	}
+	out := t.traffic()
+	return &out
+}
+
+// launch starts a minimal single-process engine if the trainer has
+// never run.
+func (t *GNNTrainer) launch() error {
+	if t.eng != nil {
+		return nil
+	}
+	return t.bind(Config{Procs: 1, SampleCores: 1, TrainCores: 1})
+}
+
+// Evaluate returns validation accuracy under the current weights. Data-
+// source failures (possible on the sharded path) surface as errors, not
+// as a silent zero accuracy.
+func (t *GNNTrainer) Evaluate() (float64, error) {
+	if err := t.launch(); err != nil {
+		return 0, err
+	}
+	return t.eng.Evaluate(t.opts.Dataset.ValIdx)
+}
+
+// SaveCheckpoint writes the current model weights (replica 0's —
+// replicas stay bit-identical) to path atomically (temp + rename, like
+// .argograph saves). The written checkpoint is self-describing —
+// nn.LoadModel reconstructs the architecture from it — and is what
+// `argo-serve` consumes.
+func (t *GNNTrainer) SaveCheckpoint(path string) error {
+	if err := t.launch(); err != nil {
+		return err
+	}
+	return t.eng.Model(0).SaveCheckpointFile(path)
+}
+
+// bind (re-)launches the engine for cfg and carries the model weights
+// and optimizer state over. Sharded runs rebuild the replica→shard
+// mapping (and, under the local regime, the partition samplers and owned
+// target sets that follow it) for the new process count; the retired
+// exchange's traffic is folded into the run totals and its transport
+// closed.
+func (t *GNNTrainer) bind(cfg Config) error {
+	if t.eng != nil && cfg == t.cfg {
+		return nil
+	}
+	if t.eng != nil {
+		t.weights = t.eng.ExportState()
+		t.eng = nil
+	}
+	ecfg := engine.Config{
+		Dataset:        t.opts.Dataset,
+		Sampler:        t.opts.Sampler,
+		Model:          t.opts.Model,
+		BatchSize:      t.opts.BatchSize,
+		LR:             t.opts.LR,
+		NumProcs:       cfg.Procs,
+		SampleWorkers:  cfg.SampleCores,
+		TrainWorkers:   cfg.TrainCores,
+		Seed:           t.opts.Seed,
+		SamplingRegime: t.regime,
+	}
+	var exchange *ddp.HaloExchange
+	fail := func(err error) error {
+		if exchange != nil {
+			exchange.Close()
+		}
+		return err
+	}
+	if t.opts.Shards != nil {
+		var err error
+		ecfg.Sources, exchange, err = engine.NewShardSourcesOpts(t.opts.Shards, cfg.Procs,
+			engine.ShardSourceOptions{Transport: t.opts.Transport})
+		if err != nil {
+			return err
+		}
+		if t.regime == engine.RegimeLocal {
+			setup, err := engine.NewPartitionSetup(t.opts.Shards, t.opts.Dataset, cfg.Procs, t.opts.LocalFanouts)
+			if err != nil {
+				return fail(err)
+			}
+			ecfg.LocalSamplers, ecfg.LocalTargets = setup.Samplers, setup.Targets
+		}
+	}
+	eng, err := engine.New(ecfg)
+	if err != nil {
+		return fail(err)
+	}
+	if t.weights != nil {
+		if err := eng.ImportState(t.weights); err != nil {
+			return fail(err)
+		}
+	}
+	t.retireExchange()
+	t.exchange, t.eng, t.cfg = exchange, eng, cfg
+	return nil
+}
+
+// retireExchange folds the current exchange's traffic into the run
+// totals and shuts its transport down.
+func (t *GNNTrainer) retireExchange() {
+	if t.exchange != nil {
+		t.retired = t.traffic()
+		t.exchange.Close()
+		t.exchange = nil
+	}
+}
+
+// Close retires the exchange, so ExchangeStats stays complete after
+// Close, and drops the engine.
+func (t *GNNTrainer) Close() error {
+	t.retireExchange()
+	t.eng = nil
+	return nil
+}

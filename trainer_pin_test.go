@@ -1,0 +1,98 @@
+package argo
+
+import (
+	"context"
+	"encoding/json"
+	"strconv"
+	"strings"
+	"testing"
+
+	"argo/internal/datasets"
+	"argo/internal/graph"
+	"argo/internal/nn"
+	"argo/internal/sampler"
+)
+
+// pinnedTrainerRuns holds, for four trainer set-ups on tiny (seed 7,
+// SAGE 16-8-3, fan-outs 4/4, batch 32, lr 0.01), the hex-float loss of
+// every epoch of the re-launch schedule in pinnedSchedule and, for the
+// sharded ones, the whole-run ExchangeStats JSON. They were recorded at
+// the commit before the trainer moved into this package, the virtual-core
+// allocator went and the prefetcher became the only gather path; every
+// loss bit and traffic counter must survive that.
+var pinnedTrainerRuns = map[string][2]string{
+	"single": {"0x1.252aaf776b49ep+00 0x1.7d088131ee402p-01 0x1.2ec6821ddf9fap-01 0x1.aa3db5777e87fp-02", ""},
+	"exact/inproc": {"0x1.252aaf776b49ep+00 0x1.7d088131ee402p-01 0x1.2ec6821ddf9fap-01 0x1.aa3db5777e87fp-02",
+		`{"transport":"inproc","local_rows":823,"remote_rows":324,"remote_bytes":17496,"wire_bytes":19304,"messages":16,"peers":[{"from":0,"to":1,"rows":112,"bytes":6088,"wire_bytes":6792,"messages":8},{"from":1,"to":0,"rows":212,"bytes":11408,"wire_bytes":12512,"messages":8}]}`},
+	"exact/tcp": {"0x1.252aaf776b49ep+00 0x1.7d088131ee402p-01 0x1.2ec6821ddf9fap-01 0x1.aa3db5777e87fp-02",
+		`{"transport":"tcp","local_rows":823,"remote_rows":324,"remote_bytes":17496,"wire_bytes":19304,"messages":16,"peers":[{"from":0,"to":1,"rows":112,"bytes":6088,"wire_bytes":6792,"messages":8},{"from":1,"to":0,"rows":212,"bytes":11408,"wire_bytes":12512,"messages":8}]}`},
+	"local/inproc": {"0x1.11a8b4f5e58ebp+00 0x1.8a147b1e119a1p-01 0x1.0c1c1a5055669p-01 0x1.9ca50f1dc007fp-02",
+		`{"transport":"inproc","local_rows":1084,"remote_rows":114,"remote_bytes":14592,"wire_bytes":15888,"messages":12,"grad_rows":114,"peers":[{"from":0,"to":1,"rows":114,"bytes":7296,"wire_bytes":7944,"messages":6},{"from":1,"to":0,"rows":114,"bytes":7296,"wire_bytes":7944,"messages":6}]}`},
+}
+
+// pinnedSchedule moves n and (s, t) both ways, so every epoch after the
+// first is trained by a re-launched engine.
+var pinnedSchedule = []Config{
+	{Procs: 1, SampleCores: 1, TrainCores: 1},
+	{Procs: 2, SampleCores: 1, TrainCores: 1},
+	{Procs: 1, SampleCores: 2, TrainCores: 2},
+	{Procs: 2, SampleCores: 2, TrainCores: 1},
+}
+
+func TestTrainerMatchesPinnedParent(t *testing.T) {
+	for key, want := range pinnedTrainerRuns {
+		regime, transport, _ := strings.Cut(key, "/")
+		opts := GNNTrainerOptions{BatchSize: 32, LR: 0.01, Seed: 7, Transport: transport}
+		var err error
+		switch regime {
+		case "single":
+			opts.Dataset, err = datasets.Resolve("tiny", 7)
+		default:
+			spec := "tiny#3"
+			if regime == "local" {
+				spec = "tiny#4"
+				opts.SamplingRegime, opts.LocalFanouts = "local", []int{4, 4}
+			}
+			var ss *graph.ShardSet
+			if ss, err = datasets.ResolveShards(spec, 7); err == nil {
+				t.Cleanup(func() { ss.Close() })
+				opts.Shards = ss
+				opts.Dataset, err = ss.Skeleton()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := opts.Dataset
+		opts.Sampler = sampler.NewNeighbor(ds.Graph, []int{4, 4})
+		opts.Model = nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: 7}
+		tr, err := NewGNNTrainer(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range pinnedSchedule {
+			if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
+				t.Fatalf("%s at %s: %v", key, cfg, err)
+			}
+		}
+		var losses []string
+		for _, l := range tr.LossHistory() {
+			losses = append(losses, strconv.FormatFloat(l, 'x', -1, 64))
+		}
+		var exchange []byte
+		if st := tr.ExchangeStats(); st != nil {
+			if exchange, err = json.Marshal(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(losses, " "); got != want[0] {
+			t.Errorf("%s: losses %s, want the parent's %s", key, got, want[0])
+		}
+		if string(exchange) != want[1] {
+			t.Errorf("%s: exchange %s, want the parent's %s", key, exchange, want[1])
+		}
+	}
+}

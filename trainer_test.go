@@ -1,18 +1,17 @@
-package core
+package argo
 
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"argo/internal/graph"
 	"argo/internal/nn"
-	"argo/internal/platform"
 	"argo/internal/sampler"
-	"argo/internal/search"
 )
 
-func trainerOpts(t testing.TB) TrainerOptions {
+func trainerOpts(t testing.TB) GNNTrainerOptions {
 	t.Helper()
 	spec := graph.DatasetSpec{
 		Name: "core-unit", ScaledNodes: 300, ScaledEdges: 2200,
@@ -23,7 +22,7 @@ func trainerOpts(t testing.TB) TrainerOptions {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return TrainerOptions{
+	return GNNTrainerOptions{
 		Dataset:   ds,
 		Sampler:   sampler.NewNeighbor(ds.Graph, []int{4, 4}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{12, 8, 4}, Seed: 3},
@@ -34,33 +33,33 @@ func trainerOpts(t testing.TB) TrainerOptions {
 }
 
 func TestNewTrainerValidation(t *testing.T) {
-	if _, err := NewTrainer(TrainerOptions{}); err == nil {
+	if _, err := NewGNNTrainer(GNNTrainerOptions{}); err == nil {
 		t.Fatal("empty options must be rejected")
 	}
 	opts := trainerOpts(t)
 	opts.BatchSize = 0
-	if _, err := NewTrainer(opts); err == nil {
+	if _, err := NewGNNTrainer(opts); err == nil {
 		t.Fatal("zero batch size must be rejected")
 	}
 }
 
 func TestTrainerStepRunsEpochs(t *testing.T) {
-	tr, err := NewTrainer(trainerOpts(t))
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	secs, err := tr.Step(context.Background(), search.Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 3)
+	secs, err := tr.Step(context.Background(), Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if secs <= 0 {
 		t.Fatal("epoch time must be positive")
 	}
-	if tr.Epoch() != 3 {
-		t.Fatalf("Epoch() = %d, want 3", tr.Epoch())
+	if tr.Epochs() != 3 {
+		t.Fatalf("Epoch() = %d, want 3", tr.Epochs())
 	}
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 0); err != nil {
+	if _, err := tr.Step(context.Background(), Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 0); err != nil {
 		t.Fatal("zero epochs must be a no-op")
 	}
 }
@@ -68,12 +67,12 @@ func TestTrainerStepRunsEpochs(t *testing.T) {
 // Reconfiguration must carry weights: training must keep improving across
 // configuration changes rather than restarting from scratch.
 func TestTrainerCarriesWeightsAcrossConfigs(t *testing.T) {
-	tr, err := NewTrainer(trainerOpts(t))
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	configs := []search.Config{
+	configs := []Config{
 		{Procs: 1, SampleCores: 1, TrainCores: 2},
 		{Procs: 4, SampleCores: 1, TrainCores: 1},
 		{Procs: 2, SampleCores: 2, TrainCores: 2},
@@ -91,7 +90,7 @@ func TestTrainerCarriesWeightsAcrossConfigs(t *testing.T) {
 	// be far above the 0.25 chance level — impossible if weights were
 	// reset at each re-launch (4 epochs per config would not suffice for
 	// this margin... but 12 cumulative epochs are).
-	fresh, err := NewTrainer(trainerOpts(t))
+	fresh, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,53 +107,32 @@ func TestTrainerCarriesWeightsAcrossConfigs(t *testing.T) {
 	}
 }
 
-// The Core-Binder must release cores on reconfiguration — otherwise
-// repeated re-binding exhausts the allocator.
-func TestTrainerReleasesCores(t *testing.T) {
-	opts := trainerOpts(t)
-	spec := platform.Spec{Name: "tiny", Sockets: 1, CoresPerSocket: 8}
-	opts.Binder = platform.NewAllocator(spec)
-	tr, err := NewTrainer(opts)
+// Any feasible configuration trains, however many workers it asks for:
+// n, s and t are worker counts, and (9, 10, 10) — 180 workers — is
+// feasible on 200 cores with the process count pinned to 9
+// (argo-train -cores 200 -procs 9).
+func TestWideFeasibleConfigTrains(t *testing.T) {
+	cfg := Config{Procs: 9, SampleCores: 10, TrainCores: 10}
+	sp := DefaultSpace(200)
+	sp.MinProcs, sp.MaxProcs = 9, 9
+	if !sp.Feasible(cfg) {
+		t.Fatalf("%s is not in the pinned space", cfg)
+	}
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	for i := 0; i < 5; i++ {
-		// 2×(1+2) = 6 of 8 cores; leaks would fail on the second pass.
-		if _, err := tr.Step(context.Background(), search.Config{Procs: 2, SampleCores: 1, TrainCores: 2}, 1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Step(context.Background(), search.Config{Procs: 1, SampleCores: 2, TrainCores: 4}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Close(); err != nil {
+	if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	if free := opts.Binder.Free(); free != 8 {
-		t.Fatalf("after Close, %d of 8 cores free", free)
-	}
-}
-
-func TestTrainerRejectsOversizedConfig(t *testing.T) {
-	opts := trainerOpts(t)
-	opts.Binder = platform.NewAllocator(platform.Spec{Name: "tiny", Sockets: 1, CoresPerSocket: 4})
-	tr, err := NewTrainer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 4, SampleCores: 2, TrainCores: 2}, 1); err == nil {
-		t.Fatal("16-core config on a 4-core binder must fail")
-	}
-	// The failed bind must not leak cores.
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 1, SampleCores: 1, TrainCores: 3}, 1); err != nil {
-		t.Fatalf("valid config after failed bind: %v", err)
+	if loss := tr.LossHistory()[0]; math.IsNaN(loss) || math.IsInf(loss, 0) {
+		t.Fatalf("loss %v after one epoch under %s", loss, cfg)
 	}
 }
 
 func TestEvaluateWithoutStep(t *testing.T) {
-	tr, err := NewTrainer(trainerOpts(t))
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,53 +148,45 @@ func TestEvaluateWithoutStep(t *testing.T) {
 
 // Cancellation must surface between epochs and leave the trainer usable.
 func TestTrainerStepHonoursContext(t *testing.T) {
-	tr, err := NewTrainer(trainerOpts(t))
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	cfg := search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}
+	cfg := Config{Procs: 1, SampleCores: 1, TrainCores: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := tr.Step(ctx, cfg, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Step returned %v, want context.Canceled", err)
 	}
-	if tr.Epoch() != 0 {
-		t.Fatalf("cancelled Step trained %d epochs", tr.Epoch())
+	if tr.Epochs() != 0 {
+		t.Fatalf("cancelled Step trained %d epochs", tr.Epochs())
 	}
 	if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
 		t.Fatalf("trainer unusable after cancellation: %v", err)
 	}
 }
 
-// A failed weight import during re-launch must release the cores the new
-// engine had already been allocated — otherwise every failed re-bind
-// shrinks the machine until nothing fits.
-func TestBindReleasesCoresWhenImportFails(t *testing.T) {
-	opts := trainerOpts(t)
-	spec := platform.Spec{Name: "tiny", Sockets: 1, CoresPerSocket: 8}
-	opts.Binder = platform.NewAllocator(spec)
-	tr, err := NewTrainer(opts)
+// A failed weight import during re-launch fails the step and leaves the
+// trainer usable once the carried weights are gone.
+func TestRelaunchFailureLeavesTrainerUsable(t *testing.T) {
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 1); err != nil {
+	if _, err := tr.Step(context.Background(), Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Shrink the model between re-launches: the next bind exports the old
-	// engine's weights, then ImportWeights into the reshaped new engine
-	// fails — after the new engine's cores were already allocated.
+	// engine's weights, then ImportState into the reshaped new engine
+	// fails.
 	tr.opts.Model.Dims = []int{12, 6, 4}
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 1); err == nil {
+	if _, err := tr.Step(context.Background(), Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 1); err == nil {
 		t.Fatal("mismatched weight import must fail the step")
 	}
-	if free := opts.Binder.Free(); free != 8 {
-		t.Fatalf("after failed import, %d of 8 cores free (cores leaked)", free)
-	}
-	// The trainer must still be usable once the carried weights are gone.
 	tr.weights = nil
-	if _, err := tr.Step(context.Background(), search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 1); err != nil {
+	if _, err := tr.Step(context.Background(), Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 1); err != nil {
 		t.Fatalf("trainer unusable after failed re-bind: %v", err)
 	}
 }
@@ -227,8 +197,8 @@ func TestBindReleasesCoresWhenImportFails(t *testing.T) {
 // bit for bit — which it does not if every re-launch restarts Adam at
 // step 0 with zero moments.
 func TestRelaunchCarriesOptimizerState(t *testing.T) {
-	run := func(cfgs ...search.Config) []float64 {
-		tr, err := NewTrainer(trainerOpts(t))
+	run := func(cfgs ...Config) []float64 {
+		tr, err := NewGNNTrainer(trainerOpts(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +210,7 @@ func TestRelaunchCarriesOptimizerState(t *testing.T) {
 		}
 		return tr.LossHistory()
 	}
-	a, b := search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, search.Config{Procs: 1, SampleCores: 2, TrainCores: 2}
+	a, b := Config{Procs: 1, SampleCores: 1, TrainCores: 1}, Config{Procs: 1, SampleCores: 2, TrainCores: 2}
 	pinned, moved := run(a, a, a, a), run(a, b, a, b)
 	for ep := range pinned {
 		if pinned[ep] != moved[ep] {
@@ -252,25 +222,25 @@ func TestRelaunchCarriesOptimizerState(t *testing.T) {
 // Across a process-count change the optimizer's step count continues
 // instead of restarting, on every replica's behalf.
 func TestOptimizerStepsContinueAcrossProcessCounts(t *testing.T) {
-	tr, err := NewTrainer(trainerOpts(t))
+	tr, err := NewGNNTrainer(trainerOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	ctx := context.Background()
-	if _, err := tr.Step(ctx, search.Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 2); err != nil {
+	if _, err := tr.Step(ctx, Config{Procs: 1, SampleCores: 1, TrainCores: 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	before := tr.Engine().ExportState().Opt.Steps()
+	before := tr.eng.ExportState().Opt.Steps()
 	if before == 0 {
 		t.Fatal("two epochs took no optimizer step")
 	}
-	if _, err := tr.Step(ctx, search.Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 1); err != nil {
+	if _, err := tr.Step(ctx, Config{Procs: 2, SampleCores: 1, TrainCores: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// One epoch is before/2 iterations whatever n is: the global batch is
 	// split n ways, not multiplied.
-	if got, want := tr.Engine().ExportState().Opt.Steps(), before+before/2; got != want {
+	if got, want := tr.eng.ExportState().Opt.Steps(), before+before/2; got != want {
 		t.Fatalf("optimizer at step %d after the n=2 epoch, want %d (%d carried + %d)", got, want, before, before/2)
 	}
 }
