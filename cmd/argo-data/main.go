@@ -213,12 +213,8 @@ func runShard(args []string) error {
 	fmt.Printf("%s: %d nodes, %d arcs → %d shards (%s partition) in %s (load/gen %s)\n",
 		man.Spec.Name, man.NumNodes, man.NumArcs, man.K, man.Partitioner,
 		time.Since(start).Round(time.Microsecond), loadTime.Round(time.Microsecond))
-	var cut int64
-	for _, e := range man.Shards {
-		cut += e.CutArcs
-	}
 	fmt.Printf("edge cut: %d arcs (%.1f%% of total) — the halo-exchange traffic bound\n",
-		cut, 100*float64(cut)/float64(man.NumArcs))
+		man.TotalCutArcs(), 100*man.EdgeCutFraction())
 	fmt.Printf("  %-5s %-32s %8s %8s %10s %10s %7s\n", "SHARD", "FILE", "OWNED", "HALO", "ARCS", "CUT", "TRAIN")
 	for i, e := range man.Shards {
 		fmt.Printf("  %-5d %-32s %8d %8d %10d %10d %7d\n",
@@ -371,12 +367,8 @@ func runInspect(args []string) error {
 	if man, ok, err := lz.ShardManifest(); err != nil {
 		return err
 	} else if ok {
-		var cut int64
-		for _, e := range man.Shards {
-			cut += e.CutArcs
-		}
 		fmt.Printf("manifest:   shard set %q: k=%d over %d nodes (%s partition, seed %d), edge cut %d arcs (%.1f%%)\n",
-			man.Base, man.K, man.NumNodes, man.Partitioner, man.Seed, cut, 100*float64(cut)/float64(man.NumArcs))
+			man.Base, man.K, man.NumNodes, man.Partitioner, man.Seed, man.TotalCutArcs(), 100*man.EdgeCutFraction())
 		for _, e := range man.Shards {
 			fmt.Printf("            shard %d: %-28s %6d owned %6d halo %8d arcs\n", e.Index, e.File, e.Owned, e.Halo, e.Arcs)
 		}
@@ -415,8 +407,8 @@ func runVerify(args []string) error {
 		return err
 	}
 	st := check.Stats
-	fmt.Printf("%s: OK (format v%d %s, %d nodes, %d arcs, %d classes, %s features, %d sections, checksums + invariants verified)\n",
-		args[0], graph.StoreVersion, check.Kind, st.NumNodes, st.NumArcs, st.NumClasses, check.FeatDtype, len(check.Sections))
+	fmt.Printf("%s: OK (format v%d dataset, %d nodes, %d arcs, %d classes, %s features, %d sections, checksums + invariants verified)\n",
+		args[0], graph.StoreVersion, st.NumNodes, st.NumArcs, st.NumClasses, check.FeatDtype, len(check.Sections))
 	// A manifest-carrying store is a shard-set handle: validate the set
 	// end to end too (topology-only — feature bytes stay untouched).
 	hasManifest := false
@@ -476,7 +468,7 @@ func runConvert(args []string) error {
 		if err != nil {
 			return err
 		}
-		if lz.Kind() == "dataset" && lz.FeatDtype() == graph.DtypeF32 {
+		if lz.FeatDtype() == graph.DtypeF32 {
 			ds, err := lz.Dataset()
 			if err != nil {
 				lz.Close()

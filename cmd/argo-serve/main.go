@@ -139,15 +139,17 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 			return err
 		}
 		closeFn = ss.Close
-		if g, err = ss.AssembleTopology(); err != nil {
+		skel, err := ss.Skeleton()
+		if err != nil {
 			return err
 		}
+		g = skel.Graph
 		if feats, err = serve.NewShardFeatureSource(ss); err != nil {
 			return err
 		}
 		dsName = ss.Spec().Name
 	default:
-		lz, err := datasets.ResolveLazy(store, seed, datasets.LoadAuto)
+		lz, err := datasets.ResolveLazy(store, seed)
 		if err != nil {
 			return err
 		}

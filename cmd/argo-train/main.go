@@ -75,8 +75,6 @@ func run(args []string, stdout io.Writer) error {
 	earlyStop := fs.Int("early-stop", 0, "stop searching after N stale search epochs (0 = off)")
 	reportPath := fs.String("report", "", "write the final report as JSON to this file")
 	warmPath := fs.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
-	lazyFlag := fs.String("lazy", "auto",
-		"store loading for .argograph paths: auto (lazy at ≥32MB), on, off")
 	shards := fs.Bool("shards", false,
 		"treat -dataset as a shard set: name#k (in-memory) or the path of a manifest-carrying .shard0 store; "+
 			"each replica maps only its own shards and exchanges halo features")
@@ -91,10 +89,6 @@ func run(args []string, stdout io.Writer) error {
 		"write the final model weights to this file (atomic temp+rename); argo-serve loads it for inference")
 	fs.Parse(args)
 
-	mode, err := datasets.ParseLoadMode(*lazyFlag)
-	if err != nil {
-		return err
-	}
 	if *transport != "inproc" && *transport != "tcp" {
 		return fmt.Errorf("unknown -transport %q (inproc, tcp)", *transport)
 	}
@@ -118,8 +112,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var (
 		ds       *graph.Dataset
-		st       graph.Stats
 		shardSet *graph.ShardSet
+		err      error
 	)
 	if *shards {
 		// Shard-aware path: the skeleton (topology + splits) is assembled
@@ -137,27 +131,22 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		st, err = shardSet.GlobalStats()
-		if err != nil {
-			return err
-		}
-		cut := shardSet.Manifest.TotalCutArcs()
+		m := &shardSet.Manifest
 		fmt.Fprintf(stdout, "shard set %s (k=%d, %s partition): %d nodes, %d arcs, %d classes, %d train targets, edge cut %d arcs (%.1f%%)\n",
-			ds.Spec.Name, shardSet.K(), shardSet.Manifest.Partitioner,
-			st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount, cut,
-			100*shardSet.Manifest.EdgeCutFraction())
+			ds.Spec.Name, m.K, m.Partitioner, m.NumNodes, m.NumArcs, m.NumClasses, m.TrainCount,
+			m.TotalCutArcs(), 100*m.EdgeCutFraction())
 		fmt.Fprintf(stdout, "exchange: %s transport\n", *transport)
 	} else {
 		// The lazy handle yields spec and stats from the store header
 		// before any section is decoded, so huge stores announce
 		// themselves instantly; training then materialises the sections
 		// it needs.
-		lz, err := datasets.ResolveLazy(*dataset, *seed, mode)
+		lz, err := datasets.ResolveLazy(*dataset, *seed)
 		if err != nil {
 			return err
 		}
 		defer lz.Close()
-		st = lz.Stats()
+		st := lz.Stats()
 		fmt.Fprintf(stdout, "dataset %s (scaled, %s): %d nodes, %d arcs, %d classes, %d train targets\n",
 			lz.Spec().Name, lz.AccessMode(), st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount)
 		ds, err = lz.Dataset()

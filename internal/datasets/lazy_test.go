@@ -9,28 +9,6 @@ import (
 	"argo/internal/graph"
 )
 
-func TestParseLoadMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want LoadMode
-		ok   bool
-	}{
-		{"auto", LoadAuto, true},
-		{"", LoadAuto, true},
-		{"on", LoadLazy, true},
-		{"lazy", LoadLazy, true},
-		{"off", LoadEager, true},
-		{"eager", LoadEager, true},
-		{"ON", LoadLazy, true},
-		{"sometimes", LoadAuto, false},
-	} {
-		got, err := ParseLoadMode(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseLoadMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-}
-
 // The acceptance scenario: the tiny profile written at -scale 100 opens
 // via the lazy path with work proportional to the sections touched —
 // spec and stats are served from the store prefix, and topology-only
@@ -58,7 +36,7 @@ func TestScaledProfileOpensLazily(t *testing.T) {
 
 	// The lazy handle resolves metadata without touching topology or
 	// features.
-	lz, err := ResolveLazy(path, 0, LoadLazy)
+	lz, err := graph.OpenLazy(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +70,7 @@ func TestScaledProfileOpensLazily(t *testing.T) {
 }
 
 func TestResolveLazyRegistryName(t *testing.T) {
-	lz, err := ResolveLazy("tiny", 3, LoadAuto)
+	lz, err := ResolveLazy("tiny", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,29 +91,9 @@ func TestResolveLazyRegistryName(t *testing.T) {
 	}
 }
 
-func TestResolveWithModesAgree(t *testing.T) {
-	ds, err := Build("tiny", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "tiny.argograph")
-	if err := ds.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []LoadMode{LoadAuto, LoadEager, LoadLazy} {
-		got, err := ResolveWith(path, 0, mode)
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		if !reflect.DeepEqual(ds, got) {
-			t.Fatalf("mode %d materialised a different dataset", mode)
-		}
-	}
-}
-
-// LoadEager is the trust-nothing mode: a store whose feature section is
-// corrupt opens on the lazy path (metadata sections are intact and
-// individually checksummed) but fails eager resolution at open.
+// A small store is the trust-nothing case: ResolveLazy decodes and
+// verifies it at open, so a store whose feature section is corrupt is
+// refused there rather than on first use.
 func TestResolveLazyEagerCatchesDeepCorruption(t *testing.T) {
 	ds, err := Build("tiny", 7)
 	if err != nil {
@@ -155,15 +113,7 @@ func TestResolveLazyEagerCatchesDeepCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lz, err := ResolveLazy(path, 0, LoadLazy)
-	if err != nil {
-		t.Fatalf("lazy open failed on intact metadata: %v", err)
-	}
-	if lz.Spec().Name != ds.Spec.Name {
-		t.Fatalf("lazy open resolved spec %q", lz.Spec().Name)
-	}
-	lz.Close()
-	if _, err := ResolveLazy(path, 0, LoadEager); err == nil {
+	if _, err := ResolveLazy(path, 0); err == nil {
 		t.Fatal("eager resolution accepted a corrupt store")
 	}
 }

@@ -170,54 +170,18 @@ func Build(name string, seed int64) (*graph.Dataset, error) {
 	return graph.Build(p.Spec, seed)
 }
 
-// LoadMode selects how a stored workload is brought into memory.
-type LoadMode int
-
-const (
-	// LoadAuto picks by file size: stores at or above
-	// LazyAutoThresholdBytes stay lazy (sections materialise on first
-	// use, mmap-backed on linux), smaller ones are decoded eagerly.
-	LoadAuto LoadMode = iota
-	// LoadEager materialises and validates every section up front.
-	LoadEager
-	// LoadLazy defers every section until a consumer asks for it.
-	LoadLazy
-)
-
-// LazyAutoThresholdBytes is the LoadAuto cutover: below it an eager
-// decode costs single-digit milliseconds and buys full up-front
-// validation; above it lazy opening keeps peak memory proportional to
-// the sections actually touched.
-const LazyAutoThresholdBytes = 32 << 20
-
-// ParseLoadMode parses a -lazy flag value: auto, on (or lazy), off (or
-// eager).
-func ParseLoadMode(s string) (LoadMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return LoadAuto, nil
-	case "on", "lazy", "true":
-		return LoadLazy, nil
-	case "off", "eager", "false":
-		return LoadEager, nil
-	}
-	return LoadAuto, fmt.Errorf("datasets: bad -lazy value %q (auto, on, off)", s)
-}
+// eagerBelowBytes is the one load-size rule: a store smaller than this
+// is decoded and verified in full at open, which costs single-digit
+// milliseconds and means a corrupt store fails before it is used; a
+// larger one stays lazy, so peak memory follows the sections touched.
+const eagerBelowBytes = 32 << 20
 
 // Resolve turns a registry name or an .argograph file path into a
 // materialised dataset: names are generated with the given seed, paths
 // are loaded from the binary store (the seed is ignored — the stored
 // graph is already materialised).
 func Resolve(nameOrPath string, seed int64) (*graph.Dataset, error) {
-	return ResolveWith(nameOrPath, seed, LoadAuto)
-}
-
-// ResolveWith is Resolve with an explicit load mode for path workloads.
-// The returned dataset is always fully materialised; the mode decides
-// whether a v2 store is decoded eagerly or section-by-section off an
-// mmap while assembling it.
-func ResolveWith(nameOrPath string, seed int64, mode LoadMode) (*graph.Dataset, error) {
-	lz, err := ResolveLazy(nameOrPath, seed, mode)
+	lz, err := ResolveLazy(nameOrPath, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -227,12 +191,12 @@ func ResolveWith(nameOrPath string, seed int64, mode LoadMode) (*graph.Dataset, 
 
 // ResolveLazy turns a registry name or an .argograph path into a
 // LazyDataset handle. Names are generated with the given seed and
-// wrapped (already materialised); paths are opened through the v2 lazy
+// wrapped (already materialised); paths are opened through the lazy
 // reader, so spec and stats are available immediately and topology-only
-// consumers never pay for feature bytes. With LoadEager (or LoadAuto on
-// a small file) every section is materialised and validated before the
-// handle is returned. The caller owns the handle and must Close it.
-func ResolveLazy(nameOrPath string, seed int64, mode LoadMode) (*graph.LazyDataset, error) {
+// consumers of a large store never pay for feature bytes. A store under
+// eagerBelowBytes is materialised and validated before the handle is
+// returned. The caller owns the handle and must Close it.
+func ResolveLazy(nameOrPath string, seed int64) (*graph.LazyDataset, error) {
 	p, gerr := Get(nameOrPath)
 	if gerr == nil {
 		d, err := graph.Build(p.Spec, seed)
@@ -249,7 +213,7 @@ func ResolveLazy(nameOrPath string, seed int64, mode LoadMode) (*graph.LazyDatas
 	if err != nil {
 		return nil, err
 	}
-	if mode == LoadEager || (mode == LoadAuto && fi.Size() < LazyAutoThresholdBytes) {
+	if fi.Size() < eagerBelowBytes {
 		if _, err := lz.Dataset(); err != nil {
 			lz.Close()
 			return nil, err

@@ -7,7 +7,7 @@ import "sort"
 // the ranking is a pure function of the topology. It is the selection
 // behind the serving layer's hub set — the rows a two-tier cache pins
 // and the nodes whose activations are precomputed — and complements the
-// degree histogram the v2 store's Stats section carries: the histogram
+// degree histogram the store's Stats section carries: the histogram
 // sizes the hub set without touching topology bytes, TopDegree names
 // its members once the CSR is open. k is clamped to [0, NumNodes].
 func TopDegree(g *CSR, k int) []NodeID {

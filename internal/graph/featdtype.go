@@ -50,6 +50,14 @@ func (t FeatDtype) statsName() string {
 	return ""
 }
 
+// section is the id of the store section holding features of this dtype.
+func (t FeatDtype) section() uint32 {
+	if t == DtypeF16 {
+		return secFeaturesF16
+	}
+	return secFeatures
+}
+
 // ParseFeatDtype parses a -feat-dtype flag or a stats/manifest JSON
 // value. The empty string is fp32 (pre-dtype stores).
 func ParseFeatDtype(s string) (FeatDtype, error) {

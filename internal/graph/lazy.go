@@ -2,6 +2,8 @@ package graph
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,34 +30,35 @@ import (
 // traversed section by section; elsewhere a portable ReadAt fallback
 // preserves the same laziness with one copy per touched section.
 type LazyDataset struct {
-	path     string
-	kind     uint32
 	mapped   bool // true when backed by an mmap, not ReadAt
 	spec     DatasetSpec
 	stats    Stats
-	sections []sectionEntry
+	sections []sectionEntry // nil for a wrapped in-memory dataset
 	// featDtype is the store's feature encoding, decided by which
-	// features section the table carries (pre-dtype stores: fp32).
+	// features section the table carries.
 	featDtype FeatDtype
 
-	src   sectionSource
+	mu    sync.Mutex
+	src   sectionSource // nil once closed
 	close func() error
 
-	mu     sync.Mutex
+	// Materialised sections. LazyFromDataset fills them all up front.
 	graph  *CSR
 	feats  *tensor.Matrix
 	labels []int32
 	splits *[3][]NodeID
+	// eager caches the Dataset that Dataset assembles (or wraps).
+	eager *Dataset
 
 	// featRowsChecked records that the features section's row/col header
 	// has been validated against the stats section, so FeatureRow can
 	// slice straight into the payload on every later call.
 	featRowsChecked bool
-
-	// eager holds the wrapped dataset of LazyFromDataset, and caches the
-	// one Dataset assembles.
-	eager *Dataset
 }
+
+// errStoreClosed is returned by every accessor that needs store bytes
+// after Close.
+var errStoreClosed = errors.New("graph: store is closed")
 
 // sectionSource serves byte ranges of the underlying store.
 type sectionSource interface {
@@ -108,7 +111,6 @@ func OpenLazy(path string) (*LazyDataset, error) {
 		f.Close()
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
-	lz.path = path
 	return lz, nil
 }
 
@@ -136,6 +138,42 @@ func openLazyFile(f *os.File) (*LazyDataset, error) {
 	return openLazySource(readAtSource{r: f, sz: fi.Size()}, f.Close)
 }
 
+// openReader opens the complete store read from r as an in-memory image.
+func openReader(r io.Reader) (*LazyDataset, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading .argograph store: %w", err)
+	}
+	return openLazySource(mmapSource{data}, nil)
+}
+
+// ReadDataset deserialises a dataset written with Dataset.Write. The
+// header, every checksum, and every structural invariant (CSR shape,
+// label range, split bounds) are verified before the dataset is
+// returned.
+func ReadDataset(r io.Reader) (*Dataset, error) {
+	lz, err := openReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return lz.Dataset()
+}
+
+// LoadDataset reads a .argograph dataset store from path, fully
+// materialised and validated.
+func LoadDataset(path string) (*Dataset, error) {
+	lz, err := OpenLazy(path)
+	if err != nil {
+		return nil, err
+	}
+	defer lz.Close()
+	d, err := lz.Dataset()
+	if err != nil {
+		return nil, fmt.Errorf("graph: %s: %w", path, err)
+	}
+	return d, nil
+}
+
 // openLazySource reads the prefix (header, section table, spec, stats)
 // and leaves everything else untouched. It is the seam the
 // counting-reader tests instrument to prove CSR and feature bytes are
@@ -145,15 +183,9 @@ func openLazySource(src sectionSource, closeFn func() error) (*LazyDataset, erro
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading .argograph header: %w", err)
 	}
-	h, err := parseHeader2(hdr)
+	h, err := parseHeader(hdr)
 	if err != nil {
 		return nil, err
-	}
-	if h.kind != storeKindDataset && h.kind != storeKindCSR {
-		return nil, fmt.Errorf("graph: unknown .argograph payload kind %d", h.kind)
-	}
-	if h.count > maxSections {
-		return nil, fmt.Errorf("graph: implausible section count %d", h.count)
 	}
 	table, err := src.view(storeHeaderLen, uint64(h.count)*sectionEntryLen)
 	if err != nil {
@@ -163,70 +195,54 @@ func openLazySource(src sectionSource, closeFn func() error) (*LazyDataset, erro
 	if err != nil {
 		return nil, err
 	}
-	lz := &LazyDataset{
-		kind:     h.kind,
-		sections: entries,
-		src:      src,
-		close:    closeFn,
+	lz := &LazyDataset{sections: entries, src: src, close: closeFn}
+	if err := lz.jsonSection(secStats, &lz.stats); err != nil {
+		return nil, err
 	}
-	statsB, err := lz.sectionBytes(secStats)
+	if err := lz.jsonSection(secSpec, &lz.spec); err != nil {
+		return nil, err
+	}
+	// The section table is authoritative for the feature dtype; the
+	// stats copy exists for metadata-only readers and must agree.
+	if _, f16 := findSection(entries, secFeaturesF16); f16 {
+		if _, f32 := findSection(entries, secFeatures); f32 {
+			return nil, fmt.Errorf("graph: store carries both features and features16 sections")
+		}
+		lz.featDtype = DtypeF16
+	}
+	statsDtype, err := ParseFeatDtype(lz.stats.FeatDtype)
 	if err != nil {
 		return nil, err
 	}
-	if lz.stats, err = decodeStatsSection(statsB); err != nil {
-		return nil, err
-	}
-	if h.kind == storeKindDataset {
-		specB, err := lz.sectionBytes(secSpec)
-		if err != nil {
-			return nil, err
-		}
-		if lz.spec, err = decodeSpecSection(specB); err != nil {
-			return nil, err
-		}
-		// The section table is authoritative for the feature dtype; the
-		// stats copy exists for metadata-only readers and must agree.
-		if _, f16 := findSection(entries, secFeaturesF16); f16 {
-			if _, f32 := findSection(entries, secFeatures); f32 {
-				return nil, fmt.Errorf("graph: store carries both features and features16 sections")
-			}
-			lz.featDtype = DtypeF16
-		}
-		statsDtype, err := ParseFeatDtype(lz.stats.FeatDtype)
-		if err != nil {
-			return nil, err
-		}
-		if statsDtype != lz.featDtype {
-			return nil, fmt.Errorf("graph: stats dtype %q disagrees with the %s features section the table carries",
-				lz.stats.FeatDtype, lz.featDtype)
-		}
+	if statsDtype != lz.featDtype {
+		return nil, fmt.Errorf("graph: stats dtype %q disagrees with the %s features section the table carries",
+			lz.stats.FeatDtype, lz.featDtype)
 	}
 	return lz, nil
 }
 
-// Close releases the mapping / file handle. Accessors must not be
-// called after Close; slices already returned (features, labels) remain
-// valid because decoding copies out of the mapping.
+// Close releases the mapping / file handle. Accessors that need store
+// bytes fail after Close; sections already materialised (and slices
+// already returned) stay valid because decoding copies out of the
+// mapping.
 func (l *LazyDataset) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.src = nil
 	if l.close == nil {
 		return nil
 	}
 	err := l.close()
 	l.close = nil
-	l.src = nil
 	return err
 }
-
-// Mapped reports whether the store is served by an mmap (linux) rather
-// than the ReadAt fallback.
-func (l *LazyDataset) Mapped() bool { return l.mapped }
 
 // AccessMode describes how sections are served: "memory" for a wrapped
 // in-memory dataset, "mmap" for a mapped store, "pread" for the portable
 // fallback.
 func (l *LazyDataset) AccessMode() string {
 	switch {
-	case l.path == "" && l.src == nil:
+	case l.sections == nil:
 		return "memory"
 	case l.mapped:
 		return "mmap"
@@ -235,16 +251,7 @@ func (l *LazyDataset) AccessMode() string {
 	}
 }
 
-// Kind reports the payload kind ("dataset" or "csr").
-func (l *LazyDataset) Kind() string {
-	if l.kind == storeKindCSR {
-		return "csr"
-	}
-	return "dataset"
-}
-
-// Spec returns the stored DatasetSpec (zero for bare-CSR stores). Read
-// at open time; costs nothing.
+// Spec returns the stored DatasetSpec. Read at open time; costs nothing.
 func (l *LazyDataset) Spec() DatasetSpec { return l.spec }
 
 // FeatDtype reports the store's feature encoding (section table; costs
@@ -277,27 +284,42 @@ func (l *LazyDataset) Sections() []SectionInfo {
 // `argo-data verify`'s "corruption anywhere is detected" claim hold on
 // stores carrying future section kinds.
 func (l *LazyDataset) verifyAllSections() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, e := range l.sections {
-		b, err := l.src.view(e.Offset, e.Length)
-		if err != nil {
+		if _, err := l.sectionBytes(e.ID); err != nil {
 			return err
-		}
-		if sum := crc32.Checksum(b, storeCRC); sum != e.CRC {
-			return fmt.Errorf("graph: %s section checksum mismatch (payload corrupted)", SectionName(e.ID))
 		}
 	}
 	return nil
 }
 
-// sectionBytes returns the (CRC-verified) payload of the section with
-// the given id. This is the only place lazy materialisation reads
-// section payload bytes.
-func (l *LazyDataset) sectionBytes(id uint32) ([]byte, error) {
-	e, ok := findSection(l.sections, id)
-	if !ok {
-		return nil, fmt.Errorf("graph: store has no %s section", SectionName(id))
+// bytesAt returns the store bytes in [off, off+n). It is the one place
+// store bytes are read, so every accessor fails cleanly after Close.
+// l.mu must be held (or l not yet shared).
+func (l *LazyDataset) bytesAt(off, n uint64) ([]byte, error) {
+	if l.src == nil {
+		return nil, errStoreClosed
 	}
-	b, err := l.src.view(e.Offset, e.Length)
+	return l.src.view(off, n)
+}
+
+// entry returns the table entry of section id.
+func (l *LazyDataset) entry(id uint32) (sectionEntry, error) {
+	if e, ok := findSection(l.sections, id); ok {
+		return e, nil
+	}
+	return sectionEntry{}, fmt.Errorf("graph: store has no %s section", SectionName(id))
+}
+
+// sectionBytes returns the CRC-verified payload of section id. l.mu
+// must be held (or l not yet shared).
+func (l *LazyDataset) sectionBytes(id uint32) ([]byte, error) {
+	e, err := l.entry(id)
+	if err != nil {
+		return nil, err
+	}
+	b, err := l.bytesAt(e.Offset, e.Length)
 	if err != nil {
 		return nil, err
 	}
@@ -305,6 +327,22 @@ func (l *LazyDataset) sectionBytes(id uint32) ([]byte, error) {
 		return nil, fmt.Errorf("graph: %s section checksum mismatch (payload corrupted)", SectionName(id))
 	}
 	return b, nil
+}
+
+// jsonSection decodes the spec, stats or manifest section id into v.
+// l.mu must be held (or l not yet shared).
+func (l *LazyDataset) jsonSection(id uint32, v any) error {
+	b, err := l.sectionBytes(id)
+	if err != nil {
+		return err
+	}
+	if len(b) > maxJSONSection {
+		return fmt.Errorf("graph: %s section of %d bytes", SectionName(id), len(b))
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("graph: decoding stored %s: %w", SectionName(id), err)
+	}
+	return nil
 }
 
 // Topology materialises (and caches) the CSR topology. Feature, label,
@@ -349,27 +387,13 @@ func (l *LazyDataset) featuresLocked() (*tensor.Matrix, error) {
 	if l.feats != nil {
 		return l.feats, nil
 	}
-	if l.eager != nil {
-		l.feats = l.eager.Features
-		return l.feats, nil
+	b, err := l.sectionBytes(l.featDtype.section())
+	if err != nil {
+		return nil, err
 	}
-	var m *tensor.Matrix
-	if l.featDtype == DtypeF16 {
-		b, err := l.sectionBytes(secFeaturesF16)
-		if err != nil {
-			return nil, err
-		}
-		if m, err = decodeFeaturesF16Section(b); err != nil {
-			return nil, err
-		}
-	} else {
-		b, err := l.sectionBytes(secFeatures)
-		if err != nil {
-			return nil, err
-		}
-		if m, err = decodeFeaturesSection(b); err != nil {
-			return nil, err
-		}
+	m, err := decodeFeaturesSection(b, l.featDtype)
+	if err != nil {
+		return nil, err
 	}
 	if m.Rows != l.stats.FeatRows || m.Cols != l.stats.FeatCols {
 		return nil, fmt.Errorf("graph: features section %dx%d disagrees with stats %dx%d",
@@ -397,9 +421,9 @@ func (l *LazyDataset) NumFeatureRows() int { return l.stats.FeatRows }
 // every feature byte, which is exactly what the row-granular path
 // exists to avoid. `argo-data verify` remains the integrity gate.
 func (l *LazyDataset) FeatureRow(i int, dst []float32) ([]float32, error) {
-	cols := l.stats.FeatCols
-	if i < 0 || i >= l.stats.FeatRows {
-		return nil, fmt.Errorf("graph: feature row %d outside [0,%d)", i, l.stats.FeatRows)
+	rows, cols := l.stats.FeatRows, l.stats.FeatCols
+	if i < 0 || i >= rows {
+		return nil, fmt.Errorf("graph: feature row %d outside [0,%d)", i, rows)
 	}
 	if cap(dst) < cols {
 		dst = make([]float32, cols)
@@ -407,63 +431,40 @@ func (l *LazyDataset) FeatureRow(i int, dst []float32) ([]float32, error) {
 	dst = dst[:cols]
 
 	l.mu.Lock()
-	if l.feats == nil && l.eager != nil {
-		l.feats = l.eager.Features
-	}
+	defer l.mu.Unlock()
 	if m := l.feats; m != nil {
-		l.mu.Unlock()
 		if m.Cols != cols || i >= m.Rows {
-			return nil, fmt.Errorf("graph: features matrix %dx%d disagrees with stats %dx%d",
-				m.Rows, m.Cols, l.stats.FeatRows, cols)
+			return nil, fmt.Errorf("graph: features matrix %dx%d disagrees with stats %dx%d", m.Rows, m.Cols, rows, cols)
 		}
 		copy(dst, m.Row(i))
 		return dst, nil
 	}
-	src := l.src
-	if src == nil {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("graph: store is closed")
-	}
-	secID := uint32(secFeatures)
-	elem := uint64(4)
-	if l.featDtype == DtypeF16 {
-		secID = secFeaturesF16
-		elem = 2
-	}
-	e, ok := findSection(l.sections, secID)
-	if !ok {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("graph: store has no %s section", SectionName(secID))
+	id, elem := l.featDtype.section(), uint64(l.featDtype.Size())
+	e, err := l.entry(id)
+	if err != nil {
+		return nil, err
 	}
 	if !l.featRowsChecked {
 		// First row read: validate the 16-byte section prefix (rows, cols)
 		// against the stats the whole row-offset arithmetic trusts.
-		hdr, err := src.view(e.Offset, 16)
+		hdr, err := l.bytesAt(e.Offset, 16)
 		if err != nil {
-			l.mu.Unlock()
 			return nil, err
 		}
-		rows := binary.LittleEndian.Uint64(hdr[0:])
-		c := binary.LittleEndian.Uint64(hdr[8:])
-		if rows != uint64(l.stats.FeatRows) || c != uint64(cols) {
-			l.mu.Unlock()
-			return nil, fmt.Errorf("graph: %s section %dx%d disagrees with stats %dx%d",
-				SectionName(secID), rows, c, l.stats.FeatRows, cols)
+		r, c := binary.LittleEndian.Uint64(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:])
+		if r != uint64(rows) || c != uint64(cols) {
+			return nil, fmt.Errorf("graph: %s section %dx%d disagrees with stats %dx%d", SectionName(id), r, c, rows, cols)
 		}
-		if e.Length != 16+elem*rows*c {
-			l.mu.Unlock()
-			return nil, fmt.Errorf("graph: %s section is %d bytes, want %d for %dx%d",
-				SectionName(secID), e.Length, 16+elem*rows*c, rows, c)
+		if want := 16 + elem*r*c; e.Length != want {
+			return nil, fmt.Errorf("graph: %s section is %d bytes, want %d for %dx%d", SectionName(id), e.Length, want, r, c)
 		}
 		l.featRowsChecked = true
 	}
-	l.mu.Unlock()
 
 	// Row payload: section prefix (16 bytes) then row-major elements.
 	// fp16 rows widen exactly through the half kernel, so a row read and
 	// a materialised-matrix read return identical bits.
-	off := e.Offset + 16 + uint64(i)*uint64(cols)*elem
-	b, err := src.view(off, uint64(cols)*elem)
+	b, err := l.bytesAt(e.Offset+16+uint64(i)*uint64(cols)*elem, uint64(cols)*elem)
 	if err != nil {
 		return nil, err
 	}
@@ -488,10 +489,6 @@ func (l *LazyDataset) labelsLocked() ([]int32, error) {
 	if l.labels != nil {
 		return l.labels, nil
 	}
-	if l.eager != nil {
-		l.labels = l.eager.Labels
-		return l.labels, nil
-	}
 	b, err := l.sectionBytes(secLabels)
 	if err != nil {
 		return nil, err
@@ -508,27 +505,27 @@ func (l *LazyDataset) labelsLocked() ([]int32, error) {
 func (l *LazyDataset) Splits() (train, val, test []NodeID, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.splitsLocked()
+	s, err := l.splitsLocked()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return s[0], s[1], s[2], nil
 }
 
-func (l *LazyDataset) splitsLocked() (train, val, test []NodeID, err error) {
+func (l *LazyDataset) splitsLocked() (*[3][]NodeID, error) {
 	if l.splits != nil {
-		return l.splits[0], l.splits[1], l.splits[2], nil
-	}
-	if l.eager != nil {
-		l.splits = &[3][]NodeID{l.eager.TrainIdx, l.eager.ValIdx, l.eager.TestIdx}
-		return l.splits[0], l.splits[1], l.splits[2], nil
+		return l.splits, nil
 	}
 	b, err := l.sectionBytes(secSplits)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	tr, va, te, err := decodeSplitsSection(b)
+	s, err := decodeSplitsSection(b)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	l.splits = &[3][]NodeID{tr, va, te}
-	return tr, va, te, nil
+	l.splits = s
+	return s, nil
 }
 
 // Dataset materialises every section into a validated *Dataset — the
@@ -538,9 +535,6 @@ func (l *LazyDataset) Dataset() (*Dataset, error) {
 	defer l.mu.Unlock()
 	if l.eager != nil {
 		return l.eager, nil
-	}
-	if l.kind != storeKindDataset {
-		return nil, fmt.Errorf("graph: store holds a bare CSR, not a dataset")
 	}
 	g, err := l.topologyLocked()
 	if err != nil {
@@ -554,7 +548,7 @@ func (l *LazyDataset) Dataset() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, val, test, err := l.splitsLocked()
+	splits, err := l.splitsLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -565,9 +559,9 @@ func (l *LazyDataset) Dataset() (*Dataset, error) {
 		FeatDtype:  l.featDtype,
 		Labels:     labels,
 		NumClasses: l.stats.NumClasses,
-		TrainIdx:   train,
-		ValIdx:     val,
-		TestIdx:    test,
+		TrainIdx:   splits[0],
+		ValIdx:     splits[1],
+		TestIdx:    splits[2],
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: stored dataset invalid: %w", err)
@@ -588,11 +582,13 @@ func LazyFromDataset(d *Dataset) *LazyDataset {
 // per-shard stats once in buildShards).
 func lazyFromDatasetWithStats(d *Dataset, st Stats) *LazyDataset {
 	return &LazyDataset{
-		kind:      storeKindDataset,
 		spec:      d.Spec,
 		stats:     st,
 		featDtype: d.FeatDtype,
-		eager:     d,
 		graph:     d.Graph,
+		feats:     d.Features,
+		labels:    d.Labels,
+		splits:    &[3][]NodeID{d.TrainIdx, d.ValIdx, d.TestIdx},
+		eager:     d,
 	}
 }

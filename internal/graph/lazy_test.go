@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"argo/internal/platform"
@@ -182,7 +184,7 @@ func TestOpenLazyFileAccessMode(t *testing.T) {
 	}
 	defer lz.Close()
 	if platform.MmapSupported {
-		if !lz.Mapped() || lz.AccessMode() != "mmap" {
+		if lz.AccessMode() != "mmap" {
 			t.Fatalf("expected mmap access on this platform, got %s", lz.AccessMode())
 		}
 	} else if lz.AccessMode() != "pread" {
@@ -375,4 +377,75 @@ func TestFeatureRowKHopGatherNeverMaterialisesMatrix(t *testing.T) {
 	if featureBytes >= featLen {
 		t.Fatalf("gather read %d of %d feature-section bytes — matrix was materialised", featureBytes, featLen)
 	}
+}
+
+// Every accessor that needs store bytes fails with an error, not a
+// panic, once the store is closed.
+func TestClosedStoreAccessorsFail(t *testing.T) {
+	ds := storeTestDataset(t)
+	path := filepath.Join(t.TempDir(), "closed.argograph")
+	if err := ds.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for name, access := range map[string]func(*LazyDataset) error{
+		"Topology":   func(lz *LazyDataset) error { _, err := lz.Topology(); return err },
+		"Features":   func(lz *LazyDataset) error { _, err := lz.Features(); return err },
+		"Labels":     func(lz *LazyDataset) error { _, err := lz.Labels(); return err },
+		"Splits":     func(lz *LazyDataset) error { _, _, _, err := lz.Splits(); return err },
+		"FeatureRow": func(lz *LazyDataset) error { _, err := lz.FeatureRow(0, nil); return err },
+		"Dataset":    func(lz *LazyDataset) error { _, err := lz.Dataset(); return err },
+	} {
+		lz, err := OpenLazy(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := access(lz); err == nil || !strings.Contains(err.Error(), "store is closed") {
+			t.Errorf("%s after Close: %v, want a store-is-closed error", name, err)
+		}
+		if err := lz.Close(); err != nil {
+			t.Errorf("second Close: %v", err)
+		}
+	}
+}
+
+// FeatureRow racing Close (run under -race): every read either returns
+// the row or fails with the store-is-closed error, and none touches a
+// store that is already unmapped.
+func TestFeatureRowRacesClose(t *testing.T) {
+	ds := storeTestDataset(t)
+	path := filepath.Join(t.TempDir(), "race.argograph")
+	if err := ds.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	lz, err := OpenLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < ds.Features.Rows; i += 4 {
+				row, err := lz.FeatureRow(i, nil)
+				if err != nil {
+					if !strings.Contains(err.Error(), "store is closed") {
+						t.Error(err)
+					}
+					return
+				}
+				if !reflect.DeepEqual(row, ds.Features.Row(i)) {
+					t.Errorf("row %d differs", i)
+					return
+				}
+			}
+		}(g)
+	}
+	if err := lz.Close(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
 }

@@ -1,0 +1,420 @@
+package graph
+
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"sort"
+	"sync"
+)
+
+// Validate checks the manifest's internal consistency: shard entries
+// and owner runs present, every shard file a plain name in the
+// manifest's own directory, runs ascending/contiguous/covering, every
+// run's shard in range, and per-shard owned counts matching the runs.
+func (m *ShardManifest) Validate() error {
+	if m.Version != manifestVersion {
+		return fmt.Errorf("graph: shard manifest schema version %d (supported: %d)", m.Version, manifestVersion)
+	}
+	if m.K < 1 || len(m.Shards) != m.K {
+		return fmt.Errorf("graph: manifest declares k=%d but lists %d shards", m.K, len(m.Shards))
+	}
+	if m.NumNodes < 1 {
+		return fmt.Errorf("graph: manifest covers %d nodes", m.NumNodes)
+	}
+	files := make(map[string]bool, m.K)
+	for i, e := range m.Shards {
+		if e.Index != i {
+			return fmt.Errorf("graph: shard entry %d has index %d", i, e.Index)
+		}
+		// The writer only emits base names; anything else would let a
+		// crafted manifest open files outside the set's directory.
+		if e.File != filepath.Base(e.File) || e.File == "." || e.File == ".." {
+			return fmt.Errorf("graph: shard %d file %q is not a file name in the manifest's directory", i, e.File)
+		}
+		if files[e.File] {
+			return fmt.Errorf("graph: shard file %q listed twice", e.File)
+		}
+		files[e.File] = true
+	}
+	owned := make([]int64, m.K)
+	next := int64(0)
+	for _, r := range m.Runs {
+		if r.Shard < 0 || r.Shard >= m.K {
+			return fmt.Errorf("graph: owner run [%d,+%d) names shard %d of %d", r.Start, r.Count, r.Shard, m.K)
+		}
+		if r.Count < 1 {
+			return fmt.Errorf("graph: empty owner run at %d", r.Start)
+		}
+		if r.Start != next {
+			return fmt.Errorf("graph: owner runs not contiguous: run starts at %d, want %d", r.Start, next)
+		}
+		next = r.Start + r.Count
+		owned[r.Shard] += r.Count
+	}
+	if next != m.NumNodes {
+		return fmt.Errorf("graph: owner runs cover %d of %d nodes", next, m.NumNodes)
+	}
+	for i, e := range m.Shards {
+		if owned[i] != int64(e.Owned) {
+			return fmt.Errorf("graph: shard %d owns %d nodes per runs, entry says %d", i, owned[i], e.Owned)
+		}
+	}
+	return nil
+}
+
+// Owner finds global node v's shard in the owner runs (an opened set has Locate).
+func (m *ShardManifest) Owner(v NodeID) (int, error) {
+	if v < 0 || int64(v) >= m.NumNodes {
+		return 0, fmt.Errorf("graph: node %d outside [0,%d)", v, m.NumNodes)
+	}
+	i := sort.Search(len(m.Runs), func(i int) bool { return m.Runs[i].Start > int64(v) }) - 1
+	if i < 0 || int64(v) >= m.Runs[i].Start+m.Runs[i].Count {
+		return 0, fmt.Errorf("graph: node %d not covered by owner runs", v)
+	}
+	return m.Runs[i].Shard, nil
+}
+
+// TotalCutArcs sums the per-shard cut-arc counts — the shard set's
+// whole edge cut, the upper bound on distinct halo rows any exchange
+// over this set can move per epoch.
+func (m *ShardManifest) TotalCutArcs() int64 {
+	var cut int64
+	for _, e := range m.Shards {
+		cut += e.CutArcs
+	}
+	return cut
+}
+
+// EdgeCutFraction is the edge cut as a fraction of all arcs (0 when the
+// manifest records no arcs).
+func (m *ShardManifest) EdgeCutFraction() float64 {
+	if m.NumArcs == 0 {
+		return 0
+	}
+	return float64(m.TotalCutArcs()) / float64(m.NumArcs)
+}
+
+// GlobalID maps a shard-local node id to its global id.
+func (sm *ShardMap) GlobalID(local NodeID) (NodeID, error) {
+	if int(local) < len(sm.Owned) {
+		return sm.Owned[local], nil
+	}
+	h := int(local) - len(sm.Owned)
+	if h < len(sm.Halo) {
+		return sm.Halo[h], nil
+	}
+	return 0, fmt.Errorf("graph: local id %d outside shard %d's %d+%d nodes", local, sm.Shard, len(sm.Owned), len(sm.Halo))
+}
+
+// LocalID maps a global node id to the shard-local id, or -1 when the
+// node is neither owned nor in the halo.
+func (sm *ShardMap) LocalID(global NodeID) NodeID {
+	if i := sort.Search(len(sm.Owned), func(i int) bool { return sm.Owned[i] >= global }); i < len(sm.Owned) && sm.Owned[i] == global {
+		return NodeID(i)
+	}
+	if i := sort.Search(len(sm.Halo), func(i int) bool { return sm.Halo[i] >= global }); i < len(sm.Halo) && sm.Halo[i] == global {
+		return NodeID(len(sm.Owned) + i)
+	}
+	return -1
+}
+
+// ShardManifest decodes the manifest section, reporting ok=false when
+// the store carries none (an ordinary, non-shard store).
+func (l *LazyDataset) ShardManifest() (*ShardManifest, bool, error) {
+	if _, found := findSection(l.sections, secManifest); !found {
+		return nil, false, nil
+	}
+	var m ShardManifest
+	l.mu.Lock()
+	err := l.jsonSection(secManifest, &m)
+	l.mu.Unlock()
+	if err == nil {
+		err = m.Validate()
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	return &m, true, nil
+}
+
+// shardMap decodes the store's shardmap section.
+func (l *LazyDataset) shardMap() (*ShardMap, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b, err := l.sectionBytes(secShardMap)
+	if err != nil {
+		return nil, err
+	}
+	d := dec{buf: b}
+	sm := &ShardMap{Shard: int(d.u32()), K: int(d.u32())}
+	nOwned, nHalo := d.u64(), d.u64()
+	sm.Owned = d.i32s(d.elems(nOwned, 4))
+	sm.Halo = d.i32s(d.elems(nHalo, 4))
+	for _, ranks := range []*[]int64{&sm.TrainRank, &sm.ValRank, &sm.TestRank} {
+		*ranks = d.i64s(d.count(8))
+	}
+	if err := d.done(secShardMap); err != nil {
+		return nil, err
+	}
+	return sm, nil
+}
+
+// ShardSet is an opened shard set: the manifest plus lazily opened
+// per-shard stores. File-backed sets open each shard's store on first
+// use (mmap on linux), so topology-only consumers — Validate, Skeleton —
+// never touch feature bytes.
+type ShardSet struct {
+	Manifest ShardManifest
+	dir      string
+	lazies   []*LazyDataset
+	maps     []*ShardMap
+
+	locOnce          sync.Once
+	locShard, locRow []int32
+	locErr           error
+}
+
+// OpenShardSet opens the shard set whose manifest-carrying store
+// (shard 0, as written by WriteShardSet or `argo-data shard`) is at
+// path. Sibling shard files are resolved relative to path's directory
+// and opened lazily on first access. The caller must Close the set.
+func OpenShardSet(path string) (*ShardSet, error) {
+	lz, err := OpenLazy(path)
+	if err != nil {
+		return nil, err
+	}
+	man, ok, err := lz.ShardManifest()
+	if err != nil {
+		lz.Close()
+		return nil, fmt.Errorf("graph: %s: %w", path, err)
+	}
+	if !ok {
+		lz.Close()
+		return nil, fmt.Errorf("graph: %s: not a shard-set handle (no manifest section; pass the .shard0 store)", path)
+	}
+	ss := &ShardSet{
+		Manifest: *man,
+		dir:      filepath.Dir(path),
+		lazies:   make([]*LazyDataset, man.K),
+		maps:     make([]*ShardMap, man.K),
+	}
+	// Slot the already-open handle under its manifest entry.
+	slot := slices.IndexFunc(man.Shards, func(e ShardEntry) bool { return e.File == filepath.Base(path) })
+	if slot < 0 {
+		lz.Close()
+		return nil, fmt.Errorf("graph: %s: store is not listed in its own manifest", path)
+	}
+	ss.lazies[slot] = lz
+	return ss, nil
+}
+
+// K returns the number of shards in the set.
+func (ss *ShardSet) K() int { return ss.Manifest.K }
+
+// Spec returns the global dataset's spec.
+func (ss *ShardSet) Spec() DatasetSpec { return ss.Manifest.Spec }
+
+// Locations returns the set's location table, the one answer to "where
+// does node v live": shard[v] owns global node v at row[v] of its feature
+// and label sections (v's index in ShardMap.Owned). 8 B/node, read-only,
+// built by the first call (safe to race), which fails unless each node is owned once.
+func (ss *ShardSet) Locations() (shard, row []int32, err error) {
+	ss.locOnce.Do(func() { ss.locShard, ss.locRow, ss.locErr = ss.buildLocations() })
+	return ss.locShard, ss.locRow, ss.locErr
+}
+
+func (ss *ShardSet) buildLocations() (shard, row []int32, err error) {
+	n := int(ss.Manifest.NumNodes)
+	shard, row = slices.Repeat([]int32{-1}, n), make([]int32, n)
+	owned := 0
+	for s := 0; s < ss.Manifest.K; s++ {
+		sm, err := ss.ShardMap(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		for l, v := range sm.Owned {
+			if v < 0 || int(v) >= n {
+				return nil, nil, fmt.Errorf("graph: shard %d owns node %d outside [0,%d)", s, v, n)
+			}
+			if shard[v] >= 0 {
+				return nil, nil, fmt.Errorf("graph: node %d owned by shards %d and %d", v, shard[v], s)
+			}
+			shard[v], row[v] = int32(s), int32(l)
+		}
+		owned += len(sm.Owned)
+	}
+	if owned != n { // in range and never twice, so fewer means a node is missing
+		return nil, nil, fmt.Errorf("graph: shard maps own %d of %d nodes", owned, n)
+	}
+	return shard, row, nil
+}
+
+// Locate returns the shard owning global node v and v's row there.
+func (ss *ShardSet) Locate(v NodeID) (shard, row int, err error) {
+	shards, rows, err := ss.Locations()
+	if err != nil {
+		return 0, 0, err
+	}
+	if v < 0 || int(v) >= len(shards) {
+		return 0, 0, fmt.Errorf("graph: node %d outside [0,%d)", v, len(shards))
+	}
+	return int(shards[v]), int(rows[v]), nil
+}
+
+// Owner returns the shard owning global node v.
+func (ss *ShardSet) Owner(v NodeID) (shard int, err error) {
+	shard, _, err = ss.Locate(v)
+	return shard, err
+}
+
+// Shard returns shard i's store, opening it lazily for file-backed
+// sets. The set retains ownership; Close closes every opened shard.
+func (ss *ShardSet) Shard(i int) (*LazyDataset, error) {
+	if i < 0 || i >= ss.Manifest.K {
+		return nil, fmt.Errorf("graph: shard %d of %d", i, ss.Manifest.K)
+	}
+	if ss.lazies[i] != nil {
+		return ss.lazies[i], nil
+	}
+	lz, err := OpenLazy(filepath.Join(ss.dir, ss.Manifest.Shards[i].File))
+	if err != nil {
+		return nil, fmt.Errorf("graph: opening shard %d: %w", i, err)
+	}
+	ss.lazies[i] = lz
+	return lz, nil
+}
+
+// ShardMap returns shard i's local↔global map, decoding the shardmap
+// section on first use.
+func (ss *ShardSet) ShardMap(i int) (*ShardMap, error) {
+	if i < 0 || i >= ss.Manifest.K {
+		return nil, fmt.Errorf("graph: shard %d of %d", i, ss.Manifest.K)
+	}
+	if ss.maps[i] != nil {
+		return ss.maps[i], nil
+	}
+	lz, err := ss.Shard(i)
+	if err != nil {
+		return nil, err
+	}
+	sm, err := lz.shardMap()
+	if err != nil {
+		return nil, fmt.Errorf("graph: shard %d: %w", i, err)
+	}
+	ss.maps[i] = sm
+	return sm, nil
+}
+
+// Close closes every opened shard store.
+func (ss *ShardSet) Close() error {
+	var first error
+	for i, lz := range ss.lazies {
+		if lz == nil {
+			continue
+		}
+		if err := lz.Close(); err != nil && first == nil {
+			first = err
+		}
+		ss.lazies[i] = nil
+	}
+	return first
+}
+
+// Validate checks the shard set end to end using topology-only opens:
+// the manifest itself, then every shard's map and local CSR against it
+// — ownership coverage and disjointness (each global node owned by
+// exactly one shard, every owned list agreeing with the manifest runs),
+// halo consistency (halo nodes foreign, sorted, exactly the targets of
+// the shard's cut arcs, with empty local rows), and the per-shard stats
+// profile. Feature bytes are never read.
+func (ss *ShardSet) Validate() error {
+	m := &ss.Manifest
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	for s := 0; s < m.K; s++ {
+		e := m.Shards[s]
+		sm, err := ss.ShardMap(s)
+		if err != nil {
+			return err
+		}
+		if sm.Shard != s || sm.K != m.K {
+			return fmt.Errorf("graph: shard %d's map says shard %d of %d", s, sm.Shard, sm.K)
+		}
+		if len(sm.Owned) != e.Owned || len(sm.Halo) != e.Halo {
+			return fmt.Errorf("graph: shard %d map has %d+%d nodes, manifest says %d+%d",
+				s, len(sm.Owned), len(sm.Halo), e.Owned, e.Halo)
+		}
+		for j, v := range sm.Owned {
+			if j > 0 && sm.Owned[j-1] >= v {
+				return fmt.Errorf("graph: shard %d owned list not ascending at %d", s, j)
+			}
+			o, err := m.Owner(v)
+			if err != nil {
+				return fmt.Errorf("graph: shard %d: %w", s, err)
+			}
+			if o != s {
+				return fmt.Errorf("graph: node %d in shard %d's owned list belongs to shard %d", v, s, o)
+			}
+		}
+		for j, v := range sm.Halo {
+			if j > 0 && sm.Halo[j-1] >= v {
+				return fmt.Errorf("graph: shard %d halo list not ascending at %d", s, j)
+			}
+			o, err := m.Owner(v)
+			if err != nil {
+				return fmt.Errorf("graph: shard %d: %w", s, err)
+			}
+			if o == s {
+				return fmt.Errorf("graph: shard %d lists owned node %d as halo", s, v)
+			}
+		}
+		lz, err := ss.Shard(s)
+		if err != nil {
+			return err
+		}
+		if got := lz.FeatDtype().statsName(); got != m.FeatDtype {
+			return fmt.Errorf("graph: shard %d stores %s features, manifest says %q",
+				s, lz.FeatDtype(), m.FeatDtype)
+		}
+		lg, err := lz.Topology()
+		if err != nil {
+			return err
+		}
+		if lg.NumNodes != e.Owned+e.Halo {
+			return fmt.Errorf("graph: shard %d CSR has %d nodes, want %d+%d", s, lg.NumNodes, e.Owned, e.Halo)
+		}
+		if lg.NumEdges() != e.Arcs {
+			return fmt.Errorf("graph: shard %d CSR has %d arcs, manifest says %d", s, lg.NumEdges(), e.Arcs)
+		}
+		var cut int64
+		haloTouched := make([]bool, len(sm.Halo))
+		for l := 0; l < e.Owned; l++ {
+			for _, u := range lg.Neighbors(NodeID(l)) {
+				if int(u) >= e.Owned {
+					cut++
+					haloTouched[int(u)-e.Owned] = true
+				}
+			}
+		}
+		if cut != e.CutArcs {
+			return fmt.Errorf("graph: shard %d has %d cut arcs, manifest says %d", s, cut, e.CutArcs)
+		}
+		for h := e.Owned; h < lg.NumNodes; h++ {
+			if lg.Degree(NodeID(h)) != 0 {
+				return fmt.Errorf("graph: shard %d halo node %d has a local adjacency row", s, h)
+			}
+			if !haloTouched[h-e.Owned] {
+				return fmt.Errorf("graph: shard %d halo node %d (global %d) is referenced by no cut arc", s, h, sm.Halo[h-e.Owned])
+			}
+		}
+		if st := lz.Stats(); st.Shard != nil {
+			if st.Shard.Owned != e.Owned || st.Shard.Halo != e.Halo || st.Shard.CutArcs != e.CutArcs {
+				return fmt.Errorf("graph: shard %d stats profile (%d/%d/%d) disagrees with manifest (%d/%d/%d)",
+					s, st.Shard.Owned, st.Shard.Halo, st.Shard.CutArcs, e.Owned, e.Halo, e.CutArcs)
+			}
+		}
+	}
+	return nil
+}

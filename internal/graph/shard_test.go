@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,9 +142,9 @@ func TestShardStoresArePlainStores(t *testing.T) {
 	}
 }
 
-// Validate and AssembleTopology are topology-only: no shard's feature
-// section is materialised, which is what lets a set be checked and its
-// skeleton built over out-of-core stores.
+// Validate and Skeleton are topology-only: no shard's feature section is
+// materialised, which is what lets a set be checked and its skeleton
+// built over out-of-core stores.
 func TestShardValidateIsTopologyOnly(t *testing.T) {
 	ds := shardTestDataset(t)
 	_, paths, _ := writeTestShards(t, ds, 4)
@@ -153,9 +154,6 @@ func TestShardValidateIsTopologyOnly(t *testing.T) {
 	}
 	defer ss.Close()
 	if err := ss.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.AssembleTopology(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ss.Skeleton(); err != nil {
@@ -254,24 +252,6 @@ func TestShardOwnerAndLocalGlobalMaps(t *testing.T) {
 	}
 }
 
-// GlobalStats, derived purely from the shards' stats sections, must
-// equal the stats computed from the materialised global dataset.
-func TestShardGlobalStatsMatchComputed(t *testing.T) {
-	ds := shardTestDataset(t)
-	ss, err := ShardSetFromDataset(ds, ShardOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	got, err := ss.GlobalStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ComputeStats(ds); !reflect.DeepEqual(got, want) {
-		t.Fatalf("global stats from shards:\n%+v\nwant:\n%+v", got, want)
-	}
-}
-
 // The random partitioner shards too, and records itself in the
 // manifest; unknown partitioners and degenerate shard counts fail fast.
 func TestShardOptionsPartitioners(t *testing.T) {
@@ -367,5 +347,37 @@ func TestManifestCostAccessors(t *testing.T) {
 	}
 	if frac != float64(want)/float64(m.NumArcs) {
 		t.Fatalf("EdgeCutFraction %v inconsistent with totals", frac)
+	}
+}
+
+// A manifest may only name shard files in its own directory: the writer
+// emits plain file names, and anything else is refused before a shard
+// is opened.
+func TestManifestValidateConfinesShardFiles(t *testing.T) {
+	ss, err := ShardSetFromDataset(shardTestDataset(t), ShardOptions{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	for _, c := range []struct {
+		file string
+		ok   bool
+	}{
+		{"shardtest.shard1.argograph", true},
+		{"other-name.argograph", true},
+		{"../../etc/x.argograph", false},
+		{"../x.argograph", false},
+		{"sub/x.argograph", false},
+		{"/abs/x.argograph", false},
+		{"..", false},
+		{".", false},
+		{"", false},
+	} {
+		m := ss.Manifest
+		m.Shards = slices.Clone(m.Shards)
+		m.Shards[1].File = c.file
+		if err := m.Validate(); (err == nil) != c.ok {
+			t.Errorf("shard file %q: Validate() = %v, want ok=%v", c.file, err, c.ok)
+		}
 	}
 }

@@ -72,21 +72,6 @@ func specOf(b []byte) (DatasetSpec, error) {
 	return lz.Spec(), nil
 }
 
-func TestCSRStoreRoundTrip(t *testing.T) {
-	ds := storeTestDataset(t)
-	path := filepath.Join(t.TempDir(), "topo.argograph")
-	if err := ds.Graph.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := topologyAt(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ds.Graph, back) {
-		t.Fatal("CSR did not round-trip through the binary store")
-	}
-}
-
 // The golden header pins the on-disk framing: any accidental change to
 // the magic, version, or field layout shows up as a corrupted prefix
 // here rather than as silent incompatibility discovered by a user.
@@ -186,11 +171,13 @@ func TestStoreRejectsFutureVersion(t *testing.T) {
 func TestStoreRejectsWrongKind(t *testing.T) {
 	ds := storeTestDataset(t)
 	var buf bytes.Buffer
-	if err := ds.Graph.Write(&buf); err != nil {
+	if err := ds.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDataset(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "kind") {
-		t.Fatalf("CSR store read as dataset: %v", err)
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[12:], 2) // the retired bare-CSR kind
+	if _, err := ReadDataset(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "kind") {
+		t.Fatalf("payload kind 2 read as dataset: %v", err)
 	}
 }
 
@@ -316,17 +303,13 @@ func FuzzReadDataset(f *testing.F) {
 }
 
 // craftedStore swaps the payload of one section of a valid store of ds
-// (a dataset store, or a bare-CSR one when csrOnly) for raw and
-// re-frames it, so the table and every checksum hold and only the
-// section decoder stands between the crafted counts and an allocation.
-func craftedStore(t *testing.T, ds *Dataset, csrOnly bool, id uint32, raw []byte) []byte {
+// for raw and re-frames it, so the table and every checksum hold and
+// only the section decoder stands between the crafted counts and an
+// allocation.
+func craftedStore(t *testing.T, ds *Dataset, id uint32, raw []byte) []byte {
 	t.Helper()
-	write, kind := ds.Write, uint32(storeKindDataset)
-	if csrOnly {
-		write, kind = ds.Graph.Write, storeKindCSR
-	}
 	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
+	if err := ds.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -338,7 +321,7 @@ func craftedStore(t *testing.T, ds *Dataset, csrOnly bool, id uint32, raw []byte
 		}
 		sections = append(sections, section{e.ID, payload})
 	}
-	return encodeSections(kind, sections)
+	return encodeSections(sections)
 }
 
 // A crafted store whose declared counts are near MaxInt64 must be
@@ -351,7 +334,7 @@ func TestStoreRejectsOverflowingCounts(t *testing.T) {
 	e.u64(1)
 	e.u64(1<<62 + 1)
 	e.i64s([]int64{0, 0})
-	if _, err := topologyOf(craftedStore(t, ds, true, secCSR, e.buf)); err == nil {
+	if _, err := topologyOf(craftedStore(t, ds, secCSR, e.buf)); err == nil {
 		t.Fatal("2^62+1 arcs accepted")
 	}
 	// Features section: a block whose size would overflow the rows*cols*4
@@ -363,7 +346,7 @@ func TestStoreRejectsOverflowingCounts(t *testing.T) {
 		var p enc
 		p.u64(counts[0])
 		p.u64(counts[1])
-		if _, err := ReadDataset(bytes.NewReader(craftedStore(t, ds, false, secFeatures, p.buf))); err == nil {
+		if _, err := ReadDataset(bytes.NewReader(craftedStore(t, ds, secFeatures, p.buf))); err == nil {
 			t.Fatalf("feature block %d x %d accepted", counts[0], counts[1])
 		}
 	}
@@ -371,7 +354,7 @@ func TestStoreRejectsOverflowingCounts(t *testing.T) {
 	for _, id := range []uint32{secLabels, secSplits} {
 		var p enc
 		p.u64(1<<62 + 1)
-		if _, err := ReadDataset(bytes.NewReader(craftedStore(t, ds, false, id, p.buf))); err == nil {
+		if _, err := ReadDataset(bytes.NewReader(craftedStore(t, ds, id, p.buf))); err == nil {
 			t.Fatalf("2^62+1 ids accepted in the %s section", SectionName(id))
 		}
 	}
@@ -421,7 +404,7 @@ func TestStoreRejectsRowPtrPastCol(t *testing.T) {
 	e.u64(1) // numNodes
 	e.u64(0) // numArcs
 	e.i64s([]int64{0, 100})
-	b := craftedStore(t, storeTestDataset(t), true, secCSR, e.buf)
+	b := craftedStore(t, storeTestDataset(t), secCSR, e.buf)
 	if _, err := topologyOf(b); err == nil || !strings.Contains(err.Error(), "exceeds len(Col)") {
 		t.Fatalf("RowPtr past Col accepted: %v", err)
 	}

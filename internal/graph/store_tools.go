@@ -3,7 +3,6 @@ package graph
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -17,7 +16,7 @@ func knownSection(id uint32) bool { return id >= secSpec && id <= secFeaturesF16
 // value once to nearest-even and refuses non-finite or out-of-range
 // inputs (see Dataset.ConvertFeatures); widening to fp32 is exact.
 // Converting a store already in the requested dtype reproduces it
-// byte-for-byte (identical == true) — fp16 decode is exact and the v2
+// byte-for-byte (identical == true) — fp16 decode is exact and the
 // writer is canonical — so the operation is idempotent. Shard stores
 // are refused: the set-wide dtype lives in the manifest, so convert the
 // base store and re-shard instead.
@@ -25,10 +24,6 @@ func ConvertStore(src, dst string, dt FeatDtype) (from FeatDtype, identical bool
 	lz, err := OpenLazy(src)
 	if err != nil {
 		return 0, false, err
-	}
-	if lz.kind != storeKindDataset {
-		lz.Close()
-		return 0, false, fmt.Errorf("graph: %s: bare-CSR store has no features to convert", src)
 	}
 	for _, e := range lz.sections {
 		if e.ID == secShardMap || e.ID == secManifest {
@@ -57,14 +52,11 @@ func ConvertStore(src, dst string, dt FeatDtype) (from FeatDtype, identical bool
 	if err := d.ConvertFeatures(dt); err != nil {
 		return 0, false, fmt.Errorf("graph: %s: %w", src, err)
 	}
-	raw, err := encodeDatasetV2Extra(d, nil, nil)
+	raw, err := d.encode()
 	if err != nil {
 		return 0, false, err
 	}
-	if err := saveAtomic(dst, func(w io.Writer) error {
-		_, werr := w.Write(raw)
-		return werr
-	}); err != nil {
+	if err := saveAtomic(dst, raw); err != nil {
 		return 0, false, err
 	}
 	return from, bytes.Equal(srcRaw, raw), nil
@@ -72,7 +64,6 @@ func ConvertStore(src, dst string, dt FeatDtype) (from FeatDtype, identical bool
 
 // StoreCheck summarises a fully verified store for tooling output.
 type StoreCheck struct {
-	Kind      string
 	FeatDtype FeatDtype
 	Stats     Stats
 	Sections  []SectionInfo
@@ -92,23 +83,12 @@ func VerifyStore(path string) (*StoreCheck, error) {
 		return nil, err
 	}
 	defer lz.Close()
-	check := &StoreCheck{
-		Kind:      lz.Kind(),
-		FeatDtype: lz.FeatDtype(),
-		Stats:     lz.Stats(),
-		Sections:  lz.Sections(),
+	err = lz.verifyAllSections()
+	if err == nil {
+		_, err = lz.Dataset()
 	}
-	if err := lz.verifyAllSections(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
-	if lz.kind == storeKindDataset {
-		if _, err := lz.Dataset(); err != nil {
-			return nil, fmt.Errorf("graph: %s: %w", path, err)
-		}
-	} else {
-		if _, err := lz.Topology(); err != nil {
-			return nil, fmt.Errorf("graph: %s: %w", path, err)
-		}
-	}
-	return check, nil
+	return &StoreCheck{FeatDtype: lz.FeatDtype(), Stats: lz.Stats(), Sections: lz.Sections()}, nil
 }

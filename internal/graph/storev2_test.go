@@ -29,7 +29,7 @@ func v2TestBytes(t testing.TB) ([]byte, []sectionEntry) {
 // sectionTableOf parses the section table of the valid store b.
 func sectionTableOf(t testing.TB, b []byte) []sectionEntry {
 	t.Helper()
-	h, err := parseHeader2(b)
+	h, err := parseHeader(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestUnknownSectionVerifiedAndNotDropped(t *testing.T) {
 	// shard sections now); the promise under test is that a store
 	// carrying a section id from the future still loads and verifies.
 	future := []byte("future section payload")
-	b := encodeSections(storeKindDataset, []section{
+	b := encodeSections([]section{
 		{secSpec, specJSON},
 		{secStats, statsJSON},
 		{secCSR, csr.buf},
@@ -314,37 +314,6 @@ func TestStatsSectionMatchesDataset(t *testing.T) {
 	}
 }
 
-// CSR-kind v2 stores round-trip and expose stats.
-func TestCSRStoreV2RoundTripWithStats(t *testing.T) {
-	ds := storeTestDataset(t)
-	path := filepath.Join(t.TempDir(), "topo.argograph")
-	if err := ds.Graph.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	lz, err := OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lz.Close()
-	if lz.Kind() != "csr" {
-		t.Fatalf("kind %s", lz.Kind())
-	}
-	if got := lz.Stats().NumArcs; got != ds.Graph.NumEdges() {
-		t.Fatalf("stats arcs %d, want %d", got, ds.Graph.NumEdges())
-	}
-	g, err := lz.Topology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ds.Graph, g) {
-		t.Fatal("CSR did not round-trip through the v2 store")
-	}
-	// A bare-topology store has no dataset to materialise.
-	if _, err := lz.Dataset(); err == nil {
-		t.Fatal("Dataset() succeeded on a bare CSR store")
-	}
-}
-
 // FuzzReadSectionTable drives the v2 container parser with arbitrary
 // bytes: crafted section tables (overlaps, wild offsets, huge counts)
 // must produce errors, never panics or giant allocations, and anything
@@ -385,11 +354,9 @@ func FuzzReadSectionTable(f *testing.F) {
 				t.Fatalf("accepted topology fails validation: %v", err)
 			}
 		}
-		if lz.kind == storeKindDataset {
-			if d, err := lz.Dataset(); err == nil {
-				if err := d.Validate(); err != nil {
-					t.Fatalf("accepted dataset fails validation: %v", err)
-				}
+		if d, err := lz.Dataset(); err == nil {
+			if err := d.Validate(); err != nil {
+				t.Fatalf("accepted dataset fails validation: %v", err)
 			}
 		}
 	})

@@ -112,10 +112,11 @@ func TestShardedServingBitMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	g, err := ss.AssembleTopology()
+	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := skel.Graph
 	feats, err := NewShardFeatureSource(ss)
 	if err != nil {
 		t.Fatal(err)
