@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math/rand"
+	"sync"
 
 	"argo/internal/graph"
 )
@@ -57,26 +58,30 @@ func (ns *Neighbor) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 func sampleLayers(p *picker, targets []graph.NodeID, layers int) *MiniBatch {
 	mb := &MiniBatch{Targets: targets, Blocks: make([]Block, layers)}
 	mb.Stats.LayerEdges = make([]int64, layers)
+	idx := newIndex(p.g.NumNodes)
 	dst := targets
 	for li := layers - 1; li >= 0; li-- {
 		p.fanout = wholeAdjacency
 		if p.fanouts != nil {
 			p.fanout = p.fanouts[layers-1-li]
 		}
-		b := buildBlock(dst, p)
+		b := buildBlock(dst, p, *idx)
+		idx.clear(b.SrcNodes)
 		mb.Blocks[li] = b
 		mb.Stats.LayerEdges[li] = int64(b.NumEdges())
 		mb.Stats.SampledEdges += int64(b.NumEdges())
 		dst = b.SrcNodes
 	}
+	indexPool.Put(idx)
 	mb.Stats.InputNodes = int64(len(mb.Blocks[0].SrcNodes))
 	return mb
 }
 
 // buildBlock picks the neighbours of every dst node and compacts them
 // into a Block: source nodes shared between destinations are stored
-// once (the reuse the paper's Fig. 5 illustrates).
-func buildBlock(dst []graph.NodeID, p *picker) Block {
+// once (the reuse the paper's Fig. 5 illustrates). idx must be clean;
+// it comes back holding the block's SrcNodes.
+func buildBlock(dst []graph.NodeID, p *picker, idx nodeIndex) Block {
 	room := len(dst) // a whole adjacency has no fan-out to size from
 	if p.fanout != wholeAdjacency {
 		room = len(dst) * p.fanout / 2
@@ -90,9 +95,8 @@ func buildBlock(dst []graph.NodeID, p *picker) Block {
 	copy(b.SrcNodes, dst)
 	// dst may repeat an id: every position stays a destination and the
 	// id resolves to its last one.
-	idx := make(nodeIndex, 2*len(dst))
 	for i, v := range dst {
-		idx[v] = int32(i)
+		idx[v] = int32(i) + 1
 	}
 	for i, v := range dst {
 		for _, u := range p.pick(v) {
@@ -104,18 +108,38 @@ func buildBlock(dst []graph.NodeID, p *picker) Block {
 }
 
 // nodeIndex maps the global ids of a batch's node list to their
-// positions in it — the one id → local index structure of the package.
-type nodeIndex map[graph.NodeID]int32
+// positions in it — the one id → local index structure of the package:
+// a dense table over every node id holding position+1, 0 for absent.
+// Tables come from indexPool and go back to it clean.
+type nodeIndex []int32
+
+var indexPool sync.Pool
+
+// newIndex returns a clean index over ids [0, n).
+func newIndex(n int) *nodeIndex {
+	if x, _ := indexPool.Get().(*nodeIndex); x != nil && len(*x) >= n {
+		return x
+	}
+	x := make(nodeIndex, n)
+	return &x
+}
 
 // add returns v's position in *nodes, appending v on first touch.
 func (x nodeIndex) add(nodes *[]graph.NodeID, v graph.NodeID) int32 {
-	j, ok := x[v]
-	if !ok {
-		j = int32(len(*nodes))
+	j := x[v]
+	if j == 0 {
 		*nodes = append(*nodes, v)
+		j = int32(len(*nodes))
 		x[v] = j
 	}
-	return j
+	return j - 1
+}
+
+// clear empties x, which must hold no ids outside nodes.
+func (x nodeIndex) clear(nodes []graph.NodeID) {
+	for _, v := range nodes {
+		x[v] = 0
+	}
 }
 
 // wholeAdjacency is the fan-out that takes every neighbour.
