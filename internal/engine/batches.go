@@ -16,20 +16,13 @@ import (
 	"math/rand"
 
 	"argo/internal/graph"
+	"argo/internal/sampler"
 )
 
-// mix64 is SplitMix64, used to derive independent deterministic seeds for
-// (epoch, iteration, worker) tuples.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// seedFor derives the sampling seed for one global batch.
+// seedFor derives the sampling seed for one global batch: independent
+// deterministic seeds for (epoch, iteration, worker) tuples.
 func seedFor(base int64, epoch, iter int) int64 {
-	return int64(mix64(uint64(base) ^ mix64(uint64(epoch))<<1 ^ mix64(uint64(iter))<<2))
+	return int64(sampler.Mix64(uint64(base) ^ sampler.Mix64(uint64(epoch))<<1 ^ sampler.Mix64(uint64(iter))<<2))
 }
 
 // epochBatches shuffles the training IDs with the epoch's seed and chunks
@@ -72,5 +65,5 @@ func splitShares(batch []graph.NodeID, n int) [][]graph.NodeID {
 
 // newEvalRand derives a deterministic RNG for evaluation batch lo.
 func newEvalRand(seed int64, lo int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix64(uint64(seed)+0xe0a1) ^ uint64(lo)*0x9e37)))
+	return rand.New(rand.NewSource(int64(sampler.Mix64(uint64(seed)+0xe0a1) ^ uint64(lo)*0x9e37)))
 }

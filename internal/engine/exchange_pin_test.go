@@ -12,16 +12,16 @@ import (
 )
 
 // The exchange's whole traffic record — totals and per-peer matrix — of
-// two seeded runs, recorded at the commit before the exchange was
-// rebuilt over the shard set's location table (tiny, 2-layer SAGE,
+// two seeded runs, recorded when the sampler's per-entry reservoir draw
+// became the keyed Floyd draw (tiny, 2-layer SAGE,
 // fan-outs 4/4, batch 32, 2 epochs, seed 7, 2 replicas, s = t = 1).
 // Routing, batching and accounting must reproduce them to the byte on
 // both transports; only the transport's name differs.
 const (
-	pinnedExactK3 = `{"transport":"inproc","local_rows":352,"remote_rows":317,"remote_bytes":17168,"wire_bytes":18948,"messages":16,` +
-		`"peers":[{"from":0,"to":1,"rows":106,"bytes":5764,"wire_bytes":6444,"messages":8},{"from":1,"to":0,"rows":211,"bytes":11404,"wire_bytes":12504,"messages":8}]}`
-	pinnedLocalK4 = `{"transport":"inproc","local_rows":437,"remote_rows":68,"remote_bytes":11840,"wire_bytes":12932,"messages":11,"grad_rows":117,` +
-		`"peers":[{"from":0,"to":1,"rows":93,"bytes":5952,"wire_bytes":6516,"messages":6},{"from":1,"to":0,"rows":92,"bytes":5888,"wire_bytes":6416,"messages":5}]}`
+	pinnedExactK3 = `{"transport":"inproc","local_rows":352,"remote_rows":326,"remote_bytes":17744,"wire_bytes":19560,"messages":16,` +
+		`"peers":[{"from":0,"to":1,"rows":112,"bytes":6148,"wire_bytes":6852,"messages":8},{"from":1,"to":0,"rows":214,"bytes":11596,"wire_bytes":12708,"messages":8}]}`
+	pinnedLocalK4 = `{"transport":"inproc","local_rows":436,"remote_rows":67,"remote_bytes":12032,"wire_bytes":13136,"messages":11,"grad_rows":121,` +
+		`"peers":[{"from":0,"to":1,"rows":95,"bytes":6080,"wire_bytes":6652,"messages":6},{"from":1,"to":0,"rows":93,"bytes":5952,"wire_bytes":6484,"messages":5}]}`
 )
 
 func TestExchangeTrafficMatchesPinnedParent(t *testing.T) {

@@ -13,23 +13,22 @@ import (
 
 // pinnedLosses holds the hex-float per-epoch mean loss of two epochs on
 // tiny (batch 16, lr 0.01, seed 7, dims 16-8-3) for every model kind ×
-// batch layout × (n, s, t), recorded at the commit before the layers
-// were rewritten over one aggregator and the samplers over one block
-// builder. Every sampled block and every floating-point operation must
-// keep its place for these to hold.
+// batch layout × (n, s, t), recorded when the sampler's per-entry
+// reservoir draw became the keyed Floyd draw. Every sampled block and
+// every floating-point operation must keep its place for these to hold.
 var pinnedLosses = map[string]string{
-	"sage/neighbor/1": "0x1.0000bb7c7c1dbp+00 0x1.01194710f943p-01",
-	"sage/neighbor/2": "0x1.e3b7f82141a8cp-01 0x1.0d35d894c3919p-01",
-	"sage/shadow/1":   "0x1.ee0765783c30bp-01 0x1.0a521dce72b6cp-01",
-	"sage/shadow/2":   "0x1.ed7a78428aeccp-01 0x1.0bd15840afd3ap-01",
-	"gcn/neighbor/1":  "0x1.e7323535b9793p-01 0x1.9ef890c9d1bbfp-01",
-	"gcn/neighbor/2":  "0x1.e0e2fa6a392dep-01 0x1.9e40c0ffe0219p-01",
-	"gcn/shadow/1":    "0x1.dbdb1a566436cp-01 0x1.8aeabc799672fp-01",
-	"gcn/shadow/2":    "0x1.e2d03d8ede364p-01 0x1.8dd28ceb98592p-01",
-	"gin/neighbor/1":  "0x1.aaf2f3ddcb734p+02 0x1.3eb868eb126a2p+01",
-	"gin/neighbor/2":  "0x1.8d30f63f6673ap+02 0x1.f15259781b984p+00",
-	"gin/shadow/1":    "0x1.8699594725e35p+03 0x1.cbe2e364ea082p+02",
-	"gin/shadow/2":    "0x1.7cc6ed615f503p+03 0x1.73d993fa0680dp+02",
+	"sage/neighbor/1": "0x1.f316ca59770aap-01 0x1.2cb610c8b7f02p-01",
+	"sage/neighbor/2": "0x1.08e0739eb6eafp+00 0x1.281f17a0dba7ap-01",
+	"sage/shadow/1":   "0x1.f2cac9c51152fp-01 0x1.0d06eb9024a65p-01",
+	"sage/shadow/2":   "0x1.ee66c3fd4e70bp-01 0x1.0a629fb9192edp-01",
+	"gcn/neighbor/1":  "0x1.e2d0ab4b82204p-01 0x1.a45c11daca037p-01",
+	"gcn/neighbor/2":  "0x1.e594280aecee2p-01 0x1.9c9e36ca8605p-01",
+	"gcn/shadow/1":    "0x1.dd5b0e067dae7p-01 0x1.877a5097540bbp-01",
+	"gcn/shadow/2":    "0x1.e3e1d861e0d93p-01 0x1.8d9a504eb3ac7p-01",
+	"gin/neighbor/1":  "0x1.6692dfb435757p+02 0x1.00713b3ca9ba7p+01",
+	"gin/neighbor/2":  "0x1.87418ce414bafp+02 0x1.f8c2dc68ec06cp+00",
+	"gin/shadow/1":    "0x1.9292c4f5ff6b3p+03 0x1.a1ba5ff0b661cp+02",
+	"gin/shadow/2":    "0x1.825469741c6a4p+03 0x1.669d6fc650e6fp+02",
 }
 
 func TestLossesMatchPinnedParent(t *testing.T) {

@@ -1,15 +1,19 @@
 package sampler
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"argo/internal/graph"
 )
 
-// Sampler produces a MiniBatch for a set of target nodes. Implementations
-// must be safe for concurrent use from multiple sampling workers as long
-// as each call receives its own *rand.Rand.
+// Sampler produces a MiniBatch for a set of target nodes. A call draws
+// one key from its rng and every random choice it makes from streams
+// keyed by it, so the batch is a function of (rng state, targets).
+// Implementations are safe for concurrent use from multiple sampling
+// workers as long as each call receives its own *rand.Rand.
 type Sampler interface {
 	// Sample builds the mini-batch for the given targets.
 	Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch
@@ -61,9 +65,9 @@ func sampleLayers(p *picker, targets []graph.NodeID, layers int) *MiniBatch {
 	idx := newIndex(p.g.NumNodes)
 	dst := targets
 	for li := layers - 1; li >= 0; li-- {
-		p.fanout = wholeAdjacency
+		p.hop, p.fanout = layers-1-li, wholeAdjacency
 		if p.fanouts != nil {
-			p.fanout = p.fanouts[layers-1-li]
+			p.fanout = p.fanouts[p.hop]
 		}
 		b := buildBlock(dst, p, *idx)
 		idx.clear(b.SrcNodes)
@@ -145,19 +149,35 @@ func (x nodeIndex) clear(nodes []graph.NodeID) {
 // wholeAdjacency is the fan-out that takes every neighbour.
 const wholeAdjacency = -1
 
+// golden is SplitMix64's stream increment, 2⁶⁴/φ.
+const golden = 0x9e3779b97f4a7c15
+
+// Mix64 is SplitMix64: the output for state x, whose next state is
+// x+0x9e3779b97f4a7c15. The engine derives its batch seeds from it, and
+// every pick draws from a stream of it.
+func Mix64(x uint64) uint64 {
+	x += golden
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // picker is the per-destination pick a sampler is a setting of: which of
-// a node's neighbours feed it. It is a deterministic function of (v, rng
-// state), so the produced blocks depend only on the job seed, and holds
-// the scratch of one Sample call.
+// a node's neighbours feed it. A pick is a pure function of (key, hop,
+// v), where key is drawn once per Sample call from its rng, so a node's
+// neighbours do not depend on which other nodes share its batch. It
+// holds the scratch of one Sample call.
 type picker struct {
 	g       *graph.CSR
-	rng     *rand.Rand
+	key     uint64
 	fanouts []int                   // per hop outwards from the targets
+	hop     int                     // the current hop, 0 at the targets
 	fanout  int                     // the current hop's: at most this many per destination, or wholeAdjacency
 	allowed bitset                  // non-nil: only these ids exist (Partition)
 	known   func(graph.NodeID) bool // non-nil: a destination it holds for picks nothing (SamplePruned)
 
-	reservoir []graph.NodeID // capacity: the largest fan-out
+	out  []graph.NodeID // capacity: the largest fan-out
+	kept []graph.NodeID // the allowed entries of the current adjacency
 }
 
 func newPicker(g *graph.CSR, rng *rand.Rand, fanouts []int) *picker {
@@ -165,55 +185,45 @@ func newPicker(g *graph.CSR, rng *rand.Rand, fanouts []int) *picker {
 	for _, f := range fanouts {
 		m = max(m, f)
 	}
-	return &picker{g: g, rng: rng, fanouts: fanouts, reservoir: make([]graph.NodeID, m)}
+	return &picker{g: g, key: uint64(rng.Int63()), fanouts: fanouts, out: make([]graph.NodeID, 0, m)}
 }
 
 // pick returns the neighbours of v that feed it, valid until the next
 // call: the whole adjacency when it has at most fanout entries, else
-// fanout distinct entries by reservoir sampling — O(degree) time, no
-// allocation, one rng draw per entry past the fanout-th.
+// fanout distinct entries by Floyd's algorithm — exactly fanout draws
+// from v's own SplitMix64 stream, each checked against the ones already
+// chosen, so O(fanout²) time whatever the degree, and no allocation.
+// Under an allowed set the draw runs on the allowed entries alone, so
+// when every entry is allowed it is pick's draw.
 func (p *picker) pick(v graph.NodeID) []graph.NodeID {
 	if p.known != nil && p.known(v) {
 		return nil
 	}
 	adj := p.g.Neighbors(v)
 	if p.allowed != nil {
-		return p.pickAllowed(adj)
+		p.kept = p.kept[:0]
+		for _, u := range adj {
+			if p.allowed.has(u) {
+				p.kept = append(p.kept, u)
+			}
+		}
+		adj = p.kept
 	}
 	if p.fanout == wholeAdjacency || len(adj) <= p.fanout {
 		return adj
 	}
-	out := p.reservoir[:p.fanout]
-	copy(out, adj)
-	for i := p.fanout; i < len(adj); i++ {
-		if j := p.rng.Intn(i + 1); j < p.fanout {
-			out[j] = adj[i]
+	s := p.key ^ Mix64(uint64(p.hop)<<32|uint64(uint32(v)))
+	out := p.out[:0] // adjacency positions until the last loop
+	for j := len(adj) - p.fanout; j < len(adj); j++ {
+		i, _ := bits.Mul64(Mix64(s), uint64(j+1)) // uniform in [0, j]
+		s += golden
+		if slices.Contains(out, graph.NodeID(i)) {
+			i = uint64(j)
 		}
+		out = append(out, graph.NodeID(i))
 	}
-	return out
-}
-
-// pickAllowed is pick's reservoir over the allowed entries of adj alone.
-// It is a loop of its own because copying the allowed entries out and
-// running the loop above on them measured slower where it matters
-// (BenchmarkLocalEpoch: 5 runs of 6, and 70 more allocations an epoch
-// for a buffer as long as the largest hub's adjacency), and a filter test
-// in that loop would tax every unfiltered draw. For the k-th allowed
-// entry (1-based) past the fanout-th it draws rng.Intn(k) — exactly
-// pick's stream when nothing is filtered — and nothing for a filtered
-// one.
-func (p *picker) pickAllowed(adj []graph.NodeID) []graph.NodeID {
-	out, seen := p.reservoir[:0], 0
-	for _, u := range adj {
-		if !p.allowed.has(u) {
-			continue
-		}
-		seen++
-		if len(out) < p.fanout {
-			out = append(out, u)
-		} else if j := p.rng.Intn(seen); j < p.fanout {
-			out[j] = u
-		}
+	for k, i := range out {
+		out[k] = adj[i]
 	}
 	return out
 }

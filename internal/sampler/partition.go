@@ -16,11 +16,9 @@ import (
 // the per-batch halo exchange shrinks to the boundary rows actually
 // touched.
 //
-// Sampling is a deterministic function of (targets, rng state): the
-// filtered reservoir consumes randomness only for allowed neighbours
-// beyond the fanout, and when every neighbour of every frontier node is
-// allowed it consumes the rng in exactly the same pattern as Neighbor,
-// producing bit-identical blocks.
+// A frontier node draws its picks from its allowed neighbours with
+// Neighbor's draw, so when every neighbour is allowed the blocks are
+// Neighbor's, bit for bit.
 //
 // Sample is Neighbor's; targets must lie inside the allowed set (the
 // engine draws them from the shard's owned train nodes), and frontier

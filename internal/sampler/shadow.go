@@ -45,8 +45,8 @@ func (sh *ShaDow) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 	numTargets := len(nodes)
 	p := newPicker(sh.Graph, rng, sh.Fanouts)
 	lo := 0
-	for _, fanout := range sh.Fanouts {
-		p.fanout = fanout
+	for hop, fanout := range sh.Fanouts {
+		p.hop, p.fanout = hop, fanout
 		for hi := len(nodes); lo < hi; lo++ {
 			for _, u := range p.pick(nodes[lo]) {
 				idx.add(&nodes, u)

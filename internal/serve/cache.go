@@ -333,8 +333,8 @@ func newCMSketch(entries int) *cmSketch {
 	return s
 }
 
-// mix is the splitmix64 finaliser: a deterministic avalanche of the
-// 32-bit node id into 64 well-distributed bits.
+// mix is MurmurHash3's fmix64 finaliser: a deterministic avalanche of
+// the 32-bit node id into 64 well-distributed bits.
 func mix(id graph.NodeID) uint64 {
 	x := uint64(uint32(id))
 	x ^= x >> 33

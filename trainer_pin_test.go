@@ -16,18 +16,18 @@ import (
 // pinnedTrainerRuns holds, for four trainer set-ups on tiny (seed 7,
 // SAGE 16-8-3, fan-outs 4/4, batch 32, lr 0.01), the hex-float loss of
 // every epoch of the re-launch schedule in pinnedSchedule and, for the
-// sharded ones, the whole-run ExchangeStats JSON. They were recorded at
-// the commit before the trainer moved into this package, the virtual-core
-// allocator went and the prefetcher became the only gather path; every
-// loss bit and traffic counter must survive that.
+// sharded ones, the whole-run ExchangeStats JSON. They were recorded
+// when the sampler's per-entry reservoir draw became the keyed Floyd
+// draw; every loss bit and traffic counter must survive any change that
+// does not declare a new sampled stream.
 var pinnedTrainerRuns = map[string][2]string{
-	"single": {"0x1.252aaf776b49ep+00 0x1.7d088131ee402p-01 0x1.2ec6821ddf9fap-01 0x1.aa3db5777e87fp-02", ""},
-	"exact/inproc": {"0x1.252aaf776b49ep+00 0x1.7d088131ee402p-01 0x1.2ec6821ddf9fap-01 0x1.aa3db5777e87fp-02",
-		`{"transport":"inproc","local_rows":823,"remote_rows":324,"remote_bytes":17496,"wire_bytes":19304,"messages":16,"peers":[{"from":0,"to":1,"rows":112,"bytes":6088,"wire_bytes":6792,"messages":8},{"from":1,"to":0,"rows":212,"bytes":11408,"wire_bytes":12512,"messages":8}]}`},
-	"exact/tcp": {"0x1.252aaf776b49ep+00 0x1.7d088131ee402p-01 0x1.2ec6821ddf9fap-01 0x1.aa3db5777e87fp-02",
-		`{"transport":"tcp","local_rows":823,"remote_rows":324,"remote_bytes":17496,"wire_bytes":19304,"messages":16,"peers":[{"from":0,"to":1,"rows":112,"bytes":6088,"wire_bytes":6792,"messages":8},{"from":1,"to":0,"rows":212,"bytes":11408,"wire_bytes":12512,"messages":8}]}`},
-	"local/inproc": {"0x1.11a8b4f5e58ebp+00 0x1.8a147b1e119a1p-01 0x1.0c1c1a5055669p-01 0x1.9ca50f1dc007fp-02",
-		`{"transport":"inproc","local_rows":1084,"remote_rows":114,"remote_bytes":14592,"wire_bytes":15888,"messages":12,"grad_rows":114,"peers":[{"from":0,"to":1,"rows":114,"bytes":7296,"wire_bytes":7944,"messages":6},{"from":1,"to":0,"rows":114,"bytes":7296,"wire_bytes":7944,"messages":6}]}`},
+	"single": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02", ""},
+	"exact/inproc": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
+		`{"transport":"inproc","local_rows":830,"remote_rows":330,"remote_bytes":17880,"wire_bytes":19712,"messages":16,"peers":[{"from":0,"to":1,"rows":118,"bytes":6472,"wire_bytes":7200,"messages":8},{"from":1,"to":0,"rows":212,"bytes":11408,"wire_bytes":12512,"messages":8}]}`},
+	"exact/tcp": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
+		`{"transport":"tcp","local_rows":830,"remote_rows":330,"remote_bytes":17880,"wire_bytes":19712,"messages":16,"peers":[{"from":0,"to":1,"rows":118,"bytes":6472,"wire_bytes":7200,"messages":8},{"from":1,"to":0,"rows":212,"bytes":11408,"wire_bytes":12512,"messages":8}]}`},
+	"local/inproc": {"0x1.1a785e5fd1133p+00 0x1.a0eb6fa50e241p-01 0x1.2aa0d95d9ace5p-01 0x1.c808b8704a70ap-02",
+		`{"transport":"inproc","local_rows":1088,"remote_rows":120,"remote_bytes":15360,"wire_bytes":16704,"messages":12,"grad_rows":120,"peers":[{"from":0,"to":1,"rows":118,"bytes":7552,"wire_bytes":8216,"messages":6},{"from":1,"to":0,"rows":122,"bytes":7808,"wire_bytes":8488,"messages":6}]}`},
 }
 
 // pinnedSchedule moves n and (s, t) both ways, so every epoch after the
