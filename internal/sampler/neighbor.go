@@ -9,11 +9,10 @@ import (
 	"argo/internal/graph"
 )
 
-// Sampler produces a MiniBatch for a set of target nodes. A call draws
-// one key from its rng and every random choice it makes from streams
-// keyed by it, so the batch is a function of (rng state, targets).
-// Implementations are safe for concurrent use from multiple sampling
-// workers as long as each call receives its own *rand.Rand.
+// Sampler produces a MiniBatch for a set of target nodes. This package's
+// samplers make every random choice from streams keyed by one draw of
+// the rng per call. Implementations are safe for concurrent use as long
+// as each call receives its own *rand.Rand.
 type Sampler interface {
 	// Sample builds the mini-batch for the given targets.
 	Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch
@@ -62,21 +61,22 @@ func (ns *Neighbor) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 func sampleLayers(p *picker, targets []graph.NodeID, layers int) *MiniBatch {
 	mb := &MiniBatch{Targets: targets, Blocks: make([]Block, layers)}
 	mb.Stats.LayerEdges = make([]int64, layers)
-	idx := newIndex(p.g.NumNodes)
+	x := newIndex(p.g.NumNodes)
+	idx := *x
 	dst := targets
 	for li := layers - 1; li >= 0; li-- {
 		p.hop, p.fanout = layers-1-li, wholeAdjacency
 		if p.fanouts != nil {
 			p.fanout = p.fanouts[p.hop]
 		}
-		b := buildBlock(dst, p, *idx)
+		b := buildBlock(dst, p, idx)
 		idx.clear(b.SrcNodes)
 		mb.Blocks[li] = b
 		mb.Stats.LayerEdges[li] = int64(b.NumEdges())
 		mb.Stats.SampledEdges += int64(b.NumEdges())
 		dst = b.SrcNodes
 	}
-	indexPool.Put(idx)
+	indexPool.Put(x)
 	mb.Stats.InputNodes = int64(len(mb.Blocks[0].SrcNodes))
 	return mb
 }
@@ -152,9 +152,9 @@ const wholeAdjacency = -1
 // golden is SplitMix64's stream increment, 2⁶⁴/φ.
 const golden = 0x9e3779b97f4a7c15
 
-// Mix64 is SplitMix64: the output for state x, whose next state is
-// x+0x9e3779b97f4a7c15. The engine derives its batch seeds from it, and
-// every pick draws from a stream of it.
+// Mix64 is SplitMix64's output for state x; the stream's next state is
+// x+golden. The engine derives its batch seeds from it, and every pick
+// draws from a stream of it.
 func Mix64(x uint64) uint64 {
 	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -193,8 +193,8 @@ func newPicker(g *graph.CSR, rng *rand.Rand, fanouts []int) *picker {
 // fanout distinct entries by Floyd's algorithm — exactly fanout draws
 // from v's own SplitMix64 stream, each checked against the ones already
 // chosen, so O(fanout²) time whatever the degree, and no allocation.
-// Under an allowed set the draw runs on the allowed entries alone, so
-// when every entry is allowed it is pick's draw.
+// Under an allowed set (Partition) the draw runs on the allowed entries
+// alone, which are the whole adjacency when every entry is allowed.
 func (p *picker) pick(v graph.NodeID) []graph.NodeID {
 	if p.known != nil && p.known(v) {
 		return nil

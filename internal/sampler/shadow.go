@@ -37,7 +37,8 @@ func (sh *ShaDow) NumLayers() int { return sh.Layers }
 func (sh *ShaDow) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 	// Hop expansion with dedup across the whole batch: targets first,
 	// then each hop picks from the nodes the hop before it added.
-	idx := newIndex(sh.Graph.NumNodes)
+	x := newIndex(sh.Graph.NumNodes)
+	idx := *x
 	nodes := make([]graph.NodeID, 0, len(targets)*4)
 	for _, v := range targets {
 		idx.add(&nodes, v)
@@ -65,14 +66,14 @@ func (sh *ShaDow) Sample(rng *rand.Rand, targets []graph.NodeID) *MiniBatch {
 	}
 	for i, v := range nodes {
 		for _, u := range sh.Graph.Neighbors(v) {
-			if j := (*idx)[u]; j != 0 {
+			if j := idx[u]; j != 0 {
 				sub.Col = append(sub.Col, j-1)
 			}
 		}
 		sub.RowPtr[i+1] = int32(len(sub.Col))
 	}
 	idx.clear(nodes)
-	indexPool.Put(idx)
+	indexPool.Put(x)
 	mb := &MiniBatch{Targets: targets, Sub: sub}
 	mb.Stats.InputNodes = int64(len(sub.SrcNodes))
 	mb.Stats.SampledEdges = int64(len(sub.Col)) * int64(sh.Layers)
