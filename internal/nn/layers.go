@@ -161,20 +161,10 @@ func denseRowMulAdd(out, row []float32, w *tensor.Matrix, bias []float32) {
 // addScaled computes dst[k] += src[k]·c — the one accumulation every
 // aggregator's fill and scatter is made of — four independent elements
 // per iteration: at one per iteration the loop is front-end bound, and
-// its speed a matter of where the linker happens to place it. At c = 1
-// (GIN's scatter, SAGE's self row) it only adds: s·1 == s exactly.
+// its speed a matter of where the linker happens to place it.
 func addScaled(dst, src []float32, c float32) {
 	dst = dst[:len(src)]
 	k := 0
-	if c == 1 {
-		for ; k+4 <= len(src); k += 4 {
-			d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
-			d[0] += s[0]
-			d[1] += s[1]
-			d[2] += s[2]
-			d[3] += s[3]
-		}
-	}
 	for ; k+4 <= len(src); k += 4 {
 		d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
 		d[0] += s[0] * c

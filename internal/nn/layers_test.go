@@ -81,6 +81,12 @@ func modelLoss(m *GNN, pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matr
 // finite differences on a sample of entries.
 func checkGradients(t *testing.T, m *GNN, mb *sampler.MiniBatch, x0 *tensor.Matrix, labels []int32) {
 	t.Helper()
+	checkGradientsAt(t, 1e-2, m, mb, x0, labels)
+}
+
+// checkGradientsAt is checkGradients with a finite-difference step eps.
+func checkGradientsAt(t *testing.T, eps float32, m *GNN, mb *sampler.MiniBatch, x0 *tensor.Matrix, labels []int32) {
+	t.Helper()
 	pool := tensor.NewPool(1)
 	m.ZeroGrad()
 	logits := m.Forward(pool, mb, x0)
@@ -88,8 +94,6 @@ func checkGradients(t *testing.T, m *GNN, mb *sampler.MiniBatch, x0 *tensor.Matr
 	m.Backward(pool, dLogits)
 
 	rng := rand.New(rand.NewSource(99))
-	const eps = 1e-2
-	l0 := modelLoss(m, pool, mb, x0, labels)
 	checked, failures := 0, 0
 	for _, p := range m.Params() {
 		n := len(p.W.Data)
@@ -105,13 +109,10 @@ func checkGradients(t *testing.T, m *GNN, mb *sampler.MiniBatch, x0 *tensor.Matr
 			p.W.Data[k] = orig - eps
 			lm := modelLoss(m, pool, mb, x0, labels)
 			p.W.Data[k] = orig
-			numeric := (lp - lm) / (2 * eps)
+			numeric := (lp - lm) / (2 * float64(eps))
 			analytic := float64(p.Grad.Data[k])
 			if math.Abs(analytic) < 5e-4 && math.Abs(numeric) < 5e-4 {
 				continue // both ~zero: uninformative in float32
-			}
-			if fwd, bwd := (lp-l0)/eps, (l0-lm)/eps; math.Abs(fwd-bwd) > 0.5*math.Max(math.Abs(fwd), math.Abs(bwd)) {
-				continue // one-sided slopes disagree: a ReLU kink lies within ±eps
 			}
 			checked++
 			rel := math.Abs(numeric-analytic) / math.Max(math.Abs(numeric), math.Abs(analytic))
@@ -201,8 +202,9 @@ func TestGradientsGCNShadow(t *testing.T) {
 	checkGradients(t, m, mb, x0, labels)
 }
 
-// One end-to-end check with ReLU enabled: neighbor-mode batches are small
-// enough that kink noise in the finite differences stays below tolerance.
+// One end-to-end check with ReLU enabled. The step is 1e-3, not 1e-2:
+// this batch has a hidden pre-activation within 1e-2 of zero, and a
+// central difference across a ReLU kink measures neither side's slope.
 func TestGradientsSAGEWithReLU(t *testing.T) {
 	m, mb, x0, labels := gradCheckSetup(t, KindSAGE, false)
 	for _, l := range m.Layers {
@@ -210,7 +212,7 @@ func TestGradientsSAGEWithReLU(t *testing.T) {
 			l.Relu = true
 		}
 	}
-	checkGradients(t, m, mb, x0, labels)
+	checkGradientsAt(t, 1e-3, m, mb, x0, labels)
 }
 
 // The forward pass must not depend on the pool's worker count.
