@@ -36,9 +36,11 @@ type Config struct {
 	// Sources, when non-nil, supplies each replica's feature/label
 	// source (len must equal NumProcs) — the shard-aware training path,
 	// where Dataset carries only topology, splits, spec, and class
-	// count, and every feature/label lookup goes through the replica's
-	// source (NewShardSourcesOpts). Nil means every replica reads the
-	// materialised Dataset directly.
+	// count, and every lookup goes through the replica's source
+	// (NewShardSourcesOpts). In either regime, each feature row is
+	// gathered from a source once per engine and then served from a
+	// first-touch cache (featureCache). Nil means every replica reads
+	// the materialised Dataset directly.
 	Sources []DataSource
 	// SamplingRegime selects exact (default: global batches split n
 	// ways, bit-identical to single-store) or partition-local sampling.
@@ -81,10 +83,10 @@ type replica struct {
 	opt       *nn.Adam
 	trainPool *tensor.Pool
 	source    DataSource
-	// router, when non-nil (local regime over shard sources), receives
-	// the input-feature gradient of every batch so halo rows' credit
-	// reaches their owning replica.
-	router GradientRouter
+	// router, when non-nil (local regime), receives the input-feature
+	// gradient of every batch so halo rows' credit reaches their owning
+	// replica. It doubles as source, carrying the feature cache.
+	router *localSource
 
 	// per-iteration scratch, written by the replica's goroutine only
 	lastLoss  float64
@@ -148,31 +150,24 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The default source draws gathered batches from the replica's
-		// own buffer pool; step puts them back once consumed, closing
-		// the recycle loop.
-		src := DataSource(datasetSource{ds: cfg.Dataset, bufs: m.Buffers()})
-		if cfg.Sources != nil {
-			src = cfg.Sources[r]
-		}
+		// Every source draws gathered batches from the replica's own
+		// buffer pool; step puts them back once consumed, closing the
+		// recycle loop.
 		rep := &replica{
 			model:     m,
 			opt:       nn.NewAdam(cfg.LR),
 			trainPool: tensor.NewPool(cfg.TrainWorkers),
-			source:    src,
+			source:    datasetSource{ds: cfg.Dataset, bufs: m.Buffers()},
 		}
-		if cfg.SamplingRegime == RegimeLocal {
-			if _, ok := src.(GradientRouter); !ok {
+		switch {
+		case cfg.SamplingRegime == RegimeLocal:
+			if _, ok := cfg.Sources[r].(GradientRouter); !ok {
 				return nil, fmt.Errorf("engine: local regime replica %d source has no gradient reverse path", r)
 			}
-			// The caching wrapper makes the regime's locality pay:
-			// partition-bounded batches hit a static working set, so
-			// features cross the wire once per run and gradients once
-			// per epoch. Its batches come from the pool step recycles
-			// them into.
-			ls := newLocalSource(src, cfg.Model.Dims[0], m.Buffers())
-			rep.source = ls
-			rep.router = ls
+			rep.router = newLocalSource(cfg.Sources[r], cfg.Model.Dims[0], m.Buffers())
+			rep.source = rep.router
+		case cfg.Sources != nil:
+			rep.source = newFeatureCache(cfg.Sources[r], cfg.Model.Dims[0], m.Buffers())
 		}
 		e.replicas = append(e.replicas, rep)
 	}
@@ -318,13 +313,13 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	// a trainable embedding layer would apply them to its owned rows.
 	if e.cfg.SamplingRegime == RegimeLocal {
 		err := eachReplica(n, " gradient flush", func(r int) error {
-			return e.replicas[r].source.(*localSource).FlushGradients()
+			return e.replicas[r].router.FlushGradients()
 		})
 		ids := make([][]graph.NodeID, n)
 		sums := make([]*tensor.Matrix, n)
 		if err == nil {
 			err = eachReplica(n, " gradient drain", func(r int) (err error) {
-				ids[r], sums[r], err = e.replicas[r].source.(*localSource).CollectGradients()
+				ids[r], sums[r], err = e.replicas[r].router.CollectGradients()
 				return err
 			})
 		}
@@ -380,8 +375,8 @@ func eachReplica(n int, doing string, f func(r int) error) error {
 // the exact regime.
 func (e *Engine) discardGradients() {
 	for _, rep := range e.replicas {
-		if ls, ok := rep.source.(*localSource); ok {
-			ls.discardGradients()
+		if rep.router != nil {
+			rep.router.discardGradients()
 		}
 	}
 }

@@ -12,14 +12,16 @@ import (
 )
 
 // The exchange's whole traffic record — totals and per-peer matrix — of
-// two seeded runs, recorded when the sampler's per-entry reservoir draw
-// became the keyed Floyd draw (tiny, 2-layer SAGE,
-// fan-outs 4/4, batch 32, 2 epochs, seed 7, 2 replicas, s = t = 1).
+// two seeded runs (tiny, 2-layer SAGE, fan-outs 4/4, batch 32, 2 epochs,
+// seed 7, 2 replicas, s = t = 1). The local row was recorded when the
+// sampler's per-entry reservoir draw became the keyed Floyd draw, the
+// exact row when the exact regime's features went behind the
+// first-touch row cache.
 // Routing, batching and accounting must reproduce them to the byte on
 // both transports; only the transport's name differs.
 const (
-	pinnedExactK3 = `{"transport":"inproc","local_rows":352,"remote_rows":326,"remote_bytes":17744,"wire_bytes":19560,"messages":16,` +
-		`"peers":[{"from":0,"to":1,"rows":112,"bytes":6148,"wire_bytes":6852,"messages":8},{"from":1,"to":0,"rows":214,"bytes":11596,"wire_bytes":12708,"messages":8}]}`
+	pinnedExactK3 = `{"transport":"inproc","local_rows":172,"remote_rows":161,"remote_bytes":7184,"wire_bytes":8340,"messages":16,` +
+		`"peers":[{"from":0,"to":1,"rows":55,"bytes":2500,"wire_bytes":2976,"messages":8},{"from":1,"to":0,"rows":106,"bytes":4684,"wire_bytes":5364,"messages":8}]}`
 	pinnedLocalK4 = `{"transport":"inproc","local_rows":436,"remote_rows":67,"remote_bytes":12032,"wire_bytes":13136,"messages":11,"grad_rows":121,` +
 		`"peers":[{"from":0,"to":1,"rows":95,"bytes":6080,"wire_bytes":6652,"messages":6},{"from":1,"to":0,"rows":93,"bytes":5952,"wire_bytes":6484,"messages":5}]}`
 )

@@ -9,38 +9,19 @@ import (
 	"argo/internal/tensor"
 )
 
-// localSource is the data source of one local-regime replica. The
-// partition-local sampler bounds every frontier to the replica's owned
-// + 1-hop halo rows, so the working set is small and static — the
-// Cluster-GCN observation — and the source exploits that in both
-// directions:
+// localSource is the gradient half of one local-regime replica's data
+// source, over the feature cache every sharded replica has.
+// Input-feature gradients are summed per row into gsum as batches
+// finish; once per epoch FlushGradients routes the sums through the
+// inner GradientRouter and empties gsum, so the backhaul is one row per
+// touched node per epoch instead of one per batch.
 //
-//   - Features: every row a batch or an evaluation asks for, owned or
-//     halo, is fetched through the inner (exchange-backed) source on
-//     first touch and kept in cache for the rest of the run, so a remote
-//     row crosses the wire at most once per run instead of once per
-//     batch. A miss fetch that fails leaves the cache as it was.
-//   - Input-feature gradients are summed per row into gsum as batches
-//     finish; once per epoch FlushGradients routes the sums through the
-//     inner GradientRouter and empties gsum, so the backhaul is one row
-//     per touched node per epoch instead of one per batch.
-//
-// Both tables are one slab each, reset rather than reallocated, and the
-// gathered batch and the flush matrix come from the replica's BufPool.
-// None of it shows in the floats: gathered rows are copies of the
-// fetched rows, and each replica steps on one goroutine in batch order,
-// so a row's sum adds the same operands in the same order whatever
-// holds it. Row/byte traffic counts are deterministic too (each
-// distinct row moves exactly once); with more than one sampling worker
-// the *message* counts may vary run to run, since which batch first
-// touches a row depends on scheduling.
+// gsum is one slab, reset rather than reallocated, and the flush matrix
+// comes from the replica's BufPool. Each replica steps on one goroutine
+// in batch order, so a row's sum adds the same operands in the same
+// order whatever holds it.
 type localSource struct {
-	inner DataSource
-	bufs  *tensor.BufPool
-
-	mu      sync.Mutex
-	cache   *tensor.RowTable
-	missing []graph.NodeID // scratch: the ids of one gather's miss fetch
+	*featureCache
 
 	gmu   sync.Mutex
 	gsum  *tensor.RowTable
@@ -50,58 +31,7 @@ type localSource struct {
 // newLocalSource wraps inner for dim-wide features. bufs is the
 // replica's buffer pool (nil falls back to plain allocation).
 func newLocalSource(inner DataSource, dim int, bufs *tensor.BufPool) *localSource {
-	return &localSource{
-		inner: inner,
-		bufs:  bufs,
-		cache: tensor.NewRowTable(dim),
-		gsum:  tensor.NewRowTable(dim),
-	}
-}
-
-func (s *localSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
-	if len(ids) == 0 {
-		return s.inner.GatherFeatures(ids)
-	}
-	// The lock covers the miss fetch: concurrent sampling workers
-	// serialise here, so each row is fetched exactly once. Local-regime
-	// batches are partition-bounded, so the cache is bounded by the
-	// replica's owned + halo set (plus any evaluation rows).
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Misses claim their cache rows up front (which dedupes them) and
-	// are filled from one inner gather, or rolled back if it fails.
-	mark := s.cache.Len()
-	s.missing = s.missing[:0]
-	for _, v := range ids {
-		if _, fresh := s.cache.Add(v); fresh {
-			s.missing = append(s.missing, v)
-		}
-	}
-	if len(s.missing) > 0 {
-		m, err := s.inner.GatherFeatures(s.missing)
-		if err == nil && (m.Rows != len(s.missing) || m.Cols != s.cache.Width()) {
-			err = fmt.Errorf("engine: inner source gathered %d×%d for %d ids of width %d",
-				m.Rows, m.Cols, len(s.missing), s.cache.Width())
-		}
-		if err != nil {
-			s.cache.Truncate(mark)
-			return nil, err
-		}
-		for i := range s.missing {
-			copy(s.cache.At(mark+i), m.Row(i))
-		}
-	}
-	out := s.bufs.Get(len(ids), s.cache.Width())
-	for i, v := range ids {
-		copy(out.Row(i), s.cache.Row(v))
-	}
-	return out, nil
-}
-
-func (s *localSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
-	// Local-regime targets are owned rows, served shard-locally by the
-	// inner source; nothing to cache.
-	return s.inner.TargetLabels(ids)
+	return &localSource{featureCache: newFeatureCache(inner, dim, bufs), gsum: tensor.NewRowTable(dim)}
 }
 
 // ScatterGradients implements GradientRouter by accumulating into the

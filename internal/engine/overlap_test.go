@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/sampler"
 	"argo/internal/tensor"
@@ -14,8 +15,8 @@ import (
 
 // runShardedEpochs trains `epochs` epochs of the sharded test workload
 // with the given transport, returning the loss history, the final
-// weights, and the engine.
-func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, transport string) ([]float64, []*tensor.Matrix, *Engine) {
+// weights, and the exchange.
+func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, transport string) ([]float64, []*tensor.Matrix, *ddp.HaloExchange) {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
@@ -46,7 +47,7 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, tra
 		}
 		losses = append(losses, res.MeanLoss)
 	}
-	return losses, eng.ExportWeights(), eng
+	return losses, eng.ExportWeights(), ex
 }
 
 // The hard invariant of the refactor: batched + overlapped training —
@@ -96,8 +97,8 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 // message per remote row).
 func TestBatchedExchangeMessageReduction(t *testing.T) {
 	ds := shardedTestDataset(t)
-	_, _, eng := runShardedEpochs(t, ds, 2, 1, "inproc")
-	total := eng.replicas[0].source.(shardSource).ex.TotalStats()
+	_, _, ex := runShardedEpochs(t, ds, 2, 1, "inproc")
+	total := ex.TotalStats()
 	if total.RemoteRows == 0 || total.Messages == 0 {
 		t.Fatalf("no exchange traffic recorded: %+v", total)
 	}

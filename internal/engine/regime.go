@@ -13,16 +13,19 @@ type SamplingRegime int
 const (
 	// RegimeExact samples over the assembled global topology: every
 	// replica sees the same batch stream a single-store run would, so
-	// losses stay bit-identical to single-store training at the cost of
-	// full halo-exchange traffic per batch.
+	// losses stay bit-identical to single-store training. Any row of the
+	// graph may be a halo row, but each crosses the wire once per run
+	// (the replica's feature cache); after that, a batch moves only its
+	// remote targets' labels.
 	RegimeExact SamplingRegime = iota
 	// RegimeLocal samples partition-locally (the Cluster-GCN regime):
 	// each replica draws seeds from its own shards' owned train nodes
 	// and bounds frontiers to owned + 1-hop halo rows, trading a
-	// bounded accuracy perturbation for a large cut in halo traffic.
-	// Halo features still arrive through the batched exchange, and
-	// halo-row gradients are pushed back to their owners through the
-	// GradientRouter reverse path.
+	// bounded accuracy perturbation for a working set bounded by the
+	// replica's partition. Halo features arrive through the same
+	// feature cache as the exact regime's, and halo-row gradients are
+	// pushed back to their owners through the GradientRouter reverse
+	// path once per epoch.
 	RegimeLocal
 )
 
