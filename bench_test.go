@@ -188,39 +188,6 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOverlap measures what the sampling/training pipeline
-// overlap is worth: the same configuration with sampling serialized into
-// the training loop.
-func BenchmarkAblationOverlap(b *testing.B) {
-	ds, err := graph.Spec("ogbn-products")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := platsim.Scenario{
-		Platform: platform.IceLake4S, Library: platsim.DGL,
-		Sampler: platsim.Shadow, Model: platsim.GCN, Dataset: ds,
-	}
-	for _, noOverlap := range []bool{false, true} {
-		name := "pipelined"
-		if noOverlap {
-			name = "serialized"
-		}
-		b.Run(name, func(b *testing.B) {
-			var epoch float64
-			for i := 0; i < b.N; i++ {
-				m, err := platsim.Simulate(sc, platsim.SimConfig{
-					Procs: 4, SampleCores: 4, TrainCores: 8, MaxIters: 40, NoOverlap: noOverlap,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				epoch = m.EpochSeconds
-			}
-			b.ReportMetric(epoch, "sim_epoch_s")
-		})
-	}
-}
-
 // BenchmarkAblationSearchStrategies pits the three search strategies
 // against each other on one setup with equal budgets.
 func BenchmarkAblationSearchStrategies(b *testing.B) {

@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		"halo-exchange transport for -shards runs: inproc (direct calls) or tcp (batched messages over loopback sockets)")
 	sampling := fs.String("sampling", "exact",
 		"sampling regime for -shards runs: exact (global batches, losses bit-identical to single-store) or "+
-			"local (partition-local: each replica samples within its shards' owned + 1-hop halo rows, cutting halo traffic)")
+			"local (partition-local: each replica samples within its shards' owned + 1-hop halo rows, bounding its working set to the partition)")
 	ckptPath := fs.String("save-checkpoint", "",
 		"write the final model weights to this file (atomic temp+rename); argo-serve loads it for inference")
 	fs.Parse(args)

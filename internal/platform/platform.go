@@ -1,17 +1,10 @@
 // Package platform encodes the two evaluation machines from the paper's
-// Table II, the socket-contiguous core placement the simulator models
-// the paper's core binding with, and the host's file-mapping primitive.
-// The machines are *models*: the reproduction runs on commodity
-// hardware, so the specs and the placement parameterise the
-// discrete-event simulator in internal/platsim rather than describe the
-// host. The real engine binds no cores; its s and t are worker-goroutine
-// counts.
+// Table II and the host's file-mapping primitive. The machines are
+// *models*: the reproduction runs on commodity hardware, so the specs
+// parameterise the discrete-event simulator in internal/platsim rather
+// than describe the host. The real engine binds no cores; its s and t
+// are worker-goroutine counts.
 package platform
-
-import (
-	"fmt"
-	"sync"
-)
 
 // Spec describes a multi-socket machine (paper Table II, plus the derived
 // microarchitectural constants the simulator needs).
@@ -87,85 +80,4 @@ var SapphireRapids2S = Spec{
 	UPIGBs:         250,
 	NUMAPenalty:    0.35,
 	PerCoreBWGBs:   12,
-}
-
-// CoreID identifies one core of a modelled machine.
-type CoreID int
-
-// Allocator hands out disjoint cores of a modelled machine,
-// socket-contiguously — the placement the paper's core binding requests
-// so each GNN process's memory stays mostly socket-local. It is safe for
-// concurrent use.
-type Allocator struct {
-	spec Spec
-	mu   sync.Mutex
-	used []bool
-}
-
-// NewAllocator returns an allocator over all cores of spec.
-func NewAllocator(spec Spec) *Allocator {
-	return &Allocator{spec: spec, used: make([]bool, spec.TotalCores())}
-}
-
-// Allocate reserves k cores, preferring a contiguous run within one
-// socket, falling back to the lowest-numbered free cores.
-func (a *Allocator) Allocate(k int) ([]CoreID, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("platform: allocate %d cores", k)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// First pass: contiguous run inside a single socket.
-	per := a.spec.CoresPerSocket
-	if k <= per {
-		for s := 0; s < a.spec.Sockets; s++ {
-			base := s * per
-			run := 0
-			for i := 0; i < per; i++ {
-				if a.used[base+i] {
-					run = 0
-					continue
-				}
-				run++
-				if run == k {
-					out := make([]CoreID, k)
-					for j := 0; j < k; j++ {
-						idx := base + i - k + 1 + j
-						a.used[idx] = true
-						out[j] = CoreID(idx)
-					}
-					return out, nil
-				}
-			}
-		}
-	}
-	// Fallback: any free cores.
-	var out []CoreID
-	for i, u := range a.used {
-		if !u {
-			out = append(out, CoreID(i))
-			if len(out) == k {
-				break
-			}
-		}
-	}
-	if len(out) < k {
-		return nil, fmt.Errorf("platform: %d cores requested, %d free", k, len(out))
-	}
-	for _, c := range out {
-		a.used[c] = true
-	}
-	return out, nil
-}
-
-// SocketOf returns the socket a core belongs to.
-func (a *Allocator) SocketOf(c CoreID) int { return int(c) / a.spec.CoresPerSocket }
-
-// SocketsSpanned counts the distinct sockets covered by cores.
-func (a *Allocator) SocketsSpanned(cores []CoreID) int {
-	seen := map[int]bool{}
-	for _, c := range cores {
-		seen[a.SocketOf(c)] = true
-	}
-	return len(seen)
 }

@@ -44,55 +44,3 @@ func TestEffectiveBW(t *testing.T) {
 		t.Fatal("clamp high failed")
 	}
 }
-
-func TestAllocatorContiguousSingleSocket(t *testing.T) {
-	a := NewAllocator(IceLake4S)
-	cores, err := a.Allocate(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cores) != 8 || a.SocketsSpanned(cores) != 1 {
-		t.Fatalf("8-core allocation spans %d sockets", a.SocketsSpanned(cores))
-	}
-}
-
-func TestAllocatorPrefersEmptySockets(t *testing.T) {
-	a := NewAllocator(SapphireRapids2S)
-	first, _ := a.Allocate(30)
-	second, err := a.Allocate(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 30 won't fit in socket 0's remaining 2 cores; must land on socket 1.
-	if a.SocketsSpanned(second) != 1 || a.SocketOf(second[0]) == a.SocketOf(first[0]) {
-		t.Fatal("second allocation should use the empty socket")
-	}
-}
-
-func TestAllocatorExhaustionAndRelease(t *testing.T) {
-	a := NewAllocator(SapphireRapids2S)
-	if _, err := a.Allocate(64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Allocate(1); err == nil {
-		t.Fatal("over-allocation must fail")
-	}
-}
-
-func TestAllocateZeroFails(t *testing.T) {
-	a := NewAllocator(IceLake4S)
-	if _, err := a.Allocate(0); err == nil {
-		t.Fatal("zero allocation must fail")
-	}
-}
-
-func TestAllocatorSpansSocketsWhenNeeded(t *testing.T) {
-	a := NewAllocator(SapphireRapids2S)
-	cores, err := a.Allocate(40) // more than one socket's 32
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SocketsSpanned(cores) != 2 {
-		t.Fatalf("40-core allocation spans %d sockets, want 2", a.SocketsSpanned(cores))
-	}
-}

@@ -111,14 +111,6 @@ func BaselineEpoch(sc Scenario, cores int) (float64, error) {
 // Fig. 8 (the auto-tuner converges to this configuration; using the true
 // optimum isolates scaling behaviour from tuner noise).
 func BestWithBudget(sc Scenario, budget int) (search.Config, float64) {
-	sp := search.DefaultSpace(budget)
-	obj := NewObjective(sc)
-	best := search.Config{}
-	bestTime := math.Inf(1)
-	for _, c := range sp.Enumerate() {
-		if v := obj.Evaluate(c); v < bestTime {
-			best, bestTime = c, v
-		}
-	}
-	return best, bestTime
+	res := search.Run(search.NewExhaustiveSearcher(search.DefaultSpace(budget)), NewObjective(sc))
+	return res.Best, res.BestTime
 }

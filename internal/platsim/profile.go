@@ -23,21 +23,10 @@ type SamplerKind string
 // ModelKind selects the GNN architecture being simulated.
 type ModelKind string
 
-// The sampler/model combinations the paper evaluates, plus the two
-// samplers its survey cites: GraphSAINT random walks ([18]) and
-// Cluster-GCN ([17]), modelled after this repo's real implementations
-// in internal/sampler so the strategy benchmark can sweep all four
-// workload shapes.
+// The sampler/model combinations the paper evaluates (§VI-A2).
 const (
 	Neighbor SamplerKind = "neighbor"
 	Shadow   SamplerKind = "shadow"
-	Saint    SamplerKind = "saint"
-	ClusterK SamplerKind = "cluster"
-	// PartLocal is partition-local neighbor sampling (the engine's
-	// "local" regime): the frontier recursion is bounded to one
-	// replica's owned + 1-hop halo nodes, shrinking the collision pool
-	// and therefore the distinct-node workload per iteration.
-	PartLocal SamplerKind = "partition"
 
 	SAGE ModelKind = "sage"
 	GCN  ModelKind = "gcn"
@@ -112,14 +101,6 @@ var DGL = Profile{
 	SamplerSerial: map[SamplerKind]float64{
 		Neighbor: 0.08,
 		Shadow:   0.70,
-		// Random walks parallelise per root but the induction scan is
-		// mostly serial; cluster lookup is cheap and the induction
-		// dominates.
-		Saint:    0.45,
-		ClusterK: 0.35,
-		// Same per-edge loop as Neighbor plus a branch-predictable
-		// membership test; parallelises just as well.
-		PartLocal: 0.08,
 	},
 	TrainSatCores:    6,
 	TrainMachCores:   24,
@@ -143,11 +124,8 @@ var PyG = Profile{
 	ShadowEdgeCost:     700e-9,
 	SampleBytesPerEdge: 32,
 	SamplerSerial: map[SamplerKind]float64{
-		Neighbor:  0.12,
-		Shadow:    0.85,
-		Saint:     0.65,
-		ClusterK:  0.55,
-		PartLocal: 0.12,
+		Neighbor: 0.12,
+		Shadow:   0.85,
 	},
 	TrainSatCores:    10,
 	TrainMachCores:   16,

@@ -21,10 +21,6 @@ type SimConfig struct {
 	MaxIters int
 	// Trace, when non-nil, receives every phase interval (Fig. 2).
 	Trace *trace.Timeline
-	// NoOverlap serialises sampling with training inside each process
-	// (no pipeline): the behaviour of a naive engine without sampling
-	// workers. Used by the overlap ablation bench.
-	NoOverlap bool
 	// NUMAAware models the paper's §IX future-work direction: replicate
 	// the feature store on every socket so gathers stay local and the
 	// UPI penalty disappears — at a memory cost of one feature copy per
@@ -50,8 +46,8 @@ const (
 	stDone
 )
 
-// trainerPhases is the default trainer phase chain; with NoOverlap a
-// "sample" phase is prepended and no sampler actor runs.
+// trainerPhases is the trainer's phase chain; sampling runs in each
+// process's own sampler actor, overlapped with it.
 var trainerPhases = []string{"gather", "aggregate", "dense", "backward"}
 
 type simActor struct {
@@ -91,7 +87,6 @@ type simulator struct {
 
 	// per-phase precomputed durations
 	sampleCoreT float64
-	phaseNames  []string
 	trainCoreT  []float64
 	phaseBytes  []float64
 	sampleCap   float64
@@ -120,26 +115,14 @@ func Simulate(sc Scenario, cfg SimConfig) (Metrics, error) {
 		s.simIt = cfg.MaxIters
 	}
 
-	// Placement: socket-contiguous allocation per process, as the
+	// Placement: socket-contiguous binding per process, as the
 	// Core-Binder does on real machines.
-	alloc := platform.NewAllocator(sc.Platform)
-	procSockets := make([]int, cfg.Procs)
-	allSockets := map[int]bool{}
-	for p := 0; p < cfg.Procs; p++ {
-		cores, err := alloc.Allocate(cfg.SampleCores + cfg.TrainCores)
-		if err != nil {
-			return Metrics{}, err
-		}
-		procSockets[p] = alloc.SocketsSpanned(cores)
-		for _, c := range cores {
-			allSockets[alloc.SocketOf(c)] = true
-		}
-	}
-	s.globalBW = sc.Platform.EffectiveBW(len(allSockets)) * 1e9
+	sockets := socketsSpanned(sc.Platform, cfg.Procs, cfg.SampleCores+cfg.TrainCores)
+	s.globalBW = sc.Platform.EffectiveBW(sockets) * 1e9
 	if cfg.NUMAAware {
 		// Socket-local feature replicas: no remote traffic, full local
 		// bandwidth of the sockets in use.
-		s.globalBW = sc.Platform.SocketBWGBs() * float64(len(allSockets)) * 1e9
+		s.globalBW = sc.Platform.SocketBWGBs() * float64(sockets) * 1e9
 	}
 
 	lib := sc.Library
@@ -147,15 +130,12 @@ func Simulate(sc Scenario, cfg SimConfig) (Metrics, error) {
 	// A single process's achievable bandwidth is capped at κ·peak
 	// regardless of core count (first-touch NUMA placement, bounded
 	// memory-level parallelism) — the mechanism behind the Fig. 1
-	// baseline plateau. procSockets is kept for future placement-aware
-	// refinements; all processes are symmetric by construction.
-	_ = procSockets
+	// baseline plateau.
 	procCap := lib.ProcessBWFrac * sc.Platform.PeakBWGBs * 1e9
 	s.sampleCap = math.Min(float64(cfg.SampleCores)*perCore, procCap)
 	s.trainCap = math.Min(float64(cfg.TrainCores)*perCore, procCap)
 
 	s.sampleCoreT = amdahl(s.work.SampleCore, cfg.SampleCores, lib.SamplerSerial[sc.Sampler])
-	s.phaseNames = trainerPhases
 	s.trainCoreT = []float64{
 		0, // gather is pure memory traffic
 		satTime(s.work.AggCore, cfg.TrainCores, cfg.Procs, lib.TrainSatCores, lib.TrainMachCores),
@@ -163,25 +143,12 @@ func Simulate(sc Scenario, cfg SimConfig) (Metrics, error) {
 		satTime(s.work.BackCore, cfg.TrainCores, cfg.Procs, lib.TrainSatCores, lib.TrainMachCores) + lib.FixedIterCost,
 	}
 	s.phaseBytes = []float64{s.work.GatherBytes, s.work.AggBytes, s.work.DenseBytes, s.work.BackBytes}
-	if cfg.NoOverlap {
-		// Fold sampling into the trainer chain: no pipeline parallelism.
-		s.phaseNames = append([]string{"sample"}, s.phaseNames...)
-		s.trainCoreT = append([]float64{s.sampleCoreT}, s.trainCoreT...)
-		s.phaseBytes = append([]float64{s.work.SampleBytes}, s.phaseBytes...)
-	}
 
 	s.queues = make([]int, cfg.Procs)
 	for p := 0; p < cfg.Procs; p++ {
-		if !cfg.NoOverlap {
-			sa := &simActor{proc: p, sampler: true, memCap: s.sampleCap}
-			s.startSample(sa)
-			s.actors = append(s.actors, sa)
-		}
-		ta := &simActor{proc: p, sampler: false, state: stWaiting, memCap: s.trainCap}
-		s.actors = append(s.actors, ta)
-		if cfg.NoOverlap {
-			s.startTrainerPhase(ta, 0)
-		}
+		sa := &simActor{proc: p, sampler: true, memCap: s.sampleCap}
+		s.startSample(sa)
+		s.actors = append(s.actors, sa, &simActor{proc: p, state: stWaiting, memCap: s.trainCap})
 	}
 
 	if err := s.run(); err != nil {
@@ -201,9 +168,44 @@ func Simulate(sc Scenario, cfg SimConfig) (Metrics, error) {
 		EpochSeconds:    epoch,
 		AvgBandwidthGBs: simBytes / tEnd / 1e9,
 		SampledEdges:    s.work.SampledEdges * float64(cfg.Procs) * float64(m),
-		SocketsUsed:     len(allSockets),
+		SocketsUsed:     sockets,
 		Iterations:      m,
 	}, nil
+}
+
+// socketsSpanned counts the sockets that procs processes of k cores each
+// cover when bound socket-contiguously: a process takes its cores from
+// the first socket with k free, or else from the sockets in order, as
+// many as each has free. Every socket fills from its low end, so the free
+// count per socket is the whole placement state. The caller guarantees
+// procs·k cores exist.
+func socketsSpanned(spec platform.Spec, procs, k int) int {
+	free := make([]int, spec.Sockets)
+	for i := range free {
+		free[i] = spec.CoresPerSocket
+	}
+	for p := 0; p < procs; p++ {
+		s := 0
+		for s < len(free) && free[s] < k {
+			s++
+		}
+		if s < len(free) {
+			free[s] -= k
+			continue
+		}
+		for need, i := k, 0; need > 0; i++ {
+			take := min(need, free[i])
+			free[i] -= take
+			need -= take
+		}
+	}
+	used := 0
+	for _, f := range free {
+		if f < spec.CoresPerSocket {
+			used++
+		}
+	}
+	return used
 }
 
 func (s *simulator) startSample(a *simActor) {
@@ -220,7 +222,7 @@ func (s *simulator) startTrainerPhase(a *simActor, phase int) {
 	a.coreRem = s.trainCoreT[phase]
 	a.bytesRem = s.phaseBytes[phase]
 	a.phaseStart = s.clock
-	a.phaseName = s.phaseNames[phase]
+	a.phaseName = trainerPhases[phase]
 }
 
 // consume hands a sampled batch to a waiting trainer if one is queued.
@@ -341,7 +343,7 @@ func (s *simulator) drainCompletions() bool {
 			continue
 		}
 		// Trainer phase chain.
-		if a.phase < len(s.phaseNames)-1 {
+		if a.phase < len(trainerPhases)-1 {
 			s.startTrainerPhase(a, a.phase+1)
 			continue
 		}
@@ -368,8 +370,6 @@ func (s *simulator) drainCompletions() bool {
 			switch {
 			case a.itersDone >= s.simIt:
 				a.state = stDone
-			case s.cfg.NoOverlap:
-				s.startTrainerPhase(a, 0)
 			default:
 				if !s.tryConsume(a) {
 					a.state = stWaiting

@@ -260,21 +260,26 @@ func TestSocketsUsedReported(t *testing.T) {
 	}
 }
 
-// The overlap ablation: serialising sampling with training (no pipeline)
-// must cost epoch time whenever sampling is non-trivial — this is what
-// the s/t split buys before multi-processing even starts.
-func TestNoOverlapSlower(t *testing.T) {
-	sc := scenarioFor(t, DGL, platform.IceLake4S, Shadow, GCN, "ogbn-products")
-	with, err := Simulate(sc, SimConfig{Procs: 2, SampleCores: 4, TrainCores: 8, MaxIters: 20})
-	if err != nil {
-		t.Fatal(err)
+// Socket-contiguous binding: each process fills the first socket with
+// room for it, and spills over the sockets in order only when none has.
+func TestSocketsSpanned(t *testing.T) {
+	cases := []struct {
+		spec        platform.Spec
+		procs, k    int
+		wantSockets int
+	}{
+		{platform.IceLake4S, 1, 8, 1},
+		{platform.SapphireRapids2S, 2, 30, 2}, // the second 30 skips socket 0's last 2 cores
+		{platform.SapphireRapids2S, 1, 40, 2}, // more than one socket's 32
+		{platform.IceLake4S, 8, 14, 4},
+		// Four processes leave 8 cores free on every socket, so the fifth
+		// finds no socket with 20 free and spills over three of them.
+		{platform.IceLake4S, 5, 20, 4},
 	}
-	without, err := Simulate(sc, SimConfig{Procs: 2, SampleCores: 4, TrainCores: 8, MaxIters: 20, NoOverlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.EpochSeconds <= with.EpochSeconds {
-		t.Fatalf("no-overlap %.3fs not slower than pipelined %.3fs", without.EpochSeconds, with.EpochSeconds)
+	for _, c := range cases {
+		if got := socketsSpanned(c.spec, c.procs, c.k); got != c.wantSockets {
+			t.Errorf("%s, %d×%d cores: %d sockets, want %d", c.spec.Name, c.procs, c.k, got, c.wantSockets)
+		}
 	}
 }
 

@@ -28,26 +28,11 @@ const (
 	DefaultShadowBatch   = 256
 )
 
-// The paper's sampler settings (§VI-A2), plus the survey samplers'
-// shapes mirrored from internal/sampler's real implementations.
+// The paper's sampler settings (§VI-A2).
 var (
 	neighborFanouts = []int{15, 10, 5} // targets-first
 	shadowFanouts   = []int{10, 5}
 	shadowLayers    = 3
-
-	saintWalksPerRoot = 4
-	saintWalkLen      = 3
-	saintLayers       = 3
-
-	clusterCount  = 64 // offline greedy partition of the full graph
-	clusterLayers = 3
-	clusterIntra  = 0.6 // fraction of a member's degree that stays intra-cluster
-
-	// Partition-local regime shape (engine's -sampling local): each
-	// replica samples inside one of partitionCount shards plus a 1-hop
-	// halo fringe that adds partitionHaloFrac of the shard's size.
-	partitionCount    = 8
-	partitionHaloFrac = 0.15
 )
 
 // collisionPoolFrac scales the shared-neighbour collision pool: sampled
@@ -56,14 +41,13 @@ var (
 // big batches — the Fig. 5/6 workload-inflation mechanism.
 const collisionPoolFrac = 0.30
 
-// batch returns the effective global batch size. The subgraph samplers
-// (ShaDow, SAINT, Cluster) default to the small batch because every
-// target contributes a whole subgraph.
+// batch returns the effective global batch size. ShaDow defaults to the
+// small batch because every target contributes a whole subgraph.
 func (sc Scenario) batch() int {
 	if sc.BatchSize > 0 {
 		return sc.BatchSize
 	}
-	if sc.Sampler != Neighbor && sc.Sampler != PartLocal {
+	if sc.Sampler != Neighbor {
 		return DefaultShadowBatch
 	}
 	return DefaultNeighborBatch
@@ -121,21 +105,6 @@ func dedup(m, p float64) float64 {
 	return m / (1 + m/p)
 }
 
-// addSubgraphLayers accumulates the per-layer aggregation and dense
-// costs of a subgraph sampler (ShaDow, SAINT, Cluster): every layer
-// aggregates over the same induced edge set and applies its dense
-// transform to every subgraph node.
-func addSubgraphLayers(w *IterWork, lib Profile, nodes, induced, concat float64, layers int, f0, f1, f2 float64) {
-	dims := []float64{f0, f1, f1, f2}
-	for l := 0; l < layers; l++ {
-		fin, fout := dims[l], dims[l+1]
-		w.AggBytes += induced * fin * 4
-		w.AggCore += induced * fin / (lib.AggGFPerCore * 1e9)
-		w.DenseCore += nodes * concat * fin * fout * 2 / (lib.DenseGFPerCore * 1e9)
-		w.DenseBytes += nodes * (concat*fin + fout) * 4
-	}
-}
-
 // PerProcessWork computes the per-iteration demand of one process when n
 // processes share the global batch (per-process share b = B/n). All the
 // effects discussed in paper §V-A1 fall out of the dedup model: smaller
@@ -162,16 +131,8 @@ func (sc Scenario) PerProcessWork(n int) IterWork {
 	}
 
 	switch sc.Sampler {
-	case Neighbor, PartLocal:
-		// Frontier recursion, targets outward. The partition-local
-		// regime runs the same recursion but every frontier is bounded
-		// to one shard plus its 1-hop halo fringe, so collisions are
-		// drawn from that much smaller pool — more reuse per batch and
-		// a smaller distinct-node gather, the regime's bandwidth win.
-		if sc.Sampler == PartLocal {
-			partNodes := float64(d.Vertices) / float64(partitionCount) * (1 + partitionHaloFrac)
-			pool = math.Min(pool, partNodes)
-		}
+	case Neighbor:
+		// Frontier recursion, targets outward.
 		frontier := b
 		frontiers := []float64{b}
 		var layerEdges []float64
@@ -221,41 +182,16 @@ func (sc Scenario) PerProcessWork(n int) IterWork {
 		w.SampleCore = raw*lib.SampleEdgeCost + nodes*avgDeg*lib.ShadowEdgeCost
 		w.SampleBytes = nodes * avgDeg * lib.SampleBytesPerEdge
 		w.GatherBytes = nodes * f0 * 4
-		addSubgraphLayers(&w, lib, nodes, induced, concat, shadowLayers, f0, f1, f2)
-
-	case Saint:
-		// Each target roots walksPerRoot walks of walkLen steps; the
-		// visited union induces the subgraph (internal/sampler/saint.go).
-		raw := b * (1 + float64(saintWalksPerRoot*saintWalkLen))
-		nodes := dedup(raw, pool)
-		induced := nodes * math.Min(avgDeg*0.35, nodes)
-		w.InputNodes = nodes
-		w.SampledEdges = induced * float64(saintLayers)
-		// Walk steps are single neighbour lookups; induction scans each
-		// visited node's adjacency like ShaDow's.
-		w.SampleCore = raw*lib.SampleEdgeCost + nodes*avgDeg*lib.ShadowEdgeCost
-		w.SampleBytes = nodes * avgDeg * lib.SampleBytesPerEdge
-		w.GatherBytes = nodes * f0 * 4
-		addSubgraphLayers(&w, lib, nodes, induced, concat, saintLayers, f0, f1, f2)
-
-	case ClusterK:
-		// A batch pulls the whole clusters its targets fall in
-		// (internal/sampler/cluster.go): distinct clusters saturate like
-		// a birthday draw over the fixed offline partition, and cluster
-		// interiors are dense, so most of a member's degree survives
-		// induction.
-		clusterSize := float64(d.Vertices) / float64(clusterCount)
-		clustersHit := dedup(b, float64(clusterCount))
-		nodes := math.Min(clustersHit*clusterSize, float64(d.Vertices))
-		induced := nodes * avgDeg * clusterIntra
-		w.InputNodes = nodes
-		w.SampledEdges = induced * float64(clusterLayers)
-		// No sampling walk at all — only the member scan that induces
-		// the union subgraph.
-		w.SampleCore = nodes * avgDeg * lib.ShadowEdgeCost * 0.5
-		w.SampleBytes = nodes * avgDeg * lib.SampleBytesPerEdge * 0.5
-		w.GatherBytes = nodes * f0 * 4
-		addSubgraphLayers(&w, lib, nodes, induced, concat, clusterLayers, f0, f1, f2)
+		// Every layer aggregates over the same induced edge set and
+		// applies its dense transform to every subgraph node.
+		dims := []float64{f0, f1, f1, f2}
+		for l := 0; l < shadowLayers; l++ {
+			fin, fout := dims[l], dims[l+1]
+			w.AggBytes += induced * fin * 4
+			w.AggCore += induced * fin / (lib.AggGFPerCore * 1e9)
+			w.DenseCore += nodes * concat * fin * fout * 2 / (lib.DenseGFPerCore * 1e9)
+			w.DenseBytes += nodes * (concat*fin + fout) * 4
+		}
 
 	default:
 		panic(fmt.Sprintf("platsim: unknown sampler %q", sc.Sampler))

@@ -168,44 +168,6 @@ func TestDedup(t *testing.T) {
 	}
 }
 
-// Partition-local sampling runs the same frontier recursion as Neighbor
-// but over a pool bounded to one shard plus its halo, so every batch
-// reuses more nodes: fewer distinct inputs, less gather traffic, and no
-// more sampled edges than the unbounded sampler.
-func TestPartitionLocalShrinksWorkingSet(t *testing.T) {
-	for _, dataset := range []string{"flickr", "ogbn-products", "ogbn-papers100M"} {
-		nb := scenarioFor(t, DGL, platform.IceLake4S, Neighbor, SAGE, dataset)
-		pl := scenarioFor(t, DGL, platform.IceLake4S, PartLocal, SAGE, dataset)
-		if nb.batch() != pl.batch() {
-			t.Fatalf("%s: partition-local batch default must match neighbor's", dataset)
-		}
-		for _, n := range []int{1, 2, 8} {
-			wn, wp := nb.PerProcessWork(n), pl.PerProcessWork(n)
-			if !(wp.InputNodes > 0) || !(wp.SampledEdges > 0) || !(wp.GatherBytes > 0) {
-				t.Fatalf("%s n=%d: degenerate partition-local work %+v", dataset, n, wp)
-			}
-			if wp.InputNodes >= wn.InputNodes {
-				t.Fatalf("%s n=%d: partition-local inputs %g not below neighbor's %g", dataset, n, wp.InputNodes, wn.InputNodes)
-			}
-			if wp.GatherBytes >= wn.GatherBytes {
-				t.Fatalf("%s n=%d: partition-local gather %g not below neighbor's %g", dataset, n, wp.GatherBytes, wn.GatherBytes)
-			}
-			if wp.SampledEdges > wn.SampledEdges {
-				t.Fatalf("%s n=%d: partition-local edges %g exceed neighbor's %g", dataset, n, wp.SampledEdges, wn.SampledEdges)
-			}
-		}
-	}
-	// Simulated epochs stay well-formed.
-	sc := scenarioFor(t, PyG, platform.SapphireRapids2S, PartLocal, GCN, "reddit")
-	m, err := Simulate(sc, SimConfig{Procs: 2, SampleCores: 2, TrainCores: 4, MaxIters: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(m.EpochSeconds > 0) {
-		t.Fatalf("partition-local epoch time %v", m.EpochSeconds)
-	}
-}
-
 func TestUnknownSamplerPanics(t *testing.T) {
 	sc := scenarioFor(t, DGL, platform.IceLake4S, Neighbor, SAGE, "flickr")
 	sc.Sampler = "bogus"
@@ -222,34 +184,5 @@ func TestScenarioString(t *testing.T) {
 	want := "DGL/neighbor-sage/flickr/Ice Lake 8380H (4S)"
 	if got := sc.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-// The survey samplers (SAINT, Cluster-GCN) produce positive, finite
-// workloads over the whole configuration range, and the subgraph
-// samplers still exhibit the Fig. 6 inflation direction: total sampled
-// work across processes does not shrink as processes are added.
-func TestSurveySamplerWorkloads(t *testing.T) {
-	for _, kind := range []SamplerKind{Saint, ClusterK} {
-		sc := scenarioFor(t, DGL, platform.SapphireRapids2S, kind, SAGE, "ogbn-products")
-		prevTotal := 0.0
-		for n := 1; n <= 8; n *= 2 {
-			w := sc.PerProcessWork(n)
-			if !(w.SampleCore > 0) || !(w.InputNodes > 0) || !(w.DenseCore > 0) || !(w.AggCore > 0) {
-				t.Fatalf("%s n=%d: degenerate work %+v", kind, n, w)
-			}
-			total := w.SampledEdges * float64(n)
-			if total < prevTotal*0.99 {
-				t.Fatalf("%s: total sampled work shrank from %v to %v at n=%d", kind, prevTotal, total, n)
-			}
-			prevTotal = total
-		}
-		m, err := Simulate(sc, SimConfig{Procs: 2, SampleCores: 2, TrainCores: 4, MaxIters: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !(m.EpochSeconds > 0) {
-			t.Fatalf("%s: epoch time %v", kind, m.EpochSeconds)
-		}
 	}
 }

@@ -14,18 +14,20 @@ const hubChunk = 128
 
 // HubStore holds precomputed per-layer activations for a hub set —
 // typically the top-degree nodes (graph.TopDegree), whose deep
-// frontiers dominate gather cost on a power-law graph. acts[j] maps a
-// hub to its activation after j model layers: acts[L] is the hub's
-// logits (a hub target is answered outright, no gather at all), and
-// acts[1..L-1] are the values injected into interior layer inputs so a
-// gather pruned at hubs (sampler.SamplePruned) stays bit-identical to
-// the unpruned pass. acts[0] would be the raw feature row and is not
-// stored — the feature path already supplies it exactly.
+// frontiers dominate gather cost on a power-law graph. acts[j] is one
+// slab of every hub's activation after j model layers, a row per hub at
+// the position row maps it to: acts[L] holds the hubs' logits (a hub
+// target is answered outright, no gather at all), and acts[1..L-1] the
+// values injected into interior layer inputs so a gather pruned at hubs
+// (sampler.SamplePruned) stays bit-identical to the unpruned pass.
+// acts[0] would be the raw feature rows and is not stored — the feature
+// path already supplies them exactly.
 //
 // The store is immutable after construction, so reads need no locking.
 // All methods are nil-receiver safe (a nil store knows no hubs).
 type HubStore struct {
-	acts  []map[graph.NodeID][]float32
+	row   map[graph.NodeID]int32
+	acts  [][]float32
 	nodes []graph.NodeID
 	bytes int64
 }
@@ -69,7 +71,7 @@ func (h *HubStore) Contains(id graph.NodeID) bool {
 	if h == nil {
 		return false
 	}
-	_, ok := h.acts[len(h.acts)-1][id]
+	_, ok := h.row[id]
 	return ok
 }
 
@@ -80,18 +82,19 @@ func (h *HubStore) Activation(layer int, id graph.NodeID) ([]float32, bool) {
 	if h == nil || layer < 1 || layer >= len(h.acts) {
 		return nil, false
 	}
-	a, ok := h.acts[layer][id]
-	return a, ok
+	r, ok := h.row[id]
+	if !ok {
+		return nil, false
+	}
+	w := len(h.acts[layer]) / len(h.nodes)
+	lo, hi := int(r)*w, int(r+1)*w
+	return h.acts[layer][lo:hi:hi], true
 }
 
 // Logits returns id's stored final-layer output, or false if id is not
 // a hub.
 func (h *HubStore) Logits(id graph.NodeID) ([]float32, bool) {
-	if h == nil {
-		return nil, false
-	}
-	a, ok := h.acts[len(h.acts)-1][id]
-	return a, ok
+	return h.Activation(h.Layers(), id)
 }
 
 // HubStats is the /statz snapshot of the hub layer.
@@ -131,12 +134,15 @@ func (inf *Inferencer) PrecomputeHubs(hubs []graph.NodeID) (*HubStore, error) {
 	}
 	L := inf.model.NumLayers()
 	hs := &HubStore{
-		acts:  make([]map[graph.NodeID][]float32, L+1),
+		row:   make(map[graph.NodeID]int32, len(hubs)),
+		acts:  make([][]float32, L+1),
 		nodes: append([]graph.NodeID(nil), hubs...),
+	}
+	for i, v := range hubs {
+		hs.row[v] = int32(i)
 	}
 	bufs := inf.model.Buffers()
 	for j := 1; j <= L; j++ {
-		hs.acts[j] = make(map[graph.NodeID][]float32, len(hubs))
 		fn := sampler.NewFullNeighbor(inf.graph, j)
 		for start := 0; start < len(hubs); start += hubChunk {
 			end := start + hubChunk
@@ -150,11 +156,12 @@ func (inf *Inferencer) PrecomputeHubs(hubs []graph.NodeID) (*HubStore, error) {
 				return nil, err
 			}
 			out := inf.model.InferReuse(inf.pool, mb, x0, nil)
-			for i, v := range chunk {
-				row := append([]float32(nil), out.Row(i)...)
-				hs.acts[j][v] = row
-				hs.bytes += int64(len(row)) * 4
+			if hs.acts[j] == nil {
+				hs.acts[j] = make([]float32, len(hubs)*out.Cols)
+				hs.bytes += int64(len(hs.acts[j])) * 4
 			}
+			// The chunk's targets lead the output, one row each.
+			copy(hs.acts[j][start*out.Cols:], out.Data[:len(chunk)*out.Cols])
 			bufs.Put(out)
 			bufs.Put(x0)
 		}

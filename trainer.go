@@ -37,8 +37,8 @@ type GNNTrainerOptions struct {
 	// bit-identical to single-store), "local" samples partition-locally
 	// (each replica within its shards' owned + 1-hop halo rows — the
 	// Cluster-GCN regime, trading a bounded accuracy perturbation for a
-	// large cut in halo traffic). "local" requires Shards and
-	// LocalFanouts.
+	// working set bounded to the replica's partition). "local" requires
+	// Shards and LocalFanouts.
 	SamplingRegime string
 	// LocalFanouts configures the partition-local samplers' layered
 	// fanouts (typically the exact sampler's fanouts).
