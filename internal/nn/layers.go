@@ -108,7 +108,7 @@ func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *te
 			dr := out.Row(i)
 			denseRowMulAdd(dr, row, w, bias)
 			if l.Relu {
-				reluRowInPlace(dr)
+				tensor.ReLURow(dr, dr)
 			}
 		}
 		l.bufs.Put(scratch)
@@ -118,8 +118,8 @@ func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *te
 
 // Backward consumes the gradient w.r.t. the layer output and accumulates
 // parameter grads. With wantInput it also returns the gradient w.r.t.
-// the layer input; without, it skips that work (the widest MatMulBT and
-// the scatter) and returns nil. Parameter grads are bit-identical either
+// the layer input; without, it skips that work (the transpose, the
+// widest MatMul and the scatter) and returns nil. Parameter grads are bit-identical either
 // way.
 func (l *Layer) Backward(pool *tensor.Pool, b *sampler.Block, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
 	dIn := l.denseBackward(pool, dOut, wantInput)
@@ -134,17 +134,6 @@ func (l *Layer) Backward(pool *tensor.Pool, b *sampler.Block, dOut *tensor.Matri
 	}
 	l.bufs.Put(dIn)
 	return dX
-}
-
-// reluRowInPlace applies ReLU to one row with the exact comparison
-// tensor.ReLU uses (v > 0 keeps v, everything else — including NaN and
-// -0 — becomes +0), so fused inference stays bit-identical to Forward.
-func reluRowInPlace(row []float32) {
-	for j, v := range row {
-		if !(v > 0) {
-			row[j] = 0
-		}
-	}
 }
 
 // denseRowMulAdd computes out = row·W + bias: MatMul's own row kernel on
@@ -200,8 +189,11 @@ func (l *Layer) denseBackward(pool *tensor.Pool, dOut *tensor.Matrix, wantInput 
 	if !wantInput {
 		return nil
 	}
+	wT := l.bufs.Get(l.Weight.W.Cols, l.Weight.W.Rows)
+	tensor.Transpose(wT, l.Weight.W)
 	dIn := l.bufs.Get(dZ.Rows, l.Weight.W.Rows)
-	tensor.MatMulBT(pool, dIn, dZ, l.Weight.W)
+	tensor.MatMul(pool, dIn, dZ, wT)
+	l.bufs.Put(wT)
 	return dIn
 }
 

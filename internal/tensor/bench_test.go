@@ -34,7 +34,6 @@ func benchStep(b *testing.B, kern denseKernel, shape func(numDst, in2, out int) 
 
 func BenchmarkMatMul128(b *testing.B)          { benchDense(b, kernMatMul, 1, 128, 128, 128) }
 func BenchmarkMatMul128Parallel4(b *testing.B) { benchDense(b, kernMatMul, 4, 128, 128, 128) }
-func BenchmarkMatMulBT128(b *testing.B)        { benchDense(b, kernMatMulBT, 1, 128, 128, 128) }
 func BenchmarkMatMulAT128(b *testing.B)        { benchDense(b, kernMatMulAT, 1, 128, 128, 128) }
 
 // Forward: concat(numDst×2in) · W(2in×out).
@@ -47,9 +46,20 @@ func BenchmarkMatMulATTall(b *testing.B) {
 	benchStep(b, kernMatMulAT, func(numDst, in2, out int) (int, int, int) { return in2, numDst, out })
 }
 
-// Input gradient: dZ(numDst×out) · Wᵀ, reduced over out.
-func BenchmarkMatMulBTTall(b *testing.B) {
-	benchStep(b, kernMatMulBT, func(numDst, in2, out int) (int, int, int) { return numDst, out, in2 })
+// Input gradient: dZ(numDst×out) · Wᵀ, reduced over out, the way nn's
+// denseBackward runs it: W(2in×out) transposed into a pooled buffer,
+// then MatMul.
+func BenchmarkInputGradTransposeMatMulTall(b *testing.B) {
+	bufs := NewBufPool()
+	kern := denseKernel{"InputGrad", func(pool *Pool, dst, dZ, w *Matrix) {
+		wT := bufs.Get(w.Cols, w.Rows)
+		Transpose(wT, w)
+		MatMul(pool, dst, dZ, wT)
+		bufs.Put(wT)
+	}, nil, func(rng *rand.Rand, m, k, n int) (*Matrix, *Matrix) {
+		return randomMatrix(rng, m, k), randomMatrix(rng, n, k)
+	}}
+	benchStep(b, kern, func(numDst, in2, out int) (int, int, int) { return numDst, out, in2 })
 }
 
 // BenchmarkRowMulAdd times the row kernel under MatMul, MatMulAT and
@@ -93,6 +103,17 @@ func BenchmarkReLU(b *testing.B) {
 	out := New(1024, 128)
 	for i := 0; i < b.N; i++ {
 		ReLU(out, m)
+	}
+}
+
+// BenchmarkReLUBackward masks a random gradient by random-sign
+// activations, about half of them positive, as after a layer's ReLU.
+func BenchmarkReLUBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	grad, act := randomMatrix(rng, 1024, 128), randomMatrix(rng, 1024, 128)
+	out := New(1024, 128)
+	for i := 0; i < b.N; i++ {
+		ReLUBackward(out, grad, act)
 	}
 }
 

@@ -34,22 +34,6 @@ func refMatMul(dst, a, b *Matrix) {
 	}
 }
 
-func refMatMulBT(dst, a, b *Matrix) {
-	k, n := a.Cols, b.Rows
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		dr := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			br := b.Data[j*k : (j+1)*k]
-			var sum float32
-			for p, av := range ar {
-				sum += av * br[p]
-			}
-			dr[j] = sum
-		}
-	}
-}
-
 func refMatMulAT(dst, a, b *Matrix) {
 	m, n := a.Cols, b.Cols
 	for i := 0; i < m; i++ {
@@ -83,9 +67,6 @@ type denseKernel struct {
 var (
 	kernMatMul = denseKernel{"MatMul", MatMul, refMatMul, func(rng *rand.Rand, m, k, n int) (*Matrix, *Matrix) {
 		return randomMatrix(rng, m, k), randomMatrix(rng, k, n)
-	}}
-	kernMatMulBT = denseKernel{"MatMulBT", MatMulBT, refMatMulBT, func(rng *rand.Rand, m, k, n int) (*Matrix, *Matrix) {
-		return randomMatrix(rng, m, k), randomMatrix(rng, n, k)
 	}}
 	kernMatMulAT = denseKernel{"MatMulAT", MatMulAT, refMatMulAT, func(rng *rand.Rand, m, k, n int) (*Matrix, *Matrix) {
 		return randomMatrix(rng, k, m), randomMatrix(rng, k, n)
@@ -130,7 +111,7 @@ func TestDenseKernelsBitEqualReference(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 1}, {5, 3, 10}, {10, 33, 3}, {33, 10, 5}, {1, 33, 33}, {33, 1, 4},
 		// engine shapes: forward numDst×2·in → out, and the same
-		// product seen from MatMulAT (m, n small, k tall) and MatMulBT.
+		// product seen from MatMulAT (m, n small, k tall).
 		{4097, 128, 32}, {1031, 64, 32}, {257, 32, 10},
 		{128, 4097, 32}, {64, 1031, 32}, {32, 257, 10},
 		// a dst taller than one MatMulAT tile
@@ -144,7 +125,7 @@ func TestDenseKernelsBitEqualReference(t *testing.T) {
 		if portable {
 			usePortableKernels(t)
 		}
-		for _, kern := range []denseKernel{kernMatMul, kernMatMulBT, kernMatMulAT} {
+		for _, kern := range []denseKernel{kernMatMul, kernMatMulAT} {
 			for _, sh := range shapes {
 				for _, specials := range []bool{false, true} {
 					m, k, n := sh[0], sh[1], sh[2]

@@ -5,13 +5,14 @@ import (
 	"math"
 )
 
-// The three dense kernels below follow one rule: loop order and register
-// blocking are free to change, the per-element reduction is not. Every
-// dst[i][j] is zeroed and then receives av·bv for p = 0, 1, 2, … with
-// av == 0 skipped (so a zero never meets a NaN or Inf on the other
-// side), one rounding per multiply and per add — no fused multiply-add,
-// which rounds once. That is what keeps sharded == single-store,
-// tcp == inproc and Infer == Forward bit-equal.
+// Every dense product — MatMul, MatMulAT, and the input gradient, which
+// nn runs as MatMul against a transposed weight — follows one rule:
+// loop order and register blocking are free to change, the per-element
+// reduction is not. Every dst[i][j] is zeroed and then receives av·bv
+// for p = 0, 1, 2, … with av == 0 skipped (so a zero never meets a NaN
+// or Inf on the other side), one rounding per multiply and per add — no
+// fused multiply-add, which rounds once. That is what keeps sharded ==
+// single-store, tcp == inproc and Infer == Forward bit-equal.
 
 // The row loops the multiply-accumulate kernels reduce to. They start
 // out as the portable Go loops in this file, which is all that other
@@ -111,44 +112,16 @@ func matMulRowsGo(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulBT computes dst = a·bᵀ. Shapes: a is m×k, b is n×k, dst is m×n.
-// Four output columns are reduced per pass over a's row, each in its own
-// accumulator, so the four serial add chains overlap.
-func MatMulBT(pool *Pool, dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBT shape mismatch (%dx%d)·(%dx%d)T->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+// Transpose writes srcᵀ into dst. Shapes: src is m×n, dst is n×m. dst
+// must not alias src.
+func Transpose(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: Transpose shape mismatch (%dx%d)T->(%dx%d)", src.Rows, src.Cols, dst.Rows, dst.Cols))
 	}
-	dispatch(pool, a.Rows, dst, a, b, matMulBTRows)
-}
-
-func matMulBTRows(dst, a, b *Matrix, lo, hi int) {
-	k, n := a.Cols, b.Rows
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		dr := dst.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			// Reslicing to len(ar) lets the compiler drop the bounds
-			// checks in the reduction loop.
-			bs := b.Data[j*k : (j+4)*k]
-			b0, b1, b2, b3 := bs[:k][:len(ar)], bs[k:][:len(ar)], bs[2*k:][:len(ar)], bs[3*k:][:len(ar)]
-			var s0, s1, s2, s3 float32
-			for p, av := range ar {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			dr[j], dr[j+1], dr[j+2], dr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			br := b.Data[j*k : (j+1)*k][:len(ar)]
-			var sum float32
-			for p, av := range ar {
-				sum += av * br[p]
-			}
-			dr[j] = sum
+	m := src.Rows
+	for i := 0; i < m; i++ {
+		for j, v := range src.Row(i) {
+			dst.Data[j*m+i] = v
 		}
 	}
 }
@@ -293,32 +266,42 @@ func ColSum(dst []float32, m *Matrix) {
 	}
 }
 
-// ReLU computes dst = max(src, 0) elementwise. dst and src may alias.
+// reluMask is all ones when the float32 with bits u is > 0, that is
+// 1 ≤ u ≤ 0x7f800000, and zero otherwise. Go compiles `if v > 0` to a
+// jump, which random-sign activations mispredict half the time.
+func reluMask(u uint32) uint32 {
+	return ^(uint32(int32(u-1)>>31) | uint32(int32(0x7f800000-u)>>31))
+}
+
+// ReLU sets dst to src where src > 0 and to +0 everywhere else: NaN, −0
+// and negatives all become +0 (Go's max(src, 0) keeps NaN). dst and src
+// may alias.
 func ReLU(dst, src *Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("tensor: ReLU shape mismatch")
 	}
-	for i, v := range src.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
+	ReLURow(dst.Data, src.Data)
+}
+
+// ReLURow is ReLU on one row: dst has len(src) entries and may alias src.
+func ReLURow(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		u := math.Float32bits(v)
+		dst[i] = math.Float32frombits(u & reluMask(u))
 	}
 }
 
-// ReLUBackward computes dGrad = grad where act > 0 else 0, writing into
-// dst. act must be the ReLU *output* (or input; they share sign).
+// ReLUBackward sets dst to grad where act > 0 and to +0 everywhere else,
+// by the rule ReLU uses. act must be the ReLU *output* (or input; they
+// share sign).
 func ReLUBackward(dst, grad, act *Matrix) {
 	if dst.Rows != grad.Rows || dst.Cols != grad.Cols || act.Rows != grad.Rows || act.Cols != grad.Cols {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
+	d, a := dst.Data[:len(grad.Data)], act.Data[:len(grad.Data)]
 	for i, g := range grad.Data {
-		if act.Data[i] > 0 {
-			dst.Data[i] = g
-		} else {
-			dst.Data[i] = 0
-		}
+		d[i] = math.Float32frombits(math.Float32bits(g) & reluMask(math.Float32bits(a[i])))
 	}
 }
 

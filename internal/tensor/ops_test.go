@@ -48,21 +48,6 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulBTAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pool := NewPool(2)
-	for trial := 0; trial < 20; trial++ {
-		m, k, n := 1+rng.Intn(13), 1+rng.Intn(13), 1+rng.Intn(13)
-		a, b := randomMatrix(rng, m, k), randomMatrix(rng, n, k)
-		got := New(m, n)
-		MatMulBT(pool, got, a, b)
-		want := naiveMatMul(a, transpose(b))
-		if got.MaxAbsDiff(want) > 1e-4 {
-			t.Fatalf("trial %d: MatMulBT diff %g", trial, got.MaxAbsDiff(want))
-		}
-	}
-}
-
 func TestMatMulATAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pool := NewPool(4)
@@ -82,7 +67,6 @@ func TestMatMulShapePanics(t *testing.T) {
 	pool := NewPool(1)
 	cases := []func(){
 		func() { MatMul(pool, New(2, 2), New(2, 3), New(2, 2)) },
-		func() { MatMulBT(pool, New(2, 2), New(2, 3), New(2, 2)) },
 		func() { MatMulAT(pool, New(2, 2), New(3, 2), New(2, 2)) },
 	}
 	for i, fn := range cases {
@@ -113,7 +97,7 @@ func TestMatMulWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Property: (A·B)ᵀ == Bᵀ·Aᵀ, checked through the three kernel variants.
+// Property: (A·B)ᵀ == Bᵀ·Aᵀ, MatMul against the naive product.
 func TestQuickMatMulTransposeIdentity(t *testing.T) {
 	pool := NewPool(2)
 	f := func(seed int64) bool {
@@ -122,7 +106,6 @@ func TestQuickMatMulTransposeIdentity(t *testing.T) {
 		a, b := randomMatrix(rng, m, k), randomMatrix(rng, k, n)
 		ab := New(m, n)
 		MatMul(pool, ab, a, b)
-		// Bᵀ·Aᵀ via MatMulBT(Bᵀ, A) ... compute directly with naive.
 		btat := naiveMatMul(transpose(b), transpose(a))
 		return transpose(ab).MaxAbsDiff(btat) < 1e-4
 	}
@@ -208,6 +191,97 @@ func TestReLUForwardBackward(t *testing.T) {
 			t.Fatalf("ReLUBackward: %v", out.Data)
 		}
 	}
+}
+
+// reluBranch and reluBackwardBranch are ReLU and ReLUBackward as they
+// stood before the branch-free rewrite, kept verbatim as the definition
+// of their output bits.
+func reluBranch(dst, src *Matrix) {
+	for i, v := range src.Data {
+		if v > 0 {
+			dst.Data[i] = v
+		} else {
+			dst.Data[i] = 0
+		}
+	}
+}
+
+func reluBackwardBranch(dst, grad, act *Matrix) {
+	for i, g := range grad.Data {
+		if act.Data[i] > 0 {
+			dst.Data[i] = g
+		} else {
+			dst.Data[i] = 0
+		}
+	}
+}
+
+// TestReLUMatchesBranchReference compares ReLU, ReLUBackward and ReLURow
+// with the branchy loops, bit for bit (NaN payloads included), on every
+// pair of edge-case floats and on 1<<20 random bit patterns.
+func TestReLUMatchesBranchReference(t *testing.T) {
+	specials := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00000, 0x7fffffff, 0xffffffff, // quiet NaNs
+		0x7fa00000, 0xffa00000, // signalling NaNs
+		0x7f800001, 0xff800001, // the NaNs next to ±Inf
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // smallest and largest subnormals
+		0x00800000, 0x80800000, 0x7f7fffff, 0xff7fffff, // smallest and largest normals
+	}
+	const random = 1 << 20
+	n := len(specials)
+	act, grad := New(1, n*n+random), New(1, n*n+random)
+	for i := 0; i < n*n; i++ {
+		act.Data[i], grad.Data[i] = math.Float32frombits(specials[i/n]), math.Float32frombits(specials[i%n])
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := n * n; i < len(act.Data); i++ {
+		act.Data[i], grad.Data[i] = math.Float32frombits(rng.Uint32()), math.Float32frombits(rng.Uint32())
+	}
+	same := func(what string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: element %d (act %#08x, grad %#08x) = %#08x, branchy loop %#08x", what, i,
+					math.Float32bits(act.Data[i]), math.Float32bits(grad.Data[i]), math.Float32bits(v), math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+	want, got := New(1, len(act.Data)), New(1, len(act.Data))
+	for _, src := range []*Matrix{act, grad} {
+		reluBranch(want, src)
+		ReLU(got, src)
+		same("ReLU", got, want)
+		got.Fill(7)
+		ReLURow(got.Data, src.Data)
+		same("ReLURow", got, want)
+		copy(got.Data, src.Data)
+		ReLURow(got.Data, got.Data)
+		same("ReLURow in place", got, want)
+	}
+	reluBackwardBranch(want, grad, act)
+	ReLUBackward(got, grad, act)
+	same("ReLUBackward", got, want)
+}
+
+func TestTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, sh := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {5, 3}, {32, 128}} {
+		src := randomMatrix(rng, sh[0], sh[1])
+		dst := New(sh[1], sh[0])
+		dst.Fill(7)
+		Transpose(dst, src)
+		if !dst.Equal(transpose(src)) {
+			t.Fatalf("%dx%d: Transpose %v, want %v", sh[0], sh[1], dst.Data, transpose(src).Data)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Transpose into a same-shape non-square dst did not panic")
+		}
+	}()
+	Transpose(New(2, 3), New(2, 3))
 }
 
 func TestSoftmaxRows(t *testing.T) {
