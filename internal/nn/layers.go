@@ -119,8 +119,8 @@ func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *te
 // Backward consumes the gradient w.r.t. the layer output and accumulates
 // parameter grads. With wantInput it also returns the gradient w.r.t.
 // the layer input; without, it skips that work (the transpose, the
-// widest MatMul and the scatter) and returns nil. Parameter grads are bit-identical either
-// way.
+// widest MatMul and the scatter) and returns nil. Parameter grads are
+// bit-identical either way.
 func (l *Layer) Backward(pool *tensor.Pool, b *sampler.Block, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
 	dIn := l.denseBackward(pool, dOut, wantInput)
 	if dIn == nil {
