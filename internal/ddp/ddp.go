@@ -5,20 +5,19 @@
 //
 // Three facilities live here:
 //
-//   - Gradient synchronisation. Replicas compute gradients over their
-//     share of the global mini-batch; AllReduceMeanWeighted averages
-//     them (weighted by share size, so the result equals the gradient
-//     of the mean loss over the *global* batch) and writes the
-//     consensus back into every replica.
+//   - Gradient synchronisation. Replicas compute parameter gradients
+//     over their share of the global mini-batch; AllReduceMeanWeighted
+//     averages them (weighted by share size, so the result equals the
+//     gradient of the mean loss over the *global* batch) and writes the
+//     consensus back into every replica. Input features are frozen, so
+//     parameter gradients are the only ones that cross replicas.
 //
 //   - The halo exchange. In a sharded run every global node is owned by
 //     exactly one replica; HaloExchange routes feature-row and label
 //     lookups to owners in *batched* messages — at most one message per
 //     (peer, call), routed by a dense node → replica table and served by
 //     one RowServer call per message — and counts the traffic per
-//     directed replica pair. The reverse path (ScatterGradients /
-//     CollectGradients) routes halo-row gradient contributions back to
-//     owners, the building block for partition-local sampling.
+//     directed replica pair.
 //
 //   - The transport seam. Transport carries the batched messages:
 //     InprocTransport is a direct function call for replicas sharing an

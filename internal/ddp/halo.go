@@ -8,11 +8,10 @@ import (
 
 	"argo/internal/graph"
 	"argo/internal/tensor"
-	"argo/internal/tensor/half"
 )
 
-// HaloExchange routes feature-row, label, and halo-gradient traffic
-// between training replicas in a sharded run: every global node is
+// HaloExchange routes feature-row and label traffic between training
+// replicas in a sharded run: every global node is
 // owned by exactly one replica, and a replica gathering a mini-batch
 // pulls foreign rows through the exchange instead of from a global
 // feature matrix. All traffic is *batched*: a gather sends at most one
@@ -22,11 +21,6 @@ import (
 // results follows the requested ids exactly, so the batched gather is
 // bit-identical to gathering from the global feature matrix (and to the
 // per-row exchange it replaced).
-//
-// The reverse path (ScatterGradients / CollectGradients) routes
-// halo-row gradient contributions back to their owning replicas with
-// the same per-peer batching — the building block a partition-local
-// sampler needs to train without ever assembling the global topology.
 //
 // "Where does node v live" is answered by dense tables, never searched:
 // owner maps every node to its replica, and each replica's RowServer (the
@@ -48,15 +42,6 @@ type HaloExchange struct {
 	stats    []HaloStats
 	peers    [][]PeerCounts // [from][to] remote traffic matrix
 	lastSnap HaloStats      // cumulative total at the previous Snapshot call
-
-	// grads[owner][from] holds the partial sums contributed by replica
-	// `from` to nodes owned by `owner`, under gmu[owner]. Keeping sources
-	// separate and reducing them in ascending replica order at collect
-	// time makes the accumulated floats independent of message arrival
-	// order — the same bit-reproducibility the forward path gets for
-	// free. The tables are emptied by a collect, never reallocated.
-	gmu   []sync.Mutex
-	grads [][]*tensor.RowTable
 }
 
 // HaloStats counts one replica's exchange traffic. RemoteBytes is the
@@ -68,10 +53,12 @@ type HaloExchange struct {
 type HaloStats struct {
 	LocalRows   int64 // feature rows + labels served from the replica's own shards
 	RemoteRows  int64 // feature rows + labels fetched from other replicas
-	RemoteBytes int64 // logical float32 bytes remote rows, labels, and gradients represent
+	RemoteBytes int64 // logical float32 bytes remote rows and labels represent
 	WireBytes   int64 // framed bytes the batched messages occupy on the wire
 	Messages    int64 // batched request messages sent (the per-peer count)
-	GradRows    int64 // halo-gradient rows routed to other replicas
+	// Deprecated: GradRows is always 0; no gradient rows are routed. It
+	// stays only because the repo benchmark's traced pass reads it.
+	GradRows int64
 }
 
 // Add accumulates other into s.
@@ -81,7 +68,6 @@ func (s *HaloStats) Add(other HaloStats) {
 	s.RemoteBytes += other.RemoteBytes
 	s.WireBytes += other.WireBytes
 	s.Messages += other.Messages
-	s.GradRows += other.GradRows
 }
 
 // Sub subtracts other from s. Used to turn two cumulative readings into
@@ -92,13 +78,12 @@ func (s *HaloStats) Sub(other HaloStats) {
 	s.RemoteBytes -= other.RemoteBytes
 	s.WireBytes -= other.WireBytes
 	s.Messages -= other.Messages
-	s.GradRows -= other.GradRows
 }
 
 // PeerCounts is the traffic volume of one directed (from, to) replica
 // pair.
 type PeerCounts struct {
-	Rows      int64 `json:"rows"`       // feature/label/gradient rows moved
+	Rows      int64 `json:"rows"`       // feature/label rows moved
 	Bytes     int64 `json:"bytes"`      // logical float32 bytes those rows represent
 	WireBytes int64 `json:"wire_bytes"` // framed bytes on the wire
 	Messages  int64 `json:"messages"`   // batched messages sent
@@ -142,14 +127,13 @@ type ExchangeStats struct {
 	RemoteBytes int64         `json:"remote_bytes"`
 	WireBytes   int64         `json:"wire_bytes"`
 	Messages    int64         `json:"messages"`
-	GradRows    int64         `json:"grad_rows,omitempty"`
 	Peers       []PeerTraffic `json:"peers,omitempty"`
 }
 
 // Totals returns the summary's totals without the peer matrix.
 func (s ExchangeStats) Totals() HaloStats {
 	return HaloStats{LocalRows: s.LocalRows, RemoteRows: s.RemoteRows, RemoteBytes: s.RemoteBytes,
-		WireBytes: s.WireBytes, Messages: s.Messages, GradRows: s.GradRows}
+		WireBytes: s.WireBytes, Messages: s.Messages}
 }
 
 func (s *ExchangeStats) addTotals(t HaloStats) {
@@ -158,7 +142,6 @@ func (s *ExchangeStats) addTotals(t HaloStats) {
 	s.RemoteBytes += t.RemoteBytes
 	s.WireBytes += t.WireBytes
 	s.Messages += t.Messages
-	s.GradRows += t.GradRows
 }
 
 // Add accumulates other into s: totals sum, peer edges merge by
@@ -195,14 +178,10 @@ type ExchangeOptions struct {
 	// Transport carries the batched messages. Nil defaults to the
 	// in-process transport.
 	Transport Transport
-	// WireDtype selects the wire encoding of float payloads (feature
-	// responses and gradient pushes). The engine negotiates it from the
-	// store dtype: an fp16 store's rows are fp16-exact, so shipping them
-	// as fp16 bits is lossless and every transport stays bit-identical.
-	// With DtypeF16 the exchange also quantises gradient contributions
-	// (clamp to the finite fp16 range, round to nearest-even) on every
-	// path — local and remote alike — before any accumulation, keeping
-	// training deterministic across transports and shard counts. The
+	// WireDtype selects the wire encoding of feature responses. The
+	// engine negotiates it from the store dtype: an fp16 store's rows are
+	// fp16-exact, so shipping them as fp16 bits is lossless and every
+	// transport stays bit-identical. Nothing is quantised on the way. The
 	// zero value is the full-precision fp32 wire.
 	WireDtype graph.FeatDtype
 }
@@ -239,16 +218,10 @@ func NewHaloExchange(featDim int, owner []int32, servers []RowServer, opt Exchan
 		wireDtype: opt.WireDtype,
 		stats:     make([]HaloStats, numReplicas),
 		peers:     make([][]PeerCounts, numReplicas),
-		gmu:       make([]sync.Mutex, numReplicas),
-		grads:     make([][]*tensor.RowTable, numReplicas),
 	}
 	handlers := make([]Handler, numReplicas)
 	for r := range handlers {
 		h.peers[r] = make([]PeerCounts, numReplicas)
-		h.grads[r] = make([]*tensor.RowTable, numReplicas)
-		for from := range h.grads[r] {
-			h.grads[r][from] = tensor.NewRowTable(featDim)
-		}
 		handlers[r] = func(req *Request) (*Response, error) { return h.handle(r, req) }
 	}
 	if err := tr.Bind(handlers); err != nil {
@@ -279,49 +252,8 @@ func (h *HaloExchange) handle(o int, req *Request) (*Response, error) {
 			return nil, fmt.Errorf("ddp: replica %d serving %d labels: %w", o, len(req.IDs), err)
 		}
 		return resp, nil
-	case MsgGradients:
-		if len(req.Grad) != len(req.IDs)*h.featDim {
-			return nil, fmt.Errorf("ddp: gradient message carries %d values for %d ids (dim %d)",
-				len(req.Grad), len(req.IDs), h.featDim)
-		}
-		if req.From < 0 || req.From >= len(h.stats) {
-			return nil, fmt.Errorf("ddp: gradient message from replica %d of %d", req.From, len(h.stats))
-		}
-		h.accumGradients(o, req.From, req.IDs, req.Grad)
-		return &Response{}, nil
 	}
 	return nil, fmt.Errorf("ddp: unknown message kind %d", req.Kind)
-}
-
-// accumGradients adds row-major gradient values for ids into owner o's
-// partial-sum buffer for source replica `from`. Within one (o, from)
-// pair accumulation follows the source's own call order; sources only
-// mix at collect time, in replica order.
-func (h *HaloExchange) accumGradients(o, from int, ids []graph.NodeID, grad []float32) {
-	h.gmu[o].Lock()
-	defer h.gmu[o].Unlock()
-	buf := h.grads[o][from]
-	for i, v := range ids {
-		row, _ := buf.Add(v)
-		src := grad[i*h.featDim : (i+1)*h.featDim]
-		for j := range row {
-			row[j] += src[j]
-		}
-	}
-}
-
-// quantizeF16 rounds xs to fp16 in place, clamping to the finite fp16
-// range first so out-of-range magnitudes saturate to ±65504 instead of
-// overflowing to ±Inf. NaN passes through (as it would in fp32).
-func quantizeF16(xs []float32) {
-	for i, v := range xs {
-		if v > half.MaxValue {
-			v = half.MaxValue
-		} else if v < -half.MaxValue {
-			v = -half.MaxValue
-		}
-		xs[i] = half.Round(v)
-	}
 }
 
 // Close releases the transport. The exchange must not be used after
@@ -372,9 +304,8 @@ func (h *HaloExchange) route(r int, ids []graph.NodeID) (routed, error) {
 // callPeers is the one place a request crosses the transport: for every
 // peer owning some of rt it sends one message of the given kind on
 // behalf of replica r, checks the reply's length, scatters it back —
-// feature rows into feat, labels into labels; a gradient message ships
-// rows of feat and expects an empty acknowledgement — and folds the
-// call's rows, bytes, wire bytes and messages into the counters.
+// feature rows into feat, labels into labels — and folds the call's
+// rows, bytes, wire bytes and messages into the counters.
 func (h *HaloExchange) callPeers(r int, kind MsgKind, rt routed, feat *tensor.Matrix, labels []int32) error {
 	own, _ := rt.group(r)
 	st := HaloStats{LocalRows: int64(len(own))}
@@ -385,9 +316,6 @@ func (h *HaloExchange) callPeers(r int, kind MsgKind, rt routed, feat *tensor.Ma
 			continue
 		}
 		req := &Request{From: r, Kind: kind, Dtype: h.wireDtype, IDs: ids}
-		if kind == MsgGradients {
-			req.Grad = h.gradRows(feat, at)
-		}
 		resp, err := h.tr.Call(p, req)
 		if err != nil {
 			return fmt.Errorf("ddp: replica %d sending replica %d a %s message of %d rows: %w", r, p, kind, len(ids), err)
@@ -411,11 +339,7 @@ func (h *HaloExchange) callPeers(r int, kind MsgKind, rt routed, feat *tensor.Ma
 			}
 		}
 		c := PeerCounts{Rows: int64(len(ids)), Bytes: int64(len(ids)) * rowBytes, WireBytes: req.wireSize() + resp.wireSize(), Messages: 1}
-		if kind == MsgGradients {
-			st.GradRows += c.Rows
-		} else {
-			st.RemoteRows += c.Rows
-		}
+		st.RemoteRows += c.Rows
 		st.RemoteBytes += c.Bytes
 		st.WireBytes += c.WireBytes
 		st.Messages++
@@ -470,83 +394,6 @@ func (h *HaloExchange) TargetLabels(r int, ids []graph.NodeID) ([]int32, error) 
 	return out, nil
 }
 
-// ScatterGradients routes per-row gradient contributions back to the
-// rows' owners on behalf of replica r — the reverse exchange. grads
-// must be len(ids)×featDim; row i is the contribution to node ids[i].
-// Contributions to r's own nodes accumulate locally; foreign rows
-// travel in one batched message per owning peer and accumulate there.
-// Owners drain their buffers with CollectGradients.
-func (h *HaloExchange) ScatterGradients(r int, ids []graph.NodeID, grads *tensor.Matrix) error {
-	rt, err := h.route(r, ids)
-	if err != nil {
-		return err
-	}
-	if grads == nil || grads.Rows != len(ids) || grads.Cols != h.featDim {
-		return fmt.Errorf("ddp: gradient matrix must be %d×%d", len(ids), h.featDim)
-	}
-	if own, at := rt.group(r); len(own) > 0 {
-		h.accumGradients(r, r, own, h.gradRows(grads, at))
-	}
-	return h.callPeers(r, MsgGradients, rt, grads, nil)
-}
-
-// gradRows copies the given rows of grads into one row-major slice, the
-// form they are accumulated and shipped in. With an fp16 wire every
-// contribution — to a local row or a remote one — is quantised here,
-// before any accumulation: the fp16 wire encode is then exact (a peer
-// accumulates the bits an inproc call hands over directly), and the
-// collected sums do not depend on which replica a contribution came
-// from, and therefore not on the shard count or transport either.
-func (h *HaloExchange) gradRows(grads *tensor.Matrix, rows []int32) []float32 {
-	flat := make([]float32, 0, len(rows)*h.featDim)
-	for _, i := range rows {
-		flat = append(flat, grads.Row(int(i))...)
-	}
-	if h.wireDtype == graph.DtypeF16 {
-		quantizeF16(flat)
-	}
-	return flat
-}
-
-// CollectGradients drains the halo-gradient contributions accumulated
-// for replica r's owned nodes and clears the buffer. The result is
-// fully deterministic — nodes in ascending order, each row the sum of
-// the per-source partial buffers reduced in ascending replica order —
-// regardless of message arrival timing. It returns nil, nil when
-// nothing accumulated.
-func (h *HaloExchange) CollectGradients(r int) ([]graph.NodeID, *tensor.Matrix, error) {
-	if r < 0 || r >= len(h.stats) {
-		return nil, nil, fmt.Errorf("ddp: replica %d of %d", r, len(h.stats))
-	}
-	h.gmu[r].Lock()
-	defer h.gmu[r].Unlock()
-	bufs := h.grads[r]
-	var ids []graph.NodeID
-	for _, buf := range bufs {
-		ids = append(ids, buf.IDs()...)
-	}
-	if len(ids) == 0 {
-		return nil, nil, nil
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	out := tensor.New(len(ids), h.featDim)
-	for i, v := range ids {
-		row := out.Row(i)
-		for _, buf := range bufs {
-			if partial := buf.Row(v); partial != nil {
-				for j := range row {
-					row[j] += partial[j]
-				}
-			}
-		}
-	}
-	for _, buf := range bufs {
-		buf.Reset()
-	}
-	return ids, out, nil
-}
-
 // Stats returns a copy of the per-replica traffic counters.
 func (h *HaloExchange) Stats() []HaloStats {
 	h.mu.Lock()
@@ -585,8 +432,7 @@ func (h *HaloExchange) Snapshot() HaloStats {
 
 // PeerTraffic returns the non-zero edges of the directed traffic
 // matrix in deterministic (From, To) order. The Rows of every edge sum
-// to TotalStats().RemoteRows + GradRows: every remote row travels
-// exactly one edge.
+// to TotalStats().RemoteRows: every remote row travels exactly one edge.
 func (h *HaloExchange) PeerTraffic() []PeerTraffic {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -116,7 +116,6 @@ func TestHaloExchangeErrors(t *testing.T) {
 	for _, req := range []*Request{
 		{From: 1, Kind: MsgFeatures, IDs: []graph.NodeID{2, 3}},
 		{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{10}},
-		{From: 1, Kind: MsgGradients, IDs: []graph.NodeID{1}, Grad: []float32{1, 1}},
 	} {
 		if _, err := ex.handle(0, req); err == nil || !strings.Contains(err.Error(), "replica 0") ||
 			!strings.Contains(err.Error(), fmt.Sprintf("node %d", req.IDs[len(req.IDs)-1])) {

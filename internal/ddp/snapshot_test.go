@@ -8,8 +8,8 @@ import (
 
 // TestHaloStatsSub: Sub inverts Add field by field.
 func TestHaloStatsSub(t *testing.T) {
-	a := HaloStats{LocalRows: 10, RemoteRows: 4, RemoteBytes: 320, WireBytes: 400, Messages: 3, GradRows: 2}
-	b := HaloStats{LocalRows: 3, RemoteRows: 1, RemoteBytes: 80, WireBytes: 96, Messages: 1, GradRows: 1}
+	a := HaloStats{LocalRows: 10, RemoteRows: 4, RemoteBytes: 320, WireBytes: 400, Messages: 3}
+	b := HaloStats{LocalRows: 3, RemoteRows: 1, RemoteBytes: 80, WireBytes: 96, Messages: 1}
 	sum := a
 	sum.Add(b)
 	sum.Sub(b)

@@ -105,8 +105,8 @@ func BenchmarkEpoch(b *testing.B) {
 
 // BenchmarkLocalEpoch measures a partition-local epoch with a warm halo
 // cache: arxiv-sim in 4 shards on 2 replicas over the in-process
-// transport, i.e. the sampling, cached gather, step, and the per-epoch
-// gradient flush and drain.
+// transport, i.e. the partition-bounded sampling, the cached gather and
+// the step.
 func BenchmarkLocalEpoch(b *testing.B) {
 	ds, err := datasets.Resolve("arxiv-sim", 7)
 	if err != nil {

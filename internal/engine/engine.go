@@ -27,12 +27,6 @@ type Config struct {
 	SampleWorkers int // sampling cores per process (s)
 	TrainWorkers  int // training cores per process (t)
 	Seed          int64
-	// AdjustBatch mirrors the Multi-Process Engine's batch-size
-	// adjustment. It defaults to true via New; setting it false after New
-	// reproduces the semantics-breaking naive-DDP ablation, where every
-	// process trains on a full-size batch from its own partition
-	// (effective batch n·B).
-	AdjustBatch bool
 	// Sources, when non-nil, supplies each replica's feature/label
 	// source (len must equal NumProcs) — the shard-aware training path,
 	// where Dataset carries only topology, splits, spec, and class
@@ -65,15 +59,6 @@ type EpochResult struct {
 	Stats     sampler.Stats // accumulated sampling workload
 	NumIters  int
 	BatchSeen int // total target nodes processed
-	// GradNodes and GradAbsSum summarise the local regime's reverse
-	// gradient path: the number of owned rows that received routed
-	// input-feature gradient contributions this epoch, and the L1 mass
-	// of those contributions. Both are deterministic for a fixed
-	// schedule (ids ascending, contributors reduced in ascending
-	// replica order), so they double as a cross-transport parity
-	// digest. Zero under the exact regime.
-	GradNodes  int64
-	GradAbsSum float64
 }
 
 // replica is one "GNN process": its own model, optimizer, worker pools,
@@ -83,10 +68,6 @@ type replica struct {
 	opt       *nn.Adam
 	trainPool *tensor.Pool
 	source    DataSource
-	// router, when non-nil (local regime), receives the input-feature
-	// gradient of every batch so halo rows' credit reaches their owning
-	// replica. It doubles as source, carrying the feature cache.
-	router *localSource
 
 	// per-iteration scratch, written by the replica's goroutine only
 	lastLoss  float64
@@ -109,8 +90,7 @@ type Engine struct {
 }
 
 // New validates cfg, builds the replicas (bit-identical initial weights),
-// and returns the engine. AdjustBatch is forced on; tests that need the
-// ablation flip it explicitly afterwards.
+// and returns the engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Dataset == nil || cfg.Sampler == nil {
 		return nil, fmt.Errorf("engine: dataset and sampler are required")
@@ -142,7 +122,6 @@ func New(cfg Config) (*Engine, error) {
 				cfg.NumProcs, len(cfg.LocalSamplers), len(cfg.LocalTargets))
 		}
 	}
-	cfg.AdjustBatch = true
 	e := &Engine{cfg: cfg}
 	degrees := nn.Degrees(cfg.Dataset.Graph)
 	for r := 0; r < cfg.NumProcs; r++ {
@@ -159,14 +138,7 @@ func New(cfg Config) (*Engine, error) {
 			trainPool: tensor.NewPool(cfg.TrainWorkers),
 			source:    datasetSource{ds: cfg.Dataset, bufs: m.Buffers()},
 		}
-		switch {
-		case cfg.SamplingRegime == RegimeLocal:
-			if _, ok := cfg.Sources[r].(GradientRouter); !ok {
-				return nil, fmt.Errorf("engine: local regime replica %d source has no gradient reverse path", r)
-			}
-			rep.router = newLocalSource(cfg.Sources[r], cfg.Model.Dims[0], m.Buffers())
-			rep.source = rep.router
-		case cfg.Sources != nil:
+		if cfg.Sources != nil {
 			rep.source = newFeatureCache(cfg.Sources[r], cfg.Model.Dims[0], m.Buffers())
 		}
 		e.replicas = append(e.replicas, rep)
@@ -176,9 +148,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// SetAdjustBatch toggles the batch-size adjustment (see Config).
-func (e *Engine) SetAdjustBatch(v bool) { e.cfg.AdjustBatch = v }
 
 // Model returns replica r's model (replicas stay identical; tests verify).
 func (e *Engine) Model(r int) *nn.GNN { return e.replicas[r].model }
@@ -196,18 +165,15 @@ func (e *Engine) ParamSets() [][]*nn.Param {
 func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	start := time.Now()
 	n := e.cfg.NumProcs
-	ds := e.cfg.Dataset
 
-	// Build per-replica job lists. With AdjustBatch each iteration is one
-	// global batch split n ways. Otherwise every replica shuffles a target
-	// set of its own: under the local regime its owned targets, in
-	// B/n-sized shares (preserving the effective global batch ≈ B);
-	// in the ablation a round-robin part of the train split, in
-	// full-size batches.
+	// Build per-replica job lists. Under the exact regime each iteration
+	// is one global batch split n ways. Under the local regime every
+	// replica shuffles its own owned targets, in B/n-sized shares
+	// (preserving the effective global batch ≈ B).
 	perReplicaJobs := make([][]prefetchJob, n)
 	var numIters int
-	if e.cfg.SamplingRegime != RegimeLocal && e.cfg.AdjustBatch {
-		globalBatches := epochBatches(ds.TrainIdx, e.cfg.BatchSize, seedFor(e.cfg.Seed, epoch, -1))
+	if e.cfg.SamplingRegime != RegimeLocal {
+		globalBatches := epochBatches(e.cfg.Dataset.TrainIdx, e.cfg.BatchSize, seedFor(e.cfg.Seed, epoch, -1))
 		numIters = len(globalBatches)
 		for it, gb := range globalBatches {
 			shares := splitShares(gb, n)
@@ -220,15 +186,9 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 			}
 		}
 	} else {
-		parts, size := e.cfg.LocalTargets, max(e.cfg.BatchSize/n, 1)
-		if e.cfg.SamplingRegime != RegimeLocal {
-			parts, size = make([][]graph.NodeID, n), e.cfg.BatchSize
-			for i, v := range ds.TrainIdx {
-				parts[i%n] = append(parts[i%n], v)
-			}
-		}
+		size := max(e.cfg.BatchSize/n, 1)
 		for r := 0; r < n; r++ {
-			for it, b := range epochBatches(parts[r], size, seedFor(e.cfg.Seed, epoch, -2-r)) {
+			for it, b := range epochBatches(e.cfg.LocalTargets[r], size, seedFor(e.cfg.Seed, epoch, -2-r)) {
 				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{
 					index: it, seed: seedFor(e.cfg.Seed, epoch, it*n+r), targets: b,
 				})
@@ -269,11 +229,10 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	weights := make([]float64, n)
 
 	for it := 0; it < numIters; it++ {
-		if err := eachReplica(n, "", func(r int) error {
+		if err := eachReplica(n, func(r int) error {
 			e.replicas[r].step(prefetchers[r].Next())
 			return e.replicas[r].lastErr
 		}); err != nil {
-			e.discardGradients()
 			return res, err
 		}
 		anyWork := false
@@ -290,7 +249,6 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 		}
 		if anyWork {
 			if err := ddp.AllReduceMeanWeighted(sets, weights); err != nil {
-				e.discardGradients()
 				return res, err
 			}
 			for r := 0; r < n; r++ {
@@ -302,44 +260,6 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 			e.BatchHook(e.iterCount)
 		}
 	}
-	// Local regime: the epoch's accumulated input-feature gradients are
-	// flushed to their owning replicas — every replica before any drain,
-	// so each drain sees the complete epoch — then drained, replicas in
-	// parallel both times. Per-source partial sums stay separate in the
-	// exchange until a drain reduces them (ids ascending, contributors
-	// ascending) and the digest is folded here in replica → row → column
-	// order, so it is the same on every transport and schedule. Features
-	// are frozen inputs, so the sums serve as an accounting/parity digest;
-	// a trainable embedding layer would apply them to its owned rows.
-	if e.cfg.SamplingRegime == RegimeLocal {
-		err := eachReplica(n, " gradient flush", func(r int) error {
-			return e.replicas[r].router.FlushGradients()
-		})
-		ids := make([][]graph.NodeID, n)
-		sums := make([]*tensor.Matrix, n)
-		if err == nil {
-			err = eachReplica(n, " gradient drain", func(r int) (err error) {
-				ids[r], sums[r], err = e.replicas[r].router.CollectGradients()
-				return err
-			})
-		}
-		if err != nil {
-			e.discardGradients()
-			return res, err
-		}
-		for r := 0; r < n; r++ {
-			res.GradNodes += int64(len(ids[r]))
-			if sums[r] == nil {
-				continue
-			}
-			for _, x := range sums[r].Data {
-				if x < 0 {
-					x = -x
-				}
-				res.GradAbsSum += float64(x)
-			}
-		}
-	}
 	if lossCount > 0 {
 		res.MeanLoss = lossSum / float64(lossCount)
 	}
@@ -348,9 +268,8 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 }
 
 // eachReplica runs f(r) for r in [0, n) concurrently, waits for all, and
-// returns the error of the lowest failing replica, named with what it
-// was doing.
-func eachReplica(n int, doing string, f func(r int) error) error {
+// returns the error of the lowest failing replica, named.
+func eachReplica(n int, f func(r int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
@@ -363,22 +282,10 @@ func eachReplica(n int, doing string, f func(r int) error) error {
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			return fmt.Errorf("engine: replica %d%s: %w", r, doing, err)
+			return fmt.Errorf("engine: replica %d: %w", r, err)
 		}
 	}
 	return nil
-}
-
-// discardGradients drops what a failed epoch left in the local regime's
-// gradient path — sums not yet flushed, rows already routed to their
-// owners — so it cannot leak into the next epoch's digest. No-op under
-// the exact regime.
-func (e *Engine) discardGradients() {
-	for _, rep := range e.replicas {
-		if rep.router != nil {
-			rep.router.discardGradients()
-		}
-	}
 }
 
 // step computes one replica's gradient contribution for a mini-batch
@@ -402,23 +309,7 @@ func (rep *replica) step(bd batchData) {
 	logits := rep.model.Forward(rep.trainPool, mb, x0)
 	bufs := rep.model.Buffers()
 	loss, dLogits := nn.SoftmaxCrossEntropyPooled(bufs, logits, bd.labels)
-	// Only the local regime reads the input-feature gradient: its
-	// router receives all input ids, accumulates the rows across the
-	// epoch and flushes them to their owners in one batched exchange at
-	// epoch end, so boundary rows' credit reaches the replica that owns
-	// them at a per-epoch (not per-batch) wire cost. The exact regime
-	// skips computing it.
-	if rep.router == nil {
-		rep.model.Backward(rep.trainPool, dLogits)
-	} else {
-		dX := rep.model.BackwardInput(rep.trainPool, dLogits)
-		err := rep.router.ScatterGradients(mb.InputNodes(), dX)
-		bufs.Put(dX)
-		if err != nil {
-			rep.lastErr = err
-			return
-		}
-	}
+	rep.model.Backward(rep.trainPool, dLogits)
 	// The gathered features and logit gradient are consumed; recycling
 	// them through the replica's buffer pool keeps the steady-state
 	// step free of per-batch matrix allocations (DataSource matrices

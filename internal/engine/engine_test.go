@@ -126,30 +126,6 @@ func TestEffectiveBatchSizePreserved(t *testing.T) {
 	}
 }
 
-// The ablation: without batch adjustment each process consumes full-size
-// batches from its own partition, so an "iteration" covers n·B targets —
-// the altered semantics ByteGNN-style systems exhibit (paper §VIII).
-func TestUnadjustedBatchAblation(t *testing.T) {
-	ds := testDataset(t)
-	e, err := New(testConfig(t, ds, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetAdjustBatch(false)
-	res, err := e.RunEpoch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 200 train targets, 4 partitions of 50, batch 64 → 1 iteration each.
-	adjusted := (len(ds.TrainIdx) + 63) / 64
-	if res.NumIters >= adjusted {
-		t.Fatalf("unadjusted run should take fewer, larger iterations: got %d, adjusted %d", res.NumIters, adjusted)
-	}
-	if res.BatchSeen != len(ds.TrainIdx) {
-		t.Fatalf("still must see every target once, got %d", res.BatchSeen)
-	}
-}
-
 // Multi-process training must converge like single-process training
 // (Fig. 9): final accuracies within a small gap.
 func TestConvergenceMatchesSingleProcess(t *testing.T) {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"argo/internal/graph"
@@ -109,5 +111,74 @@ func TestFeatureCacheRepeatedEvaluateMovesNoFeatureRows(t *testing.T) {
 	}
 	if acc1 != acc2 {
 		t.Fatalf("repeated evaluation scored %v, first %v", acc2, acc1)
+	}
+}
+
+var errInjected = errors.New("injected fault")
+
+// flakySource decorates a replica's source with one-shot failures: an
+// armed call fails once with errInjected and disarms itself.
+type flakySource struct {
+	DataSource
+	failGather, failScatter atomic.Bool
+	gathered                [][]graph.NodeID // ids of every gather that reached the inner source
+}
+
+func (f *flakySource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
+	if f.failGather.CompareAndSwap(true, false) {
+		return nil, errInjected
+	}
+	f.gathered = append(f.gathered, slices.Clone(ids))
+	return f.DataSource.GatherFeatures(ids)
+}
+
+// A miss fetch that fails must leave the cache exactly as it was — no
+// claimed-but-unfilled rows — so the retried batch refetches the same
+// ids and serves real features.
+func TestFeatureCacheFailedFetchLeavesCacheUntouched(t *testing.T) {
+	ds := shardedTestDataset(t)
+	inner := &flakySource{DataSource: datasetSource{ds: ds}}
+	fc := newFeatureCache(inner, ds.Features.Cols, nil)
+	checkRows := func(ids []graph.NodeID, m *tensor.Matrix) {
+		t.Helper()
+		for i, v := range ids {
+			if !slices.Equal(m.Row(i), ds.Features.Row(int(v))) {
+				t.Fatalf("row %d (node %d) = %v, want %v", i, v, m.Row(i), ds.Features.Row(int(v)))
+			}
+		}
+	}
+
+	first := []graph.NodeID{5, 3, 5, 9}
+	inner.failGather.Store(true)
+	if _, err := fc.GatherFeatures(first); !errors.Is(err, errInjected) {
+		t.Fatalf("gather over a failing fetch returned %v", err)
+	}
+	if fc.cache.Len() != 0 || fc.cache.Row(5) != nil {
+		t.Fatalf("failed cold fetch left %d rows cached", fc.cache.Len())
+	}
+	m, err := fc.GatherFeatures(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows(first, m)
+
+	// Same with a warm cache: the rollback stops at the rows that were
+	// already there.
+	second := []graph.NodeID{3, 7, 8, 7}
+	inner.failGather.Store(true)
+	if _, err := fc.GatherFeatures(second); !errors.Is(err, errInjected) {
+		t.Fatalf("gather over a failing fetch returned %v", err)
+	}
+	if got := fc.cache.IDs(); !slices.Equal(got, []graph.NodeID{5, 3, 9}) || fc.cache.Row(7) != nil {
+		t.Fatalf("failed warm fetch left ids %v cached", got)
+	}
+	m, err = fc.GatherFeatures(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows(second, m)
+	want := [][]graph.NodeID{{5, 3, 9}, {7, 8}}
+	if !slices.EqualFunc(inner.gathered, want, slices.Equal[[]graph.NodeID]) {
+		t.Fatalf("inner source gathered %v, want %v (deduplicated misses, refetched after the failures)", inner.gathered, want)
 	}
 }

@@ -110,67 +110,6 @@ func TestBatchedExchangeMessageReduction(t *testing.T) {
 		total.RemoteRows, total.Messages, float64(total.RemoteRows)/float64(total.Messages))
 }
 
-// A shard source's reverse path routes halo gradients to owners through
-// the engine seam (the GradientRouter surface a partition-local sampler
-// will use).
-func TestShardSourceGradientRouter(t *testing.T) {
-	ds := shardedTestDataset(t)
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	sources, ex, err := NewShardSourcesOpts(ss, 2, ShardSourceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	router, ok := sources[0].(GradientRouter)
-	if !ok {
-		t.Fatal("shard source does not expose the gradient reverse path")
-	}
-	ids := []graph.NodeID{0, 1, 2, 3, 4, 5}
-	grads := tensor.New(len(ids), ss.Manifest.FeatDim)
-	for i := range ids {
-		grads.Row(i)[0] = float32(i + 1)
-	}
-	if err := router.ScatterGradients(ids, grads); err != nil {
-		t.Fatal(err)
-	}
-	var collected int
-	for r := 0; r < 2; r++ {
-		gids, g, err := ex.CollectGradients(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collected += len(gids)
-		for i, v := range gids {
-			o, err := ss.Owner(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if o%2 != r {
-				t.Fatalf("replica %d collected gradient for node %d owned by replica %d", r, v, o%2)
-			}
-			var want float32
-			for j, id := range ids {
-				if id == v {
-					want = float32(j + 1)
-				}
-			}
-			if g.Row(i)[0] != want {
-				t.Fatalf("node %d gradient %v, want %v", v, g.Row(i)[0], want)
-			}
-		}
-	}
-	if collected != len(ids) {
-		t.Fatalf("collected %d gradient rows, scattered %d", collected, len(ids))
-	}
-	if _, ok := DataSource(datasetSource{ds: ds}).(GradientRouter); ok {
-		t.Fatal("in-memory source should not claim a reverse path")
-	}
-}
-
 // A fetch error surfacing from the prefetch stage must abort the epoch
 // with the error — and the abort must not strand prefetch goroutines
 // (workers park on the reorder buffer when consumption stops early).

@@ -23,9 +23,9 @@ const (
 	// and bounds frontiers to owned + 1-hop halo rows, trading a
 	// bounded accuracy perturbation for a working set bounded by the
 	// replica's partition. Halo features arrive through the same
-	// feature cache as the exact regime's, and halo-row gradients are
-	// pushed back to their owners through the GradientRouter reverse
-	// path once per epoch.
+	// feature cache as the exact regime's. Features are frozen inputs,
+	// so, as in the exact regime, only parameter gradients are
+	// all-reduced and nothing flows back to a row's owner.
 	RegimeLocal
 )
 

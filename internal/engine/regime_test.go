@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"argo/internal/ddp"
@@ -107,11 +109,9 @@ func TestPartitionSetupCoversTrainSplit(t *testing.T) {
 	}
 }
 
-// TestLocalRegimeTransportParity: the local regime's loss history and
-// reverse-gradient digest are bit-identical between the inproc and tcp
-// transports — the fp32 wire carries exact bits and the collect path
-// reduces contributors in a fixed order, so nothing may depend on
-// message timing.
+// TestLocalRegimeTransportParity: the local regime's loss history is
+// bit-identical between the inproc and tcp transports — the fp32 wire
+// carries exact bits, so nothing may depend on message timing.
 func TestLocalRegimeTransportParity(t *testing.T) {
 	ds := shardedTestDataset(t)
 	const epochs = 3
@@ -121,63 +121,99 @@ func TestLocalRegimeTransportParity(t *testing.T) {
 		if inproc[ep].MeanLoss != tcp[ep].MeanLoss {
 			t.Fatalf("epoch %d: loss diverged across transports: %v vs %v", ep, inproc[ep].MeanLoss, tcp[ep].MeanLoss)
 		}
-		if inproc[ep].GradAbsSum != tcp[ep].GradAbsSum || inproc[ep].GradNodes != tcp[ep].GradNodes {
-			t.Fatalf("epoch %d: gradient digest diverged: (%v, %d) vs (%v, %d)",
-				ep, inproc[ep].GradAbsSum, inproc[ep].GradNodes, tcp[ep].GradAbsSum, tcp[ep].GradNodes)
-		}
-		if inproc[ep].GradNodes == 0 || inproc[ep].GradAbsSum == 0 {
-			t.Fatalf("epoch %d: no gradient flow recorded under the local regime", ep)
-		}
 	}
-	// Identical logical traffic; the wire framing differs by transport
-	// but the halo gradient rows routed must match.
-	if inStats.GradRows != tcpStats.GradRows || inStats.RemoteRows != tcpStats.RemoteRows {
+	// Identical logical traffic on both transports.
+	if inStats.RemoteRows != tcpStats.RemoteRows {
 		t.Fatalf("transports moved different logical traffic: %+v vs %+v", inStats, tcpStats)
-	}
-	if inStats.GradRows == 0 {
-		t.Fatal("no halo gradient rows routed (boundary rows never learned)")
 	}
 }
 
-// TestLocalRegimeDeterministic: two runs with the same seed are
-// bit-identical (losses and gradient digest).
+// TestLocalRegimeDeterministic: two runs with the same seed have
+// bit-identical losses.
 func TestLocalRegimeDeterministic(t *testing.T) {
 	ds := shardedTestDataset(t)
 	a, _ := runLocalRegime(t, ds, "inproc", 2)
 	b, _ := runLocalRegime(t, ds, "inproc", 2)
 	for ep := range a {
-		if a[ep].MeanLoss != b[ep].MeanLoss || a[ep].GradAbsSum != b[ep].GradAbsSum {
-			t.Fatalf("epoch %d not reproducible: (%v, %v) vs (%v, %v)",
-				ep, a[ep].MeanLoss, a[ep].GradAbsSum, b[ep].MeanLoss, b[ep].GradAbsSum)
+		if a[ep].MeanLoss != b[ep].MeanLoss {
+			t.Fatalf("epoch %d not reproducible: %v vs %v", ep, a[ep].MeanLoss, b[ep].MeanLoss)
 		}
 	}
 }
 
 // TestLocalRegimeCutsRemoteFeatureTraffic: on the same shard set the
 // partition-local regime fetches fewer remote feature rows than the
-// exact regime — the point of the whole exercise. (Total remote rows
-// include the gradient backhaul the exact regime doesn't pay; the
-// feature direction alone must still shrink.)
+// exact regime — the point of the whole exercise.
 func TestLocalRegimeCutsRemoteFeatureTraffic(t *testing.T) {
 	ds := shardedTestDataset(t)
 	const epochs = 2
 	exact, ex := newShardedEngine(t, ds, "inproc", RegimeExact, nil)
 	for ep := 0; ep < epochs; ep++ {
-		if res, err := exact.RunEpoch(ep); err != nil {
+		if _, err := exact.RunEpoch(ep); err != nil {
 			t.Fatal(err)
-		} else if res.GradNodes != 0 || res.GradAbsSum != 0 {
-			t.Fatalf("exact regime reported gradient routing: %+v", res)
 		}
 	}
 	exactStats := ex.TotalStats()
 
 	_, localStats := runLocalRegime(t, ds, "inproc", epochs)
-	localFeatureRows := localStats.RemoteRows
-	if localFeatureRows >= exactStats.RemoteRows {
+	if localStats.RemoteRows >= exactStats.RemoteRows {
 		t.Fatalf("local regime fetched %d remote rows, exact %d — no locality win",
-			localFeatureRows, exactStats.RemoteRows)
+			localStats.RemoteRows, exactStats.RemoteRows)
 	}
 	if localStats.RemoteRows == 0 {
 		t.Fatal("local regime fetched no remote rows at all (halo never touched — suspicious for K=3 on 2 replicas)")
+	}
+}
+
+// A source error surfaces from RunEpoch naming the replica, and the
+// engine stays usable: the next epoch runs clean.
+func TestLocalRegimeFailedGatherNamesReplica(t *testing.T) {
+	ds := shardedTestDataset(t)
+	flaky := make([]*flakySource, 2)
+	e, _ := newShardedEngine(t, ds, "inproc", RegimeLocal, func(r int, s DataSource) DataSource {
+		flaky[r] = &flakySource{DataSource: s}
+		return flaky[r]
+	})
+	if _, err := e.RunEpoch(0); err != nil {
+		t.Fatal(err)
+	}
+	flaky[1].failGather.Store(true)
+	_, err := e.RunEpoch(1)
+	if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "replica 1") {
+		t.Fatalf("epoch with a failing gather returned %v, want replica 1's gather error", err)
+	}
+	if _, err := e.RunEpoch(2); err != nil {
+		t.Fatalf("epoch after the failed gather: %v", err)
+	}
+}
+
+// Steady-state local-regime epochs allocate no per-row storage: after
+// two warm-up epochs (cache fill, slab and pool growth) an iteration
+// costs at most twice the exact regime's allocations on the same shard
+// set. With a make per cached, summed and routed row it was 2.2× here
+// and 25× on the repo benchmark's train_shard_local shape.
+func TestLocalRegimeAllocsNearExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	ds := shardedTestDataset(t)
+	allocsPerIter := func(regime SamplingRegime) float64 {
+		e, _ := newShardedEngine(t, ds, "inproc", regime, nil)
+		epoch, iters := 0, 0
+		run := func() {
+			res, err := e.RunEpoch(epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch, iters = epoch+1, res.NumIters
+		}
+		run()
+		run()
+		return testing.AllocsPerRun(5, run) / float64(iters)
+	}
+	exact, local := allocsPerIter(RegimeExact), allocsPerIter(RegimeLocal)
+	t.Logf("allocations per iteration: exact %.0f, local %.0f", exact, local)
+	if local > 2*exact {
+		t.Fatalf("local regime allocates %.0f objects per iteration, exact %.0f: more than 2×", local, exact)
 	}
 }

@@ -46,27 +46,19 @@ func (s datasetSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
 	return out, nil
 }
 
-// GradientRouter is the optional reverse path of a DataSource: sharded
-// sources route per-row gradient contributions back to the rows' owning
-// replicas (ddp.HaloExchange.ScatterGradients), which is what a
-// partition-local sampler needs to train without assembling the global
-// topology. The in-memory dataset source has no reverse path.
+// GradientRouter was the input-feature gradient's reverse path.
+//
+// Deprecated: input features are frozen, so nothing computes or routes
+// that gradient and nothing in this module implements the interface. It
+// stays only because the repo benchmark's traced source names it.
 type GradientRouter interface {
-	// ScatterGradients sends grads (len(ids)×featDim, row i the
-	// contribution to ids[i]) to the owners of ids. It keeps neither
-	// argument once it returns: callers recycle both.
 	ScatterGradients(ids []graph.NodeID, grads *tensor.Matrix) error
 }
 
-// GradientCollector drains the gradient contributions other replicas
-// routed to this replica's owned rows since the previous drain. The
-// returned ids are ascending and the per-row sums are reduced in
-// ascending contributor order, so the drain is deterministic for a
-// deterministic schedule regardless of transport or message arrival
-// order.
+// GradientCollector was the drain of GradientRouter's routed sums.
+//
+// Deprecated: as for GradientRouter; nothing implements it.
 type GradientCollector interface {
-	// CollectGradients returns (ids, len(ids)×featDim sums, error);
-	// (nil, nil, nil) when nothing accumulated.
 	CollectGradients() ([]graph.NodeID, *tensor.Matrix, error)
 }
 
@@ -84,14 +76,6 @@ func (s shardSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) 
 
 func (s shardSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
 	return s.ex.TargetLabels(s.replica, ids)
-}
-
-func (s shardSource) ScatterGradients(ids []graph.NodeID, grads *tensor.Matrix) error {
-	return s.ex.ScatterGradients(s.replica, ids, grads)
-}
-
-func (s shardSource) CollectGradients() ([]graph.NodeID, *tensor.Matrix, error) {
-	return s.ex.CollectGradients(s.replica)
 }
 
 // shardRows is every replica's ddp.RowServer: the exchange asks it only

@@ -128,8 +128,7 @@ func BenchmarkTrainStepPooled1(b *testing.B) {
 		x0 := GatherPooled(bufs, feats, mb.InputNodes())
 		logits := m.Forward(pool, mb, x0)
 		_, dLogits := SoftmaxCrossEntropyPooled(bufs, logits, batchLabels)
-		dX := m.Backward(pool, dLogits)
-		bufs.Put(dX)
+		m.Backward(pool, dLogits)
 		bufs.Put(dLogits)
 		bufs.Put(x0)
 		m.ZeroGrad()
@@ -141,34 +140,3 @@ func BenchmarkTrainStepPooled1(b *testing.B) {
 		step()
 	}
 }
-
-// benchBackwardInput times the backward pass with the input gradient —
-// dense backward plus every layer's scatter, the local regime's step —
-// on the BenchmarkTrainStepPooled1 batch.
-func benchBackwardInput(b *testing.B, kind ModelKind) {
-	g, labels := powerLawGraph(b, 20000, 200000)
-	feats := randFeatures(g.NumNodes, 64, 7)
-	targets := make([]graph.NodeID, 1024)
-	batchLabels := make([]int32, len(targets))
-	for i := range targets {
-		targets[i] = graph.NodeID(i * 3)
-		batchLabels[i] = labels[targets[i]]
-	}
-	mb := sampler.NewFullNeighbor(g, 2).Sample(nil, targets)
-	m, err := NewModel(ModelSpec{Kind: kind, Dims: []int{64, 32, 8}, Seed: 1}, Degrees(g))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := tensor.NewPool(1)
-	bufs := m.Buffers()
-	logits := m.Forward(pool, mb, GatherPooled(bufs, feats, mb.InputNodes()))
-	_, dLogits := SoftmaxCrossEntropyPooled(bufs, logits, batchLabels)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		bufs.Put(m.BackwardInput(pool, dLogits))
-	}
-}
-
-func BenchmarkBackwardInputSAGE(b *testing.B) { benchBackwardInput(b, KindSAGE) }
-func BenchmarkBackwardInputGCN(b *testing.B)  { benchBackwardInput(b, KindGCN) }
-func BenchmarkBackwardInputGIN(b *testing.B)  { benchBackwardInput(b, KindGIN) }

@@ -214,19 +214,11 @@ func TestSteadyStateStepIsMatrixAllocationFree(t *testing.T) {
 		batchLabels[i] = labels[v]
 	}
 	bufs := m.Buffers()
-	rounds := 0
 	step := func() {
 		x0 := GatherPooled(bufs, feats, mb.InputNodes())
 		logits := m.Forward(pool, mb, x0)
 		_, dLogits := SoftmaxCrossEntropyPooled(bufs, logits, batchLabels)
-		// Alternate the two entry points: the exact regime's (no input
-		// gradient) and the local regime's.
-		backward := m.Backward
-		if rounds++; rounds%2 == 0 {
-			backward = m.BackwardInput
-		}
-		dX := backward(pool, dLogits)
-		bufs.Put(dX)
+		m.Backward(pool, dLogits)
 		bufs.Put(dLogits)
 		bufs.Put(x0)
 		m.ZeroGrad()

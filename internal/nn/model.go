@@ -90,7 +90,7 @@ func NewModel(spec ModelSpec, degrees []int) (*GNN, error) {
 func (m *GNN) NumLayers() int { return len(m.Layers) }
 
 // Buffers returns the replica's shared matrix buffer pool. Callers that
-// gather per-batch inputs (feature matrices, input gradients) can Get
+// gather per-batch inputs (feature matrices) can Get
 // from and Put back into it to keep the whole step allocation-free; a
 // Put matrix must no longer be referenced by the caller.
 func (m *GNN) Buffers() *tensor.BufPool { return m.bufs }
@@ -195,30 +195,12 @@ func (m *GNN) InferReuse(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Ma
 }
 
 // Backward propagates dLogits (gradient w.r.t. Forward's return value)
-// through the model, accumulating parameter gradients. It does not
-// compute the gradient w.r.t. the gathered input features — the first
-// layer's widest product and scatter, which training never reads — and
-// always returns nil; the result exists so callers written against
-// BackwardInput's shape (Put the returned matrix back) keep working.
+// through the model in reverse layer order, accumulating parameter
+// gradients. Every layer but the first produces its input gradient (the
+// next layer's dOut), recycled through the model's buffer pool; input
+// features are frozen, so the first layer skips its widest product and
+// scatter. The result is always nil.
 func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix {
-	return m.backward(pool, dLogits, false)
-}
-
-// BackwardInput is Backward that also returns the gradient w.r.t. the
-// gathered input features (one row per mb.InputNodes() entry), for the
-// callers that consume it: the partition-local regime's gradient router
-// and the gradient checks. Parameter gradients are bit-identical to
-// Backward's. The returned matrix is the caller's to keep (or Put back
-// via Buffers).
-func (m *GNN) BackwardInput(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix {
-	return m.backward(pool, dLogits, true)
-}
-
-// backward runs the layers in reverse. Every layer but the first must
-// produce its input gradient (it is the next layer's dOut); the first
-// does so only when wantInput is set. Intermediate gradients are
-// recycled through the model's buffer pool.
-func (m *GNN) backward(pool *tensor.Pool, dLogits *tensor.Matrix, wantInput bool) *tensor.Matrix {
 	mb := m.lastBatch
 	if mb == nil {
 		panic("nn: Backward before Forward")
@@ -230,13 +212,15 @@ func (m *GNN) backward(pool *tensor.Pool, dLogits *tensor.Matrix, wantInput bool
 		copy(grad.Data[:dLogits.Rows*dLogits.Cols], dLogits.Data)
 	}
 	for li := len(m.Layers) - 1; li >= 0; li-- {
-		next := m.Layers[li].Backward(pool, layerBlock(mb, li), grad, li > 0 || wantInput)
+		next := m.Layers[li].Backward(pool, layerBlock(mb, li), grad, li > 0)
 		if grad != dLogits {
 			m.bufs.Put(grad)
 		}
 		grad = next
 	}
-	return grad
+	// Deprecated: the nil result stays only because the repo benchmark's
+	// layer replay Puts it back; a change to that benchmark removes it.
+	return nil
 }
 
 // Gather copies the feature rows of ids from feats into a new matrix —

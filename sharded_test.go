@@ -196,8 +196,8 @@ func TestExchangeAccountingSurvivesRelaunches(t *testing.T) {
 			t.Fatalf("self edge in peer matrix: %+v", p)
 		}
 	}
-	if peerRows != after3.RemoteRows+after3.GradRows {
-		t.Fatalf("peer matrix conserves %d rows, totals say %d", peerRows, after3.RemoteRows+after3.GradRows)
+	if peerRows != after3.RemoteRows {
+		t.Fatalf("peer matrix conserves %d rows, totals say %d", peerRows, after3.RemoteRows)
 	}
 
 	// Pin the whole-run accounting: an identical second run serialises

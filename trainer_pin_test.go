@@ -19,8 +19,10 @@ import (
 // sharded ones, the whole-run ExchangeStats JSON. They were recorded
 // when the sampler's per-entry reservoir draw became the keyed Floyd
 // draw, the exact runs' traffic when the exact regime's features went
-// behind the first-touch row cache; every loss bit and traffic counter
-// must survive any change that does not declare a new sampled stream.
+// behind the first-touch row cache, the local run's traffic when the
+// local regime stopped routing input-feature gradients; every loss bit
+// and traffic counter must survive any change that does not declare a
+// new sampled stream.
 var pinnedTrainerRuns = map[string][2]string{
 	"single": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02", ""},
 	"exact/inproc": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
@@ -28,7 +30,7 @@ var pinnedTrainerRuns = map[string][2]string{
 	"exact/tcp": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
 		`{"transport":"tcp","local_rows":597,"remote_rows":240,"remote_bytes":12120,"wire_bytes":13592,"messages":16,"peers":[{"from":0,"to":1,"rows":88,"bytes":4552,"wire_bytes":5160,"messages":8},{"from":1,"to":0,"rows":152,"bytes":7568,"wire_bytes":8432,"messages":8}]}`},
 	"local/inproc": {"0x1.1a785e5fd1133p+00 0x1.a0eb6fa50e241p-01 0x1.2aa0d95d9ace5p-01 0x1.c808b8704a70ap-02",
-		`{"transport":"inproc","local_rows":1088,"remote_rows":120,"remote_bytes":15360,"wire_bytes":16704,"messages":12,"grad_rows":120,"peers":[{"from":0,"to":1,"rows":118,"bytes":7552,"wire_bytes":8216,"messages":6},{"from":1,"to":0,"rows":122,"bytes":7808,"wire_bytes":8488,"messages":6}]}`},
+		`{"transport":"inproc","local_rows":664,"remote_rows":120,"remote_bytes":7680,"wire_bytes":8416,"messages":8,"peers":[{"from":0,"to":1,"rows":59,"bytes":3776,"wire_bytes":4140,"messages":4},{"from":1,"to":0,"rows":61,"bytes":3904,"wire_bytes":4276,"messages":4}]}`},
 }
 
 // pinnedSchedule moves n and (s, t) both ways, so every epoch after the
