@@ -97,10 +97,10 @@ func TestHaloExchangeBatchesPerPeer(t *testing.T) {
 	if len(peers) != 2 {
 		t.Fatalf("peer traffic %v", peers)
 	}
-	// Wire bytes per peer: the features round-trip is a 34-byte request
-	// (4 prefix + 14 header + 4 ids) plus a 62-byte response (4 + 10 +
-	// 12 fp32 values); the labels round-trip is 34 + 30.
-	const wirePerPeer = (34 + 62) + (34 + 30)
+	// Wire bytes per peer: the features round-trip is a 30-byte request
+	// (4 prefix + 10 header + 4 ids) plus a 62-byte response (4 + 10 +
+	// 12 fp32 values); the labels round-trip is 30 + 30.
+	const wirePerPeer = (30 + 62) + (30 + 30)
 	for i, want := range []PeerTraffic{
 		{From: 0, To: 1, PeerCounts: PeerCounts{Rows: 8, Bytes: 4*3*4 + 4*4, WireBytes: wirePerPeer, Messages: 2}},
 		{From: 0, To: 2, PeerCounts: PeerCounts{Rows: 8, Bytes: 4*3*4 + 4*4, WireBytes: wirePerPeer, Messages: 2}},

@@ -17,9 +17,6 @@ const (
 	MsgFeatures MsgKind = iota + 1
 	// MsgLabels requests the labels of a batch of owned nodes.
 	MsgLabels
-	// MsgGradients pushes halo-row gradient contributions to the owner
-	// (the reverse path; the response is an empty acknowledgement).
-	MsgGradients
 )
 
 func (k MsgKind) String() string {
@@ -28,35 +25,29 @@ func (k MsgKind) String() string {
 		return "features"
 	case MsgLabels:
 		return "labels"
-	case MsgGradients:
-		return "gradients"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Request is one batched exchange message: everything replica From needs
-// from one peer for one gather (or scatter) call. Batching requests per
+// from one peer for one gather call. Batching requests per
 // (peer, iteration) — instead of one lookup per row — is what makes the
 // exchange viable across address spaces: the message count per epoch
 // drops from O(remote rows) to O(peers · iterations).
 type Request struct {
 	From int
 	Kind MsgKind
-	// Dtype selects the wire encoding of float payloads: the request's
-	// own Grad values, and the Feat values the responder sends back.
-	// Negotiated once from the store dtype (DtypeF16 halves both); fp16
-	// payload values must already be fp16-exact — the exchange quantises
-	// gradients before any transport sees them — so the encoding is
-	// lossless and transports stay bit-identical.
+	// Dtype selects the wire encoding of the Feat values the responder
+	// sends back. Negotiated once from the store dtype (DtypeF16 halves
+	// them); fp16 payload values must already be fp16-exact, as an fp16
+	// store's rows are, so the encoding is lossless and transports stay
+	// bit-identical.
 	Dtype graph.FeatDtype
 	IDs   []graph.NodeID
-	// Grad carries len(IDs)·featDim float32 gradient values, row-major,
-	// for MsgGradients; nil otherwise.
-	Grad []float32
 }
 
-// Response answers one Request. Exactly one payload field is set,
-// matching the request's kind; a MsgGradients response is empty.
+// Response answers one Request. At most one payload field is set,
+// matching the request's kind.
 type Response struct {
 	// Dtype is the wire encoding of Feat (echoed from the request).
 	Dtype graph.FeatDtype
@@ -72,7 +63,7 @@ type Response struct {
 // message, so wire-byte accounting is transport-invariant;
 // TestWireSizeMatchesEncoding pins it to the codec.
 func (req *Request) wireSize() int64 {
-	return 4 + 14 + 4*int64(len(req.IDs)) + int64(req.Dtype.Size())*int64(len(req.Grad))
+	return 4 + 10 + 4*int64(len(req.IDs))
 }
 
 // wireSize returns the bytes resp occupies on the wire (length prefix
@@ -165,8 +156,7 @@ func (t *InprocTransport) Close() error {
 // is a little-endian u32 payload length followed by the payload. The
 // request payload is
 //
-//	u8 kind | u8 dtype | u32 from | u32 len(ids) | ids as i32 |
-//	  u32 len(grad) | grad (f32, or fp16 bits when dtype is fp16)
+//	u8 kind | u8 dtype | u32 from | u32 len(ids) | ids as i32
 //
 // and the response payload is
 //
@@ -184,8 +174,8 @@ const maxFrame = 1 << 30
 
 // appendFloats appends xs in the dtype's wire encoding. fp16 encoding
 // rounds to nearest-even; callers guarantee fp16-exact values (features
-// come from an fp16 store, gradients are pre-quantised), so on this
-// code's paths the round is an identity and the wire is lossless.
+// come from an fp16 store), so on this code's paths the round is an
+// identity and the wire is lossless.
 func appendFloats(b []byte, dt graph.FeatDtype, xs []float32) []byte {
 	if dt == graph.DtypeF16 {
 		off := len(b)
@@ -226,16 +216,14 @@ func wireDtype(b byte) (graph.FeatDtype, error) {
 // encodeRequest serialises req into a frame payload (without the length
 // prefix).
 func encodeRequest(req *Request) []byte {
-	elem := req.Dtype.Size()
-	b := make([]byte, 0, 10+4*len(req.IDs)+4+elem*len(req.Grad))
+	b := make([]byte, 0, 10+4*len(req.IDs))
 	b = append(b, byte(req.Kind), byte(req.Dtype))
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.From))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(req.IDs)))
 	for _, v := range req.IDs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Grad)))
-	return appendFloats(b, req.Dtype, req.Grad)
+	return b
 }
 
 // decodeRequest parses a frame payload produced by encodeRequest.
@@ -244,7 +232,7 @@ func decodeRequest(b []byte) (*Request, error) {
 		return nil, fmt.Errorf("ddp: request frame of %d bytes", len(b))
 	}
 	req := &Request{Kind: MsgKind(b[0]), From: int(binary.LittleEndian.Uint32(b[2:6]))}
-	if req.Kind != MsgFeatures && req.Kind != MsgLabels && req.Kind != MsgGradients {
+	if req.Kind != MsgFeatures && req.Kind != MsgLabels {
 		return nil, fmt.Errorf("ddp: unknown message kind %d", b[0])
 	}
 	var err error
@@ -262,19 +250,6 @@ func decodeRequest(b []byte) (*Request, error) {
 			req.IDs[i] = graph.NodeID(binary.LittleEndian.Uint32(b[off : off+4]))
 			off += 4
 		}
-	}
-	if len(b)-off < 4 {
-		return nil, fmt.Errorf("ddp: request frame truncated before gradient payload")
-	}
-	g := int(binary.LittleEndian.Uint32(b[off : off+4]))
-	off += 4
-	elem := req.Dtype.Size()
-	if g < 0 || g > (len(b)-off)/elem {
-		return nil, fmt.Errorf("ddp: request claims %d gradient values beyond its frame", g)
-	}
-	if g > 0 {
-		req.Grad = decodeFloats(b[off:], req.Dtype, g)
-		off += elem * g
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("ddp: %d trailing bytes in request frame", len(b)-off)

@@ -1,31 +1,42 @@
 package ddp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"argo/internal/graph"
 )
 
-// Wire codec round-trips: every message kind, empty and full payloads,
-// and float bit-patterns that a text encoding would mangle.
-func TestWireCodecRoundTrip(t *testing.T) {
-	reqs := []*Request{
+// codecRequests and codecResponses are the codec's round-trip cases:
+// every message kind, empty and full payloads, and float bit-patterns
+// that a text encoding would mangle. They also seed the fuzz targets.
+var (
+	codecRequests = []*Request{
 		{From: 0, Kind: MsgFeatures, IDs: []graph.NodeID{1, 2, 3}},
 		{From: 3, Kind: MsgLabels, IDs: []graph.NodeID{0}},
-		{From: 1, Kind: MsgGradients, IDs: []graph.NodeID{7, 9},
-			Grad: []float32{1.5, -0.25, float32(math.Inf(1)), math.Float32frombits(0x7fc00001)}},
 		{From: 2, Kind: MsgFeatures},
-		// fp16 wire: payload values are fp16-exact (as the exchange
-		// guarantees), so the narrow encoding must still be bit-exact.
-		{From: 1, Kind: MsgGradients, Dtype: graph.DtypeF16, IDs: []graph.NodeID{4, 5},
-			Grad: []float32{1.5, -0.25, 65504, -6.103515625e-05}},
 		{From: 0, Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{11}},
+		{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{-1, 1 << 30}},
 	}
-	for i, req := range reqs {
+	codecResponses = []*Response{
+		{Feat: []float32{1, 2, 3, 4}},
+		{Feat: []float32{1.5, -0.25, float32(math.Inf(1)), math.Float32frombits(0x7fc00001)}},
+		{Labels: []int32{-1, 0, 7}},
+		{},
+		// fp16 wire: payload values are fp16-exact (as an fp16 store's
+		// rows are), so the narrow encoding must still be bit-exact.
+		{Dtype: graph.DtypeF16, Feat: []float32{0.5, -2048, 0.0999755859375, 65504, -6.103515625e-05}},
+	}
+)
+
+func TestWireCodecRoundTrip(t *testing.T) {
+	for i, req := range codecRequests {
 		got, err := decodeRequest(encodeRequest(req))
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -33,22 +44,8 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if got.From != req.From || got.Kind != req.Kind || got.Dtype != req.Dtype || !reflect.DeepEqual(got.IDs, req.IDs) {
 			t.Fatalf("request %d round-tripped to %+v", i, got)
 		}
-		if len(got.Grad) != len(req.Grad) {
-			t.Fatalf("request %d gradient length %d, want %d", i, len(got.Grad), len(req.Grad))
-		}
-		for j := range req.Grad {
-			if math.Float32bits(got.Grad[j]) != math.Float32bits(req.Grad[j]) {
-				t.Fatalf("request %d gradient %d not bit-exact", i, j)
-			}
-		}
 	}
-	resps := []*Response{
-		{Feat: []float32{1, 2, 3, 4}},
-		{Labels: []int32{-1, 0, 7}},
-		{},
-		{Dtype: graph.DtypeF16, Feat: []float32{0.5, -2048, 0.0999755859375}},
-	}
-	for i, resp := range resps {
+	for i, resp := range codecResponses {
 		got, err := decodeResponse(encodeResponse(resp, nil))
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
@@ -81,6 +78,7 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 		good[:5],
 		append(append([]byte{}, good...), 0xee), // trailing byte
 		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0},         // unknown kind
+		{3, 0, 0, 0, 0, 0, 0, 0, 0, 0},          // the retired gradient kind
 		{byte(MsgFeatures), 7, 0, 0, 0, 0, 0, 0, 0, 0},             // unknown wire dtype
 		{byte(MsgFeatures), 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, // id count beyond frame
 	}
@@ -88,6 +86,12 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 		if _, err := decodeRequest(b); err == nil {
 			t.Fatalf("malformed request %d accepted", i)
 		}
+	}
+	// A frame in the old format still carries a u32 gradient count after
+	// its ids; it is refused as trailing bytes, never read as a payload.
+	old := binary.LittleEndian.AppendUint32(append([]byte{}, good...), 0)
+	if _, err := decodeRequest(old); err == nil || !strings.Contains(err.Error(), "4 trailing bytes") {
+		t.Fatalf("old-format request with a gradient count decoded with %v, want a trailing-bytes error", err)
 	}
 	goodResp := encodeResponse(&Response{Feat: []float32{1}}, nil)
 	badResp := [][]byte{
@@ -106,6 +110,51 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRequest: decoding never panics, and a frame that decodes
+// re-encodes to the same bytes.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, req := range codecRequests {
+		f.Add(encodeRequest(req))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := decodeRequest(b)
+		if err != nil {
+			return
+		}
+		if got := encodeRequest(req); !bytes.Equal(got, b) {
+			t.Fatalf("frame %x decoded to %+v, which re-encodes to %x", b, req, got)
+		}
+	})
+}
+
+// FuzzDecodeResponse: decoding never panics, and an ok frame that
+// decodes re-encodes to the same bytes — except that an fp16 NaN comes
+// back as the quiet NaN of its sign, the one pattern half.Bits makes.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, resp := range codecResponses {
+		f.Add(encodeResponse(resp, nil))
+	}
+	f.Add(encodeResponse(nil, fmt.Errorf("shard went away")))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		resp, err := decodeResponse(b)
+		if err != nil {
+			return
+		}
+		want := append([]byte{}, b...)
+		if resp.Dtype == graph.DtypeF16 {
+			for i := range resp.Feat {
+				v := want[6+2*i:]
+				if h := binary.LittleEndian.Uint16(v); h&0x7fff > 0x7c00 {
+					binary.LittleEndian.PutUint16(v, h&0x8000|0x7e00)
+				}
+			}
+		}
+		if got := encodeResponse(resp, nil); !bytes.Equal(got, want) {
+			t.Fatalf("frame %x decoded to %+v, which re-encodes to %x", b, resp, got)
+		}
+	})
+}
+
 // wireSize is pure arithmetic over the message fields; the codec is the
 // ground truth. The two must never drift, or WireBytes accounting lies.
 func TestWireSizeMatchesEncoding(t *testing.T) {
@@ -113,8 +162,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		{Kind: MsgFeatures},
 		{Kind: MsgFeatures, IDs: []graph.NodeID{1, 2, 3}},
 		{Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{1, 2, 3}},
-		{Kind: MsgGradients, IDs: []graph.NodeID{1, 2}, Grad: make([]float32, 10)},
-		{Kind: MsgGradients, Dtype: graph.DtypeF16, IDs: []graph.NodeID{1, 2}, Grad: make([]float32, 10)},
+		{Kind: MsgLabels, IDs: []graph.NodeID{1, 2}},
 	}
 	for i, req := range reqs {
 		if got, want := int64(len(encodeRequest(req)))+4, req.wireSize(); got != want {
@@ -192,10 +240,11 @@ func TestTransportsAgree(t *testing.T) {
 			if len(labels.Labels) != 1 || labels.Labels[0] != 2 {
 				t.Fatalf("labels %v", labels.Labels)
 			}
-			// A handler error must come back as a Call error on both
-			// transports (over TCP it crosses the wire as a status frame).
-			if _, err := tr.Call(0, &Request{From: 1, Kind: MsgGradients}); err == nil {
-				t.Fatal("handler error swallowed")
+			// A refused request (here a kind no handler serves) must come
+			// back as a Call error on both transports (over TCP it crosses
+			// the wire as a status frame).
+			if _, err := tr.Call(0, &Request{From: 1, Kind: MsgKind(3)}); err == nil {
+				t.Fatal("refused request swallowed")
 			}
 			// The connection must survive an errored request.
 			if _, err := tr.Call(0, &Request{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{1}}); err != nil {

@@ -20,10 +20,10 @@ import (
 // Routing, batching and accounting must reproduce them to the byte on
 // both transports; only the transport's name differs.
 const (
-	pinnedExactK3 = `{"transport":"inproc","local_rows":172,"remote_rows":161,"remote_bytes":7184,"wire_bytes":8340,"messages":16,` +
-		`"peers":[{"from":0,"to":1,"rows":55,"bytes":2500,"wire_bytes":2976,"messages":8},{"from":1,"to":0,"rows":106,"bytes":4684,"wire_bytes":5364,"messages":8}]}`
-	pinnedLocalK4 = `{"transport":"inproc","local_rows":230,"remote_rows":67,"remote_bytes":4288,"wire_bytes":4780,"messages":7,` +
-		`"peers":[{"from":0,"to":1,"rows":35,"bytes":2240,"wire_bytes":2508,"messages":4},{"from":1,"to":0,"rows":32,"bytes":2048,"wire_bytes":2272,"messages":3}]}`
+	pinnedExactK3 = `{"transport":"inproc","local_rows":172,"remote_rows":161,"remote_bytes":7184,"wire_bytes":8276,"messages":16,` +
+		`"peers":[{"from":0,"to":1,"rows":55,"bytes":2500,"wire_bytes":2944,"messages":8},{"from":1,"to":0,"rows":106,"bytes":4684,"wire_bytes":5332,"messages":8}]}`
+	pinnedLocalK4 = `{"transport":"inproc","local_rows":230,"remote_rows":67,"remote_bytes":4288,"wire_bytes":4752,"messages":7,` +
+		`"peers":[{"from":0,"to":1,"rows":35,"bytes":2240,"wire_bytes":2492,"messages":4},{"from":1,"to":0,"rows":32,"bytes":2048,"wire_bytes":2260,"messages":3}]}`
 )
 
 func TestExchangeTrafficMatchesPinnedParent(t *testing.T) {

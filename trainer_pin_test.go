@@ -26,11 +26,11 @@ import (
 var pinnedTrainerRuns = map[string][2]string{
 	"single": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02", ""},
 	"exact/inproc": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
-		`{"transport":"inproc","local_rows":597,"remote_rows":240,"remote_bytes":12120,"wire_bytes":13592,"messages":16,"peers":[{"from":0,"to":1,"rows":88,"bytes":4552,"wire_bytes":5160,"messages":8},{"from":1,"to":0,"rows":152,"bytes":7568,"wire_bytes":8432,"messages":8}]}`},
+		`{"transport":"inproc","local_rows":597,"remote_rows":240,"remote_bytes":12120,"wire_bytes":13528,"messages":16,"peers":[{"from":0,"to":1,"rows":88,"bytes":4552,"wire_bytes":5128,"messages":8},{"from":1,"to":0,"rows":152,"bytes":7568,"wire_bytes":8400,"messages":8}]}`},
 	"exact/tcp": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
-		`{"transport":"tcp","local_rows":597,"remote_rows":240,"remote_bytes":12120,"wire_bytes":13592,"messages":16,"peers":[{"from":0,"to":1,"rows":88,"bytes":4552,"wire_bytes":5160,"messages":8},{"from":1,"to":0,"rows":152,"bytes":7568,"wire_bytes":8432,"messages":8}]}`},
+		`{"transport":"tcp","local_rows":597,"remote_rows":240,"remote_bytes":12120,"wire_bytes":13528,"messages":16,"peers":[{"from":0,"to":1,"rows":88,"bytes":4552,"wire_bytes":5128,"messages":8},{"from":1,"to":0,"rows":152,"bytes":7568,"wire_bytes":8400,"messages":8}]}`},
 	"local/inproc": {"0x1.1a785e5fd1133p+00 0x1.a0eb6fa50e241p-01 0x1.2aa0d95d9ace5p-01 0x1.c808b8704a70ap-02",
-		`{"transport":"inproc","local_rows":664,"remote_rows":120,"remote_bytes":7680,"wire_bytes":8416,"messages":8,"peers":[{"from":0,"to":1,"rows":59,"bytes":3776,"wire_bytes":4140,"messages":4},{"from":1,"to":0,"rows":61,"bytes":3904,"wire_bytes":4276,"messages":4}]}`},
+		`{"transport":"inproc","local_rows":664,"remote_rows":120,"remote_bytes":7680,"wire_bytes":8384,"messages":8,"peers":[{"from":0,"to":1,"rows":59,"bytes":3776,"wire_bytes":4124,"messages":4},{"from":1,"to":0,"rows":61,"bytes":3904,"wire_bytes":4260,"messages":4}]}`},
 }
 
 // pinnedSchedule moves n and (s, t) both ways, so every epoch after the
