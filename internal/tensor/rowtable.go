@@ -8,9 +8,9 @@ import (
 // RowTable maps non-negative int32 ids to fixed-width float32 rows. All
 // rows live in one slab in first-touch order, and the id index is a
 // dense []int32 grown to the largest id seen, so a lookup is two slice
-// reads and a table that is filled, drained and refilled with a similar
-// id set (a per-epoch accumulator) allocates nothing after its first
-// fill: Reset and Truncate keep every byte of storage.
+// reads and a table that is emptied and refilled with a similar id set
+// allocates nothing after its first fill: Reset and Truncate keep every
+// byte of storage.
 //
 // A RowTable is not safe for concurrent use; callers that share one
 // guard it with their own lock.
