@@ -156,38 +156,6 @@ func BenchmarkTunerOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAcquisition compares Expected Improvement against
-// random acquisition with the same budget.
-func BenchmarkAblationAcquisition(b *testing.B) {
-	ds, err := graph.Spec("ogbn-products")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := platsim.Scenario{
-		Platform: platform.IceLake4S, Library: platsim.DGL,
-		Sampler: platsim.Shadow, Model: platsim.GCN, Dataset: ds,
-	}
-	sp := search.DefaultSpace(112)
-	obj := platsim.NewObjective(sc)
-	optimal := search.Run(search.NewExhaustiveSearcher(sp), obj).BestTime
-	for _, random := range []bool{false, true} {
-		name := "ei"
-		if random {
-			name = "random"
-		}
-		b.Run(name, func(b *testing.B) {
-			var quality float64
-			for i := 0; i < b.N; i++ {
-				tu := bayesopt.NewTuner(sp, 45, int64(i))
-				tu.RandomAcquisition = random
-				res := search.Run(tu, obj)
-				quality = optimal / res.BestTime
-			}
-			b.ReportMetric(quality, "quality_vs_optimal")
-		})
-	}
-}
-
 // BenchmarkAblationSearchStrategies pits the three search strategies
 // against each other on one setup with equal budgets.
 func BenchmarkAblationSearchStrategies(b *testing.B) {

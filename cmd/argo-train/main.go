@@ -175,7 +175,6 @@ func run(args []string, stdout io.Writer) error {
 		SamplingRegime: *sampling,
 	}
 	if *sampling == "local" {
-		topts.LocalFanouts = fanouts
 		fmt.Fprintf(stdout, "sampling regime: partition-local (frontiers bounded to owned + 1-hop halo rows; fanouts %v)\n", fanouts)
 	}
 	trainer, err := argo.NewGNNTrainer(topts)

@@ -105,9 +105,6 @@ func (a *Annealer) Observe(c search.Config, y float64) {
 // Best returns the incumbent optimal configuration and its cost.
 func (a *Annealer) Best() (search.Config, float64) { return a.inc.Best() }
 
-// Observations returns how many costs have been recorded.
-func (a *Annealer) Observations() int { return a.observed }
-
 // Overhead returns the cumulative time spent proposing moves and applying
 // the acceptance rule — the tuning overhead outside the objective itself.
 func (a *Annealer) Overhead() time.Duration { return a.overhead }

@@ -22,7 +22,7 @@ func BenchmarkGPFitAndPredict(b *testing.B) {
 	tu := NewTuner(sp, 45, 1)
 	// Pre-load 44 observations, then measure one full Next() (fit + EI
 	// argmax over the space).
-	for tu.Observations() < 44 {
+	for range 44 {
 		c, _ := tu.Next()
 		tu.Observe(c, bowl(c))
 	}

@@ -21,10 +21,6 @@ type Tuner struct {
 	NumSearches int // online-learning budget (Table VI)
 	InitRandom  int // random probes before the GP takes over
 
-	// RandomAcquisition degrades the tuner to random search while keeping
-	// the rest of the loop identical — the acquisition ablation.
-	RandomAcquisition bool
-
 	rng        *rand.Rand
 	candidates []search.Config
 	observedX  []search.Config
@@ -68,12 +64,12 @@ func (t *Tuner) Next() (search.Config, bool) {
 // propose is one step of Algorithm 1: a random probe, or the EI argmax
 // under a GP refit to every finite observation.
 func (t *Tuner) propose() search.Config {
-	if len(t.observedX) < t.InitRandom || t.RandomAcquisition {
+	if len(t.observedX) < t.InitRandom {
 		return t.randomUnseen()
 	}
 	// Fit only on finite observations: a crashed or timed-out epoch
 	// measurement (±Inf/NaN) must not poison the surrogate.
-	xs, ys := t.finiteObservations()
+	xs, ys := t.finiteSamples()
 	if len(xs) < 2 {
 		return t.randomUnseen()
 	}
@@ -111,8 +107,8 @@ func (t *Tuner) Observe(c search.Config, epochTime float64) {
 	t.Incumbent.Observe(c, epochTime)
 }
 
-// finiteObservations filters the training set for the GP.
-func (t *Tuner) finiteObservations() ([][]float64, []float64) {
+// finiteSamples filters the training set for the GP.
+func (t *Tuner) finiteSamples() ([][]float64, []float64) {
 	var xs [][]float64
 	var ys []float64
 	for i, y := range t.observedY {
@@ -125,9 +121,6 @@ func (t *Tuner) finiteObservations() ([][]float64, []float64) {
 }
 
 func isFinite(v float64) bool { return search.IsFinite(v) }
-
-// Observations returns how many configurations have been evaluated.
-func (t *Tuner) Observations() int { return len(t.observedX) }
 
 // Overhead returns the cumulative time spent fitting the surrogate and
 // maximising the acquisition function — the auto-tuning overhead the

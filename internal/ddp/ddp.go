@@ -13,11 +13,12 @@
 //     parameter gradients are the only ones that cross replicas.
 //
 //   - The halo exchange. In a sharded run every global node is owned by
-//     exactly one replica; HaloExchange routes feature-row and label
-//     lookups to owners in *batched* messages — at most one message per
-//     (peer, call), routed by a dense node → replica table and served by
-//     one RowServer call per message — and counts the traffic per
-//     directed replica pair.
+//     exactly one replica; HaloExchange routes feature-row lookups to
+//     owners in *batched* messages — at most one message per (peer,
+//     call), routed by a dense node → replica table and served by one
+//     RowServer call per message — and counts the traffic per directed
+//     replica pair. Labels are read-only and 4 bytes a node, so they
+//     come from one table built at setup and never cross the exchange.
 //
 //   - The transport seam. Transport carries the batched messages:
 //     InprocTransport is a direct function call for replicas sharing an

@@ -10,11 +10,12 @@ import (
 	"argo/internal/tensor"
 )
 
-// HaloExchange routes feature-row and label traffic between training
-// replicas in a sharded run: every global node is
-// owned by exactly one replica, and a replica gathering a mini-batch
-// pulls foreign rows through the exchange instead of from a global
-// feature matrix. All traffic is *batched*: a gather sends at most one
+// HaloExchange routes feature rows between training replicas in a
+// sharded run: every global node is owned by exactly one replica, and a
+// replica gathering a mini-batch pulls foreign rows through the exchange
+// instead of from a global feature matrix. Labels never cross it: they
+// are read-only and 4 bytes a node, so every replica reads them from one
+// table built at setup. All traffic is *batched*: a gather sends at most one
 // message per (peer, call) — grouped by owner, carried by the pluggable
 // Transport — instead of one lookup per row, which is what keeps the
 // protocol viable once shards live on different hosts. Row order in the
@@ -51,9 +52,9 @@ type HaloExchange struct {
 // and dtype-encoded payloads). With an fp32 wire the two differ only by
 // framing overhead; with an fp16 wire WireBytes is roughly half.
 type HaloStats struct {
-	LocalRows   int64 // feature rows + labels served from the replica's own shards
-	RemoteRows  int64 // feature rows + labels fetched from other replicas
-	RemoteBytes int64 // logical float32 bytes remote rows and labels represent
+	LocalRows   int64 // feature rows served from the replica's own shards
+	RemoteRows  int64 // feature rows fetched from other replicas
+	RemoteBytes int64 // logical float32 bytes remote rows represent
 	WireBytes   int64 // framed bytes the batched messages occupy on the wire
 	Messages    int64 // batched request messages sent (the per-peer count)
 	// Deprecated: GradRows is always 0; no gradient rows are routed. It
@@ -83,7 +84,7 @@ func (s *HaloStats) Sub(other HaloStats) {
 // PeerCounts is the traffic volume of one directed (from, to) replica
 // pair.
 type PeerCounts struct {
-	Rows      int64 `json:"rows"`       // feature/label rows moved
+	Rows      int64 `json:"rows"`       // feature rows moved
 	Bytes     int64 `json:"bytes"`      // logical float32 bytes those rows represent
 	WireBytes int64 `json:"wire_bytes"` // framed bytes on the wire
 	Messages  int64 `json:"messages"`   // batched messages sent
@@ -164,13 +165,12 @@ func (s *ExchangeStats) Add(other ExchangeStats) {
 	}
 }
 
-// RowServer serves the rows one replica owns, a whole message or gather
-// per call: the row (label) of ids[i] goes to row (entry) at[i] of dst,
-// or to row i when at is nil. The exchange asks only for nodes its owner
-// table gives that replica.
+// RowServer serves the feature rows one replica owns, a whole message or
+// gather per call: the row of ids[i] goes to row at[i] of dst, or to row
+// i when at is nil. The exchange asks only for nodes its owner table
+// gives that replica.
 type RowServer interface {
 	Rows(ids []graph.NodeID, at []int32, dst []float32) error
-	Labels(ids []graph.NodeID, at []int32, dst []int32) error
 }
 
 // ExchangeOptions configures NewHaloExchange.
@@ -237,23 +237,16 @@ func (h *HaloExchange) handle(o int, req *Request) (*Response, error) {
 			return nil, fmt.Errorf("ddp: replica %d asked about node %d, which it does not own", o, v)
 		}
 	}
-	switch req.Kind {
-	case MsgFeatures:
-		// Echo the requested dtype so the response payload travels in the
-		// negotiated encoding whichever transport frames it.
-		resp := &Response{Dtype: req.Dtype, Feat: make([]float32, len(req.IDs)*h.featDim)}
-		if err := h.servers[o].Rows(req.IDs, nil, resp.Feat); err != nil {
-			return nil, fmt.Errorf("ddp: replica %d serving %d rows: %w", o, len(req.IDs), err)
-		}
-		return resp, nil
-	case MsgLabels:
-		resp := &Response{Labels: make([]int32, len(req.IDs))}
-		if err := h.servers[o].Labels(req.IDs, nil, resp.Labels); err != nil {
-			return nil, fmt.Errorf("ddp: replica %d serving %d labels: %w", o, len(req.IDs), err)
-		}
-		return resp, nil
+	if req.Kind != MsgFeatures {
+		return nil, fmt.Errorf("ddp: unknown message kind %d", req.Kind)
 	}
-	return nil, fmt.Errorf("ddp: unknown message kind %d", req.Kind)
+	// Echo the requested dtype so the response payload travels in the
+	// negotiated encoding whichever transport frames it.
+	resp := &Response{Dtype: req.Dtype, Feat: make([]float32, len(req.IDs)*h.featDim)}
+	if err := h.servers[o].Rows(req.IDs, nil, resp.Feat); err != nil {
+		return nil, fmt.Errorf("ddp: replica %d serving %d rows: %w", o, len(req.IDs), err)
+	}
+	return resp, nil
 }
 
 // Close releases the transport. The exchange must not be used after
@@ -302,11 +295,11 @@ func (h *HaloExchange) route(r int, ids []graph.NodeID) (routed, error) {
 }
 
 // callPeers is the one place a request crosses the transport: for every
-// peer owning some of rt it sends one message of the given kind on
-// behalf of replica r, checks the reply's length, scatters it back —
-// feature rows into feat, labels into labels — and folds the call's
-// rows, bytes, wire bytes and messages into the counters.
-func (h *HaloExchange) callPeers(r int, kind MsgKind, rt routed, feat *tensor.Matrix, labels []int32) error {
+// peer owning some of rt it sends one feature message on behalf of
+// replica r, checks the reply's length, scatters its rows into feat and
+// folds the call's rows, bytes, wire bytes and messages into the
+// counters.
+func (h *HaloExchange) callPeers(r int, rt routed, feat *tensor.Matrix) error {
 	own, _ := rt.group(r)
 	st := HaloStats{LocalRows: int64(len(own))}
 	perPeer := make([]PeerCounts, len(h.stats))
@@ -315,30 +308,18 @@ func (h *HaloExchange) callPeers(r int, kind MsgKind, rt routed, feat *tensor.Ma
 		if p == r || len(ids) == 0 {
 			continue
 		}
-		req := &Request{From: r, Kind: kind, Dtype: h.wireDtype, IDs: ids}
+		req := &Request{From: r, Kind: MsgFeatures, Dtype: h.wireDtype, IDs: ids}
 		resp, err := h.tr.Call(p, req)
 		if err != nil {
-			return fmt.Errorf("ddp: replica %d sending replica %d a %s message of %d rows: %w", r, p, kind, len(ids), err)
+			return fmt.Errorf("ddp: replica %d sending replica %d a message of %d rows: %w", r, p, len(ids), err)
 		}
-		rowBytes := int64(h.featDim) * 4
-		switch kind {
-		case MsgFeatures:
-			if len(resp.Feat) != len(ids)*h.featDim {
-				return fmt.Errorf("ddp: replica %d answered %d values for %d rows", p, len(resp.Feat), len(ids))
-			}
-			for i, pos := range at {
-				copy(feat.Row(int(pos)), resp.Feat[i*h.featDim:(i+1)*h.featDim])
-			}
-		case MsgLabels:
-			rowBytes = 4
-			if len(resp.Labels) != len(ids) {
-				return fmt.Errorf("ddp: replica %d answered %d labels for %d ids", p, len(resp.Labels), len(ids))
-			}
-			for i, pos := range at {
-				labels[pos] = resp.Labels[i]
-			}
+		if len(resp.Feat) != len(ids)*h.featDim {
+			return fmt.Errorf("ddp: replica %d answered %d values for %d rows", p, len(resp.Feat), len(ids))
 		}
-		c := PeerCounts{Rows: int64(len(ids)), Bytes: int64(len(ids)) * rowBytes, WireBytes: req.wireSize() + resp.wireSize(), Messages: 1}
+		for i, pos := range at {
+			copy(feat.Row(int(pos)), resp.Feat[i*h.featDim:(i+1)*h.featDim])
+		}
+		c := PeerCounts{Rows: int64(len(ids)), Bytes: int64(len(ids)*h.featDim) * 4, WireBytes: req.wireSize() + resp.wireSize(), Messages: 1}
 		st.RemoteRows += c.Rows
 		st.RemoteBytes += c.Bytes
 		st.WireBytes += c.WireBytes
@@ -369,26 +350,7 @@ func (h *HaloExchange) GatherFeatures(r int, ids []graph.NodeID) (*tensor.Matrix
 	if err := h.servers[r].Rows(own, at, out.Data); err != nil {
 		return nil, fmt.Errorf("ddp: replica %d reading %d own rows: %w", r, len(own), err)
 	}
-	if err := h.callPeers(r, MsgFeatures, rt, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TargetLabels resolves the labels for ids on behalf of replica r, with
-// foreign labels batched into one message per owning peer (4 bytes per
-// remote label).
-func (h *HaloExchange) TargetLabels(r int, ids []graph.NodeID) ([]int32, error) {
-	rt, err := h.route(r, ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(ids))
-	own, at := rt.group(r)
-	if err := h.servers[r].Labels(own, at, out); err != nil {
-		return nil, fmt.Errorf("ddp: replica %d reading %d own labels: %w", r, len(own), err)
-	}
-	if err := h.callPeers(r, MsgLabels, rt, nil, out); err != nil {
+	if err := h.callPeers(r, rt, out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -8,18 +8,17 @@ import (
 	"argo/internal/graph"
 )
 
-// modExchange owns node v on replica v%n; features are [v, 10v, -v],
-// labels v%7.
+// modExchange owns node v on replica v%n; features are [v, 10v, -v].
 func modExchange(t *testing.T, replicas int, tr Transport) *HaloExchange {
-	return fakeExchange(t, replicas, 10_000, 3, 7, ExchangeOptions{Transport: tr})
+	return fakeExchange(t, replicas, 10_000, 3, ExchangeOptions{Transport: tr})
 }
 
 // modExchangeWire is modExchange with an explicit wire dtype. The served
-// values ([v, 10v, -v] for the small ids tests use, labels v%7) are
-// fp16-exact, so an fp16 wire is lossless over them — mirroring the real
-// negotiation, which only enables the fp16 wire over fp16 stores.
+// values ([v, 10v, -v] for the small ids tests use) are fp16-exact, so
+// an fp16 wire is lossless over them — mirroring the real negotiation,
+// which only enables the fp16 wire over fp16 stores.
 func modExchangeWire(t *testing.T, replicas int, tr Transport, dt graph.FeatDtype) *HaloExchange {
-	return fakeExchange(t, replicas, 10_000, 3, 7, ExchangeOptions{Transport: tr, WireDtype: dt})
+	return fakeExchange(t, replicas, 10_000, 3, ExchangeOptions{Transport: tr, WireDtype: dt})
 }
 
 // The fp16 wire must gather bit-identically to the fp32 wire (the
@@ -87,23 +86,22 @@ func TestHaloExchangeBatchesPerPeer(t *testing.T) {
 	if st.Messages != 2 {
 		t.Fatalf("%d messages for a 2-peer gather (want one per foreign peer)", st.Messages)
 	}
-	if _, err := ex.TargetLabels(0, ids); err != nil {
+	if _, err := ex.GatherFeatures(0, ids); err != nil {
 		t.Fatal(err)
 	}
 	if st = ex.Stats()[0]; st.Messages != 4 {
-		t.Fatalf("%d messages after labels gather, want 4", st.Messages)
+		t.Fatalf("%d messages after a second gather, want 4", st.Messages)
 	}
 	peers := ex.PeerTraffic()
 	if len(peers) != 2 {
 		t.Fatalf("peer traffic %v", peers)
 	}
-	// Wire bytes per peer: the features round-trip is a 30-byte request
-	// (4 prefix + 10 header + 4 ids) plus a 62-byte response (4 + 10 +
-	// 12 fp32 values); the labels round-trip is 30 + 30.
-	const wirePerPeer = (30 + 62) + (30 + 30)
+	// Wire bytes per peer and gather: a 30-byte request (4 prefix + 10
+	// header + 4 ids) plus a 58-byte response (4 + 6 + 12 fp32 values).
+	const wirePerPeer = 2 * (30 + 58)
 	for i, want := range []PeerTraffic{
-		{From: 0, To: 1, PeerCounts: PeerCounts{Rows: 8, Bytes: 4*3*4 + 4*4, WireBytes: wirePerPeer, Messages: 2}},
-		{From: 0, To: 2, PeerCounts: PeerCounts{Rows: 8, Bytes: 4*3*4 + 4*4, WireBytes: wirePerPeer, Messages: 2}},
+		{From: 0, To: 1, PeerCounts: PeerCounts{Rows: 8, Bytes: 2 * 4 * 3 * 4, WireBytes: wirePerPeer, Messages: 2}},
+		{From: 0, To: 2, PeerCounts: PeerCounts{Rows: 8, Bytes: 2 * 4 * 3 * 4, WireBytes: wirePerPeer, Messages: 2}},
 	} {
 		if peers[i] != want {
 			t.Fatalf("peer %d = %+v, want %+v", i, peers[i], want)
@@ -112,7 +110,7 @@ func TestHaloExchangeBatchesPerPeer(t *testing.T) {
 }
 
 // The identical exchange over loopback TCP must produce bit-identical
-// matrices, labels, and traffic counters as the in-process transport.
+// matrices and traffic counters as the in-process transport.
 func TestHaloExchangeTCPMatchesInproc(t *testing.T) {
 	ids := []graph.NodeID{5, 0, 17, 3, 3, 8, 100, 41}
 	inproc := modExchange(t, 3, nil)
@@ -131,19 +129,6 @@ func TestHaloExchangeTCPMatchesInproc(t *testing.T) {
 		for i := range a.Data {
 			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
 				t.Fatalf("replica %d: matrices differ at %d", r, i)
-			}
-		}
-		la, err := inproc.TargetLabels(r, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, err := tcp.TargetLabels(r, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range la {
-			if la[i] != lb[i] {
-				t.Fatalf("replica %d: labels differ at %d", r, i)
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // fakeServer serves the nodes v with v%n == r: feature rows are the
-// first dim of [v, 10v, -v], labels are v mod labelMod.
-type fakeServer struct{ r, n, dim, labelMod int }
+// first dim of [v, 10v, -v].
+type fakeServer struct{ r, n, dim int }
 
 func (f fakeServer) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
 	for i, v := range ids {
@@ -26,22 +26,9 @@ func (f fakeServer) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
 	return nil
 }
 
-func (f fakeServer) Labels(ids []graph.NodeID, at []int32, dst []int32) error {
-	for i, v := range ids {
-		if int(v)%f.n != f.r {
-			return fmt.Errorf("replica %d asked for foreign label %d", f.r, v)
-		}
-		if at != nil {
-			i = int(at[i])
-		}
-		dst[i] = v % int32(f.labelMod)
-	}
-	return nil
-}
-
 // fakeExchange owns node v < nodes on replica v%replicas, served by
 // fakeServers.
-func fakeExchange(t *testing.T, replicas, nodes, dim, labelMod int, opt ExchangeOptions) *HaloExchange {
+func fakeExchange(t *testing.T, replicas, nodes, dim int, opt ExchangeOptions) *HaloExchange {
 	t.Helper()
 	owner := make([]int32, nodes)
 	for v := range owner {
@@ -49,7 +36,7 @@ func fakeExchange(t *testing.T, replicas, nodes, dim, labelMod int, opt Exchange
 	}
 	servers := make([]RowServer, replicas)
 	for r := range servers {
-		servers[r] = fakeServer{r: r, n: replicas, dim: dim, labelMod: labelMod}
+		servers[r] = fakeServer{r: r, n: replicas, dim: dim}
 	}
 	ex, err := NewHaloExchange(dim, owner, servers, opt)
 	if err != nil {
@@ -59,9 +46,9 @@ func fakeExchange(t *testing.T, replicas, nodes, dim, labelMod int, opt Exchange
 }
 
 // twoReplicaExchange owns even nodes on replica 0 and odd nodes on
-// replica 1; feature rows are [v, 10v], labels are v mod 3.
+// replica 1; feature rows are [v, 10v].
 func twoReplicaExchange(t *testing.T, n int) *HaloExchange {
-	return fakeExchange(t, 2, n, 2, 3, ExchangeOptions{})
+	return fakeExchange(t, 2, n, 2, ExchangeOptions{})
 }
 
 func TestHaloExchangeGatherAndAccounting(t *testing.T) {
@@ -77,22 +64,12 @@ func TestHaloExchangeGatherAndAccounting(t *testing.T) {
 			t.Fatalf("row %d = %v", i, row)
 		}
 	}
-	labels, err := ex.TargetLabels(0, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range ids {
-		if labels[i] != v%3 {
-			t.Fatalf("label %d = %d", v, labels[i])
-		}
-	}
 	st := ex.Stats()[0]
-	// Features: 3 local + 2 remote (2 floats each); labels: 3 local + 2
-	// remote (4 bytes each).
-	if st.LocalRows != 6 || st.RemoteRows != 4 {
+	// 3 local rows + 2 remote rows of 2 floats each, in one message.
+	if st.LocalRows != 3 || st.RemoteRows != 2 || st.Messages != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if want := int64(2*2*4 + 2*4); st.RemoteBytes != want {
+	if want := int64(2 * 2 * 4); st.RemoteBytes != want {
 		t.Fatalf("remote bytes %d, want %d", st.RemoteBytes, want)
 	}
 	if total := ex.TotalStats(); total != st {
@@ -108,19 +85,24 @@ func TestHaloExchangeErrors(t *testing.T) {
 	if _, err := ex.GatherFeatures(7, []graph.NodeID{0}); err == nil {
 		t.Fatal("bad replica index accepted")
 	}
-	if _, err := ex.TargetLabels(-1, []graph.NodeID{0}); err == nil {
+	if _, err := ex.GatherFeatures(-1, []graph.NodeID{0}); err == nil {
 		t.Fatal("negative replica index accepted")
 	}
-	// A peer may ask a replica only about nodes the owner table gives it,
-	// whatever the message kind; the refusal names the replica and the node.
+	// A peer may ask a replica only about nodes the owner table gives it;
+	// the refusal names the replica and the node.
 	for _, req := range []*Request{
 		{From: 1, Kind: MsgFeatures, IDs: []graph.NodeID{2, 3}},
-		{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{10}},
+		{From: 1, Kind: MsgFeatures, IDs: []graph.NodeID{10}},
 	} {
 		if _, err := ex.handle(0, req); err == nil || !strings.Contains(err.Error(), "replica 0") ||
 			!strings.Contains(err.Error(), fmt.Sprintf("node %d", req.IDs[len(req.IDs)-1])) {
-			t.Fatalf("%s request for a foreign node: %v", req.Kind, err)
+			t.Fatalf("request for a foreign node: %v", err)
 		}
+	}
+	// Kind 2, the retired label lookup, is refused even for owned nodes.
+	if _, err := ex.handle(0, &Request{From: 1, Kind: MsgKind(2), IDs: []graph.NodeID{2}}); err == nil ||
+		!strings.Contains(err.Error(), "unknown message kind 2") {
+		t.Fatalf("label request: %v", err)
 	}
 	if _, err := NewHaloExchange(2, []int32{0}, nil, ExchangeOptions{}); err == nil {
 		t.Fatal("zero replicas accepted")

@@ -40,7 +40,7 @@ func TestHaloExchangeSnapshot(t *testing.T) {
 	}
 
 	// More traffic: the next snapshot carries only the new interval.
-	if _, err := ex.TargetLabels(1, ids); err != nil {
+	if _, err := ex.GatherFeatures(1, ids); err != nil {
 		t.Fatal(err)
 	}
 	second := ex.Snapshot()

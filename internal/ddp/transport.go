@@ -12,19 +12,13 @@ import (
 // MsgKind discriminates the batched exchange messages.
 type MsgKind uint8
 
-const (
-	// MsgFeatures requests the feature rows of a batch of owned nodes.
-	MsgFeatures MsgKind = iota + 1
-	// MsgLabels requests the labels of a batch of owned nodes.
-	MsgLabels
-)
+// MsgFeatures requests the feature rows of a batch of owned nodes. It
+// is the only kind: labels never cross the exchange.
+const MsgFeatures MsgKind = 1
 
 func (k MsgKind) String() string {
-	switch k {
-	case MsgFeatures:
+	if k == MsgFeatures {
 		return "features"
-	case MsgLabels:
-		return "labels"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -46,15 +40,12 @@ type Request struct {
 	IDs   []graph.NodeID
 }
 
-// Response answers one Request. At most one payload field is set,
-// matching the request's kind.
+// Response answers one Request.
 type Response struct {
 	// Dtype is the wire encoding of Feat (echoed from the request).
 	Dtype graph.FeatDtype
 	// Feat holds len(IDs)·featDim float32 feature values, row-major.
 	Feat []float32
-	// Labels holds len(IDs) labels.
-	Labels []int32
 }
 
 // wireSize returns the bytes req occupies on the wire — the length
@@ -69,7 +60,7 @@ func (req *Request) wireSize() int64 {
 // wireSize returns the bytes resp occupies on the wire (length prefix
 // plus the ok-status encodeResponse payload).
 func (resp *Response) wireSize() int64 {
-	return 4 + 10 + int64(resp.Dtype.Size())*int64(len(resp.Feat)) + 4*int64(len(resp.Labels))
+	return 4 + 6 + int64(resp.Dtype.Size())*int64(len(resp.Feat))
 }
 
 // Handler answers batched requests on behalf of one replica. Handlers
@@ -161,8 +152,7 @@ func (t *InprocTransport) Close() error {
 // and the response payload is
 //
 //	u8 status (0 ok, 1 error) |
-//	  ok:    u8 dtype | u32 len(feat) | feat (f32 or fp16 by dtype) |
-//	         u32 len(labels) | labels as i32
+//	  ok:    u8 dtype | u32 len(feat) | feat (f32 or fp16 by dtype)
 //	  error: utf-8 message (the rest of the frame)
 //
 // The dtype byte makes every frame self-describing, so a decoder never
@@ -232,7 +222,7 @@ func decodeRequest(b []byte) (*Request, error) {
 		return nil, fmt.Errorf("ddp: request frame of %d bytes", len(b))
 	}
 	req := &Request{Kind: MsgKind(b[0]), From: int(binary.LittleEndian.Uint32(b[2:6]))}
-	if req.Kind != MsgFeatures && req.Kind != MsgLabels {
+	if req.Kind != MsgFeatures {
 		return nil, fmt.Errorf("ddp: unknown message kind %d", b[0])
 	}
 	var err error
@@ -266,15 +256,10 @@ func encodeResponse(resp *Response, herr error) []byte {
 		return append(b, msg...)
 	}
 	elem := resp.Dtype.Size()
-	b := make([]byte, 0, 10+elem*len(resp.Feat)+4*len(resp.Labels))
+	b := make([]byte, 0, 6+elem*len(resp.Feat))
 	b = append(b, 0, byte(resp.Dtype))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Feat)))
-	b = appendFloats(b, resp.Dtype, resp.Feat)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Labels)))
-	for _, l := range resp.Labels {
-		b = binary.LittleEndian.AppendUint32(b, uint32(l))
-	}
-	return b
+	return appendFloats(b, resp.Dtype, resp.Feat)
 }
 
 // decodeResponse parses a frame payload produced by encodeResponse. A
@@ -306,21 +291,6 @@ func decodeResponse(b []byte) (*Response, error) {
 	if n > 0 {
 		resp.Feat = decodeFloats(b[off:], resp.Dtype, n)
 		off += elem * n
-	}
-	if len(b)-off < 4 {
-		return nil, fmt.Errorf("ddp: response frame truncated before labels")
-	}
-	l := int(binary.LittleEndian.Uint32(b[off : off+4]))
-	off += 4
-	if l < 0 || l > (len(b)-off)/4 {
-		return nil, fmt.Errorf("ddp: response claims %d labels beyond its frame", l)
-	}
-	if l > 0 {
-		resp.Labels = make([]int32, l)
-		for i := range resp.Labels {
-			resp.Labels[i] = int32(binary.LittleEndian.Uint32(b[off : off+4]))
-			off += 4
-		}
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("ddp: %d trailing bytes in response frame", len(b)-off)

@@ -14,21 +14,22 @@ import (
 )
 
 // codecRequests and codecResponses are the codec's round-trip cases:
-// every message kind, empty and full payloads, and float bit-patterns
-// that a text encoding would mangle. They also seed the fuzz targets.
+// both wire dtypes, empty and full payloads, and float bit-patterns that
+// a text encoding would mangle. They also seed the fuzz targets.
 var (
 	codecRequests = []*Request{
 		{From: 0, Kind: MsgFeatures, IDs: []graph.NodeID{1, 2, 3}},
-		{From: 3, Kind: MsgLabels, IDs: []graph.NodeID{0}},
+		{From: 3, Kind: MsgFeatures, IDs: []graph.NodeID{0}},
 		{From: 2, Kind: MsgFeatures},
 		{From: 0, Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{11}},
-		{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{-1, 1 << 30}},
+		{From: 1, Kind: MsgFeatures, IDs: []graph.NodeID{-1, 1 << 30}},
 	}
 	codecResponses = []*Response{
 		{Feat: []float32{1, 2, 3, 4}},
 		{Feat: []float32{1.5, -0.25, float32(math.Inf(1)), math.Float32frombits(0x7fc00001)}},
-		{Labels: []int32{-1, 0, 7}},
+		{Feat: []float32{-1, 0, 7}},
 		{},
+		{Dtype: graph.DtypeF16},
 		// fp16 wire: payload values are fp16-exact (as an fp16 store's
 		// rows are), so the narrow encoding must still be bit-exact.
 		{Dtype: graph.DtypeF16, Feat: []float32{0.5, -2048, 0.0999755859375, 65504, -6.103515625e-05}},
@@ -50,17 +51,12 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		if got.Dtype != resp.Dtype || len(got.Feat) != len(resp.Feat) || len(got.Labels) != len(resp.Labels) {
+		if got.Dtype != resp.Dtype || len(got.Feat) != len(resp.Feat) {
 			t.Fatalf("response %d round-tripped to %+v", i, got)
 		}
 		for j := range resp.Feat {
 			if math.Float32bits(got.Feat[j]) != math.Float32bits(resp.Feat[j]) {
 				t.Fatalf("response %d feat %d not bit-exact", i, j)
-			}
-		}
-		for j := range resp.Labels {
-			if got.Labels[j] != resp.Labels[j] {
-				t.Fatalf("response %d label %d differs", i, j)
 			}
 		}
 	}
@@ -78,6 +74,7 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 		good[:5],
 		append(append([]byte{}, good...), 0xee), // trailing byte
 		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0},         // unknown kind
+		{2, 0, 0, 0, 0, 0, 0, 0, 0, 0},          // the retired label kind
 		{3, 0, 0, 0, 0, 0, 0, 0, 0, 0},          // the retired gradient kind
 		{byte(MsgFeatures), 7, 0, 0, 0, 0, 0, 0, 0, 0},             // unknown wire dtype
 		{byte(MsgFeatures), 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, // id count beyond frame
@@ -107,6 +104,12 @@ func TestWireCodecRejectsMalformed(t *testing.T) {
 		if _, err := decodeResponse(b); err == nil {
 			t.Fatalf("malformed response %d accepted", i)
 		}
+	}
+	// An ok response in the old format still carries a u32 label count
+	// after its features; it is refused as trailing bytes.
+	oldResp := binary.LittleEndian.AppendUint32(append([]byte{}, goodResp...), 0)
+	if _, err := decodeResponse(oldResp); err == nil || !strings.Contains(err.Error(), "4 trailing bytes") {
+		t.Fatalf("old-format response with a label count decoded with %v, want a trailing-bytes error", err)
 	}
 }
 
@@ -162,7 +165,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		{Kind: MsgFeatures},
 		{Kind: MsgFeatures, IDs: []graph.NodeID{1, 2, 3}},
 		{Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{1, 2, 3}},
-		{Kind: MsgLabels, IDs: []graph.NodeID{1, 2}},
+		{Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{1, 2}},
 	}
 	for i, req := range reqs {
 		if got, want := int64(len(encodeRequest(req)))+4, req.wireSize(); got != want {
@@ -173,8 +176,8 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		{},
 		{Feat: make([]float32, 6)},
 		{Dtype: graph.DtypeF16, Feat: make([]float32, 6)},
-		{Labels: make([]int32, 4)},
-		{Dtype: graph.DtypeF16, Feat: make([]float32, 7), Labels: make([]int32, 3)},
+		{Dtype: graph.DtypeF16},
+		{Dtype: graph.DtypeF16, Feat: make([]float32, 7)},
 	}
 	for i, resp := range resps {
 		if got, want := int64(len(encodeResponse(resp, nil)))+4, resp.wireSize(); got != want {
@@ -183,28 +186,21 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
-// echoHandlers answer features as [id, id+0.5] and labels as id%5, so
-// transport behaviour is observable independent of the exchange.
+// echoHandlers answer features as [id, id+0.5], so transport behaviour
+// is observable independent of the exchange.
 func echoHandlers(n, featDim int) []Handler {
 	handlers := make([]Handler, n)
 	for r := 0; r < n; r++ {
 		handlers[r] = func(req *Request) (*Response, error) {
-			switch req.Kind {
-			case MsgFeatures:
-				resp := &Response{Feat: make([]float32, len(req.IDs)*featDim)}
-				for i, v := range req.IDs {
-					resp.Feat[i*featDim] = float32(v)
-					resp.Feat[i*featDim+1] = float32(v) + 0.5
-				}
-				return resp, nil
-			case MsgLabels:
-				resp := &Response{Labels: make([]int32, len(req.IDs))}
-				for i, v := range req.IDs {
-					resp.Labels[i] = v % 5
-				}
-				return resp, nil
+			if req.Kind != MsgFeatures {
+				return nil, fmt.Errorf("handler rejects %s", req.Kind)
 			}
-			return nil, fmt.Errorf("handler rejects %s", req.Kind)
+			resp := &Response{Feat: make([]float32, len(req.IDs)*featDim)}
+			for i, v := range req.IDs {
+				resp.Feat[i*featDim] = float32(v)
+				resp.Feat[i*featDim+1] = float32(v) + 0.5
+			}
+			return resp, nil
 		}
 	}
 	return handlers
@@ -233,24 +229,26 @@ func TestTransportsAgree(t *testing.T) {
 			if !reflect.DeepEqual(resp.Feat, want) {
 				t.Fatalf("feat %v, want %v", resp.Feat, want)
 			}
-			labels, err := tr.Call(1, &Request{From: 2, Kind: MsgLabels, IDs: []graph.NodeID{7}})
+			one, err := tr.Call(1, &Request{From: 2, Kind: MsgFeatures, IDs: []graph.NodeID{7}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(labels.Labels) != 1 || labels.Labels[0] != 2 {
-				t.Fatalf("labels %v", labels.Labels)
+			if want := []float32{7, 7.5}; !reflect.DeepEqual(one.Feat, want) {
+				t.Fatalf("feat %v, want %v", one.Feat, want)
 			}
-			// A refused request (here a kind no handler serves) must come
-			// back as a Call error on both transports (over TCP it crosses
-			// the wire as a status frame).
-			if _, err := tr.Call(0, &Request{From: 1, Kind: MsgKind(3)}); err == nil {
-				t.Fatal("refused request swallowed")
+			// A refused request (here the retired label and gradient kinds)
+			// must come back as a Call error on both transports (over TCP it
+			// crosses the wire as a status frame).
+			for _, kind := range []MsgKind{2, 3} {
+				if _, err := tr.Call(0, &Request{From: 1, Kind: kind}); err == nil {
+					t.Fatalf("request of kind %d swallowed", kind)
+				}
 			}
 			// The connection must survive an errored request.
-			if _, err := tr.Call(0, &Request{From: 1, Kind: MsgLabels, IDs: []graph.NodeID{1}}); err != nil {
+			if _, err := tr.Call(0, &Request{From: 1, Kind: MsgFeatures, IDs: []graph.NodeID{1}}); err != nil {
 				t.Fatalf("call after handler error: %v", err)
 			}
-			if _, err := tr.Call(9, &Request{From: 0, Kind: MsgLabels}); err == nil {
+			if _, err := tr.Call(9, &Request{From: 0, Kind: MsgFeatures}); err == nil {
 				t.Fatal("out-of-range peer accepted")
 			}
 		})
@@ -304,7 +302,7 @@ func TestTransportLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Call(0, &Request{Kind: MsgLabels}); err == nil {
+		if _, err := tr.Call(0, &Request{Kind: MsgFeatures}); err == nil {
 			t.Fatalf("%s: call before Bind accepted", name)
 		}
 		if err := tr.Bind(nil); err == nil {
@@ -319,7 +317,7 @@ func TestTransportLifecycle(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatalf("%s: close: %v", name, err)
 		}
-		if _, err := tr.Call(0, &Request{Kind: MsgLabels}); err == nil {
+		if _, err := tr.Call(0, &Request{Kind: MsgFeatures}); err == nil {
 			t.Fatalf("%s: call after Close accepted", name)
 		}
 		if err := tr.Close(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/tensor"
 )
@@ -80,34 +81,29 @@ func TestFeatureCacheFetchesEachRowOnce(t *testing.T) {
 	}
 }
 
-// The exact regime reads through the cache too: an evaluation repeated
-// over the same ids moves no feature row the second time, only its label
-// lookups, and scores the same.
+// The exact regime reads through the cache too, and labels come from the
+// shared table: an evaluation repeated over the same ids sends no message
+// and moves no row the second time, and scores the same.
 func TestFeatureCacheRepeatedEvaluateMovesNoFeatureRows(t *testing.T) {
 	ds := shardedTestDataset(t)
 	e, ex := newShardedEngine(t, ds, "inproc", RegimeExact, nil)
 	ids := e.Config().Dataset.ValIdx
-	evaluate := func() (float64, int64) {
+	evaluate := func() (float64, ddp.HaloStats) {
 		t.Helper()
 		ex.Snapshot()
 		acc, err := e.Evaluate(ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return acc, ex.Snapshot().RemoteRows
+		return acc, ex.Snapshot()
 	}
 	acc1, cold := evaluate()
 	acc2, warm := evaluate()
-	if _, err := ex.TargetLabels(0, ids); err != nil {
-		t.Fatal(err)
+	if cold.RemoteRows == 0 || cold.Messages == 0 {
+		t.Fatalf("first evaluation moved %d remote rows in %d messages: no feature row crossed", cold.RemoteRows, cold.Messages)
 	}
-	labels := ex.Snapshot().RemoteRows
-	if cold <= labels {
-		t.Fatalf("first evaluation moved %d remote rows, its labels alone %d: no feature row crossed", cold, labels)
-	}
-	if warm != labels {
-		t.Fatalf("repeated evaluation moved %d remote rows, its labels alone %d: %d feature rows re-fetched",
-			warm, labels, warm-labels)
+	if warm.RemoteRows != 0 || warm.Messages != 0 {
+		t.Fatalf("repeated evaluation moved %d remote rows in %d messages, want none", warm.RemoteRows, warm.Messages)
 	}
 	if acc1 != acc2 {
 		t.Fatalf("repeated evaluation scored %v, first %v", acc2, acc1)

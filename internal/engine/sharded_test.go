@@ -128,6 +128,46 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	}
 }
 
+// Every replica reads every node's label from the shared table, equal
+// to the single-store labels, without a message; an id outside
+// [0, NumNodes) is refused.
+func TestShardLabelsMatchDatasetWithoutMessages(t *testing.T) {
+	ds := shardedTestDataset(t)
+	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	sources, ex, err := NewShardSourcesOpts(ss, 2, ShardSourceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ids := make([]graph.NodeID, ds.Graph.NumNodes)
+	for i := range ids {
+		ids[i] = graph.NodeID(len(ids) - 1 - i)
+	}
+	for r, src := range sources {
+		got, err := src.TargetLabels(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range ids {
+			if got[i] != ds.Labels[v] {
+				t.Fatalf("replica %d: node %d label %d, want %d", r, v, got[i], ds.Labels[v])
+			}
+		}
+		for _, bad := range []graph.NodeID{-1, graph.NodeID(ds.Graph.NumNodes)} {
+			if _, err := src.TargetLabels([]graph.NodeID{0, bad}); err == nil {
+				t.Fatalf("replica %d: label of node %d accepted", r, bad)
+			}
+		}
+	}
+	if st := ex.TotalStats(); st != (ddp.HaloStats{}) {
+		t.Fatalf("label lookups moved exchange traffic: %+v", st)
+	}
+}
+
 // exchangeTraffic trains two exact-regime epochs of arxiv-sim, stored as
 // dt and cut into 4 shards on 2 replicas with s sampling workers each,
 // and returns the exchange's run totals with the per-peer matrix.
@@ -209,8 +249,8 @@ func TestF16ShardSetHalvesWireBytes(t *testing.T) {
 // With two sampling workers, which batch first touches a cached row
 // depends on scheduling, so the message count may vary run to run. The
 // rows and logical bytes moved may not: each distinct feature row
-// crosses once and the label lookups are fixed by the batch stream,
-// which is the same for every s.
+// crosses once, and the rows a run touches are fixed by the batch
+// stream, which is the same for every s.
 func TestExchangeRowCountsIgnoreSampleWorkers(t *testing.T) {
 	one := exchangeTraffic(t, graph.DtypeF32, 1)
 	for run := 0; run < 2; run++ {

@@ -11,10 +11,11 @@ import (
 
 // DataSource feeds one replica's feature and label lookups. The default
 // source reads the global in-memory dataset; the sharded source reads
-// the replica's own mapped shards and pulls foreign rows through a
-// ddp.HaloExchange. The engine's training step is identical either way
-// — same values in, same gradients out — which is what makes sharded
-// training loss-equivalent to single-store training.
+// the replica's own mapped shards, pulls foreign feature rows through a
+// ddp.HaloExchange and reads labels from a table shared by all
+// replicas. The engine's training step is identical either way — same
+// values in, same gradients out — which is what makes sharded training
+// loss-equivalent to single-store training.
 type DataSource interface {
 	// GatherFeatures returns the feature rows of ids, in order. The
 	// returned matrix is freshly assembled and owned by the caller,
@@ -62,12 +63,14 @@ type GradientCollector interface {
 	CollectGradients() ([]graph.NodeID, *tensor.Matrix, error)
 }
 
-// shardSource is one replica's view of a sharded run: every lookup goes
+// shardSource is one replica's view of a sharded run: feature rows go
 // through the exchange, which serves owned rows locally and foreign
-// rows from their owning replica in batched per-peer messages.
+// rows from their owning replica in batched per-peer messages; labels
+// are read from the run's one label table.
 type shardSource struct {
 	ex      *ddp.HaloExchange
 	replica int
+	labels  []int32 // every node's label, shared by all replicas
 }
 
 func (s shardSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
@@ -75,7 +78,14 @@ func (s shardSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) 
 }
 
 func (s shardSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
-	return s.ex.TargetLabels(s.replica, ids)
+	out := make([]int32, len(ids))
+	for i, v := range ids {
+		if v < 0 || int(v) >= len(s.labels) {
+			return nil, fmt.Errorf("engine: node %d outside [0,%d)", v, len(s.labels))
+		}
+		out[i] = s.labels[v]
+	}
+	return out, nil
 }
 
 // shardRows is every replica's ddp.RowServer: the exchange asks it only
@@ -84,7 +94,6 @@ func (s shardSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
 type shardRows struct {
 	shard, row []int32          // graph.ShardSet.Locations
 	feats      []*tensor.Matrix // by shard
-	labels     [][]int32        // by shard
 }
 
 func (s *shardRows) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
@@ -98,16 +107,6 @@ func (s *shardRows) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
 	return nil
 }
 
-func (s *shardRows) Labels(ids []graph.NodeID, at []int32, dst []int32) error {
-	for i, v := range ids {
-		if at != nil {
-			i = int(at[i])
-		}
-		dst[i] = s.labels[s.shard[v]][s.row[v]]
-	}
-	return nil
-}
-
 // ShardSourceOptions configures NewShardSourcesOpts.
 type ShardSourceOptions struct {
 	// Transport names the ddp transport carrying the exchange: "" or
@@ -117,13 +116,16 @@ type ShardSourceOptions struct {
 
 // NewShardSourcesOpts maps a shard set onto numProcs replicas: shard s
 // is owned by replica s mod numProcs, each replica materialises only
-// its own shards' feature and label sections (lazy / mmap-backed for
-// file-backed sets — the other shards' feature bytes are never read by
-// this replica), and all lookups flow through the returned
-// HaloExchange, whose stats expose the cross-replica traffic a real
-// multi-node run would put on the wire. The exchange batches one
-// message per (peer, gather) over the selected transport; the caller
-// owns the exchange and must Close it (which closes the transport).
+// its own shards' feature sections (lazy / mmap-backed for file-backed
+// sets — the other shards' feature bytes are never read by this
+// replica), and feature lookups flow through the returned HaloExchange,
+// whose stats expose the cross-replica traffic a real multi-node run
+// would put on the wire. Labels are read-only and 4 bytes a node, so
+// every shard's label section is gathered here into one table of every
+// node's label that all replicas read; no label crosses the exchange.
+// The exchange batches one message per (peer, gather) over the selected
+// transport; the caller owns the exchange and must Close it (which
+// closes the transport).
 func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, opt ShardSourceOptions) ([]DataSource, *ddp.HaloExchange, error) {
 	if numProcs < 1 {
 		return nil, nil, fmt.Errorf("engine: %d replicas for a shard set", numProcs)
@@ -158,14 +160,15 @@ func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, opt ShardSourceOption
 			return nil, nil, fmt.Errorf("engine: shard %d stores %d-wide rows, manifest says %d", s, feats[s].Cols, featDim)
 		}
 	}
-	owner := make([]int32, len(shard))
+	owner, nodeLabels := make([]int32, len(shard)), make([]int32, len(shard))
 	for v, s := range shard {
 		if int(row[v]) >= min(feats[s].Rows, len(labels[s])) {
 			return nil, nil, fmt.Errorf("engine: shard %d features/labels smaller than its owned set", s)
 		}
 		owner[v] = s % int32(numProcs)
+		nodeLabels[v] = labels[s][row[v]]
 	}
-	rows := &shardRows{shard: shard, row: row, feats: feats, labels: labels}
+	rows := &shardRows{shard: shard, row: row, feats: feats}
 	servers := make([]ddp.RowServer, numProcs)
 	for r := range servers {
 		servers[r] = rows
@@ -181,7 +184,7 @@ func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, opt ShardSourceOption
 	}
 	sources := make([]DataSource, numProcs)
 	for r := range sources {
-		sources[r] = shardSource{ex: ex, replica: r}
+		sources[r] = shardSource{ex: ex, replica: r, labels: nodeLabels}
 	}
 	return sources, ex, nil
 }

@@ -26,7 +26,7 @@ func benchBatch(b *testing.B, layers int) (*sampler.MiniBatch, *tensor.Matrix) {
 
 // benchAggregate measures just the skew-sensitive stage: the SAGE
 // concat-mean aggregation over a power-law block, dispatched either with
-// fixed equal-count chunks (the old ParallelRange) or cost-weighted
+// fixed equal-count chunks, one per worker, or cost-weighted
 // work-stealing chunks (ParallelWeighted). At 1 worker the two are
 // identical; at 8 the fixed split serialises behind whichever chunk got
 // the hubs.
@@ -37,6 +37,7 @@ func benchAggregate(b *testing.B, workers int, weighted bool) {
 	l := NewSAGELayer(rand.New(rand.NewSource(1)), 64, 32, true)
 	concat := tensor.New(numDst, 2*l.InDim)
 	pool := tensor.NewPool(workers)
+	fixed := tensor.AppendSplitWeighted(nil, numDst, workers, nil)
 	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			l.agg.fill(concat.Row(i), adj, x0, i)
@@ -48,7 +49,7 @@ func benchAggregate(b *testing.B, workers int, weighted bool) {
 		if weighted {
 			pool.ParallelWeighted(numDst, blockCost(adj), body)
 		} else {
-			pool.ParallelRange(numDst, body)
+			pool.ParallelChunks(fixed, body)
 		}
 	}
 }

@@ -127,9 +127,6 @@ func (r *RandomSearcher) Observe(c Config, y float64) {
 // Best returns the incumbent optimal configuration and its cost.
 func (r *RandomSearcher) Best() (Config, float64) { return r.inc.Best() }
 
-// Observations returns how many costs have been recorded.
-func (r *RandomSearcher) Observations() int { return r.observed }
-
 // Overhead returns the cumulative time spent drawing proposals.
 func (r *RandomSearcher) Overhead() time.Duration { return r.overhead }
 

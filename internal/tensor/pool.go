@@ -34,38 +34,6 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// ParallelRange splits [0, n) into at most Workers contiguous chunks and
-// invokes fn(lo, hi) for each chunk, blocking until all complete. Chunk
-// boundaries depend only on n and Workers, so floating-point reductions
-// that stay within a chunk are deterministic for a fixed worker count.
-func (p *Pool) ParallelRange(n int, fn func(lo, hi int)) {
-	w := p.Workers()
-	if n <= 0 {
-		return
-	}
-	if w == 1 || n == 1 {
-		fn(0, n)
-		return
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // StealFactor oversubscribes the work-stealing dispatch: a weighted range
 // is cut into up to StealFactor chunks per worker, so a worker that lands
 // on a heavy chunk (a hub row, an OS preemption) does not stall the whole

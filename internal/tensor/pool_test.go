@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestNewPoolClampsWorkers(t *testing.T) {
 	if NewPool(0).Workers() != 1 || NewPool(-5).Workers() != 1 {
@@ -18,41 +15,5 @@ func TestNilPoolActsSerial(t *testing.T) {
 	var p *Pool
 	if p.Workers() != 1 {
 		t.Fatal("nil pool must report 1 worker")
-	}
-}
-
-func TestParallelRangeCoversAllIndices(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 7, 100} {
-		for _, n := range []int{0, 1, 2, 5, 17, 100} {
-			seen := make([]int32, n)
-			NewPool(w).ParallelRange(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("w=%d n=%d index %d visited %d times", w, n, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelRangeChunkCountBounded(t *testing.T) {
-	var calls int32
-	NewPool(4).ParallelRange(100, func(lo, hi int) {
-		atomic.AddInt32(&calls, 1)
-	})
-	if calls > 4 {
-		t.Fatalf("expected at most 4 chunks, got %d", calls)
-	}
-}
-
-func TestParallelRangeZeroItems(t *testing.T) {
-	called := false
-	NewPool(4).ParallelRange(0, func(lo, hi int) { called = true })
-	if called {
-		t.Fatal("fn must not run for n=0")
 	}
 }

@@ -26,55 +26,13 @@ func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *G
 		Dataset: skel, Sampler: sampler.NewNeighbor(skel.Graph, []int{4, 3}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
 		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss, Transport: transport,
-		SamplingRegime: "local", LocalFanouts: []int{4, 3},
+		SamplingRegime: "local",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
 	return tr
-}
-
-// TestSnapshotHaloStatsAcrossRelaunches: per-interval snapshots sum to
-// the whole-run total even when a process-count change retires the
-// exchange mid-run, and the cumulative HaloStats view keeps
-// accumulating untouched — the regression gate for the snapshot seam.
-func TestSnapshotHaloStatsAcrossRelaunches(t *testing.T) {
-	ds := shardedCoreDataset(t)
-	tr := newShardedTrainer(t, ds, "")
-	ctx := context.Background()
-
-	var snapSum HaloStats
-	var prevTotal HaloStats
-	for _, cfg := range []Config{
-		{Procs: 1, SampleCores: 1, TrainCores: 1},
-		{Procs: 2, SampleCores: 1, TrainCores: 1}, // re-launch: exchange retired + rebuilt
-		{Procs: 1, SampleCores: 1, TrainCores: 2}, // and again
-	} {
-		if _, err := tr.Step(ctx, cfg, 2); err != nil {
-			t.Fatal(err)
-		}
-		delta := tr.SnapshotHaloStats()
-		if delta.LocalRows == 0 {
-			t.Fatalf("phase %+v: empty snapshot delta", cfg)
-		}
-		snapSum.Add(delta)
-		total := tr.HaloStats()
-		if total.LocalRows < prevTotal.LocalRows || total.RemoteRows < prevTotal.RemoteRows {
-			t.Fatalf("cumulative totals went backwards: %+v then %+v", prevTotal, total)
-		}
-		prevTotal = total
-		if snapSum != total {
-			t.Fatalf("snapshot deltas sum to %+v, cumulative total is %+v", snapSum, total)
-		}
-	}
-	// An idle interval snapshots as zero without disturbing the total.
-	if idle := tr.SnapshotHaloStats(); idle != (HaloStats{}) {
-		t.Fatalf("idle snapshot non-zero: %+v", idle)
-	}
-	if tr.HaloStats() != prevTotal {
-		t.Fatal("idle snapshot disturbed the cumulative total")
-	}
 }
 
 // TestLocalRegimeTrainerAcrossRelaunches: the partition samplers and
@@ -95,7 +53,7 @@ func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tr.LossHistory(), tr.HaloStats()
+		return tr.LossHistory(), tr.ExchangeStats().Totals()
 	}
 	inLoss, inStats := run("")
 	tcpLoss, tcpStats := run("tcp")
@@ -113,7 +71,7 @@ func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 }
 
 // TestLocalRegimeOptionValidation: the regime refuses to start without
-// its inputs.
+// a shard set, or with a sampler whose fanouts it cannot take.
 func TestLocalRegimeOptionValidation(t *testing.T) {
 	ds := shardedCoreDataset(t)
 	base := GNNTrainerOptions{
@@ -132,10 +90,11 @@ func TestLocalRegimeOptionValidation(t *testing.T) {
 	}
 	defer ss.Close()
 	opts.Shards = ss
-	if _, err := NewGNNTrainer(opts); err == nil {
-		t.Fatal("local regime without fanouts accepted")
+	shadow := opts
+	shadow.Sampler = sampler.NewShaDow(ds.Graph, []int{4, 3}, 2)
+	if _, err := NewGNNTrainer(shadow); err == nil {
+		t.Fatal("local regime with a ShaDow sampler accepted")
 	}
-	opts.LocalFanouts = []int{4, 3}
 	if _, err := NewGNNTrainer(opts); err != nil {
 		t.Fatal(err)
 	}

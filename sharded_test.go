@@ -89,12 +89,12 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 			t.Fatalf("epoch %d: single-store loss %v, sharded %v", i, a[i], b[i])
 		}
 	}
-	if st := single.HaloStats(); st.RemoteRows != 0 || st.LocalRows != 0 {
+	if st := single.ExchangeStats(); st != nil {
 		t.Fatalf("single-store trainer reported halo traffic: %+v", st)
 	}
 	// Cumulative across re-launches: traffic from the retired n=2
 	// exchange must survive into the final total.
-	if st := sharded.HaloStats(); st.LocalRows == 0 || st.RemoteRows == 0 {
+	if st := sharded.ExchangeStats().Totals(); st.LocalRows == 0 || st.RemoteRows == 0 {
 		t.Fatalf("sharded trainer lost halo accounting across re-launches: %+v", st)
 	}
 

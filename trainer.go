@@ -38,11 +38,9 @@ type GNNTrainerOptions struct {
 	// (each replica within its shards' owned + 1-hop halo rows — the
 	// Cluster-GCN regime, trading a bounded accuracy perturbation for a
 	// working set bounded to the replica's partition). "local" requires
-	// Shards and LocalFanouts.
+	// Shards and a *sampler.Neighbor Sampler, whose fanouts the
+	// partition-local samplers take.
 	SamplingRegime string
-	// LocalFanouts configures the partition-local samplers' layered
-	// fanouts (typically the exact sampler's fanouts).
-	LocalFanouts []int
 }
 
 // HaloStats is the halo-exchange traffic summary of a sharded run.
@@ -74,11 +72,10 @@ type GNNTrainer struct {
 	// exchange is the current halo exchange (sharded runs only); retired
 	// accumulates the traffic of exchanges retired by re-launches — peer
 	// edges merged by (from, to), so a process-count change adds to the
-	// matrix rather than resetting it — and HaloStats/ExchangeStats cover
-	// the whole run.
+	// matrix rather than resetting it — and ExchangeStats covers the
+	// whole run.
 	exchange *ddp.HaloExchange
 	retired  ddp.ExchangeStats
-	lastSnap ddp.HaloStats // whole-run total at the previous SnapshotHaloStats
 }
 
 // NewGNNTrainer validates opts and returns an idle trainer.
@@ -90,8 +87,8 @@ func NewGNNTrainer(opts GNNTrainerOptions) (*GNNTrainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if regime == engine.RegimeLocal && (opts.Shards == nil || len(opts.LocalFanouts) == 0) {
-		return nil, fmt.Errorf("argo: the local sampling regime needs a shard set and LocalFanouts")
+	if _, ok := opts.Sampler.(*sampler.Neighbor); regime == engine.RegimeLocal && (opts.Shards == nil || !ok) {
+		return nil, fmt.Errorf("argo: the local sampling regime needs a shard set and a neighbor sampler")
 	}
 	// The transport is built on every re-launch; an unknown name must
 	// fail here, not inside the tuner's first search epoch.
@@ -148,23 +145,6 @@ func (t *GNNTrainer) traffic() ddp.ExchangeStats {
 		out.Add(t.exchange.Summary())
 	}
 	return out
-}
-
-// HaloStats reports the accumulated halo-exchange traffic of a sharded
-// run, summed across auto-tuner re-launches; zero for single-store runs.
-func (t *GNNTrainer) HaloStats() HaloStats { return t.traffic().Totals() }
-
-// SnapshotHaloStats returns the halo traffic accumulated since the
-// previous snapshot call and advances the snapshot mark, without
-// disturbing the cumulative HaloStats view. Calling it once per epoch
-// yields per-epoch traffic curves that stay correct across auto-tuner
-// re-launches.
-func (t *GNNTrainer) SnapshotHaloStats() HaloStats {
-	total := t.HaloStats()
-	delta := total
-	delta.Sub(t.lastSnap)
-	t.lastSnap = total
-	return delta
 }
 
 // ExchangeStats reports the whole-run exchange traffic of a sharded run
@@ -251,7 +231,10 @@ func (t *GNNTrainer) bind(cfg Config) error {
 			return err
 		}
 		if t.regime == engine.RegimeLocal {
-			setup, err := engine.NewPartitionSetup(t.opts.Shards, t.opts.Dataset, cfg.Procs, t.opts.LocalFanouts)
+			// NewGNNTrainer admits the local regime only over a neighbor
+			// sampler, whose fanouts the partition samplers take.
+			fanouts := t.opts.Sampler.(*sampler.Neighbor).Fanouts
+			setup, err := engine.NewPartitionSetup(t.opts.Shards, t.opts.Dataset, cfg.Procs, fanouts)
 			if err != nil {
 				return fail(err)
 			}
