@@ -9,10 +9,10 @@
 // compute phases, giving each process s sampling and t training workers
 // (goroutine counts: no OS thread is pinned to a core yet), and
 // auto-tuning the (n, s, t) configuration online. The tuning policy is a
-// pluggable Strategy: the paper's Bayesian-optimization auto-tuner is
-// the default, with simulated annealing, random search and
-// exhaustive enumeration (its Table IV/V/VI comparisons) registered
-// alongside it — see Strategies. Training semantics are preserved: the
+// Strategy chosen by name: the paper's Bayesian-optimization auto-tuner
+// is the default, and simulated annealing, random search and exhaustive
+// enumeration (its Table IV/V/VI comparisons) are the alternatives —
+// see Strategies. Training semantics are preserved: the
 // global mini-batch is split n ways and gradients are averaged
 // synchronously, so the effective batch size never changes.
 //
@@ -115,7 +115,7 @@ func NewRuntime(epochs, numSearches int, opts ...Option) (*Runtime, error) {
 // SpaceSize returns the number of feasible configurations.
 func (r *Runtime) SpaceSize() int { return r.space.Size() }
 
-// StrategyName returns the registered name of the tuning strategy this
+// StrategyName returns the canonical name of the tuning strategy this
 // runtime will use.
 func (r *Runtime) StrategyName() string { return r.strategy }
 
@@ -166,9 +166,9 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 	// sentinel: a run whose measurements all crash (non-finite) must
 	// count as stale, and a legitimate 0-second incumbent must not reset
 	// the early-stop counter forever.
-	incumbent, haveIncumbent := 0.0, false
+	incumbent, have := 0.0, false
 	if bc, by := strat.Best(); r.space.Feasible(bc) {
-		incumbent, haveIncumbent = by, true
+		incumbent, have = by, true
 	}
 	for epoch < r.numSearches {
 		if err := ctx.Err(); err != nil {
@@ -204,8 +204,8 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 			Best: best, BestSeconds: bestSecs, Searched: rep.SearchEpochs,
 		})
 		epoch++
-		if r.space.Feasible(best) && (!haveIncumbent || bestSecs < incumbent) {
-			incumbent, haveIncumbent = bestSecs, true
+		if r.space.Feasible(best) && (!have || bestSecs < incumbent) {
+			incumbent, have = bestSecs, true
 			sinceImprove = 0
 		} else {
 			sinceImprove++

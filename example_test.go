@@ -56,7 +56,7 @@ func ExampleRuntime_Run() {
 	// best configuration uses 1 processes
 }
 
-// ExampleNewStrategy shows stepping a registered strategy directly — the
+// ExampleNewStrategy shows stepping a strategy directly — the
 // propose/observe loop Runtime.Run drives internally.
 func ExampleNewStrategy() {
 	space := argo.DefaultSpace(16)

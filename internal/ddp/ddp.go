@@ -96,15 +96,6 @@ func AllReduceMeanWeighted(paramSets [][]*nn.Param, weights []float64) error {
 	return nil
 }
 
-// AllReduceMean is AllReduceMeanWeighted with equal weights.
-func AllReduceMean(paramSets [][]*nn.Param) error {
-	w := make([]float64, len(paramSets))
-	for i := range w {
-		w[i] = 1
-	}
-	return AllReduceMeanWeighted(paramSets, w)
-}
-
 // MaxWeightDivergence returns the largest absolute elementwise difference
 // between any replica's weights and replica 0's. The multi-process engine
 // asserts this stays 0: identical init + identical averaged gradients +

@@ -28,7 +28,7 @@ func TestAllReduceMeanAverages(t *testing.T) {
 			p.Grad.Fill(float32(r + 1)) // grads 1, 2, 3 → mean 2
 		}
 	}
-	if err := AllReduceMean(sets); err != nil {
+	if err := AllReduceMeanWeighted(sets, []float64{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	for r := range sets {
@@ -86,7 +86,7 @@ func TestAllReduceZeroWeightReplicaSitsOut(t *testing.T) {
 }
 
 func TestAllReduceErrors(t *testing.T) {
-	if err := AllReduceMean(nil); err == nil {
+	if err := AllReduceMeanWeighted(nil, nil); err == nil {
 		t.Fatal("expected error for no replicas")
 	}
 	sets := replicas(t, 2)
@@ -100,7 +100,7 @@ func TestAllReduceErrors(t *testing.T) {
 		t.Fatal("expected all-zero-weight error")
 	}
 	short := [][]*nn.Param{sets[0], sets[1][:1]}
-	if err := AllReduceMean(short); err == nil {
+	if err := AllReduceMeanWeighted(short, []float64{1, 1}); err == nil {
 		t.Fatal("expected param-count error")
 	}
 }
@@ -122,7 +122,7 @@ func TestReplicasStayConsistent(t *testing.T) {
 				}
 			}
 		}
-		if err := AllReduceMean(sets); err != nil {
+		if err := AllReduceMeanWeighted(sets, []float64{1, 1, 1, 1}); err != nil {
 			t.Fatal(err)
 		}
 		for r := range sets {

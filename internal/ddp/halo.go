@@ -1,9 +1,9 @@
 package ddp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"argo/internal/graph"
@@ -28,6 +28,11 @@ import (
 // engine builds them over graph.ShardSet's location table) turns a whole
 // message or gather into rows in one call.
 //
+// Traffic is counted once: the rows each replica served itself, and a
+// [from][to] matrix of remote rows, bytes and messages. Summary reports
+// the cumulative totals and edges, Snapshot the totals since its last
+// call; both derive every total from those counters.
+//
 // The exchange is safe for concurrent use by all replicas (the engine
 // overlaps each replica's halo fetches with its compute); the row
 // servers it is built over must be read-only, which shard-materialised
@@ -40,26 +45,26 @@ type HaloExchange struct {
 	wireDtype graph.FeatDtype
 
 	mu       sync.Mutex
-	stats    []HaloStats
+	local    []int64        // replica → rows it served from its own shards
 	peers    [][]PeerCounts // [from][to] remote traffic matrix
 	lastSnap HaloStats      // cumulative total at the previous Snapshot call
 }
 
-// HaloStats counts one replica's exchange traffic. RemoteBytes is the
-// *logical* volume — the float32 bytes the moved rows represent,
-// independent of wire encoding — while WireBytes is what the framed
-// messages actually occupy on the wire (length prefix, headers, ids,
-// and dtype-encoded payloads). With an fp32 wire the two differ only by
-// framing overhead; with an fp16 wire WireBytes is roughly half.
+// HaloStats totals exchange traffic. RemoteBytes is the *logical*
+// volume — the float32 bytes the moved rows represent, independent of
+// wire encoding — while WireBytes is what the framed messages actually
+// occupy on the wire (length prefix, headers, ids, and dtype-encoded
+// payloads). With an fp32 wire the two differ only by framing overhead;
+// with an fp16 wire WireBytes is roughly half.
 type HaloStats struct {
-	LocalRows   int64 // feature rows served from the replica's own shards
-	RemoteRows  int64 // feature rows fetched from other replicas
-	RemoteBytes int64 // logical float32 bytes remote rows represent
-	WireBytes   int64 // framed bytes the batched messages occupy on the wire
-	Messages    int64 // batched request messages sent (the per-peer count)
+	LocalRows   int64 `json:"local_rows"`   // feature rows served from the replica's own shards
+	RemoteRows  int64 `json:"remote_rows"`  // feature rows fetched from other replicas
+	RemoteBytes int64 `json:"remote_bytes"` // logical float32 bytes remote rows represent
+	WireBytes   int64 `json:"wire_bytes"`   // framed bytes the batched messages occupy on the wire
+	Messages    int64 `json:"messages"`     // batched request messages sent (the per-peer count)
 	// Deprecated: GradRows is always 0; no gradient rows are routed. It
 	// stays only because the repo benchmark's traced pass reads it.
-	GradRows int64
+	GradRows int64 `json:"-"`
 }
 
 // Add accumulates other into s.
@@ -105,56 +110,29 @@ type PeerTraffic struct {
 	PeerCounts
 }
 
-// SortPeerTraffic orders traffic rows deterministically: ascending
-// From, then ascending To — the serialization order -loss-json and the
-// Report promise.
-func SortPeerTraffic(rows []PeerTraffic) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].From != rows[j].From {
-			return rows[i].From < rows[j].From
-		}
-		return rows[i].To < rows[j].To
-	})
-}
-
 // ExchangeStats is a run-level traffic summary: the totals plus the
-// directed per-peer matrix, with peers in deterministic (From, To)
-// order. It is what argo.GNNTrainer accumulates across auto-tuner
-// re-launches and what argo.Report serialises.
+// directed per-peer matrix, with peers in ascending (From, To) order —
+// the serialization order -loss-json and the Report promise. It is what
+// argo.GNNTrainer accumulates across auto-tuner re-launches and what
+// argo.Report serialises.
 type ExchangeStats struct {
-	Transport   string        `json:"transport,omitempty"`
-	LocalRows   int64         `json:"local_rows"`
-	RemoteRows  int64         `json:"remote_rows"`
-	RemoteBytes int64         `json:"remote_bytes"`
-	WireBytes   int64         `json:"wire_bytes"`
-	Messages    int64         `json:"messages"`
-	Peers       []PeerTraffic `json:"peers,omitempty"`
-}
-
-// Totals returns the summary's totals without the peer matrix.
-func (s ExchangeStats) Totals() HaloStats {
-	return HaloStats{LocalRows: s.LocalRows, RemoteRows: s.RemoteRows, RemoteBytes: s.RemoteBytes,
-		WireBytes: s.WireBytes, Messages: s.Messages}
-}
-
-func (s *ExchangeStats) addTotals(t HaloStats) {
-	s.LocalRows += t.LocalRows
-	s.RemoteRows += t.RemoteRows
-	s.RemoteBytes += t.RemoteBytes
-	s.WireBytes += t.WireBytes
-	s.Messages += t.Messages
+	Transport string `json:"transport,omitempty"`
+	HaloStats
+	Peers []PeerTraffic `json:"peers,omitempty"`
 }
 
 // Add accumulates other into s: totals sum, peer edges merge by
-// (From, To) and stay in SortPeerTraffic order, and other's transport,
-// when it names one, becomes s's.
+// (From, To) and stay in (From, To) order, and other's transport, when
+// it names one, becomes s's.
 func (s *ExchangeStats) Add(other ExchangeStats) {
 	if other.Transport != "" {
 		s.Transport = other.Transport
 	}
-	s.addTotals(other.Totals())
+	s.HaloStats.Add(other.HaloStats)
 	peers := slices.Concat(s.Peers, other.Peers) // a copy: s.Peers may be shared
-	SortPeerTraffic(peers)
+	slices.SortFunc(peers, func(a, b PeerTraffic) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 	s.Peers = peers[:0]
 	for _, p := range peers {
 		if n := len(s.Peers); n > 0 && s.Peers[n-1].From == p.From && s.Peers[n-1].To == p.To {
@@ -216,7 +194,7 @@ func NewHaloExchange(featDim int, owner []int32, servers []RowServer, opt Exchan
 		featDim:   featDim,
 		tr:        tr,
 		wireDtype: opt.WireDtype,
-		stats:     make([]HaloStats, numReplicas),
+		local:     make([]int64, numReplicas),
 		peers:     make([][]PeerCounts, numReplicas),
 	}
 	handlers := make([]Handler, numReplicas)
@@ -270,7 +248,7 @@ func (rt *routed) group(o int) ([]graph.NodeID, []int32) {
 // route groups ids by owner for a call by replica r, counting first so
 // the per-peer batches are sized exactly, from the call itself.
 func (h *HaloExchange) route(r int, ids []graph.NodeID) (routed, error) {
-	n := len(h.stats)
+	n := len(h.peers)
 	if r < 0 || r >= n {
 		return routed{}, fmt.Errorf("ddp: replica %d of %d", r, n)
 	}
@@ -297,12 +275,11 @@ func (h *HaloExchange) route(r int, ids []graph.NodeID) (routed, error) {
 // callPeers is the one place a request crosses the transport: for every
 // peer owning some of rt it sends one feature message on behalf of
 // replica r, checks the reply's length, scatters its rows into feat and
-// folds the call's rows, bytes, wire bytes and messages into the
-// counters.
+// folds the call's own rows and its per-peer rows, bytes, wire bytes and
+// messages into the counters.
 func (h *HaloExchange) callPeers(r int, rt routed, feat *tensor.Matrix) error {
 	own, _ := rt.group(r)
-	st := HaloStats{LocalRows: int64(len(own))}
-	perPeer := make([]PeerCounts, len(h.stats))
+	perPeer := make([]PeerCounts, len(h.peers))
 	for p := range perPeer {
 		ids, at := rt.group(p)
 		if p == r || len(ids) == 0 {
@@ -319,15 +296,10 @@ func (h *HaloExchange) callPeers(r int, rt routed, feat *tensor.Matrix) error {
 		for i, pos := range at {
 			copy(feat.Row(int(pos)), resp.Feat[i*h.featDim:(i+1)*h.featDim])
 		}
-		c := PeerCounts{Rows: int64(len(ids)), Bytes: int64(len(ids)*h.featDim) * 4, WireBytes: req.wireSize() + resp.wireSize(), Messages: 1}
-		st.RemoteRows += c.Rows
-		st.RemoteBytes += c.Bytes
-		st.WireBytes += c.WireBytes
-		st.Messages++
-		perPeer[p] = c
+		perPeer[p] = PeerCounts{Rows: int64(len(ids)), Bytes: int64(len(ids)*h.featDim) * 4, WireBytes: req.wireSize() + resp.wireSize(), Messages: 1}
 	}
 	h.mu.Lock()
-	h.stats[r].Add(st)
+	h.local[r] += int64(len(own))
 	for p, c := range perPeer {
 		h.peers[r][p].Add(c)
 	}
@@ -356,62 +328,49 @@ func (h *HaloExchange) GatherFeatures(r int, ids []graph.NodeID) (*tensor.Matrix
 	return out, nil
 }
 
-// Stats returns a copy of the per-replica traffic counters.
-func (h *HaloExchange) Stats() []HaloStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]HaloStats, len(h.stats))
-	copy(out, h.stats)
-	return out
-}
-
-// TotalStats sums the per-replica counters.
-func (h *HaloExchange) TotalStats() HaloStats {
-	var total HaloStats
-	for _, s := range h.Stats() {
-		total.Add(s)
+// total sums the counters; h.mu must be held.
+func (h *HaloExchange) total() HaloStats {
+	var t HaloStats
+	for r, row := range h.peers {
+		t.LocalRows += h.local[r]
+		for _, c := range row {
+			t.RemoteRows += c.Rows
+			t.RemoteBytes += c.Bytes
+			t.WireBytes += c.WireBytes
+			t.Messages += c.Messages
+		}
 	}
-	return total
+	return t
 }
 
 // Snapshot returns the traffic accumulated since the previous Snapshot
 // call (or since construction, for the first call) and advances the
-// snapshot mark. The cumulative counters reported by Stats, TotalStats,
-// and Summary are untouched, so run totals and interval curves (e.g.
-// per-epoch traffic) can be read from the same exchange.
+// snapshot mark. The cumulative counters Summary reports are untouched,
+// so run totals and interval curves (e.g. per-epoch traffic) can be read
+// from the same exchange.
 func (h *HaloExchange) Snapshot() HaloStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var total HaloStats
-	for _, s := range h.stats {
-		total.Add(s)
-	}
+	total := h.total()
 	delta := total
 	delta.Sub(h.lastSnap)
 	h.lastSnap = total
 	return delta
 }
 
-// PeerTraffic returns the non-zero edges of the directed traffic
-// matrix in deterministic (From, To) order. The Rows of every edge sum
-// to TotalStats().RemoteRows: every remote row travels exactly one edge.
-func (h *HaloExchange) PeerTraffic() []PeerTraffic {
+// Summary returns the cumulative traffic: the totals, and the non-zero
+// edges of the directed traffic matrix in (From, To) order. The Rows of
+// the edges sum to RemoteRows: every remote row travels exactly one edge.
+func (h *HaloExchange) Summary() ExchangeStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []PeerTraffic
-	for from := range h.peers {
-		for to, c := range h.peers[from] {
+	out := ExchangeStats{Transport: h.tr.Name(), HaloStats: h.total()}
+	for from, row := range h.peers {
+		for to, c := range row {
 			if c != (PeerCounts{}) {
-				out = append(out, PeerTraffic{From: from, To: to, PeerCounts: c})
+				out.Peers = append(out.Peers, PeerTraffic{From: from, To: to, PeerCounts: c})
 			}
 		}
 	}
-	return out
-}
-
-// Summary assembles the exchange's ExchangeStats snapshot.
-func (h *HaloExchange) Summary() ExchangeStats {
-	out := ExchangeStats{Transport: h.tr.Name(), Peers: h.PeerTraffic()}
-	out.addTotals(h.TotalStats())
 	return out
 }

@@ -32,7 +32,7 @@ func TestHaloExchangeF16Wire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refWire := ref.Stats()[0].WireBytes
+	refStats := ref.Summary().HaloStats
 	for _, name := range []string{"inproc", "tcp"} {
 		t.Run(name, func(t *testing.T) {
 			tr, err := NewTransport(name)
@@ -53,12 +53,12 @@ func TestHaloExchangeF16Wire(t *testing.T) {
 					t.Fatalf("fp16 wire gather differs from fp32 at %d: %v vs %v", i, got.Data[i], want.Data[i])
 				}
 			}
-			st := ex.Stats()[0]
-			if st.RemoteBytes != ref.Stats()[0].RemoteBytes {
-				t.Fatalf("logical bytes changed with wire dtype: %d vs %d", st.RemoteBytes, ref.Stats()[0].RemoteBytes)
+			st := ex.Summary().HaloStats
+			if st.RemoteBytes != refStats.RemoteBytes {
+				t.Fatalf("logical bytes changed with wire dtype: %d vs %d", st.RemoteBytes, refStats.RemoteBytes)
 			}
-			if st.WireBytes >= refWire {
-				t.Fatalf("fp16 wire bytes %d not below fp32's %d", st.WireBytes, refWire)
+			if st.WireBytes >= refStats.WireBytes {
+				t.Fatalf("fp16 wire bytes %d not below fp32's %d", st.WireBytes, refStats.WireBytes)
 			}
 		})
 	}
@@ -79,7 +79,7 @@ func TestHaloExchangeBatchesPerPeer(t *testing.T) {
 			t.Fatalf("row %d = %v", i, row)
 		}
 	}
-	st := ex.Stats()[0]
+	st := ex.Summary().HaloStats
 	if st.LocalRows != 4 || st.RemoteRows != 8 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -89,10 +89,11 @@ func TestHaloExchangeBatchesPerPeer(t *testing.T) {
 	if _, err := ex.GatherFeatures(0, ids); err != nil {
 		t.Fatal(err)
 	}
-	if st = ex.Stats()[0]; st.Messages != 4 {
-		t.Fatalf("%d messages after a second gather, want 4", st.Messages)
+	sum := ex.Summary()
+	if sum.Messages != 4 {
+		t.Fatalf("%d messages after a second gather, want 4", sum.Messages)
 	}
-	peers := ex.PeerTraffic()
+	peers := sum.Peers
 	if len(peers) != 2 {
 		t.Fatalf("peer traffic %v", peers)
 	}
@@ -132,10 +133,11 @@ func TestHaloExchangeTCPMatchesInproc(t *testing.T) {
 			}
 		}
 	}
-	if a, b := inproc.TotalStats(), tcp.TotalStats(); a != b {
-		t.Fatalf("traffic diverged between transports: %+v vs %+v", a, b)
+	as, bs := inproc.Summary(), tcp.Summary()
+	if as.HaloStats != bs.HaloStats {
+		t.Fatalf("traffic diverged between transports: %+v vs %+v", as.HaloStats, bs.HaloStats)
 	}
-	ap, bp := inproc.PeerTraffic(), tcp.PeerTraffic()
+	ap, bp := as.Peers, bs.Peers
 	if len(ap) != len(bp) {
 		t.Fatalf("peer rows %d vs %d", len(ap), len(bp))
 	}
@@ -185,22 +187,19 @@ func TestExchangeStatsAdd(t *testing.T) {
 	edge := func(from, to int, rows int64) PeerTraffic {
 		return PeerTraffic{From: from, To: to, PeerCounts: PeerCounts{Rows: rows, Bytes: 4 * rows, WireBytes: 5 * rows, Messages: 1}}
 	}
-	a := ExchangeStats{Transport: "inproc", LocalRows: 10, RemoteRows: 3, RemoteBytes: 12, WireBytes: 15, Messages: 2,
+	a := ExchangeStats{Transport: "inproc", HaloStats: HaloStats{LocalRows: 10, RemoteRows: 3, RemoteBytes: 12, WireBytes: 15, Messages: 2},
 		Peers: []PeerTraffic{edge(0, 1, 1), edge(1, 0, 2)}}
-	b := ExchangeStats{Transport: "tcp", LocalRows: 1, RemoteRows: 8, RemoteBytes: 32, WireBytes: 40, Messages: 2,
+	b := ExchangeStats{Transport: "tcp", HaloStats: HaloStats{LocalRows: 1, RemoteRows: 8, RemoteBytes: 32, WireBytes: 40, Messages: 2},
 		Peers: []PeerTraffic{edge(2, 0, 5), edge(0, 1, 7)}}
 	sum := a
 	sum.Add(b)
-	want := ExchangeStats{Transport: "tcp", LocalRows: 11, RemoteRows: 11, RemoteBytes: 44, WireBytes: 55, Messages: 4,
+	want := ExchangeStats{Transport: "tcp", HaloStats: HaloStats{LocalRows: 11, RemoteRows: 11, RemoteBytes: 44, WireBytes: 55, Messages: 4},
 		Peers: []PeerTraffic{{From: 0, To: 1, PeerCounts: PeerCounts{Rows: 8, Bytes: 32, WireBytes: 40, Messages: 2}}, edge(1, 0, 2), edge(2, 0, 5)}}
 	if !reflect.DeepEqual(sum, want) {
 		t.Fatalf("a + b =\n%+v\nwant\n%+v", sum, want)
 	}
 	if a.Peers[0] != edge(0, 1, 1) || b.Peers[1] != edge(0, 1, 7) {
 		t.Fatalf("Add wrote to an operand's peers: %+v / %+v", a.Peers, b.Peers)
-	}
-	if got := sum.Totals(); got != (HaloStats{LocalRows: 11, RemoteRows: 11, RemoteBytes: 44, WireBytes: 55, Messages: 4}) {
-		t.Fatalf("Totals() = %+v", got)
 	}
 	var zero ExchangeStats
 	zero.Add(ExchangeStats{})

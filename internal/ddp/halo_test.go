@@ -2,6 +2,7 @@ package ddp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -64,16 +65,18 @@ func TestHaloExchangeGatherAndAccounting(t *testing.T) {
 			t.Fatalf("row %d = %v", i, row)
 		}
 	}
-	st := ex.Stats()[0]
-	// 3 local rows + 2 remote rows of 2 floats each, in one message.
+	// Only replica 0 gathered, so the totals are its traffic: 3 local
+	// rows + 2 remote rows of 2 floats each, in one message.
+	sum := ex.Summary()
+	st := sum.HaloStats
 	if st.LocalRows != 3 || st.RemoteRows != 2 || st.Messages != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	if want := int64(2 * 2 * 4); st.RemoteBytes != want {
 		t.Fatalf("remote bytes %d, want %d", st.RemoteBytes, want)
 	}
-	if total := ex.TotalStats(); total != st {
-		t.Fatalf("total %+v != only replica's stats %+v", total, st)
+	if want := []PeerTraffic{{From: 0, To: 1, PeerCounts: PeerCounts{Rows: 2, Bytes: st.RemoteBytes, WireBytes: st.WireBytes, Messages: 1}}}; !reflect.DeepEqual(sum.Peers, want) {
+		t.Fatalf("peers %+v, want %+v", sum.Peers, want)
 	}
 }
 
@@ -139,7 +142,7 @@ func TestHaloExchangeConcurrent(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	total := ex.TotalStats()
+	total := ex.Summary()
 	if got, want := total.LocalRows+total.RemoteRows, int64(2*iters*len(ids)); got != want {
 		t.Fatalf("counted %d rows, want %d", got, want)
 	}

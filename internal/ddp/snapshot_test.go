@@ -28,7 +28,7 @@ func TestHaloExchangeSnapshot(t *testing.T) {
 	if _, err := ex.GatherFeatures(0, ids); err != nil {
 		t.Fatal(err)
 	}
-	afterFirst := ex.TotalStats()
+	afterFirst := ex.Summary().HaloStats
 	first := ex.Snapshot()
 	if first != afterFirst {
 		t.Fatalf("first snapshot %+v should equal the cumulative total %+v", first, afterFirst)
@@ -44,14 +44,14 @@ func TestHaloExchangeSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := ex.Snapshot()
-	want := ex.TotalStats()
+	want := ex.Summary().HaloStats
 	want.Sub(afterFirst)
 	if second != want {
 		t.Fatalf("interval snapshot %+v, want %+v", second, want)
 	}
 
 	// The cumulative view never reset.
-	total := ex.TotalStats()
+	total := ex.Summary().HaloStats
 	check := afterFirst
 	check.Add(second)
 	if total != check {

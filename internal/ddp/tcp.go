@@ -142,15 +142,6 @@ func (t *TCPTransport) dial(from, to int) (*tcpConn, error) {
 // Name implements Transport.
 func (t *TCPTransport) Name() string { return "tcp" }
 
-// Addrs returns the per-replica listen addresses (empty before Bind).
-func (t *TCPTransport) Addrs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.addrs))
-	copy(out, t.addrs)
-	return out
-}
-
 // Close implements Transport: it tears down every listener and
 // connection and waits for the serve goroutines to drain.
 func (t *TCPTransport) Close() error {

@@ -98,7 +98,7 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 func TestBatchedExchangeMessageReduction(t *testing.T) {
 	ds := shardedTestDataset(t)
 	_, _, ex := runShardedEpochs(t, ds, 2, 1, "inproc")
-	total := ex.TotalStats()
+	total := ex.Summary()
 	if total.RemoteRows == 0 || total.Messages == 0 {
 		t.Fatalf("no exchange traffic recorded: %+v", total)
 	}

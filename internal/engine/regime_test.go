@@ -69,7 +69,7 @@ func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs in
 		}
 		out = append(out, res)
 	}
-	return out, ex.TotalStats()
+	return out, ex.Summary().HaloStats
 }
 
 // TestPartitionSetupCoversTrainSplit: per-replica targets partition the
@@ -153,7 +153,7 @@ func TestLocalRegimeCutsRemoteFeatureTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exactStats := ex.TotalStats()
+	exactStats := ex.Summary()
 
 	_, localStats := runLocalRegime(t, ds, "inproc", epochs)
 	if localStats.RemoteRows >= exactStats.RemoteRows {

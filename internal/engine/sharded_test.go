@@ -105,13 +105,14 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 
 	// With 3 shards on 2 replicas the batch shares cross ownership
 	// boundaries constantly: the exchange must have moved real traffic.
-	total := ex.TotalStats()
+	total := ex.Summary()
 	if total.RemoteRows == 0 || total.RemoteBytes == 0 {
 		t.Fatalf("no halo traffic recorded: %+v", total)
 	}
-	perReplica := ex.Stats()
-	if len(perReplica) != numProcs {
-		t.Fatalf("%d stat rows for %d replicas", len(perReplica), numProcs)
+	for _, p := range total.Peers {
+		if p.From < 0 || p.From >= numProcs || p.To < 0 || p.To >= numProcs || p.From == p.To {
+			t.Fatalf("traffic edge %d→%d outside %d replicas", p.From, p.To, numProcs)
+		}
 	}
 
 	// Evaluation parity through the sources.
@@ -163,7 +164,7 @@ func TestShardLabelsMatchDatasetWithoutMessages(t *testing.T) {
 			}
 		}
 	}
-	if st := ex.TotalStats(); st != (ddp.HaloStats{}) {
+	if st := ex.Summary().HaloStats; st != (ddp.HaloStats{}) {
 		t.Fatalf("label lookups moved exchange traffic: %+v", st)
 	}
 }

@@ -241,7 +241,7 @@ func TestF16ShardRoundTripBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for local := 0; local < lz.NumFeatureRows(); local++ {
+		for local := 0; local < lz.Stats().FeatRows; local++ {
 			global, err := sm.GlobalID(NodeID(local))
 			if err != nil {
 				t.Fatal(err)
@@ -315,6 +315,61 @@ func TestF16ValidateRejectsNonFinite(t *testing.T) {
 	ds.Features.Row(5)[2] = 1.0 + 1e-4 // not fp16-exact
 	if err := ds.Validate(); err == nil {
 		t.Fatal("fp16 dataset with a non-fp16-exact value passed validation")
+	}
+}
+
+// A row read refuses the non-finite fp16 bits Features refuses: a store
+// whose features16 payload was patched to hold +Inf and NaN errors on
+// exactly those rows, and every other row still matches the clean
+// store's materialised matrix.
+func TestFeatureRowRefusesNonFiniteF16(t *testing.T) {
+	ds := f16TestDataset(t)
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.argograph")
+	if err := ds.Save(clean); err != nil {
+		t.Fatal(err)
+	}
+	lz, err := OpenLazy(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lz.Close()
+	want, err := lz.Features()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, _ := sectionExtent(t, lz, secFeaturesF16)
+	b, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[int]uint16{3: 0x7c00, 11: 0x7e00} // +Inf, quiet NaN
+	for row, bits := range bad {
+		binary.LittleEndian.PutUint16(b[off+16+uint64(row*want.Cols+2)*2:], bits)
+	}
+	patched := filepath.Join(dir, "patched.argograph")
+	if err := os.WriteFile(patched, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pz, err := OpenLazy(patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pz.Close()
+	for i := 0; i < want.Rows; i++ {
+		row, err := pz.FeatureRow(i, nil)
+		if _, isBad := bad[i]; isBad {
+			if err == nil {
+				t.Fatalf("row %d with non-finite fp16 bits read as %v", i, row)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(row, want.Row(i)) {
+			t.Fatalf("row %d differs from the clean store", i)
+		}
 	}
 }
 

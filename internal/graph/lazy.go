@@ -406,9 +406,6 @@ func (l *LazyDataset) featuresLocked() (*tensor.Matrix, error) {
 // FeatureDim returns the feature width (stats section; costs nothing).
 func (l *LazyDataset) FeatureDim() int { return l.stats.FeatCols }
 
-// NumFeatureRows returns the feature row count (stats section).
-func (l *LazyDataset) NumFeatureRows() int { return l.stats.FeatRows }
-
 // FeatureRow reads the single feature row i into dst without
 // materialising the features section. dst is grown as needed and the
 // filled slice returned, so a caller with a pooled buffer pays no
@@ -419,7 +416,10 @@ func (l *LazyDataset) NumFeatureRows() int { return l.stats.FeatRows }
 //
 // Row reads deliberately skip the section CRC: verifying it would read
 // every feature byte, which is exactly what the row-granular path
-// exists to avoid. `argo-data verify` remains the integrity gate.
+// exists to avoid. `argo-data verify` remains the integrity gate. An
+// fp16 row is still refused, naming its row and column, when it holds
+// non-finite bits, as Features refuses them: the writer only emits
+// finite fp16, so such bits are corruption the kernels must not see.
 func (l *LazyDataset) FeatureRow(i int, dst []float32) ([]float32, error) {
 	rows, cols := l.stats.FeatRows, l.stats.FeatCols
 	if i < 0 || i >= rows {
@@ -470,6 +470,11 @@ func (l *LazyDataset) FeatureRow(i int, dst []float32) ([]float32, error) {
 	}
 	if l.featDtype == DtypeF16 {
 		half.DecodeBytes(dst, b)
+		for k := range dst {
+			if h := binary.LittleEndian.Uint16(b[2*k:]); !half.IsFinite(h) {
+				return nil, fmt.Errorf("graph: feature row %d column %d holds non-finite fp16 bits %#04x", i, k, h)
+			}
+		}
 		return dst, nil
 	}
 	for k := range dst {

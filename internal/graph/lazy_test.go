@@ -264,9 +264,9 @@ func TestFeatureRowMatchesFullDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lz.Close()
-	if lz.FeatureDim() != ds.Features.Cols || lz.NumFeatureRows() != ds.Features.Rows {
+	if lz.FeatureDim() != ds.Features.Cols || lz.Stats().FeatRows != ds.Features.Rows {
 		t.Fatalf("feature shape %dx%d, want %dx%d",
-			lz.NumFeatureRows(), lz.FeatureDim(), ds.Features.Rows, ds.Features.Cols)
+			lz.Stats().FeatRows, lz.FeatureDim(), ds.Features.Rows, ds.Features.Cols)
 	}
 	buf := make([]float32, 0, lz.FeatureDim())
 	for _, i := range []int{0, 1, ds.Features.Rows / 2, ds.Features.Rows - 1} {

@@ -62,7 +62,7 @@ func TestInferMatchesForwardBitwise(t *testing.T) {
 		}
 		for name, s := range samplers {
 			mb := s.Sample(rng, targets)
-			x0 := Gather(feats, mb.InputNodes())
+			x0 := GatherPooled(nil, feats, mb.InputNodes())
 			for _, workers := range []int{1, 3, 8} {
 				pool := tensor.NewPool(workers)
 				fwd := m.Forward(pool, mb, x0)
@@ -99,7 +99,7 @@ func TestForwardWeightedWorkerInvariance(t *testing.T) {
 	}
 	fn := sampler.NewFullNeighbor(g, 2)
 	mb := fn.Sample(nil, targets)
-	x0 := Gather(feats, mb.InputNodes())
+	x0 := GatherPooled(nil, feats, mb.InputNodes())
 	ref := m.Forward(tensor.NewPool(1), mb, x0).Clone()
 	for _, workers := range []int{2, 4, 8, 13} {
 		out := m.Forward(tensor.NewPool(workers), mb, x0)

@@ -174,7 +174,7 @@ func gradCheckSetup(t *testing.T, kind ModelKind, useShadow bool) (*GNN, *sample
 	for _, l := range m.Layers {
 		l.Relu = false
 	}
-	x0 := Gather(feats, mb.InputNodes())
+	x0 := GatherPooled(nil, feats, mb.InputNodes())
 	batchLabels := make([]int32, len(targets))
 	for i, v := range targets {
 		batchLabels[i] = labels[v]

@@ -223,15 +223,11 @@ func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix
 	return nil
 }
 
-// Gather copies the feature rows of ids from feats into a new matrix —
-// the memory-bound index_select the paper's Fig. 2 highlights.
-func Gather(feats *tensor.Matrix, ids []graph.NodeID) *tensor.Matrix {
-	return GatherPooled(nil, feats, ids)
-}
-
-// GatherPooled is Gather with the output drawn from bufs (nil → plain
-// allocation): recycling the gathered batch back into the same pool
-// after the step makes the steady-state input gather allocation-free.
+// GatherPooled copies the feature rows of ids from feats into a matrix
+// drawn from bufs (nil → plain allocation) — the memory-bound
+// index_select the paper's Fig. 2 highlights. Recycling the gathered
+// batch back into the same pool after the step makes the steady-state
+// input gather allocation-free.
 func GatherPooled(bufs *tensor.BufPool, feats *tensor.Matrix, ids []graph.NodeID) *tensor.Matrix {
 	out := bufs.Get(len(ids), feats.Cols)
 	for i, v := range ids {

@@ -58,14 +58,14 @@ func TestForwardShapes(t *testing.T) {
 	ns := sampler.NewNeighbor(g, []int{3, 3})
 	mb := ns.Sample(rng, targets)
 	m, _ := NewModel(ModelSpec{Kind: KindSAGE, Dims: []int{6, 5, 4}, Seed: 5}, nil)
-	out := m.Forward(tensor.NewPool(1), mb, Gather(feats, mb.InputNodes()))
+	out := m.Forward(tensor.NewPool(1), mb, GatherPooled(nil, feats, mb.InputNodes()))
 	if out.Rows != 3 || out.Cols != 4 {
 		t.Fatalf("neighbor forward shape %dx%d, want 3x4", out.Rows, out.Cols)
 	}
 
 	sh := sampler.NewShaDow(g, []int{3, 2}, 2)
 	mbs := sh.Sample(rng, targets)
-	out2 := m.Forward(tensor.NewPool(1), mbs, Gather(feats, mbs.InputNodes()))
+	out2 := m.Forward(tensor.NewPool(1), mbs, GatherPooled(nil, feats, mbs.InputNodes()))
 	if out2.Rows != 3 || out2.Cols != 4 {
 		t.Fatalf("shadow forward shape %dx%d, want 3x4", out2.Rows, out2.Cols)
 	}
@@ -97,11 +97,11 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	feats := tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	out := Gather(feats, []graph.NodeID{2, 0})
+	out := GatherPooled(nil, feats, []graph.NodeID{2, 0})
 	want := []float32{5, 6, 1, 2}
 	for i, v := range want {
 		if out.Data[i] != v {
-			t.Fatalf("Gather = %v", out.Data)
+			t.Fatalf("GatherPooled = %v", out.Data)
 		}
 	}
 }

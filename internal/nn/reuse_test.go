@@ -25,7 +25,7 @@ func precomputeActivations(t *testing.T, m *GNN, g *graph.CSR, feats *tensor.Mat
 	for j := 1; j <= m.NumLayers(); j++ {
 		fn := sampler.NewFullNeighbor(g, j)
 		mb := fn.Sample(nil, hubs)
-		x0 := Gather(feats, mb.InputNodes())
+		x0 := GatherPooled(nil, feats, mb.InputNodes())
 		out := m.InferReuse(pool, mb, x0, nil)
 		acts[j] = make(map[graph.NodeID][]float32, len(hubs))
 		for i, h := range hubs {
@@ -51,9 +51,9 @@ func TestInferReusePrefixPass(t *testing.T) {
 
 	// Full-depth prefix == Infer.
 	mb := sampler.NewFullNeighbor(g, 2).Sample(nil, targets)
-	x0 := Gather(feats, mb.InputNodes())
+	x0 := GatherPooled(nil, feats, mb.InputNodes())
 	want := m.Infer(pool, mb, x0)
-	got := m.InferReuse(pool, mb, Gather(feats, mb.InputNodes()), nil)
+	got := m.InferReuse(pool, mb, GatherPooled(nil, feats, mb.InputNodes()), nil)
 	if !bitsEqual(want, got) {
 		t.Fatal("L-block InferReuse diverges from Infer")
 	}
@@ -63,7 +63,7 @@ func TestInferReusePrefixPass(t *testing.T) {
 	// reproduce the full-depth logits. (Composable prefixes are what let
 	// the hub precompute build layer k from stored layer k-1 state.)
 	mb1 := sampler.NewFullNeighbor(g, 1).Sample(nil, mb.Blocks[1].SrcNodes)
-	a1 := m.InferReuse(pool, mb1, Gather(feats, mb1.InputNodes()), nil)
+	a1 := m.InferReuse(pool, mb1, GatherPooled(nil, feats, mb1.InputNodes()), nil)
 	top := &sampler.MiniBatch{Targets: targets, Blocks: mb.Blocks[1:]}
 	tail := &GNN{Spec: m.Spec, Layers: m.Layers[1:], bufs: m.bufs}
 	got2 := tail.InferReuse(pool, top, a1, nil)
@@ -99,10 +99,10 @@ func TestInferReuseInjectionBitIdentity(t *testing.T) {
 
 		fn := sampler.NewFullNeighbor(g, m.NumLayers())
 		full := fn.Sample(nil, targets)
-		direct := m.Infer(pool, full, Gather(feats, full.InputNodes()))
+		direct := m.Infer(pool, full, GatherPooled(nil, feats, full.InputNodes()))
 
 		mb := fn.SamplePruned(targets, known)
-		x0 := Gather(feats, mb.InputNodes())
+		x0 := GatherPooled(nil, feats, mb.InputNodes())
 		inject := func(li int, x *tensor.Matrix) {
 			for j, v := range mb.Blocks[li].SrcNodes {
 				if a, ok := acts[li][v]; ok {
@@ -141,7 +141,7 @@ func TestInferReuseRejectsSubgraphInjection(t *testing.T) {
 	}
 	sh := sampler.NewShaDow(g, []int{3, 2}, 2)
 	mb := sh.Sample(rand.New(rand.NewSource(1)), []graph.NodeID{1, 2})
-	x0 := Gather(feats, mb.InputNodes())
+	x0 := GatherPooled(nil, feats, mb.InputNodes())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("subgraph batch with inject did not panic")

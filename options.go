@@ -1,23 +1,21 @@
 package argo
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Option configures a Runtime built with NewRuntime.
 type Option func(*Runtime) error
 
-// WithStrategy selects the tuning strategy by registered name (see
-// Strategies). The default is StrategyBayesOpt, the paper's auto-tuner.
+// WithStrategy selects the tuning strategy by name (see Strategies).
+// The default is StrategyBayesOpt, the paper's auto-tuner.
 func WithStrategy(name string) Option {
 	return func(r *Runtime) error {
-		if !strategyRegistered(name) {
-			return fmt.Errorf("argo: unknown strategy %q (registered: %s)", name, strings.Join(Strategies(), ", "))
+		// Store the canonical form so Report.Strategy and Event.Strategy
+		// compare equal to the Strategy* constants.
+		c, err := canonicalStrategy(name)
+		if err != nil {
+			return err
 		}
-		// Store the canonical registry form so Report.Strategy and
-		// Event.Strategy compare equal to the Strategy* constants.
-		r.strategy = strings.ToLower(strings.TrimSpace(name))
+		r.strategy = c
 		return nil
 	}
 }
@@ -35,8 +33,8 @@ func WithTotalCores(n int) Option {
 }
 
 // WithSpace overrides the feasible configuration space entirely — for
-// non-GNN workloads (e.g. the RL allocation example) whose space is not
-// DefaultSpace-shaped. It takes precedence over WithTotalCores.
+// workloads whose space is not DefaultSpace-shaped. It takes precedence
+// over WithTotalCores.
 func WithSpace(sp Space) Option {
 	return func(r *Runtime) error {
 		if sp.Size() == 0 {

@@ -53,7 +53,7 @@ func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tr.LossHistory(), tr.ExchangeStats().Totals()
+		return tr.LossHistory(), tr.ExchangeStats().HaloStats
 	}
 	inLoss, inStats := run("")
 	tcpLoss, tcpStats := run("tcp")

@@ -139,7 +139,7 @@ type EventFunc func(Event)
 // ReadReport), so a finished run can be persisted and warm-start a later
 // one via WithWarmStart.
 type Report struct {
-	// Strategy is the registered name of the tuning strategy that drove
+	// Strategy is the canonical name of the tuning strategy that drove
 	// the run.
 	Strategy string `json:"strategy"`
 	Best     Config `json:"best"`

@@ -94,7 +94,7 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 	}
 	// Cumulative across re-launches: traffic from the retired n=2
 	// exchange must survive into the final total.
-	if st := sharded.ExchangeStats().Totals(); st.LocalRows == 0 || st.RemoteRows == 0 {
+	if st := sharded.ExchangeStats().HaloStats; st.LocalRows == 0 || st.RemoteRows == 0 {
 		t.Fatalf("sharded trainer lost halo accounting across re-launches: %+v", st)
 	}
 

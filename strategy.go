@@ -3,32 +3,22 @@ package argo
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"argo/internal/anneal"
 	"argo/internal/bayesopt"
 	"argo/internal/search"
 )
 
-// Strategy is the pluggable auto-tuning policy behind Runtime.Run: the
-// runtime calls Next to obtain the configuration for the next training
-// epoch, measures the epoch, and feeds the result back through Observe.
-// See search.Strategy for the contract each method carries.
+// Strategy is the auto-tuning policy behind Runtime.Run: the runtime
+// calls Next to obtain the configuration for the next training epoch,
+// measures the epoch, and feeds the result back through Observe. See
+// search.Strategy for the contract each method carries.
 type Strategy = search.Strategy
 
-// StrategyFactory builds a Strategy over a feasible space with an
-// observation budget and a seed for its random draws.
-type StrategyFactory func(sp Space, budget int, seed int64) Strategy
-
-// Incumbent tracks the best finite observation — the shared half of the
-// Strategy contract (non-finite measurements never become the incumbent,
-// and Best returns zero values until a finite one exists). Custom
-// strategies can embed it and forward Observe/Best.
-type Incumbent = search.Incumbent
-
-// Built-in strategy names.
+// Strategy names: the paper's auto-tuner and the three baselines it is
+// compared against.
 const (
 	StrategyBayesOpt   = "bayesopt"   // GP surrogate + expected improvement (paper Algorithm 1)
 	StrategyAnneal     = "anneal"     // simulated annealing (paper Tables IV/V baseline)
@@ -36,82 +26,37 @@ const (
 	StrategyExhaustive = "exhaustive" // enumerate the whole space (paper's intractable optimum)
 )
 
-var (
-	strategyMu  sync.RWMutex
-	strategyReg = map[string]StrategyFactory{}
-)
+// strategyNames is every strategy name, sorted.
+var strategyNames = []string{StrategyAnneal, StrategyBayesOpt, StrategyExhaustive, StrategyRandom}
 
-func init() {
-	MustRegisterStrategy(StrategyBayesOpt, func(sp Space, budget int, seed int64) Strategy {
-		return bayesopt.NewTuner(sp, budget, seed)
-	})
-	MustRegisterStrategy(StrategyAnneal, func(sp Space, budget int, seed int64) Strategy {
-		return anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(seed)))
-	})
-	MustRegisterStrategy(StrategyRandom, func(sp Space, budget int, seed int64) Strategy {
-		return search.NewRandomSearcher(sp, budget, rand.New(rand.NewSource(seed)))
-	})
-	MustRegisterStrategy(StrategyExhaustive, func(sp Space, budget int, seed int64) Strategy {
-		return search.NewExhaustiveSearcher(sp)
-	})
+// Strategies lists the strategy names in sorted order.
+func Strategies() []string { return slices.Clone(strategyNames) }
+
+// canonicalStrategy returns name trimmed and lower-cased, or an error
+// when that is not one of Strategies.
+func canonicalStrategy(name string) (string, error) {
+	c := strings.ToLower(strings.TrimSpace(name))
+	if !slices.Contains(strategyNames, c) {
+		return "", fmt.Errorf("argo: unknown strategy %q (known: %s)", name, strings.Join(strategyNames, ", "))
+	}
+	return c, nil
 }
 
-// RegisterStrategy adds a named strategy to the registry. Names are
-// case-insensitive and must be unique; registering an empty name, a nil
-// factory, or a duplicate is an error.
-func RegisterStrategy(name string, f StrategyFactory) error {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" {
-		return fmt.Errorf("argo: empty strategy name")
-	}
-	if f == nil {
-		return fmt.Errorf("argo: nil factory for strategy %q", name)
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	if _, dup := strategyReg[name]; dup {
-		return fmt.Errorf("argo: strategy %q already registered", name)
-	}
-	strategyReg[name] = f
-	return nil
-}
-
-// MustRegisterStrategy is RegisterStrategy, panicking on error — for use
-// from package init functions.
-func MustRegisterStrategy(name string, f StrategyFactory) {
-	if err := RegisterStrategy(name, f); err != nil {
-		panic(err)
-	}
-}
-
-// Strategies lists the registered strategy names in sorted order.
-func Strategies() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	names := make([]string, 0, len(strategyReg))
-	for n := range strategyReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// strategyRegistered reports whether name resolves in the registry.
-func strategyRegistered(name string) bool {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	_, ok := strategyReg[strings.ToLower(strings.TrimSpace(name))]
-	return ok
-}
-
-// NewStrategy instantiates a registered strategy by name over sp with the
-// given observation budget and seed.
+// NewStrategy instantiates a strategy by (case-insensitive) name over sp
+// with the given observation budget and seed.
 func NewStrategy(name string, sp Space, budget int, seed int64) (Strategy, error) {
-	strategyMu.RLock()
-	f, ok := strategyReg[strings.ToLower(strings.TrimSpace(name))]
-	strategyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("argo: unknown strategy %q (registered: %s)", name, strings.Join(Strategies(), ", "))
+	c, err := canonicalStrategy(name)
+	if err != nil {
+		return nil, err
 	}
-	return f(sp, budget, seed), nil
+	switch c {
+	case StrategyBayesOpt:
+		return bayesopt.NewTuner(sp, budget, seed), nil
+	case StrategyAnneal:
+		return anneal.NewAnnealer(sp, budget, rand.New(rand.NewSource(seed))), nil
+	case StrategyRandom:
+		return search.NewRandomSearcher(sp, budget, rand.New(rand.NewSource(seed))), nil
+	default:
+		return search.NewExhaustiveSearcher(sp), nil
+	}
 }
