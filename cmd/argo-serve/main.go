@@ -1,10 +1,12 @@
 // Command argo-serve answers node-classification queries over HTTP from
 // a trained checkpoint and an .argograph store — the inference-side
 // counterpart of argo-train. Queries are coalesced into micro-batches
-// (one forward pass per batch) and feature rows are read row-granularly
-// through a hot-node cache (-cache-policy: lru, the default, or tinylfu,
-// which keeps the hot set through the scan every deep gather is), so a
-// store much larger than RAM can be served directly off disk.
+// (one forward pass per batch; a lone query runs at once, and
+// -batch-window bounds only the wait for queries already on their way)
+// and feature rows are read row-granularly through a hot-node cache
+// (-cache-policy: lru, the default, or tinylfu, which keeps the hot set
+// through the scan every deep gather is), so a store much larger than
+// RAM can be served directly off disk.
 // -precompute-hubs computes top-degree nodes' per-layer activations at
 // startup so their deep frontiers are never gathered. Neither changes a
 // served logit: both are bit-identical to direct inference.
@@ -56,7 +58,7 @@ func main() {
 		shards      = flag.String("shards", "", "shard set instead of -store: name#k or a .shard0 store path")
 		checkpoint  = flag.String("checkpoint", "", "checkpoint written by argo-train -save-checkpoint (required)")
 		addr        = flag.String("addr", ":8090", "listen address")
-		window      = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch window (0 disables coalescing)")
+		window      = flag.Duration("batch-window", 2*time.Millisecond, "longest a batch waits for queries already on their way; a lone query never waits (0 disables the wait)")
 		batchMax    = flag.Int("batch-max", 256, "flush a batch at this many unique nodes (0 = no cap)")
 		cacheBytes  = flag.Int64("cache-bytes", 4<<20, "hot-node feature cache budget in bytes (0 disables)")
 		cachePolicy = flag.String("cache-policy", serve.PolicyLRU,
@@ -123,6 +125,14 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	}
 	if cfg.precompute < 0 || cfg.precompute > 1 {
 		return fmt.Errorf("-precompute-hubs %g outside [0,1]", cfg.precompute)
+	}
+	switch {
+	case cfg.window < 0:
+		return fmt.Errorf("-batch-window %v is negative", cfg.window)
+	case cfg.batchMax < 0:
+		return fmt.Errorf("-batch-max %d is negative", cfg.batchMax)
+	case cfg.cacheBytes < 0:
+		return fmt.Errorf("-cache-bytes %d is negative", cfg.cacheBytes)
 	}
 	// The store and its topology come before the model: the loader needs
 	// the degree array for GCN checkpoints.

@@ -111,6 +111,9 @@ func TestFlagsValidatedBeforeStoreIsOpened(t *testing.T) {
 	for want, cfg := range map[string]serveConfig{
 		"cache policy":     {cachePolicy: "twotier"},
 		"-precompute-hubs": {cachePolicy: serve.PolicyTinyLFU, precompute: 1.5},
+		"-batch-window":    {cachePolicy: serve.PolicyLRU, window: -time.Millisecond},
+		"-batch-max":       {cachePolicy: serve.PolicyLRU, batchMax: -256},
+		"-cache-bytes":     {cachePolicy: serve.PolicyLRU, cacheBytes: -1},
 	} {
 		err := run("no-such.argograph", "", "no-such.ckpt", "", cfg, 1, false, "")
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -140,32 +140,6 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// Reverse returns the transpose graph (every arc u→v becomes v→u). For
-// symmetrized graphs Reverse is structurally identical to the input.
-func (g *CSR) Reverse() *CSR {
-	r := &CSR{
-		NumNodes: g.NumNodes,
-		RowPtr:   make([]int64, g.NumNodes+1),
-		Col:      make([]NodeID, len(g.Col)),
-	}
-	for _, v := range g.Col {
-		r.RowPtr[v+1]++
-	}
-	for v := 0; v < g.NumNodes; v++ {
-		r.RowPtr[v+1] += r.RowPtr[v]
-	}
-	cursor := make([]int64, g.NumNodes)
-	copy(cursor, r.RowPtr[:g.NumNodes])
-	for u := 0; u < g.NumNodes; u++ {
-		for _, v := range g.Neighbors(NodeID(u)) {
-			r.Col[cursor[v]] = NodeID(u)
-			cursor[v]++
-		}
-	}
-	// Column lists built in increasing source order are already sorted.
-	return r
-}
-
 // MaxDegree returns the largest out-degree in the graph.
 func (g *CSR) MaxDegree() int {
 	max := 0

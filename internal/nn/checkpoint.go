@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -128,15 +127,6 @@ func LoadModelFile(path string, degrees []int) (*GNN, error) {
 		return nil, fmt.Errorf("nn: %s: %w", path, err)
 	}
 	return m, nil
-}
-
-// CheckpointBytes is a convenience wrapper returning the serialised model.
-func (m *GNN) CheckpointBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := m.SaveCheckpoint(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // WeightsEqual reports whether two models have bit-identical parameters.

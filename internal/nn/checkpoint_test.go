@@ -17,6 +17,15 @@ func checkpointModel(t *testing.T, seed int64) *GNN {
 	return m
 }
 
+func checkpointBlob(t *testing.T, m *GNN) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	src := checkpointModel(t, 1)
 	// Perturb so we are not just round-tripping the seed.
@@ -26,10 +35,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			p.W.Data[i] += float32(rng.NormFloat64())
 		}
 	}
-	blob, err := src.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := checkpointBlob(t, src)
 	dst := checkpointModel(t, 99) // different init
 	if WeightsEqual(src, dst) {
 		t.Fatal("models should differ before restore")
@@ -44,10 +50,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointRejectsArchMismatch(t *testing.T) {
 	src := checkpointModel(t, 1)
-	blob, err := src.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := checkpointBlob(t, src)
 	gcn, err := NewModel(ModelSpec{Kind: KindGCN, Dims: []int{6, 8, 3}, Seed: 1}, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +139,7 @@ func TestLoadModelGCNNeedsDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := gcn.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := checkpointBlob(t, gcn)
 	if _, err := LoadModel(bytes.NewReader(blob), nil); err == nil {
 		t.Fatal("GCN checkpoint without degrees must be rejected")
 	}

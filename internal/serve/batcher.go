@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"argo/internal/graph"
@@ -18,9 +19,11 @@ var ErrBadRequest = errors.New("serve: bad request")
 
 // BatcherConfig tunes the micro-batching policy.
 type BatcherConfig struct {
-	// Window is how long a batch may wait after its first request before
-	// it is flushed. Zero (or negative) disables coalescing: every
-	// request is flushed as soon as the collector picks it up.
+	// Window bounds how long a batch may wait, after its first request,
+	// for callers already on their way to the batcher. A batch with no
+	// such caller is flushed at once, whatever the window. Zero (or
+	// negative) disables the wait: every batch is flushed as soon as the
+	// collector picks up its first request.
 	Window time.Duration
 	// MaxNodes flushes a batch as soon as its unique node count reaches
 	// this cap (a single over-sized request still runs in one batch).
@@ -29,17 +32,22 @@ type BatcherConfig struct {
 }
 
 // Batcher coalesces concurrent Predict calls into shared forward
-// passes. Requests arriving within one window (or until the size cap)
-// are merged: their node sets are deduplicated, one forward pass runs,
-// and each caller gets back exactly its own nodes' predictions. Because
-// the gather is full-neighborhood and the kernels have fixed reduction
-// order, coalescing is invisible in the results — only in the latency.
+// passes. A lone request is flushed at once; requests that queued
+// while the previous batch ran, or that callers were already sending,
+// are merged (for at most one window, or until the size cap): their
+// node sets are deduplicated, one forward pass runs, and each caller
+// gets back exactly its own nodes' predictions. Because the gather is
+// full-neighborhood and the kernels have fixed reduction order,
+// coalescing is invisible in the results — only in the latency.
 type Batcher struct {
 	inf  *Inferencer
 	cfg  BatcherConfig
 	reqs chan *batchRequest
 	quit chan struct{} // closed by Close to start the drain
 	done chan struct{} // closed by the collector after the drain
+	// entering counts requests committed to b.reqs but not yet received
+	// by the collector: the callers a batch may still wait for.
+	entering atomic.Int64
 
 	closeOnce sync.Once
 
@@ -48,10 +56,10 @@ type Batcher struct {
 }
 
 type batcherCounters struct {
-	requests, batches, nodesServed     int64
-	flushWindow, flushSize, flushDrain int64
-	maxBatchNodes                      int
-	latencySumMicros, latencyMaxMicros int64
+	requests, batches, nodesServed                int64
+	flushIdle, flushWindow, flushSize, flushDrain int64
+	maxBatchNodes                                 int
+	latencySumMicros, latencyMaxMicros            int64
 }
 
 // BatcherStats is a snapshot of the batcher counters for /statz.
@@ -59,6 +67,7 @@ type BatcherStats struct {
 	Requests          int64   `json:"requests"`
 	Batches           int64   `json:"batches"`
 	NodesServed       int64   `json:"nodes_served"`
+	FlushIdle         int64   `json:"flush_idle"`
 	FlushWindow       int64   `json:"flush_window"`
 	FlushSize         int64   `json:"flush_size"`
 	FlushDrain        int64   `json:"flush_drain"`
@@ -109,9 +118,11 @@ func (b *Batcher) Predict(nodes []graph.NodeID) ([]Prediction, error) {
 		return nil, ErrClosed
 	default:
 	}
+	b.entering.Add(1)
 	select {
 	case b.reqs <- r:
 	case <-b.done:
+		b.entering.Add(-1)
 		return nil, ErrClosed
 	}
 	select {
@@ -146,6 +157,7 @@ func (b *Batcher) Stats() BatcherStats {
 		Requests:         c.requests,
 		Batches:          c.batches,
 		NodesServed:      c.nodesServed,
+		FlushIdle:        c.flushIdle,
 		FlushWindow:      c.flushWindow,
 		FlushSize:        c.flushSize,
 		FlushDrain:       c.flushDrain,
@@ -162,7 +174,8 @@ func (b *Batcher) Stats() BatcherStats {
 }
 
 const (
-	flushCauseWindow = iota
+	flushCauseIdle = iota
+	flushCauseWindow
 	flushCauseSize
 	flushCauseDrain
 )
@@ -188,7 +201,9 @@ func (b *Batcher) collect() {
 			unique = make(map[graph.NodeID]struct{})
 		}
 	}
-	add := func(r *batchRequest) {
+	// idle reports that no other caller was on its way when r was
+	// received, so there is nobody for the batch to wait for.
+	add := func(r *batchRequest, idle bool) {
 		pending = append(pending, r)
 		for _, v := range r.nodes {
 			unique[v] = struct{}{}
@@ -196,10 +211,8 @@ func (b *Batcher) collect() {
 		switch {
 		case b.cfg.MaxNodes > 0 && len(unique) >= b.cfg.MaxNodes:
 			flush(flushCauseSize)
-		case b.cfg.Window <= 0:
-			// No coalescing window: an empty queue means nobody to wait
-			// for — flush immediately.
-			flush(flushCauseWindow)
+		case b.cfg.Window <= 0 || idle:
+			flush(flushCauseIdle)
 		case timer == nil:
 			timer = time.NewTimer(b.cfg.Window)
 		}
@@ -211,7 +224,7 @@ func (b *Batcher) collect() {
 		}
 		select {
 		case r := <-b.reqs:
-			add(r)
+			add(r, b.entering.Add(-1) == 0)
 		case <-timerC:
 			timer = nil
 			flush(flushCauseWindow)
@@ -220,6 +233,7 @@ func (b *Batcher) collect() {
 			for {
 				select {
 				case r := <-b.reqs:
+					b.entering.Add(-1)
 					pending = append(pending, r)
 				default:
 					flush(flushCauseDrain)
@@ -254,6 +268,8 @@ func (b *Batcher) runBatch(pending []*batchRequest, cause int) {
 		b.stats.maxBatchNodes = len(nodes)
 	}
 	switch cause {
+	case flushCauseIdle:
+		b.stats.flushIdle++
 	case flushCauseWindow:
 		b.stats.flushWindow++
 	case flushCauseSize:

@@ -20,10 +20,28 @@ func batcherFixture(t *testing.T, cfg BatcherConfig) (*Batcher, *Inferencer, fun
 	return b, inf, b.Close
 }
 
-// Determinism across batch compositions: three requests coalesced into
-// one batch produce exactly the logits each would get alone.
+// waitEntering spins until the batcher's count of callers on their way
+// reads want.
+func waitEntering(t *testing.T, b *Batcher, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.entering.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("entering = %d, want %d", b.entering.Load(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// Determinism across batch compositions: requests coalesced into one
+// batch produce exactly the logits each would get alone. The batches
+// are built without relying on timing: {100} is picked up and held
+// inside the forward pass (the test owns inf.mu) while {1,2,3} and
+// {3,50} queue behind it, so the second batch merges exactly those two.
+// {100} is enqueued as Predict does it, so entering is 1 until the
+// collector has taken it.
 func TestBatcherCoalescedMatchesSolo(t *testing.T) {
-	reqs := [][]graph.NodeID{{1, 2, 3}, {3, 50}, {100}}
+	reqs := [][]graph.NodeID{{100}, {1, 2, 3}, {3, 50}}
 	// Reference: each request served alone (window 0 → no coalescing).
 	solo, _, closeSolo := batcherFixture(t, BatcherConfig{})
 	want := make([][]Prediction, len(reqs))
@@ -35,20 +53,31 @@ func TestBatcherCoalescedMatchesSolo(t *testing.T) {
 		want[i] = p
 	}
 	closeSolo()
-	// Coalesced: a wide window, concurrent submission, one shared pass.
-	b, _, closeB := batcherFixture(t, BatcherConfig{Window: 200 * time.Millisecond})
+	// Coalesced: the window is an hour, so only the idle rule flushes.
+	b, inf, closeB := batcherFixture(t, BatcherConfig{Window: time.Hour})
 	defer closeB()
 	got := make([][]Prediction, len(reqs))
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
-	for i, r := range reqs {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int, r []graph.NodeID) {
+		go func() {
 			defer wg.Done()
-			got[i], errs[i] = b.Predict(r)
-		}(i, r)
+			got[i], errs[i] = b.Predict(reqs[i])
+		}()
 	}
+	inf.mu.Lock()
+	first := &batchRequest{nodes: reqs[0], reply: make(chan batchReply, 1), enq: time.Now()}
+	b.entering.Add(1)
+	b.reqs <- first
+	waitEntering(t, b, 0) // the collector holds {100}, blocked on inf.mu
+	submit(1)
+	submit(2)
+	waitEntering(t, b, 2) // both queued behind it
+	inf.mu.Unlock()
 	wg.Wait()
+	rep := <-first.reply
+	got[0], errs[0] = rep.preds, rep.err
 	for i := range reqs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -63,18 +92,41 @@ func TestBatcherCoalescedMatchesSolo(t *testing.T) {
 		}
 	}
 	s := b.Stats()
-	if s.Requests != 3 {
-		t.Fatalf("requests = %d, want 3", s.Requests)
+	if s.Requests != 3 || s.Batches != 2 {
+		t.Fatalf("requests = %d, batches = %d, want 3 and 2", s.Requests, s.Batches)
 	}
-	if s.Batches >= 3 {
-		t.Fatalf("batches = %d: nothing was coalesced", s.Batches)
+	// Node 3 appears in two requests but is forwarded once.
+	if s.NodesServed != 5 {
+		t.Fatalf("nodes served = %d, want 5: cross-request dedup did not happen", s.NodesServed)
 	}
-	// Node 3 appears in two requests but is forwarded once per batch.
-	if s.NodesServed >= 7 {
-		t.Fatalf("nodes served = %d: cross-request dedup did not happen", s.NodesServed)
+	if s.FlushIdle != 2 || s.FlushWindow != 0 {
+		t.Fatalf("flush causes idle=%d window=%d, want 2/0", s.FlushIdle, s.FlushWindow)
 	}
 	if s.MeanLatencyMicros <= 0 {
 		t.Fatal("latency accounting missing")
+	}
+}
+
+// A lone request is flushed at once: nobody else is on the way, so the
+// window is not waited out.
+func TestBatcherLoneRequestSkipsWindow(t *testing.T) {
+	b, _, closeB := batcherFixture(t, BatcherConfig{Window: time.Hour})
+	defer closeB()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Predict([]graph.NodeID{7})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lone request waited for the window (an hour)")
+	}
+	if s := b.Stats(); s.FlushIdle != 1 || s.FlushWindow != 0 {
+		t.Fatalf("flush causes idle=%d window=%d, want 1/0", s.FlushIdle, s.FlushWindow)
 	}
 }
 
@@ -104,18 +156,22 @@ func TestBatcherSizeCapFlushes(t *testing.T) {
 	}
 }
 
-// The window flushes a sub-cap batch.
+// The window flushes a batch whose expected company never arrives:
+// entering is bumped by hand, as a caller that committed and then
+// stalled, so the batch waits out the window.
 func TestBatcherWindowFlushes(t *testing.T) {
-	b, _, closeB := batcherFixture(t, BatcherConfig{Window: 10 * time.Millisecond, MaxNodes: 1000})
+	const window = 10 * time.Millisecond
+	b, _, closeB := batcherFixture(t, BatcherConfig{Window: window, MaxNodes: 1000})
 	defer closeB()
+	b.entering.Add(1)
 	start := time.Now()
 	if _, err := b.Predict([]graph.NodeID{8}); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("window flush took %v", elapsed)
+	if elapsed := time.Since(start); elapsed < window || elapsed > 5*time.Second {
+		t.Fatalf("window flush took %v, want at least %v", elapsed, window)
 	}
-	if s := b.Stats(); s.FlushWindow != 1 {
+	if s := b.Stats(); s.FlushWindow != 1 || s.FlushIdle != 0 {
 		t.Fatalf("flush causes = %+v, want one window flush", s)
 	}
 }

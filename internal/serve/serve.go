@@ -43,8 +43,10 @@ func WithPrecomputeHubs(frac float64) Option {
 	return func(cfg *serverConfig) { cfg.precompute = frac }
 }
 
-// WithBatchWindow sets how long the micro-batcher holds a request open
-// for coalescing (default: no batching window).
+// WithBatchWindow sets the longest a micro-batch waits for callers
+// already on their way to the batcher; a lone request never waits. The
+// default, 0, runs every request in its own batch (argo-serve's
+// -batch-window defaults to 2ms).
 func WithBatchWindow(d time.Duration) Option { return func(cfg *serverConfig) { cfg.batch.Window = d } }
 
 // WithBatchMaxNodes caps the coalesced batch size, flushing early when

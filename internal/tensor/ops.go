@@ -361,12 +361,3 @@ func ArgMaxRows(dst []int, m *Matrix) {
 		dst[i] = best
 	}
 }
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func FrobeniusNorm(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}

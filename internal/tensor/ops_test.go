@@ -342,13 +342,6 @@ func TestArgMaxRows(t *testing.T) {
 	}
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromSlice(1, 2, []float32{3, 4})
-	if n := FrobeniusNorm(m); math.Abs(n-5) > 1e-9 {
-		t.Fatalf("FrobeniusNorm = %v", n)
-	}
-}
-
 func TestColSumLengthPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
