@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -89,6 +90,18 @@ func run(args []string, stdout io.Writer) error {
 		"write the final model weights to this file (atomic temp+rename); argo-serve loads it for inference")
 	fs.Parse(args)
 
+	if !(*lr > 0) || math.IsInf(*lr, 0) {
+		return fmt.Errorf("-lr %v: the learning rate must be positive and finite", *lr)
+	}
+	if *batch < 1 {
+		return fmt.Errorf("-batch %d: the batch size must be at least 1", *batch)
+	}
+	if *procs < 0 {
+		return fmt.Errorf("-procs %d: the process count must be 0 (tune freely) or positive", *procs)
+	}
+	if *earlyStop < 0 {
+		return fmt.Errorf("-early-stop %d: the stale-epoch limit must be 0 (off) or positive", *earlyStop)
+	}
 	if *transport != "inproc" && *transport != "tcp" {
 		return fmt.Errorf("unknown -transport %q (inproc, tcp)", *transport)
 	}

@@ -81,6 +81,13 @@ func TestBadFlagsAreRefusedBeforeTheDataset(t *testing.T) {
 		{[]string{"-transport", "carrier-pigeon"}, "unknown -transport"},
 		{[]string{"-sampler", "saint"}, "unknown sampler"},
 		{[]string{"-model", "gat"}, "unknown model"},
+		{[]string{"-lr", "0"}, "-lr 0: the learning rate"},
+		{[]string{"-lr", "-0.01"}, "-lr -0.01: the learning rate"},
+		{[]string{"-lr", "NaN"}, "-lr NaN: the learning rate"},
+		{[]string{"-lr", "Inf"}, "-lr +Inf: the learning rate"},
+		{[]string{"-batch", "0"}, "-batch 0: the batch size"},
+		{[]string{"-procs", "-1"}, "-procs -1: the process count"},
+		{[]string{"-early-stop", "-2"}, "-early-stop -2: the stale-epoch limit"},
 	} {
 		err := run(append([]string{"-dataset", "no-such-dataset"}, c.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

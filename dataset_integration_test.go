@@ -62,7 +62,11 @@ func TestGeneratedAndReloadedDatasetTrainIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, trainer.eng.ExportWeights()
+		var weights []*tensor.Matrix
+		for _, p := range trainer.eng.Model(0).Params() {
+			weights = append(weights, p.W.Clone())
+		}
+		return rep, weights
 	}
 
 	repGen, wGen := run(ds)

@@ -8,9 +8,10 @@
 //   - Gradient synchronisation. Replicas compute parameter gradients
 //     over their share of the global mini-batch; AllReduceMeanWeighted
 //     averages them (weighted by share size, so the result equals the
-//     gradient of the mean loss over the *global* batch) and writes the
-//     consensus back into every replica. Input features are frozen, so
-//     parameter gradients are the only ones that cross replicas.
+//     gradient of the mean loss over the *global* batch) into replica
+//     0's gradients, which the engine's one optimizer steps the shared
+//     weights with. Input features are frozen, so parameter gradients
+//     are the only ones that cross replicas.
 //
 //   - The halo exchange. In a sharded run every global node is owned by
 //     exactly one replica; HaloExchange routes feature-row lookups to
@@ -35,12 +36,14 @@ import (
 	"argo/internal/nn"
 )
 
-// AllReduceMeanWeighted averages gradients across replicas in place.
-// paramSets[r] is replica r's parameter list; all replicas must have the
-// same architecture (same parameter count and shapes, in the same order).
-// weights[r] is the number of examples replica r's gradient averaged over
-// (its mini-batch share); a zero weight means the replica sat out this
-// iteration. After the call every replica holds identical gradients.
+// AllReduceMeanWeighted averages gradients across replicas into
+// paramSets[0]. paramSets[r] is replica r's parameter list; all replicas
+// must have the same architecture (same parameter count and shapes, in
+// the same order). weights[r] is the number of examples replica r's
+// gradient averaged over (its mini-batch share); a zero weight means the
+// replica sat out this iteration. After the call paramSets[0]'s
+// gradients hold the consensus; the other replicas' are left as they
+// were.
 func AllReduceMeanWeighted(paramSets [][]*nn.Param, weights []float64) error {
 	n := len(paramSets)
 	if n == 0 {
@@ -73,8 +76,8 @@ func AllReduceMeanWeighted(paramSets [][]*nn.Param, weights []float64) error {
 				return fmt.Errorf("ddp: replica %d param %d shape mismatch", r, p)
 			}
 		}
-		// Weighted sum in float64 for a deterministic, replica-order-
-		// independent reduction, then broadcast.
+		// Weighted sum in float64, in replica order, for a deterministic
+		// reduction.
 		acc := make([]float64, len(ref.Data))
 		for r := 0; r < n; r++ {
 			w := weights[r]
@@ -89,25 +92,6 @@ func AllReduceMeanWeighted(paramSets [][]*nn.Param, weights []float64) error {
 		for k := range acc {
 			ref.Data[k] = float32(acc[k] * inv)
 		}
-		for r := 1; r < n; r++ {
-			copy(paramSets[r][p].Grad.Data, ref.Data)
-		}
 	}
 	return nil
-}
-
-// MaxWeightDivergence returns the largest absolute elementwise difference
-// between any replica's weights and replica 0's. The multi-process engine
-// asserts this stays 0: identical init + identical averaged gradients +
-// identical optimizer steps keep replicas bit-equal.
-func MaxWeightDivergence(paramSets [][]*nn.Param) float64 {
-	var max float64
-	for r := 1; r < len(paramSets); r++ {
-		for p := range paramSets[0] {
-			if d := paramSets[0][p].W.MaxAbsDiff(paramSets[r][p].W); d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

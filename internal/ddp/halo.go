@@ -113,8 +113,8 @@ type PeerTraffic struct {
 // ExchangeStats is a run-level traffic summary: the totals plus the
 // directed per-peer matrix, with peers in ascending (From, To) order —
 // the serialization order -loss-json and the Report promise. It is what
-// argo.GNNTrainer accumulates across auto-tuner re-launches and what
-// argo.Report serialises.
+// argo.GNNTrainer accumulates across the exchanges a tuned run rebuilds
+// on process-count changes and what argo.Report serialises.
 type ExchangeStats struct {
 	Transport string `json:"transport,omitempty"`
 	HaloStats

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,9 +34,9 @@ type Config struct {
 	// where Dataset carries only topology, splits, spec, and class
 	// count, and every lookup goes through the replica's source
 	// (NewShardSourcesOpts). In either regime, each feature row is
-	// gathered from a source once per engine and then served from a
-	// first-touch cache (featureCache). Nil means every replica reads
-	// the materialised Dataset directly.
+	// gathered from a source once per replica slot and then served from
+	// a first-touch cache (featureCache) that Reconfigure keeps. Nil
+	// means every replica reads the materialised Dataset directly.
 	Sources []DataSource
 	// SamplingRegime selects exact (default: global batches split n
 	// ways, bit-identical to single-store) or partition-local sampling.
@@ -61,11 +63,12 @@ type EpochResult struct {
 	BatchSeen int // total target nodes processed
 }
 
-// replica is one "GNN process": its own model, optimizer, worker pools,
-// and data source (the global dataset, or its mapped shards).
+// replica is one "GNN process"'s workspace: a model that trains on the
+// engine's shared weights with its own gradients, activations and
+// buffers, its training worker pool, and its data source (the global
+// dataset, or a first-touch cache over its mapped shards).
 type replica struct {
 	model     *nn.GNN
-	opt       *nn.Adam
 	trainPool *tensor.Pool
 	source    DataSource
 
@@ -78,9 +81,15 @@ type replica struct {
 
 // Engine trains a GNN with n synchronized replicas. It is the substrate
 // both the library baseline (n=1) and ARGO's Multi-Process Engine run on.
+// It owns one parameter set and one optimizer for its whole life: each
+// replica computes gradients over its share of a global batch against
+// the shared weights, the gradients are all-reduced into replica 0's,
+// and one Adam step updates the weights. Reconfigure changes (n, s, t)
+// between epochs without touching either.
 type Engine struct {
 	cfg      Config
 	replicas []*replica
+	opt      *nn.Adam
 
 	// BatchHook, when non-nil, runs after every global iteration (all
 	// replicas synced). Experiments use it to trace convergence curves.
@@ -89,77 +98,116 @@ type Engine struct {
 	iterCount int // global iterations since construction
 }
 
-// New validates cfg, builds the replicas (bit-identical initial weights),
-// and returns the engine.
-func New(cfg Config) (*Engine, error) {
+// validate reports the first reason cfg cannot drive an engine.
+func (cfg *Config) validate() error {
 	if cfg.Dataset == nil || cfg.Sampler == nil {
-		return nil, fmt.Errorf("engine: dataset and sampler are required")
+		return fmt.Errorf("engine: dataset and sampler are required")
 	}
 	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("engine: batch size %d", cfg.BatchSize)
+		return fmt.Errorf("engine: batch size %d", cfg.BatchSize)
+	}
+	if !(cfg.LR > 0) || math.IsInf(cfg.LR, 0) {
+		return fmt.Errorf("engine: learning rate %v must be positive and finite", cfg.LR)
 	}
 	if cfg.NumProcs < 1 {
-		return nil, fmt.Errorf("engine: NumProcs %d", cfg.NumProcs)
+		return fmt.Errorf("engine: NumProcs %d", cfg.NumProcs)
 	}
 	if cfg.SampleWorkers < 1 || cfg.TrainWorkers < 1 {
-		return nil, fmt.Errorf("engine: worker counts must be ≥1, got s=%d t=%d", cfg.SampleWorkers, cfg.TrainWorkers)
+		return fmt.Errorf("engine: worker counts must be ≥1, got s=%d t=%d", cfg.SampleWorkers, cfg.TrainWorkers)
 	}
 	if cfg.Model.Kind == "" {
-		return nil, fmt.Errorf("engine: model spec required")
+		return fmt.Errorf("engine: model spec required")
 	}
 	if cfg.Sources != nil && len(cfg.Sources) != cfg.NumProcs {
-		return nil, fmt.Errorf("engine: %d sources for %d replicas", len(cfg.Sources), cfg.NumProcs)
+		return fmt.Errorf("engine: %d sources for %d replicas", len(cfg.Sources), cfg.NumProcs)
 	}
 	if cfg.Sources == nil && (cfg.Dataset.Features == nil || cfg.Dataset.Labels == nil) {
-		return nil, fmt.Errorf("engine: dataset has no features/labels and no replica sources were provided")
+		return fmt.Errorf("engine: dataset has no features/labels and no replica sources were provided")
 	}
 	if cfg.SamplingRegime == RegimeLocal {
 		if cfg.Sources == nil {
-			return nil, fmt.Errorf("engine: the local sampling regime needs per-replica shard sources")
+			return fmt.Errorf("engine: the local sampling regime needs per-replica shard sources")
 		}
 		if len(cfg.LocalSamplers) != cfg.NumProcs || len(cfg.LocalTargets) != cfg.NumProcs {
-			return nil, fmt.Errorf("engine: local regime wants %d samplers and target sets, got %d and %d",
+			return fmt.Errorf("engine: local regime wants %d samplers and target sets, got %d and %d",
 				cfg.NumProcs, len(cfg.LocalSamplers), len(cfg.LocalTargets))
 		}
 	}
-	e := &Engine{cfg: cfg}
-	degrees := nn.Degrees(cfg.Dataset.Graph)
-	for r := 0; r < cfg.NumProcs; r++ {
-		m, err := nn.NewModel(cfg.Model, degrees)
-		if err != nil {
-			return nil, err
+	return nil
+}
+
+// New validates cfg and builds the engine: the model and its optimizer
+// once, held by replica 0, and a Replica of it for every other process.
+func New(cfg Config) (*Engine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	m, err := nn.NewModel(cfg.Model, nn.Degrees(cfg.Dataset.Graph))
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{replicas: []*replica{{model: m}}, opt: nn.NewAdam(cfg.LR)}
+	e.apply(cfg)
+	return e, nil
+}
+
+// Reconfigure moves the engine to cfg in place, between epochs: the
+// weights, the optimizer's state and the iteration count carry on, and
+// training continues as if the engine had been built with cfg. The
+// replicas both configurations have keep their workspaces and feature
+// caches — input rows are read-only, so a cached row stays valid
+// whichever exchange serves the slot now. cfg must name the engine's
+// dataset and model; on any error the engine is left as it was.
+func (e *Engine) Reconfigure(cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if m := e.cfg.Model; cfg.Dataset != e.cfg.Dataset || cfg.Model.Kind != m.Kind || cfg.Model.Seed != m.Seed || !slices.Equal(cfg.Model.Dims, m.Dims) {
+		return fmt.Errorf("engine: Reconfigure cannot change the dataset or the model (%s %v → %s %v)",
+			m.Kind, m.Dims, cfg.Model.Kind, cfg.Model.Dims)
+	}
+	e.apply(cfg)
+	return nil
+}
+
+// apply fits the replica slots to a validated cfg. Slot r < NumProcs
+// keeps its workspace if it has one and gets a Replica of slot 0's model
+// otherwise, and slots past NumProcs are dropped; a slot's training pool
+// is rebuilt only when t changes, and a cached slot only has its cache's
+// inner source swapped.
+func (e *Engine) apply(cfg Config) {
+	e.opt.LR = cfg.LR
+	reps := slices.Clone(e.replicas[:min(len(e.replicas), cfg.NumProcs)])
+	for len(reps) < cfg.NumProcs {
+		reps = append(reps, &replica{model: reps[0].model.Replica()})
+	}
+	for r, rep := range reps {
+		if rep.trainPool == nil || cfg.TrainWorkers != e.cfg.TrainWorkers {
+			rep.trainPool = tensor.NewPool(cfg.TrainWorkers)
 		}
 		// Every source draws gathered batches from the replica's own
 		// buffer pool; step puts them back once consumed, closing the
 		// recycle loop.
-		rep := &replica{
-			model:     m,
-			opt:       nn.NewAdam(cfg.LR),
-			trainPool: tensor.NewPool(cfg.TrainWorkers),
-			source:    datasetSource{ds: cfg.Dataset, bufs: m.Buffers()},
+		cache, cached := rep.source.(*featureCache)
+		switch {
+		case cfg.Sources == nil:
+			rep.source = datasetSource{ds: cfg.Dataset, bufs: rep.model.Buffers()}
+		case cached:
+			cache.setInner(cfg.Sources[r])
+		default:
+			rep.source = newFeatureCache(cfg.Sources[r], cfg.Model.Dims[0], rep.model.Buffers())
 		}
-		if cfg.Sources != nil {
-			rep.source = newFeatureCache(cfg.Sources[r], cfg.Model.Dims[0], m.Buffers())
-		}
-		e.replicas = append(e.replicas, rep)
 	}
-	return e, nil
+	e.replicas, e.cfg = reps, cfg
 }
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Model returns replica r's model (replicas stay identical; tests verify).
+// Model returns replica r's model. Every replica's parameters share
+// replica 0's weight matrices; its gradients and activations are its
+// own.
 func (e *Engine) Model(r int) *nn.GNN { return e.replicas[r].model }
-
-// ParamSets exposes every replica's parameters, for consistency checks.
-func (e *Engine) ParamSets() [][]*nn.Param {
-	sets := make([][]*nn.Param, len(e.replicas))
-	for r, rep := range e.replicas {
-		sets[r] = rep.model.Params()
-	}
-	return sets
-}
 
 // RunEpoch trains one epoch and returns its summary.
 func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
@@ -225,7 +273,10 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	res := EpochResult{Epoch: epoch, NumIters: numIters}
 	var lossSum float64
 	var lossCount int
-	sets := e.ParamSets()
+	sets := make([][]*nn.Param, n)
+	for r, rep := range e.replicas {
+		sets[r] = rep.model.Params()
+	}
 	weights := make([]float64, n)
 
 	for it := 0; it < numIters; it++ {
@@ -251,9 +302,7 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 			if err := ddp.AllReduceMeanWeighted(sets, weights); err != nil {
 				return res, err
 			}
-			for r := 0; r < n; r++ {
-				e.replicas[r].opt.Step(sets[r])
-			}
+			e.opt.Step(sets[0])
 		}
 		e.iterCount++
 		if e.BatchHook != nil {
@@ -319,50 +368,6 @@ func (rep *replica) step(bd batchData) {
 	rep.lastLoss = loss
 	rep.lastCount = len(mb.Targets)
 	rep.lastStats = mb.Stats
-}
-
-// ExportWeights returns a deep copy of replica 0's parameters, in the
-// model's stable parameter order.
-func (e *Engine) ExportWeights() []*tensor.Matrix {
-	params := e.replicas[0].model.Params()
-	out := make([]*tensor.Matrix, len(params))
-	for i, p := range params {
-		out[i] = p.W.Clone()
-	}
-	return out
-}
-
-// State is the training state a re-launch carries over: replica 0's
-// weights and optimizer (replicas are bit-identical, so one copy stands
-// for all).
-type State struct {
-	Weights []*tensor.Matrix
-	Opt     *nn.Adam
-}
-
-// ExportState returns a deep copy of the engine's training state.
-func (e *Engine) ExportState() *State {
-	return &State{Weights: e.ExportWeights(), Opt: e.replicas[0].opt.Clone()}
-}
-
-// ImportState loads a state (as produced by ExportState) into every
-// replica, keeping them bit-identical: training continues as if the
-// engine had never been rebuilt.
-func (e *Engine) ImportState(st *State) error {
-	for _, rep := range e.replicas {
-		params := rep.model.Params()
-		if len(params) != len(st.Weights) {
-			return fmt.Errorf("engine: ImportState got %d tensors, model has %d params", len(st.Weights), len(params))
-		}
-		for i, p := range params {
-			if p.W.Rows != st.Weights[i].Rows || p.W.Cols != st.Weights[i].Cols {
-				return fmt.Errorf("engine: ImportState param %d shape mismatch", i)
-			}
-			p.W.CopyFrom(st.Weights[i])
-		}
-		rep.opt = st.Opt.Clone()
-	}
-	return nil
 }
 
 // Evaluate returns replica 0's accuracy on the given node IDs, sampling

@@ -12,9 +12,10 @@ import (
 // its features through, in both sampling regimes. Input features are
 // read-only, so each row a batch or an evaluation asks for, owned or
 // halo, is fetched through the inner (exchange-backed) source once and
-// kept for the engine's life; a cached row is a copy of the row the
-// exchange would have sent, so no loss bit moves. A miss fetch that
-// fails leaves the cache as it was. Labels pass through uncached.
+// kept for the replica slot's life, across Reconfigure; a cached row is
+// a copy of the row the exchange would have sent, so no loss bit moves.
+// A miss fetch that fails leaves the cache as it was. Labels pass
+// through uncached.
 //
 // It holds at most one row per node: per replica, at most NumNodes ×
 // featDim floats, the size of the single-store feature matrix (the
@@ -36,6 +37,15 @@ type featureCache struct {
 // replica's buffer pool (nil falls back to plain allocation).
 func newFeatureCache(inner DataSource, dim int, bufs *tensor.BufPool) *featureCache {
 	return &featureCache{inner: inner, bufs: bufs, cache: tensor.NewRowTable(dim)}
+}
+
+// setInner points the cache at a new inner source. The cached rows stay:
+// input features are read-only, so a row is the same whichever source
+// fetched it.
+func (s *featureCache) setInner(inner DataSource) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inner = inner
 }
 
 func (s *featureCache) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {

@@ -47,7 +47,7 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, tra
 		}
 		losses = append(losses, res.MeanLoss)
 	}
-	return losses, eng.ExportWeights(), ex
+	return losses, cloneWeights(eng), ex
 }
 
 // The hard invariant of the refactor: batched + overlapped training —
@@ -72,7 +72,7 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 		}
 		baseLoss = append(baseLoss, res.MeanLoss)
 	}
-	baseW := base.ExportWeights()
+	baseW := cloneWeights(base)
 
 	for _, transport := range []string{"inproc", "tcp"} {
 		t.Run(transport+"-overlap", func(t *testing.T) {

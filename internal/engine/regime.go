@@ -14,9 +14,10 @@ const (
 	// RegimeExact samples over the assembled global topology: every
 	// replica sees the same batch stream a single-store run would, so
 	// losses stay bit-identical to single-store training. Any row of the
-	// graph may be a halo row, but each crosses the wire once per run
-	// (the replica's feature cache), and labels never cross it; once
-	// every row a batch needs is cached, the batch sends no message.
+	// graph may be a halo row, but each crosses the wire at most once
+	// per replica slot per run (the slot's feature cache), and labels
+	// never cross it; once every row a batch needs is cached, the batch
+	// sends no message.
 	RegimeExact SamplingRegime = iota
 	// RegimeLocal samples partition-locally (the Cluster-GCN regime):
 	// each replica draws seeds from its own shards' owned train nodes

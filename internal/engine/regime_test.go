@@ -73,7 +73,7 @@ func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs in
 }
 
 // TestPartitionSetupCoversTrainSplit: per-replica targets partition the
-// train split, and every target is allowed by its replica's sampler.
+// train split, and every target lives on one of its replica's shards.
 func TestPartitionSetupCoversTrainSplit(t *testing.T) {
 	ds := shardedTestDataset(t)
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
@@ -89,17 +89,20 @@ func TestPartitionSetupCoversTrainSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shard, _, err := ss.Locations()
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	seen := map[graph.NodeID]bool{}
 	for r, targets := range setup.Targets {
-		ps := setup.Samplers[r].(*sampler.Partition)
 		for _, v := range targets {
 			if seen[v] {
 				t.Fatalf("train node %d assigned to two replicas", v)
 			}
 			seen[v] = true
-			if !ps.Allowed(v) {
-				t.Fatalf("replica %d target %d outside its allowed set", r, v)
+			if int(shard[v])%2 != r {
+				t.Fatalf("replica %d target %d lives on shard %d, which replica %d owns", r, v, shard[v], shard[v]%2)
 			}
 		}
 		total += len(targets)

@@ -96,7 +96,7 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 		}
 	}
 
-	bw, sw := base.ExportWeights(), sharded.ExportWeights()
+	bw, sw := cloneWeights(base), cloneWeights(sharded)
 	for i := range bw {
 		if d := bw[i].MaxAbsDiff(sw[i]); d != 0 {
 			t.Fatalf("weight tensor %d diverged by %v between sharded and single-store training", i, d)

@@ -39,13 +39,6 @@ func (g *CSR) Neighbors(v NodeID) []NodeID {
 	return g.Col[g.RowPtr[v]:g.RowPtr[v+1]]
 }
 
-// HasEdge reports whether the arc u→v is present, via binary search.
-func (g *CSR) HasEdge(u, v NodeID) bool {
-	adj := g.Neighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
-}
-
 // Edge is a directed arc used by graph builders.
 type Edge struct{ Src, Dst NodeID }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -140,4 +141,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate must catch out-of-range column")
 	}
+}
+
+// HasEdge reports whether the arc u→v is present, via binary search.
+func (g *CSR) HasEdge(u, v NodeID) bool {
+	adj := g.Neighbors(u)
+	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
+	return i < len(adj) && adj[i] == v
 }

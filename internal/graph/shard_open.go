@@ -107,18 +107,6 @@ func (sm *ShardMap) GlobalID(local NodeID) (NodeID, error) {
 	return 0, fmt.Errorf("graph: local id %d outside shard %d's %d+%d nodes", local, sm.Shard, len(sm.Owned), len(sm.Halo))
 }
 
-// LocalID maps a global node id to the shard-local id, or -1 when the
-// node is neither owned nor in the halo.
-func (sm *ShardMap) LocalID(global NodeID) NodeID {
-	if i := sort.Search(len(sm.Owned), func(i int) bool { return sm.Owned[i] >= global }); i < len(sm.Owned) && sm.Owned[i] == global {
-		return NodeID(i)
-	}
-	if i := sort.Search(len(sm.Halo), func(i int) bool { return sm.Halo[i] >= global }); i < len(sm.Halo) && sm.Halo[i] == global {
-		return NodeID(len(sm.Owned) + i)
-	}
-	return -1
-}
-
 // ShardManifest decodes the manifest section, reporting ok=false when
 // the store carries none (an ordinary, non-shard store).
 func (l *LazyDataset) ShardManifest() (*ShardManifest, bool, error) {

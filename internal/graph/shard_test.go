@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -380,4 +381,16 @@ func TestManifestValidateConfinesShardFiles(t *testing.T) {
 			t.Errorf("shard file %q: Validate() = %v, want ok=%v", c.file, err, c.ok)
 		}
 	}
+}
+
+// LocalID maps a global node id to the shard-local id, or -1 when the
+// node is neither owned nor in the halo.
+func (sm *ShardMap) LocalID(global NodeID) NodeID {
+	if i := sort.Search(len(sm.Owned), func(i int) bool { return sm.Owned[i] >= global }); i < len(sm.Owned) && sm.Owned[i] == global {
+		return NodeID(i)
+	}
+	if i := sort.Search(len(sm.Halo), func(i int) bool { return sm.Halo[i] >= global }); i < len(sm.Halo) && sm.Halo[i] == global {
+		return NodeID(len(sm.Owned) + i)
+	}
+	return -1
 }

@@ -18,8 +18,8 @@ type checkpointState struct {
 }
 
 // SaveCheckpoint writes the model's parameters to w in a self-describing
-// binary format (gob). The auto-tuner's re-launch flow and long-running
-// training jobs use this to persist weights across process boundaries.
+// binary format (gob). Training jobs use this to persist weights across
+// process boundaries: argo-serve loads what argo-train saves.
 func (m *GNN) SaveCheckpoint(w io.Writer) error {
 	st := checkpointState{Kind: m.Spec.Kind, Dims: m.Spec.Dims}
 	for _, p := range m.Params() {
@@ -30,16 +30,6 @@ func (m *GNN) SaveCheckpoint(w io.Writer) error {
 		st.Data = append(st.Data, data)
 	}
 	return gob.NewEncoder(w).Encode(st)
-}
-
-// LoadCheckpoint restores parameters previously written by SaveCheckpoint
-// into the model. The architecture (kind and dims) must match.
-func (m *GNN) LoadCheckpoint(r io.Reader) error {
-	var st checkpointState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
-	return m.applyCheckpoint(st)
 }
 
 func (m *GNN) applyCheckpoint(st checkpointState) error {
@@ -127,21 +117,4 @@ func LoadModelFile(path string, degrees []int) (*GNN, error) {
 		return nil, fmt.Errorf("nn: %s: %w", path, err)
 	}
 	return m, nil
-}
-
-// WeightsEqual reports whether two models have bit-identical parameters.
-func WeightsEqual(a, b *GNN) bool {
-	pa, pb := a.Params(), b.Params()
-	if len(pa) != len(pb) {
-		return false
-	}
-	for i := range pa {
-		if pa[i].W.Rows != pb[i].W.Rows || pa[i].W.Cols != pb[i].W.Cols {
-			return false
-		}
-		if pa[i].W.MaxAbsDiff(pb[i].W) != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -150,4 +153,31 @@ func TestLoadModelGCNNeedsDegrees(t *testing.T) {
 	if !WeightsEqual(gcn, back) {
 		t.Fatal("GCN LoadModel did not reproduce the weights")
 	}
+}
+
+// LoadCheckpoint restores parameters previously written by SaveCheckpoint
+// into the model. The architecture (kind and dims) must match.
+func (m *GNN) LoadCheckpoint(r io.Reader) error {
+	var st checkpointState
+	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+		return fmt.Errorf("nn: decode checkpoint: %w", err)
+	}
+	return m.applyCheckpoint(st)
+}
+
+// WeightsEqual reports whether two models have bit-identical parameters.
+func WeightsEqual(a, b *GNN) bool {
+	pa, pb := a.Params(), b.Params()
+	if len(pa) != len(pb) {
+		return false
+	}
+	for i := range pa {
+		if pa[i].W.Rows != pb[i].W.Rows || pa[i].W.Cols != pb[i].W.Cols {
+			return false
+		}
+		if pa[i].W.MaxAbsDiff(pb[i].W) != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -12,12 +12,13 @@ import (
 // Layer is one GNN layer, h' = act(aggregate(h)·W + b): an aggregator —
 // the seam between the architectures — builds each destination's dense
 // input row from its block neighbourhood, and the dense half (weights,
-// bias, activation, their gradients) is shared. Forward caches whatever
-// Backward needs, so each layer instance belongs to exactly one model
-// replica and processes one batch at a time (matching how the training
-// engine drives it). A layer's Forward output is valid until that
-// layer's next Forward or Infer call — with buffer pooling the storage
-// is recycled into the next batch.
+// bias, activation, their gradients) is common to all of them. Forward
+// caches whatever Backward needs, so each layer instance belongs to
+// exactly one model replica and processes one batch at a time (matching
+// how the training engine drives it); the replicas' layers share the
+// weight and bias matrices and own the gradients. A layer's Forward
+// output is valid until that layer's next Forward or Infer call — with
+// buffer pooling the storage is recycled into the next batch.
 type Layer struct {
 	InDim, OutDim int
 	Relu          bool   // skipped on the output layer

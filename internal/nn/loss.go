@@ -6,16 +6,11 @@ import (
 	"argo/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
-// against integer labels and the gradient w.r.t. the logits
-// (softmax(logits) − onehot(labels)) / batch.
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int32) (float64, *tensor.Matrix) {
-	return SoftmaxCrossEntropyPooled(nil, logits, labels)
-}
-
-// SoftmaxCrossEntropyPooled is SoftmaxCrossEntropy with the gradient
-// matrix drawn from bufs (nil → plain allocation), so a training step
-// that recycles the gradient after Backward allocates nothing.
+// SoftmaxCrossEntropyPooled computes the mean cross-entropy loss of
+// logits against integer labels and the gradient w.r.t. the logits
+// (softmax(logits) − onehot(labels)) / batch, the gradient matrix drawn
+// from bufs (nil → plain allocation), so a training step that recycles
+// the gradient after Backward allocates nothing.
 func SoftmaxCrossEntropyPooled(bufs *tensor.BufPool, logits *tensor.Matrix, labels []int32) (float64, *tensor.Matrix) {
 	if len(labels) != logits.Rows {
 		panic("nn: label count != logit rows")

@@ -113,3 +113,10 @@ func TestAccuracy(t *testing.T) {
 		t.Fatal("empty accuracy must be 0")
 	}
 }
+
+// SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
+// against integer labels and the gradient w.r.t. the logits
+// (softmax(logits) − onehot(labels)) / batch.
+func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int32) (float64, *tensor.Matrix) {
+	return SoftmaxCrossEntropyPooled(nil, logits, labels)
+}

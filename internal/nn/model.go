@@ -29,10 +29,11 @@ type ModelSpec struct {
 	Seed int64
 }
 
-// GNN is a multi-layer GNN model replica. It owns its parameters, the
-// per-batch activation cache (each layer caches its own inputs), and a
-// shared buffer pool recycling every per-batch matrix, so each ARGO
-// process uses its own replica and steady-state batches allocate no
+// GNN is a multi-layer GNN model. It holds its parameters' weights,
+// which Replica shares, and owns their gradient accumulators, the
+// per-batch activation cache (each layer caches its own inputs) and a
+// buffer pool recycling every per-batch matrix: each ARGO process
+// trains through its own replica, and steady-state batches allocate no
 // matrix storage.
 type GNN struct {
 	Spec   ModelSpec
@@ -52,9 +53,8 @@ type GNN struct {
 	lastBatch *sampler.MiniBatch
 }
 
-// NewModel builds a GNN replica. Replicas built with equal specs (same
-// seed) have bit-identical initial parameters — the property the
-// multi-process engine relies on. degrees is required for KindGCN
+// NewModel builds a GNN. Models built with equal specs (same seed) have
+// bit-identical initial parameters. degrees is required for KindGCN
 // (global degree array) and ignored for KindSAGE.
 func NewModel(spec ModelSpec, degrees []int) (*GNN, error) {
 	if len(spec.Dims) < 2 {
@@ -84,6 +84,25 @@ func NewModel(spec ModelSpec, degrees []int) (*GNN, error) {
 		m.params = append(m.params, l.Params()...)
 	}
 	return m, nil
+}
+
+// Replica returns a model that trains on m's weights: its layers point
+// at the same Weight.W and Bias.W matrices and the same aggregator, and
+// own their gradients, activations and buffer pool. Forward and Backward
+// on a replica leave m's gradients and activations untouched, so
+// replicas may run concurrently as long as nothing writes the weights.
+func (m *GNN) Replica() *GNN {
+	r := &GNN{Spec: m.Spec, bufs: tensor.NewBufPool()}
+	for _, l := range m.Layers {
+		rl := &Layer{
+			InDim: l.InDim, OutDim: l.OutDim, Relu: l.Relu, agg: l.agg, bufs: r.bufs,
+			Weight: &Param{Name: l.Weight.Name, W: l.Weight.W, Grad: tensor.New(l.Weight.W.Rows, l.Weight.W.Cols)},
+			Bias:   &Param{Name: l.Bias.Name, W: l.Bias.W, Grad: tensor.New(l.Bias.W.Rows, l.Bias.W.Cols)},
+		}
+		r.Layers = append(r.Layers, rl)
+		r.params = append(r.params, rl.Params()...)
+	}
+	return r
 }
 
 // NumLayers returns the model depth.

@@ -129,3 +129,77 @@ func TestZeroGrad(t *testing.T) {
 		}
 	}
 }
+
+// A Replica trains on its model's weights and nothing else of it: every
+// W is the same matrix, every Grad its own, and a Forward+Backward on
+// the replica leaves the model's gradients and activations as they were
+// while computing the gradients a separately built twin computes.
+func TestReplicaSharesWeightsOwnsGradients(t *testing.T) {
+	g, _, err := graph.Generate(graph.GenSpec{NumNodes: 60, NumEdges: 400, NumClasses: 3, Seed: 3, Homophily: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := tensor.New(g.NumNodes, 6)
+	rng := rand.New(rand.NewSource(4))
+	for i := range feats.Data {
+		feats.Data[i] = float32(rng.NormFloat64())
+	}
+	ns := sampler.NewNeighbor(g, []int{3, 3})
+	pool := tensor.NewPool(1)
+	train := func(m *GNN, targets []graph.NodeID) {
+		mb := ns.Sample(rand.New(rand.NewSource(int64(targets[0]))), targets)
+		m.ZeroGrad()
+		logits := m.Forward(pool, mb, GatherPooled(nil, feats, mb.InputNodes()))
+		_, dLogits := SoftmaxCrossEntropy(logits, make([]int32, len(targets)))
+		m.Backward(pool, dLogits)
+	}
+	for _, kind := range []ModelKind{KindSAGE, KindGCN, KindGIN} {
+		spec := ModelSpec{Kind: kind, Dims: []int{6, 5, 3}, Seed: 5}
+		orig, err := NewModel(spec, Degrees(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _ := NewModel(spec, Degrees(g))
+		rep := orig.Replica()
+		if rep.Buffers() == orig.Buffers() {
+			t.Fatalf("%s: replica shares its model's buffer pool", kind)
+		}
+		for i, p := range rep.Params() {
+			if q := orig.Params()[i]; p.W != q.W || p.Grad == q.Grad {
+				t.Fatalf("%s param %s: want W shared and Grad owned", kind, p.Name)
+			}
+		}
+		if kind == KindGCN {
+			a, b := orig.Layers[0].agg.(gcnAgg), rep.Layers[0].agg.(gcnAgg)
+			if &a.invSqrtDeg[0] != &b.invSqrtDeg[0] {
+				t.Fatal("gcn: replica copied the normalisation table")
+			}
+		}
+
+		train(orig, []graph.NodeID{0, 2, 4})
+		var grads, acts []*tensor.Matrix
+		for _, p := range orig.Params() {
+			grads = append(grads, p.Grad.Clone())
+		}
+		for _, l := range orig.Layers {
+			acts = append(acts, l.in.Clone(), l.out.Clone())
+		}
+		train(rep, []graph.NodeID{7, 9, 11, 13})
+		for i, p := range orig.Params() {
+			if p.Grad.MaxAbsDiff(grads[i]) != 0 {
+				t.Fatalf("%s: the replica's step moved the model's %s gradient", kind, p.Name)
+			}
+		}
+		for i, l := range orig.Layers {
+			if l.in.MaxAbsDiff(acts[2*i]) != 0 || l.out.MaxAbsDiff(acts[2*i+1]) != 0 {
+				t.Fatalf("%s: the replica's step moved the model's layer %d activations", kind, i)
+			}
+		}
+		train(twin, []graph.NodeID{7, 9, 11, 13})
+		for i, p := range rep.Params() {
+			if p.Grad.MaxAbsDiff(twin.Params()[i].Grad) != 0 {
+				t.Fatalf("%s: replica gradient %s differs from a NewModel twin's", kind, p.Name)
+			}
+		}
+	}
+}

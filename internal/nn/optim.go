@@ -6,9 +6,9 @@ import (
 	"argo/internal/tensor"
 )
 
-// Adam is the Adam optimizer (Kingma & Ba). Replicas that see identical
-// gradient sequences take bit-identical steps, which the multi-process
-// engine's consistency guarantee builds on.
+// Adam is the Adam optimizer (Kingma & Ba). The multi-process engine
+// runs one for its shared parameter set, stepping it once per global
+// iteration on the all-reduced gradient.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
@@ -21,20 +21,6 @@ type Adam struct {
 func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
-
-// Clone returns a deep copy of the optimizer, step count and moment
-// estimates included — what a re-launch carries beside the weights.
-func (a *Adam) Clone() *Adam {
-	c := *a
-	c.m, c.v = nil, nil // stay nil before the first step: Step allocates on nil
-	for i := range a.m {
-		c.m, c.v = append(c.m, a.m[i].Clone()), append(c.v, a.v[i].Clone())
-	}
-	return &c
-}
-
-// Steps returns how many updates the optimizer has applied.
-func (a *Adam) Steps() int { return a.step }
 
 // Step applies one update to params from their accumulated gradients.
 // State slots are allocated lazily on first use and keyed positionally,
@@ -65,20 +51,4 @@ func (a *Adam) Step(params []*Param) {
 			p.W.Data[k] -= float32(a.LR * mHat / (math.Sqrt(vHat) + a.Eps))
 		}
 	}
-}
-
-// SGD is plain stochastic gradient descent, used by tests that need the
-// simplest possible update rule.
-type SGD struct{ LR float64 }
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		tensor.AddScaled(p.W, float32(-s.LR), p.Grad)
-	}
-}
-
-// Optimizer is satisfied by Adam and SGD.
-type Optimizer interface {
-	Step(params []*Param)
 }

@@ -104,3 +104,21 @@ func TestOptimizersImplementInterface(t *testing.T) {
 		}
 	}
 }
+
+// SGD is plain stochastic gradient descent, used by tests that need the
+// simplest possible update rule.
+type SGD struct{ LR float64 }
+
+// Step applies one SGD update.
+func (s *SGD) Step(params []*Param) {
+	for _, p := range params {
+		for k, g := range p.Grad.Data {
+			p.W.Data[k] -= float32(s.LR) * g
+		}
+	}
+}
+
+// Optimizer is satisfied by Adam and SGD.
+type Optimizer interface {
+	Step(params []*Param)
+}

@@ -1,8 +1,6 @@
 package sampler
 
 import (
-	"math/bits"
-
 	"argo/internal/graph"
 )
 
@@ -42,18 +40,6 @@ func NewPartition(g *graph.CSR, fanouts []int, allowed ...[]graph.NodeID) *Parti
 type bitset []uint64
 
 func (b bitset) has(v graph.NodeID) bool { return b[v>>6]&(1<<(uint(v)&63)) != 0 }
-
-// Allowed reports whether node v is inside the partition-local set.
-func (ps *Partition) Allowed(v graph.NodeID) bool { return ps.allowed.has(v) }
-
-// AllowedCount returns the number of nodes in the allowed set.
-func (ps *Partition) AllowedCount() int {
-	n := 0
-	for _, w := range ps.allowed {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Name implements Sampler.
 func (ps *Partition) Name() string { return "partition" }

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -130,4 +131,16 @@ func TestPartitionShardSets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Allowed reports whether node v is inside the partition-local set.
+func (ps *Partition) Allowed(v graph.NodeID) bool { return ps.allowed.has(v) }
+
+// AllowedCount returns the number of nodes in the allowed set.
+func (ps *Partition) AllowedCount() int {
+	n := 0
+	for _, w := range ps.allowed {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

@@ -170,9 +170,6 @@ func (inf *Inferencer) PrecomputeHubs(hubs []graph.NodeID) (*HubStore, error) {
 	return hs, nil
 }
 
-// Hubs returns the attached hub store (nil when hub serving is off).
-func (inf *Inferencer) Hubs() *HubStore { return inf.hubs }
-
 // HubStats reports the hub layer counters (zero value when detached).
 func (inf *Inferencer) HubStats() HubStats {
 	hs := inf.hubs

@@ -124,3 +124,6 @@ func TestHubServingPrunesGather(t *testing.T) {
 		t.Fatal("fixture hub has no frontier; the assertion above is vacuous")
 	}
 }
+
+// Hubs returns the attached hub store (nil when hub serving is off).
+func (inf *Inferencer) Hubs() *HubStore { return inf.hubs }

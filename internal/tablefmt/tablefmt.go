@@ -81,29 +81,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values (cells containing
-// commas or quotes are quoted).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // F formats a float compactly: three significant-ish decimals for small
 // values, fewer for large ones.
 func F(v float64) string {

@@ -219,23 +219,6 @@ func Add(dst, src *Matrix) {
 	}
 }
 
-// AddScaled computes dst += alpha*src elementwise. Shapes must match.
-func AddScaled(dst *Matrix, alpha float32, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: AddScaled shape mismatch")
-	}
-	for i, v := range src.Data {
-		dst.Data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of m by alpha.
-func Scale(m *Matrix, alpha float32) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
-
 // AddRowVector adds the length-Cols vector v to every row of dst.
 func AddRowVector(dst *Matrix, v []float32) {
 	if len(v) != dst.Cols {

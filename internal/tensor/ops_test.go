@@ -373,3 +373,20 @@ func TestArgMaxRowsDegenerateShapes(t *testing.T) {
 		}
 	}
 }
+
+// Scale multiplies every element of m by alpha.
+func Scale(m *Matrix, alpha float32) {
+	for i := range m.Data {
+		m.Data[i] *= alpha
+	}
+}
+
+// AddScaled computes dst += alpha*src elementwise. Shapes must match.
+func AddScaled(dst *Matrix, alpha float32, src *Matrix) {
+	if dst.Rows != src.Rows || dst.Cols != src.Cols {
+		panic("tensor: AddScaled shape mismatch")
+	}
+	for i, v := range src.Data {
+		dst.Data[i] += alpha * v
+	}
+}

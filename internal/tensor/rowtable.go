@@ -81,6 +81,3 @@ func (t *RowTable) Truncate(n int) {
 	t.ids = t.ids[:n]
 	t.slab = t.slab[:n*t.width]
 }
-
-// Reset empties the table, keeping all storage for the next fill.
-func (t *RowTable) Reset() { t.Truncate(0) }

@@ -180,3 +180,6 @@ func TestRowTableResetRefillAllocatesNothing(t *testing.T) {
 		t.Fatalf("refilled table holds %d rows, row %v", tb.Len(), tb.Row(ids[3]))
 	}
 }
+
+// Reset empties the table, keeping all storage for the next fill.
+func (t *RowTable) Reset() { t.Truncate(0) }

@@ -56,14 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// CopyFrom copies src into m. The shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
-	}
-	copy(m.Data, src.Data)
-}
-
 // Zero sets every element of m to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -144,4 +145,12 @@ func TestStringSmallAndLarge(t *testing.T) {
 	if got := large.String(); got != "Matrix(100x100)" {
 		t.Fatalf("large String() = %q", got)
 	}
+}
+
+// CopyFrom copies src into m. The shapes must match.
+func (m *Matrix) CopyFrom(src *Matrix) {
+	if m.Rows != src.Rows || m.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
+	}
+	copy(m.Data, src.Data)
 }

@@ -48,7 +48,7 @@ type HaloStats = ddp.HaloStats
 
 // ExchangeStats is the whole-run exchange traffic summary: totals plus
 // the directed per-peer matrix in deterministic (From, To) order,
-// accumulated across auto-tuner re-launches.
+// accumulated across the auto-tuner's process-count changes.
 type ExchangeStats = ddp.ExchangeStats
 
 // PeerTraffic is one directed (from, to) edge of the exchange's
@@ -56,22 +56,22 @@ type ExchangeStats = ddp.ExchangeStats
 type PeerTraffic = ddp.PeerTraffic
 
 // GNNTrainer adapts the real multi-process training engine to the
-// TrainStep contract. When the tuner picks a different configuration it
-// re-launches the engine, carrying the current weights and optimizer
-// state over (paper §VI-F). The engine's s and t are worker-goroutine
-// counts; no OS thread is pinned to a core.
+// TrainStep contract. It builds one engine for the whole run — one
+// parameter set, one optimizer — and when the tuner picks a different
+// configuration it reconfigures that engine's (n, s, t) in place (paper
+// §VI-F). The engine's s and t are worker-goroutine counts; no OS
+// thread is pinned to a core.
 type GNNTrainer struct {
 	opts   GNNTrainerOptions
 	regime engine.SamplingRegime
 
-	cfg     Config
-	eng     *engine.Engine
-	weights *engine.State // carried into the next engine: weights and optimizer together
-	losses  []float64     // one mean loss per epoch trained
+	cfg    Config
+	eng    *engine.Engine
+	losses []float64 // one mean loss per epoch trained
 
 	// exchange is the current halo exchange (sharded runs only); retired
-	// accumulates the traffic of exchanges retired by re-launches — peer
-	// edges merged by (from, to), so a process-count change adds to the
+	// accumulates the traffic of exchanges retired by process-count
+	// changes — peer edges merged by (from, to), so a change adds to the
 	// matrix rather than resetting it — and ExchangeStats covers the
 	// whole run.
 	exchange *ddp.HaloExchange
@@ -90,8 +90,8 @@ func NewGNNTrainer(opts GNNTrainerOptions) (*GNNTrainer, error) {
 	if _, ok := opts.Sampler.(*sampler.Neighbor); regime == engine.RegimeLocal && (opts.Shards == nil || !ok) {
 		return nil, fmt.Errorf("argo: the local sampling regime needs a shard set and a neighbor sampler")
 	}
-	// The transport is built on every re-launch; an unknown name must
-	// fail here, not inside the tuner's first search epoch.
+	// The transport is built on every process-count change; an unknown
+	// name must fail here, not inside the tuner's first search epoch.
 	tr, err := ddp.NewTransport(opts.Transport)
 	if err != nil {
 		return nil, err
@@ -149,8 +149,8 @@ func (t *GNNTrainer) traffic() ddp.ExchangeStats {
 
 // ExchangeStats reports the whole-run exchange traffic of a sharded run
 // (totals + deterministic per-peer matrix, accumulated across tuner
-// re-launches), or nil for single-store runs. Attach it to a Report's
-// Exchange field to persist it with the run.
+// reconfigurations), or nil for single-store runs. Attach it to a
+// Report's Exchange field to persist it with the run.
 func (t *GNNTrainer) ExchangeStats() *ExchangeStats {
 	if t.opts.Shards == nil {
 		return nil
@@ -178,9 +178,9 @@ func (t *GNNTrainer) Evaluate() (float64, error) {
 	return t.eng.Evaluate(t.opts.Dataset.ValIdx)
 }
 
-// SaveCheckpoint writes the current model weights (replica 0's —
-// replicas stay bit-identical) to path atomically (temp + rename, like
-// .argograph saves). The written checkpoint is self-describing —
+// SaveCheckpoint writes the current model weights (the engine's one
+// parameter set) to path atomically (temp + rename, like .argograph
+// saves). The written checkpoint is self-describing —
 // nn.LoadModel reconstructs the architecture from it — and is what
 // `argo-serve` consumes.
 func (t *GNNTrainer) SaveCheckpoint(path string) error {
@@ -190,19 +190,17 @@ func (t *GNNTrainer) SaveCheckpoint(path string) error {
 	return t.eng.Model(0).SaveCheckpointFile(path)
 }
 
-// bind (re-)launches the engine for cfg and carries the model weights
-// and optimizer state over. Sharded runs rebuild the replica→shard
-// mapping (and, under the local regime, the partition samplers and owned
-// target sets that follow it) for the new process count; the retired
+// bind builds the engine on the first call and reconfigures it in place
+// for every later cfg, so the weights, the optimizer and the replicas'
+// feature caches carry across the tuner's moves (paper §VI-F). A
+// sharded run rebuilds the replica→shard mapping and its exchange (and,
+// under the local regime, the partition samplers and owned target sets
+// that follow it) only when the process count changes; the retired
 // exchange's traffic is folded into the run totals and its transport
 // closed.
 func (t *GNNTrainer) bind(cfg Config) error {
 	if t.eng != nil && cfg == t.cfg {
 		return nil
-	}
-	if t.eng != nil {
-		t.weights = t.eng.ExportState()
-		t.eng = nil
 	}
 	ecfg := engine.Config{
 		Dataset:        t.opts.Dataset,
@@ -223,7 +221,10 @@ func (t *GNNTrainer) bind(cfg Config) error {
 		}
 		return err
 	}
-	if t.opts.Shards != nil {
+	if t.eng != nil && cfg.Procs == t.cfg.Procs {
+		old := t.eng.Config()
+		ecfg.Sources, ecfg.LocalSamplers, ecfg.LocalTargets = old.Sources, old.LocalSamplers, old.LocalTargets
+	} else if t.opts.Shards != nil {
 		var err error
 		ecfg.Sources, exchange, err = engine.NewShardSourcesOpts(t.opts.Shards, cfg.Procs,
 			engine.ShardSourceOptions{Transport: t.opts.Transport})
@@ -241,17 +242,20 @@ func (t *GNNTrainer) bind(cfg Config) error {
 			ecfg.LocalSamplers, ecfg.LocalTargets = setup.Samplers, setup.Targets
 		}
 	}
-	eng, err := engine.New(ecfg)
-	if err != nil {
-		return fail(err)
-	}
-	if t.weights != nil {
-		if err := eng.ImportState(t.weights); err != nil {
+	if t.eng == nil {
+		eng, err := engine.New(ecfg)
+		if err != nil {
 			return fail(err)
 		}
+		t.eng = eng
+	} else if err := t.eng.Reconfigure(ecfg); err != nil {
+		return fail(err)
 	}
-	t.retireExchange()
-	t.exchange, t.eng, t.cfg = exchange, eng, cfg
+	if exchange != nil {
+		t.retireExchange()
+		t.exchange = exchange
+	}
+	t.cfg = cfg
 	return nil
 }
 

@@ -18,21 +18,22 @@ import (
 // every epoch of the re-launch schedule in pinnedSchedule and, for the
 // sharded ones, the whole-run ExchangeStats JSON. They were recorded
 // when the sampler's per-entry reservoir draw became the keyed Floyd
-// draw, the traffic when labels moved to a table shared by all replicas
-// and stopped crossing the exchange; every loss bit and traffic counter
-// must survive any change that does not declare a new sampled stream.
+// draw, the traffic when the trainer began reconfiguring one engine in
+// place, so a replica slot's feature cache outlives a schedule move;
+// every loss bit and traffic counter must survive any change that does
+// not declare a new sampled stream.
 var pinnedTrainerRuns = map[string][2]string{
 	"single": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02", ""},
 	"exact/inproc": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
-		`{"transport":"inproc","local_rows":411,"remote_rows":186,"remote_bytes":11904,"wire_bytes":12840,"messages":8,"peers":[{"from":0,"to":1,"rows":70,"bytes":4480,"wire_bytes":4856,"messages":4},{"from":1,"to":0,"rows":116,"bytes":7424,"wire_bytes":7984,"messages":4}]}`},
+		`{"transport":"inproc","local_rows":186,"remote_rows":116,"remote_bytes":7424,"wire_bytes":7984,"messages":4,"peers":[{"from":1,"to":0,"rows":116,"bytes":7424,"wire_bytes":7984,"messages":4}]}`},
 	"exact/tcp": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
-		`{"transport":"tcp","local_rows":411,"remote_rows":186,"remote_bytes":11904,"wire_bytes":12840,"messages":8,"peers":[{"from":0,"to":1,"rows":70,"bytes":4480,"wire_bytes":4856,"messages":4},{"from":1,"to":0,"rows":116,"bytes":7424,"wire_bytes":7984,"messages":4}]}`},
+		`{"transport":"tcp","local_rows":186,"remote_rows":116,"remote_bytes":7424,"wire_bytes":7984,"messages":4,"peers":[{"from":1,"to":0,"rows":116,"bytes":7424,"wire_bytes":7984,"messages":4}]}`},
 	"local/inproc": {"0x1.1a785e5fd1133p+00 0x1.a0eb6fa50e241p-01 0x1.2aa0d95d9ace5p-01 0x1.c808b8704a70ap-02",
-		`{"transport":"inproc","local_rows":424,"remote_rows":120,"remote_bytes":7680,"wire_bytes":8352,"messages":8,"peers":[{"from":0,"to":1,"rows":59,"bytes":3776,"wire_bytes":4108,"messages":4},{"from":1,"to":0,"rows":61,"bytes":3904,"wire_bytes":4244,"messages":4}]}`},
+		`{"transport":"inproc","local_rows":214,"remote_rows":62,"remote_bytes":3968,"wire_bytes":4336,"messages":5,"peers":[{"from":0,"to":1,"rows":1,"bytes":64,"wire_bytes":92,"messages":1},{"from":1,"to":0,"rows":61,"bytes":3904,"wire_bytes":4244,"messages":4}]}`},
 }
 
 // pinnedSchedule moves n and (s, t) both ways, so every epoch after the
-// first is trained by a re-launched engine.
+// first is trained by a reconfigured engine.
 var pinnedSchedule = []Config{
 	{Procs: 1, SampleCores: 1, TrainCores: 1},
 	{Procs: 2, SampleCores: 1, TrainCores: 1},
