@@ -149,8 +149,9 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	tuning := search.Tuning{Strategy: strat}
 	for _, h := range warm {
-		strat.Observe(h.Config, h.Seconds)
+		tuning.Observe(h.Config, h.Seconds)
 	}
 	if len(r.warmStart) > 0 && r.logf != nil {
 		if dropped := len(r.warmStart) - len(warm); dropped > 0 {
@@ -160,41 +161,32 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 		}
 	}
 
-	epoch := 0
+	// A search error still leaves the incumbent found so far in the
+	// partial report: it must not lose completed search observations.
+	var searchErr error
 	sinceImprove := 0
-	// The incumbent is tracked through (value, have) rather than a zero
-	// sentinel: a run whose measurements all crash (non-finite) must
-	// count as stale, and a legitimate 0-second incumbent must not reset
-	// the early-stop counter forever.
-	incumbent, have := 0.0, false
-	if bc, by := strat.Best(); r.space.Feasible(bc) {
-		incumbent, have = by, true
-	}
-	for epoch < r.numSearches {
+	for rep.SearchEpochs < r.numSearches {
+		epoch := rep.SearchEpochs
 		if err := ctx.Err(); err != nil {
-			// Keep the incumbent found so far: a partial report must not
-			// lose completed search observations.
-			rep.Best, rep.BestEpochSeconds = strat.Best()
-			rep.TunerOverhead = strat.Overhead()
-			return rep, fmt.Errorf("argo: search epoch %d: %w", epoch, err)
+			searchErr = fmt.Errorf("argo: search epoch %d: %w", epoch, err)
+			break
 		}
-		cfg, ok := strat.Next()
+		cfg, ok := tuning.Next()
 		if !ok {
 			break // strategy exhausted (e.g. exhaustive over a small space)
 		}
 		secs, err := train(ctx, cfg, 1)
 		if err != nil {
-			rep.Best, rep.BestEpochSeconds = strat.Best()
-			rep.TunerOverhead = strat.Overhead()
-			return rep, fmt.Errorf("argo: search epoch %d (%s): %w", epoch, cfg, err)
+			searchErr = fmt.Errorf("argo: search epoch %d (%s): %w", epoch, cfg, err)
+			break
 		}
-		strat.Observe(cfg, secs)
+		improved := tuning.Observe(cfg, secs)
 		rep.History = append(rep.History, EpochRecord{Epoch: epoch, Config: cfg, Seconds: secs, Phase: PhaseSearch})
-		if isFinite(secs) {
+		if search.IsFinite(secs) {
 			rep.TotalSeconds += secs
 		}
 		rep.SearchEpochs++
-		best, bestSecs := strat.Best()
+		best, bestSecs := tuning.Best()
 		if r.logf != nil {
 			r.logf("argo: search %d/%d %s epoch=%.3fs", epoch+1, r.numSearches, cfg, secs)
 		}
@@ -203,28 +195,31 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 			Config: cfg, Seconds: secs,
 			Best: best, BestSeconds: bestSecs, Searched: rep.SearchEpochs,
 		})
-		epoch++
-		if r.space.Feasible(best) && (!have || bestSecs < incumbent) {
-			incumbent, have = bestSecs, true
+		// A crashed measurement never improves, so a run whose
+		// measurements all crash still counts as stale.
+		if improved {
 			sinceImprove = 0
 		} else {
 			sinceImprove++
-			if r.earlyStop > 0 && sinceImprove >= r.earlyStop {
-				if r.logf != nil {
-					r.logf("argo: early stop after %d stale search epochs", sinceImprove)
-				}
-				break
+		}
+		if r.earlyStop > 0 && sinceImprove >= r.earlyStop {
+			if r.logf != nil {
+				r.logf("argo: early stop after %d stale search epochs", sinceImprove)
 			}
+			break
 		}
 	}
-	rep.Best, rep.BestEpochSeconds = strat.Best()
-	rep.TunerOverhead = strat.Overhead()
+	rep.Best, rep.BestEpochSeconds = tuning.Best()
+	rep.TunerOverhead = tuning.Overhead()
+	if searchErr != nil {
+		return rep, searchErr
+	}
 	if rep.SearchEpochs == 0 && len(warm) == 0 {
 		return rep, fmt.Errorf("argo: strategy %q made no proposals", r.strategy)
 	}
 	// Every measurement may have been non-finite (the crashed-epoch
-	// signal): the strategy then has no incumbent and Best() returns the
-	// zero config, which must never drive the reuse phase.
+	// signal): there is then no incumbent and Best is the zero config,
+	// which must never drive the reuse phase.
 	if !r.space.Feasible(rep.Best) {
 		return rep, fmt.Errorf("argo: no feasible incumbent after %d search epochs (all measurements crashed?)", rep.SearchEpochs)
 	}
@@ -240,7 +235,7 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 	const maxCrashedReuse = 3
 	var reuseTotal float64
 	reuseEpochs, crashedRun := 0, 0
-	for ; epoch < r.epochs; epoch++ {
+	for epoch := rep.SearchEpochs; epoch < r.epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return rep, fmt.Errorf("argo: reuse epoch %d: %w", epoch, err)
 		}
@@ -249,7 +244,7 @@ func (r *Runtime) Run(ctx context.Context, train TrainStep) (Report, error) {
 			return rep, fmt.Errorf("argo: reuse phase (%s): %w", rep.Best, err)
 		}
 		rep.History = append(rep.History, EpochRecord{Epoch: epoch, Config: rep.Best, Seconds: secs, Phase: PhaseReuse})
-		if isFinite(secs) {
+		if search.IsFinite(secs) {
 			rep.TotalSeconds += secs
 			reuseTotal += secs
 			reuseEpochs++

@@ -118,12 +118,19 @@ func runGen(args []string) error {
 	if *name == "" || *out == "" {
 		return fmt.Errorf("gen needs -dataset and -o (try: argo-data gen -dataset arxiv-sim -o arxiv.argograph)")
 	}
+	switch {
+	case *scale < 1:
+		return fmt.Errorf("-scale must be ≥ 1, got %d", *scale)
+	case *nodes < 0:
+		return fmt.Errorf("-nodes must be ≥ 0 (0 keeps the profile's), got %d", *nodes)
+	case *edges < 0:
+		return fmt.Errorf("-edges must be ≥ 0 (0 keeps the profile's), got %d", *edges)
+	case *feat < 0:
+		return fmt.Errorf("-feat must be ≥ 0 (0 keeps the profile's), got %d", *feat)
+	}
 	dt, err := graph.ParseFeatDtype(*featDtype)
 	if err != nil {
 		return err
-	}
-	if *scale < 1 {
-		return fmt.Errorf("-scale must be ≥ 1, got %d", *scale)
 	}
 	p, err := datasets.Get(*name)
 	if err != nil {
@@ -250,6 +257,14 @@ func runImport(args []string) error {
 	}
 	if src == "" || *out == "" {
 		return fmt.Errorf("import needs an edge-list file and -o (try: argo-data import edges.csv -o mygraph.argograph)")
+	}
+	switch {
+	case *feat < 1:
+		return fmt.Errorf("-feat must be ≥ 1, got %d", *feat)
+	case *classes < 2:
+		return fmt.Errorf("-classes must be ≥ 2, got %d", *classes)
+	case !(*trainFrac > 0 && *trainFrac < 1):
+		return fmt.Errorf("-train-frac must lie in (0, 1), got %g", *trainFrac)
 	}
 	dt, err := graph.ParseFeatDtype(*featDtype)
 	if err != nil {

@@ -69,3 +69,36 @@ func TestVerifyCatchesFlippedPayloadByte(t *testing.T) {
 		t.Fatalf("inspect touched the damaged payload: %v", err)
 	}
 }
+
+// Out-of-range size and split flags are refused by name before any
+// dataset is built, instead of being silently replaced by a default.
+func TestOutOfRangeFlagsAreRefused(t *testing.T) {
+	dir := t.TempDir()
+	edges := filepath.Join(dir, "e.csv")
+	if err := os.WriteFile(edges, []byte("0,1\n1,2\n2,3\n3,4\n4,5\n5,6\n6,7\n7,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag string
+		run  func(out string) error
+	}{
+		{"-nodes", func(out string) error { return runGen([]string{"-dataset", "tiny", "-nodes", "-5", "-o", out}) }},
+		{"-edges", func(out string) error { return runGen([]string{"-dataset", "tiny", "-edges", "-1", "-o", out}) }},
+		{"-feat", func(out string) error { return runGen([]string{"-dataset", "tiny", "-feat", "-3", "-o", out}) }},
+		{"-feat", func(out string) error { return runImport([]string{edges, "-feat", "0", "-o", out}) }},
+		{"-classes", func(out string) error { return runImport([]string{edges, "-classes", "1", "-o", out}) }},
+		{"-train-frac", func(out string) error { return runImport([]string{edges, "-train-frac", "1.5", "-o", out}) }},
+		{"-train-frac", func(out string) error { return runImport([]string{edges, "-train-frac", "0", "-o", out}) }},
+		{"-train-frac", func(out string) error { return runImport([]string{edges, "-train-frac", "1", "-o", out}) }},
+	} {
+		out := filepath.Join(dir, "out.argograph")
+		err := tc.run(out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s out of range: error %v, want one naming %s", tc.flag, err, tc.flag)
+		}
+		if _, statErr := os.Stat(out); !errors.Is(statErr, os.ErrNotExist) {
+			t.Errorf("%s out of range: a store was written anyway (%v)", tc.flag, statErr)
+			os.Remove(out)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"argo"
 	"argo/internal/graph"
@@ -57,7 +58,9 @@ func ExampleRuntime_Run() {
 }
 
 // ExampleNewStrategy shows stepping a strategy directly — the
-// propose/observe loop Runtime.Run drives internally.
+// propose/observe loop Runtime.Run drives internally. A strategy only
+// proposes and learns, so a caller stepping it keeps its own best;
+// Runtime.Run keeps it in the Report.
 func ExampleNewStrategy() {
 	space := argo.DefaultSpace(16)
 	strat, err := argo.NewStrategy(argo.StrategyExhaustive, space, space.Size(), 0)
@@ -65,16 +68,21 @@ func ExampleNewStrategy() {
 		log.Fatal(err)
 	}
 	evals := 0
+	var best argo.Config
+	bestCost := math.Inf(1)
 	for {
 		cfg, ok := strat.Next()
 		if !ok {
 			break
 		}
 		// A toy objective: prefer few processes and few cores.
-		strat.Observe(cfg, float64(cfg.TotalCores())+0.1*float64(cfg.Procs))
+		cost := float64(cfg.TotalCores()) + 0.1*float64(cfg.Procs)
+		strat.Observe(cfg, cost)
+		if cost < bestCost {
+			best, bestCost = cfg, cost
+		}
 		evals++
 	}
-	best, _ := strat.Best()
 	fmt.Printf("evaluated %d configurations\n", evals)
 	fmt.Printf("best: %s\n", best)
 	// Output:

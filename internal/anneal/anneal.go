@@ -12,7 +12,6 @@ package anneal
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"argo/internal/search"
 )
@@ -40,10 +39,7 @@ type Annealer struct {
 	haveCur  bool
 	observed int
 
-	inc search.Incumbent
-
 	temp, alpha float64
-	overhead    time.Duration
 }
 
 // NewAnnealer builds an annealer over sp with the given evaluation budget.
@@ -60,8 +56,6 @@ func NewAnnealer(sp search.Space, budget int, rng *rand.Rand) *Annealer {
 // Next proposes the next configuration to evaluate. ok is false once the
 // evaluation budget is exhausted.
 func (a *Annealer) Next() (search.Config, bool) {
-	start := time.Now()
-	defer func() { a.overhead += time.Since(start) }()
 	if a.observed >= a.budget {
 		return search.Config{}, false
 	}
@@ -79,14 +73,10 @@ func (a *Annealer) Next() (search.Config, bool) {
 
 // Observe records an evaluated configuration and its cost, applying the
 // acceptance rule and cooling the temperature. Non-finite costs (a
-// crashed measurement) are rejected outright and excluded from the
-// incumbent.
+// crashed measurement) are rejected outright.
 func (a *Annealer) Observe(c search.Config, y float64) {
-	start := time.Now()
-	defer func() { a.overhead += time.Since(start) }()
 	a.observed++
 	finite := search.IsFinite(y)
-	a.inc.Observe(c, y)
 	if !a.haveCur {
 		if finite {
 			a.cur, a.curY, a.haveCur = c, y, true
@@ -101,10 +91,3 @@ func (a *Annealer) Observe(c search.Config, y float64) {
 	}
 	a.temp *= a.alpha
 }
-
-// Best returns the incumbent optimal configuration and its cost.
-func (a *Annealer) Best() (search.Config, float64) { return a.inc.Best() }
-
-// Overhead returns the cumulative time spent proposing moves and applying
-// the acceptance rule — the tuning overhead outside the objective itself.
-func (a *Annealer) Overhead() time.Duration { return a.overhead }

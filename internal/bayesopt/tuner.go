@@ -2,7 +2,7 @@ package bayesopt
 
 import (
 	"math/rand"
-	"time"
+	"slices"
 
 	"argo/internal/search"
 )
@@ -26,9 +26,6 @@ type Tuner struct {
 	observedX  []search.Config
 	observedY  []float64
 	seen       map[search.Config]bool
-
-	search.Incumbent               // Best: Algorithm 1's Tuner.get_opt
-	overhead         time.Duration // cumulative surrogate fit + acquisition time
 }
 
 // NewTuner builds a tuner over sp with the given online-learning budget.
@@ -56,8 +53,6 @@ func (t *Tuner) Next() (search.Config, bool) {
 	if len(t.observedX) >= t.NumSearches {
 		return search.Config{}, false
 	}
-	start := time.Now()
-	defer func() { t.overhead += time.Since(start) }()
 	return t.propose(), true
 }
 
@@ -77,7 +72,7 @@ func (t *Tuner) propose() search.Config {
 	if err != nil {
 		return t.randomUnseen()
 	}
-	_, bestY := t.Best()
+	bestY := slices.Min(ys)
 	bestEI := -1.0
 	var bestCfg search.Config
 	found := false
@@ -98,13 +93,12 @@ func (t *Tuner) propose() search.Config {
 
 // Observe records an evaluated configuration and its epoch time.
 // Non-finite times (a crashed epoch) are recorded as seen — so the
-// configuration is never proposed again — but excluded from the surrogate
-// and from the incumbent.
+// configuration is never proposed again — but excluded from the
+// surrogate.
 func (t *Tuner) Observe(c search.Config, epochTime float64) {
 	t.observedX = append(t.observedX, c)
 	t.observedY = append(t.observedY, epochTime)
 	t.seen[c] = true
-	t.Incumbent.Observe(c, epochTime)
 }
 
 // finiteSamples filters the training set for the GP.
@@ -112,20 +106,13 @@ func (t *Tuner) finiteSamples() ([][]float64, []float64) {
 	var xs [][]float64
 	var ys []float64
 	for i, y := range t.observedY {
-		if isFinite(y) {
+		if search.IsFinite(y) {
 			xs = append(xs, t.normalize(t.observedX[i]))
 			ys = append(ys, y)
 		}
 	}
 	return xs, ys
 }
-
-func isFinite(v float64) bool { return search.IsFinite(v) }
-
-// Overhead returns the cumulative time spent fitting the surrogate and
-// maximising the acquisition function — the auto-tuning overhead the
-// paper profiles in §VI-D.
-func (t *Tuner) Overhead() time.Duration { return t.overhead }
 
 // randomUnseen draws a random feasible configuration not yet observed
 // (falling back to any random one once the space is exhausted).

@@ -85,8 +85,7 @@ func endToEndRow(setup Setup) (EndToEndRow, error) {
 	obj := platsim.NewObjective(sc)
 	obj.NoiseFrac = epochNoise
 	obj.NoiseSeed = 1
-	tuner := bayesopt.NewTuner(sp, budget, 1)
-	res := search.Run(tuner, obj)
+	res := search.Run(bayesopt.NewTuner(sp, budget, 1), obj)
 	for _, ev := range res.History {
 		row.ARGOSec += ev.Time
 	}
@@ -94,7 +93,7 @@ func endToEndRow(setup Setup) (EndToEndRow, error) {
 	bestTime := clean.Evaluate(res.Best)
 	row.BestConfig = res.Best
 	row.ARGOSec += bestTime * float64(totalEpochs-budget)
-	row.ARGOSec += tuner.Overhead().Seconds()
+	row.ARGOSec += res.Overhead.Seconds()
 	row.Speedup = row.BaselineSec / row.ARGOSec
 	return row, nil
 }

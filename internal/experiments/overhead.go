@@ -42,15 +42,14 @@ func TunerOverhead(w io.Writer) ([]OverheadRow, error) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			tuner := bayesopt.NewTuner(sp, budget, 7)
-			search.Run(tuner, obj)
+			res := search.Run(bayesopt.NewTuner(sp, budget, 7), obj)
 			runtime.ReadMemStats(&after)
 
 			rows = append(rows, OverheadRow{
 				Platform:  plat.Name,
 				Budget:    budget,
 				SpaceSize: sp.Size(),
-				Overhead:  tuner.Overhead(),
+				Overhead:  res.Overhead,
 				AllocMB:   float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
 			})
 		}

@@ -51,10 +51,3 @@ func HubCount(n int, frac float64) int {
 	}
 	return k
 }
-
-// HubCount is HubCount(NumNodes, frac) computed from the stats section
-// alone — a lazy or sharded store can size its hub set (pin count,
-// precompute budget) without materialising any topology bytes.
-func (s *Stats) HubCount(frac float64) int {
-	return HubCount(int(s.NumNodes), frac)
-}

@@ -85,7 +85,7 @@ func TestHubCount(t *testing.T) {
 		}
 	}
 	s := Stats{NumNodes: 2000}
-	if got := s.HubCount(0.01); got != 20 {
-		t.Errorf("Stats.HubCount(0.01) = %d, want 20", got)
+	if got := HubCount(int(s.NumNodes), 0.01); got != 20 {
+		t.Errorf("HubCount(Stats.NumNodes, 0.01) = %d, want 20", got)
 	}
 }

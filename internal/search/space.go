@@ -7,6 +7,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"time"
 )
 
 // Config is one point of the design space: n processes, each bound to
@@ -127,11 +128,13 @@ type Eval struct {
 	Time   float64
 }
 
-// Result summarises a search run: Best is the strategy's incumbent (zero
-// values when no evaluation was finite).
+// Result summarises a search run: Best is the incumbent (zero values
+// when no evaluation was finite) and Overhead the time spent inside the
+// strategy.
 type Result struct {
 	Best     Config
 	BestTime float64
 	Evals    int
 	History  []Eval
+	Overhead time.Duration
 }

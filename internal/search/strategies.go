@@ -11,34 +11,12 @@ import (
 // must never become an incumbent.
 func IsFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Incumbent tracks the best finite observation seen so far — the shared
-// half of the Strategy contract: non-finite costs (a crashed measurement)
-// must never become the incumbent.
-type Incumbent struct {
-	best     Config
-	bestY    float64
-	haveBest bool
-}
-
-// Observe folds one measurement into the incumbent, ignoring non-finite
-// costs.
-func (in *Incumbent) Observe(c Config, y float64) {
-	if !IsFinite(y) {
-		return
-	}
-	if !in.haveBest || y < in.bestY {
-		in.best, in.bestY, in.haveBest = c, y, true
-	}
-}
-
-// Best returns the incumbent optimal configuration and its cost (zero
-// values before the first finite observation).
-func (in *Incumbent) Best() (Config, float64) { return in.best, in.bestY }
-
-// Strategy is the pluggable auto-tuning policy: the propose/observe
-// halves of one online-learning step. A driver — Run offline, the
-// training runtime online — calls Next to obtain the configuration for
-// the next epoch, measures it, and feeds the result back through Observe.
+// Strategy is an auto-tuning policy: the propose and learn halves of
+// one online-learning step (Algorithm 1's Tuner.get_next, then the model
+// update). A caller — Run offline, the training runtime online —
+// calls Next to obtain the configuration for the next epoch, measures
+// it, and feeds the result back through Observe, both through a Tuning,
+// which keeps the incumbent and the overhead clock for every strategy.
 //
 // Implementations must be deterministic given their construction seed and
 // the observation sequence; they are used from a single goroutine.
@@ -48,36 +26,66 @@ type Strategy interface {
 	// exhausted, or the space is fully explored).
 	Next() (cfg Config, ok bool)
 	// Observe records the measured epoch time (seconds) of a proposed —
-	// or warm-started — configuration. Non-finite times mark a crashed
-	// measurement and must not become the incumbent.
+	// or warm-started — configuration. A non-finite time marks a crashed
+	// measurement.
 	Observe(cfg Config, seconds float64)
-	// Best returns the incumbent optimum and its epoch time. Until the
-	// first finite observation it must return zero values (a zero,
-	// infeasible Config) — the runtime relies on this to detect a run
-	// whose measurements all crashed instead of reusing a bogus
-	// configuration. Embedding an Incumbent implements the rule.
-	Best() (Config, float64)
-	// Overhead returns the cumulative time the strategy itself consumed
-	// (surrogate fits, acquisition maximisation, proposal draws) — the
-	// auto-tuning overhead the paper profiles in §VI-D.
-	Overhead() time.Duration
 }
+
+// Tuning drives one Strategy and keeps the score of the run: the
+// incumbent (Algorithm 1's Tuner.get_opt) and the time the strategy
+// itself consumed in Next and Observe — surrogate fits, acquisition
+// maximisation, proposal draws — which is the auto-tuning overhead the
+// paper profiles in §VI-D.
+type Tuning struct {
+	Strategy
+
+	best     Config
+	bestY    float64
+	have     bool
+	overhead time.Duration
+}
+
+// Next asks the strategy for its next proposal.
+func (t *Tuning) Next() (Config, bool) {
+	start := time.Now()
+	defer func() { t.overhead += time.Since(start) }()
+	return t.Strategy.Next()
+}
+
+// Observe feeds one measurement to the strategy and reports whether it
+// became the incumbent: the first finite cost does, after it only a
+// strictly lower one, and a non-finite cost (a crashed measurement)
+// never does.
+func (t *Tuning) Observe(c Config, y float64) bool {
+	start := time.Now()
+	t.Strategy.Observe(c, y)
+	t.overhead += time.Since(start)
+	if !IsFinite(y) || t.have && y >= t.bestY {
+		return false
+	}
+	t.best, t.bestY, t.have = c, y, true
+	return true
+}
+
+// Best returns the incumbent and its cost, zero values until one exists.
+func (t *Tuning) Best() (Config, float64) { return t.best, t.bestY }
+
+// Overhead returns the time spent inside the strategy so far.
+func (t *Tuning) Overhead() time.Duration { return t.overhead }
 
 // Run drives s against obj offline — propose, evaluate, observe — until
 // s has nothing further to propose.
 func Run(s Strategy, obj Objective) Result {
+	t := Tuning{Strategy: s}
 	var res Result
-	for {
-		c, ok := s.Next()
-		if !ok {
-			break
-		}
+	for c, ok := t.Next(); ok; c, ok = t.Next() {
 		y := obj.Evaluate(c)
-		s.Observe(c, y)
+		t.Observe(c, y)
 		res.History = append(res.History, Eval{Config: c, Time: y})
-		res.Evals++
 	}
-	res.Best, res.BestTime = s.Best()
+	res.Evals = len(res.History)
+	res.Best, res.BestTime = t.Best()
+	res.Overhead = t.Overhead()
 	return res
 }
 
@@ -89,10 +97,8 @@ type RandomSearcher struct {
 	rng    *rand.Rand
 	size   int
 	seen   map[Config]bool
-
+	// observed counts observations against the budget.
 	observed int
-	inc      Incumbent
-	overhead time.Duration
 }
 
 // NewRandomSearcher builds a random searcher over sp with the given
@@ -104,8 +110,6 @@ func NewRandomSearcher(sp Space, budget int, rng *rand.Rand) *RandomSearcher {
 // Next proposes the next configuration. ok is false once the budget is
 // exhausted.
 func (r *RandomSearcher) Next() (Config, bool) {
-	start := time.Now()
-	defer func() { r.overhead += time.Since(start) }()
 	if r.observed >= r.budget {
 		return Config{}, false
 	}
@@ -117,18 +121,12 @@ func (r *RandomSearcher) Next() (Config, bool) {
 	}
 }
 
-// Observe records an evaluated configuration and its cost.
-func (r *RandomSearcher) Observe(c Config, y float64) {
+// Observe records an evaluated configuration; its cost does not steer
+// the draws.
+func (r *RandomSearcher) Observe(c Config, _ float64) {
 	r.observed++
 	r.seen[c] = true
-	r.inc.Observe(c, y)
 }
-
-// Best returns the incumbent optimal configuration and its cost.
-func (r *RandomSearcher) Best() (Config, float64) { return r.inc.Best() }
-
-// Overhead returns the cumulative time spent drawing proposals.
-func (r *RandomSearcher) Overhead() time.Duration { return r.overhead }
 
 // ExhaustiveSearcher walks every feasible configuration in enumeration
 // order — the paper's optimal but intractably expensive baseline. Next
@@ -140,9 +138,6 @@ type ExhaustiveSearcher struct {
 	order []Config
 	next  int
 	seen  map[Config]bool
-
-	inc      Incumbent
-	overhead time.Duration
 }
 
 // NewExhaustiveSearcher builds an exhaustive searcher over sp.
@@ -152,8 +147,6 @@ func NewExhaustiveSearcher(sp Space) *ExhaustiveSearcher {
 
 // Next proposes the next unvisited configuration in enumeration order.
 func (e *ExhaustiveSearcher) Next() (Config, bool) {
-	start := time.Now()
-	defer func() { e.overhead += time.Since(start) }()
 	for e.next < len(e.order) {
 		c := e.order[e.next]
 		e.next++
@@ -164,14 +157,7 @@ func (e *ExhaustiveSearcher) Next() (Config, bool) {
 	return Config{}, false
 }
 
-// Observe records an evaluated configuration and its cost.
-func (e *ExhaustiveSearcher) Observe(c Config, y float64) {
+// Observe marks a configuration as evaluated so the walk skips it.
+func (e *ExhaustiveSearcher) Observe(c Config, _ float64) {
 	e.seen[c] = true
-	e.inc.Observe(c, y)
 }
-
-// Best returns the incumbent optimal configuration and its cost.
-func (e *ExhaustiveSearcher) Best() (Config, float64) { return e.inc.Best() }
-
-// Overhead returns the cumulative time spent iterating the enumeration.
-func (e *ExhaustiveSearcher) Overhead() time.Duration { return e.overhead }

@@ -42,7 +42,7 @@ type wireEpochRecord struct {
 // MarshalJSON implements json.Marshaler.
 func (e EpochRecord) MarshalJSON() ([]byte, error) {
 	w := wireEpochRecord{Epoch: e.Epoch, Config: e.Config, Seconds: e.Seconds, Phase: e.Phase}
-	if !isFinite(e.Seconds) {
+	if !search.IsFinite(e.Seconds) {
 		w.Seconds, w.Crashed = 0, true
 	}
 	return json.Marshal(w)
@@ -60,10 +60,6 @@ func (e *EpochRecord) UnmarshalJSON(b []byte) error {
 	}
 	return nil
 }
-
-// isFinite reports whether v is a usable measurement (not the crashed
-// signal); the convention lives in search.IsFinite.
-func isFinite(v float64) bool { return search.IsFinite(v) }
 
 // Event is a per-epoch progress notification streamed to the callback
 // installed with WithEvents, carrying the epoch just measured and the
@@ -109,7 +105,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Strategy: e.Strategy, Epoch: e.Epoch, Phase: e.Phase, Config: e.Config,
 		Seconds: e.Seconds, Best: e.Best, BestSeconds: e.BestSeconds, Searched: e.Searched,
 	}
-	if !isFinite(e.Seconds) {
+	if !search.IsFinite(e.Seconds) {
 		w.Seconds, w.Crashed = 0, true
 	}
 	return json.Marshal(w)
@@ -144,7 +140,7 @@ type Report struct {
 	Strategy string `json:"strategy"`
 	Best     Config `json:"best"`
 	// BestEpochSeconds is the best epoch time observed during the search
-	// phase — the strategy's incumbent. The reuse phase never overwrites
+	// phase — the run's incumbent. The reuse phase never overwrites
 	// it; compare with ReuseEpochSeconds to see post-search drift.
 	BestEpochSeconds float64 `json:"best_epoch_seconds"`
 	// ReuseEpochSeconds is the mean measured epoch time over the reuse

@@ -13,8 +13,10 @@ import (
 
 // Strategy is the auto-tuning policy behind Runtime.Run: the runtime
 // calls Next to obtain the configuration for the next training epoch,
-// measures the epoch, and feeds the result back through Observe. See
-// search.Strategy for the contract each method carries.
+// measures the epoch, and feeds the result back through Observe. A
+// strategy only proposes and learns: the runtime keeps the incumbent
+// (Report.Best) and the time spent in the strategy (Report.TunerOverhead).
+// See search.Strategy for the contract each method carries.
 type Strategy = search.Strategy
 
 // Strategy names: the paper's auto-tuner and the three baselines it is

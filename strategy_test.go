@@ -103,22 +103,15 @@ func TestFullBudgetStrategiesFindExactOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			cfg, ok := strat.Next()
-			if !ok {
-				break
-			}
-			strat.Observe(cfg, bowl(cfg))
-		}
-		if _, best := strat.Best(); best != optimum {
+		if best := search.Run(strat, search.ObjectiveFunc(bowl)).BestTime; best != optimum {
 			t.Fatalf("strategy %s with full budget found %.4f, want exact %.4f", name, best, optimum)
 		}
 	}
 }
 
 // A crashed first evaluation must not become the optimum: the offline
-// loop takes Best from the strategy's incumbent, which ignores
-// non-finite times, for every built-in strategy.
+// loop takes Best from its Tuning's incumbent, which ignores non-finite
+// times, for every built-in strategy.
 func TestCrashedFirstEvaluationIsNotTheOptimum(t *testing.T) {
 	space := DefaultSpace(16)
 	for _, name := range []string{StrategyAnneal, StrategyBayesOpt, StrategyExhaustive, StrategyRandom} {
