@@ -115,12 +115,13 @@ type ShardSourceOptions struct {
 }
 
 // NewShardSourcesOpts maps a shard set onto numProcs replicas: shard s
-// is owned by replica s mod numProcs, each replica materialises only
-// its own shards' feature sections (lazy / mmap-backed for file-backed
-// sets — the other shards' feature bytes are never read by this
-// replica), and feature lookups flow through the returned HaloExchange,
-// whose stats expose the cross-replica traffic a real multi-node run
-// would put on the wire. Labels are read-only and 4 bytes a node, so
+// is owned by replica s mod numProcs, and feature lookups flow through
+// the returned HaloExchange, whose stats expose the cross-replica
+// traffic a real multi-node run would put on the wire. The replicas
+// share one address space: every shard's feature section is loaded
+// here, once, and all replicas' row servers are the same table over
+// them, so ownership decides what the exchange counts, not what is
+// held in memory. Labels are read-only and 4 bytes a node, so
 // every shard's label section is gathered here into one table of every
 // node's label that all replicas read; no label crosses the exchange.
 // The exchange batches one message per (peer, gather) over the selected

@@ -8,13 +8,18 @@ import (
 
 // The location table is the one answer to "where does node v live":
 // for every node, under both partitioners and shard counts that do and
-// do not divide the graph evenly, Locate must agree with the manifest's
-// owner runs and with the owning shard's map.
+// do not divide the graph evenly, Locate must agree with the
+// partitioner's assignment and with the owning shard's map.
 func TestLocationsAgreeWithManifestAndMaps(t *testing.T) {
 	ds := shardTestDataset(t)
 	for _, part := range []string{"", "random"} {
 		for _, k := range []int{1, 3, 4, 7} {
-			ss, err := ShardSetFromDataset(ds, ShardOptions{K: k, Partitioner: part, Seed: 5})
+			opt := ShardOptions{K: k, Partitioner: part, Seed: 5}
+			p, err := opt.partition(ds.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, err := ShardSetFromDataset(ds, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -23,8 +28,8 @@ func TestLocationsAgreeWithManifestAndMaps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want, err := ss.Manifest.Owner(NodeID(v)); err != nil || shard != want {
-					t.Fatalf("%q k=%d: node %d located in shard %d, manifest runs say %d (%v)", part, k, v, shard, want, err)
+				if want := int(p.Assign[v]); shard != want {
+					t.Fatalf("%q k=%d: node %d located in shard %d, the partitioner assigned %d", part, k, v, shard, want)
 				}
 				sm, err := ss.ShardMap(shard)
 				if err != nil {
@@ -47,21 +52,30 @@ func TestLocationsAgreeWithManifestAndMaps(t *testing.T) {
 	}
 }
 
-// A shard map that owns a node twice, skips one, or names an id outside
-// the set fails when the table is built — before any gather — and keeps
-// failing.
+// A shard map that owns a node twice, skips one, names an id outside
+// the set, or owns more nodes than its manifest entry says fails when
+// the table is built — before any gather — and keeps
+// failing; a manifest whose split count disagrees with the maps is
+// refused before the splits are assembled. Every reader of the set
+// returns the error rather than panicking.
 func TestLocationsRejectBadShardMaps(t *testing.T) {
 	ds := shardTestDataset(t)
 	n := NodeID(ds.Graph.NumNodes)
 	for _, c := range []struct {
 		name    string
-		corrupt func(a, b *ShardMap)
+		corrupt func(ss *ShardSet)
 		want    string
+		table   bool // the location table fails to build
 	}{
-		{"twice", func(a, b *ShardMap) { b.Owned[0] = a.Owned[0] }, "owned by shards"},
-		{"skipped", func(a, b *ShardMap) { b.Owned = b.Owned[1:] }, "own 299 of 300 nodes"},
-		{"out of range", func(a, b *ShardMap) { b.Owned[len(b.Owned)-1] = n }, "outside"},
-		{"negative", func(a, b *ShardMap) { b.Owned[0] = -3 }, "outside"},
+		{"twice", func(ss *ShardSet) { ss.maps[2].Owned[0] = ss.maps[0].Owned[0] }, "owned by shards", true},
+		{"skipped", func(ss *ShardSet) { ss.maps[2].Owned = ss.maps[2].Owned[1:] }, "own 299 of 300 nodes", true},
+		{"out of range", func(ss *ShardSet) { ss.maps[2].Owned[len(ss.maps[2].Owned)-1] = n }, "outside", true},
+		{"negative", func(ss *ShardSet) { ss.maps[2].Owned[0] = -3 }, "outside", true},
+		{"moved", func(ss *ShardSet) {
+			a, b := ss.maps[0], ss.maps[2]
+			a.Owned, b.Owned = a.Owned[1:], append(b.Owned, a.Owned[0])
+		}, "manifest says", true},
+		{"train count", func(ss *ShardSet) { ss.Manifest.TrainCount++ }, "train/val/test nodes", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ss, err := ShardSetFromDataset(ds, ShardOptions{K: 3})
@@ -69,14 +83,25 @@ func TestLocationsRejectBadShardMaps(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ss.Close()
-			c.corrupt(ss.maps[0], ss.maps[2])
-			for i := 0; i < 2; i++ {
-				if _, _, err := ss.Locations(); err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Fatalf("Locations() = %v, want an error containing %q", err, c.want)
+			c.corrupt(ss)
+			if c.table {
+				for i := 0; i < 2; i++ {
+					if _, _, err := ss.Locations(); err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("Locations() = %v, want an error containing %q", err, c.want)
+					}
+				}
+				if _, err := ss.Owner(0); err == nil {
+					t.Fatal("Owner answered from a table that failed to build")
 				}
 			}
-			if _, err := ss.Owner(0); err == nil {
-				t.Fatal("Owner answered from a table that failed to build")
+			for name, read := range map[string]func() error{
+				"Skeleton":        func() error { _, err := ss.Skeleton(); return err },
+				"AssembleDataset": func() error { _, err := ss.AssembleDataset(); return err },
+				"Validate":        ss.Validate,
+			} {
+				if err := read(); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s() = %v, want an error containing %q", name, err, c.want)
+				}
 			}
 		})
 	}

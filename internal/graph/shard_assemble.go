@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"argo/internal/tensor"
 )
@@ -44,92 +44,79 @@ func (ss *ShardSet) AssembleDataset() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	shard, row, err := ss.Locations()
+	if err != nil {
+		return nil, err
+	}
 	m := &ss.Manifest
-	n := int(m.NumNodes)
-	feats := tensor.New(n, m.FeatDim)
-	labels := make([]int32, n)
-	for s := 0; s < m.K; s++ {
-		sm, err := ss.ShardMap(s)
-		if err != nil {
-			return nil, err
-		}
+	sfs, sls := make([]*tensor.Matrix, m.K), make([][]int32, m.K)
+	for s := range sfs {
 		lz, err := ss.Shard(s)
 		if err != nil {
 			return nil, err
 		}
-		sf, err := lz.Features()
-		if err != nil {
+		if sfs[s], err = lz.Features(); err != nil {
 			return nil, err
 		}
-		sl, err := lz.Labels()
-		if err != nil {
+		if sls[s], err = lz.Labels(); err != nil {
 			return nil, err
 		}
-		if sf.Cols != m.FeatDim || sf.Rows < len(sm.Owned) || len(sl) < len(sm.Owned) {
+		if sfs[s].Cols != m.FeatDim || sfs[s].Rows < m.Shards[s].Owned || len(sls[s]) < m.Shards[s].Owned {
 			return nil, fmt.Errorf("graph: shard %d features/labels smaller than its owned set", s)
 		}
-		// Only owned rows are authoritative; halo rows are caches.
-		for l, v := range sm.Owned {
-			copy(feats.Row(int(v)), sf.Row(l))
-			labels[v] = sl[l]
-		}
 	}
-	skel.Features = feats
-	skel.Labels = labels
+	// Only owned rows are authoritative; halo rows are caches.
+	skel.Features = tensor.New(len(shard), m.FeatDim)
+	skel.Labels = make([]int32, len(shard))
+	for v, s := range shard {
+		copy(skel.Features.Row(v), sfs[s].Row(int(row[v])))
+		skel.Labels[v] = sls[s][row[v]]
+	}
 	if err := skel.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: assembled dataset invalid: %w", err)
 	}
 	return skel, nil
 }
 
-// assembleTopology reconstructs the global CSR from the shards' local
-// topologies and maps — topology-only opens, no feature bytes.
+// assembleTopology reconstructs the global CSR node by node through the
+// location table, from the owning shards' local topologies and maps —
+// topology-only opens, no feature bytes.
 func (ss *ShardSet) assembleTopology() (*CSR, error) {
+	shard, row, err := ss.Locations()
+	if err != nil {
+		return nil, err
+	}
 	m := &ss.Manifest
-	n := int(m.NumNodes)
-	g := &CSR{NumNodes: n, RowPtr: make([]int64, n+1)}
-	rows := make([][]NodeID, n)
-	for s := 0; s < m.K; s++ {
-		sm, err := ss.ShardMap(s)
-		if err != nil {
+	maps, lgs := make([]*ShardMap, m.K), make([]*CSR, m.K)
+	for s := range maps {
+		if maps[s], err = ss.ShardMap(s); err != nil {
 			return nil, err
 		}
 		lz, err := ss.Shard(s)
 		if err != nil {
 			return nil, err
 		}
-		lg, err := lz.Topology()
-		if err != nil {
+		if lgs[s], err = lz.Topology(); err != nil {
 			return nil, err
 		}
-		if lg.NumNodes != len(sm.Owned)+len(sm.Halo) {
+		if lgs[s].NumNodes != len(maps[s].Owned)+len(maps[s].Halo) {
 			return nil, fmt.Errorf("graph: shard %d CSR and map disagree on node count", s)
 		}
-		for l, v := range sm.Owned {
-			adj := lg.Neighbors(NodeID(l))
-			row := make([]NodeID, len(adj))
-			for j, u := range adj {
-				gu, err := sm.GlobalID(u)
-				if err != nil {
-					return nil, err
-				}
-				row[j] = gu
+	}
+	n := len(shard)
+	g := &CSR{NumNodes: n, RowPtr: make([]int64, n+1)}
+	for v, s := range shard {
+		g.RowPtr[v+1] = g.RowPtr[v] + int64(lgs[s].Degree(NodeID(row[v])))
+	}
+	g.Col = make([]NodeID, g.RowPtr[n])
+	for v, s := range shard {
+		adj := g.Col[g.RowPtr[v]:g.RowPtr[v+1]]
+		for j, u := range lgs[s].Neighbors(NodeID(row[v])) {
+			if adj[j], err = maps[s].GlobalID(u); err != nil {
+				return nil, err
 			}
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			if rows[v] != nil {
-				return nil, fmt.Errorf("graph: node %d assembled from two shards", v)
-			}
-			rows[v] = row
 		}
-	}
-	var total int64
-	for v := range rows {
-		total += int64(len(rows[v]))
-		g.RowPtr[v+1] = total
-	}
-	g.Col = make([]NodeID, 0, total)
-	for _, row := range rows {
-		g.Col = append(g.Col, row...)
+		slices.Sort(adj)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: assembled topology invalid: %w", err)
@@ -141,24 +128,30 @@ func (ss *ShardSet) assembleTopology() (*CSR, error) {
 }
 
 // assembleSplits reconstructs the global train/val/test lists in their
-// original order from the shards' rank records.
+// original order from the shards' rank records. Each list is as long as
+// the maps' rank lists together, which the manifest's counts must match.
 func (ss *ShardSet) assembleSplits() (train, val, test []NodeID, err error) {
 	m := &ss.Manifest
-	out := [3][]NodeID{
-		make([]NodeID, m.TrainCount),
-		make([]NodeID, m.ValCount),
-		make([]NodeID, m.TestCount),
-	}
-	filled := [3][]bool{
-		make([]bool, m.TrainCount),
-		make([]bool, m.ValCount),
-		make([]bool, m.TestCount),
-	}
-	for s := 0; s < m.K; s++ {
-		sm, err := ss.ShardMap(s)
-		if err != nil {
+	maps := make([]*ShardMap, m.K)
+	var counts [3]int
+	for s := range maps {
+		if maps[s], err = ss.ShardMap(s); err != nil {
 			return nil, nil, nil, err
 		}
+		for si, ranks := range [][]int64{maps[s].TrainRank, maps[s].ValRank, maps[s].TestRank} {
+			counts[si] += len(ranks)
+		}
+	}
+	if want := [3]int{m.TrainCount, m.ValCount, m.TestCount}; counts != want {
+		return nil, nil, nil, fmt.Errorf("graph: shard maps rank %d/%d/%d train/val/test nodes, manifest says %d/%d/%d",
+			counts[0], counts[1], counts[2], want[0], want[1], want[2])
+	}
+	var out [3][]NodeID
+	var filled [3][]bool
+	for si, c := range counts {
+		out[si], filled[si] = make([]NodeID, c), make([]bool, c)
+	}
+	for s, sm := range maps {
 		lz, err := ss.Shard(s)
 		if err != nil {
 			return nil, nil, nil, err

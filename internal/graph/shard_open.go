@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 )
 
-// Validate checks the manifest's internal consistency: shard entries
-// and owner runs present, every shard file a plain name in the
-// manifest's own directory, runs ascending/contiguous/covering, every
-// run's shard in range, and per-shard owned counts matching the runs.
+// Validate checks the manifest's internal consistency: a known schema
+// version; one entry per shard, each naming a plain file in the
+// manifest's own directory; owned counts of at least one that sum to
+// NumNodes; and split counts that sum to the manifest's. Which nodes a
+// shard owns is read from its shardmap by ShardSet.Locations.
 func (m *ShardManifest) Validate() error {
-	if m.Version != manifestVersion {
-		return fmt.Errorf("graph: shard manifest schema version %d (supported: %d)", m.Version, manifestVersion)
+	if m.Version != 1 && m.Version != manifestVersion {
+		return fmt.Errorf("graph: shard manifest schema version %d (supported: 1, %d)", m.Version, manifestVersion)
 	}
 	if m.K < 1 || len(m.Shards) != m.K {
 		return fmt.Errorf("graph: manifest declares k=%d but lists %d shards", m.K, len(m.Shards))
@@ -23,6 +23,8 @@ func (m *ShardManifest) Validate() error {
 		return fmt.Errorf("graph: manifest covers %d nodes", m.NumNodes)
 	}
 	files := make(map[string]bool, m.K)
+	rest := m.NumNodes // nodes not yet owned by an entry; never negative, so the sum cannot overflow
+	var splits [3]int64
 	for i, e := range m.Shards {
 		if e.Index != i {
 			return fmt.Errorf("graph: shard entry %d has index %d", i, e.Index)
@@ -36,43 +38,22 @@ func (m *ShardManifest) Validate() error {
 			return fmt.Errorf("graph: shard file %q listed twice", e.File)
 		}
 		files[e.File] = true
+		if e.Owned < 1 || int64(e.Owned) > rest {
+			return fmt.Errorf("graph: shard %d owns %d nodes, %d of the manifest's %d are left", i, e.Owned, rest, m.NumNodes)
+		}
+		rest -= int64(e.Owned)
+		for si, c := range []int{e.Train, e.Val, e.Test} {
+			splits[si] += int64(c)
+		}
 	}
-	owned := make([]int64, m.K)
-	next := int64(0)
-	for _, r := range m.Runs {
-		if r.Shard < 0 || r.Shard >= m.K {
-			return fmt.Errorf("graph: owner run [%d,+%d) names shard %d of %d", r.Start, r.Count, r.Shard, m.K)
-		}
-		if r.Count < 1 {
-			return fmt.Errorf("graph: empty owner run at %d", r.Start)
-		}
-		if r.Start != next {
-			return fmt.Errorf("graph: owner runs not contiguous: run starts at %d, want %d", r.Start, next)
-		}
-		next = r.Start + r.Count
-		owned[r.Shard] += r.Count
+	if rest != 0 {
+		return fmt.Errorf("graph: shards own %d of the manifest's %d nodes", m.NumNodes-rest, m.NumNodes)
 	}
-	if next != m.NumNodes {
-		return fmt.Errorf("graph: owner runs cover %d of %d nodes", next, m.NumNodes)
-	}
-	for i, e := range m.Shards {
-		if owned[i] != int64(e.Owned) {
-			return fmt.Errorf("graph: shard %d owns %d nodes per runs, entry says %d", i, owned[i], e.Owned)
-		}
+	if want := [3]int64{int64(m.TrainCount), int64(m.ValCount), int64(m.TestCount)}; splits != want {
+		return fmt.Errorf("graph: shards list %d/%d/%d train/val/test nodes, manifest says %d/%d/%d",
+			splits[0], splits[1], splits[2], want[0], want[1], want[2])
 	}
 	return nil
-}
-
-// Owner finds global node v's shard in the owner runs (an opened set has Locate).
-func (m *ShardManifest) Owner(v NodeID) (int, error) {
-	if v < 0 || int64(v) >= m.NumNodes {
-		return 0, fmt.Errorf("graph: node %d outside [0,%d)", v, m.NumNodes)
-	}
-	i := sort.Search(len(m.Runs), func(i int) bool { return m.Runs[i].Start > int64(v) }) - 1
-	if i < 0 || int64(v) >= m.Runs[i].Start+m.Runs[i].Count {
-		return 0, fmt.Errorf("graph: node %d not covered by owner runs", v)
-	}
-	return m.Runs[i].Shard, nil
 }
 
 // TotalCutArcs sums the per-shard cut-arc counts — the shard set's
@@ -213,29 +194,38 @@ func (ss *ShardSet) Locations() (shard, row []int32, err error) {
 }
 
 func (ss *ShardSet) buildLocations() (shard, row []int32, err error) {
-	n := int(ss.Manifest.NumNodes)
-	shard, row = slices.Repeat([]int32{-1}, n), make([]int32, n)
+	m := &ss.Manifest
+	maps := make([]*ShardMap, m.K)
 	owned := 0
-	for s := 0; s < ss.Manifest.K; s++ {
-		sm, err := ss.ShardMap(s)
-		if err != nil {
+	for s := range maps {
+		if maps[s], err = ss.ShardMap(s); err != nil {
 			return nil, nil, err
 		}
+		owned += len(maps[s].Owned)
+	}
+	// The table is sized from the maps, which are as long as their
+	// sections, and only once they agree with the manifest.
+	if owned != int(m.NumNodes) {
+		return nil, nil, fmt.Errorf("graph: shard maps own %d of %d nodes", owned, m.NumNodes)
+	}
+	for s, sm := range maps {
+		if len(sm.Owned) != m.Shards[s].Owned {
+			return nil, nil, fmt.Errorf("graph: shard %d map owns %d nodes, manifest says %d", s, len(sm.Owned), m.Shards[s].Owned)
+		}
+	}
+	shard, row = slices.Repeat([]int32{-1}, owned), make([]int32, owned)
+	for s, sm := range maps {
 		for l, v := range sm.Owned {
-			if v < 0 || int(v) >= n {
-				return nil, nil, fmt.Errorf("graph: shard %d owns node %d outside [0,%d)", s, v, n)
+			if v < 0 || int(v) >= owned {
+				return nil, nil, fmt.Errorf("graph: shard %d owns node %d outside [0,%d)", s, v, owned)
 			}
 			if shard[v] >= 0 {
 				return nil, nil, fmt.Errorf("graph: node %d owned by shards %d and %d", v, shard[v], s)
 			}
 			shard[v], row[v] = int32(s), int32(l)
 		}
-		owned += len(sm.Owned)
 	}
-	if owned != n { // in range and never twice, so fewer means a node is missing
-		return nil, nil, fmt.Errorf("graph: shard maps own %d of %d nodes", owned, n)
-	}
-	return shard, row, nil
+	return shard, row, nil // in range, never twice and as many as nodes, so every node is owned
 }
 
 // Locate returns the shard owning global node v and v's row there.
@@ -310,15 +300,19 @@ func (ss *ShardSet) Close() error {
 }
 
 // Validate checks the shard set end to end using topology-only opens:
-// the manifest itself, then every shard's map and local CSR against it
-// — ownership coverage and disjointness (each global node owned by
-// exactly one shard, every owned list agreeing with the manifest runs),
-// halo consistency (halo nodes foreign, sorted, exactly the targets of
-// the shard's cut arcs, with empty local rows), and the per-shard stats
-// profile. Feature bytes are never read.
+// the manifest itself, the location table (each global node owned by
+// exactly one shard, as many per shard as its manifest entry says),
+// then every shard's map and local CSR — owned and halo lists
+// ascending, halo nodes foreign and exactly the targets of the shard's
+// cut arcs, with empty local rows — and the per-shard stats profile.
+// Feature bytes are never read.
 func (ss *ShardSet) Validate() error {
 	m := &ss.Manifest
 	if err := m.Validate(); err != nil {
+		return err
+	}
+	owner, _, err := ss.Locations()
+	if err != nil {
 		return err
 	}
 	for s := 0; s < m.K; s++ {
@@ -330,31 +324,22 @@ func (ss *ShardSet) Validate() error {
 		if sm.Shard != s || sm.K != m.K {
 			return fmt.Errorf("graph: shard %d's map says shard %d of %d", s, sm.Shard, sm.K)
 		}
-		if len(sm.Owned) != e.Owned || len(sm.Halo) != e.Halo {
-			return fmt.Errorf("graph: shard %d map has %d+%d nodes, manifest says %d+%d",
-				s, len(sm.Owned), len(sm.Halo), e.Owned, e.Halo)
+		if len(sm.Halo) != e.Halo {
+			return fmt.Errorf("graph: shard %d map has %d halo nodes, manifest says %d", s, len(sm.Halo), e.Halo)
 		}
-		for j, v := range sm.Owned {
-			if j > 0 && sm.Owned[j-1] >= v {
+		for j := 1; j < len(sm.Owned); j++ {
+			if sm.Owned[j-1] >= sm.Owned[j] {
 				return fmt.Errorf("graph: shard %d owned list not ascending at %d", s, j)
-			}
-			o, err := m.Owner(v)
-			if err != nil {
-				return fmt.Errorf("graph: shard %d: %w", s, err)
-			}
-			if o != s {
-				return fmt.Errorf("graph: node %d in shard %d's owned list belongs to shard %d", v, s, o)
 			}
 		}
 		for j, v := range sm.Halo {
 			if j > 0 && sm.Halo[j-1] >= v {
 				return fmt.Errorf("graph: shard %d halo list not ascending at %d", s, j)
 			}
-			o, err := m.Owner(v)
-			if err != nil {
-				return fmt.Errorf("graph: shard %d: %w", s, err)
+			if v < 0 || int(v) >= len(owner) {
+				return fmt.Errorf("graph: shard %d halo node %d outside [0,%d)", s, v, len(owner))
 			}
-			if o == s {
+			if owner[v] == int32(s) {
 				return fmt.Errorf("graph: shard %d lists owned node %d as halo", s, v)
 			}
 		}

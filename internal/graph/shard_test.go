@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-func shardTestDataset(t *testing.T) *Dataset {
+func shardTestDataset(t testing.TB) *Dataset {
 	t.Helper()
 	spec := DatasetSpec{
 		Name:        "shardtest",
@@ -228,7 +228,7 @@ func TestShardOwnerAndLocalGlobalMaps(t *testing.T) {
 		}
 		for _, v := range sm.Owned {
 			if ownerOf[v] != s {
-				t.Fatalf("node %d owned by shard %d per map, %d per manifest", v, s, ownerOf[v])
+				t.Fatalf("node %d owned by shard %d per map, %d per Owner", v, s, ownerOf[v])
 			}
 			counted++
 		}

@@ -12,22 +12,22 @@ import (
 )
 
 // A shard set splits one dataset into k .argograph stores, one per
-// graph partition, so a distributed trainer can map only the shards its
-// replicas own. Each shard is an ordinary dataset store over its
+// graph partition. Each shard is an ordinary dataset store over its
 // *local* node space — owned nodes first (ascending global id), then
 // the 1-hop halo (ghost) nodes its cut edges reference — carrying local
 // CSR, features (halo rows cached, HyScale-GNN style), labels, splits,
 // and a stats section whose Shard field records the halo and degree
 // profile. Two extra sections ride the extensible section table without
-// a version bump:
+// a store-format version bump:
 //
 //   - shardmap (id 7, every shard): the binary local↔global node map
 //     plus the global ranks of the shard's split entries, which is what
 //     makes reassembly exact (including split *order*, so a sharded
 //     training run shuffles identically to a single-store one);
-//   - manifest (id 8, shard 0 only): the ShardManifest JSON mapping
-//     global node ranges to shards and summarising per-shard halo
-//     edges.
+//   - manifest (id 8, shard 0 only): the ShardManifest JSON, the global
+//     shape plus one summary per shard. It grows with k, not with the
+//     graph: which shard owns a node is read from the shardmaps alone
+//     (ShardSet.Locations).
 //
 // A reader that predates these sections still verifies (CRC-only) and
 // loads every shard as a plain dataset store; that forward-compat
@@ -37,11 +37,10 @@ import (
 // and validates them, and shard_assemble.go reassembles the global
 // dataset.
 
-// ShardManifest describes a shard set: the global shape, the owner of
-// every global node id (as run-length ranges), and one entry per shard.
-// It is stored as JSON in the manifest section of shard 0.
+// ShardManifest describes a shard set: the global shape and one entry
+// per shard. It is stored as JSON in the manifest section of shard 0.
 type ShardManifest struct {
-	Version    int    `json:"version"` // manifest schema version, 1
+	Version    int    `json:"version"` // manifest schema version, 2 (1 also read)
 	Base       string `json:"base"`    // shard file basename stem
 	K          int    `json:"k"`
 	NumNodes   int64  `json:"num_nodes"`
@@ -60,9 +59,6 @@ type ShardManifest struct {
 	Seed        int64        `json:"seed"`
 	Spec        DatasetSpec  `json:"spec"` // the global dataset's spec
 	Shards      []ShardEntry `json:"shards"`
-	// Runs maps global node ranges to their owning shard: ascending,
-	// contiguous, covering [0, NumNodes) exactly.
-	Runs []OwnerRun `json:"runs"`
 }
 
 // ShardEntry summarises one shard of the set.
@@ -78,29 +74,10 @@ type ShardEntry struct {
 	Test    int    `json:"test"`
 }
 
-// OwnerRun assigns the global node range [Start, Start+Count) to Shard.
-type OwnerRun struct {
-	Start int64 `json:"start"`
-	Count int64 `json:"count"`
-	Shard int   `json:"shard"`
-}
-
-// manifestVersion is the current ShardManifest schema version.
-const manifestVersion = 1
-
-// ownerRuns run-length-encodes a partition assignment.
-func ownerRuns(assign []int32) []OwnerRun {
-	var runs []OwnerRun
-	for v := 0; v < len(assign); v++ {
-		s := int(assign[v])
-		if n := len(runs); n > 0 && runs[n-1].Shard == s {
-			runs[n-1].Count++
-			continue
-		}
-		runs = append(runs, OwnerRun{Start: int64(v), Count: 1, Shard: s})
-	}
-	return runs
-}
+// manifestVersion is the ShardManifest schema version written. Version 1
+// also carried each node's owner as JSON runs ("runs"), which readers
+// ignore: ownership is read from the shardmaps.
+const manifestVersion = 2
 
 // ShardMap is the decoded shardmap section of one shard: the shard's
 // local↔global node mapping and the global positions of its split
@@ -204,7 +181,6 @@ func buildShards(d *Dataset, p *Partition, opt ShardOptions, base string) ([]sha
 		Partitioner: opt.partitionerName(),
 		Seed:        opt.Seed,
 		Spec:        d.Spec,
-		Runs:        ownerRuns(p.Assign),
 	}
 
 	owned := make([][]NodeID, k)
@@ -355,6 +331,9 @@ func WriteShardSet(d *Dataset, dir, base string, opt ShardOptions) (*ShardManife
 	manJSON, err := json.Marshal(man)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: encoding shard manifest: %w", err)
+	}
+	if len(manJSON) > maxJSONSection {
+		return nil, nil, fmt.Errorf("graph: shard manifest of %d bytes exceeds the %d a reader accepts (lower -k)", len(manJSON), maxJSONSection)
 	}
 	paths := make([]string, len(builds))
 	for s, b := range builds {

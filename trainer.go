@@ -23,9 +23,11 @@ type GNNTrainerOptions struct {
 	Seed      int64
 	// Shards switches on shard-aware training: Dataset must be the
 	// set's Skeleton() and the sampler must be built over its graph.
-	// Each replica then maps only its own shards and exchanges halo
-	// features with the others; training losses match the single-store
-	// run on the same configuration to float precision.
+	// Shard s belongs to replica s mod n, and a replica reads the rows of
+	// other replicas' shards through the halo exchange, which counts
+	// that traffic; every shard's features are loaded once into this
+	// process. Training losses match the single-store run on the same
+	// configuration to float precision.
 	Shards *graph.ShardSet
 	// Transport selects the exchange transport of a sharded run:
 	// "" or "inproc" (direct calls within this address space) or "tcp"
