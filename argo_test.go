@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"argo/internal/datasets"
 	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/platform"
@@ -214,7 +215,7 @@ func TestRunLogsAndEvents(t *testing.T) {
 // configuration within 90 % of the exhaustive optimum with a ~5 % budget —
 // the paper's headline auto-tuner claim, via the public API.
 func TestRunFindsNearOptimalOnSimulator(t *testing.T) {
-	ds, err := graph.Spec("ogbn-products")
+	p, err := datasets.Get("ogbn-products")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestRunFindsNearOptimalOnSimulator(t *testing.T) {
 		Library:  platsim.DGL,
 		Sampler:  platsim.Neighbor,
 		Model:    platsim.SAGE,
-		Dataset:  ds,
+		Dataset:  p.Spec,
 	}
 	obj := platsim.NewObjective(sc)
 	_, optimal := platsim.BestWithBudget(sc, 64)

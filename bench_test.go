@@ -12,8 +12,8 @@ import (
 
 	"argo/internal/anneal"
 	"argo/internal/bayesopt"
+	"argo/internal/datasets"
 	"argo/internal/experiments"
-	"argo/internal/graph"
 	"argo/internal/platform"
 	"argo/internal/platsim"
 	"argo/internal/search"
@@ -159,13 +159,13 @@ func BenchmarkTunerOverhead(b *testing.B) {
 // BenchmarkAblationSearchStrategies pits the three search strategies
 // against each other on one setup with equal budgets.
 func BenchmarkAblationSearchStrategies(b *testing.B) {
-	ds, err := graph.Spec("reddit")
+	p, err := datasets.Get("reddit")
 	if err != nil {
 		b.Fatal(err)
 	}
 	sc := platsim.Scenario{
 		Platform: platform.SapphireRapids2S, Library: platsim.DGL,
-		Sampler: platsim.Neighbor, Model: platsim.SAGE, Dataset: ds,
+		Sampler: platsim.Neighbor, Model: platsim.SAGE, Dataset: p.Spec,
 	}
 	sp := search.DefaultSpace(64)
 	obj := platsim.NewObjective(sc)

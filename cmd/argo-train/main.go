@@ -78,7 +78,7 @@ func run(args []string, stdout io.Writer) error {
 	warmPath := fs.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
 	shards := fs.Bool("shards", false,
 		"treat -dataset as a shard set: name#k (in-memory) or the path of a manifest-carrying .shard0 store; "+
-			"each replica maps only its own shards and exchanges halo features")
+			"shard s belongs to replica s mod n, and rows of another replica's shards flow through the halo exchange")
 	procs := fs.Int("procs", 0, "pin the process count: restrict the design space to exactly N processes (0 = tune freely)")
 	lossPath := fs.String("loss-json", "", "write the per-epoch mean training loss history (plus exchange traffic for sharded runs) as JSON to this file")
 	transport := fs.String("transport", "inproc",

@@ -11,7 +11,6 @@ package datasets
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"argo/internal/graph"
@@ -28,8 +27,9 @@ type Profile struct {
 
 // registry lists the workload profiles in paper (Table III) order, with
 // `tiny` first as the test workload. The *-sim names are the sized-down
-// synthetic stand-ins; their Paper stats carry the full-scale numbers the
-// platform simulator consumes.
+// synthetic stand-ins; their Paper stats carry the full-scale numbers of
+// Table III that the platform simulator consumes, and their spec names are
+// the paper's dataset names, under which Get finds them too.
 var registry = []Profile{
 	{
 		Name:        "tiny",
@@ -45,6 +45,13 @@ var registry = []Profile{
 	{
 		Name:        "flickr-sim",
 		Description: "scaled stand-in for Flickr (89k nodes, 900k edges)",
+		Spec: graph.DatasetSpec{
+			Name:        "flickr",
+			Paper:       graph.PaperStats{Vertices: 89_250, Edges: 899_756, F0: 500, F1: 128, F2: 7},
+			ScaledNodes: 1_800, ScaledEdges: 18_000,
+			ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 7,
+			Homophily: 0.55, Exponent: 2.3, TrainFrac: 0.5,
+		},
 	},
 	{
 		Name:        "arxiv-sim",
@@ -60,37 +67,36 @@ var registry = []Profile{
 	{
 		Name:        "reddit-sim",
 		Description: "scaled stand-in for Reddit (233k nodes, 11.6M edges)",
+		Spec: graph.DatasetSpec{
+			Name:        "reddit",
+			Paper:       graph.PaperStats{Vertices: 232_965, Edges: 11_606_919, F0: 602, F1: 128, F2: 41},
+			ScaledNodes: 2_400, ScaledEdges: 120_000,
+			ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 16,
+			Homophily: 0.6, Exponent: 2.0, TrainFrac: 0.66,
+		},
 	},
 	{
 		Name:        "products-sim",
 		Description: "scaled stand-in for ogbn-products (2.4M nodes, 61.9M edges)",
+		Spec: graph.DatasetSpec{
+			Name:        "ogbn-products",
+			Paper:       graph.PaperStats{Vertices: 2_449_029, Edges: 61_859_140, F0: 100, F1: 128, F2: 47},
+			ScaledNodes: 4_000, ScaledEdges: 100_000,
+			ScaledF0: 50, ScaledHidden: 32, ScaledClasses: 12,
+			Homophily: 0.65, Exponent: 2.1, TrainFrac: 0.1,
+		},
 	},
 	{
 		Name:        "papers100m-sim",
 		Description: "scaled stand-in for ogbn-papers100M (111M nodes, 1.6B edges)",
+		Spec: graph.DatasetSpec{
+			Name:        "ogbn-papers100M",
+			Paper:       graph.PaperStats{Vertices: 111_059_956, Edges: 1_615_685_872, F0: 128, F1: 128, F2: 172},
+			ScaledNodes: 6_000, ScaledEdges: 90_000,
+			ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 16,
+			Homophily: 0.5, Exponent: 2.2, TrainFrac: 0.012,
+		},
 	},
-}
-
-// The four datasets already specified in graph.Registry keep a single
-// source of truth there; the registry above only aliases them under the
-// *-sim profile names.
-var graphAliases = map[string]string{
-	"flickr-sim":     "flickr",
-	"reddit-sim":     "reddit",
-	"products-sim":   "ogbn-products",
-	"papers100m-sim": "ogbn-papers100M",
-}
-
-func init() {
-	for i := range registry {
-		if base, ok := graphAliases[registry[i].Name]; ok {
-			spec, err := graph.Spec(base)
-			if err != nil {
-				panic(err) // the alias table names a missing graph registry entry
-			}
-			registry[i].Spec = spec
-		}
-	}
 }
 
 // Names returns the registered profile names in registry order (tiny
@@ -103,27 +109,23 @@ func Names() []string {
 	return out
 }
 
-// Get returns the profile registered under name. Legacy graph-registry
-// names ("flickr", "ogbn-products", …) resolve too, so older scripts keep
-// working. A "@xN" suffix (the provenance syntax Scale stamps on stored
-// specs) resolves to the base profile scaled N×: "arxiv-sim@x16" is
-// arxiv-sim with 16× the nodes and edges at the same degree
-// distribution — the knob for workloads where frontier size relative to
-// the graph matters (e.g. cache-locality benchmarks) without a
-// pre-materialised store.
+// Get returns the profile registered under name, matched by the
+// profile's own name or by its spec's (the paper's dataset name), so
+// "products-sim" and "ogbn-products" are the same profile. A "@xN"
+// suffix (the provenance syntax Scale stamps on stored specs) resolves
+// to the base profile scaled N×: "arxiv-sim@x16" is arxiv-sim with 16×
+// the nodes and edges at the same degree distribution — the knob for
+// workloads where frontier size relative to the graph matters (e.g.
+// cache-locality benchmarks) without a pre-materialised store.
 func Get(name string) (Profile, error) {
 	base, factor := splitScale(name)
 	for _, p := range registry {
-		if p.Name == base {
+		if p.Name == base || p.Spec.Name == base {
 			return p.scaled(factor), nil
 		}
 	}
-	if spec, err := graph.Spec(base); err == nil {
-		return Profile{Name: base, Description: "graph registry entry", Spec: spec}.scaled(factor), nil
-	}
-	known := append(Names(), legacyNames()...)
-	sort.Strings(known)
-	return Profile{}, fmt.Errorf("datasets: unknown profile %q (registered: %s, optionally with a @xN scale suffix)", name, strings.Join(known, ", "))
+	return Profile{}, fmt.Errorf("datasets: unknown profile %q (registered: %s, or their paper names such as ogbn-products; optionally with a @xN scale suffix)",
+		name, strings.Join(Names(), ", "))
 }
 
 // splitScale parses a trailing "@xN" (N ≥ 2) off a profile name. Names
@@ -150,14 +152,6 @@ func (p Profile) scaled(factor int) Profile {
 	p.Name = fmt.Sprintf("%s@x%d", p.Name, factor)
 	p.Description = fmt.Sprintf("%s, scaled %d×", p.Description, factor)
 	return p
-}
-
-func legacyNames() []string {
-	var out []string
-	for _, s := range graph.Registry {
-		out = append(out, s.Name)
-	}
-	return out
 }
 
 // Build materialises the named profile's scaled synthetic instance with

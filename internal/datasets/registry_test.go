@@ -16,6 +16,56 @@ func TestRegistryNamesAndOrder(t *testing.T) {
 	}
 }
 
+// profileSpecs are the specs Get returned for the six profiles before the
+// four Table III specs moved here from internal/graph, each with the
+// paper name that resolves to the same profile.
+var profileSpecs = []struct {
+	profile, paper string
+	spec           graph.DatasetSpec
+}{
+	{"tiny", "tiny", graph.DatasetSpec{Name: "tiny", Paper: graph.PaperStats{Vertices: 120, Edges: 480, F0: 16, F1: 8, F2: 3},
+		ScaledNodes: 120, ScaledEdges: 480, ScaledF0: 16, ScaledHidden: 8, ScaledClasses: 3, Homophily: 0.7, Exponent: 2.1, TrainFrac: 0.5}},
+	{"flickr-sim", "flickr", graph.DatasetSpec{Name: "flickr", Paper: graph.PaperStats{Vertices: 89250, Edges: 899756, F0: 500, F1: 128, F2: 7},
+		ScaledNodes: 1800, ScaledEdges: 18000, ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 7, Homophily: 0.55, Exponent: 2.3, TrainFrac: 0.5}},
+	{"arxiv-sim", "ogbn-arxiv", graph.DatasetSpec{Name: "ogbn-arxiv", Paper: graph.PaperStats{Vertices: 169343, Edges: 1166243, F0: 128, F1: 128, F2: 40},
+		ScaledNodes: 2000, ScaledEdges: 26000, ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 10, Homophily: 0.65, Exponent: 2.3, TrainFrac: 0.54}},
+	{"reddit-sim", "reddit", graph.DatasetSpec{Name: "reddit", Paper: graph.PaperStats{Vertices: 232965, Edges: 11606919, F0: 602, F1: 128, F2: 41},
+		ScaledNodes: 2400, ScaledEdges: 120000, ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 16, Homophily: 0.6, Exponent: 2, TrainFrac: 0.66}},
+	{"products-sim", "ogbn-products", graph.DatasetSpec{Name: "ogbn-products", Paper: graph.PaperStats{Vertices: 2449029, Edges: 61859140, F0: 100, F1: 128, F2: 47},
+		ScaledNodes: 4000, ScaledEdges: 100000, ScaledF0: 50, ScaledHidden: 32, ScaledClasses: 12, Homophily: 0.65, Exponent: 2.1, TrainFrac: 0.1}},
+	{"papers100m-sim", "ogbn-papers100M", graph.DatasetSpec{Name: "ogbn-papers100M", Paper: graph.PaperStats{Vertices: 111059956, Edges: 1615685872, F0: 128, F1: 128, F2: 172},
+		ScaledNodes: 6000, ScaledEdges: 90000, ScaledF0: 64, ScaledHidden: 32, ScaledClasses: 16, Homophily: 0.5, Exponent: 2.2, TrainFrac: 0.012}},
+}
+
+// Get resolves a profile by its own name and by its paper name, each
+// with and without a scale suffix, to the pinned spec.
+func TestGetResolvesProfileAndPaperNames(t *testing.T) {
+	for _, c := range profileSpecs {
+		scaled := c.spec
+		scaled.Name += "@x16"
+		scaled.ScaledNodes *= 16
+		scaled.ScaledEdges *= 16
+		for _, name := range []string{c.profile, c.paper} {
+			for suffix, want := range map[string]graph.DatasetSpec{"": c.spec, "@x16": scaled} {
+				p, err := Get(name + suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(p.Spec, want) {
+					t.Fatalf("Get(%q).Spec = %+v, want %+v", name+suffix, p.Spec, want)
+				}
+			}
+		}
+	}
+	for _, name := range []string{"no-such-dataset", "products", "ogbn-products@x1", "ogbn-products@xx"} {
+		if _, err := Get(name); err == nil {
+			t.Fatalf("Get(%q) accepted", name)
+		}
+	}
+}
+
+// A paper name (the name graph's spec table once used) resolves to the
+// same spec as its profile.
 func TestGetLegacyGraphNames(t *testing.T) {
 	p, err := Get("ogbn-products")
 	if err != nil {
@@ -30,6 +80,39 @@ func TestGetLegacyGraphNames(t *testing.T) {
 	}
 	if _, err := Get("no-such-dataset"); err == nil {
 		t.Fatal("unknown profile accepted")
+	}
+}
+
+func TestRegistryMatchesTableIII(t *testing.T) {
+	want := map[string]graph.PaperStats{
+		"flickr":          {Vertices: 89_250, Edges: 899_756, F0: 500, F1: 128, F2: 7},
+		"reddit":          {Vertices: 232_965, Edges: 11_606_919, F0: 602, F1: 128, F2: 41},
+		"ogbn-products":   {Vertices: 2_449_029, Edges: 61_859_140, F0: 100, F1: 128, F2: 47},
+		"ogbn-papers100M": {Vertices: 111_059_956, Edges: 1_615_685_872, F0: 128, F1: 128, F2: 172},
+	}
+	for name, w := range want {
+		p, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Spec.Paper != w {
+			t.Fatalf("%s paper stats = %+v, want %+v", name, p.Spec.Paper, w)
+		}
+	}
+}
+
+func TestScaledSizesAreTestFriendly(t *testing.T) {
+	for _, name := range Names() {
+		p, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Spec.ScaledNodes > 10_000 || p.Spec.ScaledEdges > 200_000 {
+			t.Fatalf("%s scaled instance too large for 1-core test runs", name)
+		}
+		if p.Spec.ScaledClasses < 2 {
+			t.Fatalf("%s needs ≥2 classes", name)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func endToEnd(w io.Writer, lib platsim.Profile, title string) (EndToEndData, err
 	data := EndToEndData{Library: lib.Name}
 	tb := tablefmt.New(fmt.Sprintf("%s: overall training time (s) of %s vs ARGO, %d epochs", title, lib.Name, totalEpochs),
 		"dataset", "sampler-model", "platform", lib.Name, "ARGO", "speedup", "found config")
-	for _, dataset := range datasets {
+	for _, dataset := range paperDatasets {
 		for _, sm := range samplerModels {
 			for _, plat := range platforms {
 				setup := Setup{Lib: lib, Plat: plat, Sampler: sm.Sampler, Model: sm.Model, Dataset: dataset}

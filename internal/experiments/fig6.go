@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"argo/internal/graph"
+	"argo/internal/datasets"
+	"argo/internal/engine"
+	"argo/internal/nn"
 	"argo/internal/platform"
 	"argo/internal/platsim"
 	"argo/internal/sampler"
@@ -20,14 +22,15 @@ type Fig6Data struct {
 	// Simulated at paper scale:
 	SimEdges []float64
 	SimBWGBs []float64
-	// Measured with the real Go sampler on the scaled dataset:
+	// Measured by one epoch of the real engine on the scaled dataset:
 	RealInputNodes []int64
 	RealEdges      []int64
 }
 
 // Fig6 reproduces Fig. 6 twice over: analytically at paper scale on the
-// simulator, and empirically by running the real neighbor sampler on the
-// scaled ogbn-products instance with the batch split n ways.
+// simulator, and empirically from one training epoch of the real engine
+// on the scaled ogbn-products instance, whose global batches of 256 it
+// splits n ways.
 func Fig6(w io.Writer) (Fig6Data, error) {
 	data := Fig6Data{Procs: []int{1, 2, 4, 8, 16}}
 
@@ -50,17 +53,27 @@ func Fig6(w io.Writer) (Fig6Data, error) {
 		data.SimBWGBs = append(data.SimBWGBs, m.AvgBandwidthGBs)
 	}
 
-	// Real sampler on the scaled instance.
-	ds, err := graph.BuildByName("ogbn-products", 1)
+	// One epoch of the real engine on the scaled instance, per n.
+	ds, err := datasets.Build("ogbn-products", 1)
 	if err != nil {
 		return data, err
 	}
 	ns := sampler.NewNeighbor(ds.Graph, []int{15, 10, 5})
-	const globalBatch = 256
+	model := nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: 7}
 	for _, n := range data.Procs {
-		stats := sampler.EpochWorkload(ns, ds.TrainIdx, globalBatch, n, 7)
-		data.RealInputNodes = append(data.RealInputNodes, stats.InputNodes)
-		data.RealEdges = append(data.RealEdges, stats.SampledEdges)
+		e, err := engine.New(engine.Config{
+			Dataset: ds, Sampler: ns, Model: model, BatchSize: 256, LR: 0.01,
+			NumProcs: n, SampleWorkers: 1, TrainWorkers: 1, Seed: 7,
+		})
+		if err != nil {
+			return data, err
+		}
+		res, err := e.RunEpoch(0)
+		if err != nil {
+			return data, err
+		}
+		data.RealInputNodes = append(data.RealInputNodes, res.Stats.InputNodes)
+		data.RealEdges = append(data.RealEdges, res.Stats.SampledEdges)
 	}
 
 	tb := tablefmt.New("Fig 6: workload and bandwidth vs number of processes (Neighbor-SAGE, ogbn-products)",

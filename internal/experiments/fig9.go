@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"argo/internal/datasets"
 	"argo/internal/engine"
-	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
 	"argo/internal/tablefmt"
@@ -40,7 +40,7 @@ func Fig9(w io.Writer) (Fig9Data, error) {
 
 func fig9(w io.Writer, epochs int) (Fig9Data, error) {
 	var data Fig9Data
-	ds, err := graph.BuildByName("ogbn-products", 3)
+	ds, err := datasets.Build("ogbn-products", 3)
 	if err != nil {
 		return data, err
 	}

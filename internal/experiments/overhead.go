@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"argo/internal/bayesopt"
-	"argo/internal/graph"
+	"argo/internal/datasets"
 	"argo/internal/platform"
 	"argo/internal/platsim"
 	"argo/internal/search"
@@ -28,13 +28,13 @@ type OverheadRow struct {
 // the memory footprint of a full online-tuning run per platform.
 func TunerOverhead(w io.Writer) ([]OverheadRow, error) {
 	var rows []OverheadRow
-	ds, err := graph.Spec("ogbn-products")
+	p, err := datasets.Get("ogbn-products")
 	if err != nil {
 		return nil, err
 	}
 	for _, plat := range []platform.Spec{platform.IceLake4S, platform.SapphireRapids2S} {
 		for _, sm := range samplerModels {
-			sc := platsim.Scenario{Platform: plat, Library: platsim.DGL, Sampler: sm.Sampler, Model: sm.Model, Dataset: ds}
+			sc := platsim.Scenario{Platform: plat, Library: platsim.DGL, Sampler: sm.Sampler, Model: sm.Model, Dataset: p.Spec}
 			sp := search.DefaultSpace(plat.TotalCores())
 			budget := searchBudget(plat, sm.Sampler)
 			obj := platsim.NewObjective(sc)

@@ -9,7 +9,7 @@ import (
 	"io"
 	"sort"
 
-	"argo/internal/graph"
+	"argo/internal/datasets"
 	"argo/internal/platform"
 	"argo/internal/platsim"
 )
@@ -26,7 +26,7 @@ type Setup struct {
 
 // Scenario materialises the setup's simulator scenario.
 func (s Setup) Scenario() platsim.Scenario {
-	ds, err := graph.Spec(s.Dataset)
+	p, err := datasets.Get(s.Dataset)
 	if err != nil {
 		panic(err) // setups are compile-time constants; a bad name is a bug
 	}
@@ -35,7 +35,7 @@ func (s Setup) Scenario() platsim.Scenario {
 		Library:  s.Lib,
 		Sampler:  s.Sampler,
 		Model:    s.Model,
-		Dataset:  ds,
+		Dataset:  p.Spec,
 	}
 }
 
@@ -57,7 +57,7 @@ var samplerModels = []struct {
 
 var platforms = []platform.Spec{platform.IceLake4S, platform.SapphireRapids2S}
 
-var datasets = []string{"flickr", "reddit", "ogbn-products", "ogbn-papers100M"}
+var paperDatasets = []string{"flickr", "reddit", "ogbn-products", "ogbn-papers100M"}
 
 // searchBudget mirrors Table VI: the number of online-learning epochs per
 // platform and sampler-model pair (5–6 % of the space).

@@ -54,7 +54,7 @@ func searchTable(w io.Writer, lib platsim.Profile, title string) (TableData, err
 	data := TableData{Library: lib.Name}
 	for _, plat := range platforms {
 		for _, sm := range samplerModels {
-			for _, dataset := range datasets {
+			for _, dataset := range paperDatasets {
 				setup := Setup{Lib: lib, Plat: plat, Sampler: sm.Sampler, Model: sm.Model, Dataset: dataset}
 				row, err := searchRow(setup)
 				if err != nil {

@@ -19,8 +19,9 @@ type PaperStats struct {
 	F2       int // output length (number of classes)
 }
 
-// DatasetSpec describes one of the paper's four benchmark datasets plus
-// the parameters of its scaled synthetic stand-in.
+// DatasetSpec describes a benchmark dataset plus the parameters of its
+// scaled synthetic stand-in. The paper's Table III specs are the
+// profiles of internal/datasets.
 type DatasetSpec struct {
 	Name  string
 	Paper PaperStats
@@ -56,69 +57,6 @@ func (s DatasetSpec) Scale(factor int) DatasetSpec {
 	s.ScaledEdges *= int64(factor)
 	s.Name = fmt.Sprintf("%s@x%d", s.Name, factor)
 	return s
-}
-
-// Registry lists the four benchmark datasets from Table III, in the
-// paper's order.
-var Registry = []DatasetSpec{
-	{
-		Name:          "flickr",
-		Paper:         PaperStats{Vertices: 89_250, Edges: 899_756, F0: 500, F1: 128, F2: 7},
-		ScaledNodes:   1_800,
-		ScaledEdges:   18_000,
-		ScaledF0:      64,
-		ScaledHidden:  32,
-		ScaledClasses: 7,
-		Homophily:     0.55,
-		Exponent:      2.3,
-		TrainFrac:     0.5,
-	},
-	{
-		Name:          "reddit",
-		Paper:         PaperStats{Vertices: 232_965, Edges: 11_606_919, F0: 602, F1: 128, F2: 41},
-		ScaledNodes:   2_400,
-		ScaledEdges:   120_000,
-		ScaledF0:      64,
-		ScaledHidden:  32,
-		ScaledClasses: 16,
-		Homophily:     0.6,
-		Exponent:      2.0,
-		TrainFrac:     0.66,
-	},
-	{
-		Name:          "ogbn-products",
-		Paper:         PaperStats{Vertices: 2_449_029, Edges: 61_859_140, F0: 100, F1: 128, F2: 47},
-		ScaledNodes:   4_000,
-		ScaledEdges:   100_000,
-		ScaledF0:      50,
-		ScaledHidden:  32,
-		ScaledClasses: 12,
-		Homophily:     0.65,
-		Exponent:      2.1,
-		TrainFrac:     0.1,
-	},
-	{
-		Name:          "ogbn-papers100M",
-		Paper:         PaperStats{Vertices: 111_059_956, Edges: 1_615_685_872, F0: 128, F1: 128, F2: 172},
-		ScaledNodes:   6_000,
-		ScaledEdges:   90_000,
-		ScaledF0:      64,
-		ScaledHidden:  32,
-		ScaledClasses: 16,
-		Homophily:     0.5,
-		Exponent:      2.2,
-		TrainFrac:     0.012,
-	},
-}
-
-// Spec returns the registry entry with the given name.
-func Spec(name string) (DatasetSpec, error) {
-	for _, s := range Registry {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return DatasetSpec{}, fmt.Errorf("graph: unknown dataset %q", name)
 }
 
 // Dataset is a materialised (scaled) dataset: graph topology, node
@@ -171,15 +109,6 @@ func Build(spec DatasetSpec, seed int64) (*Dataset, error) {
 		ValIdx:     val,
 		TestIdx:    test,
 	}, nil
-}
-
-// BuildByName is Build for a registry name.
-func BuildByName(name string, seed int64) (*Dataset, error) {
-	spec, err := Spec(name)
-	if err != nil {
-		return nil, err
-	}
-	return Build(spec, seed)
 }
 
 // communityFeatures draws per-class centroids on the unit hypercube corners

@@ -1,41 +1,33 @@
-package graph
+// These tests build a Table III dataset through its internal/datasets
+// profile, which imports this package, so they are an external test
+// package.
+package graph_test
 
 import (
+	"reflect"
 	"testing"
+
+	"argo/internal/datasets"
+	"argo/internal/graph"
 )
 
-func TestRegistryMatchesTableIII(t *testing.T) {
-	want := map[string]PaperStats{
-		"flickr":          {89_250, 899_756, 500, 128, 7},
-		"reddit":          {232_965, 11_606_919, 602, 128, 41},
-		"ogbn-products":   {2_449_029, 61_859_140, 100, 128, 47},
-		"ogbn-papers100M": {111_059_956, 1_615_685_872, 128, 128, 172},
-	}
-	if len(Registry) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(Registry), len(want))
-	}
-	for _, spec := range Registry {
-		w, ok := want[spec.Name]
-		if !ok {
-			t.Fatalf("unexpected dataset %q", spec.Name)
-		}
-		if spec.Paper != w {
-			t.Fatalf("%s paper stats = %+v, want %+v", spec.Name, spec.Paper, w)
-		}
-	}
-}
-
+// A paper dataset's spec is looked up by its paper name through its
+// profile; an unknown name is an error.
 func TestSpecLookup(t *testing.T) {
-	if _, err := Spec("reddit"); err != nil {
+	p, err := datasets.Get("reddit")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Spec("nope"); err == nil {
+	if p.Spec.Name != "reddit" {
+		t.Fatalf("Get(reddit).Spec.Name = %q", p.Spec.Name)
+	}
+	if _, err := datasets.Get("nope"); err == nil {
 		t.Fatal("expected error for unknown dataset")
 	}
 }
 
 func TestBuildDataset(t *testing.T) {
-	ds, err := BuildByName("flickr", 1)
+	ds, err := datasets.Build("flickr", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +48,8 @@ func TestBuildDataset(t *testing.T) {
 		t.Fatalf("splits cover %d of %d nodes", total, ds.Spec.ScaledNodes)
 	}
 	// Splits must be disjoint.
-	seen := make(map[NodeID]bool, total)
-	for _, set := range [][]NodeID{ds.TrainIdx, ds.ValIdx, ds.TestIdx} {
+	seen := make(map[graph.NodeID]bool, total)
+	for _, set := range [][]graph.NodeID{ds.TrainIdx, ds.ValIdx, ds.TestIdx} {
 		for _, v := range set {
 			if seen[v] {
 				t.Fatalf("node %d appears in two splits", v)
@@ -68,11 +60,11 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a, err := BuildByName("ogbn-products", 9)
+	a, err := datasets.Build("ogbn-products", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildByName("ogbn-products", 9)
+	b, err := datasets.Build("ogbn-products", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +82,7 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestFeaturesAreClassSeparable(t *testing.T) {
-	ds, err := BuildByName("flickr", 2)
+	ds, err := datasets.Build("flickr", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +135,20 @@ func TestFeaturesAreClassSeparable(t *testing.T) {
 	}
 }
 
-func TestScaledSizesAreTestFriendly(t *testing.T) {
-	for _, spec := range Registry {
-		if spec.ScaledNodes > 10_000 || spec.ScaledEdges > 200_000 {
-			t.Fatalf("%s scaled instance too large for 1-core test runs", spec.Name)
-		}
-		if spec.ScaledClasses < 2 {
-			t.Fatalf("%s needs ≥2 classes", spec.Name)
+func TestTopDegreeDeterministic(t *testing.T) {
+	ds, err := datasets.Build("flickr", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := graph.TopDegree(ds.Graph, 64)
+	b := graph.TopDegree(ds.Graph, 64)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("TopDegree is not deterministic")
+	}
+	for i := 1; i < len(a); i++ {
+		di, dj := ds.Graph.Degree(a[i-1]), ds.Graph.Degree(a[i])
+		if di < dj || (di == dj && a[i-1] >= a[i]) {
+			t.Fatalf("rank %d out of order: node %d (deg %d) before node %d (deg %d)", i, a[i-1], di, a[i], dj)
 		}
 	}
 }

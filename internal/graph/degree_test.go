@@ -46,24 +46,6 @@ func TestTopDegreeClamps(t *testing.T) {
 	}
 }
 
-func TestTopDegreeDeterministic(t *testing.T) {
-	ds, err := BuildByName("flickr", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := TopDegree(ds.Graph, 64)
-	b := TopDegree(ds.Graph, 64)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("TopDegree is not deterministic")
-	}
-	for i := 1; i < len(a); i++ {
-		di, dj := ds.Graph.Degree(a[i-1]), ds.Graph.Degree(a[i])
-		if di < dj || (di == dj && a[i-1] >= a[i]) {
-			t.Fatalf("rank %d out of order: node %d (deg %d) before node %d (deg %d)", i, a[i-1], di, a[i], dj)
-		}
-	}
-}
-
 func TestHubCount(t *testing.T) {
 	cases := []struct {
 		n    int

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -43,8 +44,10 @@ type ImportOptions struct {
 	Features io.Reader
 }
 
-// maxImportNodes bounds the node space an imported file may claim, so a
-// stray huge id cannot drive a gigabyte allocation from one bad line.
+// maxImportNodes bounds the node space an imported file may claim. The
+// node space is dense, [0, maxID], so the bound only caps the damage of a
+// stray huge id: one line naming an id near it still allocates 2 GiB of
+// RowPtr alone, before labels and features.
 const maxImportNodes = 1 << 28
 
 // importLines iterates the meaningful lines of an edge-list/CSV file:
@@ -287,7 +290,8 @@ func ParseLabelsCSV(r io.Reader, n int) ([]int32, int, error) {
 
 // ParseFeaturesCSV reads "node,f0,f1,..." lines (comments/header
 // skipped) and returns the dense n×F feature matrix. Every node must be
-// covered exactly once and every row must have the same width.
+// covered exactly once, every row must have the same width, and every
+// value must be finite.
 func ParseFeaturesCSV(r io.Reader, n int) (*tensor.Matrix, error) {
 	var feats *tensor.Matrix
 	seen := make([]bool, n)
@@ -317,8 +321,8 @@ func ParseFeaturesCSV(r io.Reader, n int) (*tensor.Matrix, error) {
 		row := feats.Row(int(v))
 		for j, f := range fields[1:] {
 			x, err := strconv.ParseFloat(f, 32)
-			if err != nil {
-				return fmt.Errorf("graph: line %d: feature value %q is not a number", lineNo, f)
+			if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("graph: line %d: feature value %q is not a finite number", lineNo, f)
 			}
 			row[j] = float32(x)
 		}

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -131,6 +134,8 @@ func TestImportRejectsBadInput(t *testing.T) {
 		"label oob node":   {"0 1\n", ImportOptions{Labels: strings.NewReader("0,0\n1,0\n9,0\n")}},
 		"feat width skew":  {"0 1\n", ImportOptions{Features: strings.NewReader("0,1,2\n1,3\n")}},
 		"feat non-number":  {"0 1\n", ImportOptions{Features: strings.NewReader("0,a\n1,2\n")}},
+		"feat NaN":         {"0 1\n", ImportOptions{Features: strings.NewReader("0,1\n1,NaN\n")}},
+		"feat -inf":        {"0 1\n", ImportOptions{Features: strings.NewReader("0,-inf\n1,2\n")}},
 		"feat missing row": {"0 1\n", ImportOptions{Features: strings.NewReader("0,1\n")}},
 	}
 	for name, c := range cases {
@@ -181,4 +186,43 @@ func TestImportedDatasetRoundTripsAndShards(t *testing.T) {
 	if !back.Features.Equal(ds.Features) {
 		t.Fatal("sharding an imported dataset is not invertible")
 	}
+}
+
+// longDigitRun matches a number wider than four digits: the node space
+// is dense, [0, maxID], so one large id allocates a row for every id
+// below it.
+var longDigitRun = regexp.MustCompile(`[0-9]{5}`)
+
+// FuzzImportEdgeList drives the importer with arbitrary edge, label and
+// feature files. It must never panic, and every dataset it accepts must
+// be valid and hold only finite features.
+func FuzzImportEdgeList(f *testing.F) {
+	f.Add([]byte("src,dst\n# a comment\n0,1\n1 2\n2\t0\n"), []byte(nil), []byte(nil), false)
+	f.Add([]byte("% directed\n0 1 0.5\n1 2\n"), []byte("node,label\n0,1\n1,0\n2,1\n"), []byte(nil), true)
+	f.Add([]byte("0 1\n"), []byte(nil), []byte("0,NaN\n1,2\n"), false)
+	f.Fuzz(func(t *testing.T, edges, labels, feats []byte, directed bool) {
+		if len(edges)+len(labels)+len(feats) > 4<<10 || longDigitRun.Match(edges) ||
+			longDigitRun.Match(labels) || longDigitRun.Match(feats) {
+			t.Skip()
+		}
+		opt := ImportOptions{Directed: directed, Seed: 1}
+		if len(labels) > 0 {
+			opt.Labels = bytes.NewReader(labels)
+		}
+		if len(feats) > 0 {
+			opt.Features = bytes.NewReader(feats)
+		}
+		ds, err := ImportEdgeList(bytes.NewReader(edges), opt)
+		if err != nil {
+			return
+		}
+		if err := ds.Validate(); err != nil {
+			t.Fatalf("accepted an invalid dataset: %v", err)
+		}
+		for i, x := range ds.Features.Data {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				t.Fatalf("accepted non-finite feature %v at element %d", x, i)
+			}
+		}
+	})
 }

@@ -3,7 +3,7 @@ package platform_test
 import (
 	"testing"
 
-	"argo/internal/graph"
+	"argo/internal/datasets"
 	"argo/internal/platform"
 	"argo/internal/platsim"
 )
@@ -14,11 +14,11 @@ import (
 
 func simulate(t *testing.T, spec platform.Spec, procs, k int) (platsim.Metrics, error) {
 	t.Helper()
-	ds, err := graph.Spec("flickr")
+	p, err := datasets.Get("flickr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := platsim.Scenario{Platform: spec, Library: platsim.DGL, Sampler: platsim.Neighbor, Model: platsim.SAGE, Dataset: ds}
+	sc := platsim.Scenario{Platform: spec, Library: platsim.DGL, Sampler: platsim.Neighbor, Model: platsim.SAGE, Dataset: p.Spec}
 	// k cores per process: one sampling core, the rest training.
 	return platsim.Simulate(sc, platsim.SimConfig{Procs: procs, SampleCores: 1, TrainCores: k - 1, MaxIters: 5})
 }

@@ -4,17 +4,17 @@ import (
 	"math"
 	"testing"
 
-	"argo/internal/graph"
+	"argo/internal/datasets"
 	"argo/internal/platform"
 )
 
 func scenarioFor(t testing.TB, lib Profile, plat platform.Spec, sampler SamplerKind, model ModelKind, dataset string) Scenario {
 	t.Helper()
-	ds, err := graph.Spec(dataset)
+	p, err := datasets.Get(dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Scenario{Platform: plat, Library: lib, Sampler: sampler, Model: model, Dataset: ds}
+	return Scenario{Platform: plat, Library: lib, Sampler: sampler, Model: model, Dataset: p.Spec}
 }
 
 func TestIterationsPerEpoch(t *testing.T) {

@@ -64,12 +64,3 @@ func BenchmarkShaDowSample(b *testing.B) {
 	}
 	b.ReportMetric(float64(nodes), "subgraph_nodes")
 }
-
-func BenchmarkEpochWorkload(b *testing.B) {
-	g := benchGraph(b)
-	ns := NewNeighbor(g, []int{15, 10, 5})
-	targets := someTargets(g, 1024, rand.New(rand.NewSource(4)))
-	for i := 0; i < b.N; i++ {
-		EpochWorkload(ns, targets, 256, 4, 5)
-	}
-}

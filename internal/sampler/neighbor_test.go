@@ -142,11 +142,16 @@ func TestWorkloadInflationWithSmallerBatches(t *testing.T) {
 	g, _ := sampleGraph(t, 10)
 	ns := NewNeighbor(g, []int{15, 10, 5})
 	train := someTargets(g, 512, rand.New(rand.NewSource(11)))
-
-	big := EpochWorkload(ns, train, 256, 1, 12)
-	small := EpochWorkload(ns, train, 256, 8, 12)
-	if small.InputNodes <= big.InputNodes {
-		t.Fatalf("8-process input nodes %d not above 1-process %d", small.InputNodes, big.InputNodes)
+	inputNodes := func(batch int) int64 {
+		rng := rand.New(rand.NewSource(12))
+		var total int64
+		for lo := 0; lo < len(train); lo += batch {
+			total += ns.Sample(rng, train[lo:min(lo+batch, len(train))]).Stats.InputNodes
+		}
+		return total
+	}
+	if big, small := inputNodes(256), inputNodes(32); small <= big {
+		t.Fatalf("input nodes in batches of 32: %d, not above %d in batches of 256", small, big)
 	}
 }
 
