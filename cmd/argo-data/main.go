@@ -220,7 +220,7 @@ func runShard(args []string) error {
 	fmt.Printf("%s: %d nodes, %d arcs → %d shards (%s partition) in %s (load/gen %s)\n",
 		man.Spec.Name, man.NumNodes, man.NumArcs, man.K, man.Partitioner,
 		time.Since(start).Round(time.Microsecond), loadTime.Round(time.Microsecond))
-	fmt.Printf("edge cut: %d arcs (%.1f%% of total) — the halo-exchange traffic bound\n",
+	fmt.Printf("edge cut: %d arcs (%.1f%% of total) — the bound on rows read across shards\n",
 		man.TotalCutArcs(), 100*man.EdgeCutFraction())
 	fmt.Printf("  %-5s %-32s %8s %8s %10s %10s %7s\n", "SHARD", "FILE", "OWNED", "HALO", "ARCS", "CUT", "TRAIN")
 	for i, e := range man.Shards {

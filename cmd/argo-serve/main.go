@@ -123,7 +123,7 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	if _, err := serve.NewCache(cfg.cachePolicy, serve.CacheConfig{}); err != nil {
 		return err
 	}
-	if cfg.precompute < 0 || cfg.precompute > 1 {
+	if !(cfg.precompute >= 0 && cfg.precompute <= 1) {
 		return fmt.Errorf("-precompute-hubs %g outside [0,1]", cfg.precompute)
 	}
 	switch {

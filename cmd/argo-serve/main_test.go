@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -108,16 +109,20 @@ func TestDirectRejectsOutOfRangeNodes(t *testing.T) {
 // A bad -cache-policy or -precompute-hubs is reported before the store
 // or the checkpoint is touched: neither file exists here.
 func TestFlagsValidatedBeforeStoreIsOpened(t *testing.T) {
-	for want, cfg := range map[string]serveConfig{
-		"cache policy":     {cachePolicy: "twotier"},
-		"-precompute-hubs": {cachePolicy: serve.PolicyTinyLFU, precompute: 1.5},
-		"-batch-window":    {cachePolicy: serve.PolicyLRU, window: -time.Millisecond},
-		"-batch-max":       {cachePolicy: serve.PolicyLRU, batchMax: -256},
-		"-cache-bytes":     {cachePolicy: serve.PolicyLRU, cacheBytes: -1},
+	for _, c := range []struct {
+		want string
+		cfg  serveConfig
+	}{
+		{"cache policy", serveConfig{cachePolicy: "twotier"}},
+		{"-precompute-hubs", serveConfig{cachePolicy: serve.PolicyTinyLFU, precompute: 1.5}},
+		{"-precompute-hubs", serveConfig{cachePolicy: serve.PolicyLRU, precompute: math.NaN()}},
+		{"-batch-window", serveConfig{cachePolicy: serve.PolicyLRU, window: -time.Millisecond}},
+		{"-batch-max", serveConfig{cachePolicy: serve.PolicyLRU, batchMax: -256}},
+		{"-cache-bytes", serveConfig{cachePolicy: serve.PolicyLRU, cacheBytes: -1}},
 	} {
-		err := run("no-such.argograph", "", "no-such.ckpt", "", cfg, 1, false, "")
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%+v: error %v, want one about the %s", cfg, err, want)
+		err := run("no-such.argograph", "", "no-such.ckpt", "", c.cfg, 1, false, "")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%+v: error %v, want one about the %s", c.cfg, err, c.want)
 		}
 	}
 }

@@ -14,12 +14,11 @@
 // .argograph store written by argo-data gen, so large graphs are
 // generated once and reloaded instantly on later runs.
 //
-// With -shards the dataset is a shard set (name#k or a .shard0 store);
-// halo traffic then moves through the batched exchange over the
-// -transport of choice (inproc or loopback tcp), gathered by the
-// sampling workers while the trainer computes the previous batch, and
-// the run's traffic totals plus the per-peer matrix are printed,
-// embedded in -report, and included in -loss-json.
+// With -shards the dataset is a shard set (name#k or a .shard0 store):
+// every shard's features and labels are loaded once, and every replica
+// reads them directly — the sampling workers copy a batch's rows while
+// the trainer computes the previous batch. -sampling local bounds each
+// replica's batches to its shards (shard s belongs to replica s mod n).
 //
 // -cores is the budget the tuner divides among n processes' s sampling
 // and t training workers; the workers are goroutines and no OS thread is
@@ -57,8 +56,8 @@ func main() {
 }
 
 // run is the whole command: it parses args, trains, and writes progress
-// and results to stdout. Every refusal of the flags comes before any
-// dataset is built.
+// and results to stdout. Every refusal of the flags, the runtime's
+// included, comes before any dataset is built.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("argo-train", flag.ExitOnError)
 	dataset := fs.String("dataset", "products-sim",
@@ -78,11 +77,9 @@ func run(args []string, stdout io.Writer) error {
 	warmPath := fs.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
 	shards := fs.Bool("shards", false,
 		"treat -dataset as a shard set: name#k (in-memory) or the path of a manifest-carrying .shard0 store; "+
-			"shard s belongs to replica s mod n, and rows of another replica's shards flow through the halo exchange")
+			"every replica reads the loaded shards directly")
 	procs := fs.Int("procs", 0, "pin the process count: restrict the design space to exactly N processes (0 = tune freely)")
-	lossPath := fs.String("loss-json", "", "write the per-epoch mean training loss history (plus exchange traffic for sharded runs) as JSON to this file")
-	transport := fs.String("transport", "inproc",
-		"halo-exchange transport for -shards runs: inproc (direct calls) or tcp (batched messages over loopback sockets)")
+	lossPath := fs.String("loss-json", "", "write the per-epoch mean training loss history as JSON to this file")
 	sampling := fs.String("sampling", "exact",
 		"sampling regime for -shards runs: exact (global batches, losses bit-identical to single-store) or "+
 			"local (partition-local: each replica samples within its shards' owned + 1-hop halo rows, bounding its working set to the partition)")
@@ -102,9 +99,6 @@ func run(args []string, stdout io.Writer) error {
 	if *earlyStop < 0 {
 		return fmt.Errorf("-early-stop %d: the stale-epoch limit must be 0 (off) or positive", *earlyStop)
 	}
-	if *transport != "inproc" && *transport != "tcp" {
-		return fmt.Errorf("unknown -transport %q (inproc, tcp)", *transport)
-	}
 	if *sampling != "exact" && *sampling != "local" {
 		return fmt.Errorf("unknown -sampling %q (exact, local)", *sampling)
 	}
@@ -123,15 +117,45 @@ func run(args []string, stdout io.Writer) error {
 	} else if *modelName != "sage" {
 		return fmt.Errorf("unknown model %q", *modelName)
 	}
+	opts := []argo.Option{
+		argo.WithTotalCores(*cores),
+		argo.WithSeed(*seed),
+		argo.WithStrategy(*strategy),
+		argo.WithLogf(func(f string, a ...any) { fmt.Fprintf(stdout, f+"\n", a...) }),
+	}
+	if *procs > 0 {
+		sp := argo.DefaultSpace(*cores)
+		sp.MinProcs, sp.MaxProcs = *procs, *procs
+		opts = append(opts, argo.WithSpace(sp))
+	}
+	if *earlyStop > 0 {
+		opts = append(opts, argo.WithEarlyStop(*earlyStop))
+	}
+	if *warmPath != "" {
+		f, err := os.Open(*warmPath)
+		if err != nil {
+			return err
+		}
+		prior, err := argo.ReadReport(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		opts = append(opts, argo.WithWarmStart(prior))
+	}
+	rt, err := argo.NewRuntime(*epochs, *searches, opts...)
+	if err != nil {
+		return err
+	}
+
 	var (
 		ds       *graph.Dataset
 		shardSet *graph.ShardSet
-		err      error
 	)
 	if *shards {
 		// Shard-aware path: the skeleton (topology + splits) is assembled
-		// from topology-only opens; features and labels stay in the
-		// shards and flow through the halo exchange during training.
+		// from topology-only opens; the trainer loads the shards'
+		// features and labels once, for every replica to read.
 		shardSet, err = datasets.ResolveShards(*dataset, *seed)
 		if err != nil {
 			return err
@@ -148,7 +172,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "shard set %s (k=%d, %s partition): %d nodes, %d arcs, %d classes, %d train targets, edge cut %d arcs (%.1f%%)\n",
 			ds.Spec.Name, m.K, m.Partitioner, m.NumNodes, m.NumArcs, m.NumClasses, m.TrainCount,
 			m.TotalCutArcs(), 100*m.EdgeCutFraction())
-		fmt.Fprintf(stdout, "exchange: %s transport\n", *transport)
 	} else {
 		// The lazy handle yields spec and stats from the store header
 		// before any section is decoded, so huge stores announce
@@ -184,7 +207,6 @@ func run(args []string, stdout io.Writer) error {
 		LR:             *lr,
 		Seed:           *seed,
 		Shards:         shardSet,
-		Transport:      *transport,
 		SamplingRegime: *sampling,
 	}
 	if *sampling == "local" {
@@ -196,36 +218,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer trainer.Close()
 
-	opts := []argo.Option{
-		argo.WithTotalCores(*cores),
-		argo.WithSeed(*seed),
-		argo.WithStrategy(*strategy),
-		argo.WithLogf(func(f string, a ...any) { fmt.Fprintf(stdout, f+"\n", a...) }),
-	}
-	if *procs > 0 {
-		sp := argo.DefaultSpace(*cores)
-		sp.MinProcs, sp.MaxProcs = *procs, *procs
-		opts = append(opts, argo.WithSpace(sp))
-	}
-	if *earlyStop > 0 {
-		opts = append(opts, argo.WithEarlyStop(*earlyStop))
-	}
-	if *warmPath != "" {
-		f, err := os.Open(*warmPath)
-		if err != nil {
-			return err
-		}
-		prior, err := argo.ReadReport(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		opts = append(opts, argo.WithWarmStart(prior))
-	}
-	rt, err := argo.NewRuntime(*epochs, *searches, opts...)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(stdout, "strategy %s; design space: %d configurations on %d cores; exploring %d (%.1f%%)\n",
 		rt.StrategyName(), rt.SpaceSize(), *cores, *searches, 100*float64(*searches)/float64(rt.SpaceSize()))
 
@@ -246,10 +238,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptPath)
 	}
-	// A sharded run's exchange traffic rides along in the report and in
-	// -loss-json, with peers in deterministic (from, to) order.
-	exchange := trainer.ExchangeStats()
-	report.Exchange = exchange
 	if *reportPath != "" {
 		f, err := os.Create(*reportPath)
 		if err != nil {
@@ -266,9 +254,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *lossPath != "" {
 		raw, err := json.MarshalIndent(struct {
-			Losses   []float64           `json:"losses"`
-			Exchange *argo.ExchangeStats `json:"exchange,omitempty"`
-		}{trainer.LossHistory(), exchange}, "", "  ")
+			Losses []float64 `json:"losses"`
+		}{trainer.LossHistory()}, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -276,18 +263,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "loss history (%d epochs) written to %s\n", len(trainer.LossHistory()), *lossPath)
-	}
-	if exchange != nil {
-		total := exchange.LocalRows + exchange.RemoteRows
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(exchange.RemoteRows) / float64(total)
-		}
-		fmt.Fprintf(stdout, "halo exchange (%s): %d local rows, %d remote rows (%.1f%%), %d logical bytes → %d wire bytes in %d batched messages\n",
-			exchange.Transport, exchange.LocalRows, exchange.RemoteRows, pct, exchange.RemoteBytes, exchange.WireBytes, exchange.Messages)
-		for _, p := range exchange.Peers {
-			fmt.Fprintf(stdout, "  replica %d → %d: %d rows, %d bytes (%d wire), %d messages\n", p.From, p.To, p.Rows, p.Bytes, p.WireBytes, p.Messages)
-		}
 	}
 	acc, err := trainer.Evaluate()
 	if err != nil {

@@ -6,17 +6,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"argo"
+	"argo/internal/datasets"
+	"argo/internal/graph"
 	"argo/internal/nn"
 )
 
 type lossFile struct {
-	Losses   []float64           `json:"losses"`
-	Exchange *argo.ExchangeStats `json:"exchange"`
+	Losses []float64 `json:"losses"`
 }
 
 // train runs the command with the pinned configuration the CI parity
@@ -40,32 +39,39 @@ func train(t *testing.T, extra ...string) lossFile {
 	return out
 }
 
-// The exchange-smoke triple, in process: sharded training matches
-// single-store training on both transports, and the two transports
-// report the same traffic.
+// The shard-smoke pairs, in process: sharded training matches
+// single-store training on an fp32 store and on an fp16 one.
 func TestShardedRunsMatchSingleStore(t *testing.T) {
-	single := train(t, "-dataset", "tiny")
-	inproc := train(t, "-dataset", "tiny#3", "-shards", "-transport", "inproc")
-	tcp := train(t, "-dataset", "tiny#3", "-shards", "-transport", "tcp")
-	if single.Exchange != nil {
-		t.Fatalf("single-store run reported exchange traffic: %+v", single.Exchange)
+	ds, err := datasets.Resolve("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, run := range map[string]lossFile{"inproc": inproc, "tcp": tcp} {
-		if len(run.Losses) != 3 || len(single.Losses) != 3 {
-			t.Fatalf("%s: %d losses, single-store %d, want 3", name, len(run.Losses), len(single.Losses))
+	if err := ds.ConvertFeatures(graph.DtypeF16); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store16 := filepath.Join(dir, "tiny16.argograph")
+	if err := ds.Save(store16); err != nil {
+		t.Fatal(err)
+	}
+	_, shards16, err := graph.WriteShardSet(ds, dir, "tiny16", graph.ShardOptions{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ single, sharded string }{
+		{"tiny", "tiny#3"},
+		{store16, shards16[0]},
+	} {
+		single := train(t, "-dataset", c.single)
+		sharded := train(t, "-dataset", c.sharded, "-shards")
+		if len(sharded.Losses) != 3 || len(single.Losses) != 3 {
+			t.Fatalf("%d losses, single-store %d, want 3", len(sharded.Losses), len(single.Losses))
 		}
 		for ep := range single.Losses {
-			if d := math.Abs(run.Losses[ep] - single.Losses[ep]); d > 1e-6 {
-				t.Fatalf("%s epoch %d: loss %v, single-store %v", name, ep, run.Losses[ep], single.Losses[ep])
+			if d := math.Abs(sharded.Losses[ep] - single.Losses[ep]); d > 1e-6 {
+				t.Fatalf("%s epoch %d: loss %v, single-store %v", c.sharded, ep, sharded.Losses[ep], single.Losses[ep])
 			}
 		}
-		if run.Exchange == nil || run.Exchange.Transport != name || run.Exchange.Messages == 0 {
-			t.Fatalf("%s: exchange block %+v", name, run.Exchange)
-		}
-	}
-	tcp.Exchange.Transport = inproc.Exchange.Transport
-	if !reflect.DeepEqual(inproc.Exchange, tcp.Exchange) {
-		t.Fatalf("transports report different traffic:\n%+v\n%+v", inproc.Exchange, tcp.Exchange)
 	}
 }
 
@@ -78,7 +84,6 @@ func TestBadFlagsAreRefusedBeforeTheDataset(t *testing.T) {
 		want string
 	}{
 		{[]string{"-sampling", "local"}, "needs -shards"},
-		{[]string{"-transport", "carrier-pigeon"}, "unknown -transport"},
 		{[]string{"-sampler", "saint"}, "unknown sampler"},
 		{[]string{"-model", "gat"}, "unknown model"},
 		{[]string{"-lr", "0"}, "-lr 0: the learning rate"},
@@ -88,6 +93,11 @@ func TestBadFlagsAreRefusedBeforeTheDataset(t *testing.T) {
 		{[]string{"-batch", "0"}, "-batch 0: the batch size"},
 		{[]string{"-procs", "-1"}, "-procs -1: the process count"},
 		{[]string{"-early-stop", "-2"}, "-early-stop -2: the stale-epoch limit"},
+		{[]string{"-strategy", "bogus"}, `unknown strategy "bogus"`},
+		{[]string{"-cores", "0"}, "TotalCores must be ≥1"},
+		{[]string{"-epochs", "0"}, "Epochs must be ≥1"},
+		{[]string{"-searches", "30", "-epochs", "20"}, "NumSearches 30 exceeds Epochs 20"},
+		{[]string{"-procs", "9", "-cores", "4"}, "empty configuration space"},
 	} {
 		err := run(append([]string{"-dataset", "no-such-dataset"}, c.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -1,33 +1,21 @@
 // Package ddp provides the inter-replica communication layer of the
 // ARGO Multi-Process Engine — the role PyTorch DistributedDataParallel
-// plays in the paper, extended with the sharded-training exchange the
-// HyScale-GNN direction needs.
+// plays in the paper.
 //
-// Three facilities live here:
+// Replicas compute parameter gradients over their share of the global
+// mini-batch; AllReduceMeanWeighted averages them (weighted by share
+// size, so the result equals the gradient of the mean loss over the
+// *global* batch) into replica 0's gradients, which the engine's one
+// optimizer steps the shared weights with. Input features are frozen,
+// and every replica of a sharded run reads the one copy of the loaded
+// shards (engine.NewShardSource), so parameter gradients are all that
+// replicas exchange — as in the paper's engine, whose processes share
+// one node and one copy of the graph.
 //
-//   - Gradient synchronisation. Replicas compute parameter gradients
-//     over their share of the global mini-batch; AllReduceMeanWeighted
-//     averages them (weighted by share size, so the result equals the
-//     gradient of the mean loss over the *global* batch) into replica
-//     0's gradients, which the engine's one optimizer steps the shared
-//     weights with. Input features are frozen, so parameter gradients
-//     are the only ones that cross replicas.
-//
-//   - The halo exchange. In a sharded run every global node is owned by
-//     exactly one replica; HaloExchange routes feature-row lookups to
-//     owners in *batched* messages — at most one message per (peer,
-//     call), routed by a dense node → replica table and served by one
-//     RowServer call per message — and counts the traffic per directed
-//     replica pair. Labels are read-only and 4 bytes a node, so they
-//     come from one table built at setup and never cross the exchange.
-//
-//   - The transport seam. Transport carries the batched messages:
-//     InprocTransport is a direct function call for replicas sharing an
-//     address space; TCPTransport frames the identical messages over
-//     loopback sockets, proving the protocol works across address
-//     spaces. Both are selected by name through NewTransport, and both
-//     carry training bit-exactly (the engine's parity tests pin batched
-//     == per-row losses).
+// The transports (InprocTransport, TCPTransport, selected by name
+// through NewTransport) and their wire codec remain only as the repo
+// benchmark's transport probe, which times one feature-request round
+// trip on each. No training path sends a message through them.
 package ddp
 
 import (

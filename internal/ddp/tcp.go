@@ -8,13 +8,11 @@ import (
 	"sync"
 )
 
-// TCPTransport frames batched exchange messages over loopback TCP: one
+// TCPTransport frames batched feature requests over loopback TCP: one
 // listener per replica, one persistent connection per (caller, callee)
-// pair, length-prefixed frames in both directions. Every replica still
-// lives in this process — the point is the seam: the exact bytes this
-// transport moves are what a true multi-host deployment would move, and
-// the loss parity tests prove the batched protocol carries training
-// bit-exactly through a real socket round-trip.
+// pair, length-prefixed frames in both directions. Every replica lives
+// in this process; the codec tests prove the frames round-trip
+// bit-exactly through a real socket.
 type TCPTransport struct {
 	mu        sync.Mutex
 	listeners []net.Listener

@@ -9,11 +9,11 @@ import (
 	"argo/internal/tensor/half"
 )
 
-// MsgKind discriminates the batched exchange messages.
+// MsgKind discriminates the batched feature-request messages.
 type MsgKind uint8
 
 // MsgFeatures requests the feature rows of a batch of owned nodes. It
-// is the only kind: labels never cross the exchange.
+// is the only kind.
 const MsgFeatures MsgKind = 1
 
 func (k MsgKind) String() string {
@@ -23,11 +23,9 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Request is one batched exchange message: everything replica From needs
-// from one peer for one gather call. Batching requests per
-// (peer, iteration) — instead of one lookup per row — is what makes the
-// exchange viable across address spaces: the message count per epoch
-// drops from O(remote rows) to O(peers · iterations).
+// Request is one batched feature request: every row replica From needs
+// from one peer for one gather call, in one message rather than one
+// lookup per row.
 type Request struct {
 	From int
 	Kind MsgKind
@@ -48,32 +46,16 @@ type Response struct {
 	Feat []float32
 }
 
-// wireSize returns the bytes req occupies on the wire — the length
-// prefix plus the encodeRequest payload. It is pure arithmetic (no
-// encode), and computed identically whichever transport carries the
-// message, so wire-byte accounting is transport-invariant;
-// TestWireSizeMatchesEncoding pins it to the codec.
-func (req *Request) wireSize() int64 {
-	return 4 + 10 + 4*int64(len(req.IDs))
-}
-
-// wireSize returns the bytes resp occupies on the wire (length prefix
-// plus the ok-status encodeResponse payload).
-func (resp *Response) wireSize() int64 {
-	return 4 + 6 + int64(resp.Dtype.Size())*int64(len(resp.Feat))
-}
-
 // Handler answers batched requests on behalf of one replica. Handlers
 // must be safe for concurrent use: a peer's sampling workers issue
 // fetches while its trainer computes.
 type Handler func(req *Request) (*Response, error)
 
-// Transport moves batched exchange messages between replicas. The
+// Transport moves batched feature requests between replicas. The
 // in-process implementation is a direct function call; the TCP
-// implementation frames the same messages over loopback sockets,
-// proving the seam works across address spaces. A transport is bound
-// once (by the exchange, which supplies one handler per replica) and
-// then carries concurrent Calls from any replica.
+// implementation frames the same messages over loopback sockets. A
+// transport is bound once (its caller supplies one handler per replica)
+// and then carries concurrent Calls from any replica.
 type Transport interface {
 	// Bind installs the per-replica handlers. Called exactly once,
 	// before any Call.
@@ -99,10 +81,7 @@ func NewTransport(name string) (Transport, error) {
 }
 
 // InprocTransport delivers batched messages by direct function call —
-// the transport for replicas sharing one address space. The batching
-// still happens (message counts match the TCP transport exactly), so
-// in-process runs measure the same traffic a multi-node run would put
-// on the wire.
+// the transport for replicas sharing one address space.
 type InprocTransport struct {
 	handlers []Handler
 	closed   bool
@@ -181,7 +160,7 @@ func appendFloats(b []byte, dt graph.FeatDtype, xs []float32) []byte {
 
 // decodeFloats widens n dtype-encoded values from b. Mirroring the f32
 // path, fp16 bit patterns are decoded as-is (non-finite included) —
-// payload hygiene is the store and exchange layers' job, not the codec's.
+// payload hygiene is the store layer's job, not the codec's.
 func decodeFloats(b []byte, dt graph.FeatDtype, n int) []float32 {
 	out := make([]float32, n)
 	if dt == graph.DtypeF16 {

@@ -158,36 +158,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// wireSize is pure arithmetic over the message fields; the codec is the
-// ground truth. The two must never drift, or WireBytes accounting lies.
-func TestWireSizeMatchesEncoding(t *testing.T) {
-	reqs := []*Request{
-		{Kind: MsgFeatures},
-		{Kind: MsgFeatures, IDs: []graph.NodeID{1, 2, 3}},
-		{Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{1, 2, 3}},
-		{Kind: MsgFeatures, Dtype: graph.DtypeF16, IDs: []graph.NodeID{1, 2}},
-	}
-	for i, req := range reqs {
-		if got, want := int64(len(encodeRequest(req)))+4, req.wireSize(); got != want {
-			t.Fatalf("request %d: encoded+prefix %d bytes, wireSize %d", i, got, want)
-		}
-	}
-	resps := []*Response{
-		{},
-		{Feat: make([]float32, 6)},
-		{Dtype: graph.DtypeF16, Feat: make([]float32, 6)},
-		{Dtype: graph.DtypeF16},
-		{Dtype: graph.DtypeF16, Feat: make([]float32, 7)},
-	}
-	for i, resp := range resps {
-		if got, want := int64(len(encodeResponse(resp, nil)))+4, resp.wireSize(); got != want {
-			t.Fatalf("response %d: encoded+prefix %d bytes, wireSize %d", i, got, want)
-		}
-	}
-}
-
 // echoHandlers answer features as [id, id+0.5], so transport behaviour
-// is observable independent of the exchange.
+// is observable on its own.
 func echoHandlers(n, featDim int) []Handler {
 	handlers := make([]Handler, n)
 	for r := 0; r < n; r++ {

@@ -14,11 +14,10 @@ import (
 // scaled unit dataset on 1, 2 and 4 replicas, and one replica at the
 // shape of the repo benchmark's train_single workload (arxiv-sim@x16 cut
 // to 512 targets, fan-outs 15/10/5, 3-layer SAGE, n = s = t = 1) — the
-// epoch that tensor's BenchmarkRowMulAdd kernel pays for. shard_exact_tcp
-// is the shape of train_shard_exact: the same graph cut to 2 048 targets
-// and written as 4 file-backed shards, fan-outs 10/5, 2 replicas pulling
-// halo rows over loopback tcp, timed after two warm epochs (pool growth,
-// connection dial).
+// epoch that tensor's BenchmarkRowMulAdd kernel pays for. shard_exact is
+// the shape of train_shard_exact: the same graph cut to 2 048 targets
+// and written as 4 file-backed shards, fan-outs 10/5, 2 replicas reading
+// the loaded shards, timed after two warm epochs (pool growth).
 func BenchmarkEpoch(b *testing.B) {
 	run := func(name string, warm int, config func(b *testing.B) Config) {
 		b.Run(name, func(b *testing.B) {
@@ -63,7 +62,7 @@ func BenchmarkEpoch(b *testing.B) {
 			Seed:          3,
 		}
 	})
-	run("shard_exact_tcp", 2, func(b *testing.B) Config {
+	run("shard_exact", 2, func(b *testing.B) Config {
 		ds, err := datasets.Resolve("arxiv-sim@x16", 7)
 		if err != nil {
 			b.Fatal(err)
@@ -83,11 +82,10 @@ func BenchmarkEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 		const numProcs = 2
-		sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{Transport: "tcp"})
+		src, err := NewShardSource(ss)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { ex.Close() })
 		return Config{
 			Dataset:       skel,
 			Sampler:       sampler.NewNeighbor(skel.Graph, []int{10, 5}),
@@ -98,15 +96,14 @@ func BenchmarkEpoch(b *testing.B) {
 			SampleWorkers: 1,
 			TrainWorkers:  1,
 			Seed:          3,
-			Sources:       sources,
+			Sources:       []DataSource{src, src},
 		}
 	})
 }
 
-// BenchmarkLocalEpoch measures a partition-local epoch with a warm halo
-// cache: arxiv-sim in 4 shards on 2 replicas over the in-process
-// transport, i.e. the partition-bounded sampling, the cached gather and
-// the step.
+// BenchmarkLocalEpoch measures a partition-local epoch: arxiv-sim in 4
+// shards on 2 replicas, i.e. the partition-bounded sampling, the gather
+// from the loaded shards and the step.
 func BenchmarkLocalEpoch(b *testing.B) {
 	ds, err := datasets.Resolve("arxiv-sim", 7)
 	if err != nil {
@@ -123,11 +120,10 @@ func BenchmarkLocalEpoch(b *testing.B) {
 	}
 	const numProcs = 2
 	fanouts := []int{10, 5}
-	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{})
+	src, err := NewShardSource(ss)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ex.Close()
 	setup, err := NewPartitionSetup(ss, skel, numProcs, fanouts)
 	if err != nil {
 		b.Fatal(err)
@@ -142,7 +138,7 @@ func BenchmarkLocalEpoch(b *testing.B) {
 		SampleWorkers:  1,
 		TrainWorkers:   1,
 		Seed:           3,
-		Sources:        sources,
+		Sources:        []DataSource{src, src},
 		SamplingRegime: RegimeLocal,
 		LocalSamplers:  setup.Samplers,
 		LocalTargets:   setup.Targets,
@@ -150,7 +146,7 @@ func BenchmarkLocalEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const warm = 2 // fill the feature cache and grow the slabs and pools
+	const warm = 2 // grow the slabs and pools
 	for ep := 0; ep < warm; ep++ {
 		if _, err := e.RunEpoch(ep); err != nil {
 			b.Fatal(err)

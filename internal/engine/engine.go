@@ -32,11 +32,11 @@ type Config struct {
 	// Sources, when non-nil, supplies each replica's feature/label
 	// source (len must equal NumProcs) — the shard-aware training path,
 	// where Dataset carries only topology, splits, spec, and class
-	// count, and every lookup goes through the replica's source
-	// (NewShardSourcesOpts). In either regime, each feature row is
-	// gathered from a source once per replica slot and then served from
-	// a first-touch cache (featureCache) that Reconfigure keeps. Nil
-	// means every replica reads the materialised Dataset directly.
+	// count, and every lookup goes through the replica's source. A
+	// sharded run hands every replica the one NewShardSource, which
+	// copies rows from the loaded shards into the reading replica's
+	// buffer pool; nothing is cached between gathers. Nil means every
+	// replica reads the materialised Dataset directly.
 	Sources []DataSource
 	// SamplingRegime selects exact (default: global batches split n
 	// ways, bit-identical to single-store) or partition-local sampling.
@@ -66,7 +66,7 @@ type EpochResult struct {
 // replica is one "GNN process"'s workspace: a model that trains on the
 // engine's shared weights with its own gradients, activations and
 // buffers, its training worker pool, and its data source (the global
-// dataset, or a first-touch cache over its mapped shards).
+// dataset or the loaded shards, gathering into the replica's buffers).
 type replica struct {
 	model     *nn.GNN
 	trainPool *tensor.Pool
@@ -154,10 +154,10 @@ func New(cfg Config) (*Engine, error) {
 // Reconfigure moves the engine to cfg in place, between epochs: the
 // weights, the optimizer's state and the iteration count carry on, and
 // training continues as if the engine had been built with cfg. The
-// replicas both configurations have keep their workspaces and feature
-// caches — input rows are read-only, so a cached row stays valid
-// whichever exchange serves the slot now. cfg must name the engine's
-// dataset and model; on any error the engine is left as it was.
+// replicas both configurations have keep their workspaces; each slot
+// reads cfg's source for it, so an n change rebuilds no data source.
+// cfg must name the engine's dataset and model; on any error the
+// engine is left as it was.
 func (e *Engine) Reconfigure(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -173,8 +173,9 @@ func (e *Engine) Reconfigure(cfg Config) error {
 // apply fits the replica slots to a validated cfg. Slot r < NumProcs
 // keeps its workspace if it has one and gets a Replica of slot 0's model
 // otherwise, and slots past NumProcs are dropped; a slot's training pool
-// is rebuilt only when t changes, and a cached slot only has its cache's
-// inner source swapped.
+// is rebuilt only when t changes. Each slot reads cfg's source for it;
+// the engine's own sources (the dataset's, and a NewShardSource's copy)
+// gather into the slot's buffer pool.
 func (e *Engine) apply(cfg Config) {
 	e.opt.LR = cfg.LR
 	reps := slices.Clone(e.replicas[:min(len(e.replicas), cfg.NumProcs)])
@@ -185,17 +186,16 @@ func (e *Engine) apply(cfg Config) {
 		if rep.trainPool == nil || cfg.TrainWorkers != e.cfg.TrainWorkers {
 			rep.trainPool = tensor.NewPool(cfg.TrainWorkers)
 		}
-		// Every source draws gathered batches from the replica's own
-		// buffer pool; step puts them back once consumed, closing the
-		// recycle loop.
-		cache, cached := rep.source.(*featureCache)
-		switch {
-		case cfg.Sources == nil:
+		// The engine's sources draw gathered batches from the replica's
+		// own buffer pool; step puts them back once consumed, closing
+		// the recycle loop.
+		if cfg.Sources == nil {
 			rep.source = datasetSource{ds: cfg.Dataset, bufs: rep.model.Buffers()}
-		case cached:
-			cache.setInner(cfg.Sources[r])
-		default:
-			rep.source = newFeatureCache(cfg.Sources[r], cfg.Model.Dims[0], rep.model.Buffers())
+		} else if s, ok := cfg.Sources[r].(shardSource); ok {
+			s.bufs = rep.model.Buffers()
+			rep.source = s
+		} else {
+			rep.source = cfg.Sources[r]
 		}
 	}
 	e.replicas, e.cfg = reps, cfg
@@ -262,7 +262,7 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 		prefetchers[r] = newPrefetcher(samp, e.replicas[r].source, perReplicaJobs[r], e.cfg.SampleWorkers)
 	}
 	// Closing on every exit path matters: an epoch aborted by a replica
-	// (or remote-fetch) error must not strand workers parked on the
+	// (or source) error must not strand workers parked on the
 	// reorder buffer.
 	defer func() {
 		for r := 0; r < n; r++ {

@@ -12,7 +12,7 @@ import (
 
 // pinnedLocalLoss is, per epoch, the bits of the local regime's MeanLoss
 // on tiny (K = 4, 3-layer SAGE, fan-outs 4/4/3, batch 32, seed 7, 2
-// replicas, inproc, s = t = 1): the one 3-layer pin on the local regime,
+// replicas, s = t = 1): the one 3-layer pin on the local regime,
 // so the deeper layers' input gradients are pinned through its loss.
 var pinnedLocalLoss = [3]uint64{
 	0x3ff0bd3e8ed2dd15,
@@ -36,11 +36,10 @@ func TestLocalRegimeLossMatchesPinnedParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{Transport: "inproc"})
+	src, err := NewShardSource(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Close()
 	setup, err := NewPartitionSetup(ss, skel, numProcs, fanouts)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func TestLocalRegimeLossMatchesPinnedParent(t *testing.T) {
 		SampleWorkers:  1,
 		TrainWorkers:   1,
 		Seed:           seed,
-		Sources:        sources,
+		Sources:        []DataSource{src, src},
 		SamplingRegime: RegimeLocal,
 		LocalSamplers:  setup.Samplers,
 		LocalTargets:   setup.Targets,

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/sampler"
 	"argo/internal/tensor"
 )
 
 // runShardedEpochs trains `epochs` epochs of the sharded test workload
-// with the given transport, returning the loss history, the final
-// weights, and the exchange.
-func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, transport string) ([]float64, []*tensor.Matrix, *ddp.HaloExchange) {
+// with s sampling workers per replica, returning the loss history and
+// the final weights.
+func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs, s int) ([]float64, []*tensor.Matrix) {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
@@ -27,14 +27,14 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{Transport: transport})
+	src, err := NewShardSource(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ex.Close() })
 	cfg := shardedEngineConfig(skel, numProcs)
 	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
-	cfg.Sources = sources
+	cfg.Sources = slices.Repeat([]DataSource{src}, numProcs)
+	cfg.SampleWorkers = s
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,16 +47,14 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs int, tra
 		}
 		losses = append(losses, res.MeanLoss)
 	}
-	return losses, cloneWeights(eng), ex
+	return losses, cloneWeights(eng)
 }
 
-// The hard invariant of the refactor: batched + overlapped training —
-// in-process and over loopback TCP — bit-matches the per-row baseline,
-// which itself bit-matches single-store training (pinned by
-// TestShardedTrainingMatchesSingleStore). Both transports must agree
-// with single-store on every epoch loss and every final weight, bit for
-// bit.
-func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
+// Overlapped sharded training — the sampling workers gathering rows from
+// the loaded shards while the trainer computes — bit-matches
+// single-store training on every epoch loss and every final weight,
+// with one sampling worker per replica and with four.
+func TestOverlappedShardedParity(t *testing.T) {
 	ds := shardedTestDataset(t)
 	const numProcs, epochs = 2, 3
 
@@ -74,9 +72,9 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 	}
 	baseW := cloneWeights(base)
 
-	for _, transport := range []string{"inproc", "tcp"} {
-		t.Run(transport+"-overlap", func(t *testing.T) {
-			losses, weights, _ := runShardedEpochs(t, ds, numProcs, epochs, transport)
+	for _, s := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s%d", s), func(t *testing.T) {
+			losses, weights := runShardedEpochs(t, ds, numProcs, epochs, s)
 			for ep := range losses {
 				if losses[ep] != baseLoss[ep] {
 					t.Fatalf("epoch %d: loss %v, single-store %v (diff %g)",
@@ -90,24 +88,6 @@ func TestBatchedOverlappedParityAcrossTransports(t *testing.T) {
 			}
 		})
 	}
-}
-
-// The acceptance gate for batching: a training epoch must send at least
-// 2× fewer exchange messages than the per-row baseline (which sent one
-// message per remote row).
-func TestBatchedExchangeMessageReduction(t *testing.T) {
-	ds := shardedTestDataset(t)
-	_, _, ex := runShardedEpochs(t, ds, 2, 1, "inproc")
-	total := ex.Summary()
-	if total.RemoteRows == 0 || total.Messages == 0 {
-		t.Fatalf("no exchange traffic recorded: %+v", total)
-	}
-	if total.Messages*2 > total.RemoteRows {
-		t.Fatalf("batched exchange sent %d messages for %d remote rows — less than the required 2× reduction over per-row",
-			total.Messages, total.RemoteRows)
-	}
-	t.Logf("per-row baseline %d messages → batched %d (%.1f× reduction)",
-		total.RemoteRows, total.Messages, float64(total.RemoteRows)/float64(total.Messages))
 }
 
 // A fetch error surfacing from the prefetch stage must abort the epoch

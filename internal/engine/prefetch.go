@@ -14,9 +14,8 @@ import (
 // implement with `num_workers` and that ARGO's `s` parameter sizes.
 //
 // The workers also gather each batch's feature rows and labels from the
-// replica's DataSource right after sampling it — so in a sharded run the
-// halo exchange for batch i+1 is in flight while batch i computes,
-// hiding the communication behind compute. Features and labels are pure
+// replica's DataSource right after sampling it — so batch i+1's rows
+// are copied while batch i computes. Features and labels are pure
 // functions of the batch's node ids, so gathering them early changes no
 // value the training step sees.
 //

@@ -2,19 +2,18 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"argo/internal/datasets"
-	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
 )
 
-// reconfigureSetup returns a 2-replica exact-regime configuration over
-// a 3-shard set of tiny, and the shard set for building other process
-// counts' sources.
-func reconfigureSetup(t *testing.T) (Config, *graph.ShardSet) {
+// reconfigureSetup returns an exact-regime configuration over a 3-shard
+// set of tiny, with no process count yet, and the set's one source.
+func reconfigureSetup(t *testing.T) (Config, DataSource) {
 	t.Helper()
 	const seed = 7
 	ds, err := datasets.Resolve("tiny", seed)
@@ -30,6 +29,10 @@ func reconfigureSetup(t *testing.T) (Config, *graph.ShardSet) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src, err := NewShardSource(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		Dataset:       skel,
 		Sampler:       sampler.NewNeighbor(skel.Graph, []int{4, 4}),
@@ -40,61 +43,26 @@ func reconfigureSetup(t *testing.T) (Config, *graph.ShardSet) {
 		TrainWorkers:  1,
 		Seed:          seed,
 	}
-	return cfg, ss
+	return cfg, src
 }
 
-// withProcs returns cfg moved to n replicas over fresh shard sources,
-// and their exchange, which the test's cleanup closes.
-func withProcs(t *testing.T, cfg Config, ss *graph.ShardSet, n int) (Config, *ddp.HaloExchange) {
-	t.Helper()
-	sources, ex, err := NewShardSourcesOpts(ss, n, ShardSourceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ex.Close() })
-	cfg.NumProcs, cfg.Sources = n, sources
-	return cfg, ex
-}
-
-// An (s, t) move at the same n keeps every replica's feature cache. The
-// epoch after the move replays the warm epoch's index, so it draws the
-// same batches (sampling is independent of s) and needs only rows the
-// warm epoch cached: the exchange stays silent.
-func TestReconfigureKeepsFeatureCaches(t *testing.T) {
-	base, ss := reconfigureSetup(t)
-	cfg, ex := withProcs(t, base, ss, 2)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunEpoch(0); err != nil {
-		t.Fatal(err)
-	}
-	warm := ex.Summary().Messages
-	if warm == 0 {
-		t.Fatal("the warm epoch sent no message; the set has no halo to cache")
-	}
-	cfg.SampleWorkers, cfg.TrainWorkers = 2, 2
-	if err := e.Reconfigure(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunEpoch(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := ex.Summary().Messages - warm; got != 0 {
-		t.Fatalf("the epoch after an (s, t) move sent %d exchange messages, want 0", got)
-	}
+// withProcs returns cfg moved to n replicas, each reading src.
+func withProcs(cfg Config, src DataSource, n int) Config {
+	cfg.NumProcs, cfg.Sources = n, slices.Repeat([]DataSource{src}, n)
+	return cfg
 }
 
 // Reconfigure grows and shrinks the replica set around one parameter
-// set: after every move each replica's parameters point at replica 0's
-// weights. (The loss bits across such moves are pinned by the root
-// package's trainer schedule.)
+// set and one shard table: after every move each replica's parameters
+// point at replica 0's weights, and each replica reads the feature
+// matrices the source loaded, through its own buffer pool. (The loss
+// bits across such moves are pinned by the root package's trainer
+// schedule.)
 func TestReconfigureSharesOneParameterSet(t *testing.T) {
-	base, ss := reconfigureSetup(t)
+	base, src := reconfigureSetup(t)
 	var e *Engine
 	for ep, n := range []int{2, 3, 1, 3} {
-		cfg, _ := withProcs(t, base, ss, n)
+		cfg := withProcs(base, src, n)
 		var err error
 		if e == nil {
 			e, err = New(cfg)
@@ -111,19 +79,44 @@ func TestReconfigureSharesOneParameterSet(t *testing.T) {
 			t.Fatalf("n=%d engine holds %d replicas", n, got)
 		}
 		requireSharedWeights(t, e)
+		requireSharedTable(t, e, src)
+	}
+}
+
+// requireSharedTable fails unless every replica of e reads src's shard
+// table, pointer for pointer, into the replica's own buffer pool.
+func requireSharedTable(t *testing.T, e *Engine, src DataSource) {
+	t.Helper()
+	want := src.(shardSource).t
+	for r, rep := range e.replicas {
+		s, ok := rep.source.(shardSource)
+		if !ok {
+			t.Fatalf("replica %d reads a %T", r, rep.source)
+		}
+		if s.t != want {
+			t.Fatalf("replica %d reads another shard table", r)
+		}
+		for k := range want.feats {
+			if s.t.feats[k] != want.feats[k] {
+				t.Fatalf("replica %d reads another shard %d feature matrix", r, k)
+			}
+		}
+		if s.bufs != rep.model.Buffers() {
+			t.Fatalf("replica %d gathers outside its own buffer pool", r)
+		}
 	}
 }
 
 // A refused reconfiguration mutates nothing: a changed model, a changed
 // dataset and an invalid learning rate each leave the engine as it was.
 func TestReconfigureRefusalsLeaveEngineUntouched(t *testing.T) {
-	base, ss := reconfigureSetup(t)
-	cfg, _ := withProcs(t, base, ss, 2)
+	base, src := reconfigureSetup(t)
+	cfg := withProcs(base, src, 2)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, _ := withProcs(t, base, ss, 3)
+	three := withProcs(base, src, 3)
 	other := *cfg.Dataset
 	for name, mutate := range map[string]func(c *Config){
 		"model dims":    func(c *Config) { c.Model.Dims = []int{c.Model.Dims[0], 4, c.Model.Dims[2]} },

@@ -13,20 +13,18 @@ type SamplingRegime int
 const (
 	// RegimeExact samples over the assembled global topology: every
 	// replica sees the same batch stream a single-store run would, so
-	// losses stay bit-identical to single-store training. Any row of the
-	// graph may be a halo row, but each crosses the wire at most once
-	// per replica slot per run (the slot's feature cache), and labels
-	// never cross it; once every row a batch needs is cached, the batch
-	// sends no message.
+	// losses stay bit-identical to single-store training. A batch may
+	// touch any row of the graph; every replica reads it from the
+	// loaded shards, whichever shard owns it.
 	RegimeExact SamplingRegime = iota
 	// RegimeLocal samples partition-locally (the Cluster-GCN regime):
 	// each replica draws seeds from its own shards' owned train nodes
 	// and bounds frontiers to owned + 1-hop halo rows, trading a
-	// bounded accuracy perturbation for a working set bounded by the
-	// replica's partition. Halo features arrive through the same
-	// feature cache as the exact regime's. Features are frozen inputs,
-	// so, as in the exact regime, only parameter gradients are
-	// all-reduced and nothing flows back to a row's owner.
+	// bounded accuracy perturbation for batches bounded by the
+	// replica's partition. Rows are read from the loaded shards as in
+	// the exact regime. Features are frozen inputs, so, as in the exact
+	// regime, only parameter gradients are all-reduced and nothing flows
+	// back to a row's owner.
 	RegimeLocal
 )
 
@@ -69,8 +67,7 @@ type PartitionSetup struct {
 }
 
 // NewPartitionSetup builds the local-regime setup for a shard set
-// mapped onto numProcs replicas (shard s → replica s mod numProcs, the
-// same mapping NewShardSourcesOpts uses). ds must carry the set's
+// mapped onto numProcs replicas (shard s → replica s mod numProcs). ds must carry the set's
 // global topology and train split — typically ShardSet.Skeleton() —
 // and fanouts configure the per-replica neighbor sampling.
 func NewPartitionSetup(ss *graph.ShardSet, ds *graph.Dataset, numProcs int, fanouts []int) (*PartitionSetup, error) {

@@ -3,18 +3,35 @@ package engine
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/sampler"
+	"argo/internal/tensor"
 )
 
-// newShardedEngine builds a 2-replica engine over a 3-shard set of ds
-// on the given transport, under the given sampling regime. wrap, when
-// non-nil, decorates each replica's shard source before the engine sees
-// it.
-func newShardedEngine(t testing.TB, ds *graph.Dataset, transport string, regime SamplingRegime, wrap func(r int, s DataSource) DataSource) (*Engine, *ddp.HaloExchange) {
+var errInjected = errors.New("injected fault")
+
+// flakySource decorates a replica's source with one-shot failures: an
+// armed gather fails once with errInjected and disarms itself.
+type flakySource struct {
+	DataSource
+	failGather atomic.Bool
+}
+
+func (f *flakySource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
+	if f.failGather.CompareAndSwap(true, false) {
+		return nil, errInjected
+	}
+	return f.DataSource.GatherFeatures(ids)
+}
+
+// newShardedEngine builds a 2-replica engine over a 3-shard set of ds,
+// under the given sampling regime, every replica reading one shard
+// source. wrap, when non-nil, decorates each replica's source before the
+// engine sees it.
+func newShardedEngine(t testing.TB, ds *graph.Dataset, regime SamplingRegime, wrap func(r int, s DataSource) DataSource) *Engine {
 	t.Helper()
 	const numProcs = 2
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
@@ -26,11 +43,11 @@ func newShardedEngine(t testing.TB, ds *graph.Dataset, transport string, regime 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{Transport: transport})
+	src, err := NewShardSource(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ex.Close() })
+	sources := []DataSource{src, src}
 	if wrap != nil {
 		for r := range sources {
 			sources[r] = wrap(r, sources[r])
@@ -52,15 +69,14 @@ func newShardedEngine(t testing.TB, ds *graph.Dataset, transport string, regime 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, ex
+	return e
 }
 
-// runLocalRegime trains epochs under the partition-local regime over
-// the given transport and returns the per-epoch results plus the
-// exchange totals.
-func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs int) ([]EpochResult, ddp.HaloStats) {
+// runLocalRegime trains epochs under the partition-local regime and
+// returns the per-epoch results.
+func runLocalRegime(t *testing.T, ds *graph.Dataset, epochs int) []EpochResult {
 	t.Helper()
-	e, ex := newShardedEngine(t, ds, transport, RegimeLocal, nil)
+	e := newShardedEngine(t, ds, RegimeLocal, nil)
 	var out []EpochResult
 	for ep := 0; ep < epochs; ep++ {
 		res, err := e.RunEpoch(ep)
@@ -69,7 +85,7 @@ func runLocalRegime(t *testing.T, ds *graph.Dataset, transport string, epochs in
 		}
 		out = append(out, res)
 	}
-	return out, ex.Summary().HaloStats
+	return out
 }
 
 // TestPartitionSetupCoversTrainSplit: per-replica targets partition the
@@ -112,59 +128,16 @@ func TestPartitionSetupCoversTrainSplit(t *testing.T) {
 	}
 }
 
-// TestLocalRegimeTransportParity: the local regime's loss history is
-// bit-identical between the inproc and tcp transports — the fp32 wire
-// carries exact bits, so nothing may depend on message timing.
-func TestLocalRegimeTransportParity(t *testing.T) {
-	ds := shardedTestDataset(t)
-	const epochs = 3
-	inproc, inStats := runLocalRegime(t, ds, "inproc", epochs)
-	tcp, tcpStats := runLocalRegime(t, ds, "tcp", epochs)
-	for ep := 0; ep < epochs; ep++ {
-		if inproc[ep].MeanLoss != tcp[ep].MeanLoss {
-			t.Fatalf("epoch %d: loss diverged across transports: %v vs %v", ep, inproc[ep].MeanLoss, tcp[ep].MeanLoss)
-		}
-	}
-	// Identical logical traffic on both transports.
-	if inStats.RemoteRows != tcpStats.RemoteRows {
-		t.Fatalf("transports moved different logical traffic: %+v vs %+v", inStats, tcpStats)
-	}
-}
-
 // TestLocalRegimeDeterministic: two runs with the same seed have
 // bit-identical losses.
 func TestLocalRegimeDeterministic(t *testing.T) {
 	ds := shardedTestDataset(t)
-	a, _ := runLocalRegime(t, ds, "inproc", 2)
-	b, _ := runLocalRegime(t, ds, "inproc", 2)
+	a := runLocalRegime(t, ds, 2)
+	b := runLocalRegime(t, ds, 2)
 	for ep := range a {
 		if a[ep].MeanLoss != b[ep].MeanLoss {
 			t.Fatalf("epoch %d not reproducible: %v vs %v", ep, a[ep].MeanLoss, b[ep].MeanLoss)
 		}
-	}
-}
-
-// TestLocalRegimeCutsRemoteFeatureTraffic: on the same shard set the
-// partition-local regime fetches fewer remote feature rows than the
-// exact regime — the point of the whole exercise.
-func TestLocalRegimeCutsRemoteFeatureTraffic(t *testing.T) {
-	ds := shardedTestDataset(t)
-	const epochs = 2
-	exact, ex := newShardedEngine(t, ds, "inproc", RegimeExact, nil)
-	for ep := 0; ep < epochs; ep++ {
-		if _, err := exact.RunEpoch(ep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exactStats := ex.Summary()
-
-	_, localStats := runLocalRegime(t, ds, "inproc", epochs)
-	if localStats.RemoteRows >= exactStats.RemoteRows {
-		t.Fatalf("local regime fetched %d remote rows, exact %d — no locality win",
-			localStats.RemoteRows, exactStats.RemoteRows)
-	}
-	if localStats.RemoteRows == 0 {
-		t.Fatal("local regime fetched no remote rows at all (halo never touched — suspicious for K=3 on 2 replicas)")
 	}
 }
 
@@ -173,7 +146,7 @@ func TestLocalRegimeCutsRemoteFeatureTraffic(t *testing.T) {
 func TestLocalRegimeFailedGatherNamesReplica(t *testing.T) {
 	ds := shardedTestDataset(t)
 	flaky := make([]*flakySource, 2)
-	e, _ := newShardedEngine(t, ds, "inproc", RegimeLocal, func(r int, s DataSource) DataSource {
+	e := newShardedEngine(t, ds, RegimeLocal, func(r int, s DataSource) DataSource {
 		flaky[r] = &flakySource{DataSource: s}
 		return flaky[r]
 	})
@@ -191,7 +164,7 @@ func TestLocalRegimeFailedGatherNamesReplica(t *testing.T) {
 }
 
 // Steady-state local-regime epochs allocate no per-row storage: after
-// two warm-up epochs (cache fill, slab and pool growth) an iteration
+// two warm-up epochs (slab and pool growth) an iteration
 // costs at most twice the exact regime's allocations on the same shard
 // set. With a make per cached, summed and routed row it was 2.2× here
 // and 25× on the repo benchmark's train_shard_local shape.
@@ -201,7 +174,7 @@ func TestLocalRegimeAllocsNearExact(t *testing.T) {
 	}
 	ds := shardedTestDataset(t)
 	allocsPerIter := func(regime SamplingRegime) float64 {
-		e, _ := newShardedEngine(t, ds, "inproc", regime, nil)
+		e := newShardedEngine(t, ds, regime, nil)
 		epoch, iters := 0, 0
 		run := func() {
 			res, err := e.RunEpoch(epoch)

@@ -2,11 +2,8 @@ package engine
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
-	"argo/internal/datasets"
-	"argo/internal/ddp"
 	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
@@ -75,13 +72,13 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	if skel.Features != nil || skel.Labels != nil {
 		t.Fatal("skeleton materialised features/labels")
 	}
-	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{})
+	src, err := NewShardSource(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := shardedEngineConfig(skel, numProcs)
 	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
-	cfg.Sources = sources
+	cfg.Sources = []DataSource{src, src}
 	sharded, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,18 +100,6 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 		}
 	}
 
-	// With 3 shards on 2 replicas the batch shares cross ownership
-	// boundaries constantly: the exchange must have moved real traffic.
-	total := ex.Summary()
-	if total.RemoteRows == 0 || total.RemoteBytes == 0 {
-		t.Fatalf("no halo traffic recorded: %+v", total)
-	}
-	for _, p := range total.Peers {
-		if p.From < 0 || p.From >= numProcs || p.To < 0 || p.To >= numProcs || p.From == p.To {
-			t.Fatalf("traffic edge %d→%d outside %d replicas", p.From, p.To, numProcs)
-		}
-	}
-
 	// Evaluation parity through the sources.
 	accBase, err := base.Evaluate(ds.ValIdx)
 	if err != nil {
@@ -129,137 +114,112 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	}
 }
 
-// Every replica reads every node's label from the shared table, equal
-// to the single-store labels, without a message; an id outside
-// [0, NumNodes) is refused.
+// newShardSource returns the one source over a k-shard set of ds.
+func newShardSource(t testing.TB, ds *graph.Dataset, k int) DataSource {
+	t.Helper()
+	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	src, err := NewShardSource(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// The shard source reads every node's label from one table, equal to
+// the single-store labels; an id outside [0, NumNodes) is refused.
 func TestShardLabelsMatchDatasetWithoutMessages(t *testing.T) {
 	ds := shardedTestDataset(t)
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	sources, ex, err := NewShardSourcesOpts(ss, 2, ShardSourceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
+	src := newShardSource(t, ds, 3)
 	ids := make([]graph.NodeID, ds.Graph.NumNodes)
 	for i := range ids {
 		ids[i] = graph.NodeID(len(ids) - 1 - i)
 	}
-	for r, src := range sources {
-		got, err := src.TargetLabels(ids)
+	got, err := src.TargetLabels(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range ids {
+		if got[i] != ds.Labels[v] {
+			t.Fatalf("node %d label %d, want %d", v, got[i], ds.Labels[v])
+		}
+	}
+	for _, bad := range []graph.NodeID{-1, graph.NodeID(ds.Graph.NumNodes)} {
+		if _, err := src.TargetLabels([]graph.NodeID{0, bad}); err == nil {
+			t.Fatalf("label of node %d accepted", bad)
+		}
+	}
+}
+
+// The shard source gathers every node's row, in the order asked and
+// with repeats, bit-equal to the single-store row, on an fp32 and an
+// fp16 store; an id outside [0, NumNodes) is refused.
+func TestShardSourceRowsMatchDataset(t *testing.T) {
+	for _, dt := range []graph.FeatDtype{graph.DtypeF32, graph.DtypeF16} {
+		ds := shardedTestDataset(t)
+		if err := ds.ConvertFeatures(dt); err != nil {
+			t.Fatal(err)
+		}
+		src := newShardSource(t, ds, 3)
+		ids := make([]graph.NodeID, 0, 2*ds.Graph.NumNodes)
+		for v := ds.Graph.NumNodes - 1; v >= 0; v-- {
+			ids = append(ids, graph.NodeID(v), graph.NodeID(v/2))
+		}
+		got, err := src.GatherFeatures(ids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range ids {
-			if got[i] != ds.Labels[v] {
-				t.Fatalf("replica %d: node %d label %d, want %d", r, v, got[i], ds.Labels[v])
+			for j, x := range got.Row(i) {
+				if want := ds.Features.At(int(v), j); math.Float32bits(x) != math.Float32bits(want) {
+					t.Fatalf("%s: node %d column %d is %v, want %v", dt, v, j, x, want)
+				}
 			}
 		}
 		for _, bad := range []graph.NodeID{-1, graph.NodeID(ds.Graph.NumNodes)} {
-			if _, err := src.TargetLabels([]graph.NodeID{0, bad}); err == nil {
-				t.Fatalf("replica %d: label of node %d accepted", r, bad)
+			if _, err := src.GatherFeatures([]graph.NodeID{0, bad}); err == nil {
+				t.Fatalf("%s: row of node %d accepted", dt, bad)
 			}
 		}
 	}
-	if st := ex.Summary().HaloStats; st != (ddp.HaloStats{}) {
-		t.Fatalf("label lookups moved exchange traffic: %+v", st)
-	}
 }
 
-// exchangeTraffic trains two exact-regime epochs of arxiv-sim, stored as
-// dt and cut into 4 shards on 2 replicas with s sampling workers each,
-// and returns the exchange's run totals with the per-peer matrix.
-func exchangeTraffic(t *testing.T, dt graph.FeatDtype, s int) ddp.ExchangeStats {
-	t.Helper()
-	const seed, numProcs = 7, 2
-	ds, err := datasets.Resolve("arxiv-sim", seed)
-	if err != nil {
-		t.Fatal(err)
+// A sharded exact engine's steady-state step allocates about what a
+// single-store engine's does on the same dataset: the shard source
+// copies rows into the replica's buffer pool and keeps nothing.
+func TestShardedAllocsNearSingleStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	// Converting before sharding puts the dtype in the shard manifest,
-	// which is what negotiates the wire format.
-	if err := ds.ConvertFeatures(dt); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 4, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	skel, err := ss.Skeleton()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources, ex, err := NewShardSourcesOpts(ss, numProcs, ShardSourceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	e, err := New(Config{
-		Dataset:       skel,
-		Sampler:       sampler.NewNeighbor(skel.Graph, []int{10, 5}),
-		Model:         nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: seed},
-		BatchSize:     64,
-		LR:            0.01,
-		NumProcs:      numProcs,
-		SampleWorkers: s,
-		TrainWorkers:  1,
-		Seed:          seed,
-		Sources:       sources,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ep := 0; ep < 2; ep++ {
-		if _, err := e.RunEpoch(ep); err != nil {
+	ds := shardedTestDataset(t)
+	src := newShardSource(t, ds, 3)
+	allocsPerIter := func(cfg Config) float64 {
+		e, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	return ex.Summary()
-}
-
-// The fp16 feature pipeline's wire claim: an fp16 shard set moves the
-// same logical halo traffic as the fp32 one — rows, logical bytes and
-// messages are dtype-independent — in at most 0.55× the framed bytes
-// (6 805 276 → 3 461 532, 0.509×, when written), and the whole traffic
-// record, per-peer matrix included, is a pure function of the seed.
-func TestF16ShardSetHalvesWireBytes(t *testing.T) {
-	w32 := exchangeTraffic(t, graph.DtypeF32, 1)
-	w16 := exchangeTraffic(t, graph.DtypeF16, 1)
-	if again := exchangeTraffic(t, graph.DtypeF16, 1); !reflect.DeepEqual(w16, again) {
-		t.Fatalf("fp16 exchange traffic differs between two runs of one seed:\n%+v\n%+v", w16, again)
-	}
-	if w32.RemoteRows == 0 || w32.Messages == 0 {
-		t.Fatalf("no halo traffic recorded: %+v", w32)
-	}
-	if w16.LocalRows != w32.LocalRows || w16.RemoteRows != w32.RemoteRows ||
-		w16.RemoteBytes != w32.RemoteBytes || w16.Messages != w32.Messages {
-		t.Fatalf("logical traffic changed with the store dtype:\nfp32 %+v\nfp16 %+v", w32, w16)
-	}
-	ratio := float64(w16.WireBytes) / float64(w32.WireBytes)
-	if ratio > 0.55 {
-		t.Fatalf("wire bytes %d → %d: fp16/fp32 ratio %.3f > 0.55", w32.WireBytes, w16.WireBytes, ratio)
-	}
-	t.Logf("wire bytes %d → %d (%.3f×) for %d remote rows in %d messages",
-		w32.WireBytes, w16.WireBytes, ratio, w32.RemoteRows, w32.Messages)
-}
-
-// With two sampling workers, which batch first touches a cached row
-// depends on scheduling, so the message count may vary run to run. The
-// rows and logical bytes moved may not: each distinct feature row
-// crosses once, and the rows a run touches are fixed by the batch
-// stream, which is the same for every s.
-func TestExchangeRowCountsIgnoreSampleWorkers(t *testing.T) {
-	one := exchangeTraffic(t, graph.DtypeF32, 1)
-	for run := 0; run < 2; run++ {
-		two := exchangeTraffic(t, graph.DtypeF32, 2)
-		if two.RemoteRows != one.RemoteRows || two.RemoteBytes != one.RemoteBytes {
-			t.Fatalf("run %d at s = 2 moved %d remote rows (%d bytes), s = 1 moved %d (%d bytes)",
-				run, two.RemoteRows, two.RemoteBytes, one.RemoteRows, one.RemoteBytes)
+		epoch, iters := 0, 0
+		run := func() {
+			res, err := e.RunEpoch(epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch, iters = epoch+1, res.NumIters
 		}
+		run()
+		run()
+		return testing.AllocsPerRun(5, run) / float64(iters)
+	}
+	cfg := shardedEngineConfig(ds, 2)
+	single := allocsPerIter(cfg)
+	cfg.Sources = []DataSource{src, src}
+	sharded := allocsPerIter(cfg)
+	t.Logf("allocations per iteration: single store %.0f, sharded %.0f", single, sharded)
+	if sharded > 2*single {
+		t.Fatalf("sharded engine allocates %.0f objects per iteration, single store %.0f: more than 2×", sharded, single)
 	}
 }
 
@@ -305,7 +265,8 @@ func TestShardedSkeletonTopologyExact(t *testing.T) {
 }
 
 // Config validation: sources must match the replica count, and a
-// skeleton dataset without sources is rejected before training.
+// skeleton dataset without sources is rejected before training; the
+// deprecated per-replica builder refuses zero replicas.
 func TestShardedConfigValidation(t *testing.T) {
 	ds := shardedTestDataset(t)
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 2})
@@ -322,15 +283,15 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("skeleton dataset without sources accepted")
 	}
-	sources, _, err := NewShardSourcesOpts(ss, 2, ShardSourceOptions{})
+	src, err := NewShardSource(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Sources = sources[:1]
+	cfg.Sources = []DataSource{src}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("source/replica count mismatch accepted")
 	}
-	cfg.Sources = sources
+	cfg.Sources = []DataSource{src, src}
 	if _, err := New(cfg); err != nil {
 		t.Fatal(err)
 	}

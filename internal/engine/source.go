@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"argo/internal/ddp"
 	"argo/internal/graph"
@@ -11,11 +12,10 @@ import (
 
 // DataSource feeds one replica's feature and label lookups. The default
 // source reads the global in-memory dataset; the sharded source reads
-// the replica's own mapped shards, pulls foreign feature rows through a
-// ddp.HaloExchange and reads labels from a table shared by all
-// replicas. The engine's training step is identical either way — same
-// values in, same gradients out — which is what makes sharded training
-// loss-equivalent to single-store training.
+// the rows of a shard set loaded once into this process. The engine's
+// training step is identical either way — same values in, same
+// gradients out — which is what makes sharded training loss-equivalent
+// to single-store training.
 type DataSource interface {
 	// GatherFeatures returns the feature rows of ids, in order. The
 	// returned matrix is freshly assembled and owned by the caller,
@@ -63,129 +63,89 @@ type GradientCollector interface {
 	CollectGradients() ([]graph.NodeID, *tensor.Matrix, error)
 }
 
-// shardSource is one replica's view of a sharded run: feature rows go
-// through the exchange, which serves owned rows locally and foreign
-// rows from their owning replica in batched per-peer messages; labels
-// are read from the run's one label table.
+// shardTable is a shard set's features and labels, loaded once and read
+// by every replica: node v's feature row is row[v] of feats[shard[v]]
+// (graph.ShardSet.Locations), and labels holds every node's label.
+type shardTable struct {
+	shard, row []int32
+	feats      []*tensor.Matrix // by shard
+	labels     []int32
+	featDim    int
+}
+
+// shardSource is one replica's view of a shardTable. It copies rows
+// into matrices drawn from bufs, the replica's buffer pool, which the
+// engine sets on the replica's copy of the source.
 type shardSource struct {
-	ex      *ddp.HaloExchange
-	replica int
-	labels  []int32 // every node's label, shared by all replicas
+	t    *shardTable
+	bufs *tensor.BufPool
+}
+
+// NewShardSource loads every shard's feature and label sections once
+// and returns the source all replicas of a sharded run read: a gather
+// copies each row straight from its owning shard's features into the
+// reading replica's buffer pool, and labels come from one table of
+// every node's label. Which replica a shard belongs to decides nothing
+// here; only the local sampling regime's batches follow ownership
+// (NewPartitionSetup).
+func NewShardSource(ss *graph.ShardSet) (DataSource, error) {
+	feats, labels, err := ss.Rows()
+	if err != nil {
+		return nil, err
+	}
+	shard, row, err := ss.Locations()
+	if err != nil {
+		return nil, err
+	}
+	return shardSource{t: &shardTable{shard: shard, row: row, feats: feats,
+		labels: labels, featDim: ss.Manifest.FeatDim}}, nil
 }
 
 func (s shardSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
-	return s.ex.GatherFeatures(s.replica, ids)
+	out := s.bufs.Get(len(ids), s.t.featDim)
+	for i, v := range ids {
+		if v < 0 || int(v) >= len(s.t.shard) {
+			s.bufs.Put(out)
+			return nil, fmt.Errorf("engine: node %d outside [0,%d)", v, len(s.t.shard))
+		}
+		copy(out.Row(i), s.t.feats[s.t.shard[v]].Row(int(s.t.row[v])))
+	}
+	return out, nil
 }
 
 func (s shardSource) TargetLabels(ids []graph.NodeID) ([]int32, error) {
 	out := make([]int32, len(ids))
 	for i, v := range ids {
-		if v < 0 || int(v) >= len(s.labels) {
-			return nil, fmt.Errorf("engine: node %d outside [0,%d)", v, len(s.labels))
+		if v < 0 || int(v) >= len(s.t.labels) {
+			return nil, fmt.Errorf("engine: node %d outside [0,%d)", v, len(s.t.labels))
 		}
-		out[i] = s.labels[v]
+		out[i] = s.t.labels[v]
 	}
 	return out, nil
 }
 
-// shardRows is every replica's ddp.RowServer: the exchange asks it only
-// for nodes the asking replica owns, and it finds their rows through the
-// shard set's location table.
-type shardRows struct {
-	shard, row []int32          // graph.ShardSet.Locations
-	feats      []*tensor.Matrix // by shard
-}
-
-func (s *shardRows) Rows(ids []graph.NodeID, at []int32, dst []float32) error {
-	for i, v := range ids {
-		if at != nil {
-			i = int(at[i])
-		}
-		src := s.feats[s.shard[v]].Row(int(s.row[v]))
-		copy(dst[i*len(src):(i+1)*len(src)], src)
-	}
-	return nil
-}
-
-// ShardSourceOptions configures NewShardSourcesOpts.
+// ShardSourceOptions configured the exchange NewShardSourcesOpts built.
+//
+// Deprecated: replicas read the loaded shards directly (NewShardSource),
+// so there is no exchange and Transport is ignored. It stays only
+// because the repo benchmark's benchmark/train.go names it.
 type ShardSourceOptions struct {
-	// Transport names the ddp transport carrying the exchange: "" or
-	// "inproc" for direct calls, "tcp" for loopback sockets.
 	Transport string
 }
 
-// NewShardSourcesOpts maps a shard set onto numProcs replicas: shard s
-// is owned by replica s mod numProcs, and feature lookups flow through
-// the returned HaloExchange, whose stats expose the cross-replica
-// traffic a real multi-node run would put on the wire. The replicas
-// share one address space: every shard's feature section is loaded
-// here, once, and all replicas' row servers are the same table over
-// them, so ownership decides what the exchange counts, not what is
-// held in memory. Labels are read-only and 4 bytes a node, so
-// every shard's label section is gathered here into one table of every
-// node's label that all replicas read; no label crosses the exchange.
-// The exchange batches one message per (peer, gather) over the selected
-// transport; the caller owns the exchange and must Close it (which
-// closes the transport).
-func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, opt ShardSourceOptions) ([]DataSource, *ddp.HaloExchange, error) {
+// NewShardSourcesOpts returns NewShardSource(ss) once per replica and a
+// nil exchange.
+//
+// Deprecated: build one source with NewShardSource and hand it to every
+// replica. It stays only because the repo benchmark's benchmark/train.go
+// calls it.
+func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, _ ShardSourceOptions) ([]DataSource, *ddp.HaloExchange, error) {
 	if numProcs < 1 {
 		return nil, nil, fmt.Errorf("engine: %d replicas for a shard set", numProcs)
 	}
-	shard, row, err := ss.Locations()
+	src, err := NewShardSource(ss)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The wire dtype is negotiated from the store dtype alone: an fp16
-	// shard set's rows are fp16-exact, so shipping them as fp16 bits is
-	// lossless and transport-invariant. (An fp16 wire over an fp32 store
-	// would lose bits only when a message crosses address spaces, making
-	// results transport-dependent — so it is never enabled.)
-	wireDtype, err := graph.ParseFeatDtype(ss.Manifest.FeatDtype)
-	if err != nil {
-		return nil, nil, err
-	}
-	featDim := ss.Manifest.FeatDim
-	feats, labels := make([]*tensor.Matrix, ss.K()), make([][]int32, ss.K())
-	for s := range feats {
-		lz, err := ss.Shard(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		if feats[s], err = lz.Features(); err != nil {
-			return nil, nil, err
-		}
-		if labels[s], err = lz.Labels(); err != nil {
-			return nil, nil, err
-		}
-		if feats[s].Cols != featDim {
-			return nil, nil, fmt.Errorf("engine: shard %d stores %d-wide rows, manifest says %d", s, feats[s].Cols, featDim)
-		}
-	}
-	owner, nodeLabels := make([]int32, len(shard)), make([]int32, len(shard))
-	for v, s := range shard {
-		if int(row[v]) >= min(feats[s].Rows, len(labels[s])) {
-			return nil, nil, fmt.Errorf("engine: shard %d features/labels smaller than its owned set", s)
-		}
-		owner[v] = s % int32(numProcs)
-		nodeLabels[v] = labels[s][row[v]]
-	}
-	rows := &shardRows{shard: shard, row: row, feats: feats}
-	servers := make([]ddp.RowServer, numProcs)
-	for r := range servers {
-		servers[r] = rows
-	}
-	tr, err := ddp.NewTransport(opt.Transport)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex, err := ddp.NewHaloExchange(featDim, owner, servers, ddp.ExchangeOptions{Transport: tr, WireDtype: wireDtype})
-	if err != nil {
-		tr.Close()
-		return nil, nil, err
-	}
-	sources := make([]DataSource, numProcs)
-	for r := range sources {
-		sources[r] = shardSource{ex: ex, replica: r, labels: nodeLabels}
-	}
-	return sources, ex, nil
+	return slices.Repeat([]DataSource{src}, numProcs), nil, nil
 }

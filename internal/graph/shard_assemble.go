@@ -10,8 +10,8 @@ import (
 // Skeleton reconstructs the global dataset's training scaffolding —
 // topology, splits (in original order), spec, class count — without
 // materialising any feature or label bytes. It is what the shard-aware
-// trainer hands the engine: features and labels stay shard-resident and
-// flow through the halo exchange instead.
+// trainer hands the engine: features and labels stay in the shards,
+// which engine.NewShardSource loads once for every replica to read.
 func (ss *ShardSet) Skeleton() (*Dataset, error) {
 	g, err := ss.assembleTopology()
 	if err != nil {
@@ -44,38 +44,57 @@ func (ss *ShardSet) AssembleDataset() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	feats, labels, err := ss.Rows()
+	if err != nil {
+		return nil, err
+	}
 	shard, row, err := ss.Locations()
 	if err != nil {
 		return nil, err
 	}
-	m := &ss.Manifest
-	sfs, sls := make([]*tensor.Matrix, m.K), make([][]int32, m.K)
-	for s := range sfs {
-		lz, err := ss.Shard(s)
-		if err != nil {
-			return nil, err
-		}
-		if sfs[s], err = lz.Features(); err != nil {
-			return nil, err
-		}
-		if sls[s], err = lz.Labels(); err != nil {
-			return nil, err
-		}
-		if sfs[s].Cols != m.FeatDim || sfs[s].Rows < m.Shards[s].Owned || len(sls[s]) < m.Shards[s].Owned {
-			return nil, fmt.Errorf("graph: shard %d features/labels smaller than its owned set", s)
-		}
-	}
-	// Only owned rows are authoritative; halo rows are caches.
-	skel.Features = tensor.New(len(shard), m.FeatDim)
-	skel.Labels = make([]int32, len(shard))
+	skel.Features = tensor.New(len(shard), ss.Manifest.FeatDim)
 	for v, s := range shard {
-		copy(skel.Features.Row(v), sfs[s].Row(int(row[v])))
-		skel.Labels[v] = sls[s][row[v]]
+		copy(skel.Features.Row(v), feats[s].Row(int(row[v])))
 	}
+	skel.Labels = labels
 	if err := skel.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: assembled dataset invalid: %w", err)
 	}
 	return skel, nil
+}
+
+// Rows loads every shard's feature and label sections once and checks
+// them against the manifest: node v's feature row is row[v] of
+// feats[shard[v]] (Locations), and labels holds every node's label.
+// Only owned rows are authoritative; halo rows are caches.
+func (ss *ShardSet) Rows() (feats []*tensor.Matrix, labels []int32, err error) {
+	shard, row, err := ss.Locations()
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &ss.Manifest
+	feats, sls := make([]*tensor.Matrix, m.K), make([][]int32, m.K)
+	for s := range feats {
+		lz, err := ss.Shard(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		if feats[s], err = lz.Features(); err != nil {
+			return nil, nil, err
+		}
+		if sls[s], err = lz.Labels(); err != nil {
+			return nil, nil, err
+		}
+		if feats[s].Cols != m.FeatDim || feats[s].Rows < m.Shards[s].Owned || len(sls[s]) < m.Shards[s].Owned {
+			return nil, nil, fmt.Errorf("graph: shard %d features (%d×%d) or labels (%d) do not fit its %d owned %d-wide rows",
+				s, feats[s].Rows, feats[s].Cols, len(sls[s]), m.Shards[s].Owned, m.FeatDim)
+		}
+	}
+	labels = make([]int32, len(shard))
+	for v, s := range shard {
+		labels[v] = sls[s][row[v]]
+	}
+	return feats, labels, nil
 }
 
 // assembleTopology reconstructs the global CSR node by node through the

@@ -57,8 +57,7 @@ func (m *ShardManifest) Validate() error {
 }
 
 // TotalCutArcs sums the per-shard cut-arc counts — the shard set's
-// whole edge cut, the upper bound on distinct halo rows any exchange
-// over this set can move per epoch.
+// whole edge cut, the upper bound on the set's distinct halo rows.
 func (m *ShardManifest) TotalCutArcs() int64 {
 	var cut int64
 	for _, e := range m.Shards {

@@ -49,8 +49,7 @@ type ShardManifest struct {
 	FeatDim    int    `json:"feat_dim"`
 	// FeatDtype is the set-wide feature encoding ("fp16", or empty for
 	// fp32 so pre-dtype manifests are byte-unchanged). Every shard store
-	// carries the same dtype; it is also what the exchange layer
-	// negotiates its wire encoding from.
+	// carries the same dtype.
 	FeatDtype   string       `json:"feat_dtype,omitempty"`
 	TrainCount  int          `json:"train_count"`
 	ValCount    int          `json:"val_count"`

@@ -145,7 +145,7 @@ type Stats struct {
 
 // ShardStats is the per-shard profile embedded in a shard store's stats
 // section: how much of the store is owned versus halo-cached, and how
-// many arcs leave the partition (the halo-exchange traffic bound).
+// many arcs leave the partition (the bound on rows read across shards).
 type ShardStats struct {
 	Index   int   `json:"index"`    // this shard's index in the set
 	Count   int   `json:"count"`    // number of shards in the set (k)

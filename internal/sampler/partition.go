@@ -10,9 +10,8 @@ import (
 // except the frontier is bounded to an allowed node set — a shard's
 // owned rows plus its 1-hop halo. Neighbours outside the set are
 // skipped as if the edge did not exist, so a replica's mini-batches
-// only ever reference rows resident on (or haloed to) its shard and
-// the per-batch halo exchange shrinks to the boundary rows actually
-// touched.
+// only ever reference rows resident on (or haloed to) its shard, and
+// a batch reads other shards' rows only at the partition boundary.
 //
 // A frontier node draws its picks from its allowed neighbours with
 // Neighbor's draw, so when every neighbour is allowed the blocks are

@@ -72,7 +72,7 @@ func New(src Source, model *nn.GNN, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.precompute < 0 || cfg.precompute > 1 {
+	if !(cfg.precompute >= 0 && cfg.precompute <= 1) {
 		return nil, fmt.Errorf("serve: precompute-hubs fraction %g outside [0,1]", cfg.precompute)
 	}
 	var cache *rowCache

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -79,8 +80,10 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(src, m, WithCacheBytes(1<<16), WithPolicy("clock")); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := New(src, m, WithPrecomputeHubs(1.5)); err == nil {
-		t.Fatal("out-of-range hub fraction accepted")
+	for _, f := range []float64{1.5, -0.5, math.NaN()} {
+		if _, err := New(src, m, WithPrecomputeHubs(f)); err == nil {
+			t.Fatalf("hub fraction %v accepted", f)
+		}
 	}
 	// No cache options at all: a server with caching disabled.
 	srv, err := New(src, m)

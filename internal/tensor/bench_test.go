@@ -116,32 +116,3 @@ func BenchmarkReLUBackward(b *testing.B) {
 		ReLUBackward(out, grad, act)
 	}
 }
-
-// BenchmarkRowTableAddReset is one epoch of a per-epoch accumulator on
-// the repo benchmark's train_shard_local shape: 16 batches of ~2400
-// 64-wide rows summed into a ~8500-row working set, then a reset.
-func BenchmarkRowTableAddReset(b *testing.B) {
-	const width, batches, batchRows, working, idSpace = 64, 16, 2400, 8500, 32_000
-	rng := rand.New(rand.NewSource(5))
-	pool := rng.Perm(idSpace)[:working]
-	ids := make([]int32, batches*batchRows)
-	for i := range ids {
-		ids[i] = int32(pool[rng.Intn(working)])
-	}
-	grad := make([]float32, width)
-	for j := range grad {
-		grad[j] = rng.Float32()
-	}
-	tb := NewRowTable(width)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range ids {
-			row, _ := tb.Add(id)
-			for j, x := range grad {
-				row[j] += x
-			}
-		}
-		tb.Reset()
-	}
-}

@@ -1,5 +1,5 @@
 // Package half implements IEEE 754 binary16 ("fp16") conversion for the
-// compressed feature path: fp16 in the store and on the halo wire, fp32
+// compressed feature path: fp16 in the store and in the ddp codec, fp32
 // in every kernel. The scalar converts are branch-light bit
 // manipulations (no lookup tables, no float comparisons beyond the
 // range splits), the slice kernels are their straight-line loops, and

@@ -11,7 +11,7 @@ import (
 
 // newLocalRegimeTrainer builds a sharded trainer under the partition-
 // local sampling regime.
-func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *GNNTrainer {
+func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset) *GNNTrainer {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
 	if err != nil {
@@ -25,7 +25,7 @@ func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *G
 	tr, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: skel, Sampler: sampler.NewNeighbor(skel.Graph, []int{4, 3}),
 		Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
-		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss, Transport: transport,
+		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss,
 		SamplingRegime: "local",
 	})
 	if err != nil {
@@ -36,13 +36,12 @@ func newLocalRegimeTrainer(t *testing.T, ds *graph.Dataset, transport string) *G
 }
 
 // TestLocalRegimeTrainerAcrossRelaunches: the partition samplers and
-// owned-target sets are rebuilt with the exchange on every process-
-// count change, training converges, and the run is reproducible
-// bit-for-bit across transports.
+// owned-target sets are rebuilt on every process-count change, training
+// converges, and the run is reproducible bit-for-bit.
 func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 	ds := shardedCoreDataset(t)
-	run := func(transport string) ([]float64, HaloStats) {
-		tr := newLocalRegimeTrainer(t, ds, transport)
+	run := func() []float64 {
+		tr := newLocalRegimeTrainer(t, ds)
 		ctx := context.Background()
 		for _, cfg := range []Config{
 			{Procs: 1, SampleCores: 1, TrainCores: 1},
@@ -53,20 +52,19 @@ func TestLocalRegimeTrainerAcrossRelaunches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tr.LossHistory(), tr.ExchangeStats().HaloStats
+		return tr.LossHistory()
 	}
-	inLoss, inStats := run("")
-	tcpLoss, tcpStats := run("tcp")
-	if len(inLoss) != 6 {
-		t.Fatalf("expected 6 epochs, got %d", len(inLoss))
+	first, again := run(), run()
+	if len(first) != 6 {
+		t.Fatalf("expected 6 epochs, got %d", len(first))
 	}
-	for i := range inLoss {
-		if inLoss[i] != tcpLoss[i] {
-			t.Fatalf("epoch %d: local-regime loss diverged across transports: %v vs %v", i, inLoss[i], tcpLoss[i])
+	if first[5] >= first[0] {
+		t.Fatalf("local-regime loss did not fall across relaunches: %v", first)
+	}
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("epoch %d: local-regime loss not reproducible: %v vs %v", i, first[i], again[i])
 		}
-	}
-	if inStats.RemoteRows != tcpStats.RemoteRows {
-		t.Fatalf("logical traffic diverged across transports: %+v vs %+v", inStats, tcpStats)
 	}
 }
 
@@ -97,50 +95,5 @@ func TestLocalRegimeOptionValidation(t *testing.T) {
 	}
 	if _, err := NewGNNTrainer(opts); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTransportValidation: an unknown transport name is refused by the
-// constructor, not at the first Step inside a tuner's search epoch, and
-// a known one is what the exchange stats report from the start.
-func TestTransportValidation(t *testing.T) {
-	ds := shardedCoreDataset(t)
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	skel, err := ss.Skeleton()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		transport, reported string
-		ok                  bool
-	}{
-		{"", "inproc", true},
-		{"inproc", "inproc", true},
-		{"tcp", "tcp", true},
-		{"tcpp", "", false},
-		{"TCP", "", false},
-	} {
-		tr, err := NewGNNTrainer(GNNTrainerOptions{
-			Dataset: skel, Sampler: sampler.NewNeighbor(skel.Graph, []int{4, 3}),
-			Model:     nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{8, 6, 3}, Seed: 5},
-			BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss, Transport: c.transport,
-		})
-		if !c.ok {
-			if err == nil {
-				t.Fatalf("transport %q accepted (exchange reports %q)", c.transport, tr.ExchangeStats().Transport)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("transport %q: %v", c.transport, err)
-		}
-		if got := tr.ExchangeStats().Transport; got != c.reported {
-			t.Fatalf("transport %q reported as %q, want %q", c.transport, got, c.reported)
-		}
-		tr.Close()
 	}
 }

@@ -156,11 +156,6 @@ type Report struct {
 	// TotalSeconds is the end-to-end training time: every epoch at its
 	// observed cost.
 	TotalSeconds float64 `json:"total_seconds"`
-	// Exchange carries the halo-exchange traffic summary of a sharded
-	// run (argo-train attaches GNNTrainer.ExchangeStats before writing
-	// the report); nil for single-store runs. Peers serialise in
-	// deterministic (From, To) order.
-	Exchange *ExchangeStats `json:"exchange,omitempty"`
 }
 
 // WriteJSON serialises the report, indented, to w.
@@ -171,6 +166,8 @@ func (r Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport deserialises a report previously written with WriteJSON.
+// Keys it does not know are ignored, so the "exchange" block older
+// sharded runs wrote still reads.
 func ReadReport(rd io.Reader) (Report, error) {
 	var rep Report
 	if err := json.NewDecoder(rd).Decode(&rep); err != nil {

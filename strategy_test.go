@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"argo/internal/ddp"
 	"argo/internal/search"
 )
 
@@ -398,40 +397,61 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// A report carrying a sharded run's exchange stats round-trips, and a
-// report without them serialises with no exchange key at all (old
-// reports stay byte-stable).
-func TestReportExchangeStatsRoundTrip(t *testing.T) {
-	rep := Report{
-		Strategy: StrategyBayesOpt,
-		Exchange: &ExchangeStats{
-			Transport: "tcp",
-			HaloStats: HaloStats{LocalRows: 10, RemoteRows: 4, RemoteBytes: 128, Messages: 2},
-			Peers: []PeerTraffic{
-				{From: 0, To: 1, PeerCounts: ddp.PeerCounts{Rows: 4, Bytes: 128, Messages: 2}},
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"exchange"`) || !strings.Contains(buf.String(), `"peers"`) {
-		t.Fatalf("exchange stats missing from JSON:\n%s", buf.String())
-	}
-	back, err := ReadReport(&buf)
+// oldShardedReport is a report as sharded argo-train runs wrote it
+// while replicas exchanged feature rows: it carries an "exchange"
+// traffic block that Report no longer has.
+const oldShardedReport = `{
+  "strategy": "exhaustive",
+  "best": {"procs": 1, "sample_cores": 2, "train_cores": 3},
+  "best_epoch_seconds": 0.001,
+  "history": [
+    {"epoch": 0, "config": {"procs": 2, "sample_cores": 1, "train_cores": 1}, "seconds": 1.5, "phase": "search"},
+    {"epoch": 1, "config": {"procs": 1, "sample_cores": 2, "train_cores": 3}, "seconds": 0.001, "phase": "search"},
+    {"epoch": 2, "config": {"procs": 1, "sample_cores": 2, "train_cores": 3}, "seconds": 0.002, "phase": "reuse"}
+  ],
+  "search_epochs": 2,
+  "tuner_overhead_ns": 2461,
+  "total_seconds": 1.503,
+  "exchange": {
+    "transport": "inproc",
+    "local_rows": 117,
+    "remote_rows": 118,
+    "remote_bytes": 7552,
+    "wire_bytes": 8120,
+    "messages": 4,
+    "peers": [
+      {"from": 0, "to": 1, "rows": 40, "bytes": 2560, "wire_bytes": 2744, "messages": 1},
+      {"from": 1, "to": 0, "rows": 78, "bytes": 4992, "wire_bytes": 5376, "messages": 3}
+    ]
+  }
+}`
+
+// A report that older sharded runs wrote, exchange block included,
+// still reads and still warm-starts: its search history is replayed, so
+// its fast configuration, which the bowl surface cannot beat, is the
+// new run's incumbent without costing a search epoch.
+func TestOldReportWithExchangeStillWarmStarts(t *testing.T) {
+	prior, err := ReadReport(strings.NewReader(oldShardedReport))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep, back) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back.Exchange, rep.Exchange)
+	fast := Config{Procs: 1, SampleCores: 2, TrainCores: 3}
+	if len(prior.History) != 3 || prior.Best != fast {
+		t.Fatalf("old report decoded to %+v", prior)
 	}
-	buf.Reset()
-	if err := (Report{Strategy: StrategyBayesOpt}).WriteJSON(&buf); err != nil {
+	rt, err := NewRuntime(6, 3, WithTotalCores(16), WithSeed(3), WithWarmStart(prior))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "exchange") {
-		t.Fatal("single-store report grew an exchange key")
+	rep, err := rt.Run(context.Background(), func(_ context.Context, cfg Config, _ int) (float64, error) { return bowl(cfg), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Best != fast || rep.BestEpochSeconds != 0.001 {
+		t.Fatalf("best %v at %gs, want the replayed %v at 0.001s", rep.Best, rep.BestEpochSeconds, fast)
+	}
+	if rep.SearchEpochs != 3 {
+		t.Fatalf("the replay consumed the search budget: %d search epochs, want 3", rep.SearchEpochs)
 	}
 }
 

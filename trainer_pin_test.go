@@ -2,7 +2,6 @@ package argo
 
 import (
 	"context"
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,23 +12,16 @@ import (
 	"argo/internal/sampler"
 )
 
-// pinnedTrainerRuns holds, for four trainer set-ups on tiny (seed 7,
+// pinnedTrainerRuns holds, for three trainer set-ups on tiny (seed 7,
 // SAGE 16-8-3, fan-outs 4/4, batch 32, lr 0.01), the hex-float loss of
-// every epoch of the re-launch schedule in pinnedSchedule and, for the
-// sharded ones, the whole-run ExchangeStats JSON. They were recorded
-// when the sampler's per-entry reservoir draw became the keyed Floyd
-// draw, the traffic when the trainer began reconfiguring one engine in
-// place, so a replica slot's feature cache outlives a schedule move;
-// every loss bit and traffic counter must survive any change that does
-// not declare a new sampled stream.
-var pinnedTrainerRuns = map[string][2]string{
-	"single": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02", ""},
-	"exact/inproc": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
-		`{"transport":"inproc","local_rows":186,"remote_rows":116,"remote_bytes":7424,"wire_bytes":7984,"messages":4,"peers":[{"from":1,"to":0,"rows":116,"bytes":7424,"wire_bytes":7984,"messages":4}]}`},
-	"exact/tcp": {"0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
-		`{"transport":"tcp","local_rows":186,"remote_rows":116,"remote_bytes":7424,"wire_bytes":7984,"messages":4,"peers":[{"from":1,"to":0,"rows":116,"bytes":7424,"wire_bytes":7984,"messages":4}]}`},
-	"local/inproc": {"0x1.1a785e5fd1133p+00 0x1.a0eb6fa50e241p-01 0x1.2aa0d95d9ace5p-01 0x1.c808b8704a70ap-02",
-		`{"transport":"inproc","local_rows":214,"remote_rows":62,"remote_bytes":3968,"wire_bytes":4336,"messages":5,"peers":[{"from":0,"to":1,"rows":1,"bytes":64,"wire_bytes":92,"messages":1},{"from":1,"to":0,"rows":61,"bytes":3904,"wire_bytes":4244,"messages":4}]}`},
+// every epoch of the re-launch schedule in pinnedSchedule. They were
+// recorded when the sampler's per-entry reservoir draw became the keyed
+// Floyd draw; every loss bit must survive any change that does not
+// declare a new sampled stream.
+var pinnedTrainerRuns = map[string]string{
+	"single": "0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
+	"exact":  "0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
+	"local":  "0x1.1a785e5fd1133p+00 0x1.a0eb6fa50e241p-01 0x1.2aa0d95d9ace5p-01 0x1.c808b8704a70ap-02",
 }
 
 // pinnedSchedule moves n and (s, t) both ways, so every epoch after the
@@ -41,60 +33,85 @@ var pinnedSchedule = []Config{
 	{Procs: 2, SampleCores: 2, TrainCores: 1},
 }
 
+// pinnedTrainer builds the trainer of one pinnedTrainerRuns set-up.
+func pinnedTrainer(t *testing.T, regime string) *GNNTrainer {
+	t.Helper()
+	opts := GNNTrainerOptions{BatchSize: 32, LR: 0.01, Seed: 7}
+	var err error
+	switch regime {
+	case "single":
+		opts.Dataset, err = datasets.Resolve("tiny", 7)
+	default:
+		spec := "tiny#3"
+		if regime == "local" {
+			spec = "tiny#4"
+			opts.SamplingRegime = "local"
+		}
+		var ss *graph.ShardSet
+		if ss, err = datasets.ResolveShards(spec, 7); err == nil {
+			t.Cleanup(func() { ss.Close() })
+			opts.Shards = ss
+			opts.Dataset, err = ss.Skeleton()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := opts.Dataset
+	opts.Sampler = sampler.NewNeighbor(ds.Graph, []int{4, 4})
+	opts.Model = nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: 7}
+	tr, err := NewGNNTrainer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestTrainerMatchesPinnedParent(t *testing.T) {
-	for key, want := range pinnedTrainerRuns {
-		regime, transport, _ := strings.Cut(key, "/")
-		opts := GNNTrainerOptions{BatchSize: 32, LR: 0.01, Seed: 7, Transport: transport}
-		var err error
-		switch regime {
-		case "single":
-			opts.Dataset, err = datasets.Resolve("tiny", 7)
-		default:
-			spec := "tiny#3"
-			if regime == "local" {
-				spec = "tiny#4"
-				opts.SamplingRegime = "local"
-			}
-			var ss *graph.ShardSet
-			if ss, err = datasets.ResolveShards(spec, 7); err == nil {
-				t.Cleanup(func() { ss.Close() })
-				opts.Shards = ss
-				opts.Dataset, err = ss.Skeleton()
-			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := opts.Dataset
-		opts.Sampler = sampler.NewNeighbor(ds.Graph, []int{4, 4})
-		opts.Model = nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: 7}
-		tr, err := NewGNNTrainer(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for regime, want := range pinnedTrainerRuns {
+		tr := pinnedTrainer(t, regime)
 		for _, cfg := range pinnedSchedule {
 			if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
-				t.Fatalf("%s at %s: %v", key, cfg, err)
+				t.Fatalf("%s at %s: %v", regime, cfg, err)
 			}
 		}
 		var losses []string
 		for _, l := range tr.LossHistory() {
 			losses = append(losses, strconv.FormatFloat(l, 'x', -1, 64))
 		}
-		var exchange []byte
-		if st := tr.ExchangeStats(); st != nil {
-			if exchange, err = json.Marshal(st); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Join(losses, " "); got != want[0] {
-			t.Errorf("%s: losses %s, want the parent's %s", key, got, want[0])
+		if got := strings.Join(losses, " "); got != want {
+			t.Errorf("%s: losses %s, want the parent's %s", regime, got, want)
 		}
-		if string(exchange) != want[1] {
-			t.Errorf("%s: exchange %s, want the parent's %s", key, exchange, want[1])
+	}
+}
+
+// A sharded trainer builds its shard source once: across pinnedSchedule,
+// which moves n both ways, every replica of every configuration is
+// handed that one source. (That each replica then reads the source's
+// feature matrices is checked in the engine's reconfigure test.)
+func TestShardedTrainerReadsOneSource(t *testing.T) {
+	for _, regime := range []string{"exact", "local"} {
+		tr := pinnedTrainer(t, regime)
+		built := tr.source
+		for _, cfg := range pinnedSchedule {
+			if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
+				t.Fatalf("%s at %s: %v", regime, cfg, err)
+			}
+			if tr.source != built {
+				t.Fatalf("%s at %s: the trainer rebuilt its shard source", regime, cfg)
+			}
+			for r, src := range tr.eng.Config().Sources {
+				if src != built {
+					t.Fatalf("%s at %s: replica %d was handed another source", regime, cfg, r)
+				}
+			}
+			if got := len(tr.eng.Config().Sources); got != cfg.Procs {
+				t.Fatalf("%s at %s: %d sources for %d replicas", regime, cfg, got, cfg.Procs)
+			}
 		}
+		tr.Close()
 	}
 }
