@@ -125,6 +125,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *procs > 0 {
 		sp := argo.DefaultSpace(*cores)
+		if *procs > sp.MaxProcs || 2**procs > *cores {
+			return fmt.Errorf("-procs %d does not fit -cores %d: a process needs a sampling and a training core, so -procs N needs -cores ≥ 2N (%d here) and N ≤ %d", *procs, *cores, 2**procs, sp.MaxProcs)
+		}
 		sp.MinProcs, sp.MaxProcs = *procs, *procs
 		opts = append(opts, argo.WithSpace(sp))
 	}

@@ -97,7 +97,8 @@ func TestBadFlagsAreRefusedBeforeTheDataset(t *testing.T) {
 		{[]string{"-cores", "0"}, "TotalCores must be ≥1"},
 		{[]string{"-epochs", "0"}, "Epochs must be ≥1"},
 		{[]string{"-searches", "30", "-epochs", "20"}, "NumSearches 30 exceeds Epochs 20"},
-		{[]string{"-procs", "9", "-cores", "4"}, "empty configuration space"},
+		{[]string{"-procs", "9", "-cores", "4"}, "-procs 9 does not fit -cores 4: a process needs a sampling and a training core, so -procs N needs -cores ≥ 2N (18 here) and N ≤ 8"},
+		{[]string{"-procs", "3", "-cores", "4"}, "-procs 3 does not fit -cores 4: a process needs a sampling and a training core, so -procs N needs -cores ≥ 2N (6 here)"},
 	} {
 		err := run(append([]string{"-dataset", "no-such-dataset"}, c.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

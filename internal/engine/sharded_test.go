@@ -2,11 +2,13 @@ package engine
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
+	"argo/internal/tensor"
 )
 
 func shardedTestDataset(t *testing.T) *graph.Dataset {
@@ -182,6 +184,43 @@ func TestShardSourceRowsMatchDataset(t *testing.T) {
 		for _, bad := range []graph.NodeID{-1, graph.NodeID(ds.Graph.NumNodes)} {
 			if _, err := src.GatherFeatures([]graph.NodeID{0, bad}); err == nil {
 				t.Fatalf("%s: row of node %d accepted", dt, bad)
+			}
+		}
+	}
+}
+
+// Both gathers write every element of the matrix they draw from the
+// replica's pool without zeroing it first: with that pool full of NaN
+// matrices of the feature width, every row still equals the dataset's.
+func TestGatherIgnoresPoisonedPool(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	ds := shardedTestDataset(t)
+	ids := make([]graph.NodeID, 0, ds.Graph.NumNodes)
+	for v := ds.Graph.NumNodes - 1; v >= 0; v -= 3 {
+		ids = append(ids, graph.NodeID(v))
+	}
+	poisoned := func() *tensor.BufPool {
+		bufs := tensor.NewBufPool()
+		for c := 0; c < 4; c++ {
+			m := tensor.New(len(ids), ds.Features.Cols)
+			m.Fill(float32(math.NaN()))
+			bufs.Put(m)
+		}
+		return bufs
+	}
+	for name, src := range map[string]DataSource{
+		"shard":   shardSource{t: newShardSource(t, ds, 3).(shardSource).t, bufs: poisoned()},
+		"dataset": datasetSource{ds: ds, bufs: poisoned()},
+	} {
+		got, err := src.GatherFeatures(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range ids {
+			for j, x := range got.Row(i) {
+				if want := ds.Features.At(int(v), j); math.Float32bits(x) != math.Float32bits(want) {
+					t.Fatalf("%s source: node %d column %d is %v, want %v", name, v, j, x, want)
+				}
 			}
 		}
 	}

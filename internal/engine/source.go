@@ -102,7 +102,7 @@ func NewShardSource(ss *graph.ShardSet) (DataSource, error) {
 }
 
 func (s shardSource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
-	out := s.bufs.Get(len(ids), s.t.featDim)
+	out := s.bufs.GetDirty(len(ids), s.t.featDim)
 	for i, v := range ids {
 		if v < 0 || int(v) >= len(s.t.shard) {
 			s.bufs.Put(out)

@@ -78,17 +78,16 @@ func (l *Layer) Forward(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *
 	// output has been consumed.
 	l.bufs.Put(l.in)
 	l.bufs.Put(l.out)
-	l.in = l.bufs.Get(b.NumDst, l.Weight.W.Rows)
+	l.in = l.bufs.GetDirty(b.NumDst, l.Weight.W.Rows)
 	pool.ParallelWeighted(b.NumDst, blockCost(b), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			l.agg.fill(l.in.Row(i), b, x, i)
 		}
 	})
-	l.out = l.bufs.Get(b.NumDst, l.OutDim)
+	l.out = l.bufs.GetDirty(b.NumDst, l.OutDim)
 	tensor.MatMul(pool, l.out, l.in, l.Weight.W)
-	tensor.AddRowVector(l.out, l.Bias.W.Data)
-	if l.Relu {
-		tensor.ReLU(l.out, l.out)
+	for i := 0; i < b.NumDst; i++ {
+		tensor.AddBiasRow(l.out.Row(i), l.Bias.W.Data, l.Relu)
 	}
 	return l.out
 }
@@ -99,18 +98,17 @@ func (l *Layer) Forward(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *
 // per-worker scratch and multiplied straight into the output tile.
 func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *tensor.Matrix {
 	l.agg.check(b)
-	out := l.bufs.Get(b.NumDst, l.OutDim)
+	out := l.bufs.GetDirty(b.NumDst, l.OutDim)
 	w, bias := l.Weight.W, l.Bias.W.Data
 	pool.ParallelWeighted(b.NumDst, blockCost(b), func(lo, hi int) {
-		scratch := l.bufs.Get(1, w.Rows)
+		scratch := l.bufs.GetDirty(1, w.Rows)
 		row := scratch.Data
 		for i := lo; i < hi; i++ {
 			l.agg.fill(row, b, x, i)
 			dr := out.Row(i)
-			denseRowMulAdd(dr, row, w, bias)
-			if l.Relu {
-				tensor.ReLURow(dr, dr)
-			}
+			clear(dr)
+			tensor.RowMulAdd(dr, row, w)
+			tensor.AddBiasRow(dr, bias, l.Relu)
 		}
 		l.bufs.Put(scratch)
 	})
@@ -135,17 +133,6 @@ func (l *Layer) Backward(pool *tensor.Pool, b *sampler.Block, dOut *tensor.Matri
 	}
 	l.bufs.Put(dIn)
 	return dX
-}
-
-// denseRowMulAdd computes out = row·W + bias: MatMul's own row kernel on
-// a zeroed row, followed by AddRowVector's bias add — the fused per-row
-// equivalent of the unfused MatMul+AddRowVector pair.
-func denseRowMulAdd(out, row []float32, w *tensor.Matrix, bias []float32) {
-	clear(out)
-	tensor.RowMulAdd(out, row, w)
-	for j, b := range bias {
-		out[j] += b
-	}
 }
 
 // addScaled computes dst[k] += src[k]·c — the one accumulation every
@@ -173,26 +160,26 @@ func addScaled(dst, src []float32, c float32) {
 // when wantInput is set, returns dZ·Wᵀ — the gradient w.r.t. the
 // aggregated input, which Backward scatters through the aggregator.
 func (l *Layer) denseBackward(pool *tensor.Pool, dOut *tensor.Matrix, wantInput bool) *tensor.Matrix {
-	dZ := dOut
+	dZ, db := dOut, l.bufs.GetDirty(1, l.Bias.W.Cols)
 	if l.Relu {
-		dZ = l.bufs.Get(dOut.Rows, dOut.Cols)
+		dZ = l.bufs.GetDirty(dOut.Rows, dOut.Cols)
 		defer l.bufs.Put(dZ)
-		tensor.ReLUBackward(dZ, dOut, l.out)
+		tensor.ReLUBackward(dZ, dOut, l.out, db.Data)
+	} else {
+		tensor.ColSum(db.Data, dZ)
 	}
-	dW := l.bufs.Get(l.Weight.W.Rows, l.Weight.W.Cols)
+	tensor.Add(l.Bias.Grad, db)
+	l.bufs.Put(db)
+	dW := l.bufs.GetDirty(l.Weight.W.Rows, l.Weight.W.Cols)
 	tensor.MatMulAT(pool, dW, l.in, dZ)
 	tensor.Add(l.Weight.Grad, dW)
 	l.bufs.Put(dW)
-	db := l.bufs.Get(1, l.Bias.W.Cols)
-	tensor.ColSum(db.Data, dZ)
-	tensor.Add(l.Bias.Grad, db)
-	l.bufs.Put(db)
 	if !wantInput {
 		return nil
 	}
-	wT := l.bufs.Get(l.Weight.W.Cols, l.Weight.W.Rows)
+	wT := l.bufs.GetDirty(l.Weight.W.Cols, l.Weight.W.Rows)
 	tensor.Transpose(wT, l.Weight.W)
-	dIn := l.bufs.Get(dZ.Rows, l.Weight.W.Rows)
+	dIn := l.bufs.GetDirty(dZ.Rows, l.Weight.W.Rows)
 	tensor.MatMul(pool, dIn, dZ, wT)
 	l.bufs.Put(wT)
 	return dIn

@@ -15,7 +15,7 @@ func SoftmaxCrossEntropyPooled(bufs *tensor.BufPool, logits *tensor.Matrix, labe
 	if len(labels) != logits.Rows {
 		panic("nn: label count != logit rows")
 	}
-	probs := bufs.Get(logits.Rows, logits.Cols)
+	probs := bufs.GetDirty(logits.Rows, logits.Cols)
 	tensor.SoftmaxRows(probs, logits)
 	var loss float64
 	inv := 1 / float64(logits.Rows)

@@ -248,7 +248,7 @@ func (m *GNN) Backward(pool *tensor.Pool, dLogits *tensor.Matrix) *tensor.Matrix
 // batch back into the same pool after the step makes the steady-state
 // input gather allocation-free.
 func GatherPooled(bufs *tensor.BufPool, feats *tensor.Matrix, ids []graph.NodeID) *tensor.Matrix {
-	out := bufs.Get(len(ids), feats.Cols)
+	out := bufs.GetDirty(len(ids), feats.Cols)
 	for i, v := range ids {
 		copy(out.Row(i), feats.Row(int(v)))
 	}

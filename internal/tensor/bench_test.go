@@ -7,10 +7,15 @@ import (
 )
 
 // benchDense times one dense kernel on the logical product
-// dst(m×n) = A(m×k)·B(k×n).
-func benchDense(b *testing.B, kern denseKernel, workers, m, k, n int) {
+// dst(m×n) = A(m×k)·B(k×n). With sparse, about half of A is ±0 at
+// random, as after a ReLU.
+func benchDense(b *testing.B, kern denseKernel, workers, m, k, n int, sparse bool) {
 	b.Helper()
-	x, y := kern.operands(rand.New(rand.NewSource(1)), m, k, n)
+	rng := rand.New(rand.NewSource(1))
+	x, y := kern.operands(rng, m, k, n)
+	if sparse {
+		reluZeros(rng, x)
+	}
 	dst, pool := New(m, n), NewPool(workers)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -21,20 +26,25 @@ func benchDense(b *testing.B, kern denseKernel, workers, m, k, n int) {
 
 // benchStep times one kernel on the (numDst, 2·in, out) triples a
 // training step issues per layer on the repo benchmark's train_single
-// workload (a 64→32→32→10 SAGE model, 128 targets, fan-outs 15/10/5).
+// workload (a 64→32→32→10 SAGE model, 128 targets, fan-outs 15/10/5),
+// on dense operands and, under sparse/, on a half-zero left operand.
 // shape maps a triple to the kernel's logical (m, k, n).
 func benchStep(b *testing.B, kern denseKernel, shape func(numDst, in2, out int) (m, k, n int)) {
-	for _, s := range [][3]int{{4097, 128, 32}, {701, 64, 32}, {128, 64, 10}} {
-		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
-			m, k, n := shape(s[0], s[1], s[2])
-			benchDense(b, kern, 1, m, k, n)
-		})
+	shapes := func(b *testing.B, sparse bool) {
+		for _, s := range [][3]int{{4097, 128, 32}, {701, 64, 32}, {128, 64, 10}} {
+			b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+				m, k, n := shape(s[0], s[1], s[2])
+				benchDense(b, kern, 1, m, k, n, sparse)
+			})
+		}
 	}
+	shapes(b, false)
+	b.Run("sparse", func(b *testing.B) { shapes(b, true) })
 }
 
-func BenchmarkMatMul128(b *testing.B)          { benchDense(b, kernMatMul, 1, 128, 128, 128) }
-func BenchmarkMatMul128Parallel4(b *testing.B) { benchDense(b, kernMatMul, 4, 128, 128, 128) }
-func BenchmarkMatMulAT128(b *testing.B)        { benchDense(b, kernMatMulAT, 1, 128, 128, 128) }
+func BenchmarkMatMul128(b *testing.B)          { benchDense(b, kernMatMul, 1, 128, 128, 128, false) }
+func BenchmarkMatMul128Parallel4(b *testing.B) { benchDense(b, kernMatMul, 4, 128, 128, 128, false) }
+func BenchmarkMatMulAT128(b *testing.B)        { benchDense(b, kernMatMulAT, 1, 128, 128, 128, false) }
 
 // Forward: concat(numDst×2in) · W(2in×out).
 func BenchmarkMatMulTall(b *testing.B) {
@@ -52,7 +62,7 @@ func BenchmarkMatMulATTall(b *testing.B) {
 func BenchmarkInputGradTransposeMatMulTall(b *testing.B) {
 	bufs := NewBufPool()
 	kern := denseKernel{"InputGrad", func(pool *Pool, dst, dZ, w *Matrix) {
-		wT := bufs.Get(w.Cols, w.Rows)
+		wT := bufs.GetDirty(w.Cols, w.Rows)
 		Transpose(wT, w)
 		MatMul(pool, dst, dZ, wT)
 		bufs.Put(wT)
@@ -97,22 +107,26 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	}
 }
 
-func BenchmarkReLU(b *testing.B) {
+// BenchmarkAddBiasRow is a hidden layer's epilogue: the bias added to
+// and ReLU applied on random-sign sums, about half of them positive.
+func BenchmarkAddBiasRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	m := randomMatrix(rng, 1024, 128)
-	out := New(1024, 128)
+	m, bias := randomMatrix(rng, 1024, 128), randomMatrix(rng, 1, 128)
 	for i := 0; i < b.N; i++ {
-		ReLU(out, m)
+		for r := 0; r < m.Rows; r++ {
+			AddBiasRow(m.Row(r), bias.Data, true)
+		}
 	}
 }
 
 // BenchmarkReLUBackward masks a random gradient by random-sign
-// activations, about half of them positive, as after a layer's ReLU.
+// activations, about half of them positive, as after a layer's ReLU,
+// and sums the columns of the result.
 func BenchmarkReLUBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	grad, act := randomMatrix(rng, 1024, 128), randomMatrix(rng, 1024, 128)
-	out := New(1024, 128)
+	out, sum := New(1024, 128), make([]float32, 128)
 	for i := 0; i < b.N; i++ {
-		ReLUBackward(out, grad, act)
+		ReLUBackward(out, grad, act, sum)
 	}
 }

@@ -12,7 +12,8 @@ import "sync"
 // batch while its feature width is fixed, so same-width buffers are
 // interchangeable (the backing slice is grown once to the largest batch
 // and reused thereafter). Get returns zeroed storage, preserving New's
-// semantics for accumulation kernels.
+// semantics for accumulation kernels; GetDirty skips the zero fill for
+// callers that overwrite every element.
 //
 // A nil *BufPool is valid and falls back to plain allocation: Get
 // behaves like New and Put is a no-op. That keeps pooling an opt-in for
@@ -45,6 +46,15 @@ func (bp *BufPool) pool(cols int) *sync.Pool {
 // Get returns a zeroed rows×cols matrix, reusing pooled storage of the
 // same width when available. On a nil pool it is exactly New.
 func (bp *BufPool) Get(rows, cols int) *Matrix {
+	m := bp.GetDirty(rows, cols)
+	m.Zero()
+	return m
+}
+
+// GetDirty is Get without the zero fill, for a caller that writes every
+// element before it reads any: reused storage holds what its last user
+// left there.
+func (bp *BufPool) GetDirty(rows, cols int) *Matrix {
 	if bp == nil {
 		return New(rows, cols)
 	}
@@ -58,7 +68,6 @@ func (bp *BufPool) Get(rows, cols int) *Matrix {
 		m.Data = make([]float32, need)
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:need]
-	m.Zero()
 	return m
 }
 

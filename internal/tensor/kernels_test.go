@@ -86,6 +86,21 @@ func sprinkle(rng *rand.Rand, m *Matrix) {
 	}
 }
 
+// reluZeros sets about half of m, at random, to +0 or −0: the left
+// operand of a product after a ReLU, whose zeros no branch predictor
+// can learn.
+func reluZeros(rng *rand.Rand, m *Matrix) {
+	negZero := float32(math.Copysign(0, -1))
+	for i := range m.Data {
+		switch rng.Intn(4) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = negZero
+		}
+	}
+}
+
 // sameBits is Matrix.Equal on bit patterns, so NaN equals NaN and +0
 // differs from −0. NaN payloads are not compared: which operand's
 // payload survives an add is the hardware's choice, not the kernel's.
@@ -217,17 +232,27 @@ func fenced(m *Matrix) (fm *Matrix, check func(t *testing.T, what string)) {
 
 func TestSelectedRowKernelsBitEqualPortable(t *testing.T) {
 	const m = 5
-	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 63, 64, 65, 130} // 64: the AVX2 MatMulAT's p block
+	// 8 and 64: the AVX2 row loop's group and chunk; 64 also MatMulAT's p block
+	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 24, 63, 64, 65, 130}
 	for n := 0; n <= 72; n++ {
 		for _, k := range ks {
-			for _, specials := range []bool{false, true} {
+			for _, pattern := range []string{"third", "specials", "relu"} {
+				if pattern == "relu" && k != 16 && k != 24 {
+					continue
+				}
 				rng := rand.New(rand.NewSource(int64(n*1009 + k)))
 				a, at, b, init := randomMatrix(rng, m, k), randomMatrix(rng, k, m), randomMatrix(rng, k, n), randomMatrix(rng, m, n)
-				// every count of surviving entries modulo the Go loop's four-row pass
-				for z := 0; z < len(a.Data); z += 3 {
-					a.Data[z], at.Data[z] = 0, 0
+				switch pattern {
+				case "relu":
+					reluZeros(rng, a)
+					reluZeros(rng, at)
+				default:
+					// every count of surviving entries modulo the Go loop's four-row pass
+					for z := 0; z < len(a.Data); z += 3 {
+						a.Data[z], at.Data[z] = 0, 0
+					}
 				}
-				if specials {
+				if pattern == "specials" {
 					sprinkle(rng, a)
 					sprinkle(rng, at)
 					sprinkle(rng, b)
@@ -236,7 +261,7 @@ func TestSelectedRowKernelsBitEqualPortable(t *testing.T) {
 				a, at, b = unaligned(a), unaligned(at), unaligned(b)
 				compare := func(kern string, run func(dst *Matrix), ref func(dst *Matrix), init *Matrix) {
 					t.Helper()
-					what := fmt.Sprintf("%s %dx%dx%d specials=%v", kern, m, k, n, specials)
+					what := fmt.Sprintf("%s %dx%dx%d %s", kern, m, k, n, pattern)
 					got, check := fenced(init)
 					want := init.Clone()
 					run(got)

@@ -12,7 +12,10 @@ import (
 // for p = 0, 1, 2, … with av == 0 skipped (so a zero never meets a NaN
 // or Inf on the other side), one rounding per multiply and per add — no
 // fused multiply-add, which rounds once. That is what keeps sharded ==
-// single-store, tcp == inproc and Infer == Forward bit-equal.
+// single-store, tcp == inproc and Infer == Forward bit-equal. How a
+// kernel finds the entries to skip is free: the Go loops test one at a
+// time, the AVX2 row loop eight at once, walking the survivors in
+// ascending order.
 
 // The row loops the multiply-accumulate kernels reduce to. They start
 // out as the portable Go loops in this file, which is all that other
@@ -219,19 +222,6 @@ func Add(dst, src *Matrix) {
 	}
 }
 
-// AddRowVector adds the length-Cols vector v to every row of dst.
-func AddRowVector(dst *Matrix, v []float32) {
-	if len(v) != dst.Cols {
-		panic("tensor: AddRowVector length mismatch")
-	}
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j, b := range v {
-			row[j] += b
-		}
-	}
-}
-
 // ColSum accumulates the column sums of m into dst (len Cols). dst is
 // overwritten.
 func ColSum(dst []float32, m *Matrix) {
@@ -256,35 +246,40 @@ func reluMask(u uint32) uint32 {
 	return ^(uint32(int32(u-1)>>31) | uint32(int32(0x7f800000-u)>>31))
 }
 
-// ReLU sets dst to src where src > 0 and to +0 everywhere else: NaN, −0
-// and negatives all become +0 (Go's max(src, 0) keeps NaN). dst and src
-// may alias.
-func ReLU(dst, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: ReLU shape mismatch")
+// AddBiasRow adds bias to row and then, with relu, applies ReLU: a sum
+// > 0 stays, and NaN, −0 and negatives all become +0 (Go's max(v, 0)
+// keeps NaN). It is a layer's bias-and-activation epilogue in one pass.
+func AddBiasRow(row, bias []float32, relu bool) {
+	if len(row) != len(bias) {
+		panic("tensor: AddBiasRow length mismatch")
 	}
-	ReLURow(dst.Data, src.Data)
-}
-
-// ReLURow is ReLU on one row: dst has len(src) entries and may alias src.
-func ReLURow(dst, src []float32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		u := math.Float32bits(v)
-		dst[i] = math.Float32frombits(u & reluMask(u))
+	for j, b := range bias {
+		v := row[j] + b
+		if relu {
+			u := math.Float32bits(v)
+			v = math.Float32frombits(u & reluMask(u))
+		}
+		row[j] = v
 	}
 }
 
 // ReLUBackward sets dst to grad where act > 0 and to +0 everywhere else,
-// by the rule ReLU uses. act must be the ReLU *output* (or input; they
-// share sign).
-func ReLUBackward(dst, grad, act *Matrix) {
-	if dst.Rows != grad.Rows || dst.Cols != grad.Cols || act.Rows != grad.Rows || act.Cols != grad.Cols {
+// by the rule AddBiasRow's ReLU uses, and overwrites colSum with the
+// column sums of dst, added row by row as ColSum adds them. act must be
+// the ReLU *output* (or input; they share sign).
+func ReLUBackward(dst, grad, act *Matrix, colSum []float32) {
+	if dst.Rows != grad.Rows || dst.Cols != grad.Cols || act.Rows != grad.Rows || act.Cols != grad.Cols || len(colSum) != grad.Cols {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
-	d, a := dst.Data[:len(grad.Data)], act.Data[:len(grad.Data)]
-	for i, g := range grad.Data {
-		d[i] = math.Float32frombits(math.Float32bits(g) & reluMask(math.Float32bits(a[i])))
+	clear(colSum)
+	n := grad.Cols
+	for i := 0; i < grad.Rows; i++ {
+		d, a := dst.Data[i*n:(i+1)*n], act.Data[i*n:(i+1)*n]
+		for j, g := range grad.Data[i*n : (i+1)*n] {
+			v := math.Float32frombits(math.Float32bits(g) & reluMask(math.Float32bits(a[j])))
+			d[j] = v
+			colSum[j] += v
+		}
 	}
 }
 

@@ -164,31 +164,47 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestAddRowVector(t *testing.T) {
-	m := New(2, 2)
-	AddRowVector(m, []float32{1, 2})
-	if m.At(0, 0) != 1 || m.At(1, 1) != 2 {
-		t.Fatalf("AddRowVector: %v", m.Data)
+func TestAddBiasRow(t *testing.T) {
+	row := []float32{0, -5}
+	AddBiasRow(row, []float32{1, 2}, false)
+	if row[0] != 1 || row[1] != -3 {
+		t.Fatalf("AddBiasRow: %v", row)
 	}
+	AddBiasRow(row, []float32{1, 2}, true)
+	if row[0] != 2 || row[1] != 0 {
+		t.Fatalf("AddBiasRow with ReLU: %v", row)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a short bias did not panic")
+		}
+	}()
+	AddBiasRow(row, []float32{1}, false)
 }
 
 func TestReLUForwardBackward(t *testing.T) {
-	src := FromSlice(1, 4, []float32{-1, 0, 2, -3})
-	dst := New(1, 4)
-	ReLU(dst, src)
-	want := []float32{0, 0, 2, 0}
-	for i, v := range want {
+	src := []float32{-1, 0, 2, -3, 4, 1, -1, 5}
+	dst := FromSlice(2, 4, append([]float32(nil), src...))
+	for i := 0; i < dst.Rows; i++ {
+		AddBiasRow(dst.Row(i), make([]float32, 4), true)
+	}
+	for i, v := range []float32{0, 0, 2, 0, 4, 1, 0, 5} {
 		if dst.Data[i] != v {
 			t.Fatalf("ReLU: %v", dst.Data)
 		}
 	}
-	grad := FromSlice(1, 4, []float32{5, 6, 7, 8})
-	out := New(1, 4)
-	ReLUBackward(out, grad, dst)
-	wantG := []float32{0, 0, 7, 0}
-	for i, v := range wantG {
+	grad := FromSlice(2, 4, []float32{5, 6, 7, 8, 1, 2, 3, 4})
+	out, sum, want := New(2, 4), make([]float32, 4), make([]float32, 4)
+	ReLUBackward(out, grad, dst, sum)
+	for i, v := range []float32{0, 0, 7, 0, 1, 2, 0, 4} {
 		if out.Data[i] != v {
 			t.Fatalf("ReLUBackward: %v", out.Data)
+		}
+	}
+	ColSum(want, out)
+	for j, v := range want {
+		if sum[j] != v {
+			t.Fatalf("ReLUBackward column sums %v, ColSum %v", sum, want)
 		}
 	}
 }
@@ -216,9 +232,10 @@ func reluBackwardBranch(dst, grad, act *Matrix) {
 	}
 }
 
-// TestReLUMatchesBranchReference compares ReLU, ReLUBackward and ReLURow
-// with the branchy loops, bit for bit (NaN payloads included), on every
-// pair of edge-case floats and on 1<<20 random bit patterns.
+// TestReLUMatchesBranchReference compares AddBiasRow's ReLU and
+// ReLUBackward with the branchy loops, bit for bit (NaN payloads
+// included), on every pair of edge-case floats and on 1<<20 random bit
+// patterns.
 func TestReLUMatchesBranchReference(t *testing.T) {
 	specials := []uint32{
 		0x00000000, 0x80000000, // ±0
@@ -249,19 +266,19 @@ func TestReLUMatchesBranchReference(t *testing.T) {
 		}
 	}
 	want, got := New(1, len(act.Data)), New(1, len(act.Data))
-	for _, src := range []*Matrix{act, grad} {
-		reluBranch(want, src)
-		ReLU(got, src)
-		same("ReLU", got, want)
-		got.Fill(7)
-		ReLURow(got.Data, src.Data)
-		same("ReLURow", got, want)
-		copy(got.Data, src.Data)
-		ReLURow(got.Data, got.Data)
-		same("ReLURow in place", got, want)
+	// With a zero bias the sum is the value itself as far as ReLU goes:
+	// only −0 turns into +0, which ReLU maps to +0 anyway.
+	for _, bias := range [][]float32{make([]float32, len(act.Data)), grad.Data} {
+		for i, v := range act.Data {
+			want.Data[i] = v + bias[i]
+		}
+		reluBranch(want, want)
+		copy(got.Data, act.Data)
+		AddBiasRow(got.Data, bias, true)
+		same("AddBiasRow", got, want)
 	}
 	reluBackwardBranch(want, grad, act)
-	ReLUBackward(got, grad, act)
+	ReLUBackward(got, grad, act, make([]float32, len(act.Data)))
 	same("ReLUBackward", got, want)
 }
 

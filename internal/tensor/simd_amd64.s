@@ -11,6 +11,11 @@
 // last n mod 32 columns form one more tile whose loads and stores go
 // through VMASKMOVPS with the masks in Y4-Y7: a masked-out lane is
 // neither read nor written, and cannot fault.
+//
+// Which p are skipped, and in what order the rest arrive, is all the
+// zero-skip rule fixes; how they are found is free. avx2MulAddRows tests
+// a contiguous row of a eight entries at a time and walks the survivors
+// by bit scan instead of branching on each entry.
 
 // tailmask<> is 32 all-ones dwords followed by 32 zero dwords. The eight
 // dwords starting at index 32-rem+8v are the mask of vector v of a tile
@@ -71,63 +76,189 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 nope:
 	RET
 
+// MULADD32 adds Y8 times the 32 floats at ptr to the sums in Y0-Y3.
+#define MULADD32(ptr) \
+	VMULPS (ptr), Y8, Y9     \
+	VMULPS 32(ptr), Y8, Y10  \
+	VMULPS 64(ptr), Y8, Y11  \
+	VMULPS 96(ptr), Y8, Y12  \
+	VADDPS Y9, Y0, Y0        \
+	VADDPS Y10, Y1, Y1       \
+	VADDPS Y11, Y2, Y2       \
+	VADDPS Y12, Y3, Y3
+
+// MASKMULADD32 is MULADD32 on a tail tile: only the lanes the masks in
+// Y4-Y7 pass are loaded.
+#define MASKMULADD32(ptr) \
+	VMASKMOVPS (ptr), Y4, Y9      \
+	VMASKMOVPS 32(ptr), Y5, Y10   \
+	VMASKMOVPS 64(ptr), Y6, Y11   \
+	VMASKMOVPS 96(ptr), Y7, Y12   \
+	VMULPS     Y9, Y8, Y9         \
+	VMULPS     Y10, Y8, Y10       \
+	VMULPS     Y11, Y8, Y11       \
+	VMULPS     Y12, Y8, Y12       \
+	VADDPS     Y9, Y0, Y0         \
+	VADDPS     Y10, Y1, Y1        \
+	VADDPS     Y11, Y2, Y2        \
+	VADDPS     Y12, Y3, Y3
+
+// STEPS8(muladd) runs muladd for the 8 a entries at R13 against the 8
+// b rows from AX on, leaving AX at the row after them.
+#define STEPS8(muladd) \
+	VBROADCASTSS (R13), Y8    \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 4(R13), Y8   \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 8(R13), Y8   \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 12(R13), Y8  \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 16(R13), Y8  \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 20(R13), Y8  \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 24(R13), Y8  \
+	muladd(AX)                \
+	ADDQ         R9, AX       \
+	VBROADCASTSS 28(R13), Y8  \
+	muladd(AX)                \
+	ADDQ         R9, AX
+
 // func avx2MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int)
 //
 // For i in [0, rows): dst[i*n+j] += a[i*aRow+p*aStep] · b[p*n+j] for
 // p = 0 … k-1 in order, skipping p where the a element is ±0. rows, k
 // and n must be positive.
 //
-//	DI dst row      SI a row        BX b            CX rows left
-//	R8 k            R9 n·4          R10 p left      R11 aStep·4
-//	DX tile offset  R12 scratch     R13 a element   AX b row at tile
+// When a row of a is contiguous (aStep 1), its entries are tested in
+// chunks of up to 64, a whole number of 8-entry groups: per group,
+// VCMPPS against zero (NEQ_UQ, so NaN counts as nonzero and ±0 does
+// not) and VMOVMSKPS give one bit per entry. A chunk with every bit set
+// runs unrolled 8-step bodies with no test; any other chunk visits its
+// set bits lowest first (BSF, then BTR). After ReLU about half of a is
+// zero at random: a branch per entry mispredicts half the time, the
+// walk once per chunk. The last k mod 8 entries, and every entry of a
+// strided a, take the per-entry step, which tests the bits: ADDL of the
+// value to itself drops the sign bit, so only +0 and -0 give zero.
+//
+//	DI dst row      SI a row        BX b            R9 n·4
+//	R10 p left      R11 aStep·4     DX tile offset  R13 a element
+//	AX b row at tile               R8 chunk entries R12 chunk mask
+//	R14, CX scratch Y13 group test  Y15 zero
+//
+// The rows left are counted down in the rows argument.
 TEXT ·avx2MulAddRows(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ rows+24(FP), CX
-	MOVQ k+32(FP), R8
-	MOVQ n+40(FP), R9
-	MOVQ aStep+56(FP), R11
-	MOVQ R9, AX
-	ANDQ $31, AX
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), BX
+	MOVQ   n+40(FP), R9
+	MOVQ   aStep+56(FP), R11
+	MOVQ   R9, AX
+	ANDQ   $31, AX
 	LOADTAILMASKS(AX, R12)
-	SHLQ $2, R9
-	SHLQ $2, R11
+	SHLQ   $2, R9
+	SHLQ   $2, R11
+	VXORPS Y15, Y15, Y15
 
 row:
 	XORQ DX, DX
 
 tile:
-	LEAQ 128(DX), R12
-	CMPQ R12, R9
-	JA   tail
+	LEAQ    128(DX), R12
+	CMPQ    R12, R9
+	JA      tail
 	VMOVUPS (DI)(DX*1), Y0
 	VMOVUPS 32(DI)(DX*1), Y1
 	VMOVUPS 64(DI)(DX*1), Y2
 	VMOVUPS 96(DI)(DX*1), Y3
 	MOVQ    SI, R13
 	LEAQ    (BX)(DX*1), AX
-	MOVQ    R8, R10
+	MOVQ    k+32(FP), R10
+	CMPQ    R11, $4
+	JNE     step
+
+chunk:
+	MOVQ R10, R8
+	ANDQ $-8, R8
+	JZ   rest
+	CMPQ R8, $64
+	JBE  sized
+	MOVL $64, R8
+
+// R12 gathers one bit per entry of the chunk, group by group from the
+// last, so bit q stands for the entry at R13 + 4q.
+sized:
+	LEAQ (R13)(R8*4), CX
+	XORL R12, R12
+
+mask:
+	SUBQ      $32, CX
+	VCMPPS    $4, (CX), Y15, Y13
+	VMOVMSKPS Y13, R14
+	SHLQ      $8, R12
+	ORQ       R14, R12
+	CMPQ      CX, R13
+	JNE       mask
+	MOVQ      R8, CX // R14 = the low R8 bits, all set
+	NEGQ      CX
+	MOVQ      $-1, R14
+	SHRQ      CX, R14
+	CMPQ      R12, R14
+	JNE       walk
+	MOVQ      R8, CX
+	SHRQ      $3, CX
+
+dense:
+	STEPS8(MULADD32)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  dense
+	SUBQ R8, R10
+	JMP  chunk
+
+walk:
+	BSFQ         R12, R14
+	JZ           walked
+	BTRQ         R14, R12
+	VBROADCASTSS (R13)(R14*4), Y8
+	IMULQ        R9, R14
+	ADDQ         AX, R14
+	MULADD32(R14)
+	JMP          walk
+
+walked:
+	LEAQ  (R13)(R8*4), R13
+	MOVQ  R8, R14
+	IMULQ R9, R14
+	ADDQ  R14, AX
+	SUBQ  R8, R10
+	JMP   chunk
+
+rest:
+	TESTQ R10, R10
+	JZ    store
 
 step:
 	MOVL (R13), R12
-	ADDL R12, R12 // drops the sign bit: zero for +0 and -0 only
+	ADDL R12, R12
 	JZ   skip
 	VBROADCASTSS (R13), Y8
-	VMULPS (AX), Y8, Y9
-	VMULPS 32(AX), Y8, Y10
-	VMULPS 64(AX), Y8, Y11
-	VMULPS 96(AX), Y8, Y12
-	VADDPS Y9, Y0, Y0
-	VADDPS Y10, Y1, Y1
-	VADDPS Y11, Y2, Y2
-	VADDPS Y12, Y3, Y3
+	MULADD32(AX)
 
 skip:
 	ADDQ R11, R13
 	ADDQ R9, AX
 	DECQ R10
 	JNZ  step
+
+store:
 	VMOVUPS Y0, (DI)(DX*1)
 	VMOVUPS Y1, 32(DI)(DX*1)
 	VMOVUPS Y2, 64(DI)(DX*1)
@@ -136,39 +267,93 @@ skip:
 	JMP     tile
 
 tail:
-	CMPQ DX, R9
-	JAE  next
+	CMPQ       DX, R9
+	JAE        next
 	VMASKMOVPS (DI)(DX*1), Y4, Y0
 	VMASKMOVPS 32(DI)(DX*1), Y5, Y1
 	VMASKMOVPS 64(DI)(DX*1), Y6, Y2
 	VMASKMOVPS 96(DI)(DX*1), Y7, Y3
 	MOVQ       SI, R13
 	LEAQ       (BX)(DX*1), AX
-	MOVQ       R8, R10
+	MOVQ       k+32(FP), R10
+	CMPQ       R11, $4
+	JNE        tstep
+
+tchunk:
+	MOVQ R10, R8
+	ANDQ $-8, R8
+	JZ   trest
+	CMPQ R8, $64
+	JBE  tsized
+	MOVL $64, R8
+
+// R12 gathers one bit per entry of the chunk, group by group from the
+// last, so bit q stands for the entry at R13 + 4q.
+tsized:
+	LEAQ (R13)(R8*4), CX
+	XORL R12, R12
+
+tmask:
+	SUBQ      $32, CX
+	VCMPPS    $4, (CX), Y15, Y13
+	VMOVMSKPS Y13, R14
+	SHLQ      $8, R12
+	ORQ       R14, R12
+	CMPQ      CX, R13
+	JNE       tmask
+	MOVQ      R8, CX // R14 = the low R8 bits, all set
+	NEGQ      CX
+	MOVQ      $-1, R14
+	SHRQ      CX, R14
+	CMPQ      R12, R14
+	JNE       twalk
+	MOVQ      R8, CX
+	SHRQ      $3, CX
+
+tdense:
+	STEPS8(MASKMULADD32)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  tdense
+	SUBQ R8, R10
+	JMP  tchunk
+
+twalk:
+	BSFQ         R12, R14
+	JZ           twalked
+	BTRQ         R14, R12
+	VBROADCASTSS (R13)(R14*4), Y8
+	IMULQ        R9, R14
+	ADDQ         AX, R14
+	MASKMULADD32(R14)
+	JMP          twalk
+
+twalked:
+	LEAQ  (R13)(R8*4), R13
+	MOVQ  R8, R14
+	IMULQ R9, R14
+	ADDQ  R14, AX
+	SUBQ  R8, R10
+	JMP   tchunk
+
+trest:
+	TESTQ R10, R10
+	JZ    tstore
 
 tstep:
 	MOVL (R13), R12
 	ADDL R12, R12
 	JZ   tskip
 	VBROADCASTSS (R13), Y8
-	VMASKMOVPS (AX), Y4, Y9
-	VMASKMOVPS 32(AX), Y5, Y10
-	VMASKMOVPS 64(AX), Y6, Y11
-	VMASKMOVPS 96(AX), Y7, Y12
-	VMULPS Y9, Y8, Y9
-	VMULPS Y10, Y8, Y10
-	VMULPS Y11, Y8, Y11
-	VMULPS Y12, Y8, Y12
-	VADDPS Y9, Y0, Y0
-	VADDPS Y10, Y1, Y1
-	VADDPS Y11, Y2, Y2
-	VADDPS Y12, Y3, Y3
+	MASKMULADD32(AX)
 
 tskip:
 	ADDQ R11, R13
 	ADDQ R9, AX
 	DECQ R10
 	JNZ  tstep
+
+tstore:
 	VMASKMOVPS Y0, Y4, (DI)(DX*1)
 	VMASKMOVPS Y1, Y5, 32(DI)(DX*1)
 	VMASKMOVPS Y2, Y6, 64(DI)(DX*1)
@@ -178,7 +363,7 @@ next:
 	ADDQ R9, DI
 	MOVQ aRow+48(FP), R12
 	LEAQ (SI)(R12*4), SI
-	DECQ CX
+	DECQ rows+24(FP)
 	JNZ  row
 	VZEROUPPER
 	RET

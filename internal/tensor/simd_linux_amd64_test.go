@@ -48,35 +48,46 @@ func guarded[T float32 | int32](t *testing.T, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&mem[data-4*n])), n)
 }
 
-func guardedMatrix(t *testing.T, rows, cols int) *Matrix {
+// guardedMatrix fills a guarded rows×cols matrix with nonzero values,
+// or with a zero in every seven so the zero-skip runs too.
+func guardedMatrix(t *testing.T, rows, cols int, zeros bool) *Matrix {
 	m := FromSlice(rows, cols, guarded[float32](t, rows*cols))
 	for i := range m.Data {
-		m.Data[i] = float32(i%7) - 3 // includes zeros, so the skip runs too
+		m.Data[i] = float32(i%7) + 1
+		if zeros {
+			m.Data[i] -= 4
+		}
 	}
 	return m
 }
 
 // TestRowKernelsStayInsideOperands runs the selected row loops with
-// every operand up against an unmapped page, at every tail width. A
-// kernel whose masked tail loaded a whole vector, or whose last row
-// read on into the next, dies here.
+// every operand up against an unmapped page, at every tail width and at
+// depths on either side of the 8-entry group and the 64-entry chunk. A
+// kernel whose masked tail loaded a whole vector, whose group test read
+// past the end of a, or whose last row read on into the next, dies here.
 func TestRowKernelsStayInsideOperands(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	const m, k = 3, 5
-	for n := 1; n <= 72; n++ {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("width %d: %v", n, r)
-				}
-			}()
-			a, at, b, dst := guardedMatrix(t, m, k), guardedMatrix(t, k, m), guardedMatrix(t, k, n), guardedMatrix(t, m, n)
-			matMulRows(dst, a, b, 0, m)
-			matMulATRows(dst, at, b, 0, m)
-			rowMulAdd(dst.Row(m-1), a.Row(m-1), b)
-			ids := guarded[int32](t, 3)
-			ids[0], ids[2] = k-1, k-1
-			addRows(guarded[float32](t, n), b, ids)
-		}()
+	const m = 3
+	for _, k := range []int{5, 8, 13, 16, 64, 65} {
+		for n := 1; n <= 72; n++ {
+			for _, zeros := range []bool{false, true} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("depth %d width %d zeros=%v: %v", k, n, zeros, r)
+						}
+					}()
+					a, at := guardedMatrix(t, m, k, zeros), guardedMatrix(t, k, m, zeros)
+					b, dst := guardedMatrix(t, k, n, zeros), guardedMatrix(t, m, n, zeros)
+					matMulRows(dst, a, b, 0, m)
+					matMulATRows(dst, at, b, 0, m)
+					rowMulAdd(dst.Row(m-1), a.Row(m-1), b)
+					ids := guarded[int32](t, 3)
+					ids[0], ids[2] = int32(k-1), int32(k-1)
+					addRows(guarded[float32](t, n), b, ids)
+				}()
+			}
+		}
 	}
 }
