@@ -10,7 +10,8 @@
 // so the running sums stay in registers across the whole reduction. The
 // last n mod 32 columns form one more tile whose loads and stores go
 // through VMASKMOVPS with the masks in Y4-Y7: a masked-out lane is
-// neither read nor written, and cannot fault.
+// neither read nor written, and cannot fault. A tail of at most 16
+// columns keeps its sums in Y0-Y1 alone.
 //
 // Which p are skipped, and in what order the rest arrive, is all the
 // zero-skip rule fixes; how they are found is free. avx2MulAddRows tests
@@ -102,6 +103,16 @@ nope:
 	VADDPS     Y10, Y1, Y1        \
 	VADDPS     Y11, Y2, Y2        \
 	VADDPS     Y12, Y3, Y3
+
+// MASKMULADD16 is MASKMULADD32 on the first two vectors only, with the
+// sums in Y0-Y1.
+#define MASKMULADD16(ptr) \
+	VMASKMOVPS (ptr), Y4, Y9      \
+	VMASKMOVPS 32(ptr), Y5, Y10   \
+	VMULPS     Y9, Y8, Y9         \
+	VMULPS     Y10, Y8, Y10       \
+	VADDPS     Y9, Y0, Y0         \
+	VADDPS     Y10, Y1, Y1
 
 // STEPS8(muladd) runs muladd for the 8 a entries at R13 against the 8
 // b rows from AX on, leaving AX at the row after them.
@@ -269,6 +280,9 @@ store:
 tail:
 	CMPQ       DX, R9
 	JAE        next
+	LEAQ       64(DX), R12
+	CMPQ       R12, R9
+	JAE        narrow
 	VMASKMOVPS (DI)(DX*1), Y4, Y0
 	VMASKMOVPS 32(DI)(DX*1), Y5, Y1
 	VMASKMOVPS 64(DI)(DX*1), Y6, Y2
@@ -358,6 +372,96 @@ tstore:
 	VMASKMOVPS Y1, Y5, 32(DI)(DX*1)
 	VMASKMOVPS Y2, Y6, 64(DI)(DX*1)
 	VMASKMOVPS Y3, Y7, 96(DI)(DX*1)
+	JMP        next
+
+// A tail of at most 16 columns works only the two vectors that have
+// live lanes.
+narrow:
+	VMASKMOVPS (DI)(DX*1), Y4, Y0
+	VMASKMOVPS 32(DI)(DX*1), Y5, Y1
+	MOVQ       SI, R13
+	LEAQ       (BX)(DX*1), AX
+	MOVQ       k+32(FP), R10
+	CMPQ       R11, $4
+	JNE        nstep
+
+nchunk:
+	MOVQ R10, R8
+	ANDQ $-8, R8
+	JZ   nrest
+	CMPQ R8, $64
+	JBE  nsized
+	MOVL $64, R8
+
+// R12 gathers one bit per entry of the chunk, group by group from the
+// last, so bit q stands for the entry at R13 + 4q.
+nsized:
+	LEAQ (R13)(R8*4), CX
+	XORL R12, R12
+
+nmask:
+	SUBQ      $32, CX
+	VCMPPS    $4, (CX), Y15, Y13
+	VMOVMSKPS Y13, R14
+	SHLQ      $8, R12
+	ORQ       R14, R12
+	CMPQ      CX, R13
+	JNE       nmask
+	MOVQ      R8, CX // R14 = the low R8 bits, all set
+	NEGQ      CX
+	MOVQ      $-1, R14
+	SHRQ      CX, R14
+	CMPQ      R12, R14
+	JNE       nwalk
+	MOVQ      R8, CX
+	SHRQ      $3, CX
+
+ndense:
+	STEPS8(MASKMULADD16)
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  ndense
+	SUBQ R8, R10
+	JMP  nchunk
+
+nwalk:
+	BSFQ         R12, R14
+	JZ           nwalked
+	BTRQ         R14, R12
+	VBROADCASTSS (R13)(R14*4), Y8
+	IMULQ        R9, R14
+	ADDQ         AX, R14
+	MASKMULADD16(R14)
+	JMP          nwalk
+
+nwalked:
+	LEAQ  (R13)(R8*4), R13
+	MOVQ  R8, R14
+	IMULQ R9, R14
+	ADDQ  R14, AX
+	SUBQ  R8, R10
+	JMP   nchunk
+
+nrest:
+	TESTQ R10, R10
+	JZ    nstore
+
+nstep:
+	MOVL (R13), R12
+	ADDL R12, R12
+	JZ   nskip
+	VBROADCASTSS (R13), Y8
+	MASKMULADD16(AX)
+
+nskip:
+	ADDQ R11, R13
+	ADDQ R9, AX
+	DECQ R10
+	JNZ  nstep
+
+nstore:
+	VMASKMOVPS Y0, Y4, (DI)(DX*1)
+	VMASKMOVPS Y1, Y5, 32(DI)(DX*1)
 
 next:
 	ADDQ R9, DI
