@@ -192,17 +192,3 @@ func BenchmarkAblationSearchStrategies(b *testing.B) {
 		b.ReportMetric(best, "found_epoch_s")
 	})
 }
-
-// BenchmarkExtensionNUMA measures the §IX future-work extension:
-// socket-local feature replicas versus UPI-bound interleaving.
-func BenchmarkExtensionNUMA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.NUMAExtension(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && len(rows) > 0 {
-			b.ReportMetric(rows[len(rows)-1].Gain, "gain_112c_x")
-		}
-	}
-}

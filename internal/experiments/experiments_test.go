@@ -302,22 +302,3 @@ func TestFig9CurvesOverlap(t *testing.T) {
 		}
 	}
 }
-
-// §IX extension: NUMA-aware replication must help multi-socket layouts.
-func TestNUMAExtensionShape(t *testing.T) {
-	rows, err := NUMAExtension(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.Gain <= 1.0 {
-			t.Fatalf("%d cores: NUMA-aware gain %.3f not above 1", r.Cores, r.Gain)
-		}
-		if r.FeatureCopies < 2 {
-			t.Fatalf("%d cores: expected multi-socket layout", r.Cores)
-		}
-	}
-}

@@ -22,7 +22,6 @@ var pinnedFigures = map[string]string{
 	"fig7":   "6480208bd7b534fc0c7e6ddbb72adcfd137f91c5c3fe5a7fe015b92930af81fe",
 	"fig8":   "f3df020c091161c8f269abdc2f18b776d49b80ebd43e3e0b09a124e7bbdc62cf",
 	"fig12":  "0c6e18c4fb591518c3022cab68a4ff54777258bbd5fad9c5fc106218807789aa",
-	"numa":   "3abe914d06d319f2fecb0088726338b7d7ccaaf02696c35a92dd700293d9a668",
 	"table4": "5d476df45d0cd3149453aa1d0b2655f1534269bceed82dcd09dee473431da2f6",
 	"table5": "7ec3d2638b05d0141a507100642eee58bb73d7a8f10ad774376217a5effc23e4",
 	"table6": "d40fee4ddbd7b61d7ac11ded4bf41cf77ed73811d4b404d81280f3af7d6b2118",
@@ -39,7 +38,7 @@ var pinnedEndToEnd = map[string]string{
 
 func TestFiguresMatchPinnedParent(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("regenerates twelve single-goroutine simulator experiments (~8 s, ~70 s under -race)")
+		t.Skip("regenerates eleven single-goroutine simulator experiments (~8 s, ~70 s under -race)")
 	}
 	var names []string
 	for name := range pinnedFigures {

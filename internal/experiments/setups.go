@@ -91,7 +91,6 @@ var Registry = map[string]Runner{
 	"table4":    func(w io.Writer) error { _, err := TableIV(w); return err },
 	"table5":    func(w io.Writer) error { _, err := TableV(w); return err },
 	"table6":    func(w io.Writer) error { _, err := TableVI(w); return err },
-	"numa":      func(w io.Writer) error { _, err := NUMAExtension(w); return err },
 	"overhead":  func(w io.Writer) error { _, err := TunerOverhead(w); return err },
 	"partition": func(w io.Writer) error { _, err := PartitionAblation(w); return err },
 }

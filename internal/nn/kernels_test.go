@@ -252,3 +252,52 @@ func TestSteadyStateStepIsMatrixAllocationFree(t *testing.T) {
 		t.Fatalf("ZeroGrad+Params allocate %v objects per call, want 0", n)
 	}
 }
+
+// TestEpiloguesSplitOverWorkers pins the pool split of the layer
+// epilogues: bias and ReLU over rows, ReLU backward over blocks of 8
+// columns. Forward outputs and every parameter gradient are the same
+// bits at t = 1, 2 and 4, for hidden widths of one, several and a
+// partial block.
+func TestEpiloguesSplitOverWorkers(t *testing.T) {
+	g, labels := powerLawGraph(t, 400, 3000)
+	feats := randFeatures(g.NumNodes, 12, 4)
+	targets := make([]graph.NodeID, 40)
+	for i := range targets {
+		targets[i] = graph.NodeID(i * 9)
+	}
+	batchLabels := make([]int32, len(targets))
+	for i, v := range targets {
+		batchLabels[i] = labels[v]
+	}
+	for _, kind := range []ModelKind{KindSAGE, KindGCN, KindGIN} {
+		m, err := NewModel(ModelSpec{Kind: kind, Dims: []int{12, 32, 20, 8, 5}, Seed: 6}, Degrees(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb := sampler.NewNeighbor(g, []int{5, 4, 3, 2}).Sample(rand.New(rand.NewSource(3)), targets)
+		x0 := GatherPooled(nil, feats, mb.InputNodes())
+		var ref []*tensor.Matrix
+		for _, workers := range []int{1, 2, 4} {
+			pool := tensor.NewPool(workers)
+			m.ZeroGrad()
+			logits := m.Forward(pool, mb, x0)
+			got := []*tensor.Matrix{logits.Clone()}
+			_, dLogits := SoftmaxCrossEntropy(logits, batchLabels)
+			m.Backward(pool, dLogits)
+			for _, p := range m.Params() {
+				got = append(got, p.Grad.Clone())
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for k, want := range ref {
+				for i, v := range want.Data {
+					if math.Float32bits(v) != math.Float32bits(got[k].Data[i]) {
+						t.Fatalf("%s, t=%d: output %d element %d = %g, t=1 %g", kind, workers, k, i, got[k].Data[i], v)
+					}
+				}
+			}
+		}
+	}
+}

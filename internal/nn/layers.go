@@ -86,9 +86,7 @@ func (l *Layer) Forward(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *
 	})
 	l.out = l.bufs.GetDirty(b.NumDst, l.OutDim)
 	tensor.MatMul(pool, l.out, l.in, l.Weight.W)
-	for i := 0; i < b.NumDst; i++ {
-		tensor.AddBiasRow(l.out.Row(i), l.Bias.W.Data, l.Relu)
-	}
+	tensor.AddBias(pool, l.out, l.Bias.W.Data, l.Relu)
 	return l.out
 }
 
@@ -99,7 +97,7 @@ func (l *Layer) Forward(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *
 func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *tensor.Matrix {
 	l.agg.check(b)
 	out := l.bufs.GetDirty(b.NumDst, l.OutDim)
-	w, bias := l.Weight.W, l.Bias.W.Data
+	w := l.Weight.W
 	pool.ParallelWeighted(b.NumDst, blockCost(b), func(lo, hi int) {
 		scratch := l.bufs.GetDirty(1, w.Rows)
 		row := scratch.Data
@@ -108,10 +106,10 @@ func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *te
 			dr := out.Row(i)
 			clear(dr)
 			tensor.RowMulAdd(dr, row, w)
-			tensor.AddBiasRow(dr, bias, l.Relu)
 		}
 		l.bufs.Put(scratch)
 	})
+	tensor.AddBias(pool, out, l.Bias.W.Data, l.Relu)
 	return out
 }
 
@@ -135,25 +133,6 @@ func (l *Layer) Backward(pool *tensor.Pool, b *sampler.Block, dOut *tensor.Matri
 	return dX
 }
 
-// addScaled computes dst[k] += src[k]·c — the one accumulation every
-// aggregator's fill and scatter is made of — four independent elements
-// per iteration: at one per iteration the loop is front-end bound, and
-// its speed a matter of where the linker happens to place it.
-func addScaled(dst, src []float32, c float32) {
-	dst = dst[:len(src)]
-	k := 0
-	for ; k+4 <= len(src); k += 4 {
-		d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
-		d[0] += s[0] * c
-		d[1] += s[1] * c
-		d[2] += s[2] * c
-		d[3] += s[3] * c
-	}
-	for ; k < len(src); k++ {
-		dst[k] += src[k] * c
-	}
-}
-
 // denseBackward is the weight-application half of the backward pass.
 // Given dOut (gradient w.r.t. the cached output) it accumulates
 // dW = inᵀ·dZ and db = colsum(dZ) into the parameter grads and, only
@@ -164,15 +143,15 @@ func (l *Layer) denseBackward(pool *tensor.Pool, dOut *tensor.Matrix, wantInput 
 	if l.Relu {
 		dZ = l.bufs.GetDirty(dOut.Rows, dOut.Cols)
 		defer l.bufs.Put(dZ)
-		tensor.ReLUBackward(dZ, dOut, l.out, db.Data)
+		tensor.ReLUBackward(pool, dZ, dOut, l.out, db.Data)
 	} else {
 		tensor.ColSum(db.Data, dZ)
 	}
-	tensor.Add(l.Bias.Grad, db)
+	tensor.AddScaled(l.Bias.Grad.Data, db.Data, 1)
 	l.bufs.Put(db)
 	dW := l.bufs.GetDirty(l.Weight.W.Rows, l.Weight.W.Cols)
 	tensor.MatMulAT(pool, dW, l.in, dZ)
-	tensor.Add(l.Weight.Grad, dW)
+	tensor.AddScaled(l.Weight.Grad.Data, dW.Data, 1)
 	l.bufs.Put(dW)
 	if !wantInput {
 		return nil
@@ -210,26 +189,15 @@ func (sageAgg) fill(row []float32, b *sampler.Block, x *tensor.Matrix, i int) {
 	if len(nbrs) == 0 {
 		return
 	}
-	tensor.AddRows(agg, x, nbrs)
-	invDeg := float32(1) / float32(len(nbrs))
-	for k := range agg {
-		agg[k] *= invDeg
-	}
+	tensor.AddRows(agg, x, nbrs, float32(1)/float32(len(nbrs)))
 }
 
 // scatter maps the self half straight onto the dst prefix and
 // scatter-adds the neighbour half through the mean.
 func (sageAgg) scatter(dX *tensor.Matrix, b *sampler.Block, dRow []float32, i int) {
-	in := dX.Cols
-	addScaled(dX.Row(i), dRow[:in], 1)
-	nbrs := b.Neighbors(i)
-	if len(nbrs) == 0 {
-		return
-	}
-	invDeg := float32(1) / float32(len(nbrs))
-	for _, j := range nbrs {
-		addScaled(dX.Row(int(j)), dRow[in:], invDeg)
-	}
+	in, nbrs := dX.Cols, b.Neighbors(i)
+	tensor.AddScaled(dX.Row(i), dRow[:in], 1)
+	tensor.ScatterRows(dX, nbrs, dRow[in:], float32(1)/float32(len(nbrs))) // no-op on no neighbours
 }
 
 // gcnAgg is the graph convolutional aggregator (paper Eq. 1 and 3) with
@@ -278,15 +246,15 @@ func (a gcnAgg) fill(row []float32, b *sampler.Block, x *tensor.Matrix, i int) {
 		row[k] = v * cSelf
 	}
 	for _, j := range b.Neighbors(i) {
-		addScaled(row, x.Row(int(j)), ci*a.invSqrtDeg[b.SrcNodes[j]])
+		tensor.AddScaled(row, x.Row(int(j)), ci*a.invSqrtDeg[b.SrcNodes[j]])
 	}
 }
 
 func (a gcnAgg) scatter(dX *tensor.Matrix, b *sampler.Block, dRow []float32, i int) {
 	ci := a.invSqrtDeg[b.SrcNodes[i]]
-	addScaled(dX.Row(i), dRow, ci*ci)
+	tensor.AddScaled(dX.Row(i), dRow, ci*ci)
 	for _, j := range b.Neighbors(i) {
-		addScaled(dX.Row(int(j)), dRow, ci*a.invSqrtDeg[b.SrcNodes[j]])
+		tensor.AddScaled(dX.Row(int(j)), dRow, ci*a.invSqrtDeg[b.SrcNodes[j]])
 	}
 }
 
@@ -312,12 +280,10 @@ func (a ginAgg) fill(row []float32, b *sampler.Block, x *tensor.Matrix, i int) {
 	for k, v := range x.Row(i) {
 		row[k] = v * selfW
 	}
-	tensor.AddRows(row, x, b.Neighbors(i))
+	tensor.AddRows(row, x, b.Neighbors(i), 1)
 }
 
 func (a ginAgg) scatter(dX *tensor.Matrix, b *sampler.Block, dRow []float32, i int) {
-	addScaled(dX.Row(i), dRow, 1+a.epsilon)
-	for _, j := range b.Neighbors(i) {
-		addScaled(dX.Row(int(j)), dRow, 1)
-	}
+	tensor.AddScaled(dX.Row(i), dRow, 1+a.epsilon)
+	tensor.ScatterRows(dX, b.Neighbors(i), dRow, 1)
 }

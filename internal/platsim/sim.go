@@ -21,11 +21,6 @@ type SimConfig struct {
 	MaxIters int
 	// Trace, when non-nil, receives every phase interval (Fig. 2).
 	Trace *trace.Timeline
-	// NUMAAware models the paper's §IX future-work direction: replicate
-	// the feature store on every socket so gathers stay local and the
-	// UPI penalty disappears — at a memory cost of one feature copy per
-	// socket. The platform then delivers its full local bandwidth.
-	NUMAAware bool
 }
 
 // Metrics summarises one simulated epoch.
@@ -119,11 +114,6 @@ func Simulate(sc Scenario, cfg SimConfig) (Metrics, error) {
 	// Core-Binder does on real machines.
 	sockets := socketsSpanned(sc.Platform, cfg.Procs, cfg.SampleCores+cfg.TrainCores)
 	s.globalBW = sc.Platform.EffectiveBW(sockets) * 1e9
-	if cfg.NUMAAware {
-		// Socket-local feature replicas: no remote traffic, full local
-		// bandwidth of the sockets in use.
-		s.globalBW = sc.Platform.SocketBWGBs() * float64(sockets) * 1e9
-	}
 
 	lib := sc.Library
 	perCore := sc.Platform.PerCoreBWGBs * 1e9

@@ -283,40 +283,6 @@ func TestSocketsSpanned(t *testing.T) {
 	}
 }
 
-// The §IX future-work extension: NUMA-aware feature replication removes
-// the UPI penalty, so large multi-socket configurations get faster; a
-// single-socket configuration is unaffected.
-func TestNUMAAwareExtension(t *testing.T) {
-	sc := scenarioFor(t, DGL, platform.IceLake4S, Neighbor, SAGE, "ogbn-products")
-	big := SimConfig{Procs: 8, SampleCores: 4, TrainCores: 10, MaxIters: 30}
-	normal, err := Simulate(sc, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big.NUMAAware = true
-	aware, err := Simulate(sc, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aware.EpochSeconds >= normal.EpochSeconds {
-		t.Fatalf("NUMA-aware %.3fs not faster than UPI-bound %.3fs at 112 cores", aware.EpochSeconds, normal.EpochSeconds)
-	}
-
-	small := SimConfig{Procs: 2, SampleCores: 2, TrainCores: 4, MaxIters: 30}
-	n1, err := Simulate(sc, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small.NUMAAware = true
-	n2, err := Simulate(sc, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1.EpochSeconds != n2.EpochSeconds {
-		t.Fatalf("single-socket layout must be unaffected: %.4f vs %.4f", n1.EpochSeconds, n2.EpochSeconds)
-	}
-}
-
 // Property: for any feasible layout, the simulated epoch is positive and
 // finite, achieved bandwidth never exceeds the platform peak, and the
 // iteration count matches the scenario.

@@ -24,14 +24,19 @@ func benchDense(b *testing.B, kern denseKernel, workers, m, k, n int, sparse boo
 	}
 }
 
-// benchStep times one kernel on the (numDst, 2·in, out) triples a
-// training step issues per layer on the repo benchmark's train_single
-// workload (a 64→32→32→10 SAGE model, 128 targets, fan-outs 15/10/5),
-// on dense operands and, under sparse/, on a half-zero left operand.
-// shape maps a triple to the kernel's logical (m, k, n).
+// stepShapes are the (numDst, 2·in, out) triples a training step issues
+// per layer on the repo benchmark's train_single workload (a
+// 64→32→32→10 SAGE model, 128 targets, fan-outs 15/10/5): a batch's
+// layers have 7 910, 1 336 and 128 destinations on average at seed 3
+// (7 872–7 948 and 1 332–1 344 over seeds 1–5).
+var stepShapes = [][3]int{{7910, 128, 32}, {1336, 64, 32}, {128, 64, 10}}
+
+// benchStep times one kernel on stepShapes, on dense operands and,
+// under sparse/, on a half-zero left operand. shape maps a triple to the
+// kernel's logical (m, k, n).
 func benchStep(b *testing.B, kern denseKernel, shape func(numDst, in2, out int) (m, k, n int)) {
 	shapes := func(b *testing.B, sparse bool) {
-		for _, s := range [][3]int{{4097, 128, 32}, {701, 64, 32}, {128, 64, 10}} {
+		for _, s := range stepShapes {
 			b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
 				m, k, n := shape(s[0], s[1], s[2])
 				benchDense(b, kern, 1, m, k, n, sparse)
@@ -107,26 +112,59 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	}
 }
 
-// BenchmarkAddBiasRow is a hidden layer's epilogue: the bias added to
-// and ReLU applied on random-sign sums, about half of them positive.
+// paths runs one benchmark per row-loop path: the one start-up
+// selected and the portable Go loop.
+func paths[F any](b *testing.B, selected, portable F, bench func(b *testing.B, run F)) {
+	b.Run("selected", func(b *testing.B) { bench(b, selected) })
+	b.Run("portable", func(b *testing.B) { bench(b, portable) })
+}
+
+// BenchmarkAddBiasRow is a hidden layer's epilogue on its output, the
+// widest of stepShapes: the bias added to and ReLU applied on
+// random-sign sums, about half of them positive.
 func BenchmarkAddBiasRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	m, bias := randomMatrix(rng, 1024, 128), randomMatrix(rng, 1, 128)
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < m.Rows; r++ {
-			AddBiasRow(m.Row(r), bias.Data, true)
+	m, bias := randomMatrix(rng, stepShapes[0][0], stepShapes[0][2]), randomMatrix(rng, 1, stepShapes[0][2])
+	paths(b, addBiasRows, addBiasRowsGo, func(b *testing.B, run func(rows, bias []float32, relu bool)) {
+		for i := 0; i < b.N; i++ {
+			run(m.Data, bias.Data, true)
 		}
-	}
+	})
 }
 
 // BenchmarkReLUBackward masks a random gradient by random-sign
 // activations, about half of them positive, as after a layer's ReLU,
-// and sums the columns of the result.
+// and sums the columns of the result, on the same shape.
 func BenchmarkReLUBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	grad, act := randomMatrix(rng, 1024, 128), randomMatrix(rng, 1024, 128)
-	out, sum := New(1024, 128), make([]float32, 128)
-	for i := 0; i < b.N; i++ {
-		ReLUBackward(out, grad, act, sum)
+	rows, n := stepShapes[0][0], stepShapes[0][2]
+	grad, act := randomMatrix(rng, rows, n), randomMatrix(rng, rows, n)
+	out, sum := New(rows, n), make([]float32, n)
+	paths(b, reluBackwardCols, reluBackwardColsGo, func(b *testing.B, run func(dst, grad, act *Matrix, colSum []float32, lo, hi int)) {
+		for i := 0; i < b.N; i++ {
+			run(out, grad, act, sum, 0, n)
+		}
+	})
+}
+
+// BenchmarkScatterRows is the SAGE backward scatter of train_single's
+// middle layer: each of its 1 336 destinations adds its self half to
+// its own row and its mean half to 10 random rows of the 7 910-row dX.
+func BenchmarkScatterRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	dsts, srcs, n, fanout := stepShapes[1][0], stepShapes[0][0], stepShapes[1][2], 10
+	dX, dIn := New(srcs, n), randomMatrix(rng, dsts, 2*n)
+	nbrs := make([]int32, dsts*fanout)
+	for i := range nbrs {
+		nbrs[i] = int32(rng.Intn(srcs))
 	}
+	paths(b, scatterRows, scatterRowsGo, func(b *testing.B, run func(dst []float32, ids []int32, src []float32, c float32)) {
+		for i := 0; i < b.N; i++ {
+			for d := 0; d < dsts; d++ {
+				row := dIn.Row(d)
+				run(dX.Data[d*n:(d+1)*n], firstRow, row[:n], 1)
+				run(dX.Data, nbrs[d*fanout:(d+1)*fanout], row[n:], 1/float32(fanout))
+			}
+		}
+	})
 }

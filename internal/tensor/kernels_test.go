@@ -171,8 +171,13 @@ func TestDenseKernelsBitEqualReference(t *testing.T) {
 // the test, whatever start-up selected.
 func usePortableKernels(t *testing.T) {
 	r, m, at, ad := rowMulAdd, matMulRows, matMulATRows, addRows
+	ab, rb, sc := addBiasRows, reluBackwardCols, scatterRows
 	rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddGo, matMulRowsGo, matMulATRowsGo, addRowsGo
-	t.Cleanup(func() { rowMulAdd, matMulRows, matMulATRows, addRows = r, m, at, ad })
+	addBiasRows, reluBackwardCols, scatterRows = addBiasRowsGo, reluBackwardColsGo, scatterRowsGo
+	t.Cleanup(func() {
+		rowMulAdd, matMulRows, matMulATRows, addRows = r, m, at, ad
+		addBiasRows, reluBackwardCols, scatterRows = ab, rb, sc
+	})
 }
 
 // TestRowMulAddMatchesMatMulRow pins the exported row kernel to MatMul:
@@ -309,11 +314,12 @@ func TestSelectedAddRowsBitEqualPortable(t *testing.T) {
 				if count > 0 {
 					ids[0] = rows - 1 // the row that ends the allocation
 				}
-				what := fmt.Sprintf("addRows %d rows of width %d specials=%v", count, n, specials)
+				c := []float32{1, 1 / float32(max(1, count))}[count%2] // sum, and mean on odd counts
+				what := fmt.Sprintf("addRows %d rows of width %d, scaled by %g, specials=%v", count, n, c, specials)
 				got, check := fenced(init)
 				want := init.Clone()
-				addRows(got.Data, x, ids)
-				addRowsGo(want.Data, x, ids)
+				addRows(got.Data, x, ids, c)
+				addRowsGo(want.Data, x, ids, c)
 				check(t, what)
 				if at, ok := sameBits(got, want); !ok {
 					t.Fatalf("%s: element %d = %g, portable %g", what, at, got.Data[at], want.Data[at])
@@ -346,10 +352,16 @@ func TestRowKernelShapeMismatchPanics(t *testing.T) {
 		mustPanic("RowMulAdd with a short dst", func() { RowMulAdd(make([]float32, 7), make([]float32, 6), b) })
 		mustPanic("RowMulAdd with a long a", func() { RowMulAdd(make([]float32, 8), make([]float32, 7), b) })
 		mustPanic("RowMulAdd with a short a", func() { RowMulAdd(make([]float32, 8), make([]float32, 5), b) })
-		mustPanic("AddRows with a long dst", func() { AddRows(make([]float32, 9), x, []int32{0}) })
-		mustPanic("AddRows with a short dst", func() { AddRows(make([]float32, 7), x, []int32{0}) })
-		mustPanic("AddRows past the last row", func() { AddRows(make([]float32, 8), x, []int32{0, 6}) })
-		mustPanic("AddRows with a negative row", func() { AddRows(make([]float32, 8), x, []int32{-1}) })
+		mustPanic("AddRows with a long dst", func() { AddRows(make([]float32, 9), x, []int32{0}, 1) })
+		mustPanic("AddRows with a short dst", func() { AddRows(make([]float32, 7), x, []int32{0}, 1) })
+		mustPanic("AddRows past the last row", func() { AddRows(make([]float32, 8), x, []int32{0, 6}, 1) })
+		mustPanic("AddRows with a negative row", func() { AddRows(make([]float32, 8), x, []int32{-1}, 1) })
+		mustPanic("ScatterRows with a short src", func() { ScatterRows(x, []int32{0}, make([]float32, 7), 1) })
+		mustPanic("ScatterRows past the last row", func() { ScatterRows(x, []int32{0, 6}, make([]float32, 8), 1) })
+		mustPanic("ScatterRows with a negative row", func() { ScatterRows(x, []int32{-1}, make([]float32, 8), 1) })
+		mustPanic("AddScaled with a long src", func() { AddScaled(make([]float32, 8), make([]float32, 9), 1) })
+		mustPanic("AddBias with a short bias", func() { AddBias(NewPool(2), x, make([]float32, 7), true) })
+		mustPanic("ReLUBackward with a short colSum", func() { ReLUBackward(NewPool(2), x, b, b, make([]float32, 7)) })
 	}
 }
 
@@ -381,5 +393,247 @@ func FuzzRowMulAddPaths(f *testing.F) {
 		if at, ok := sameBits(got, want); !ok {
 			t.Fatalf("width %d k %d: element %d = %g, portable %g", n, k, at, got.Data[at], want.Data[at])
 		}
+	})
+}
+
+// The per-element passes — bias and ReLU, ReLU backward with the column
+// sums, the backward scatter — must match the portable loops in every
+// bit, NaN payloads included: their operand order is part of what the
+// assembly reproduces (see ops.go).
+
+// nanBits returns a NaN with the given payload, quiet or signalling by
+// the payload's top bit.
+func nanBits(payload uint32) float32 {
+	return math.Float32frombits(0x7f800000 | payload&0x807fffff | 1)
+}
+
+// sprinklePayloads overwrites about one element in four of data with
+// NaNs of random payload and sign, ±0 and ±Inf: dense enough that both
+// operands of an add are often NaNs with different payloads.
+func sprinklePayloads(rng *rand.Rand, data []float32) {
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	for i := range data {
+		switch rng.Intn(8) {
+		case 0:
+			data[i] = nanBits(rng.Uint32())
+		case 1:
+			data[i] = []float32{0, negZero, inf, -inf}[rng.Intn(4)]
+		}
+	}
+}
+
+// sameAllBits is sameBits with NaN payloads compared too.
+func sameAllBits(a, b []float32) (int, bool) {
+	for i, v := range a {
+		if math.Float32bits(v) != math.Float32bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, len(a) == len(b)
+}
+
+// epilogueCase runs one kernel on the selected and on the portable path
+// from the same inputs, on fenced storage, and compares every bit of
+// every output.
+func epilogueCase(t *testing.T, what string, outs []*Matrix, run func(outs []*Matrix, portable bool)) {
+	t.Helper()
+	got, want := make([]*Matrix, len(outs)), make([]*Matrix, len(outs))
+	checks := make([]func(*testing.T, string), len(outs))
+	for i, m := range outs {
+		got[i], checks[i] = fenced(m)
+		want[i] = m.Clone()
+	}
+	run(got, false)
+	run(want, true)
+	for i := range outs {
+		checks[i](t, what)
+		if at, ok := sameAllBits(got[i].Data, want[i].Data); !ok {
+			t.Fatalf("%s: output %d element %d = %#08x, portable %#08x", what, i, at,
+				math.Float32bits(got[i].Data[at]), math.Float32bits(want[i].Data[at]))
+		}
+	}
+}
+
+func TestSelectedEpiloguesBitEqualPortable(t *testing.T) {
+	for n := 0; n <= 72; n++ {
+		for _, rows := range []int{0, 1, 2, 5, 9} {
+			for _, specials := range []bool{false, true} {
+				what := fmt.Sprintf("%d rows of width %d specials=%v", rows, n, specials)
+				rng := rand.New(rand.NewSource(int64(n*1009 + rows*31)))
+				x, grad, act := randomMatrix(rng, rows, n), randomMatrix(rng, rows, n), randomMatrix(rng, rows, n)
+				bias, src, sum := randomMatrix(rng, 1, n), randomMatrix(rng, 1, n), randomMatrix(rng, 1, n)
+				c := float32(rng.NormFloat64())
+				if specials {
+					for _, m := range []*Matrix{x, grad, act, bias, src, sum} {
+						sprinklePayloads(rng, m.Data)
+					}
+					c = []float32{nanBits(rng.Uint32()), 0, float32(math.Copysign(0, -1)), float32(math.Inf(-1)), c}[rng.Intn(5)]
+				}
+				bias, src, grad, act = unaligned(bias), unaligned(src), unaligned(grad), unaligned(act)
+				for _, relu := range []bool{false, true} {
+					epilogueCase(t, fmt.Sprintf("addBiasRows relu=%v, %s", relu, what), []*Matrix{x}, func(o []*Matrix, portable bool) {
+						if portable {
+							addBiasRowsGo(o[0].Data, bias.Data, relu)
+						} else {
+							addBiasRows(o[0].Data, bias.Data, relu)
+						}
+					})
+				}
+				// Whole rows and column blocks of 8: the columns outside
+				// [lo, hi) keep what they held, in dst and in the sums.
+				for _, r := range [][2]int{{0, n}, {0, min(n, 8)}, {min(n, 8), n}, {min(n, 8), min(n, 24)}} {
+					lo, hi := r[0], r[1]
+					epilogueCase(t, fmt.Sprintf("reluBackwardCols [%d, %d), %s", lo, hi, what), []*Matrix{x, sum}, func(o []*Matrix, portable bool) {
+						if portable {
+							reluBackwardColsGo(o[0], grad, act, o[1].Data, lo, hi)
+						} else {
+							reluBackwardCols(o[0], grad, act, o[1].Data, lo, hi)
+						}
+					})
+				}
+				for count := 0; count <= 4 && rows > 0; count++ {
+					ids := make([]int32, count)
+					for i := range ids {
+						ids[i] = int32(rng.Intn(rows))
+					}
+					if count > 1 {
+						ids[0], ids[1] = int32(rows-1), int32(rows-1) // the last row, twice
+					}
+					epilogueCase(t, fmt.Sprintf("scatterRows %v c=%#08x, %s", ids, math.Float32bits(c), what), []*Matrix{x}, func(o []*Matrix, portable bool) {
+						if portable {
+							scatterRowsGo(o[0].Data, ids, src.Data, c)
+						} else {
+							scatterRows(o[0].Data, ids, src.Data, c)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestEpilogueOperandOrder feeds every add and multiply of the three
+// passes two NaNs of different payloads, so the result's payload tells
+// which operand came first: an assembly lane that swaps them fails here
+// even where the sprinkled sweep happens not to pair two NaNs.
+func TestEpilogueOperandOrder(t *testing.T) {
+	p, q, r := nanBits(0x11), nanBits(0x400022), nanBits(0x33) // r is signalling
+	for _, n := range []int{1, 8, 10, 32, 40, 64} {
+		fill := func(rows int, v float32) *Matrix {
+			m := New(rows, n)
+			m.Fill(v)
+			return m
+		}
+		// bias + row with both NaNs: no ReLU, which would drop the payload.
+		row, bias := fill(3, p), fill(1, q)
+		epilogueCase(t, fmt.Sprintf("addBiasRows width %d", n), []*Matrix{row}, func(o []*Matrix, portable bool) {
+			if portable {
+				addBiasRowsGo(o[0].Data, bias.Data, false)
+			} else {
+				addBiasRows(o[0].Data, bias.Data, false)
+			}
+		})
+		// Row 0 brings one NaN into the sums, row 1 another.
+		grad, act := fill(2, p), fill(2, 1)
+		copy(grad.Row(1), fill(1, r).Data)
+		epilogueCase(t, fmt.Sprintf("reluBackwardCols width %d", n), []*Matrix{fill(2, 0), fill(1, 0)}, func(o []*Matrix, portable bool) {
+			if portable {
+				reluBackwardColsGo(o[0], grad, act, o[1].Data, 0, n)
+			} else {
+				reluBackwardCols(o[0], grad, act, o[1].Data, 0, n)
+			}
+		})
+		// src·c with both NaNs, then that product + a NaN row of dst.
+		src := fill(1, q)
+		epilogueCase(t, fmt.Sprintf("scatterRows width %d", n), []*Matrix{fill(2, p)}, func(o []*Matrix, portable bool) {
+			if portable {
+				scatterRowsGo(o[0].Data, []int32{1, 0, 1}, src.Data, r)
+			} else {
+				scatterRows(o[0].Data, []int32{1, 0, 1}, src.Data, r)
+			}
+		})
+	}
+	// The cases above can tell the orders apart only if the hardware
+	// keeps the first NaN's payload.
+	if x, y := addNoinline(p, q), addNoinline(q, p); math.Float32bits(x) == math.Float32bits(y) {
+		t.Fatalf("%#08x + %#08x and the reverse both give %#08x: the NaN cases pin nothing", math.Float32bits(p), math.Float32bits(q), math.Float32bits(x))
+	}
+}
+
+// addNoinline adds at run time: the compiler folds constant NaNs by
+// rules of its own.
+//
+//go:noinline
+func addNoinline(a, b float32) float32 { return a + b }
+
+// TestEpiloguesSplitOverWorkers: AddBias splits over rows and
+// ReLUBackward over blocks of 8 columns; neither moves a bit.
+func TestEpiloguesSplitOverWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{7, 20, 32, 65} {
+		x, grad, act, bias := randomMatrix(rng, 37, n), randomMatrix(rng, 37, n), randomMatrix(rng, 37, n), randomMatrix(rng, 1, n)
+		sprinklePayloads(rng, grad.Data)
+		wantX, wantD, wantSum := x.Clone(), New(37, n), make([]float32, n)
+		AddBias(NewPool(1), wantX, bias.Data, true)
+		ReLUBackward(NewPool(1), wantD, grad, act, wantSum)
+		for _, workers := range []int{2, 3, 4, 8} {
+			gotX, gotD, gotSum := x.Clone(), New(37, n), make([]float32, n)
+			AddBias(NewPool(workers), gotX, bias.Data, true)
+			ReLUBackward(NewPool(workers), gotD, grad, act, gotSum)
+			for what, pair := range map[string][2][]float32{"AddBias": {gotX.Data, wantX.Data}, "ReLUBackward": {gotD.Data, wantD.Data}, "column sums": {gotSum, wantSum}} {
+				if at, ok := sameAllBits(pair[0], pair[1]); !ok {
+					t.Fatalf("width %d, %d workers: %s element %d = %g, one worker %g", n, workers, what, at, pair[0][at], pair[1][at])
+				}
+			}
+		}
+	}
+}
+
+// FuzzEpiloguePaths feeds the three per-element passes raw bit patterns
+// at a fuzzed width, selected path against portable loop.
+func FuzzEpiloguePaths(f *testing.F) {
+	f.Add(uint8(10), []byte{0, 0, 128, 63, 0, 0, 0, 128, 1, 0, 192, 127, 2, 0, 192, 127, 0, 0, 128, 255, 3, 0, 160, 255})
+	f.Add(uint8(33), []byte("a bias or src row, a scale, then rows of dst, grad and act as far as the bytes reach"))
+	f.Fuzz(func(t *testing.T, width uint8, raw []byte) {
+		n := int(width%80) + 1
+		vals := make([]float32, len(raw)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		// vals holds a row of n (bias, and src), a scale c, then three
+		// rows×n matrices: dst, grad and act.
+		if len(vals) < n+1 {
+			return
+		}
+		rows := (len(vals) - n - 1) / (3 * n)
+		row, c, rest := unaligned(FromSlice(1, n, vals[:n])), vals[n], vals[n+1:]
+		x := FromSlice(rows, n, rest[:rows*n])
+		grad, act := unaligned(FromSlice(rows, n, rest[rows*n:2*rows*n])), unaligned(FromSlice(rows, n, rest[2*rows*n:3*rows*n]))
+		ids := make([]int32, 0, len(raw)%7)
+		for i := 0; i < cap(ids) && rows > 0; i++ {
+			ids = append(ids, int32(int(raw[i])%rows))
+		}
+		relu := width&0x80 != 0
+		epilogueCase(t, "addBiasRows", []*Matrix{x}, func(o []*Matrix, portable bool) {
+			if portable {
+				addBiasRowsGo(o[0].Data, row.Data, relu)
+			} else {
+				addBiasRows(o[0].Data, row.Data, relu)
+			}
+		})
+		epilogueCase(t, "reluBackwardCols", []*Matrix{x, New(1, n)}, func(o []*Matrix, portable bool) {
+			if portable {
+				reluBackwardColsGo(o[0], grad, act, o[1].Data, 0, n)
+			} else {
+				reluBackwardCols(o[0], grad, act, o[1].Data, 0, n)
+			}
+		})
+		epilogueCase(t, fmt.Sprintf("scatterRows %v", ids), []*Matrix{x}, func(o []*Matrix, portable bool) {
+			if portable {
+				scatterRowsGo(o[0].Data, ids, row.Data, c)
+			} else {
+				scatterRows(o[0].Data, ids, row.Data, c)
+			}
+		})
 	})
 }

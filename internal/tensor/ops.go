@@ -5,28 +5,31 @@ import (
 	"math"
 )
 
-// Every dense product — MatMul, MatMulAT, and the input gradient, which
-// nn runs as MatMul against a transposed weight — follows one rule:
-// loop order and register blocking are free to change, the per-element
-// reduction is not. Every dst[i][j] is zeroed and then receives av·bv
-// for p = 0, 1, 2, … with av == 0 skipped (so a zero never meets a NaN
-// or Inf on the other side), one rounding per multiply and per add — no
-// fused multiply-add, which rounds once. That is what keeps sharded ==
-// single-store, tcp == inproc and Infer == Forward bit-equal. How a
-// kernel finds the entries to skip is free: the Go loops test one at a
-// time, the AVX2 row loop eight at once, walking the survivors in
-// ascending order.
+// Every kernel follows one rule: loop order and register blocking are
+// free, the per-element arithmetic is not, which keeps sharded ==
+// single-store, tcp == inproc and Infer == Forward bit-equal. A dense
+// product (MatMul, MatMulAT, and the input gradient, MatMul against a
+// transposed weight) zeroes dst[i][j] and adds av·bv for p = 0, 1, 2, …
+// with av == 0 skipped (a zero never meets a NaN or Inf), one rounding
+// per multiply and per add — no fused multiply-add. The per-element
+// passes (AddBias, ReLUBackward, ScatterRows and AddScaled) fix NaN
+// payloads too: x86 keeps the first operand's when both are NaNs, and
+// the first is the one the source names first, so `d += s*c` is
+// d + (s·c). The compiler orders operands as it likes (a -race build
+// differently), so the Go loops pin the order with nanFirst.
 
-// The row loops the multiply-accumulate kernels reduce to. They start
-// out as the portable Go loops in this file, which is all that other
-// architectures and CPUs without AVX2 ever run and what the SIMD tests
-// compare against; simd_amd64.go swaps in the assembly ones at start-up
-// when the CPU has AVX2. Both compute the same bits.
+// The seven row loops below start out as the portable Go loops in this
+// file, all that other architectures and CPUs without AVX2 ever run and
+// what the SIMD tests compare against; simd_amd64.go swaps in an AVX2
+// twin of each at start-up when the CPU has AVX2.
 var (
-	rowMulAdd    = rowMulAddGo
-	matMulRows   = matMulRowsGo
-	matMulATRows = matMulATRowsGo
-	addRows      = addRowsGo
+	rowMulAdd        = rowMulAddGo
+	matMulRows       = matMulRowsGo
+	matMulATRows     = matMulATRowsGo
+	addRows          = addRowsGo
+	addBiasRows      = addBiasRowsGo
+	reluBackwardCols = reluBackwardColsGo
+	scatterRows      = scatterRowsGo
 )
 
 // mulAdd1 computes d[j] += av·b[j].
@@ -184,18 +187,18 @@ func matMulATRowsGo(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// AddRows computes dst += x.Row(id) for every id in order: the inner
-// loop of sum and mean aggregation. dst has x.Cols entries.
-func AddRows(dst []float32, x *Matrix, ids []int32) {
+// AddRows adds x.Row(id) to dst for every id in order, then scales dst
+// by c: the inner loop of sum (c = 1) and mean (c = 1/len(ids)) pooling.
+func AddRows(dst []float32, x *Matrix, ids []int32, c float32) {
 	if len(dst) != x.Cols {
 		panic(fmt.Sprintf("tensor: AddRows adds %d-wide rows into %d entries", x.Cols, len(dst)))
 	}
-	addRows(dst, x, ids)
+	addRows(dst, x, ids, c)
 }
 
 // addRowsGo adds four independent elements per iteration: at one per
 // iteration the loop is front-end bound.
-func addRowsGo(dst []float32, x *Matrix, ids []int32) {
+func addRowsGo(dst []float32, x *Matrix, ids []int32, c float32) {
 	for _, id := range ids {
 		src := x.Row(int(id))[:len(dst)]
 		k := 0
@@ -210,15 +213,8 @@ func addRowsGo(dst []float32, x *Matrix, ids []int32) {
 			dst[k] += src[k]
 		}
 	}
-}
-
-// Add computes dst += src elementwise. Shapes must match.
-func Add(dst, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: Add shape mismatch")
-	}
-	for i, v := range src.Data {
-		dst.Data[i] += v
+	for k := range dst {
+		dst[k] *= c
 	}
 }
 
@@ -228,15 +224,61 @@ func ColSum(dst []float32, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic("tensor: ColSum length mismatch")
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
+		for j, v := range m.Row(i) {
 			dst[j] += v
 		}
 	}
+}
+
+// ScatterRows computes dst.Row(id) += src·c for every id in order: the
+// scatter of every aggregator's backward. src must not overlap dst.
+func ScatterRows(dst *Matrix, ids []int32, src []float32, c float32) {
+	if len(src) != dst.Cols {
+		panic("tensor: ScatterRows width mismatch")
+	}
+	scatterRows(dst.Data, ids, src, c)
+}
+
+// AddScaled computes dst += src·c: ScatterRows on a single row.
+func AddScaled(dst, src []float32, c float32) {
+	if len(dst) != len(src) {
+		panic("tensor: AddScaled length mismatch")
+	}
+	scatterRows(dst, firstRow, src, c)
+}
+
+var firstRow = []int32{0}
+
+// scatterRowsGo adds src·c to each listed len(src)-wide row of dst, four
+// elements per iteration (one is front-end bound). One test of the four
+// sums stands in for eight nanFirst branches, which doubled its time.
+func scatterRowsGo(dst []float32, ids []int32, src []float32, c float32) {
+	for _, id := range ids {
+		row, k := dst[int(id)*len(src):(int(id)+1)*len(src)], 0
+		for ; k+4 <= len(src); k += 4 {
+			d, s := row[k:k+4:k+4], src[k:k+4:k+4]
+			r0, r1, r2, r3 := d[0]+s[0]*c, d[1]+s[1]*c, d[2]+s[2]*c, d[3]+s[3]*c
+			if t := r0 + r1 + r2 + r3; t != t { // a NaN, or infinities of both signs
+				r0, r1, r2, r3 = addScaled1(d[0], s[0], c), addScaled1(d[1], s[1], c), addScaled1(d[2], s[2], c), addScaled1(d[3], s[3], c)
+			}
+			d[0], d[1], d[2], d[3] = r0, r1, r2, r3
+		}
+		for ; k < len(src); k++ {
+			row[k] = addScaled1(row[k], src[k], c)
+		}
+	}
+}
+
+func addScaled1(d, s, c float32) float32 { return nanFirst(d+nanFirst(s*c, s), d) }
+
+// nanFirst returns v = a + b or a·b, or a's NaN, quieted, if a is one.
+func nanFirst(v, a float32) float32 {
+	if a != a {
+		return math.Float32frombits(math.Float32bits(a) | 1<<22)
+	}
+	return v
 }
 
 // reluMask is all ones when the float32 with bits u is > 0, that is
@@ -246,39 +288,64 @@ func reluMask(u uint32) uint32 {
 	return ^(uint32(int32(u-1)>>31) | uint32(int32(0x7f800000-u)>>31))
 }
 
-// AddBiasRow adds bias to row and then, with relu, applies ReLU: a sum
-// > 0 stays, and NaN, −0 and negatives all become +0 (Go's max(v, 0)
-// keeps NaN). It is a layer's bias-and-activation epilogue in one pass.
-func AddBiasRow(row, bias []float32, relu bool) {
-	if len(row) != len(bias) {
-		panic("tensor: AddBiasRow length mismatch")
+// AddBias adds bias to every row of m and then, with relu, applies
+// ReLU: a sum > 0 stays, and NaN, −0 and negatives all become +0 (Go's
+// max(v, 0) keeps NaN). It is a layer's bias-and-activation epilogue in
+// one pass, split over rows on pool.
+func AddBias(pool *Pool, m *Matrix, bias []float32, relu bool) {
+	if len(bias) != m.Cols {
+		panic("tensor: AddBias length mismatch")
 	}
-	for j, b := range bias {
-		v := row[j] + b
-		if relu {
-			u := math.Float32bits(v)
-			v = math.Float32frombits(u & reluMask(u))
+	if pool.Workers() == 1 {
+		addBiasRows(m.Data, bias, relu)
+		return
+	}
+	pool.ParallelWeighted(m.Rows, nil, func(lo, hi int) { addBiasRows(m.Data[lo*m.Cols:hi*m.Cols], bias, relu) })
+}
+
+// addBiasRowsGo is AddBias on each len(bias)-wide row of rows.
+func addBiasRowsGo(rows, bias []float32, relu bool) {
+	for n := len(bias); n > 0 && len(rows) >= n; rows = rows[n:] {
+		for j, b := range bias {
+			v := nanFirst(rows[j]+b, rows[j])
+			if relu {
+				u := math.Float32bits(v)
+				v = math.Float32frombits(u & reluMask(u))
+			}
+			rows[j] = v
 		}
-		row[j] = v
 	}
 }
 
 // ReLUBackward sets dst to grad where act > 0 and to +0 everywhere else,
-// by the rule AddBiasRow's ReLU uses, and overwrites colSum with the
+// by the rule AddBias's ReLU uses, and overwrites colSum with the
 // column sums of dst, added row by row as ColSum adds them. act must be
-// the ReLU *output* (or input; they share sign).
-func ReLUBackward(dst, grad, act *Matrix, colSum []float32) {
+// the ReLU *output* (or input; they share sign). pool splits the
+// columns in blocks of 8, so each sum still adds rows 0, 1, 2, … in order.
+func ReLUBackward(pool *Pool, dst, grad, act *Matrix, colSum []float32) {
 	if dst.Rows != grad.Rows || dst.Cols != grad.Cols || act.Rows != grad.Rows || act.Cols != grad.Cols || len(colSum) != grad.Cols {
 		panic("tensor: ReLUBackward shape mismatch")
 	}
-	clear(colSum)
+	n, blocks := grad.Cols, (grad.Cols+7)/8
+	if parts := min(pool.Workers(), blocks); parts > 1 {
+		col := func(k int) int { return min(n, k*blocks/parts*8) }
+		pool.ParallelWeighted(parts, nil, func(lo, hi int) { reluBackwardCols(dst, grad, act, colSum, col(lo), col(hi)) })
+		return
+	}
+	reluBackwardCols(dst, grad, act, colSum, 0, n)
+}
+
+// reluBackwardColsGo is ReLUBackward on columns [lo, hi).
+func reluBackwardColsGo(dst, grad, act *Matrix, colSum []float32, lo, hi int) {
+	sum := colSum[lo:hi]
+	clear(sum)
 	n := grad.Cols
 	for i := 0; i < grad.Rows; i++ {
-		d, a := dst.Data[i*n:(i+1)*n], act.Data[i*n:(i+1)*n]
-		for j, g := range grad.Data[i*n : (i+1)*n] {
+		d, a := dst.Data[i*n+lo:i*n+hi], act.Data[i*n+lo:i*n+hi]
+		for j, g := range grad.Data[i*n+lo : i*n+hi] {
 			v := math.Float32frombits(math.Float32bits(g) & reluMask(math.Float32bits(a[j])))
 			d[j] = v
-			colSum[j] += v
+			sum[j] = nanFirst(sum[j]+v, sum[j])
 		}
 	}
 }

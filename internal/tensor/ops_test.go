@@ -123,7 +123,7 @@ func TestQuickColSumLinearity(t *testing.T) {
 		sa, sb := make([]float32, c), make([]float32, c)
 		ColSum(sa, a)
 		ColSum(sb, b)
-		Add(a, b)
+		AddScaled(a.Data, b.Data, 1)
 		sum := make([]float32, c)
 		ColSum(sum, a)
 		for j := range sum {
@@ -141,14 +141,14 @@ func TestQuickColSumLinearity(t *testing.T) {
 func TestAddAndAddScaled(t *testing.T) {
 	a := FromSlice(1, 3, []float32{1, 2, 3})
 	b := FromSlice(1, 3, []float32{10, 20, 30})
-	Add(a, b)
+	AddScaled(a.Data, b.Data, 1)
 	want := []float32{11, 22, 33}
 	for i, v := range want {
 		if a.Data[i] != v {
 			t.Fatalf("Add: got %v want %v", a.Data, want)
 		}
 	}
-	AddScaled(a, -1, b)
+	AddScaled(a.Data, b.Data, -1)
 	for i, v := range []float32{1, 2, 3} {
 		if a.Data[i] != v {
 			t.Fatalf("AddScaled: got %v", a.Data)
@@ -166,28 +166,26 @@ func TestScale(t *testing.T) {
 
 func TestAddBiasRow(t *testing.T) {
 	row := []float32{0, -5}
-	AddBiasRow(row, []float32{1, 2}, false)
+	AddBias(NewPool(1), FromSlice(1, 2, row), []float32{1, 2}, false)
 	if row[0] != 1 || row[1] != -3 {
-		t.Fatalf("AddBiasRow: %v", row)
+		t.Fatalf("AddBias: %v", row)
 	}
-	AddBiasRow(row, []float32{1, 2}, true)
+	AddBias(NewPool(1), FromSlice(1, 2, row), []float32{1, 2}, true)
 	if row[0] != 2 || row[1] != 0 {
-		t.Fatalf("AddBiasRow with ReLU: %v", row)
+		t.Fatalf("AddBias with ReLU: %v", row)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a short bias did not panic")
 		}
 	}()
-	AddBiasRow(row, []float32{1}, false)
+	AddBias(NewPool(1), FromSlice(1, 2, row), []float32{1}, false)
 }
 
 func TestReLUForwardBackward(t *testing.T) {
 	src := []float32{-1, 0, 2, -3, 4, 1, -1, 5}
 	dst := FromSlice(2, 4, append([]float32(nil), src...))
-	for i := 0; i < dst.Rows; i++ {
-		AddBiasRow(dst.Row(i), make([]float32, 4), true)
-	}
+	AddBias(NewPool(1), dst, make([]float32, 4), true)
 	for i, v := range []float32{0, 0, 2, 0, 4, 1, 0, 5} {
 		if dst.Data[i] != v {
 			t.Fatalf("ReLU: %v", dst.Data)
@@ -195,7 +193,7 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 	grad := FromSlice(2, 4, []float32{5, 6, 7, 8, 1, 2, 3, 4})
 	out, sum, want := New(2, 4), make([]float32, 4), make([]float32, 4)
-	ReLUBackward(out, grad, dst, sum)
+	ReLUBackward(NewPool(1), out, grad, dst, sum)
 	for i, v := range []float32{0, 0, 7, 0, 1, 2, 0, 4} {
 		if out.Data[i] != v {
 			t.Fatalf("ReLUBackward: %v", out.Data)
@@ -232,7 +230,7 @@ func reluBackwardBranch(dst, grad, act *Matrix) {
 	}
 }
 
-// TestReLUMatchesBranchReference compares AddBiasRow's ReLU and
+// TestReLUMatchesBranchReference compares AddBias's ReLU and
 // ReLUBackward with the branchy loops, bit for bit (NaN payloads
 // included), on every pair of edge-case floats and on 1<<20 random bit
 // patterns.
@@ -274,11 +272,11 @@ func TestReLUMatchesBranchReference(t *testing.T) {
 		}
 		reluBranch(want, want)
 		copy(got.Data, act.Data)
-		AddBiasRow(got.Data, bias, true)
-		same("AddBiasRow", got, want)
+		AddBias(NewPool(1), got, bias, true)
+		same("AddBias", got, want)
 	}
 	reluBackwardBranch(want, grad, act)
-	ReLUBackward(got, grad, act, make([]float32, len(act.Data)))
+	ReLUBackward(NewPool(1), got, grad, act, make([]float32, len(act.Data)))
 	same("ReLUBackward", got, want)
 }
 
@@ -395,15 +393,5 @@ func TestArgMaxRowsDegenerateShapes(t *testing.T) {
 func Scale(m *Matrix, alpha float32) {
 	for i := range m.Data {
 		m.Data[i] *= alpha
-	}
-}
-
-// AddScaled computes dst += alpha*src elementwise. Shapes must match.
-func AddScaled(dst *Matrix, alpha float32, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: AddScaled shape mismatch")
-	}
-	for i, v := range src.Data {
-		dst.Data[i] += alpha * v
 	}
 }

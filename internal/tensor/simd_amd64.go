@@ -1,7 +1,5 @@
 package tensor
 
-import "fmt"
-
 // The AVX2 path of the row kernels in ops.go: simd_amd64.s holds the
 // loops, this file the start-up selection and the Go wrappers that turn
 // slices into the pointers and counts the assembly takes. A wrapper
@@ -12,16 +10,28 @@ import "fmt"
 func init() {
 	if cpuHasAVX2() {
 		rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddAVX2, matMulRowsAVX2, matMulATRowsAVX2, addRowsAVX2
+		addBiasRows, reluBackwardCols, scatterRows = addBiasRowsAVX2, reluBackwardColsAVX2, scatterRowsAVX2
 	}
 }
 
+// cpuHasAVX2 runs only here, at init: CPUID traps to the hypervisor on
+// a virtual machine, and one call per row doubled an epoch's time.
 func cpuHasAVX2() bool
 
 //go:noescape
 func avx2MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int)
 
 //go:noescape
-func avx2AddRows(dst, x *float32, ids *int32, count, n int)
+func avx2AddRows(dst, x *float32, ids *int32, count, n int, c float32)
+
+//go:noescape
+func avx2AddBias(dst, bias *float32, rows, n int, relu bool)
+
+//go:noescape
+func avx2ReLUBackward(dst, grad, act, colSum *float32, rows, n, stride int)
+
+//go:noescape
+func avx2ScatterRows(dst, src *float32, ids *int32, count, n int, c float32)
 
 func rowMulAddAVX2(dst, a []float32, b *Matrix) {
 	if len(dst) == 0 || len(a) == 0 {
@@ -66,15 +76,44 @@ func matMulATRowsAVX2(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-func addRowsAVX2(dst []float32, x *Matrix, ids []int32) {
+func addRowsAVX2(dst []float32, x *Matrix, ids []int32, c float32) {
 	if len(dst) == 0 || len(ids) == 0 {
+		addRowsGo(dst, x, ids, c)
 		return
 	}
+	checkRows("AddRows", ids, x.Rows)
+	xd := x.Data[:x.Rows*len(dst)]
+	avx2AddRows(&dst[0], &xd[0], &ids[0], len(ids), len(dst), c)
+}
+
+// checkRows panics unless every id is a row of a rows-row matrix.
+func checkRows(what string, ids []int32, rows int) {
 	for _, id := range ids {
-		if uint(id) >= uint(x.Rows) {
-			panic(fmt.Sprintf("tensor: AddRows row %d of a %d-row matrix", id, x.Rows))
+		if uint(id) >= uint(rows) {
+			panic("tensor: " + what + " row out of range")
 		}
 	}
-	xd := x.Data[:x.Rows*len(dst)]
-	avx2AddRows(&dst[0], &xd[0], &ids[0], len(ids), len(dst))
+}
+
+func addBiasRowsAVX2(rows, bias []float32, relu bool) {
+	if n := len(bias); n > 0 && len(rows) >= n {
+		avx2AddBias(&rows[0], &bias[0], len(rows)/n, n, relu)
+	}
+}
+
+func reluBackwardColsAVX2(dst, grad, act *Matrix, colSum []float32, lo, hi int) {
+	if lo == hi || grad.Rows == 0 {
+		reluBackwardColsGo(dst, grad, act, colSum, lo, hi) // clears the sums
+		return
+	}
+	end := (grad.Rows-1)*grad.Cols + hi // one past the last element read
+	d, g, a, sum := dst.Data[lo:end], grad.Data[lo:end], act.Data[lo:end], colSum[lo:hi]
+	avx2ReLUBackward(&d[0], &g[0], &a[0], &sum[0], grad.Rows, hi-lo, grad.Cols)
+}
+
+func scatterRowsAVX2(dst []float32, ids []int32, src []float32, c float32) {
+	if len(src) > 0 && len(ids) > 0 {
+		checkRows("ScatterRows", ids, len(dst)/len(src))
+		avx2ScatterRows(&dst[0], &src[0], &ids[0], len(ids), len(src), c)
+	}
 }

@@ -472,14 +472,16 @@ next:
 	VZEROUPPER
 	RET
 
-// func avx2AddRows(dst, x *float32, ids *int32, count, n int)
+// func avx2AddRows(dst, x *float32, ids *int32, count, n int, c float32)
 //
-// dst[j] += x[ids[q]*n+j] for q = 0 … count-1 in order. count and n must
-// be positive and every id a row of x.
+// dst[j] += x[ids[q]*n+j] for q = 0 … count-1 in order, then dst[j] *=
+// c on the sums still in registers. count and n must be positive and
+// every id a row of x.
 //
 //	DI dst          SI x            BX ids          CX count
 //	R9 n·4          R10 q           DX tile offset  R12 row offset
-TEXT ·avx2AddRows(SB), NOSPLIT, $0-40
+TEXT ·avx2AddRows(SB), NOSPLIT, $0-44
+	VBROADCASTSS c+40(FP), Y8
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ ids+16(FP), BX
@@ -512,6 +514,10 @@ astep:
 	INCQ    R10
 	CMPQ    R10, CX
 	JB      astep
+	VMULPS  Y8, Y0, Y0
+	VMULPS  Y8, Y1, Y1
+	VMULPS  Y8, Y2, Y2
+	VMULPS  Y8, Y3, Y3
 	VMOVUPS Y0, (DI)(DX*1)
 	VMOVUPS Y1, 32(DI)(DX*1)
 	VMOVUPS Y2, 64(DI)(DX*1)
@@ -543,11 +549,329 @@ atstep:
 	INCQ       R10
 	CMPQ       R10, CX
 	JB         atstep
+	VMULPS     Y8, Y0, Y0
+	VMULPS     Y8, Y1, Y1
+	VMULPS     Y8, Y2, Y2
+	VMULPS     Y8, Y3, Y3
 	VMASKMOVPS Y0, Y4, (DI)(DX*1)
 	VMASKMOVPS Y1, Y5, 32(DI)(DX*1)
 	VMASKMOVPS Y2, Y6, 64(DI)(DX*1)
 	VMASKMOVPS Y3, Y7, 96(DI)(DX*1)
 
 adone:
+	VZEROUPPER
+	RET
+
+// func avx2AddBias(dst, bias *float32, rows, n int, relu bool)
+//
+// For each of rows rows of n floats from dst on: dst[j] = dst[j] +
+// bias[j], and then with relu max(dst[j], +0). VMAXPS returns its second
+// operand, +0, unless the first is greater, so NaN, -0 and negatives all
+// become +0, as under reluMask. The last n mod 8 columns are one masked
+// vector. rows and n must be positive.
+//
+//	DI dst row      SI bias         CX rows left    R9 n·4
+//	DX column       R8 relu         Y4 tail mask    Y15 zero
+TEXT ·avx2AddBias(SB), NOSPLIT, $0-33
+	MOVQ    dst+0(FP), DI
+	MOVQ    bias+8(FP), SI
+	MOVQ    rows+16(FP), CX
+	MOVQ    n+24(FP), R9
+	MOVBLZX relu+32(FP), R8
+	MOVQ    R9, AX
+	ANDQ    $7, AX
+	NEGQ    AX
+	LEAQ    tailmask<>(SB), R12
+	VMOVDQU 128(R12)(AX*4), Y4
+	SHLQ    $2, R9
+	VXORPS  Y15, Y15, Y15
+
+brow:
+	XORQ DX, DX
+
+bvec:
+	LEAQ    32(DX), R12
+	CMPQ    R12, R9
+	JA      btail
+	VMOVUPS (DI)(DX*1), Y0
+	VADDPS  (SI)(DX*1), Y0, Y0
+	TESTQ   R8, R8
+	JZ      bstore
+	VMAXPS  Y15, Y0, Y0
+
+bstore:
+	VMOVUPS Y0, (DI)(DX*1)
+	MOVQ    R12, DX
+	JMP     bvec
+
+btail:
+	CMPQ       DX, R9
+	JAE        bnext
+	VMASKMOVPS (DI)(DX*1), Y4, Y0
+	VMASKMOVPS (SI)(DX*1), Y4, Y1
+	VADDPS     Y1, Y0, Y0
+	TESTQ      R8, R8
+	JZ         btstore
+	VMAXPS     Y15, Y0, Y0
+
+btstore:
+	VMASKMOVPS Y0, Y4, (DI)(DX*1)
+
+bnext:
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  brow
+	VZEROUPPER
+	RET
+
+// RELU8(off, v) writes one vector of a full tile: dst = grad where
+// 0 < act (VCMPPS LT_OQ: false for NaN and ±0), +0 elsewhere.
+#define RELU8(off, v) \
+	VCMPPS  $0x11, off(R14), Y15, v \
+	VANDPS  off(R13), v, v          \
+	VMOVUPS v, off(AX)
+
+// MASKRELU8(off, mask, v) is RELU8 on the lanes mask passes.
+#define MASKRELU8(off, mask, v) \
+	VMASKMOVPS off(R14), mask, v \
+	VCMPPS     $0x11, v, Y15, v  \
+	VMASKMOVPS off(R13), mask, Y12 \
+	VANDPS     Y12, v, v         \
+	VMASKMOVPS v, mask, off(AX)
+
+// func avx2ReLUBackward(dst, grad, act, colSum *float32, rows, n, stride int)
+//
+// For the n columns from each pointer on, in rows rows stride floats
+// apart: dst = grad where 0 < act and +0 elsewhere, and colSum[j] = the
+// sum of dst[j] over the rows in order, from +0, each add sum + v. A
+// tile of 32 columns keeps its sums in Y0-Y3 down all the rows; the
+// last n mod 32 columns are one masked tile, of two vectors when it
+// has at most 16. rows and n must be positive.
+//
+//	DI dst          SI grad         BX act          R8 colSum
+//	R9 n·4          R11 stride·4    DX tile offset  R10 rows left
+//	AX, R13, R14 dst, grad, act at the row
+TEXT ·avx2ReLUBackward(SB), NOSPLIT, $0-56
+	MOVQ   dst+0(FP), DI
+	MOVQ   grad+8(FP), SI
+	MOVQ   act+16(FP), BX
+	MOVQ   colSum+24(FP), R8
+	MOVQ   n+40(FP), R9
+	MOVQ   stride+48(FP), R11
+	MOVQ   R9, AX
+	ANDQ   $31, AX
+	LOADTAILMASKS(AX, R12)
+	SHLQ   $2, R9
+	SHLQ   $2, R11
+	VXORPS Y15, Y15, Y15
+	XORQ   DX, DX
+
+rtile:
+	LEAQ   128(DX), R12
+	CMPQ   R12, R9
+	JA     rtail
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ   (DI)(DX*1), AX
+	LEAQ   (SI)(DX*1), R13
+	LEAQ   (BX)(DX*1), R14
+	MOVQ   rows+32(FP), R10
+
+rrow:
+	RELU8(0, Y8)
+	RELU8(32, Y9)
+	RELU8(64, Y10)
+	RELU8(96, Y11)
+	VADDPS  Y8, Y0, Y0
+	VADDPS  Y9, Y1, Y1
+	VADDPS  Y10, Y2, Y2
+	VADDPS  Y11, Y3, Y3
+	ADDQ    R11, AX
+	ADDQ    R11, R13
+	ADDQ    R11, R14
+	DECQ    R10
+	JNZ     rrow
+	VMOVUPS Y0, (R8)(DX*1)
+	VMOVUPS Y1, 32(R8)(DX*1)
+	VMOVUPS Y2, 64(R8)(DX*1)
+	VMOVUPS Y3, 96(R8)(DX*1)
+	ADDQ    $128, DX
+	JMP     rtile
+
+rtail:
+	CMPQ   DX, R9
+	JAE    rdone
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ   (DI)(DX*1), AX
+	LEAQ   (SI)(DX*1), R13
+	LEAQ   (BX)(DX*1), R14
+	MOVQ   rows+32(FP), R10
+	LEAQ   64(DX), R12
+	CMPQ   R12, R9
+	JAE    rnarrow
+
+rtrow:
+	MASKRELU8(0, Y4, Y8)
+	MASKRELU8(32, Y5, Y9)
+	MASKRELU8(64, Y6, Y10)
+	MASKRELU8(96, Y7, Y11)
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	VADDPS Y10, Y2, Y2
+	VADDPS Y11, Y3, Y3
+	ADDQ   R11, AX
+	ADDQ   R11, R13
+	ADDQ   R11, R14
+	DECQ   R10
+	JNZ    rtrow
+	VMASKMOVPS Y0, Y4, (R8)(DX*1)
+	VMASKMOVPS Y1, Y5, 32(R8)(DX*1)
+	VMASKMOVPS Y2, Y6, 64(R8)(DX*1)
+	VMASKMOVPS Y3, Y7, 96(R8)(DX*1)
+	JMP        rdone
+
+// A tail of at most 16 columns works only the two vectors that have
+// live lanes.
+rnarrow:
+	MASKRELU8(0, Y4, Y8)
+	MASKRELU8(32, Y5, Y9)
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	ADDQ   R11, AX
+	ADDQ   R11, R13
+	ADDQ   R11, R14
+	DECQ   R10
+	JNZ    rnarrow
+	VMASKMOVPS Y0, Y4, (R8)(DX*1)
+	VMASKMOVPS Y1, Y5, 32(R8)(DX*1)
+
+rdone:
+	VZEROUPPER
+	RET
+
+// func avx2ScatterRows(dst, src *float32, ids *int32, count, n int, c float32)
+//
+// dst[ids[q]*n+j] = dst[ids[q]*n+j] + src[j]·c for q = 0 … count-1 in
+// order: the mirror of avx2AddRows. A tile's products are the same for
+// every row, so they are taken once, into Y0-Y3, with the operands in
+// the Go loop's order. count and n must be positive, every id a row of
+// dst, and src must not overlap dst.
+//
+//	DI dst          SI src          BX ids          CX count
+//	R9 n·4          R10 q           DX tile offset  R12 row offset
+//	AX dst at tile  Y8 c
+TEXT ·avx2ScatterRows(SB), NOSPLIT, $0-44
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         ids+16(FP), BX
+	MOVQ         count+24(FP), CX
+	MOVQ         n+32(FP), R9
+	VBROADCASTSS c+40(FP), Y8
+	MOVQ         R9, AX
+	ANDQ         $31, AX
+	LOADTAILMASKS(AX, R12)
+	SHLQ         $2, R9
+	XORQ         DX, DX
+
+stile:
+	LEAQ    128(DX), R12
+	CMPQ    R12, R9
+	JA      stail
+	VMOVUPS (SI)(DX*1), Y0
+	VMOVUPS 32(SI)(DX*1), Y1
+	VMOVUPS 64(SI)(DX*1), Y2
+	VMOVUPS 96(SI)(DX*1), Y3
+	VMULPS  Y8, Y0, Y0
+	VMULPS  Y8, Y1, Y1
+	VMULPS  Y8, Y2, Y2
+	VMULPS  Y8, Y3, Y3
+	LEAQ    (DI)(DX*1), AX
+	XORQ    R10, R10
+
+sstep:
+	MOVLQSX (BX)(R10*4), R12
+	IMULQ   R9, R12
+	VMOVUPS (AX)(R12*1), Y9
+	VMOVUPS 32(AX)(R12*1), Y10
+	VMOVUPS 64(AX)(R12*1), Y11
+	VMOVUPS 96(AX)(R12*1), Y12
+	VADDPS  Y0, Y9, Y9
+	VADDPS  Y1, Y10, Y10
+	VADDPS  Y2, Y11, Y11
+	VADDPS  Y3, Y12, Y12
+	VMOVUPS Y9, (AX)(R12*1)
+	VMOVUPS Y10, 32(AX)(R12*1)
+	VMOVUPS Y11, 64(AX)(R12*1)
+	VMOVUPS Y12, 96(AX)(R12*1)
+	INCQ    R10
+	CMPQ    R10, CX
+	JB      sstep
+	ADDQ    $128, DX
+	JMP     stile
+
+stail:
+	CMPQ       DX, R9
+	JAE        sdone
+	LEAQ       (DI)(DX*1), AX
+	XORQ       R10, R10
+	LEAQ       64(DX), R12
+	CMPQ       R12, R9
+	JAE        snarrow
+	VMASKMOVPS (SI)(DX*1), Y4, Y0
+	VMASKMOVPS 32(SI)(DX*1), Y5, Y1
+	VMASKMOVPS 64(SI)(DX*1), Y6, Y2
+	VMASKMOVPS 96(SI)(DX*1), Y7, Y3
+	VMULPS     Y8, Y0, Y0
+	VMULPS     Y8, Y1, Y1
+	VMULPS     Y8, Y2, Y2
+	VMULPS     Y8, Y3, Y3
+
+ststep:
+	MOVLQSX    (BX)(R10*4), R12
+	IMULQ      R9, R12
+	VMASKMOVPS (AX)(R12*1), Y4, Y9
+	VMASKMOVPS 32(AX)(R12*1), Y5, Y10
+	VMASKMOVPS 64(AX)(R12*1), Y6, Y11
+	VMASKMOVPS 96(AX)(R12*1), Y7, Y12
+	VADDPS     Y0, Y9, Y9
+	VADDPS     Y1, Y10, Y10
+	VADDPS     Y2, Y11, Y11
+	VADDPS     Y3, Y12, Y12
+	VMASKMOVPS Y9, Y4, (AX)(R12*1)
+	VMASKMOVPS Y10, Y5, 32(AX)(R12*1)
+	VMASKMOVPS Y11, Y6, 64(AX)(R12*1)
+	VMASKMOVPS Y12, Y7, 96(AX)(R12*1)
+	INCQ       R10
+	CMPQ       R10, CX
+	JB         ststep
+	JMP        sdone
+
+// A tail of at most 16 columns works only the two vectors that have
+// live lanes.
+snarrow:
+	VMASKMOVPS (SI)(DX*1), Y4, Y0
+	VMASKMOVPS 32(SI)(DX*1), Y5, Y1
+	VMULPS     Y8, Y0, Y0
+	VMULPS     Y8, Y1, Y1
+
+snstep:
+	MOVLQSX    (BX)(R10*4), R12
+	IMULQ      R9, R12
+	VMASKMOVPS (AX)(R12*1), Y4, Y9
+	VMASKMOVPS 32(AX)(R12*1), Y5, Y10
+	VADDPS     Y0, Y9, Y9
+	VADDPS     Y1, Y10, Y10
+	VMASKMOVPS Y9, Y4, (AX)(R12*1)
+	VMASKMOVPS Y10, Y5, 32(AX)(R12*1)
+	INCQ       R10
+	CMPQ       R10, CX
+	JB         snstep
+
+sdone:
 	VZEROUPPER
 	RET

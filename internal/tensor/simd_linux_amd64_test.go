@@ -66,6 +66,8 @@ func guardedMatrix(t *testing.T, rows, cols int, zeros bool) *Matrix {
 // depths on either side of the 8-entry group and the 64-entry chunk. A
 // kernel whose masked tail loaded a whole vector, whose group test read
 // past the end of a, or whose last row read on into the next, dies here.
+// The per-element passes run on the same operands: bias and ReLU on
+// dst, ReLU backward reading dst as its gradient, the scatter into b.
 func TestRowKernelsStayInsideOperands(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const m = 3
@@ -85,7 +87,10 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 					rowMulAdd(dst.Row(m-1), a.Row(m-1), b)
 					ids := guarded[int32](t, 3)
 					ids[0], ids[2] = int32(k-1), int32(k-1)
-					addRows(guarded[float32](t, n), b, ids)
+					addRows(guarded[float32](t, n), b, ids, 0.5)
+					addBiasRows(dst.Data, guardedMatrix(t, 1, n, zeros).Data, zeros)
+					reluBackwardCols(guardedMatrix(t, m, n, zeros), dst, guardedMatrix(t, m, n, zeros), guarded[float32](t, n), 0, n)
+					scatterRows(b.Data, ids, guardedMatrix(t, 1, n, zeros).Data, 0.5)
 				}()
 			}
 		}

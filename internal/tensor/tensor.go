@@ -4,9 +4,9 @@
 // plain Go loops — register-accumulated and ordered for the cache, but
 // not blocked over the reduction — parallelised over a bounded worker
 // pool, and the handful of elementwise and reduction kernels
-// backpropagation needs. On amd64 CPUs with AVX2 the row loops of a·b,
-// aᵀ·b and the neighbour sum run in assembly that computes the same
-// bits (simd_amd64.s); the Go loops are the portable path.
+// backpropagation needs. With AVX2 on amd64 the row loops (products,
+// neighbour sum, bias and ReLU, ReLU backward, scatter) run in assembly
+// that computes the same bits (simd_amd64.s); Go loops are the fallback.
 //
 // Everything is deterministic: a kernel may choose which output element
 // it works on when, but never reorders the floating-point reduction that
@@ -57,11 +57,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero sets every element of m to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // Fill sets every element of m to v.
 func (m *Matrix) Fill(v float32) {
