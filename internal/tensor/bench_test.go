@@ -32,8 +32,9 @@ func benchDense(b *testing.B, kern denseKernel, workers, m, k, n int, sparse boo
 var stepShapes = [][3]int{{7910, 128, 32}, {1336, 64, 32}, {128, 64, 10}}
 
 // benchStep times one kernel on stepShapes, on dense operands and,
-// under sparse/, on a half-zero left operand. shape maps a triple to the
-// kernel's logical (m, k, n).
+// under sparse/, on a half-zero left operand, on each path: the
+// portable loops, then every SIMD kernel the CPU has (simdKernels).
+// shape maps a triple to the kernel's logical (m, k, n).
 func benchStep(b *testing.B, kern denseKernel, shape func(numDst, in2, out int) (m, k, n int)) {
 	shapes := func(b *testing.B, sparse bool) {
 		for _, s := range stepShapes {
@@ -43,8 +44,13 @@ func benchStep(b *testing.B, kern denseKernel, shape func(numDst, in2, out int) 
 			})
 		}
 	}
-	shapes(b, false)
-	b.Run("sparse", func(b *testing.B) { shapes(b, true) })
+	for _, path := range append([]rowKernel{portableKernels}, simdKernels()...) {
+		b.Run(path.name, func(b *testing.B) {
+			path.use(b)
+			shapes(b, false)
+			b.Run("sparse", func(b *testing.B) { shapes(b, true) })
+		})
+	}
 }
 
 func BenchmarkMatMul128(b *testing.B)          { benchDense(b, kernMatMul, 1, 128, 128, 128, false) }

@@ -138,7 +138,7 @@ func TestDenseKernelsBitEqualReference(t *testing.T) {
 	}
 	for _, portable := range []bool{false, true} {
 		if portable {
-			usePortableKernels(t)
+			portableKernels.use(t)
 		}
 		for _, kern := range []denseKernel{kernMatMul, kernMatMulAT} {
 			for _, sh := range shapes {
@@ -167,18 +167,29 @@ func TestDenseKernelsBitEqualReference(t *testing.T) {
 	}
 }
 
-// usePortableKernels puts the Go row loops in charge for the rest of
-// the test, whatever start-up selected.
-func usePortableKernels(t *testing.T) {
+// rowKernel names one way the row loops can run: set puts it in charge,
+// whatever start-up selected, and returns what puts the previous
+// selection back. simdKernels lists the dense kernels this CPU has
+// besides the portable loops.
+type rowKernel struct {
+	name string
+	set  func() (restore func())
+}
+
+// use puts k in charge for the rest of tb.
+func (k rowKernel) use(tb testing.TB) { tb.Cleanup(k.set()) }
+
+// portableKernels is the Go row loops, all seven.
+var portableKernels = rowKernel{"portable", func() func() {
 	r, m, at, ad := rowMulAdd, matMulRows, matMulATRows, addRows
 	ab, rb, sc := addBiasRows, reluBackwardCols, scatterRows
 	rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddGo, matMulRowsGo, matMulATRowsGo, addRowsGo
 	addBiasRows, reluBackwardCols, scatterRows = addBiasRowsGo, reluBackwardColsGo, scatterRowsGo
-	t.Cleanup(func() {
+	return func() {
 		rowMulAdd, matMulRows, matMulATRows, addRows = r, m, at, ad
 		addBiasRows, reluBackwardCols, scatterRows = ab, rb, sc
-	})
-}
+	}
+}}
 
 // TestRowMulAddMatchesMatMulRow pins the exported row kernel to MatMul:
 // accumulating into a zeroed row is MatMul's row, for every count of
@@ -201,7 +212,8 @@ func TestRowMulAddMatchesMatMulRow(t *testing.T) {
 }
 
 // The tests below compare the row loops start-up selected — the AVX2
-// ones on an amd64 CPU that has them — with the portable Go loops, on
+// ones on an amd64 CPU that has them, and every dense kernel the CPU has
+// (simdKernels) — with the portable Go loops, on
 // storage laid out to catch what a vector kernel gets wrong: nothing
 // 32-byte aligned, every operand ending where its allocation ends, and
 // canaries on both sides of dst.
@@ -235,64 +247,87 @@ func fenced(m *Matrix) (fm *Matrix, check func(t *testing.T, what string)) {
 	}
 }
 
+// TestSelectedRowKernelsBitEqualPortable runs each dense kernel the CPU
+// has at every row count modulo the AVX-512 kernel's four-row pass, on
+// row ranges that start and end inside a pass, and the RowMulAdd start-up
+// selected.
 func TestSelectedRowKernelsBitEqualPortable(t *testing.T) {
-	const m = 5
-	// 8 and 64: the AVX2 row loop's group and chunk; 64 also MatMulAT's p block
-	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 24, 63, 64, 65, 130}
-	for n := 0; n <= 72; n++ {
-		for _, k := range ks {
-			for _, pattern := range []string{"third", "specials", "relu"} {
-				if pattern == "relu" && k != 16 && k != 24 {
-					continue
-				}
-				rng := rand.New(rand.NewSource(int64(n*1009 + k)))
-				a, at, b, init := randomMatrix(rng, m, k), randomMatrix(rng, k, m), randomMatrix(rng, k, n), randomMatrix(rng, m, n)
-				switch pattern {
-				case "relu":
-					reluZeros(rng, a)
-					reluZeros(rng, at)
-				default:
-					// every count of surviving entries modulo the Go loop's four-row pass
-					for z := 0; z < len(a.Data); z += 3 {
-						a.Data[z], at.Data[z] = 0, 0
+	kernels := simdKernels()
+	for m := 1; m <= 9; m++ {
+		// 8 and 64: the AVX2 row loop's group and chunk; 64 also MatMulAT's p block
+		ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 24, 63, 64, 65, 130}
+		if m != 5 { // AVX2's depth cases need one row count; the four-row pass, MatMulAT's p blocks
+			ks = []int{0, 1, 7, 8, 16, 63, 64, 65, 130}
+		}
+		for n := 0; n <= 72; n++ {
+			for _, k := range ks {
+				for _, pattern := range []string{"third", "specials", "relu"} {
+					if pattern == "relu" && k != 16 && k != 24 {
+						continue
 					}
+					rowKernelsBitEqualPortable(t, kernels, m, k, n, pattern)
 				}
-				if pattern == "specials" {
-					sprinkle(rng, a)
-					sprinkle(rng, at)
-					sprinkle(rng, b)
-					sprinkle(rng, init)
-				}
-				a, at, b = unaligned(a), unaligned(at), unaligned(b)
-				compare := func(kern string, run func(dst *Matrix), ref func(dst *Matrix), init *Matrix) {
-					t.Helper()
-					what := fmt.Sprintf("%s %dx%dx%d %s", kern, m, k, n, pattern)
-					got, check := fenced(init)
-					want := init.Clone()
-					run(got)
-					ref(want)
-					check(t, what)
-					if at, ok := sameBits(got, want); !ok {
-						t.Fatalf("%s: element %d = %g, portable %g", what, at, got.Data[at], want.Data[at])
-					}
-				}
-				// Rows outside [lo, hi) keep what they held.
-				for _, r := range [][2]int{{0, m}, {1, 4}, {2, 2}} {
-					lo, hi := r[0], r[1]
-					compare("matMulRows",
-						func(dst *Matrix) { matMulRows(dst, a, b, lo, hi) },
-						func(dst *Matrix) { matMulRowsGo(dst, a, b, lo, hi) }, init)
-					compare("matMulATRows",
-						func(dst *Matrix) { matMulATRows(dst, at, b, lo, hi) },
-						func(dst *Matrix) { matMulATRowsGo(dst, at, b, lo, hi) }, init)
-				}
-				// RowMulAdd accumulates into what dst holds.
-				compare("rowMulAdd",
-					func(dst *Matrix) { rowMulAdd(dst.Data, a.Data[:k], b) },
-					func(dst *Matrix) { rowMulAddGo(dst.Data, a.Data[:k], b) }, FromSlice(1, n, init.Data[:n]))
 			}
 		}
 	}
+}
+
+func rowKernelsBitEqualPortable(t *testing.T, kernels []rowKernel, m, k, n int, pattern string) {
+	rng := rand.New(rand.NewSource(int64(m*100003 + n*1009 + k)))
+	a, at, b, init := randomMatrix(rng, m, k), randomMatrix(rng, k, m), randomMatrix(rng, k, n), randomMatrix(rng, m, n)
+	switch pattern {
+	case "relu":
+		reluZeros(rng, a)
+		reluZeros(rng, at)
+	default:
+		// every count of surviving entries modulo the Go loop's four-row pass
+		for z := 0; z < len(a.Data); z += 3 {
+			a.Data[z], at.Data[z] = 0, 0
+		}
+	}
+	if pattern == "specials" {
+		sprinkle(rng, a)
+		sprinkle(rng, at)
+		sprinkle(rng, b)
+		sprinkle(rng, init)
+	}
+	a, at, b = unaligned(a), unaligned(at), unaligned(b)
+	compare := func(what string, got, want *Matrix, check func(*testing.T, string)) {
+		t.Helper()
+		what += fmt.Sprintf(" %dx%dx%d %s", m, k, n, pattern)
+		check(t, what)
+		if at, ok := sameBits(got, want); !ok {
+			t.Fatalf("%s: element %d = %g, portable %g", what, at, got.Data[at], want.Data[at])
+		}
+	}
+	// Rows outside [lo, hi) keep what they held.
+	for _, r := range [][2]int{{0, m}, {1, m}, {m / 2, m / 2}, {min(2, m), max(2, m-1)}} {
+		lo, hi := r[0], min(r[1], m)
+		for _, c := range []struct {
+			name      string
+			run, port func(dst *Matrix)
+		}{
+			{"matMulRows", func(d *Matrix) { matMulRows(d, a, b, lo, hi) }, func(d *Matrix) { matMulRowsGo(d, a, b, lo, hi) }},
+			{"matMulATRows", func(d *Matrix) { matMulATRows(d, at, b, lo, hi) }, func(d *Matrix) { matMulATRowsGo(d, at, b, lo, hi) }},
+		} {
+			want := init.Clone()
+			c.port(want)
+			for _, kern := range kernels {
+				got, check := fenced(init)
+				restore := kern.set()
+				c.run(got)
+				restore()
+				compare(fmt.Sprintf("%s [%d, %d) on %s", c.name, lo, hi, kern.name), got, want, check)
+			}
+		}
+	}
+	// RowMulAdd accumulates into what dst holds.
+	row := FromSlice(1, n, init.Data[:n])
+	got, check := fenced(row)
+	want := row.Clone()
+	rowMulAdd(got.Data, a.Data[:k], b)
+	rowMulAddGo(want.Data, a.Data[:k], b)
+	compare("rowMulAdd", got, want, check)
 }
 
 func TestSelectedAddRowsBitEqualPortable(t *testing.T) {
@@ -346,7 +381,7 @@ func TestRowKernelShapeMismatchPanics(t *testing.T) {
 	b, x := New(6, 8), New(6, 8)
 	for _, portable := range []bool{false, true} {
 		if portable {
-			usePortableKernels(t)
+			portableKernels.use(t)
 		}
 		mustPanic("RowMulAdd with a long dst", func() { RowMulAdd(make([]float32, 9), make([]float32, 6), b) })
 		mustPanic("RowMulAdd with a short dst", func() { RowMulAdd(make([]float32, 7), make([]float32, 6), b) })
@@ -367,10 +402,19 @@ func TestRowKernelShapeMismatchPanics(t *testing.T) {
 
 // FuzzRowMulAddPaths feeds the selected and the portable row kernel the
 // same raw bit patterns — denormals, NaNs, infinities, whatever the
-// fuzzer finds — at a fuzzed width.
+// fuzzer finds — at a fuzzed width. The same bytes, read as 4–7 rows of
+// a and of aᵀ, drive matMulRows and matMulATRows on every dense kernel
+// the CPU has, which the log names.
 func FuzzRowMulAddPaths(f *testing.F) {
 	f.Add(uint8(10), []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127, 0, 0, 128, 255})
 	f.Add(uint8(33), []byte("the dst row, then a, then as much of b as the bytes reach"))
+	kernels := simdKernels()
+	for _, kern := range kernels {
+		f.Logf("dense kernel under test: %s", kern.name)
+	}
+	if len(kernels) == 0 {
+		f.Log("no SIMD dense kernel on this CPU: only rowMulAdd's selected path runs")
+	}
 	f.Fuzz(func(t *testing.T, width uint8, raw []byte) {
 		n := int(width % 80)
 		vals := make([]float32, len(raw)/4)
@@ -392,6 +436,33 @@ func FuzzRowMulAddPaths(f *testing.F) {
 		check(t, "rowMulAdd")
 		if at, ok := sameBits(got, want); !ok {
 			t.Fatalf("width %d k %d: element %d = %g, portable %g", n, k, at, got.Data[at], want.Data[at])
+		}
+		// m rows of a, and of a k×m aᵀ: row i is a rotated by i entries.
+		m := 4 + int(width>>6)
+		rows := make([]float32, m*k)
+		for i := range rows {
+			rows[i] = vals[n+(i/k+i%k)%max(1, k)]
+		}
+		am, at := unaligned(FromSlice(m, k, rows)), unaligned(FromSlice(k, m, rows))
+		for _, kern := range kernels {
+			kern.use(t) // cleanups run last first, so the selected kernels come back
+			for _, c := range []struct {
+				name      string
+				run, port func(dst *Matrix)
+			}{
+				{"matMulRows", func(d *Matrix) { matMulRows(d, am, b, 0, m) }, func(d *Matrix) { matMulRowsGo(d, am, b, 0, m) }},
+				{"matMulATRows", func(d *Matrix) { matMulATRows(d, at, b, 0, m) }, func(d *Matrix) { matMulATRowsGo(d, at, b, 0, m) }},
+			} {
+				what := fmt.Sprintf("%s on %s, %d rows, width %d, k %d", c.name, kern.name, m, n, k)
+				got, check := fenced(New(m, n))
+				want := New(m, n)
+				c.run(got)
+				c.port(want)
+				check(t, what)
+				if at, ok := sameBits(got, want); !ok {
+					t.Fatalf("%s: element %d = %g, portable %g", what, at, got.Data[at], want.Data[at])
+				}
+			}
 		}
 	})
 }

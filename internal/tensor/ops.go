@@ -21,7 +21,8 @@ import (
 // The seven row loops below start out as the portable Go loops in this
 // file, all that other architectures and CPUs without AVX2 ever run and
 // what the SIMD tests compare against; simd_amd64.go swaps in an AVX2
-// twin of each at start-up when the CPU has AVX2.
+// twin of each at start-up when the CPU has AVX2. matMulRows and
+// matMulATRows then run the AVX-512 kernel where the CPU has AVX-512F.
 var (
 	rowMulAdd        = rowMulAddGo
 	matMulRows       = matMulRowsGo

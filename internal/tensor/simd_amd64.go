@@ -1,25 +1,36 @@
 package tensor
 
-// The AVX2 path of the row kernels in ops.go: simd_amd64.s holds the
-// loops, this file the start-up selection and the Go wrappers that turn
-// slices into the pointers and counts the assembly takes. A wrapper
-// passes on only shapes its caller has checked and never the address of
-// an empty slice, so the assembly sees positive counts and memory that
-// is there.
+// The AVX2 path of the row kernels in ops.go, and the AVX-512 kernel
+// under its dense products: simd_amd64.s holds the loops, this file the
+// start-up selection and the Go wrappers that turn slices into the
+// pointers and counts the assembly takes. A wrapper passes on only
+// shapes its caller has checked and never the address of an empty
+// slice, so the assembly sees positive counts and memory that is there.
 
 func init() {
-	if cpuHasAVX2() {
+	avx2, avx512 := cpuFeatures()
+	if avx2 {
 		rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddAVX2, matMulRowsAVX2, matMulATRowsAVX2, addRowsAVX2
 		addBiasRows, reluBackwardCols, scatterRows = addBiasRowsAVX2, reluBackwardColsAVX2, scatterRowsAVX2
 	}
+	if avx512 {
+		mulAddRows = avx512MulAddRows
+	}
 }
 
-// cpuHasAVX2 runs only here, at init: CPUID traps to the hypervisor on
+// cpuFeatures runs only here, at init: CPUID traps to the hypervisor on
 // a virtual machine, and one call per row doubled an epoch's time.
-func cpuHasAVX2() bool
+func cpuFeatures() (avx2, avx512 bool)
+
+// mulAddRows is the kernel under MatMul and MatMulAT, the AVX-512 one
+// where the CPU has it; RowMulAdd's single row keeps avx2MulAddRows.
+var mulAddRows = avx2MulAddRows
 
 //go:noescape
-func avx2MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int)
+func avx2MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int, zero bool)
+
+//go:noescape
+func avx512MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int, zero bool)
 
 //go:noescape
 func avx2AddRows(dst, x *float32, ids *int32, count, n int, c float32)
@@ -38,18 +49,18 @@ func rowMulAddAVX2(dst, a []float32, b *Matrix) {
 		return
 	}
 	bd := b.Data[:len(a)*len(dst)]
-	avx2MulAddRows(&dst[0], &a[0], &bd[0], 1, len(a), len(dst), len(a), 1)
+	avx2MulAddRows(&dst[0], &a[0], &bd[0], 1, len(a), len(dst), len(a), 1, false)
 }
 
 func matMulRowsAVX2(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Cols
 	d := dst.Data[lo*n : hi*n]
-	clear(d)
 	if len(d) == 0 || k == 0 {
+		clear(d)
 		return
 	}
 	ad, bd := a.Data[lo*k:hi*k], b.Data[:k*n]
-	avx2MulAddRows(&d[0], &ad[0], &bd[0], hi-lo, k, n, k, 1)
+	mulAddRows(&d[0], &ad[0], &bd[0], hi-lo, k, n, k, 1, true)
 }
 
 // matMulATBlock is how many rows of a and b one call reduces over. The
@@ -64,15 +75,15 @@ const matMulATBlock = 64
 func matMulATRowsAVX2(dst, a, b *Matrix, lo, hi int) {
 	k, m, n := a.Rows, a.Cols, b.Cols
 	d := dst.Data[lo*n : hi*n]
-	clear(d)
-	if len(d) == 0 {
+	if len(d) == 0 || k == 0 {
+		clear(d)
 		return
 	}
 	for p := 0; p < k; p += matMulATBlock {
 		kb := min(matMulATBlock, k-p)
 		// Columns lo … hi-1 of rows p … p+kb-1, first to last element.
 		ad, bd := a.Data[p*m+lo:(p+kb-1)*m+hi], b.Data[p*n:(p+kb)*n]
-		avx2MulAddRows(&d[0], &ad[0], &bd[0], hi-lo, kb, n, 1, m)
+		mulAddRows(&d[0], &ad[0], &bd[0], hi-lo, kb, n, 1, m, p == 0)
 	}
 }
 

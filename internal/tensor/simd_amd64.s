@@ -1,10 +1,11 @@
 #include "textflag.h"
 
-// AVX2 row loops for the multiply-accumulate kernels in ops.go. Every
-// lane does what the Go loops do per element: one rounded multiply
-// (VMULPS), then one rounded add (VADDPS), for ascending p. There is no
-// fused multiply-add anywhere in this file; a fused one rounds once and
-// would break bit equality with the portable path.
+// AVX2 row loops for the multiply-accumulate kernels in ops.go, and an
+// AVX-512 twin of the dense one. Every lane does what the Go loops do
+// per element: one rounded multiply (VMULPS), then one rounded add
+// (VADDPS), for ascending p. There is no fused multiply-add anywhere in
+// this file; a fused one rounds once and would break bit equality with
+// the portable path. Nor is there embedded rounding or SAE.
 //
 // A row of dst is worked on in column tiles of 32 floats held in Y0-Y3,
 // so the running sums stay in registers across the whole reduction. The
@@ -16,7 +17,14 @@
 // Which p are skipped, and in what order the rest arrive, is all the
 // zero-skip rule fixes; how they are found is free. avx2MulAddRows tests
 // a contiguous row of a eight entries at a time and walks the survivors
-// by bit scan instead of branching on each entry.
+// by bit scan instead of branching on each entry. avx512MulAddRows does
+// not branch at all: it adds every product under a mask that is clear
+// where a is ±0, and a masked-out lane of a merge-masked VADDPS keeps
+// its sum's bits exactly, −0 included, whatever the product was (NaN
+// from 0·Inf, say). That is what a skip leaves behind.
+//
+// NaN payloads match between the two: both multiply as a·b, with a's
+// broadcast as the first source, and add as sum + product.
 
 // tailmask<> is 32 all-ones dwords followed by 32 zero dwords. The eight
 // dwords starting at index 32-rem+8v are the mask of vector v of a tile
@@ -48,12 +56,16 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $256
 	VMOVDQU 192(tmp)(rem*4), Y6    \
 	VMOVDQU 224(tmp)(rem*4), Y7
 
-// func cpuHasAVX2() bool
+// func cpuFeatures() (avx2, avx512 bool)
 //
-// AVX2 is usable when CPUID reports AVX, AVX2 and OSXSAVE, and XGETBV
-// says the OS saves the XMM and YMM state.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// Both need CPUID's OSXSAVE and AVX, and XGETBV's XCR0 to say the OS
+// saves the state the registers use. AVX2 is usable with the XMM and
+// YMM state (XCR0 bits 1 and 2) and leaf 7's AVX2 bit; AVX-512F also
+// needs the opmask and both ZMM halves (bits 5, 6 and 7) and leaf 7's
+// AVX512F bit.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, avx512+1(FP)
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
@@ -66,14 +78,21 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JNE  nope
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX          // XCR0: SSE (1) and AVX (2) state enabled
-	CMPL AX, $6
-	JNE  nope
+	MOVL AX, R8          // XCR0
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
+	MOVL R8, CX
+	ANDL $6, CX          // SSE (1) and AVX (2) state enabled
+	CMPL CX, $6
+	JNE  nope
 	BTL  $5, BX          // AVX2
-	SETCS ret+0(FP)
+	SETCS avx2+0(FP)
+	ANDL $0xe6, R8       // and opmask (5), ZMM_Hi256 (6), Hi16_ZMM (7)
+	CMPL R8, $0xe6
+	JNE  nope
+	BTL  $16, BX         // AVX512F
+	SETCS avx512+1(FP)
 nope:
 	RET
 
@@ -142,11 +161,12 @@ nope:
 	muladd(AX)                \
 	ADDQ         R9, AX
 
-// func avx2MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int)
+// func avx2MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int, zero bool)
 //
 // For i in [0, rows): dst[i*n+j] += a[i*aRow+p*aStep] · b[p*n+j] for
 // p = 0 … k-1 in order, skipping p where the a element is ±0. rows, k
-// and n must be positive.
+// and n must be positive. With zero the sums start from +0 instead of
+// from dst, which is then only written.
 //
 // When a row of a is contiguous (aStep 1), its entries are tested in
 // chunks of up to 64, a whole number of 8-entry groups: per group,
@@ -165,7 +185,7 @@ nope:
 //	R14, CX scratch Y13 group test  Y15 zero
 //
 // The rows left are counted down in the rows argument.
-TEXT ·avx2MulAddRows(SB), NOSPLIT, $0-64
+TEXT ·avx2MulAddRows(SB), NOSPLIT, $0-65
 	MOVQ   dst+0(FP), DI
 	MOVQ   a+8(FP), SI
 	MOVQ   b+16(FP), BX
@@ -185,10 +205,18 @@ tile:
 	LEAQ    128(DX), R12
 	CMPQ    R12, R9
 	JA      tail
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	CMPB    zero+64(FP), $0
+	JNE     sums
 	VMOVUPS (DI)(DX*1), Y0
 	VMOVUPS 32(DI)(DX*1), Y1
 	VMOVUPS 64(DI)(DX*1), Y2
 	VMOVUPS 96(DI)(DX*1), Y3
+
+sums:
 	MOVQ    SI, R13
 	LEAQ    (BX)(DX*1), AX
 	MOVQ    k+32(FP), R10
@@ -283,10 +311,18 @@ tail:
 	LEAQ       64(DX), R12
 	CMPQ       R12, R9
 	JAE        narrow
+	VXORPS     Y0, Y0, Y0
+	VXORPS     Y1, Y1, Y1
+	VXORPS     Y2, Y2, Y2
+	VXORPS     Y3, Y3, Y3
+	CMPB       zero+64(FP), $0
+	JNE        tsums
 	VMASKMOVPS (DI)(DX*1), Y4, Y0
 	VMASKMOVPS 32(DI)(DX*1), Y5, Y1
 	VMASKMOVPS 64(DI)(DX*1), Y6, Y2
 	VMASKMOVPS 96(DI)(DX*1), Y7, Y3
+
+tsums:
 	MOVQ       SI, R13
 	LEAQ       (BX)(DX*1), AX
 	MOVQ       k+32(FP), R10
@@ -377,8 +413,14 @@ tstore:
 // A tail of at most 16 columns works only the two vectors that have
 // live lanes.
 narrow:
+	VXORPS     Y0, Y0, Y0
+	VXORPS     Y1, Y1, Y1
+	CMPB       zero+64(FP), $0
+	JNE        nsums
 	VMASKMOVPS (DI)(DX*1), Y4, Y0
 	VMASKMOVPS 32(DI)(DX*1), Y5, Y1
+
+nsums:
 	MOVQ       SI, R13
 	LEAQ       (BX)(DX*1), AX
 	MOVQ       k+32(FP), R10
@@ -469,6 +511,168 @@ next:
 	LEAQ (SI)(R12*4), SI
 	DECQ rows+24(FP)
 	JNZ  row
+	VZEROUPPER
+	RET
+
+// func avx512MulAddRows(dst, a, b *float32, rows, k, n, aRow, aStep int, zero bool)
+//
+// avx2MulAddRows in ZMM registers, four dst rows at a time: the same
+// contract and the same sums, in the same order, bit for bit. It uses
+// K1-K7 only (K0 means no mask) and leaves R15 alone. A 32-column tile of a row is
+// Z0-Z1, Z2-Z3, Z4-Z5 or Z6-Z7, so one pass holds 8 sums. Per p it loads
+// b's two vectors once for the four rows, broadcasts the four a
+// entries, compares each with zero into K1-K4 (NEQ_UQ: NaN counts as
+// nonzero, ±0 does not), multiplies, and adds under those masks. Nothing
+// branches on a zero, so a half-zero a costs what a dense one does.
+//
+// Every tile's loads and stores go through K5-K6: all ones on a whole
+// tile, the live columns on the last n mod 32. A masked-out lane is
+// neither read nor written and cannot fault. When fewer than four rows
+// are left, the missing rows repeat the last one: they read the same a
+// and dst and store the same bits to the same row.
+//
+//	DI dst row      SI a row        BX b            R9 n·4
+//	R10 p left      R11 aStep·4     DX tile offset  R13 a element
+//	AX b row at tile                R8, R12, R14 a rows 1-3 from R13
+//	CX scratch      Z31 zero        d1-d3 dst rows 1-3 from DI
+TEXT ·avx512MulAddRows(SB), NOSPLIT, $24-65
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), BX
+	MOVQ   n+40(FP), R9
+	MOVQ   aStep+56(FP), R11
+	SHLQ   $2, R9
+	SHLQ   $2, R11
+	VPXORD Z31, Z31, Z31
+
+// Row i of the group is row min(i, rows left - 1).
+group:
+	MOVQ    rows+24(FP), CX
+	DECQ    CX
+	MOVL    $1, R8
+	CMPQ    CX, R8
+	CMOVQLT CX, R8
+	MOVL    $2, R12
+	CMPQ    CX, R12
+	CMOVQLT CX, R12
+	MOVL    $3, R14
+	CMPQ    CX, R14
+	CMOVQLT CX, R14
+	MOVQ    R8, CX
+	IMULQ   R9, CX
+	MOVQ    CX, d1-8(SP)
+	MOVQ    R12, CX
+	IMULQ   R9, CX
+	MOVQ    CX, d2-16(SP)
+	MOVQ    R14, CX
+	IMULQ   R9, CX
+	MOVQ    CX, d3-24(SP)
+	MOVQ    aRow+48(FP), CX
+	SHLQ    $2, CX
+	IMULQ   CX, R8
+	IMULQ   CX, R12
+	IMULQ   CX, R14
+	XORQ    DX, DX
+
+// K5-K6 pass the first min(32, columns left) lanes of the tile.
+tile:
+	MOVQ  R9, CX
+	SUBQ  DX, CX
+	SHRQ  $2, CX
+	MOVL  $-1, R10
+	CMPQ  CX, $32
+	JAE   masked
+	MOVL  $1, R10
+	SHLL  CX, R10
+	DECL  R10
+
+masked:
+	KMOVW R10, K5
+	SHRL  $16, R10
+	KMOVW R10, K6
+	LEAQ  (DI)(DX*1), CX
+	CMPB  zero+64(FP), $0
+	JNE   fresh
+	VMOVUPS.Z (CX), K5, Z0
+	VMOVUPS.Z 64(CX), K6, Z1
+	MOVQ      d1-8(SP), R10
+	VMOVUPS.Z (CX)(R10*1), K5, Z2
+	VMOVUPS.Z 64(CX)(R10*1), K6, Z3
+	MOVQ      d2-16(SP), R10
+	VMOVUPS.Z (CX)(R10*1), K5, Z4
+	VMOVUPS.Z 64(CX)(R10*1), K6, Z5
+	MOVQ      d3-24(SP), R10
+	VMOVUPS.Z (CX)(R10*1), K5, Z6
+	VMOVUPS.Z 64(CX)(R10*1), K6, Z7
+	JMP       sums
+
+fresh:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+sums:
+	MOVQ SI, R13
+	LEAQ (BX)(DX*1), AX
+	MOVQ k+32(FP), R10
+
+step:
+	VMOVUPS.Z    (AX), K5, Z8
+	VMOVUPS.Z    64(AX), K6, Z9
+	VBROADCASTSS (R13), Z10
+	VBROADCASTSS (R13)(R8*1), Z11
+	VBROADCASTSS (R13)(R12*1), Z12
+	VBROADCASTSS (R13)(R14*1), Z13
+	VCMPPS       $4, Z31, Z10, K1
+	VCMPPS       $4, Z31, Z11, K2
+	VCMPPS       $4, Z31, Z12, K3
+	VCMPPS       $4, Z31, Z13, K4
+	VMULPS       Z8, Z10, Z14
+	VMULPS       Z9, Z10, Z15
+	VMULPS       Z8, Z11, Z16
+	VMULPS       Z9, Z11, Z17
+	VMULPS       Z8, Z12, Z18
+	VMULPS       Z9, Z12, Z19
+	VMULPS       Z8, Z13, Z20
+	VMULPS       Z9, Z13, Z21
+	VADDPS       Z14, Z0, K1, Z0
+	VADDPS       Z15, Z1, K1, Z1
+	VADDPS       Z16, Z2, K2, Z2
+	VADDPS       Z17, Z3, K2, Z3
+	VADDPS       Z18, Z4, K3, Z4
+	VADDPS       Z19, Z5, K3, Z5
+	VADDPS       Z20, Z6, K4, Z6
+	VADDPS       Z21, Z7, K4, Z7
+	ADDQ         R9, AX
+	ADDQ         R11, R13
+	DECQ         R10
+	JNZ          step
+	LEAQ         (DI)(DX*1), CX
+	VMOVUPS      Z0, K5, (CX)
+	VMOVUPS      Z1, K6, 64(CX)
+	MOVQ         d1-8(SP), R10
+	VMOVUPS      Z2, K5, (CX)(R10*1)
+	VMOVUPS      Z3, K6, 64(CX)(R10*1)
+	MOVQ         d2-16(SP), R10
+	VMOVUPS      Z4, K5, (CX)(R10*1)
+	VMOVUPS      Z5, K6, 64(CX)(R10*1)
+	MOVQ         d3-24(SP), R10
+	VMOVUPS      Z6, K5, (CX)(R10*1)
+	VMOVUPS      Z7, K6, 64(CX)(R10*1)
+	ADDQ         $128, DX
+	CMPQ         DX, R9
+	JB           tile
+	LEAQ         (DI)(R9*4), DI
+	MOVQ         aRow+48(FP), CX
+	SHLQ         $4, CX
+	ADDQ         CX, SI
+	SUBQ         $4, rows+24(FP)
+	JG           group
 	VZEROUPPER
 	RET
 

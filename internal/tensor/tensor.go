@@ -6,7 +6,8 @@
 // pool, and the handful of elementwise and reduction kernels
 // backpropagation needs. With AVX2 on amd64 the row loops (products,
 // neighbour sum, bias and ReLU, ReLU backward, scatter) run in assembly
-// that computes the same bits (simd_amd64.s); Go loops are the fallback.
+// that computes the same bits (simd_amd64.s), the products in AVX-512
+// where the CPU has it; Go loops are the fallback.
 //
 // Everything is deterministic: a kernel may choose which output element
 // it works on when, but never reorders the floating-point reduction that
@@ -97,25 +98,4 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 		}
 	}
 	return max
-}
-
-// String renders small matrices for debugging; large matrices are
-// summarised by shape.
-func (m *Matrix) String() string {
-	if m.Rows*m.Cols > 64 {
-		return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
-	}
-	s := fmt.Sprintf("Matrix(%dx%d)[", m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		if i > 0 {
-			s += "; "
-		}
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%g", m.At(i, j))
-		}
-	}
-	return s + "]"
 }

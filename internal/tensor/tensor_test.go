@@ -136,17 +136,6 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
-func TestStringSmallAndLarge(t *testing.T) {
-	small := FromSlice(1, 2, []float32{1, 2})
-	if got := small.String(); got != "Matrix(1x2)[1 2]" {
-		t.Fatalf("String() = %q", got)
-	}
-	large := New(100, 100)
-	if got := large.String(); got != "Matrix(100x100)" {
-		t.Fatalf("large String() = %q", got)
-	}
-}
-
 // CopyFrom copies src into m. The shapes must match.
 func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
