@@ -14,7 +14,7 @@ import (
 // scaled unit dataset on 1, 2 and 4 replicas, and one replica at the
 // shape of the repo benchmark's train_single workload (arxiv-sim@x16 cut
 // to 512 targets, fan-outs 15/10/5, 3-layer SAGE, n = s = t = 1) — the
-// epoch that tensor's BenchmarkRowMulAdd kernel pays for. shard_exact is
+// epoch whose dense products tensor's *Tall benchmarks time. shard_exact is
 // the shape of train_shard_exact: the same graph cut to 2 048 targets
 // and written as 4 file-backed shards, fan-outs 10/5, 2 replicas reading
 // the loaded shards, timed after two warm epochs (pool growth).

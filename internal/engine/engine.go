@@ -375,7 +375,8 @@ func (rep *replica) step(bd batchData) {
 // Features and labels flow through replica 0's data source, so sharded
 // and single-store runs evaluate identically; a source error (a sharded
 // source can fail on an unmapped node; the in-memory source cannot) is
-// returned, never scored as accuracy 0.
+// returned, never scored as accuracy 0. It runs the model's Infer, so
+// the training step's activation cache is left as it was.
 func (e *Engine) Evaluate(ids []graph.NodeID) (float64, error) {
 	if len(ids) == 0 {
 		return 0, nil
@@ -395,12 +396,13 @@ func (e *Engine) Evaluate(ids []graph.NodeID) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		logits := rep.model.Forward(rep.trainPool, mb, x0)
+		logits := rep.model.Infer(rep.trainPool, mb, x0)
 		labels, err := rep.source.TargetLabels(targets)
 		if err != nil {
 			return 0, err
 		}
 		correctWeighted += nn.Accuracy(logits, labels) * float64(len(targets))
+		rep.model.Buffers().Put(logits)
 		rep.model.Buffers().Put(x0)
 	}
 	return correctWeighted / float64(len(ids)), nil

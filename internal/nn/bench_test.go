@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -89,20 +90,25 @@ func BenchmarkSAGEForwardPooled1(b *testing.B) { benchForward(b, KindSAGE, 1) }
 func BenchmarkSAGEForwardPooled8(b *testing.B) { benchForward(b, KindSAGE, 8) }
 func BenchmarkGCNForwardPooled8(b *testing.B)  { benchForward(b, KindGCN, 8) }
 
-// BenchmarkSAGEInferFused measures the serving path: fused
-// gather+aggregate+matmul per row, no intermediate concat matrix.
-func BenchmarkSAGEInferFused8(b *testing.B) {
+// BenchmarkSAGEInfer measures the serving path, a 2-layer SAGE Infer
+// with every matrix recycled, on one worker (what argo-serve runs) and
+// on eight.
+func BenchmarkSAGEInfer(b *testing.B) {
 	mb, x0 := benchBatch(b, 2)
 	m, err := NewModel(ModelSpec{Kind: KindSAGE, Dims: []int{64, 32, 8}, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := tensor.NewPool(8)
-	m.Buffers().Put(m.Infer(pool, mb, x0)) // warm the buffer pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		m.Buffers().Put(m.Infer(pool, mb, x0))
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("t%d", workers), func(b *testing.B) {
+			pool := tensor.NewPool(workers)
+			m.Buffers().Put(m.Infer(pool, mb, x0)) // warm the buffer pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				m.Buffers().Put(m.Infer(pool, mb, x0))
+			}
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ func randFeatures(rows, cols int, seed int64) *tensor.Matrix {
 	return m
 }
 
-// TestInferMatchesForwardBitwise pins the fused serving path to the
+// TestInferMatchesForwardBitwise pins the serving path to the
 // training forward pass: identical logits, bit for bit, for every model
 // kind, both batch layouts (blocks and subgraph), and any worker count.
 func TestInferMatchesForwardBitwise(t *testing.T) {
@@ -78,6 +78,59 @@ func TestInferMatchesForwardBitwise(t *testing.T) {
 					}
 				}
 				m.Buffers().Put(inf)
+			}
+		}
+	}
+}
+
+// TestInferLeavesBackwardCache: an Infer between a Forward and its
+// Backward changes no bit of the parameter gradients. Infer shares the
+// layers' aggregate and dense steps and their buffer pool with Forward,
+// so this pins that it neither writes the activation cache nor hands
+// out the cached matrices, for every model kind on both batch layouts.
+func TestInferLeavesBackwardCache(t *testing.T) {
+	g, _ := powerLawGraph(t, 300, 2400)
+	feats := randFeatures(g.NumNodes, 7, 2)
+	degrees := Degrees(g)
+	samplers := map[string]sampler.Sampler{
+		"neighbor": sampler.NewNeighbor(g, []int{4, 4}),
+		"shadow":   sampler.NewShaDow(g, []int{3, 2}, 2),
+	}
+	for _, kind := range []ModelKind{KindSAGE, KindGCN, KindGIN} {
+		m, err := NewModel(ModelSpec{Kind: kind, Dims: []int{7, 6, 5}, Seed: 11}, degrees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range samplers {
+			rng := rand.New(rand.NewSource(9))
+			mb1 := s.Sample(rng, []graph.NodeID{0, 5, 17, 42, 99, 250})
+			mb2 := s.Sample(rng, []graph.NodeID{1, 3, 64, 128})
+			x1 := GatherPooled(nil, feats, mb1.InputNodes())
+			x2 := GatherPooled(nil, feats, mb2.InputNodes())
+			for _, workers := range []int{1, 3} {
+				pool := tensor.NewPool(workers)
+				grads := func(infer bool) []*tensor.Matrix {
+					m.ZeroGrad()
+					logits := m.Forward(pool, mb1, x1)
+					dLogits := randFeatures(logits.Rows, logits.Cols, 5)
+					if infer {
+						m.Buffers().Put(m.Infer(pool, mb2, x2))
+					}
+					m.Backward(pool, dLogits)
+					var out []*tensor.Matrix
+					for _, p := range m.Params() {
+						out = append(out, p.Grad.Clone())
+					}
+					return out
+				}
+				want, got := grads(false), grads(true)
+				for i, p := range m.Params() {
+					for j, v := range want[i].Data {
+						if math.Float32bits(v) != math.Float32bits(got[i].Data[j]) {
+							t.Fatalf("%s/%s/w%d: %s grad %d = %v after an Infer, %v without", kind, name, workers, p.Name, j, got[i].Data[j], v)
+						}
+					}
+				}
 			}
 		}
 	}

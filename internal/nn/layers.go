@@ -17,8 +17,8 @@ import (
 // exactly one model replica and processes one batch at a time (matching
 // how the training engine drives it); the replicas' layers share the
 // weight and bias matrices and own the gradients. A layer's Forward
-// output is valid until that layer's next Forward or Infer call — with
-// buffer pooling the storage is recycled into the next batch.
+// output is valid until that layer's next Forward call — with buffer
+// pooling the storage is recycled into the next batch.
 type Layer struct {
 	InDim, OutDim int
 	Relu          bool   // skipped on the output layer
@@ -70,45 +70,43 @@ func blockCost(b *sampler.Block) func(i int) int {
 	return func(i int) int { return 1 + len(b.Neighbors(i)) }
 }
 
-// Forward aggregates x over b and applies the dense map.
+// Forward is aggregate then dense, caching both results for Backward.
 func (l *Layer) Forward(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *tensor.Matrix {
-	l.agg.check(b)
 	// Recycle the previous batch's activations: the layer processes one
 	// batch at a time, so by the time Forward runs again the prior
 	// output has been consumed.
 	l.bufs.Put(l.in)
 	l.bufs.Put(l.out)
-	l.in = l.bufs.GetDirty(b.NumDst, l.Weight.W.Rows)
-	pool.ParallelWeighted(b.NumDst, blockCost(b), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			l.agg.fill(l.in.Row(i), b, x, i)
-		}
-	})
-	l.out = l.bufs.GetDirty(b.NumDst, l.OutDim)
-	tensor.MatMul(pool, l.out, l.in, l.Weight.W)
-	tensor.AddBias(pool, l.out, l.Bias.W.Data, l.Relu)
+	l.in = l.aggregate(pool, b, x)
+	l.out = l.dense(pool, l.in)
 	return l.out
 }
 
-// Infer is the fused forward-only path: same bit-exact math as Forward,
-// but it neither caches activations for Backward nor materialises the
-// intermediate aggregation matrix — each row is aggregated into
-// per-worker scratch and multiplied straight into the output tile.
+// Infer is Forward without the activation cache: the aggregated input
+// goes straight back to the pool.
 func (l *Layer) Infer(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *tensor.Matrix {
+	in := l.aggregate(pool, b, x)
+	out := l.dense(pool, in)
+	l.bufs.Put(in)
+	return out
+}
+
+// aggregate fills each destination's dense input row of a pooled matrix.
+func (l *Layer) aggregate(pool *tensor.Pool, b *sampler.Block, x *tensor.Matrix) *tensor.Matrix {
 	l.agg.check(b)
-	out := l.bufs.GetDirty(b.NumDst, l.OutDim)
-	w := l.Weight.W
+	in := l.bufs.GetDirty(b.NumDst, l.Weight.W.Rows)
 	pool.ParallelWeighted(b.NumDst, blockCost(b), func(lo, hi int) {
-		scratch := l.bufs.GetDirty(1, w.Rows)
-		row := scratch.Data
 		for i := lo; i < hi; i++ {
-			l.agg.fill(row, b, x, i)
-			dr := out.Row(i)
-			clear(dr)
-			tensor.RowMulAdd(dr, row, w)
+			l.agg.fill(in.Row(i), b, x, i)
 		}
-		l.bufs.Put(scratch)
 	})
+	return in
+}
+
+// dense computes act(in·W + b) into a pooled matrix.
+func (l *Layer) dense(pool *tensor.Pool, in *tensor.Matrix) *tensor.Matrix {
+	out := l.bufs.GetDirty(in.Rows, l.OutDim)
+	tensor.MatMul(pool, out, in, l.Weight.W)
 	tensor.AddBias(pool, out, l.Bias.W.Data, l.Relu)
 	return out
 }

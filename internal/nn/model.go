@@ -160,12 +160,10 @@ func (m *GNN) Forward(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matri
 	return readout(mb, x)
 }
 
-// Infer runs a fused forward-only pass: bit-identical logits to Forward
-// (same per-row operation order) without caching activations or
-// materialising the intermediate aggregation matrices — the serving
-// path. The returned matrix draws from the model's buffer pool; callers
-// done with it may Put it back via Buffers. Infer does not disturb the
-// Forward/Backward activation cache.
+// Infer runs each layer's Infer, its Forward without the activation
+// cache, so the logits are Forward's to the bit. They draw from the
+// model's buffer pool (Put them back via Buffers when done), and a
+// Backward after Infer still sees the last Forward's batch.
 func (m *GNN) Infer(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matrix) *tensor.Matrix {
 	if mb.Sub == nil && len(mb.Blocks) != len(m.Layers) {
 		panic(fmt.Sprintf("nn: %d blocks for %d layers", len(mb.Blocks), len(m.Layers)))
@@ -182,7 +180,7 @@ func (m *GNN) Infer(pool *tensor.Pool, mb *sampler.MiniBatch, x0 *tensor.Matrix)
 // bit-identical to the unpruned pass: full-neighborhood aggregation
 // makes each per-layer, per-node activation a pure function of (model,
 // graph, features, node), so a stored value and a recomputed one carry
-// the same bits. inject may be nil (plain fused inference).
+// the same bits. inject may be nil (plain inference).
 //
 // A batch gathered with fewer blocks than the model has layers runs
 // only that prefix of layers — the hook precompute uses to read

@@ -214,9 +214,8 @@ func (inf *Inferencer) Predict(nodes []graph.NodeID) ([]Prediction, error) {
 			}
 		}
 	}
-	// The fused forward-only pass: bit-identical logits to Forward
-	// without materialising the intermediate aggregation matrices, and
-	// every per-batch matrix recycled through the model's pool, so a
+	// The forward-only pass: Forward's logits to the bit, with every
+	// per-batch matrix recycled through the model's pool, so a
 	// steady-state Predict allocates only the returned predictions.
 	logits := inf.model.InferReuse(inf.pool, mb, x0, inject)
 	preds := make([]Prediction, len(nodes))

@@ -83,32 +83,6 @@ func BenchmarkInputGradTransposeMatMulTall(b *testing.B) {
 	benchStep(b, kern, func(numDst, in2, out int) (int, int, int) { return numDst, out, in2 })
 }
 
-// BenchmarkRowMulAdd times the row kernel under MatMul, MatMulAT and
-// the fused Infer at the engine's widths, on the path start-up selected
-// and on the portable Go loop. One op is 1024 rows, so a single
-// iteration (CI runs -benchtime 1x) is long enough to time.
-func BenchmarkRowMulAdd(b *testing.B) {
-	const rows = 1024
-	for _, s := range [][2]int{{128, 32}, {64, 32}, {64, 10}} {
-		k, n := s[0], s[1]
-		rng := rand.New(rand.NewSource(2))
-		a, w, dst := randomMatrix(rng, rows, k), randomMatrix(rng, k, n), New(rows, n)
-		for _, path := range []struct {
-			name string
-			run  func(dst, a []float32, b *Matrix)
-		}{{"selected", rowMulAdd}, {"portable", rowMulAddGo}} {
-			b.Run(fmt.Sprintf("k%dn%d/%s", k, n, path.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for r := 0; r < rows; r++ {
-						path.run(dst.Row(r), a.Row(r), w)
-					}
-				}
-				b.ReportMetric(2*float64(rows*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
-	}
-}
-
 func BenchmarkSoftmaxRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMatrix(rng, 1024, 47)

@@ -179,37 +179,17 @@ type rowKernel struct {
 // use puts k in charge for the rest of tb.
 func (k rowKernel) use(tb testing.TB) { tb.Cleanup(k.set()) }
 
-// portableKernels is the Go row loops, all seven.
+// portableKernels is the Go row loops, all six.
 var portableKernels = rowKernel{"portable", func() func() {
-	r, m, at, ad := rowMulAdd, matMulRows, matMulATRows, addRows
+	m, at, ad := matMulRows, matMulATRows, addRows
 	ab, rb, sc := addBiasRows, reluBackwardCols, scatterRows
-	rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddGo, matMulRowsGo, matMulATRowsGo, addRowsGo
+	matMulRows, matMulATRows, addRows = matMulRowsGo, matMulATRowsGo, addRowsGo
 	addBiasRows, reluBackwardCols, scatterRows = addBiasRowsGo, reluBackwardColsGo, scatterRowsGo
 	return func() {
-		rowMulAdd, matMulRows, matMulATRows, addRows = r, m, at, ad
+		matMulRows, matMulATRows, addRows = m, at, ad
 		addBiasRows, reluBackwardCols, scatterRows = ab, rb, sc
 	}
 }}
-
-// TestRowMulAddMatchesMatMulRow pins the exported row kernel to MatMul:
-// accumulating into a zeroed row is MatMul's row, for every count of
-// non-zero entries modulo the four-row pass.
-func TestRowMulAddMatchesMatMulRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for k := 0; k <= 13; k++ {
-		a, b := randomMatrix(rng, 1, k), randomMatrix(rng, k, 7)
-		for z := 0; z < k; z += 3 {
-			a.Data[z] = 0
-		}
-		want := New(1, 7)
-		refMatMul(want, a, b)
-		got := make([]float32, 7)
-		RowMulAdd(got, a.Data, b)
-		if at, ok := sameBits(FromSlice(1, 7, got), want); !ok {
-			t.Fatalf("k=%d: element %d = %g, want %g", k, at, got[at], want.Data[at])
-		}
-	}
-}
 
 // The tests below compare the row loops start-up selected — the AVX2
 // ones on an amd64 CPU that has them, and every dense kernel the CPU has
@@ -249,8 +229,7 @@ func fenced(m *Matrix) (fm *Matrix, check func(t *testing.T, what string)) {
 
 // TestSelectedRowKernelsBitEqualPortable runs each dense kernel the CPU
 // has at every row count modulo the AVX-512 kernel's four-row pass, on
-// row ranges that start and end inside a pass, and the RowMulAdd start-up
-// selected.
+// row ranges that start and end inside a pass.
 func TestSelectedRowKernelsBitEqualPortable(t *testing.T) {
 	kernels := simdKernels()
 	for m := 1; m <= 9; m++ {
@@ -321,13 +300,6 @@ func rowKernelsBitEqualPortable(t *testing.T, kernels []rowKernel, m, k, n int, 
 			}
 		}
 	}
-	// RowMulAdd accumulates into what dst holds.
-	row := FromSlice(1, n, init.Data[:n])
-	got, check := fenced(row)
-	want := row.Clone()
-	rowMulAdd(got.Data, a.Data[:k], b)
-	rowMulAddGo(want.Data, a.Data[:k], b)
-	compare("rowMulAdd", got, want, check)
 }
 
 func TestSelectedAddRowsBitEqualPortable(t *testing.T) {
@@ -364,10 +336,9 @@ func TestSelectedAddRowsBitEqualPortable(t *testing.T) {
 	}
 }
 
-// TestRowKernelShapeMismatchPanics: a wrong length is a panic on either
-// path, never a read or write past a row. Before the up-front check a
-// dst longer than b.Cols read into b's next row (the row slices keep
-// their capacity to the end of b.Data).
+// TestRowKernelShapeMismatchPanics: a wrong length or row is a panic on
+// either path, never a read or write past a row (the row slices keep
+// their capacity to the end of the matrix's Data).
 func TestRowKernelShapeMismatchPanics(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -383,10 +354,6 @@ func TestRowKernelShapeMismatchPanics(t *testing.T) {
 		if portable {
 			portableKernels.use(t)
 		}
-		mustPanic("RowMulAdd with a long dst", func() { RowMulAdd(make([]float32, 9), make([]float32, 6), b) })
-		mustPanic("RowMulAdd with a short dst", func() { RowMulAdd(make([]float32, 7), make([]float32, 6), b) })
-		mustPanic("RowMulAdd with a long a", func() { RowMulAdd(make([]float32, 8), make([]float32, 7), b) })
-		mustPanic("RowMulAdd with a short a", func() { RowMulAdd(make([]float32, 8), make([]float32, 5), b) })
 		mustPanic("AddRows with a long dst", func() { AddRows(make([]float32, 9), x, []int32{0}, 1) })
 		mustPanic("AddRows with a short dst", func() { AddRows(make([]float32, 7), x, []int32{0}, 1) })
 		mustPanic("AddRows past the last row", func() { AddRows(make([]float32, 8), x, []int32{0, 6}, 1) })
@@ -400,48 +367,37 @@ func TestRowKernelShapeMismatchPanics(t *testing.T) {
 	}
 }
 
-// FuzzRowMulAddPaths feeds the selected and the portable row kernel the
-// same raw bit patterns — denormals, NaNs, infinities, whatever the
-// fuzzer finds — at a fuzzed width. The same bytes, read as 4–7 rows of
-// a and of aᵀ, drive matMulRows and matMulATRows on every dense kernel
-// the CPU has, which the log names.
-func FuzzRowMulAddPaths(f *testing.F) {
-	f.Add(uint8(10), []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127, 0, 0, 128, 255})
-	f.Add(uint8(33), []byte("the dst row, then a, then as much of b as the bytes reach"))
+// FuzzDenseKernelPaths feeds the dense kernels raw bit patterns —
+// denormals, NaNs, infinities, whatever the fuzzer finds — at a fuzzed
+// width and 1–7 rows of a and of aᵀ, and holds matMulRows and
+// matMulATRows on every dense kernel the CPU has, which the log names,
+// to the portable loops. One row is a single contiguous row of a, in
+// both layouts; past a depth of 64 the aᵀ product adds into what the
+// first block left in dst.
+func FuzzDenseKernelPaths(f *testing.F) {
+	f.Add(uint8(10), uint8(0), []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127, 0, 0, 128, 255})
+	f.Add(uint8(33), uint8(3), []byte("a, then as much of b as the bytes reach"))
 	kernels := simdKernels()
 	for _, kern := range kernels {
 		f.Logf("dense kernel under test: %s", kern.name)
 	}
 	if len(kernels) == 0 {
-		f.Log("no SIMD dense kernel on this CPU: only rowMulAdd's selected path runs")
+		f.Log("no SIMD dense kernel on this CPU: nothing to compare")
 	}
-	f.Fuzz(func(t *testing.T, width uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, width, rowCount uint8, raw []byte) {
 		n := int(width % 80)
 		vals := make([]float32, len(raw)/4)
 		for i := range vals {
 			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-		// vals holds dst (n), then k entries of a and k rows of b.
-		if len(vals) < n {
-			return
-		}
-		k := (len(vals) - n) / (1 + n)
-		init := FromSlice(1, n, vals[:n])
-		a := vals[n : n+k]
-		b := unaligned(FromSlice(k, n, vals[n+k:n+k+k*n]))
-		got, check := fenced(init)
-		want := init.Clone()
-		rowMulAdd(got.Data, a, b)
-		rowMulAddGo(want.Data, a, b)
-		check(t, "rowMulAdd")
-		if at, ok := sameBits(got, want); !ok {
-			t.Fatalf("width %d k %d: element %d = %g, portable %g", n, k, at, got.Data[at], want.Data[at])
-		}
+		// vals holds k entries of a, then k rows of b.
+		k := len(vals) / (1 + n)
+		b := unaligned(FromSlice(k, n, vals[k:k+k*n]))
 		// m rows of a, and of a k×m aᵀ: row i is a rotated by i entries.
-		m := 4 + int(width>>6)
+		m := 1 + int(rowCount%7)
 		rows := make([]float32, m*k)
 		for i := range rows {
-			rows[i] = vals[n+(i/k+i%k)%max(1, k)]
+			rows[i] = vals[(i/k+i%k)%max(1, k)]
 		}
 		am, at := unaligned(FromSlice(m, k, rows)), unaligned(FromSlice(k, m, rows))
 		for _, kern := range kernels {

@@ -18,13 +18,12 @@ import (
 // d + (s·c). The compiler orders operands as it likes (a -race build
 // differently), so the Go loops pin the order with nanFirst.
 
-// The seven row loops below start out as the portable Go loops in this
+// The six row loops below start out as the portable Go loops in this
 // file, all that other architectures and CPUs without AVX2 ever run and
 // what the SIMD tests compare against; simd_amd64.go swaps in an AVX2
 // twin of each at start-up when the CPU has AVX2. matMulRows and
 // matMulATRows then run the AVX-512 kernel where the CPU has AVX-512F.
 var (
-	rowMulAdd        = rowMulAddGo
 	matMulRows       = matMulRowsGo
 	matMulATRows     = matMulATRowsGo
 	addRows          = addRowsGo
@@ -56,19 +55,8 @@ func mulAdd4(d []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	}
 }
 
-// RowMulAdd computes dst += a·b for one row: a has b.Rows entries, dst
-// b.Cols. Zero entries of a are skipped; the surviving rows of b are
-// consumed in ascending order. It is the row kernel of MatMul and of
-// nn's fused inference, so the two cannot drift apart.
-func RowMulAdd(dst, a []float32, b *Matrix) {
-	if len(dst) != b.Cols || len(a) != b.Rows {
-		panic(fmt.Sprintf("tensor: RowMulAdd shape mismatch (1x%d)·(%dx%d)->(1x%d)",
-			len(a), b.Rows, b.Cols, len(dst)))
-	}
-	rowMulAdd(dst, a, b)
-}
-
-// rowMulAddGo takes the surviving rows of b four per pass over dst.
+// rowMulAddGo is the portable MatMul's row loop, dst += a·b: zero entries
+// of a are skipped, the other rows of b taken in order, four per pass.
 func rowMulAddGo(dst, a []float32, b *Matrix) {
 	n := b.Cols
 	var av [4]float32

@@ -10,7 +10,7 @@ package tensor
 func init() {
 	avx2, avx512 := cpuFeatures()
 	if avx2 {
-		rowMulAdd, matMulRows, matMulATRows, addRows = rowMulAddAVX2, matMulRowsAVX2, matMulATRowsAVX2, addRowsAVX2
+		matMulRows, matMulATRows, addRows = matMulRowsAVX2, matMulATRowsAVX2, addRowsAVX2
 		addBiasRows, reluBackwardCols, scatterRows = addBiasRowsAVX2, reluBackwardColsAVX2, scatterRowsAVX2
 	}
 	if avx512 {
@@ -22,8 +22,8 @@ func init() {
 // a virtual machine, and one call per row doubled an epoch's time.
 func cpuFeatures() (avx2, avx512 bool)
 
-// mulAddRows is the kernel under MatMul and MatMulAT, the AVX-512 one
-// where the CPU has it; RowMulAdd's single row keeps avx2MulAddRows.
+// mulAddRows is the kernel under MatMul and MatMulAT: the AVX-512 one
+// where the CPU has it, avx2MulAddRows where it has only AVX2.
 var mulAddRows = avx2MulAddRows
 
 //go:noescape
@@ -43,14 +43,6 @@ func avx2ReLUBackward(dst, grad, act, colSum *float32, rows, n, stride int)
 
 //go:noescape
 func avx2ScatterRows(dst, src *float32, ids *int32, count, n int, c float32)
-
-func rowMulAddAVX2(dst, a []float32, b *Matrix) {
-	if len(dst) == 0 || len(a) == 0 {
-		return
-	}
-	bd := b.Data[:len(a)*len(dst)]
-	avx2MulAddRows(&dst[0], &a[0], &bd[0], 1, len(a), len(dst), len(a), 1, false)
-}
 
 func matMulRowsAVX2(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Cols
