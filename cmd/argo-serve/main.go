@@ -172,11 +172,7 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	}
 	defer closeFn()
 
-	degrees := make([]int, g.NumNodes)
-	for v := range degrees {
-		degrees[v] = g.Degree(graph.NodeID(v))
-	}
-	model, err := nn.LoadModelFile(checkpoint, degrees)
+	model, err := nn.LoadModelFile(checkpoint, nn.Degrees(g))
 	if err != nil {
 		return err
 	}

@@ -15,10 +15,8 @@
 // generated once and reloaded instantly on later runs.
 //
 // With -shards the dataset is a shard set (name#k or a .shard0 store):
-// every shard's features and labels are loaded once, and every replica
-// reads them directly — the sampling workers copy a batch's rows while
-// the trainer computes the previous batch. -sampling local bounds each
-// replica's batches to its shards (shard s belongs to replica s mod n).
+// it loads into one feature table, row v for node v, and trains exactly
+// as the single store it was cut from.
 //
 // -cores is the budget the tuner divides among n processes' s sampling
 // and t training workers; the workers are goroutines and no OS thread is
@@ -77,12 +75,9 @@ func run(args []string, stdout io.Writer) error {
 	warmPath := fs.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
 	shards := fs.Bool("shards", false,
 		"treat -dataset as a shard set: name#k (in-memory) or the path of a manifest-carrying .shard0 store; "+
-			"every replica reads the loaded shards directly")
+			"it loads into one feature table")
 	procs := fs.Int("procs", 0, "pin the process count: restrict the design space to exactly N processes (0 = tune freely)")
 	lossPath := fs.String("loss-json", "", "write the per-epoch mean training loss history as JSON to this file")
-	sampling := fs.String("sampling", "exact",
-		"sampling regime for -shards runs: exact (global batches, losses bit-identical to single-store) or "+
-			"local (partition-local: each replica samples within its shards' owned + 1-hop halo rows, bounding its working set to the partition)")
 	ckptPath := fs.String("save-checkpoint", "",
 		"write the final model weights to this file (atomic temp+rename); argo-serve loads it for inference")
 	fs.Parse(args)
@@ -98,15 +93,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *earlyStop < 0 {
 		return fmt.Errorf("-early-stop %d: the stale-epoch limit must be 0 (off) or positive", *earlyStop)
-	}
-	if *sampling != "exact" && *sampling != "local" {
-		return fmt.Errorf("unknown -sampling %q (exact, local)", *sampling)
-	}
-	if *sampling == "local" && !*shards {
-		return fmt.Errorf("-sampling local needs -shards (partition-local sampling is defined per shard)")
-	}
-	if *sampling == "local" && *samplerName != "neighbor" {
-		return fmt.Errorf("-sampling local supports the neighbor sampler only (got %q)", *samplerName)
 	}
 	if *samplerName != "neighbor" && *samplerName != "shadow" {
 		return fmt.Errorf("unknown sampler %q", *samplerName)
@@ -151,23 +137,19 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var (
-		ds       *graph.Dataset
-		shardSet *graph.ShardSet
-	)
+	var ds *graph.Dataset
 	if *shards {
-		// Shard-aware path: the skeleton (topology + splits) is assembled
-		// from topology-only opens; the trainer loads the shards'
-		// features and labels once, for every replica to read.
-		shardSet, err = datasets.ResolveShards(*dataset, *seed)
+		// The set is validated with topology-only opens, then assembled:
+		// the topology and splits, and each shard's owned rows decoded
+		// into one feature table, which holds every row the run reads.
+		shardSet, err := datasets.ResolveShards(*dataset, *seed)
 		if err != nil {
 			return err
 		}
-		defer shardSet.Close()
-		if err := shardSet.Validate(); err != nil {
-			return err
+		if err = shardSet.Validate(); err == nil {
+			ds, err = shardSet.AssembleDataset()
 		}
-		ds, err = shardSet.Skeleton()
+		shardSet.Close()
 		if err != nil {
 			return err
 		}
@@ -195,27 +177,20 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	layers := 3
-	fanouts := []int{15, 10, 5}
-	smp := sampler.Sampler(sampler.NewNeighbor(ds.Graph, fanouts))
+	smp := sampler.Sampler(sampler.NewNeighbor(ds.Graph, []int{15, 10, 5}))
 	if *samplerName == "shadow" {
 		smp = sampler.NewShaDow(ds.Graph, []int{10, 5}, layers)
 	}
 	dims := []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.Spec.ScaledHidden, ds.NumClasses}
 
-	topts := argo.GNNTrainerOptions{
-		Dataset:        ds,
-		Sampler:        smp,
-		Model:          nn.ModelSpec{Kind: kind, Dims: dims, Seed: *seed},
-		BatchSize:      *batch,
-		LR:             *lr,
-		Seed:           *seed,
-		Shards:         shardSet,
-		SamplingRegime: *sampling,
-	}
-	if *sampling == "local" {
-		fmt.Fprintf(stdout, "sampling regime: partition-local (frontiers bounded to owned + 1-hop halo rows; fanouts %v)\n", fanouts)
-	}
-	trainer, err := argo.NewGNNTrainer(topts)
+	trainer, err := argo.NewGNNTrainer(argo.GNNTrainerOptions{
+		Dataset:   ds,
+		Sampler:   smp,
+		Model:     nn.ModelSpec{Kind: kind, Dims: dims, Seed: *seed},
+		BatchSize: *batch,
+		LR:        *lr,
+		Seed:      *seed,
+	})
 	if err != nil {
 		return err
 	}

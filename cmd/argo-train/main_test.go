@@ -83,7 +83,6 @@ func TestBadFlagsAreRefusedBeforeTheDataset(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-sampling", "local"}, "needs -shards"},
 		{[]string{"-sampler", "saint"}, "unknown sampler"},
 		{[]string{"-model", "gat"}, "unknown model"},
 		{[]string{"-lr", "0"}, "-lr 0: the learning rate"},

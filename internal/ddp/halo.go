@@ -3,8 +3,8 @@ package ddp
 // HaloExchange was the feature-row exchange between the replicas of a
 // sharded run.
 //
-// Deprecated: replicas read the loaded shards directly, so nothing
-// builds an exchange. The type stays only because the repo benchmark's
+// Deprecated: every replica reads the one feature table a shard set
+// loads into, so nothing builds an exchange. The type stays only because the repo benchmark's
 // benchmark/train.go names it; its methods are safe on a nil pointer
 // and report nothing.
 type HaloExchange struct{}

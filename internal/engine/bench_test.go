@@ -17,7 +17,7 @@ import (
 // epoch whose dense products tensor's *Tall benchmarks time. shard_exact is
 // the shape of train_shard_exact: the same graph cut to 2 048 targets
 // and written as 4 file-backed shards, fan-outs 10/5, 2 replicas reading
-// the loaded shards, timed after two warm epochs (pool growth).
+// the set's one feature table, timed after two warm epochs (pool growth).
 func BenchmarkEpoch(b *testing.B) {
 	run := func(name string, warm int, config func(b *testing.B) Config) {
 		b.Run(name, func(b *testing.B) {
@@ -82,10 +82,6 @@ func BenchmarkEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 		const numProcs = 2
-		src, err := NewShardSource(ss)
-		if err != nil {
-			b.Fatal(err)
-		}
 		return Config{
 			Dataset:       skel,
 			Sampler:       sampler.NewNeighbor(skel.Graph, []int{10, 5}),
@@ -96,14 +92,14 @@ func BenchmarkEpoch(b *testing.B) {
 			SampleWorkers: 1,
 			TrainWorkers:  1,
 			Seed:          3,
-			Sources:       []DataSource{src, src},
+			Sources:       shardSources(b, ss, numProcs),
 		}
 	})
 }
 
 // BenchmarkLocalEpoch measures a partition-local epoch: arxiv-sim in 4
 // shards on 2 replicas, i.e. the partition-bounded sampling, the gather
-// from the loaded shards and the step.
+// from the set's feature table and the step.
 func BenchmarkLocalEpoch(b *testing.B) {
 	ds, err := datasets.Resolve("arxiv-sim", 7)
 	if err != nil {
@@ -120,10 +116,6 @@ func BenchmarkLocalEpoch(b *testing.B) {
 	}
 	const numProcs = 2
 	fanouts := []int{10, 5}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		b.Fatal(err)
-	}
 	setup, err := NewPartitionSetup(ss, skel, numProcs, fanouts)
 	if err != nil {
 		b.Fatal(err)
@@ -138,7 +130,7 @@ func BenchmarkLocalEpoch(b *testing.B) {
 		SampleWorkers:  1,
 		TrainWorkers:   1,
 		Seed:           3,
-		Sources:        []DataSource{src, src},
+		Sources:        shardSources(b, ss, numProcs),
 		SamplingRegime: RegimeLocal,
 		LocalSamplers:  setup.Samplers,
 		LocalTargets:   setup.Targets,

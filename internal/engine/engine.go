@@ -30,26 +30,25 @@ type Config struct {
 	TrainWorkers  int // training cores per process (t)
 	Seed          int64
 	// Sources, when non-nil, supplies each replica's feature/label
-	// source (len must equal NumProcs) — the shard-aware training path,
-	// where Dataset carries only topology, splits, spec, and class
-	// count, and every lookup goes through the replica's source. A
-	// sharded run hands every replica the one NewShardSource, which
-	// copies rows from the loaded shards into the reading replica's
-	// buffer pool; nothing is cached between gathers. Nil means every
-	// replica reads the materialised Dataset directly.
+	// source (len must equal NumProcs); Dataset may then carry only
+	// topology, splits, spec and class count. Nil means every replica
+	// reads the materialised Dataset, a sharded run's included
+	// (graph.ShardSet.AssembleDataset). Only the repo benchmark sets it,
+	// through the deprecated NewShardSourcesOpts.
 	Sources []DataSource
 	// SamplingRegime selects exact (default: global batches split n
 	// ways, bit-identical to single-store) or partition-local sampling.
 	// The local regime requires Sources plus the per-replica Samplers
 	// and Targets from NewPartitionSetup; Sampler stays the exact
-	// sampler and keeps serving Evaluate, so accuracy numbers compare
-	// apples-to-apples across regimes.
+	// sampler and keeps serving Evaluate. It stays only because the
+	// repo benchmark's benchmark/train.go drives it (train_shard_local);
+	// no command or trainer option selects it.
 	SamplingRegime SamplingRegime
-	// LocalSamplers[r] is replica r's partition-bounded sampler (local
-	// regime only; len must equal NumProcs).
+	// LocalSamplers[r] is replica r's partition-bounded sampler (the
+	// benchmark-only local regime; len must equal NumProcs).
 	LocalSamplers []sampler.Sampler
-	// LocalTargets[r] is replica r's owned train targets (local regime
-	// only; len must equal NumProcs).
+	// LocalTargets[r] is replica r's owned train targets (the
+	// benchmark-only local regime; len must equal NumProcs).
 	LocalTargets [][]graph.NodeID
 }
 
@@ -66,7 +65,7 @@ type EpochResult struct {
 // replica is one "GNN process"'s workspace: a model that trains on the
 // engine's shared weights with its own gradients, activations and
 // buffers, its training worker pool, and its data source (the global
-// dataset or the loaded shards, gathering into the replica's buffers).
+// dataset's feature table, gathering into the replica's buffers).
 type replica struct {
 	model     *nn.GNN
 	trainPool *tensor.Pool
@@ -174,8 +173,8 @@ func (e *Engine) Reconfigure(cfg Config) error {
 // keeps its workspace if it has one and gets a Replica of slot 0's model
 // otherwise, and slots past NumProcs are dropped; a slot's training pool
 // is rebuilt only when t changes. Each slot reads cfg's source for it;
-// the engine's own sources (the dataset's, and a NewShardSource's copy)
-// gather into the slot's buffer pool.
+// the engine's own sources (the dataset's, and those NewShardSourcesOpts
+// returns) gather into the slot's buffer pool.
 func (e *Engine) apply(cfg Config) {
 	e.opt.LR = cfg.LR
 	reps := slices.Clone(e.replicas[:min(len(e.replicas), cfg.NumProcs)])
@@ -189,13 +188,13 @@ func (e *Engine) apply(cfg Config) {
 		// The engine's sources draw gathered batches from the replica's
 		// own buffer pool; step puts them back once consumed, closing
 		// the recycle loop.
-		if cfg.Sources == nil {
-			rep.source = datasetSource{ds: cfg.Dataset, bufs: rep.model.Buffers()}
-		} else if s, ok := cfg.Sources[r].(shardSource); ok {
+		rep.source = datasetSource{ds: cfg.Dataset}
+		if cfg.Sources != nil {
+			rep.source = cfg.Sources[r]
+		}
+		if s, ok := rep.source.(datasetSource); ok {
 			s.bufs = rep.model.Buffers()
 			rep.source = s
-		} else {
-			rep.source = cfg.Sources[r]
 		}
 	}
 	e.replicas, e.cfg = reps, cfg
@@ -215,9 +214,10 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	n := e.cfg.NumProcs
 
 	// Build per-replica job lists. Under the exact regime each iteration
-	// is one global batch split n ways. Under the local regime every
-	// replica shuffles its own owned targets, in B/n-sized shares
-	// (preserving the effective global batch ≈ B).
+	// is one global batch split n ways. Under the local regime (only the
+	// repo benchmark's train_shard_local selects it) every replica
+	// shuffles its own owned targets, in B/n-sized shares (preserving
+	// the effective global batch ≈ B).
 	perReplicaJobs := make([][]prefetchJob, n)
 	var numIters int
 	if e.cfg.SamplingRegime != RegimeLocal {

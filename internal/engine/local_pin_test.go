@@ -36,10 +36,6 @@ func TestLocalRegimeLossMatchesPinnedParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
 	setup, err := NewPartitionSetup(ss, skel, numProcs, fanouts)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +51,7 @@ func TestLocalRegimeLossMatchesPinnedParent(t *testing.T) {
 		SampleWorkers:  1,
 		TrainWorkers:   1,
 		Seed:           seed,
-		Sources:        []DataSource{src, src},
+		Sources:        shardSources(t, ss, numProcs),
 		SamplingRegime: RegimeLocal,
 		LocalSamplers:  setup.Samplers,
 		LocalTargets:   setup.Targets,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -27,13 +26,9 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs, s int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := shardedEngineConfig(skel, numProcs)
 	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
-	cfg.Sources = slices.Repeat([]DataSource{src}, numProcs)
+	cfg.Sources = shardSources(t, ss, numProcs)
 	cfg.SampleWorkers = s
 	eng, err := New(cfg)
 	if err != nil {
@@ -51,7 +46,7 @@ func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs, s int) 
 }
 
 // Overlapped sharded training — the sampling workers gathering rows from
-// the loaded shards while the trainer computes — bit-matches
+// the shard set's feature table while the trainer computes — bit-matches
 // single-store training on every epoch loss and every final weight,
 // with one sampling worker per replica and with four.
 func TestOverlappedShardedParity(t *testing.T) {

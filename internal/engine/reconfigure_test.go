@@ -12,7 +12,8 @@ import (
 )
 
 // reconfigureSetup returns an exact-regime configuration over a 3-shard
-// set of tiny, with no process count yet, and the set's one source.
+// set of tiny, with no process count yet, and a source over the set's
+// one feature table.
 func reconfigureSetup(t *testing.T) (Config, DataSource) {
 	t.Helper()
 	const seed = 7
@@ -29,10 +30,7 @@ func reconfigureSetup(t *testing.T) (Config, DataSource) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := shardSources(t, ss, 1)[0]
 	cfg := Config{
 		Dataset:       skel,
 		Sampler:       sampler.NewNeighbor(skel.Graph, []int{4, 4}),
@@ -53,9 +51,9 @@ func withProcs(cfg Config, src DataSource, n int) Config {
 }
 
 // Reconfigure grows and shrinks the replica set around one parameter
-// set and one shard table: after every move each replica's parameters
-// point at replica 0's weights, and each replica reads the feature
-// matrices the source loaded, through its own buffer pool. (The loss
+// set and one feature table: after every move each replica's parameters
+// point at replica 0's weights, and each replica reads the table the
+// source loaded, through its own buffer pool. (The loss
 // bits across such moves are pinned by the root package's trainer
 // schedule.)
 func TestReconfigureSharesOneParameterSet(t *testing.T) {
@@ -83,23 +81,18 @@ func TestReconfigureSharesOneParameterSet(t *testing.T) {
 	}
 }
 
-// requireSharedTable fails unless every replica of e reads src's shard
-// table, pointer for pointer, into the replica's own buffer pool.
+// requireSharedTable fails unless every replica of e reads src's
+// feature table, pointer for pointer, into the replica's own buffer pool.
 func requireSharedTable(t *testing.T, e *Engine, src DataSource) {
 	t.Helper()
-	want := src.(shardSource).t
+	want := src.(datasetSource).ds
 	for r, rep := range e.replicas {
-		s, ok := rep.source.(shardSource)
+		s, ok := rep.source.(datasetSource)
 		if !ok {
 			t.Fatalf("replica %d reads a %T", r, rep.source)
 		}
-		if s.t != want {
-			t.Fatalf("replica %d reads another shard table", r)
-		}
-		for k := range want.feats {
-			if s.t.feats[k] != want.feats[k] {
-				t.Fatalf("replica %d reads another shard %d feature matrix", r, k)
-			}
+		if s.ds != want || s.ds.Features != want.Features {
+			t.Fatalf("replica %d reads another feature table", r)
 		}
 		if s.bufs != rep.model.Buffers() {
 			t.Fatalf("replica %d gathers outside its own buffer pool", r)

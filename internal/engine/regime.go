@@ -14,44 +14,22 @@ const (
 	// RegimeExact samples over the assembled global topology: every
 	// replica sees the same batch stream a single-store run would, so
 	// losses stay bit-identical to single-store training. A batch may
-	// touch any row of the graph; every replica reads it from the
-	// loaded shards, whichever shard owns it.
+	// touch any row of the graph; every replica reads it from the one
+	// feature table.
 	RegimeExact SamplingRegime = iota
 	// RegimeLocal samples partition-locally (the Cluster-GCN regime):
 	// each replica draws seeds from its own shards' owned train nodes
 	// and bounds frontiers to owned + 1-hop halo rows, trading a
 	// bounded accuracy perturbation for batches bounded by the
-	// replica's partition. Rows are read from the loaded shards as in
-	// the exact regime. Features are frozen inputs, so, as in the exact
-	// regime, only parameter gradients are all-reduced and nothing flows
-	// back to a row's owner.
+	// replica's partition. Features are frozen inputs, so, as in the
+	// exact regime, only parameter gradients are all-reduced and nothing
+	// flows back to a row's owner.
+	//
+	// It stays only because the repo benchmark's benchmark/train.go
+	// drives it (train_shard_local); no command or trainer option
+	// selects it.
 	RegimeLocal
 )
-
-// String implements fmt.Stringer.
-func (r SamplingRegime) String() string {
-	switch r {
-	case RegimeExact:
-		return "exact"
-	case RegimeLocal:
-		return "local"
-	default:
-		return fmt.Sprintf("regime(%d)", int(r))
-	}
-}
-
-// ParseRegime parses a -sampling flag value. The empty string means
-// exact, the default that keeps every parity gate bit-identical.
-func ParseRegime(s string) (SamplingRegime, error) {
-	switch s {
-	case "", "exact":
-		return RegimeExact, nil
-	case "local":
-		return RegimeLocal, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown sampling regime %q (want exact or local)", s)
-	}
-}
 
 // PartitionSetup holds the per-replica pieces the local regime needs:
 // a partition-bounded sampler per replica and each replica's owned
@@ -69,7 +47,8 @@ type PartitionSetup struct {
 // NewPartitionSetup builds the local-regime setup for a shard set
 // mapped onto numProcs replicas (shard s → replica s mod numProcs). ds must carry the set's
 // global topology and train split — typically ShardSet.Skeleton() —
-// and fanouts configure the per-replica neighbor sampling.
+// and fanouts configure the per-replica neighbor sampling. It stays
+// only because the repo benchmark's benchmark/train.go calls it.
 func NewPartitionSetup(ss *graph.ShardSet, ds *graph.Dataset, numProcs int, fanouts []int) (*PartitionSetup, error) {
 	if numProcs < 1 {
 		return nil, fmt.Errorf("engine: %d replicas for a partition setup", numProcs)

@@ -28,8 +28,8 @@ func (f *flakySource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error)
 }
 
 // newShardedEngine builds a 2-replica engine over a 3-shard set of ds,
-// under the given sampling regime, every replica reading one shard
-// source. wrap, when non-nil, decorates each replica's source before the
+// under the given sampling regime, every replica reading the set's one
+// feature table. wrap, when non-nil, decorates each replica's source before the
 // engine sees it.
 func newShardedEngine(t testing.TB, ds *graph.Dataset, regime SamplingRegime, wrap func(r int, s DataSource) DataSource) *Engine {
 	t.Helper()
@@ -43,11 +43,7 @@ func newShardedEngine(t testing.TB, ds *graph.Dataset, regime SamplingRegime, wr
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := []DataSource{src, src}
+	sources := shardSources(t, ss, numProcs)
 	if wrap != nil {
 		for r := range sources {
 			sources[r] = wrap(r, sources[r])

@@ -74,13 +74,9 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	if skel.Features != nil || skel.Labels != nil {
 		t.Fatal("skeleton materialised features/labels")
 	}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := shardedEngineConfig(skel, numProcs)
 	cfg.Sampler = sampler.NewNeighbor(skel.Graph, []int{5, 4, 3})
-	cfg.Sources = []DataSource{src, src}
+	cfg.Sources = shardSources(t, ss, numProcs)
 	sharded, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +112,18 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	}
 }
 
-// newShardSource returns the one source over a k-shard set of ds.
+// shardSources returns n replicas' sources over ss, built the way the
+// repo benchmark builds them.
+func shardSources(t testing.TB, ss *graph.ShardSet, n int) []DataSource {
+	t.Helper()
+	srcs, _, err := NewShardSourcesOpts(ss, n, ShardSourceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srcs
+}
+
+// newShardSource returns one replica's source over a k-shard set of ds.
 func newShardSource(t testing.TB, ds *graph.Dataset, k int) DataSource {
 	t.Helper()
 	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: k})
@@ -124,15 +131,11 @@ func newShardSource(t testing.TB, ds *graph.Dataset, k int) DataSource {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ss.Close() })
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
+	return shardSources(t, ss, 1)[0]
 }
 
-// The shard source reads every node's label from one table, equal to
-// the single-store labels; an id outside [0, NumNodes) is refused.
+// A shard set's source reads every node's label from one table, equal
+// to the single-store labels.
 func TestShardLabelsMatchDatasetWithoutMessages(t *testing.T) {
 	ds := shardedTestDataset(t)
 	src := newShardSource(t, ds, 3)
@@ -149,16 +152,11 @@ func TestShardLabelsMatchDatasetWithoutMessages(t *testing.T) {
 			t.Fatalf("node %d label %d, want %d", v, got[i], ds.Labels[v])
 		}
 	}
-	for _, bad := range []graph.NodeID{-1, graph.NodeID(ds.Graph.NumNodes)} {
-		if _, err := src.TargetLabels([]graph.NodeID{0, bad}); err == nil {
-			t.Fatalf("label of node %d accepted", bad)
-		}
-	}
 }
 
-// The shard source gathers every node's row, in the order asked and
+// A shard set's source gathers every node's row, in the order asked and
 // with repeats, bit-equal to the single-store row, on an fp32 and an
-// fp16 store; an id outside [0, NumNodes) is refused.
+// fp16 store.
 func TestShardSourceRowsMatchDataset(t *testing.T) {
 	for _, dt := range []graph.FeatDtype{graph.DtypeF32, graph.DtypeF16} {
 		ds := shardedTestDataset(t)
@@ -181,15 +179,10 @@ func TestShardSourceRowsMatchDataset(t *testing.T) {
 				}
 			}
 		}
-		for _, bad := range []graph.NodeID{-1, graph.NodeID(ds.Graph.NumNodes)} {
-			if _, err := src.GatherFeatures([]graph.NodeID{0, bad}); err == nil {
-				t.Fatalf("%s: row of node %d accepted", dt, bad)
-			}
-		}
 	}
 }
 
-// Both gathers write every element of the matrix they draw from the
+// The gather writes every element of the matrix it draws from the
 // replica's pool without zeroing it first: with that pool full of NaN
 // matrices of the feature width, every row still equals the dataset's.
 func TestGatherIgnoresPoisonedPool(t *testing.T) {
@@ -208,27 +201,23 @@ func TestGatherIgnoresPoisonedPool(t *testing.T) {
 		}
 		return bufs
 	}
-	for name, src := range map[string]DataSource{
-		"shard":   shardSource{t: newShardSource(t, ds, 3).(shardSource).t, bufs: poisoned()},
-		"dataset": datasetSource{ds: ds, bufs: poisoned()},
-	} {
-		got, err := src.GatherFeatures(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range ids {
-			for j, x := range got.Row(i) {
-				if want := ds.Features.At(int(v), j); math.Float32bits(x) != math.Float32bits(want) {
-					t.Fatalf("%s source: node %d column %d is %v, want %v", name, v, j, x, want)
-				}
+	got, err := datasetSource{ds: ds, bufs: poisoned()}.GatherFeatures(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range ids {
+		for j, x := range got.Row(i) {
+			if want := ds.Features.At(int(v), j); math.Float32bits(x) != math.Float32bits(want) {
+				t.Fatalf("node %d column %d is %v, want %v", v, j, x, want)
 			}
 		}
 	}
 }
 
-// A sharded exact engine's steady-state step allocates about what a
-// single-store engine's does on the same dataset: the shard source
-// copies rows into the replica's buffer pool and keeps nothing.
+// A sharded exact engine built through NewShardSourcesOpts allocates
+// about what a single-store engine does on the same dataset per
+// steady-state step: its sources gather into the replica's buffer pool
+// and keep nothing.
 func TestShardedAllocsNearSingleStore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -322,15 +311,11 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("skeleton dataset without sources accepted")
 	}
-	src, err := NewShardSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sources = []DataSource{src}
+	cfg.Sources = shardSources(t, ss, 1)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("source/replica count mismatch accepted")
 	}
-	cfg.Sources = []DataSource{src, src}
+	cfg.Sources = shardSources(t, ss, 2)
 	if _, err := New(cfg); err != nil {
 		t.Fatal(err)
 	}

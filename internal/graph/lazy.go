@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 
 	"argo/internal/platform"
 	"argo/internal/tensor"
-	"argo/internal/tensor/half"
 )
 
 // LazyDataset is an opened .argograph store that materialises
@@ -468,19 +466,46 @@ func (l *LazyDataset) FeatureRow(i int, dst []float32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if l.featDtype == DtypeF16 {
-		half.DecodeBytes(dst, b)
-		for k := range dst {
-			if h := binary.LittleEndian.Uint16(b[2*k:]); !half.IsFinite(h) {
-				return nil, fmt.Errorf("graph: feature row %d column %d holds non-finite fp16 bits %#04x", i, k, h)
-			}
-		}
-		return dst, nil
-	}
-	for k := range dst {
-		dst[k] = math.Float32frombits(binary.LittleEndian.Uint32(b[k*4:]))
+	if err := l.featDtype.decode(dst, b); err != nil {
+		return nil, fmt.Errorf("graph: feature row %d: %w", i, err)
 	}
 	return dst, nil
+}
+
+// ownedFeatureRows decodes the first len(at) rows of the features
+// section into rows at[0], at[1], … of dst, once the section's checksum
+// holds. The rows past that prefix are not decoded and nothing is
+// cached. A wrapped in-memory dataset copies from its matrix.
+func (l *LazyDataset) ownedFeatureRows(dst *tensor.Matrix, at []NodeID) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if m := l.feats; m != nil {
+		if m.Cols != dst.Cols || m.Rows < len(at) {
+			return fmt.Errorf("graph: %dx%d features do not hold %d rows %d wide", m.Rows, m.Cols, len(at), dst.Cols)
+		}
+		for i, v := range at {
+			copy(dst.Row(int(v)), m.Row(i))
+		}
+		return nil
+	}
+	b, err := l.sectionBytes(l.featDtype.section())
+	if err != nil {
+		return err
+	}
+	rows, cols, err := featuresShape(b, l.featDtype)
+	if err == nil && (cols != dst.Cols || rows < len(at)) {
+		err = fmt.Errorf("graph: %dx%d features do not hold %d rows %d wide", rows, cols, len(at), dst.Cols)
+	}
+	if err != nil {
+		return err
+	}
+	rb := cols * l.featDtype.Size()
+	for i, v := range at {
+		if err := l.featDtype.decode(dst.Row(int(v)), b[16+i*rb:16+(i+1)*rb]); err != nil {
+			return fmt.Errorf("graph: feature row %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Labels materialises (and caches) the label vector.

@@ -9,9 +9,8 @@ import (
 
 // Skeleton reconstructs the global dataset's training scaffolding —
 // topology, splits (in original order), spec, class count — without
-// materialising any feature or label bytes. It is what the shard-aware
-// trainer hands the engine: features and labels stay in the shards,
-// which engine.NewShardSource loads once for every replica to read.
+// materialising any feature or label bytes: what `argo-serve -shards`
+// needs for its graph, and the first half of AssembleDataset.
 func (ss *ShardSet) Skeleton() (*Dataset, error) {
 	g, err := ss.assembleTopology()
 	if err != nil {
@@ -37,62 +36,58 @@ func (ss *ShardSet) Skeleton() (*Dataset, error) {
 }
 
 // AssembleDataset reconstructs the complete global dataset — the exact
-// inverse of sharding. Reassembly is bit-exact: writing the assembled
-// dataset produces the same bytes as writing the original.
+// inverse of sharding: the Skeleton plus the Rows. Reassembly is
+// bit-exact: writing the assembled dataset produces the same bytes as
+// writing the original.
 func (ss *ShardSet) AssembleDataset() (*Dataset, error) {
-	skel, err := ss.Skeleton()
+	d, err := ss.Skeleton()
 	if err != nil {
 		return nil, err
 	}
-	feats, labels, err := ss.Rows()
-	if err != nil {
+	if d.Features, d.Labels, err = ss.Rows(); err != nil {
 		return nil, err
 	}
-	shard, row, err := ss.Locations()
-	if err != nil {
-		return nil, err
-	}
-	skel.Features = tensor.New(len(shard), ss.Manifest.FeatDim)
-	for v, s := range shard {
-		copy(skel.Features.Row(v), feats[s].Row(int(row[v])))
-	}
-	skel.Labels = labels
-	if err := skel.Validate(); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: assembled dataset invalid: %w", err)
 	}
-	return skel, nil
+	return d, nil
 }
 
-// Rows loads every shard's feature and label sections once and checks
-// them against the manifest: node v's feature row is row[v] of
-// feats[shard[v]] (Locations), and labels holds every node's label.
-// Only owned rows are authoritative; halo rows are caches.
-func (ss *ShardSet) Rows() (feats []*tensor.Matrix, labels []int32, err error) {
-	shard, row, err := ss.Locations()
+// Rows loads the set's one feature table and its labels: row v of feats
+// holds node v's features, as in the single store, and labels[v] its
+// label. Each shard's features section is checksummed once and only its
+// owned prefix (local ids put owned rows first) is decoded, straight
+// into the rows ShardMap.Owned names. Halo rows are never decoded, and
+// no shard keeps a decoded feature matrix.
+func (ss *ShardSet) Rows() (feats *tensor.Matrix, labels []int32, err error) {
+	shard, _, err := ss.Locations() // every node owned exactly once
 	if err != nil {
 		return nil, nil, err
 	}
 	m := &ss.Manifest
-	feats, sls := make([]*tensor.Matrix, m.K), make([][]int32, m.K)
-	for s := range feats {
+	feats, labels = tensor.New(len(shard), m.FeatDim), make([]int32, len(shard))
+	for s := 0; s < m.K; s++ {
+		sm, err := ss.ShardMap(s)
+		if err != nil {
+			return nil, nil, err
+		}
 		lz, err := ss.Shard(s)
 		if err != nil {
 			return nil, nil, err
 		}
-		if feats[s], err = lz.Features(); err != nil {
-			return nil, nil, err
+		sls, err := lz.Labels()
+		if err == nil && len(sls) < len(sm.Owned) {
+			err = fmt.Errorf("%d labels for %d owned rows", len(sls), len(sm.Owned))
 		}
-		if sls[s], err = lz.Labels(); err != nil {
-			return nil, nil, err
+		if err == nil {
+			err = lz.ownedFeatureRows(feats, sm.Owned)
 		}
-		if feats[s].Cols != m.FeatDim || feats[s].Rows < m.Shards[s].Owned || len(sls[s]) < m.Shards[s].Owned {
-			return nil, nil, fmt.Errorf("graph: shard %d features (%d×%d) or labels (%d) do not fit its %d owned %d-wide rows",
-				s, feats[s].Rows, feats[s].Cols, len(sls[s]), m.Shards[s].Owned, m.FeatDim)
+		if err != nil {
+			return nil, nil, fmt.Errorf("graph: shard %d: %w", s, err)
 		}
-	}
-	labels = make([]int32, len(shard))
-	for v, s := range shard {
-		labels[v] = sls[s][row[v]]
+		for l, v := range sm.Owned {
+			labels[v] = sls[l]
+		}
 	}
 	return feats, labels, nil
 }

@@ -9,9 +9,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"os"
-	"path/filepath"
 
+	"argo/internal/platform"
 	"argo/internal/tensor"
 	"argo/internal/tensor/half"
 )
@@ -302,28 +301,13 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// saveAtomic writes b via a temporary file in path's directory and
-// renames it into place.
+// saveAtomic writes b to path through a temporary sibling renamed into
+// place.
 func saveAtomic(path string, b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	return platform.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	// CreateTemp's 0600 would make the store unreadable by other users;
-	// stores are shared artifacts, so give them ordinary file permissions.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // section is one (id, payload) pair handed to encodeSections.
@@ -551,22 +535,48 @@ func decodeCSRSection(b []byte) (*CSR, error) {
 // patterns are rejected so a corrupted or crafted store cannot inject
 // Inf/NaN into the kernels.
 func decodeFeaturesSection(b []byte, dt FeatDtype) (*tensor.Matrix, error) {
-	d := dec{buf: b}
-	rows, cols := d.u64(), d.u64()
-	if d.err == nil && (rows > math.MaxInt32 || cols > math.MaxInt32) {
-		d.fail(fmt.Errorf("graph: feature block %dx%d exceeds section", rows, cols))
-	}
-	n := d.elems(rows*cols, dt.Size())
-	var data []float32
-	if dt == DtypeF16 {
-		data = d.halves(n)
-	} else {
-		data = d.f32s(n)
-	}
-	if err := d.done(dt.section()); err != nil {
+	rows, cols, err := featuresShape(b, dt)
+	if err != nil {
 		return nil, err
 	}
-	return tensor.FromSlice(int(rows), int(cols), data), nil
+	m := tensor.New(rows, cols)
+	if err := dt.decode(m.Data, b[16:]); err != nil {
+		return nil, fmt.Errorf("graph: %s section: %w", SectionName(dt.section()), err)
+	}
+	return m, nil
+}
+
+// featuresShape reads a features section's (rows, cols) prefix and
+// checks that exactly rows×cols elements of dt follow it.
+func featuresShape(b []byte, dt FeatDtype) (rows, cols int, err error) {
+	d := dec{buf: b}
+	r, c := d.u64(), d.u64()
+	if d.err == nil && (r > math.MaxInt32 || c > math.MaxInt32) {
+		d.fail(fmt.Errorf("graph: feature block %dx%d exceeds section", r, c))
+	}
+	d.take(d.elems(r*c, dt.Size()) * dt.Size())
+	return int(r), int(c), d.done(dt.section())
+}
+
+// decode widens the stored feature elements b into dst, one per element
+// of dst. fp16 bits that are not finite are refused: the writer only
+// emits finite fp16, so such bits are corruption (or a crafted store)
+// the kernels must not see.
+func (t FeatDtype) decode(dst []float32, b []byte) error {
+	if t == DtypeF16 {
+		for i := range dst {
+			h := binary.LittleEndian.Uint16(b[2*i:])
+			if !half.IsFinite(h) {
+				return fmt.Errorf("non-finite fp16 bits %#04x at element %d", h, i)
+			}
+			dst[i] = half.FromBits(h)
+		}
+		return nil
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return nil
 }
 
 func decodeLabelsSection(b []byte) ([]int32, error) {
@@ -708,38 +718,6 @@ func (d *dec) i32s(n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func (d *dec) f32s(n int) []float32 {
-	b := d.take(4 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// halves decodes n little-endian fp16 values, widening exactly. Unlike
-// f32s it also polices values: the store writer only ever emits finite
-// fp16, so Inf/NaN bits here are corruption (or a crafted store).
-func (d *dec) halves(n int) []float32 {
-	b := d.take(2 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		h := uint16(b[2*i]) | uint16(b[2*i+1])<<8
-		if !half.IsFinite(h) {
-			d.fail(fmt.Errorf("graph: non-finite fp16 bits %#04x at element %d", h, i))
-			return nil
-		}
-		out[i] = half.FromBits(h)
 	}
 	return out
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"argo/internal/platform"
 )
 
 // checkpointState is the serialised form of a model's parameters.
@@ -83,26 +84,7 @@ func LoadModel(r io.Reader, degrees []int) (*GNN, error) {
 // (temporary sibling + rename, like .argograph saves), so a reader never
 // observes a half-written checkpoint.
 func (m *GNN) SaveCheckpointFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := m.SaveCheckpoint(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Checkpoints are shared artifacts (trained here, served elsewhere):
-	// give them ordinary file permissions, not CreateTemp's 0600.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return platform.WriteFileAtomic(path, m.SaveCheckpoint)
 }
 
 // LoadModelFile is LoadModel over a checkpoint file.

@@ -20,6 +20,10 @@ import (
 // Sample is Neighbor's; targets must lie inside the allowed set (the
 // engine draws them from the shard's owned train nodes), and frontier
 // expansion never leaves it.
+//
+// It stays only because the repo benchmark's benchmark/train.go drives
+// the engine's local regime (train_shard_local) through
+// engine.NewPartitionSetup; no command or trainer option selects it.
 type Partition struct{ Neighbor }
 
 // NewPartition returns a partition-local sampler over the

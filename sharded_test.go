@@ -25,11 +25,10 @@ func shardedCoreDataset(t *testing.T) *graph.Dataset {
 	return ds
 }
 
-// The shard-aware trainer survives auto-tuner re-launches: as the
-// process count changes every replica keeps reading the one shard
-// source, weights carry over, and the loss trace stays equal to the
-// single-store trainer driven through the identical configuration
-// sequence.
+// A trainer over a shard set's assembled dataset survives auto-tuner
+// re-launches: as the process count changes weights carry over, and the
+// loss trace stays equal to the single-store trainer driven through the
+// identical configuration sequence.
 func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 	ds := shardedCoreDataset(t)
 	newSampler := func(g *graph.CSR) sampler.Sampler { return sampler.NewNeighbor(g, []int{4, 3}) }
@@ -49,13 +48,13 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	skel, err := ss.Skeleton()
+	asm, err := ss.AssembleDataset()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := NewGNNTrainer(GNNTrainerOptions{
-		Dataset: skel, Sampler: newSampler(skel.Graph), Model: model,
-		BatchSize: 24, LR: 0.01, Seed: 3, Shards: ss,
+		Dataset: asm, Sampler: newSampler(asm.Graph), Model: model,
+		BatchSize: 24, LR: 0.01, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

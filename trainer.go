@@ -3,7 +3,6 @@ package argo
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"argo/internal/engine"
@@ -14,29 +13,15 @@ import (
 
 // GNNTrainerOptions configures a real GNN training job managed by ARGO.
 type GNNTrainerOptions struct {
+	// Dataset is the materialised dataset every replica reads; a shard
+	// set trains on its AssembleDataset(), one feature table whatever
+	// the store.
 	Dataset   *graph.Dataset
 	Sampler   sampler.Sampler
 	Model     nn.ModelSpec
 	BatchSize int
 	LR        float64
 	Seed      int64
-	// Shards switches on shard-aware training: Dataset must be the
-	// set's Skeleton() and the sampler must be built over its graph.
-	// Every shard's features and labels are loaded once into this
-	// process, and every replica reads them directly. Training losses
-	// match the single-store run on the same configuration to float
-	// precision.
-	Shards *graph.ShardSet
-	// SamplingRegime selects how a sharded run draws mini-batches:
-	// "" or "exact" samples the assembled global topology (losses
-	// bit-identical to single-store), "local" samples partition-locally
-	// (shard s belongs to replica s mod n, which samples within its
-	// shards' owned + 1-hop halo rows — the Cluster-GCN regime, trading
-	// a bounded accuracy perturbation for batches bounded to the
-	// replica's partition). "local" requires Shards and a
-	// *sampler.Neighbor Sampler, whose fanouts the partition-local
-	// samplers take.
-	SamplingRegime string
 }
 
 // GNNTrainer adapts the real multi-process training engine to the
@@ -47,12 +32,6 @@ type GNNTrainerOptions struct {
 // thread is pinned to a core.
 type GNNTrainer struct {
 	opts   GNNTrainerOptions
-	regime engine.SamplingRegime
-
-	// source is a sharded run's one data source, built once and read
-	// by every replica; nil on a single store.
-	source engine.DataSource
-
 	cfg    Config
 	eng    *engine.Engine
 	losses []float64 // one mean loss per epoch trained
@@ -63,20 +42,7 @@ func NewGNNTrainer(opts GNNTrainerOptions) (*GNNTrainer, error) {
 	if opts.Dataset == nil || opts.Sampler == nil || opts.BatchSize < 1 {
 		return nil, fmt.Errorf("argo: a dataset, a sampler and a positive batch size are required")
 	}
-	regime, err := engine.ParseRegime(opts.SamplingRegime)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := opts.Sampler.(*sampler.Neighbor); regime == engine.RegimeLocal && (opts.Shards == nil || !ok) {
-		return nil, fmt.Errorf("argo: the local sampling regime needs a shard set and a neighbor sampler")
-	}
-	t := &GNNTrainer{opts: opts, regime: regime}
-	if opts.Shards != nil {
-		if t.source, err = engine.NewShardSource(opts.Shards); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return &GNNTrainer{opts: opts}, nil
 }
 
 // Step implements TrainStep: it trains `epochs` epochs under cfg and
@@ -125,8 +91,7 @@ func (t *GNNTrainer) launch() error {
 }
 
 // Evaluate returns validation accuracy under the current weights. Data-
-// source failures (possible on the sharded path) surface as errors, not
-// as a silent zero accuracy.
+// source failures surface as errors, not as a silent zero accuracy.
 func (t *GNNTrainer) Evaluate() (float64, error) {
 	if err := t.launch(); err != nil {
 		return 0, err
@@ -148,43 +113,21 @@ func (t *GNNTrainer) SaveCheckpoint(path string) error {
 
 // bind builds the engine on the first call and reconfigures it in place
 // for every later cfg, so the weights and the optimizer carry across the
-// tuner's moves (paper §VI-F). A sharded run hands its one shard source
-// to each of the cfg.Procs replicas; only the local regime's partition
-// samplers and owned target sets follow the process count, and they are
-// rebuilt only when it changes.
+// tuner's moves (paper §VI-F).
 func (t *GNNTrainer) bind(cfg Config) error {
 	if t.eng != nil && cfg == t.cfg {
 		return nil
 	}
 	ecfg := engine.Config{
-		Dataset:        t.opts.Dataset,
-		Sampler:        t.opts.Sampler,
-		Model:          t.opts.Model,
-		BatchSize:      t.opts.BatchSize,
-		LR:             t.opts.LR,
-		NumProcs:       cfg.Procs,
-		SampleWorkers:  cfg.SampleCores,
-		TrainWorkers:   cfg.TrainCores,
-		Seed:           t.opts.Seed,
-		SamplingRegime: t.regime,
-	}
-	if t.source != nil {
-		ecfg.Sources = slices.Repeat([]engine.DataSource{t.source}, cfg.Procs)
-	}
-	if t.regime == engine.RegimeLocal {
-		if t.eng != nil && cfg.Procs == t.cfg.Procs {
-			old := t.eng.Config()
-			ecfg.LocalSamplers, ecfg.LocalTargets = old.LocalSamplers, old.LocalTargets
-		} else {
-			// NewGNNTrainer admits the local regime only over a neighbor
-			// sampler, whose fanouts the partition samplers take.
-			fanouts := t.opts.Sampler.(*sampler.Neighbor).Fanouts
-			setup, err := engine.NewPartitionSetup(t.opts.Shards, t.opts.Dataset, cfg.Procs, fanouts)
-			if err != nil {
-				return err
-			}
-			ecfg.LocalSamplers, ecfg.LocalTargets = setup.Samplers, setup.Targets
-		}
+		Dataset:       t.opts.Dataset,
+		Sampler:       t.opts.Sampler,
+		Model:         t.opts.Model,
+		BatchSize:     t.opts.BatchSize,
+		LR:            t.opts.LR,
+		NumProcs:      cfg.Procs,
+		SampleWorkers: cfg.SampleCores,
+		TrainWorkers:  cfg.TrainCores,
+		Seed:          t.opts.Seed,
 	}
 	if t.eng == nil {
 		eng, err := engine.New(ecfg)
