@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -407,5 +408,52 @@ func TestF16RoundingReportKnownMatrix(t *testing.T) {
 	ds := f16TestDataset(t)
 	if zero := F16RoundingReport(ds.Features); zero.OverallMax != 0 || zero.MeanAbs != 0 {
 		t.Fatalf("converted matrix still reports rounding error %g", zero.OverallMax)
+	}
+}
+
+// The fp32 decode is one copy on a little-endian host and an element
+// loop elsewhere. Both must give the stored bits back unchanged: NaN
+// payloads (quiet and signalling), both zeros, subnormals and both
+// infinities, at every length 0–130 and every byte alignment of the
+// source. littleEndian is switched inside the test so both branches run
+// on this host.
+func TestDecodeF32CopyMatchesLoop(t *testing.T) {
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	patterns := []uint32{
+		0x7fc00000, 0x7fc00001, 0xffc12345, // quiet NaNs with payloads
+		0x7f800001, 0xff812345, // signalling NaNs
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x007fffff, 0x80000001, // subnormals
+		0x7f800000, 0xff800000, // ±Inf
+		0x3f800000, 0xc2f6e979, 0x7f7fffff, // ordinary and the largest finite
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 130; n++ {
+		for align := 0; align < 4; align++ {
+			want := make([]uint32, n)
+			b := make([]byte, align+4*n)[align:]
+			for i := range want {
+				want[i] = patterns[rng.Intn(len(patterns))]
+				if rng.Intn(4) == 0 {
+					want[i] = rng.Uint32()
+				}
+				binary.LittleEndian.PutUint32(b[4*i:], want[i])
+			}
+			for _, le := range []bool{true, false} {
+				littleEndian = le
+				dst := make([]float32, n)
+				for i := range dst {
+					dst[i] = math.Float32frombits(0x7fbadbad) // no stale value may survive
+				}
+				if err := DtypeF32.decode(dst, b); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range dst {
+					if got := math.Float32bits(v); got != want[i] {
+						t.Fatalf("n=%d align=%d littleEndian=%v: element %d decodes to %#08x, stored %#08x", n, align, le, i, got, want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"argo/internal/platform"
 	"argo/internal/tensor"
@@ -558,10 +559,15 @@ func featuresShape(b []byte, dt FeatDtype) (rows, cols int, err error) {
 	return int(r), int(c), d.done(dt.section())
 }
 
+// littleEndian reports whether this host lays a float32 out in memory
+// as the store does, low byte first, so fp32 rows decode as one copy.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // decode widens the stored feature elements b into dst, one per element
 // of dst. fp16 bits that are not finite are refused: the writer only
 // emits finite fp16, so such bits are corruption (or a crafted store)
-// the kernels must not see.
+// the kernels must not see. fp32 bits are copied unchanged, NaN
+// payloads included.
 func (t FeatDtype) decode(dst []float32, b []byte) error {
 	if t == DtypeF16 {
 		for i := range dst {
@@ -571,6 +577,10 @@ func (t FeatDtype) decode(dst []float32, b []byte) error {
 			}
 			dst[i] = half.FromBits(h)
 		}
+		return nil
+	}
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst)), b[:4*len(dst)])
 		return nil
 	}
 	for i := range dst {

@@ -51,15 +51,9 @@ type Batcher struct {
 
 	closeOnce sync.Once
 
-	mu    sync.Mutex
-	stats batcherCounters
-}
-
-type batcherCounters struct {
-	requests, batches, nodesServed                int64
-	flushIdle, flushWindow, flushSize, flushDrain int64
-	maxBatchNodes                                 int
-	latencySumMicros, latencyMaxMicros            int64
+	mu               sync.Mutex
+	stats            BatcherStats // the two means are left to Stats
+	latencySumMicros int64
 }
 
 // BatcherStats is a snapshot of the batcher counters for /statz.
@@ -152,23 +146,12 @@ func (b *Batcher) Close() {
 func (b *Batcher) Stats() BatcherStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := b.stats
-	s := BatcherStats{
-		Requests:         c.requests,
-		Batches:          c.batches,
-		NodesServed:      c.nodesServed,
-		FlushIdle:        c.flushIdle,
-		FlushWindow:      c.flushWindow,
-		FlushSize:        c.flushSize,
-		FlushDrain:       c.flushDrain,
-		MaxBatchNodes:    c.maxBatchNodes,
-		MaxLatencyMicros: c.latencyMaxMicros,
+	s := b.stats
+	if s.Batches > 0 {
+		s.MeanBatchNodes = float64(s.NodesServed) / float64(s.Batches)
 	}
-	if c.batches > 0 {
-		s.MeanBatchNodes = float64(c.nodesServed) / float64(c.batches)
-	}
-	if c.requests > 0 {
-		s.MeanLatencyMicros = float64(c.latencySumMicros) / float64(c.requests)
+	if s.Requests > 0 {
+		s.MeanLatencyMicros = float64(b.latencySumMicros) / float64(s.Requests)
 	}
 	return s
 }
@@ -261,28 +244,24 @@ func (b *Batcher) runBatch(pending []*batchRequest, cause int) {
 	now := time.Now()
 
 	b.mu.Lock()
-	b.stats.batches++
-	b.stats.requests += int64(len(pending))
-	b.stats.nodesServed += int64(len(nodes))
-	if len(nodes) > b.stats.maxBatchNodes {
-		b.stats.maxBatchNodes = len(nodes)
-	}
+	b.stats.Batches++
+	b.stats.Requests += int64(len(pending))
+	b.stats.NodesServed += int64(len(nodes))
+	b.stats.MaxBatchNodes = max(b.stats.MaxBatchNodes, len(nodes))
 	switch cause {
 	case flushCauseIdle:
-		b.stats.flushIdle++
+		b.stats.FlushIdle++
 	case flushCauseWindow:
-		b.stats.flushWindow++
+		b.stats.FlushWindow++
 	case flushCauseSize:
-		b.stats.flushSize++
+		b.stats.FlushSize++
 	case flushCauseDrain:
-		b.stats.flushDrain++
+		b.stats.FlushDrain++
 	}
 	for _, r := range pending {
 		lat := now.Sub(r.enq).Microseconds()
-		b.stats.latencySumMicros += lat
-		if lat > b.stats.latencyMaxMicros {
-			b.stats.latencyMaxMicros = lat
-		}
+		b.latencySumMicros += lat
+		b.stats.MaxLatencyMicros = max(b.stats.MaxLatencyMicros, lat)
 	}
 	b.mu.Unlock()
 

@@ -17,6 +17,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -34,7 +35,9 @@ const cacheEntryOverheadBytes = 64
 // Get copies into dst (grown as needed) so callers never alias cached
 // storage; Put copies the row into cache-owned storage. Stats must be
 // safe to call concurrently with Get/Put — /statz polls it while
-// Predict traffic is in flight. Close releases cache-owned resources;
+// Predict traffic is in flight. The serving path gathers a request's
+// rows under one lock, so Stats may wait for one gather to finish.
+// Close releases cache-owned resources;
 // the implementation here is memory-only, so it exists for symmetry
 // with future disk-backed tiers.
 type Cache interface {
@@ -188,6 +191,45 @@ func (c *rowCache) pushFront(s int32) {
 func (c *rowCache) Get(id graph.NodeID, dst []float32) ([]float32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.get(id, dst)
+}
+
+// Put makes node id's row resident, copying it into the slab. A row
+// already resident only moves to the front (its bytes are a function of
+// the id); a new row takes a free slot or, in a full cache, the LRU
+// victim's — unless the admission sketch ranks it no higher than the
+// victim, in which case it is rejected and nothing is evicted.
+func (c *rowCache) Put(id graph.NodeID, row []float32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.put(id, row)
+}
+
+// fill gathers one request's rows under a single lock: for each id in
+// order it does what Get does into rowOf(i) and, on a miss, calls read
+// to fill that row from the source and then does what Put does. Every
+// decision and counter is therefore the one the same Get/Put calls row
+// by row would make. A read error ends the pass with that row's miss
+// counted and nothing cached for it. rowOf and read run under c.mu and
+// must not call back into the cache.
+func (c *rowCache) fill(ids []graph.NodeID, rowOf func(i int) []float32, read func(id graph.NodeID, dst []float32) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, v := range ids {
+		dst := rowOf(i)
+		if _, ok := c.get(v, dst); ok {
+			continue
+		}
+		if err := read(v, dst); err != nil {
+			return err
+		}
+		c.put(v, dst)
+	}
+	return nil
+}
+
+// get is Get under c.mu.
+func (c *rowCache) get(id graph.NodeID, dst []float32) ([]float32, bool) {
 	if c.sketch != nil {
 		c.sketch.touch(id)
 	}
@@ -198,10 +240,7 @@ func (c *rowCache) Get(id graph.NodeID, dst []float32) ([]float32, bool) {
 	}
 	c.unlink(s)
 	c.pushFront(s)
-	if cap(dst) < c.width {
-		dst = make([]float32, c.width)
-	}
-	dst = dst[:c.width]
+	dst = slices.Grow(dst[:0], c.width)[:c.width]
 	lo, hi := int(s)*c.width, int(s+1)*c.width
 	if c.half != nil {
 		half.Decode(dst, c.half[lo:hi])
@@ -212,17 +251,11 @@ func (c *rowCache) Get(id graph.NodeID, dst []float32) ([]float32, bool) {
 	return dst, true
 }
 
-// Put makes node id's row resident, copying it into the slab. A row
-// already resident only moves to the front (its bytes are a function of
-// the id); a new row takes a free slot or, in a full cache, the LRU
-// victim's — unless the admission sketch ranks it no higher than the
-// victim, in which case it is rejected and nothing is evicted.
-func (c *rowCache) Put(id graph.NodeID, row []float32) {
+// put is Put under c.mu.
+func (c *rowCache) put(id graph.NodeID, row []float32) {
 	if id < 0 || len(row) != c.width || len(c.ids) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if s := c.slot(id); s >= 0 {
 		c.unlink(s)
 		c.pushFront(s)
@@ -254,7 +287,8 @@ func (c *rowCache) Put(id graph.NodeID, row []float32) {
 	c.pushFront(s)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, waiting for a gather in
+// progress to finish.
 func (c *rowCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

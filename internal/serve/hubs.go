@@ -56,15 +56,6 @@ func (h *HubStore) Bytes() int64 {
 	return h.bytes
 }
 
-// Nodes returns the hub set in precompute (degree-rank) order. Callers
-// must not mutate it.
-func (h *HubStore) Nodes() []graph.NodeID {
-	if h == nil {
-		return nil
-	}
-	return h.nodes
-}
-
 // Contains reports whether id is a hub — the pruning predicate handed
 // to sampler.SamplePruned.
 func (h *HubStore) Contains(id graph.NodeID) bool {
@@ -145,11 +136,7 @@ func (inf *Inferencer) PrecomputeHubs(hubs []graph.NodeID) (*HubStore, error) {
 	for j := 1; j <= L; j++ {
 		fn := sampler.NewFullNeighbor(inf.graph, j)
 		for start := 0; start < len(hubs); start += hubChunk {
-			end := start + hubChunk
-			if end > len(hubs) {
-				end = len(hubs)
-			}
-			chunk := hubs[start:end]
+			chunk := hubs[start:min(start+hubChunk, len(hubs))]
 			mb := fn.Sample(nil, chunk)
 			x0, err := inf.gatherFeatures(mb.InputNodes())
 			if err != nil {

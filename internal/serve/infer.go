@@ -93,12 +93,7 @@ func (s matrixSource) Row(id graph.NodeID, dst []float32) ([]float32, error) {
 	if id < 0 || int(id) >= s.m.Rows {
 		return nil, fmt.Errorf("serve: feature row %d outside [0,%d)", id, s.m.Rows)
 	}
-	if cap(dst) < s.m.Cols {
-		dst = make([]float32, s.m.Cols)
-	}
-	dst = dst[:s.m.Cols]
-	copy(dst, s.m.Row(int(id)))
-	return dst, nil
+	return append(dst[:0], s.m.Row(int(id))...), nil
 }
 
 func (s matrixSource) Dim() int { return s.m.Cols }
@@ -123,19 +118,17 @@ type Inferencer struct {
 	graph  *graph.CSR
 	gather *sampler.FullNeighbor
 	feats  FeatureSource
-	cache  *rowCache // nil when caching is off
+	cache  *rowCache // zero-budget when caching is off
 	hubs   *HubStore
 	pool   *tensor.Pool
-	// scratch row reused across gathers (Predict is serialised).
-	scratch []float32
 
 	hubHits atomic.Int64
 }
 
 // newInferencer validates the pieces and builds an inferencer. A nil
-// cache reads every row from feats. workers bounds the tensor worker
-// pool; per-row kernel results are worker-count-independent, so it is
-// performance-only.
+// cache is a zero-budget one, which reads every row from feats. workers
+// bounds the tensor worker pool; per-row kernel results are
+// worker-count-independent, so it is performance-only.
 func newInferencer(model *nn.GNN, g *graph.CSR, feats FeatureSource, cache *rowCache, workers int) (*Inferencer, error) {
 	if model == nil || g == nil || feats == nil {
 		return nil, fmt.Errorf("serve: model, graph, and features are required")
@@ -143,14 +136,16 @@ func newInferencer(model *nn.GNN, g *graph.CSR, feats FeatureSource, cache *rowC
 	if feats.Dim() != model.Spec.Dims[0] {
 		return nil, fmt.Errorf("serve: feature dim %d, model expects %d", feats.Dim(), model.Spec.Dims[0])
 	}
+	if cache == nil { // no slots: every row misses and no Put keeps one
+		cache = &rowCache{policy: PolicyLRU, links: []link{{}}}
+	}
 	return &Inferencer{
-		model:   model,
-		graph:   g,
-		gather:  sampler.NewFullNeighbor(g, model.NumLayers()),
-		feats:   feats,
-		cache:   cache,
-		pool:    tensor.NewPool(max(workers, 1)),
-		scratch: make([]float32, feats.Dim()),
+		model:  model,
+		graph:  g,
+		gather: sampler.NewFullNeighbor(g, model.NumLayers()),
+		feats:  feats,
+		cache:  cache,
+		pool:   tensor.NewPool(max(workers, 1)),
 	}, nil
 }
 
@@ -235,38 +230,34 @@ func (inf *Inferencer) Predict(nodes []graph.NodeID) ([]Prediction, error) {
 	return preds, nil
 }
 
-// gatherFeatures assembles the layer-0 input matrix row by row through
-// the cache. Only rows absent from the cache touch the FeatureSource.
-// The matrix draws from the model's buffer pool; Predict returns it once
-// the pass completes.
+// gatherFeatures assembles the layer-0 input matrix through the cache
+// in one locked pass: a hit is copied into its row of the matrix and a
+// miss is read by the FeatureSource straight into it, so every row is
+// written and the matrix needs no zero fill. The matrix draws from the
+// model's buffer pool; Predict returns it once the pass completes.
 func (inf *Inferencer) gatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error) {
-	dim := inf.feats.Dim()
-	x0 := inf.model.Buffers().Get(len(ids), dim)
-	for i, v := range ids {
-		dst := x0.Row(i)
-		if inf.cache != nil {
-			if _, ok := inf.cache.Get(v, dst); ok {
-				continue
-			}
+	x0 := inf.model.Buffers().GetDirty(len(ids), inf.feats.Dim())
+	err := inf.cache.fill(ids, x0.Row, func(v graph.NodeID, dst []float32) error {
+		row, err := inf.feats.Row(v, dst)
+		if err == nil && len(row) != len(dst) {
+			err = fmt.Errorf("serve: feature source returned %d values for node %d, want %d", len(row), v, len(dst))
 		}
-		row, err := inf.feats.Row(v, inf.scratch)
-		if err != nil {
-			inf.model.Buffers().Put(x0)
-			return nil, err
+		if err == nil && len(row) > 0 && &row[0] != &dst[0] {
+			copy(dst, row) // the source answered from its own storage
 		}
-		inf.scratch = row
-		copy(dst, row)
-		if inf.cache != nil {
-			inf.cache.Put(v, row)
-		}
+		return err
+	})
+	if err != nil {
+		inf.model.Buffers().Put(x0)
+		return nil, err
 	}
 	return x0, nil
 }
 
 // CacheStats reports the hot-node cache counters (zero value when no
-// cache is configured).
+// cache budget is configured).
 func (inf *Inferencer) CacheStats() CacheStats {
-	if inf.cache == nil {
+	if inf.cache.capBytes <= 0 {
 		return CacheStats{}
 	}
 	return inf.cache.Stats()

@@ -91,15 +91,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
 	case errors.Is(err, ErrBadRequest):
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, err.Error())
-		return
+	default:
+		writeJSON(w, http.StatusOK, PredictResponse{Predictions: preds})
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{Predictions: preds})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -12,7 +12,6 @@ import (
 // load-generating worker its own (differently seeded) generator.
 type Generator interface {
 	Next() graph.NodeID
-	Name() string
 }
 
 type zipfGen struct {
@@ -38,7 +37,6 @@ func NewZipfGenerator(g *graph.CSR, seed int64, s float64) (Generator, error) {
 }
 
 func (z *zipfGen) Next() graph.NodeID { return graph.NodeID(z.z.Uint64()) }
-func (z *zipfGen) Name() string       { return "zipf" }
 
 type uniformGen struct {
 	rng *rand.Rand
@@ -55,7 +53,6 @@ func NewUniformGenerator(numNodes int, seed int64) (Generator, error) {
 }
 
 func (u *uniformGen) Next() graph.NodeID { return graph.NodeID(u.rng.Intn(u.n)) }
-func (u *uniformGen) Name() string       { return "uniform" }
 
 // NextBatch draws size distinct nodes from gen (predict requests carry
 // unique node lists). Requires size <= the graph's node count.
