@@ -35,11 +35,7 @@ func epochBatches(train []graph.NodeID, batch int, seed int64) [][]graph.NodeID 
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	var out [][]graph.NodeID
 	for lo := 0; lo < len(ids); lo += batch {
-		hi := lo + batch
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		out = append(out, ids[lo:hi])
+		out = append(out, ids[lo:min(lo+batch, len(ids))])
 	}
 	return out
 }

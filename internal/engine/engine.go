@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -95,6 +96,9 @@ type Engine struct {
 	BatchHook func(iteration int)
 
 	iterCount int // global iterations since construction
+
+	cores int        // GOMAXPROCS at New: the core rule's budget
+	ahead *lookahead // the next epoch's head, sampled by the last epoch
 }
 
 // validate reports the first reason cfg cannot drive an engine.
@@ -145,7 +149,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{replicas: []*replica{{model: m}}, opt: nn.NewAdam(cfg.LR)}
+	e := &Engine{replicas: []*replica{{model: m}}, opt: nn.NewAdam(cfg.LR), cores: runtime.GOMAXPROCS(0)}
 	e.apply(cfg)
 	return e, nil
 }
@@ -208,65 +212,110 @@ func (e *Engine) Config() Config { return e.cfg }
 // own.
 func (e *Engine) Model(r int) *nn.GNN { return e.replicas[r].model }
 
+// lookahead is the next epoch as the last one left it: its job lists,
+// built once, the prefetchers (heads) whose tails are its first skip
+// jobs, and the configuration both were drawn under.
+type lookahead struct {
+	epoch, skip int
+	cfg         Config
+	train       []graph.NodeID  // cfg.Dataset.TrainIdx when jobs were built
+	jobs        [][]prefetchJob // each replica's jobs for epoch
+	heads       []*prefetcher   // replica r's tail is jobs[r][:skip]
+}
+
+// matches reports whether RunEpoch(epoch) under c draws the batches a
+// holds: every field a batch depends on is unchanged (s, t and LR are
+// not among them). Samplers and sources are compared with ==.
+func (a *lookahead) matches(c *Config, epoch int) bool {
+	p := &a.cfg
+	return epoch == a.epoch && c.NumProcs == p.NumProcs && c.BatchSize == p.BatchSize && c.Seed == p.Seed &&
+		c.Sampler == p.Sampler && c.Dataset == p.Dataset && slices.Equal(c.Dataset.TrainIdx, a.train) &&
+		c.SamplingRegime == p.SamplingRegime && slices.Equal(c.Sources, p.Sources) &&
+		slices.Equal(c.LocalSamplers, p.LocalSamplers) && slices.EqualFunc(c.LocalTargets, p.LocalTargets, slices.Equal)
+}
+
+// epochJobs builds each replica's job list for one epoch, all of one
+// length. Under the exact regime each iteration is one global batch
+// split n ways. Under the local regime (only the repo benchmark's
+// train_shard_local selects it) every replica shuffles its own owned
+// targets in B/n-sized shares (preserving the effective global batch ≈
+// B); shards own unequal train counts, so the short replicas are padded
+// with empty jobs (weight 0 in the all-reduce) to keep the barrier square.
+func (e *Engine) epochJobs(epoch int) [][]prefetchJob {
+	c, n := &e.cfg, e.cfg.NumProcs
+	jobs := make([][]prefetchJob, n)
+	add := func(r, it int, targets []graph.NodeID) {
+		jobs[r] = append(jobs[r], prefetchJob{seed: seedFor(c.Seed, epoch, it*n+r), targets: targets})
+	}
+	if c.SamplingRegime != RegimeLocal {
+		for it, gb := range epochBatches(c.Dataset.TrainIdx, c.BatchSize, seedFor(c.Seed, epoch, -1)) {
+			for r, share := range splitShares(gb, n) {
+				add(r, it, share)
+			}
+		}
+		return jobs
+	}
+	numIters := 0
+	for r := range jobs {
+		for it, b := range epochBatches(c.LocalTargets[r], max(c.BatchSize/n, 1), seedFor(c.Seed, epoch, -2-r)) {
+			add(r, it, b)
+		}
+		numIters = max(numIters, len(jobs[r]))
+	}
+	for r := range jobs {
+		jobs[r] = append(jobs[r], make([]prefetchJob, numIters-len(jobs[r]))...)
+	}
+	return jobs
+}
+
 // RunEpoch trains one epoch and returns its summary.
+//
+// It samples ahead across the epoch boundary when every sampling and
+// training worker has a core, n·(s+t) ≤ GOMAXPROCS: each replica's
+// prefetcher then ends with the first s jobs of epoch + 1. The next
+// RunEpoch serves those head batches first if lookahead.matches, and
+// otherwise drops them without waiting. On a saturated host sampling
+// ahead would only move work from one epoch into the next, so there the
+// tail is empty and the epoch runs as it would without one.
 func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	start := time.Now()
-	n := e.cfg.NumProcs
-
-	// Build per-replica job lists. Under the exact regime each iteration
-	// is one global batch split n ways. Under the local regime (only the
-	// repo benchmark's train_shard_local selects it) every replica
-	// shuffles its own owned targets, in B/n-sized shares (preserving
-	// the effective global batch ≈ B).
-	perReplicaJobs := make([][]prefetchJob, n)
-	var numIters int
-	if e.cfg.SamplingRegime != RegimeLocal {
-		globalBatches := epochBatches(e.cfg.Dataset.TrainIdx, e.cfg.BatchSize, seedFor(e.cfg.Seed, epoch, -1))
-		numIters = len(globalBatches)
-		for it, gb := range globalBatches {
-			shares := splitShares(gb, n)
-			for r := 0; r < n; r++ {
-				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{
-					index:   it,
-					seed:    seedFor(e.cfg.Seed, epoch, it*n+r),
-					targets: shares[r],
-				})
-			}
+	c, n := &e.cfg, e.cfg.NumProcs
+	head := e.ahead
+	e.ahead = nil
+	if head != nil && !head.matches(c, epoch) {
+		for _, p := range head.heads {
+			p.stop.Do(func() { close(p.quit) })
 		}
-	} else {
-		size := max(e.cfg.BatchSize/n, 1)
-		for r := 0; r < n; r++ {
-			for it, b := range epochBatches(e.cfg.LocalTargets[r], size, seedFor(e.cfg.Seed, epoch, -2-r)) {
-				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{
-					index: it, seed: seedFor(e.cfg.Seed, epoch, it*n+r), targets: b,
-				})
-			}
-			numIters = max(numIters, len(perReplicaJobs[r]))
-		}
-		// Target sets are unequal (shards own unequal train counts); pad
-		// the short replicas with empty jobs (weight 0 in the all-reduce)
-		// to keep the barrier square.
-		for r := 0; r < n; r++ {
-			for len(perReplicaJobs[r]) < numIters {
-				perReplicaJobs[r] = append(perReplicaJobs[r], prefetchJob{index: len(perReplicaJobs[r])})
-			}
-		}
+		head = nil
 	}
-
+	if head == nil {
+		head = &lookahead{jobs: e.epochJobs(epoch)}
+	}
+	numIters := len(head.jobs[0])
+	var next *lookahead
+	if n*(c.SampleWorkers+c.TrainWorkers) <= e.cores {
+		next = &lookahead{epoch: epoch + 1, cfg: *c, train: c.Dataset.TrainIdx, jobs: e.epochJobs(epoch + 1)}
+		next.skip = min(c.SampleWorkers, len(next.jobs[0]))
+	}
 	prefetchers := make([]*prefetcher, n)
-	for r := 0; r < n; r++ {
-		samp := e.cfg.Sampler
-		if e.cfg.SamplingRegime == RegimeLocal {
-			samp = e.cfg.LocalSamplers[r]
+	for r, rep := range e.replicas {
+		samp, jobs := c.Sampler, head.jobs[r][head.skip:]
+		if c.SamplingRegime == RegimeLocal {
+			samp = c.LocalSamplers[r]
 		}
-		prefetchers[r] = newPrefetcher(samp, e.replicas[r].source, perReplicaJobs[r], e.cfg.SampleWorkers)
+		if next != nil {
+			jobs = slices.Concat(jobs, next.jobs[r][:next.skip])
+		}
+		prefetchers[r] = newPrefetcher(samp, rep.source, jobs, c.SampleWorkers)
 	}
-	// Closing on every exit path matters: an epoch aborted by a replica
-	// (or source) error must not strand workers parked on the
-	// reorder buffer.
+	// Every exit closes the prefetchers except a finished epoch whose
+	// tail runs on for the next: an epoch aborted by a replica (or
+	// source) error must not strand workers parked on the reorder buffer.
 	defer func() {
-		for r := 0; r < n; r++ {
-			prefetchers[r].Close()
+		if e.ahead == nil {
+			for _, p := range append(prefetchers, head.heads...) {
+				p.Close()
+			}
 		}
 	}()
 
@@ -281,7 +330,11 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 
 	for it := 0; it < numIters; it++ {
 		if err := eachReplica(n, func(r int) error {
-			e.replicas[r].step(prefetchers[r].Next())
+			p := prefetchers[r]
+			if it < head.skip {
+				p = head.heads[r]
+			}
+			e.replicas[r].step(p.Next())
 			return e.replicas[r].lastErr
 		}); err != nil {
 			return res, err
@@ -311,6 +364,9 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	}
 	if lossCount > 0 {
 		res.MeanLoss = lossSum / float64(lossCount)
+	}
+	if next != nil && next.skip > 0 {
+		next.heads, e.ahead = prefetchers, next
 	}
 	res.Duration = time.Since(start)
 	return res, nil
@@ -385,11 +441,7 @@ func (e *Engine) Evaluate(ids []graph.NodeID) (float64, error) {
 	rep := e.replicas[0]
 	correctWeighted := 0.0
 	for lo := 0; lo < len(ids); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		targets := ids[lo:hi]
+		targets := ids[lo:min(lo+evalBatch, len(ids))]
 		rng := newEvalRand(e.cfg.Seed, lo)
 		mb := e.cfg.Sampler.Sample(rng, targets)
 		x0, err := rep.source.GatherFeatures(mb.InputNodes())

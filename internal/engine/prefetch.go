@@ -23,8 +23,13 @@ import (
 // never from worker identity, and results are consumed strictly in job
 // order through a reorder buffer — so the produced batch sequence is
 // byte-identical no matter how many workers run or how they interleave.
+//
+// RunEpoch may end the job list with the first s jobs of the next epoch
+// (the tail). Once the epoch's own jobs are consumed the window of s + 2
+// admits the whole tail, so the feeder and the workers sample it and
+// exit by themselves; the next epoch consumes the tail through Next.
 type prefetcher struct {
-	jobs    chan prefetchJob
+	jobs    chan int
 	results []chan batchData
 	window  chan struct{}
 	quit    chan struct{}
@@ -33,8 +38,9 @@ type prefetcher struct {
 	next    int
 }
 
+// prefetchJob is one replica's share of one iteration; the job's
+// position in its list says which.
 type prefetchJob struct {
-	index   int
 	seed    int64
 	targets []graph.NodeID
 }
@@ -56,11 +62,8 @@ type batchData struct {
 // the trainer's compute on earlier batches; src must therefore be safe
 // to call concurrently with training.
 func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, workers int) *prefetcher {
-	if workers < 1 {
-		workers = 1
-	}
 	p := &prefetcher{
-		jobs:    make(chan prefetchJob),
+		jobs:    make(chan int),
 		results: make([]chan batchData, len(jobs)),
 		window:  make(chan struct{}, workers+2),
 		quit:    make(chan struct{}),
@@ -73,18 +76,18 @@ func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, worker
 		go func() {
 			defer p.wg.Done()
 			for {
-				var job prefetchJob
+				var i int
 				var ok bool
 				select {
-				case job, ok = <-p.jobs:
+				case i, ok = <-p.jobs:
 					if !ok {
 						return
 					}
 				case <-p.quit:
 					return
 				}
-				rng := rand.New(rand.NewSource(job.seed))
-				bd := batchData{mb: s.Sample(rng, job.targets)}
+				rng := rand.New(rand.NewSource(jobs[i].seed))
+				bd := batchData{mb: s.Sample(rng, jobs[i].targets)}
 				if bd.mb != nil && len(bd.mb.Targets) > 0 {
 					bd.x0, bd.err = src.GatherFeatures(bd.mb.InputNodes())
 					if bd.err == nil {
@@ -92,7 +95,7 @@ func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, worker
 					}
 				}
 				select {
-				case p.results[job.index] <- bd:
+				case p.results[i] <- bd:
 				case <-p.quit:
 					return
 				}
@@ -102,14 +105,14 @@ func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, worker
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		for _, job := range jobs {
+		for i := range jobs {
 			select {
 			case p.window <- struct{}{}: // blocks when the window is full
 			case <-p.quit:
 				return
 			}
 			select {
-			case p.jobs <- job:
+			case p.jobs <- i:
 			case <-p.quit:
 				return
 			}

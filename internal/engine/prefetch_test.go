@@ -40,7 +40,7 @@ func prefetchJobs(t *testing.T, ds *graph.Dataset, n int) []prefetchJob {
 		if hi > len(ds.TrainIdx) {
 			hi = len(ds.TrainIdx)
 		}
-		jobs[i] = prefetchJob{index: i, seed: int64(1000 + i), targets: ds.TrainIdx[lo:hi]}
+		jobs[i] = prefetchJob{seed: int64(1000 + i), targets: ds.TrainIdx[lo:hi]}
 	}
 	return jobs
 }
@@ -143,7 +143,7 @@ func TestFetchingPrefetcherAttachesGatheredData(t *testing.T) {
 func TestPrefetcherEmptyJobTargets(t *testing.T) {
 	ds := testDataset(t)
 	smp := sampler.NewNeighbor(ds.Graph, []int{4, 4})
-	jobs := []prefetchJob{{index: 0, seed: 1, targets: nil}}
+	jobs := []prefetchJob{{seed: 1, targets: nil}}
 	p := newPrefetcher(smp, datasetSource{ds: ds}, jobs, 2)
 	mb := p.Next().mb
 	if len(mb.Targets) != 0 {

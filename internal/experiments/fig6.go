@@ -39,10 +39,7 @@ func Fig6(w io.Writer) (Fig6Data, error) {
 	sc := setup.Scenario()
 	for _, n := range data.Procs {
 		perProc := 112 / n
-		s := perProc / 4
-		if s < 1 {
-			s = 1
-		}
+		s := max(perProc/4, 1)
 		m, err := platsim.Simulate(sc, platsim.SimConfig{
 			Procs: n, SampleCores: s, TrainCores: perProc - s, MaxIters: 30,
 		})

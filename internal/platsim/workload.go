@@ -111,16 +111,11 @@ func dedup(m, p float64) float64 {
 // shares collide less, so the *total* sampled workload across processes
 // grows with n.
 func (sc Scenario) PerProcessWork(n int) IterWork {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	d := sc.Dataset.Paper
 	avgDeg := 2 * float64(d.Edges) / float64(d.Vertices)
 	pool := collisionPoolFrac * float64(d.Vertices)
-	b := float64(sc.batch()) / float64(n)
-	if b < 1 {
-		b = 1
-	}
+	b := max(float64(sc.batch())/float64(n), 1)
 	f0, f1, f2 := float64(d.F0), float64(d.F1), float64(d.F2)
 	lib := sc.Library
 

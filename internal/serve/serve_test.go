@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -176,6 +177,7 @@ func TestServedBitsMatchDirectEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireHandBits(t, direct, handGatherPredict(m, ds, nodes), fmt.Sprintf("%v DirectPredict", dt))
 		slots := int64(1<<12) / (StoredRowBytes(lz.FeatureDim(), dt) + cacheEntryOverheadBytes)
 		for _, policy := range Policies() {
 			for _, hubs := range []float64{0, 0.25} {

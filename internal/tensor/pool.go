@@ -20,9 +20,7 @@ type Pool struct {
 // NewPool returns a pool that runs kernels on at most workers goroutines.
 // workers < 1 is treated as 1.
 func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	return &Pool{workers: workers}
 }
 
@@ -59,9 +57,7 @@ func AppendSplitWeighted(dst []int, n, parts int, cost func(i int) int) []int {
 	if n <= 0 {
 		return dst
 	}
-	if parts > n {
-		parts = n
-	}
+	parts = min(parts, n)
 	if parts <= 1 {
 		return append(dst, n)
 	}
@@ -116,10 +112,7 @@ func (p *Pool) ParallelChunks(bounds []int, fn func(lo, hi int)) {
 	if nc <= 0 {
 		return
 	}
-	w := p.Workers()
-	if w > nc {
-		w = nc
-	}
+	w := min(p.Workers(), nc)
 	if w == 1 {
 		for c := 0; c < nc; c++ {
 			fn(bounds[c], bounds[c+1])

@@ -83,9 +83,7 @@ func (tl *Timeline) Render(width int) string {
 		if hi <= lo {
 			hi = lo + 1
 		}
-		if hi > width {
-			hi = width
-		}
+		hi = min(hi, width)
 		g := phaseGlyph[e.Phase]
 		if g == 0 {
 			g = '?'
