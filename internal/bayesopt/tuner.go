@@ -30,7 +30,13 @@ type Tuner struct {
 
 // NewTuner builds a tuner over sp with the given online-learning budget.
 func NewTuner(sp search.Space, numSearches int, seed int64) *Tuner {
-	init := max(min(5, numSearches/2), 1)
+	init := 5
+	if init > numSearches/2 {
+		init = numSearches / 2
+	}
+	if init < 1 {
+		init = 1
+	}
 	return &Tuner{
 		Space:       sp,
 		NumSearches: numSearches,

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"testing"
 
 	"argo/internal/datasets"
@@ -19,20 +18,13 @@ import (
 // the shape of train_shard_exact: the same graph cut to 2 048 targets
 // and written as 4 file-backed shards, fan-outs 10/5, 2 replicas reading
 // the set's one feature table, timed after two warm epochs (pool growth).
-//
-// train_single and shard_exact sample each epoch's first batches during
-// the previous epoch whatever the core count, and their /no_lookahead
-// twins never do (Engine.cores set past and below the core rule), so a
-// pair shows what sampling ahead buys or costs at the -cpu it runs
-// under; the other epochs keep the rule.
 func BenchmarkEpoch(b *testing.B) {
-	run := func(name string, warm, cores int, config func(b *testing.B) Config) {
+	run := func(name string, warm int, config func(b *testing.B) Config) {
 		b.Run(name, func(b *testing.B) {
 			e, err := New(config(b))
 			if err != nil {
 				b.Fatal(err)
 			}
-			e.cores = cores
 			for ep := 0; ep < warm; ep++ {
 				if _, err := e.RunEpoch(ep); err != nil {
 					b.Fatal(err)
@@ -48,11 +40,11 @@ func BenchmarkEpoch(b *testing.B) {
 		})
 	}
 	for _, n := range []int{1, 2, 4} {
-		run(map[int]string{1: "1proc", 2: "2proc", 4: "4proc"}[n], 0, runtime.GOMAXPROCS(0), func(b *testing.B) Config {
+		run(map[int]string{1: "1proc", 2: "2proc", 4: "4proc"}[n], 0, func(b *testing.B) Config {
 			return testConfig(b, testDataset(b), n)
 		})
 	}
-	trainSingle := func(b *testing.B) Config {
+	run("train_single", 0, func(b *testing.B) Config {
 		ds, err := datasets.Resolve("arxiv-sim@x16", 7)
 		if err != nil {
 			b.Fatal(err)
@@ -69,8 +61,8 @@ func BenchmarkEpoch(b *testing.B) {
 			TrainWorkers:  1,
 			Seed:          3,
 		}
-	}
-	shardExact := func(b *testing.B) Config {
+	})
+	run("shard_exact", 2, func(b *testing.B) Config {
 		ds, err := datasets.Resolve("arxiv-sim@x16", 7)
 		if err != nil {
 			b.Fatal(err)
@@ -102,11 +94,7 @@ func BenchmarkEpoch(b *testing.B) {
 			Seed:          3,
 			Sources:       shardSources(b, ss, numProcs),
 		}
-	}
-	run("train_single", 0, manyCores, trainSingle)
-	run("train_single/no_lookahead", 0, noCores, trainSingle)
-	run("shard_exact", 2, manyCores, shardExact)
-	run("shard_exact/no_lookahead", 2, noCores, shardExact)
+	})
 }
 
 // BenchmarkLocalEpoch measures a partition-local epoch: arxiv-sim in 4

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -95,10 +94,8 @@ type Engine struct {
 	// replicas synced). Experiments use it to trace convergence curves.
 	BatchHook func(iteration int)
 
-	iterCount int // global iterations since construction
-
-	cores int        // GOMAXPROCS at New: the core rule's budget
-	ahead *lookahead // the next epoch's head, sampled by the last epoch
+	iterCount int       // global iterations since construction
+	ahead     lookahead // the next epoch's head, sampled by the last one
 }
 
 // validate reports the first reason cfg cannot drive an engine.
@@ -149,18 +146,18 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{replicas: []*replica{{model: m}}, opt: nn.NewAdam(cfg.LR), cores: runtime.GOMAXPROCS(0)}
+	e := &Engine{replicas: []*replica{{model: m}}, opt: nn.NewAdam(cfg.LR)}
 	e.apply(cfg)
 	return e, nil
 }
 
 // Reconfigure moves the engine to cfg in place, between epochs: the
 // weights, the optimizer's state and the iteration count carry on, and
-// training continues as if the engine had been built with cfg. The
-// replicas both configurations have keep their workspaces; each slot
-// reads cfg's source for it, so an n change rebuilds no data source.
-// cfg must name the engine's dataset and model; on any error the
-// engine is left as it was.
+// training continues as if the engine had been built with cfg (after a
+// Close). The replicas both configurations have keep their workspaces;
+// each slot reads cfg's source for it, so an n change rebuilds no data
+// source. cfg must name the engine's dataset and model; on any error
+// the engine is left as it was.
 func (e *Engine) Reconfigure(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -169,6 +166,7 @@ func (e *Engine) Reconfigure(cfg Config) error {
 		return fmt.Errorf("engine: Reconfigure cannot change the dataset or the model (%s %v → %s %v)",
 			m.Kind, m.Dims, cfg.Model.Kind, cfg.Model.Dims)
 	}
+	e.Close()
 	e.apply(cfg)
 	return nil
 }
@@ -212,34 +210,31 @@ func (e *Engine) Config() Config { return e.cfg }
 // own.
 func (e *Engine) Model(r int) *nn.GNN { return e.replicas[r].model }
 
-// lookahead is the next epoch as the last one left it: its job lists,
-// built once, the prefetchers (heads) whose tails are its first skip
-// jobs, and the configuration both were drawn under.
+// lookahead is the next epoch's first skip batches, sampled by the
+// last epoch's prefetchers (heads) while its last steps ran, and the job
+// lists they came from. Only RunEpoch(epoch) over an unchanged TrainIdx
+// serves them first; any other RunEpoch and any Reconfigure drop them.
 type lookahead struct {
 	epoch, skip int
-	cfg         Config
-	train       []graph.NodeID  // cfg.Dataset.TrainIdx when jobs were built
+	train       []graph.NodeID  // a copy of TrainIdx when jobs were built
 	jobs        [][]prefetchJob // each replica's jobs for epoch
-	heads       []*prefetcher   // replica r's tail is jobs[r][:skip]
+	heads       []*prefetcher   // replica r's tail is jobs[r][:skip]; nil: no head
 }
 
-// matches reports whether RunEpoch(epoch) under c draws the batches a
-// holds: every field a batch depends on is unchanged (s, t and LR are
-// not among them). Samplers and sources are compared with ==.
-func (a *lookahead) matches(c *Config, epoch int) bool {
-	p := &a.cfg
-	return epoch == a.epoch && c.NumProcs == p.NumProcs && c.BatchSize == p.BatchSize && c.Seed == p.Seed &&
-		c.Sampler == p.Sampler && c.Dataset == p.Dataset && slices.Equal(c.Dataset.TrainIdx, a.train) &&
-		c.SamplingRegime == p.SamplingRegime && slices.Equal(c.Sources, p.Sources) &&
-		slices.Equal(c.LocalSamplers, p.LocalSamplers) && slices.EqualFunc(c.LocalTargets, p.LocalTargets, slices.Equal)
+// Close stops the sampling the last epoch started for the next one and
+// waits for its in-flight batches. The engine stays usable.
+func (e *Engine) Close() {
+	for _, p := range e.ahead.heads {
+		p.Close()
+	}
+	e.ahead = lookahead{}
 }
 
 // epochJobs builds each replica's job list for one epoch, all of one
 // length. Under the exact regime each iteration is one global batch
-// split n ways. Under the local regime (only the repo benchmark's
-// train_shard_local selects it) every replica shuffles its own owned
-// targets in B/n-sized shares (preserving the effective global batch ≈
-// B); shards own unequal train counts, so the short replicas are padded
+// split n ways. Under the local regime every replica shuffles its own
+// owned targets in B/n-sized shares (the global batch stays ≈ B);
+// shards own unequal train counts, so the short replicas are padded
 // with empty jobs (weight 0 in the all-reduce) to keep the barrier square.
 func (e *Engine) epochJobs(epoch int) [][]prefetchJob {
 	c, n := &e.cfg, e.cfg.NumProcs
@@ -268,67 +263,47 @@ func (e *Engine) epochJobs(epoch int) [][]prefetchJob {
 	return jobs
 }
 
-// RunEpoch trains one epoch and returns its summary.
-//
-// It samples ahead across the epoch boundary when every sampling and
-// training worker has a core, n·(s+t) ≤ GOMAXPROCS: each replica's
-// prefetcher then ends with the first s jobs of epoch + 1. The next
-// RunEpoch serves those head batches first if lookahead.matches, and
-// otherwise drops them without waiting. On a saturated host sampling
-// ahead would only move work from one epoch into the next, so there the
-// tail is empty and the epoch runs as it would without one.
+// RunEpoch trains one epoch and returns its summary. Its prefetchers go
+// on to sample the first s batches of epoch + 1 (see lookahead).
 func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 	start := time.Now()
 	c, n := &e.cfg, e.cfg.NumProcs
 	head := e.ahead
-	e.ahead = nil
-	if head != nil && !head.matches(c, epoch) {
-		for _, p := range head.heads {
-			p.stop.Do(func() { close(p.quit) })
-		}
-		head = nil
+	if head.heads == nil || head.epoch != epoch || !slices.Equal(head.train, c.Dataset.TrainIdx) {
+		e.Close()
+		head = lookahead{jobs: e.epochJobs(epoch)}
 	}
-	if head == nil {
-		head = &lookahead{jobs: e.epochJobs(epoch)}
-	}
-	numIters := len(head.jobs[0])
-	var next *lookahead
-	if n*(c.SampleWorkers+c.TrainWorkers) <= e.cores {
-		next = &lookahead{epoch: epoch + 1, cfg: *c, train: c.Dataset.TrainIdx, jobs: e.epochJobs(epoch + 1)}
-		next.skip = min(c.SampleWorkers, len(next.jobs[0]))
-	}
+	e.ahead = lookahead{}
+	next := lookahead{epoch: epoch + 1, train: slices.Clone(c.Dataset.TrainIdx), jobs: e.epochJobs(epoch + 1)}
+	next.skip = min(c.SampleWorkers, len(next.jobs[0]))
 	prefetchers := make([]*prefetcher, n)
 	for r, rep := range e.replicas {
-		samp, jobs := c.Sampler, head.jobs[r][head.skip:]
+		samp := c.Sampler
 		if c.SamplingRegime == RegimeLocal {
 			samp = c.LocalSamplers[r]
 		}
-		if next != nil {
-			jobs = slices.Concat(jobs, next.jobs[r][:next.skip])
-		}
+		jobs := slices.Concat(head.jobs[r][head.skip:], next.jobs[r][:next.skip])
 		prefetchers[r] = newPrefetcher(samp, rep.source, jobs, c.SampleWorkers)
 	}
-	// Every exit closes the prefetchers except a finished epoch whose
-	// tail runs on for the next: an epoch aborted by a replica (or
-	// source) error must not strand workers parked on the reorder buffer.
+	// An aborted epoch closes every prefetcher, or their workers would
+	// wait on the window for good; a finished one leaves its tail running.
 	defer func() {
-		if e.ahead == nil {
+		if e.ahead.heads == nil {
 			for _, p := range append(prefetchers, head.heads...) {
 				p.Close()
 			}
 		}
 	}()
 
-	res := EpochResult{Epoch: epoch, NumIters: numIters}
+	res := EpochResult{Epoch: epoch, NumIters: len(head.jobs[0])}
 	var lossSum float64
-	var lossCount int
 	sets := make([][]*nn.Param, n)
 	for r, rep := range e.replicas {
 		sets[r] = rep.model.Params()
 	}
 	weights := make([]float64, n)
 
-	for it := 0; it < numIters; it++ {
+	for it := 0; it < res.NumIters; it++ {
 		if err := eachReplica(n, func(r int) error {
 			p := prefetchers[r]
 			if it < head.skip {
@@ -346,7 +321,6 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 			if rep.lastCount > 0 {
 				anyWork = true
 				lossSum += rep.lastLoss * float64(rep.lastCount)
-				lossCount += rep.lastCount
 				res.BatchSeen += rep.lastCount
 				res.Stats.Accumulate(rep.lastStats)
 			}
@@ -362,12 +336,11 @@ func (e *Engine) RunEpoch(epoch int) (EpochResult, error) {
 			e.BatchHook(e.iterCount)
 		}
 	}
-	if lossCount > 0 {
-		res.MeanLoss = lossSum / float64(lossCount)
+	if res.BatchSeen > 0 {
+		res.MeanLoss = lossSum / float64(res.BatchSeen)
 	}
-	if next != nil && next.skip > 0 {
-		next.heads, e.ahead = prefetchers, next
-	}
+	next.heads = prefetchers
+	e.ahead = next
 	res.Duration = time.Since(start)
 	return res, nil
 }
@@ -401,17 +374,12 @@ func (rep *replica) step(bd batchData) {
 	rep.lastCount = 0
 	rep.lastLoss = 0
 	rep.lastStats = sampler.Stats{}
-	rep.lastErr = nil
+	rep.lastErr = bd.err
 	mb := bd.mb
-	if mb == nil || len(mb.Targets) == 0 {
+	if mb == nil || len(mb.Targets) == 0 || bd.err != nil {
 		return
 	}
-	if bd.err != nil {
-		rep.lastErr = bd.err
-		return
-	}
-	x0 := bd.x0
-	logits := rep.model.Forward(rep.trainPool, mb, x0)
+	logits := rep.model.Forward(rep.trainPool, mb, bd.x0)
 	bufs := rep.model.Buffers()
 	loss, dLogits := nn.SoftmaxCrossEntropyPooled(bufs, logits, bd.labels)
 	rep.model.Backward(rep.trainPool, dLogits)
@@ -420,7 +388,7 @@ func (rep *replica) step(bd batchData) {
 	// step free of per-batch matrix allocations (DataSource matrices
 	// are caller-owned by contract).
 	bufs.Put(dLogits)
-	bufs.Put(x0)
+	bufs.Put(bd.x0)
 	rep.lastLoss = loss
 	rep.lastCount = len(mb.Targets)
 	rep.lastStats = mb.Stats

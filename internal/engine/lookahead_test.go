@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,17 +13,11 @@ import (
 	"argo/internal/tensor"
 )
 
-// Settings of Engine.cores, the core rule's budget: manyCores lets every
-// configuration sample ahead, noCores none.
-const (
-	manyCores = 1 << 20
-	noCores   = 0
-)
-
 // headKept reports whether e's next RunEpoch(epoch) serves the batches
 // the last epoch sampled ahead for it.
 func headKept(e *Engine, epoch int) bool {
-	return e.ahead != nil && e.ahead.matches(&e.cfg, epoch)
+	a := e.ahead
+	return a.heads != nil && a.epoch == epoch && slices.Equal(a.train, e.cfg.Dataset.TrainIdx)
 }
 
 // requireBitEqual fails unless two runs' losses and weights match to
@@ -56,7 +51,7 @@ func waitGoroutines(t *testing.T, base int, when string) {
 
 // Sampling the next epoch's first batches ahead changes no bit: over 4
 // epochs the losses and the final weights equal those of the same
-// engine with the lookahead off, for one replica reading the dataset,
+// engine with every head dropped (Close before each epoch), for one replica reading the dataset,
 // for two replicas reading a shard set's table, and under the local
 // regime.
 func TestLookaheadBitEqualOverEpochs(t *testing.T) {
@@ -74,13 +69,15 @@ func TestLookaheadBitEqualOverEpochs(t *testing.T) {
 	}
 	for name, build := range setups {
 		t.Run(name, func(t *testing.T) {
-			run := func(cores int) ([]float64, []*tensor.Matrix) {
+			run := func(ahead bool) ([]float64, []*tensor.Matrix) {
 				e := build(t)
-				e.cores = cores
 				var losses []float64
 				for ep := 0; ep < 4; ep++ {
-					if got := headKept(e, ep); got != (cores == manyCores && ep > 0) {
-						t.Fatalf("cores=%d epoch %d: head kept %v", cores, ep, got)
+					if !ahead {
+						e.Close()
+					}
+					if got := headKept(e, ep); got != (ahead && ep > 0) {
+						t.Fatalf("lookahead %v epoch %d: head kept %v", ahead, ep, got)
 					}
 					res, err := e.RunEpoch(ep)
 					if err != nil {
@@ -90,34 +87,37 @@ func TestLookaheadBitEqualOverEpochs(t *testing.T) {
 				}
 				return losses, cloneWeights(e)
 			}
-			want, wantW := run(noCores)
-			losses, weights := run(manyCores)
+			want, wantW := run(false)
+			losses, weights := run(true)
 			requireBitEqual(t, losses, want, weights, wantW)
 		})
 	}
 }
 
-// The lookahead keeps its head across a Reconfigure of s or t alone and
-// an Evaluate, and drops it on an n change, an out-of-order epoch and a
-// new TrainIdx; either way every loss, accuracy and final weight equals
-// the same schedule's with the lookahead off, whether the replicas read
-// per-replica sources or the dataset.
+// The lookahead keeps its head from one epoch to the next under one
+// configuration, an Evaluate between them included, and drops it on
+// every Reconfigure (s, t or n), an out-of-order epoch and a new
+// TrainIdx. Either way every loss, accuracy and final weight equals the
+// same schedule's with every head dropped, whether the replicas read
+// per-replica sources or the dataset. As GNNTrainer.bind does, a step
+// reconfigures only when its (n, s, t) differs from the last step's.
 func TestLookaheadAcrossReconfigureAndEvaluate(t *testing.T) {
 	steps := []struct {
 		n, s, t, epoch  int
 		eval, cut, kept bool
 	}{
 		{n: 2, s: 1, t: 1, epoch: 0},
-		{n: 2, s: 3, t: 1, epoch: 1, kept: true},             // s alone
-		{n: 2, s: 3, t: 2, epoch: 2, kept: true},             // t alone
-		{n: 2, s: 3, t: 2, epoch: 3, eval: true, kept: true}, // Evaluate first
-		{n: 3, s: 3, t: 2, epoch: 4},                         // n
-		{n: 3, s: 3, t: 2, epoch: 6},                         // out of order
-		{n: 3, s: 1, t: 1, epoch: 7, kept: true},
-		{n: 1, s: 2, t: 1, epoch: 5}, // backwards and n
-		{n: 1, s: 2, t: 1, epoch: 6, kept: true},
-		{n: 1, s: 2, t: 1, epoch: 7, cut: true}, // TrainIdx
-		{n: 1, s: 2, t: 1, epoch: 8, cut: true, kept: true},
+		{n: 2, s: 1, t: 1, epoch: 1, kept: true},
+		{n: 2, s: 3, t: 1, epoch: 2},                         // s
+		{n: 2, s: 3, t: 2, epoch: 3},                         // t
+		{n: 2, s: 3, t: 2, epoch: 4, eval: true, kept: true}, // Evaluate first
+		{n: 3, s: 3, t: 2, epoch: 5},                         // n
+		{n: 3, s: 3, t: 2, epoch: 7},                         // out of order
+		{n: 3, s: 3, t: 2, epoch: 8, kept: true},
+		{n: 3, s: 3, t: 2, epoch: 6}, // backwards
+		{n: 1, s: 2, t: 1, epoch: 7},
+		{n: 1, s: 2, t: 1, epoch: 8, cut: true}, // TrainIdx
+		{n: 1, s: 2, t: 1, epoch: 9, cut: true, kept: true},
 	}
 	base, src := reconfigureSetup(t)
 	own := testConfig(t, testDataset(t), 1)
@@ -127,7 +127,7 @@ func TestLookaheadAcrossReconfigureAndEvaluate(t *testing.T) {
 	}
 	for name, configFor := range configs {
 		t.Run(name, func(t *testing.T) {
-			run := func(cores int) ([]float64, []*tensor.Matrix) {
+			run := func(ahead bool) ([]float64, []*tensor.Matrix) {
 				var e *Engine
 				var out []float64
 				for i, st := range steps {
@@ -140,12 +140,14 @@ func TestLookaheadAcrossReconfigureAndEvaluate(t *testing.T) {
 					var err error
 					if e == nil {
 						e, err = New(cfg)
-						e.cores = cores
-					} else {
+					} else if last := steps[i-1]; st.n != last.n || st.s != last.s || st.t != last.t {
 						err = e.Reconfigure(cfg)
 					}
 					if err != nil {
 						t.Fatal(err)
+					}
+					if !ahead {
+						e.Close()
 					}
 					if st.eval {
 						acc, err := e.Evaluate(cfg.Dataset.ValIdx)
@@ -154,8 +156,8 @@ func TestLookaheadAcrossReconfigureAndEvaluate(t *testing.T) {
 						}
 						out = append(out, acc)
 					}
-					if got := headKept(e, st.epoch); got != (st.kept && cores == manyCores) {
-						t.Fatalf("cores=%d step %d (epoch %d): head kept %v", cores, i, st.epoch, got)
+					if got := headKept(e, st.epoch); got != (st.kept && ahead) {
+						t.Fatalf("lookahead %v step %d (epoch %d): head kept %v", ahead, i, st.epoch, got)
 					}
 					res, err := e.RunEpoch(st.epoch)
 					cfg.Dataset.TrainIdx = full
@@ -166,17 +168,18 @@ func TestLookaheadAcrossReconfigureAndEvaluate(t *testing.T) {
 				}
 				return out, cloneWeights(e)
 			}
-			want, wantW := run(noCores)
-			losses, weights := run(manyCores)
+			want, wantW := run(false)
+			losses, weights := run(true)
 			requireBitEqual(t, losses, want, weights, wantW)
 		})
 	}
 }
 
 // No goroutine outlives the tail's own sampling: after the last epoch,
-// after a dropped head and after an epoch that aborts on a fetch error
-// while serving a kept head, the goroutine count returns to what it was
-// before the first epoch (the pattern of TestOverlapFetchErrorPropagates).
+// after Close, after a dropped head and after an epoch that aborts on a
+// fetch error while serving a kept head, the goroutine count returns to
+// what it was before the first epoch (the pattern of
+// TestOverlapFetchErrorPropagates).
 func TestLookaheadGoroutinesExit(t *testing.T) {
 	var broken *brokenSource
 	e := newShardedEngine(t, shardedTestDataset(t), RegimeExact, func(r int, s DataSource) DataSource {
@@ -186,7 +189,6 @@ func TestLookaheadGoroutinesExit(t *testing.T) {
 		}
 		return s
 	})
-	e.cores = manyCores
 	cfg := e.Config()
 	cfg.SampleWorkers, cfg.BatchSize = 3, 8 // 15 iterations: more than the window
 	if err := e.Reconfigure(cfg); err != nil {
@@ -199,6 +201,15 @@ func TestLookaheadGoroutinesExit(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, before, "after the last epoch")
+
+	if _, err := e.RunEpoch(3); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if e.ahead.heads != nil {
+		t.Fatal("Close left a head behind")
+	}
+	waitGoroutines(t, before, "after Close")
 
 	if _, err := e.RunEpoch(7); err != nil { // drops epoch 3's head
 		t.Fatal(err)
@@ -213,7 +224,7 @@ func TestLookaheadGoroutinesExit(t *testing.T) {
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("epoch after the armed fault returned %v", err)
 	}
-	if e.ahead != nil {
+	if e.ahead.heads != nil {
 		t.Fatal("an aborted epoch left a head behind")
 	}
 	waitGoroutines(t, before, fmt.Sprintf("after an aborted epoch (%v)", err))

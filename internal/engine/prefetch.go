@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"argo/internal/graph"
 	"argo/internal/sampler"
@@ -24,14 +25,13 @@ import (
 // order through a reorder buffer — so the produced batch sequence is
 // byte-identical no matter how many workers run or how they interleave.
 //
-// RunEpoch may end the job list with the first s jobs of the next epoch
-// (the tail). Once the epoch's own jobs are consumed the window of s + 2
-// admits the whole tail, so the feeder and the workers sample it and
-// exit by themselves; the next epoch consumes the tail through Next.
+// A worker takes a slot in the window of s + 2 before each job and Next
+// frees one. A tail of the next epoch's first s jobs (see lookahead)
+// fits in the window, so the workers sample it and exit by themselves.
 type prefetcher struct {
-	jobs    chan int
 	results []chan batchData
 	window  chan struct{}
+	taken   atomic.Int64 // jobs handed to workers so far
 	quit    chan struct{}
 	stop    sync.Once
 	wg      sync.WaitGroup
@@ -63,7 +63,6 @@ type batchData struct {
 // to call concurrently with training.
 func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, workers int) *prefetcher {
 	p := &prefetcher{
-		jobs:    make(chan int),
 		results: make([]chan batchData, len(jobs)),
 		window:  make(chan struct{}, workers+2),
 		quit:    make(chan struct{}),
@@ -76,14 +75,14 @@ func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, worker
 		go func() {
 			defer p.wg.Done()
 			for {
-				var i int
-				var ok bool
 				select {
-				case i, ok = <-p.jobs:
-					if !ok {
-						return
-					}
+				case p.window <- struct{}{}: // blocks when the window is full
 				case <-p.quit:
+					return
+				}
+				i := int(p.taken.Add(1) - 1)
+				if i >= len(jobs) {
+					<-p.window // no job for the slot
 					return
 				}
 				rng := rand.New(rand.NewSource(jobs[i].seed))
@@ -94,31 +93,10 @@ func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, worker
 						bd.labels, bd.err = src.TargetLabels(bd.mb.Targets)
 					}
 				}
-				select {
-				case p.results[i] <- bd:
-				case <-p.quit:
-					return
-				}
+				p.results[i] <- bd // buffered, and written once
 			}
 		}()
 	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for i := range jobs {
-			select {
-			case p.window <- struct{}{}: // blocks when the window is full
-			case <-p.quit:
-				return
-			}
-			select {
-			case p.jobs <- i:
-			case <-p.quit:
-				return
-			}
-		}
-		close(p.jobs)
-	}()
 	return p
 }
 
@@ -127,14 +105,14 @@ func newPrefetcher(s sampler.Sampler, src DataSource, jobs []prefetchJob, worker
 func (p *prefetcher) Next() batchData {
 	bd := <-p.results[p.next]
 	p.next++
-	<-p.window // open a slot for the producer
+	<-p.window // open a slot for the workers
 	return bd
 }
 
-// Close stops the feeder and worker goroutines and waits for them to
+// Close stops the worker goroutines and waits for them to
 // drain. It is idempotent and safe to call at any point — including
 // mid-epoch when an error aborts consumption early, where it unblocks
-// workers parked on the reorder buffer so nothing leaks.
+// workers waiting on the window so nothing leaks.
 func (p *prefetcher) Close() {
 	p.stop.Do(func() { close(p.quit) })
 	p.wg.Wait()

@@ -39,7 +39,10 @@ func Fig6(w io.Writer) (Fig6Data, error) {
 	sc := setup.Scenario()
 	for _, n := range data.Procs {
 		perProc := 112 / n
-		s := max(perProc/4, 1)
+		s := perProc / 4
+		if s < 1 {
+			s = 1
+		}
 		m, err := platsim.Simulate(sc, platsim.SimConfig{
 			Procs: n, SampleCores: s, TrainCores: perProc - s, MaxIters: 30,
 		})

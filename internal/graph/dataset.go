@@ -137,7 +137,10 @@ func communityFeatures(rng *rand.Rand, labels []int32, classes, dim int, noise f
 // and test each take half of what remains after the training fraction.
 func split(rng *rand.Rand, n int, trainFrac float64) (train, val, test []NodeID) {
 	perm := rng.Perm(n)
-	nTrain := max(int(float64(n)*trainFrac), 1)
+	nTrain := int(float64(n) * trainFrac)
+	if nTrain < 1 {
+		nTrain = 1
+	}
 	rest := n - nTrain
 	nVal := rest / 2
 	ids := make([]NodeID, n)

@@ -14,7 +14,9 @@ func TopDegree(g *CSR, k int) []NodeID {
 	if k <= 0 || g.NumNodes == 0 {
 		return nil
 	}
-	k = min(k, g.NumNodes)
+	if k > g.NumNodes {
+		k = g.NumNodes
+	}
 	ids := make([]NodeID, g.NumNodes)
 	for v := range ids {
 		ids[v] = NodeID(v)
@@ -40,5 +42,12 @@ func HubCount(n int, frac float64) int {
 	if frac >= 1 {
 		return n
 	}
-	return min(max(int(frac*float64(n)), 1), n)
+	k := int(frac * float64(n))
+	if k < 1 {
+		k = 1
+	}
+	if k > n {
+		k = n
+	}
+	return k
 }

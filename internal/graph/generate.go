@@ -30,7 +30,9 @@ func Generate(spec GenSpec) (*CSR, []int32, error) {
 	if spec.NumNodes <= 1 || spec.NumEdges <= 0 {
 		return nil, nil, fmt.Errorf("graph: invalid GenSpec %+v", spec)
 	}
-	spec.NumClasses = max(spec.NumClasses, 1)
+	if spec.NumClasses < 1 {
+		spec.NumClasses = 1
+	}
 	if spec.Exponent <= 1 {
 		spec.Exponent = 2.1
 	}
@@ -49,8 +51,15 @@ func Generate(spec GenSpec) (*CSR, []int32, error) {
 	weights := make([]float64, spec.NumNodes)
 	var wsum float64
 	for v := range weights {
-		u := max(rng.Float64(), 1e-12)
-		w := min(spec.MinDegree*math.Pow(u, -1/(spec.Exponent-1)), math.Sqrt(float64(2*spec.NumEdges))*2)
+		u := rng.Float64()
+		if u < 1e-12 {
+			u = 1e-12
+		}
+		w := spec.MinDegree * math.Pow(u, -1/(spec.Exponent-1))
+		cap := math.Sqrt(float64(2*spec.NumEdges)) * 2
+		if w > cap {
+			w = cap
+		}
 		weights[v] = w
 		wsum += w
 	}

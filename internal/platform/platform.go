@@ -43,7 +43,12 @@ func (s Spec) SocketBWGBs() float64 { return s.PeakBWGBs / float64(s.Sockets) }
 // sockets, discounted by the NUMA penalty on the remote-access fraction.
 // It is monotone in socketsUsed but sub-linear — the §IX UPI bottleneck.
 func (s Spec) EffectiveBW(socketsUsed int) float64 {
-	socketsUsed = min(max(socketsUsed, 1), s.Sockets)
+	if socketsUsed < 1 {
+		socketsUsed = 1
+	}
+	if socketsUsed > s.Sockets {
+		socketsUsed = s.Sockets
+	}
 	bw := s.SocketBWGBs() * float64(socketsUsed)
 	remoteFrac := float64(socketsUsed-1) / float64(socketsUsed)
 	return bw / (1 + remoteFrac*s.NUMAPenalty)

@@ -85,7 +85,13 @@ func (o *Objective) noisy(c search.Config, v float64) float64 {
 // single-process setup on a machine with `cores` available cores: a few
 // sampling workers and the rest for training (Tables IV/V "Default").
 func BaselineConfig(lib Profile, cores int) (sampleCores, trainCores int) {
-	s := max(min(lib.DefaultSample, cores/4), 1)
+	s := lib.DefaultSample
+	if s > cores/4 {
+		s = cores / 4
+	}
+	if s < 1 {
+		s = 1
+	}
 	return s, cores - s
 }
 

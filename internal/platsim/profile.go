@@ -144,7 +144,9 @@ var PyG = Profile{
 // amdahl returns the wall time of `work` core-seconds on k cores with the
 // given serial fraction.
 func amdahl(work float64, k int, serial float64) float64 {
-	k = max(k, 1)
+	if k < 1 {
+		k = 1
+	}
 	return work * (serial + (1-serial)/float64(k))
 }
 
@@ -154,7 +156,12 @@ func amdahl(work float64, k int, serial float64) float64 {
 // capped at machK — independent processes bypass per-process saturation
 // (ARGO's compute win) but not the machine-level concurrency limit.
 func satTime(work float64, k, n int, procK, machK float64) float64 {
-	k, n = max(k, 1), max(n, 1)
+	if k < 1 {
+		k = 1
+	}
+	if n < 1 {
+		n = 1
+	}
 	if procK <= 0 {
 		return work / float64(k)
 	}

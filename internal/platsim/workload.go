@@ -111,11 +111,16 @@ func dedup(m, p float64) float64 {
 // shares collide less, so the *total* sampled workload across processes
 // grows with n.
 func (sc Scenario) PerProcessWork(n int) IterWork {
-	n = max(n, 1)
+	if n < 1 {
+		n = 1
+	}
 	d := sc.Dataset.Paper
 	avgDeg := 2 * float64(d.Edges) / float64(d.Vertices)
 	pool := collisionPoolFrac * float64(d.Vertices)
-	b := max(float64(sc.batch())/float64(n), 1)
+	b := float64(sc.batch()) / float64(n)
+	if b < 1 {
+		b = 1
+	}
 	f0, f1, f2 := float64(d.F0), float64(d.F1), float64(d.F2)
 	lib := sc.Library
 

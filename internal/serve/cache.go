@@ -347,13 +347,20 @@ type cmSketch struct {
 const cmDepth = 4
 
 func newCMSketch(entries int) *cmSketch {
-	entries = max(entries, 1)
+	if entries < 1 {
+		entries = 1
+	}
 	width := 1
 	for width < entries*8 {
 		width <<= 1
 	}
-	width = max(width, 1024)
-	s := &cmSketch{mask: uint64(width - 1), window: max(int64(entries)*10, 10240)}
+	if width < 1024 {
+		width = 1024
+	}
+	s := &cmSketch{mask: uint64(width - 1), window: int64(entries) * 10}
+	if s.window < 10240 {
+		s.window = 10240
+	}
 	for i := range s.rows {
 		s.rows[i] = make([]uint8, width)
 	}

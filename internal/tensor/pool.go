@@ -20,7 +20,9 @@ type Pool struct {
 // NewPool returns a pool that runs kernels on at most workers goroutines.
 // workers < 1 is treated as 1.
 func NewPool(workers int) *Pool {
-	workers = max(workers, 1)
+	if workers < 1 {
+		workers = 1
+	}
 	return &Pool{workers: workers}
 }
 
@@ -57,7 +59,9 @@ func AppendSplitWeighted(dst []int, n, parts int, cost func(i int) int) []int {
 	if n <= 0 {
 		return dst
 	}
-	parts = min(parts, n)
+	if parts > n {
+		parts = n
+	}
 	if parts <= 1 {
 		return append(dst, n)
 	}
@@ -112,7 +116,10 @@ func (p *Pool) ParallelChunks(bounds []int, fn func(lo, hi int)) {
 	if nc <= 0 {
 		return
 	}
-	w := min(p.Workers(), nc)
+	w := p.Workers()
+	if w > nc {
+		w = nc
+	}
 	if w == 1 {
 		for c := 0; c < nc; c++ {
 			fn(bounds[c], bounds[c+1])

@@ -83,7 +83,9 @@ func (tl *Timeline) Render(width int) string {
 		if hi <= lo {
 			hi = lo + 1
 		}
-		hi = min(hi, width)
+		if hi > width {
+			hi = width
+		}
 		g := phaseGlyph[e.Phase]
 		if g == 0 {
 			g = '?'

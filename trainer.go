@@ -142,8 +142,11 @@ func (t *GNNTrainer) bind(cfg Config) error {
 	return nil
 }
 
-// Close drops the engine.
+// Close stops the engine's sampling ahead and drops the engine.
 func (t *GNNTrainer) Close() error {
+	if t.eng != nil {
+		t.eng.Close()
+	}
 	t.eng = nil
 	return nil
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"argo/internal/graph"
 	"argo/internal/nn"
@@ -164,6 +167,38 @@ func TestTrainerStepHonoursContext(t *testing.T) {
 	}
 	if _, err := tr.Step(context.Background(), cfg, 1); err != nil {
 		t.Fatalf("trainer unusable after cancellation: %v", err)
+	}
+}
+
+// slowSampler takes 2 ms a batch and counts the calls still running.
+type slowSampler struct {
+	sampler.Sampler
+	running atomic.Int32
+}
+
+func (s *slowSampler) Sample(rng *rand.Rand, targets []graph.NodeID) *sampler.MiniBatch {
+	s.running.Add(1)
+	defer s.running.Add(-1)
+	time.Sleep(2 * time.Millisecond)
+	return s.Sampler.Sample(rng, targets)
+}
+
+// The last epoch leaves its prefetchers sampling the next epoch's first
+// batches; Close stops them and waits, so no sampling runs after it.
+func TestTrainerCloseStopsLookahead(t *testing.T) {
+	opts := trainerOpts(t)
+	slow := &slowSampler{Sampler: opts.Sampler}
+	opts.Sampler = slow
+	tr, err := NewGNNTrainer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Step(context.Background(), Config{Procs: 1, SampleCores: 2, TrainCores: 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	if n := slow.running.Load(); n != 0 {
+		t.Fatalf("%d Sample calls still running after Close", n)
 	}
 }
 
