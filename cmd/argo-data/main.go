@@ -38,17 +38,13 @@ Subcommands:
   ls                         list registered workload profiles
   gen -dataset <name> -o <file> [-seed N] [-scale N] [-nodes N] [-edges N] [-feat N]
                              generate a profile (optionally scaled) and save it
-  shard <name|file> -k N [-part greedy|random] [-seed N] [-o <dir/base>]
-                             split a workload into N .argograph shards + manifest
   import <edges-file> -o <file> [-labels l.csv] [-feats f.csv] [-name N]
          [-directed] [-feat N] [-classes N] [-train-frac F] [-seed N]
                              convert an edge-list/CSV dump into an .argograph store
   inspect <file>             print a stored dataset's statistics and section layout
                              (lazy: topology and feature bytes are never read)
   verify <file>              check section table, checksums, and graph invariants
-                             (fp16 stores: every value finite and fp16-exact); on a
-                             manifest-carrying shard store, also validate the
-                             whole shard set (coverage, disjointness, halo edges)
+                             (fp16 stores: every value finite and fp16-exact)
   convert <file> -feat-dtype fp32|fp16 [-o <out>]
                              re-encode the store's features in the given dtype
                              (fp16 halves the features section; idempotent)
@@ -68,8 +64,6 @@ func main() {
 		err = runLs()
 	case "gen":
 		err = runGen(os.Args[2:])
-	case "shard":
-		err = runShard(os.Args[2:])
 	case "import":
 		err = runImport(os.Args[2:])
 	case "inspect":
@@ -169,66 +163,23 @@ func runGen(args []string) error {
 	return nil
 }
 
-func runShard(args []string) error {
-	fs := flag.NewFlagSet("shard", flag.ExitOnError)
-	k := fs.Int("k", 0, "number of shards (required, ≥1)")
-	part := fs.String("part", "greedy", "partitioner: greedy (deterministic BFS) or random")
-	seed := fs.Int64("seed", 1, "seed for workload generation and the random partitioner")
-	out := fs.String("o", "", "output dir/base for <base>.shard<i>.argograph (default: derived from the input)")
-	// Accept both `shard tiny -k 4` and `shard -k 4 tiny`.
-	var src string
+// parsePositional parses fs from args that hold one positional argument,
+// before or after the flags (`import edges.csv -o out` and `import -o
+// out edges.csv` alike), and returns it ("" when absent). A second
+// positional argument is refused with the message tooMany.
+func parsePositional(fs *flag.FlagSet, args []string, tooMany string) (string, error) {
+	var arg string
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		src = args[0]
-		args = args[1:]
+		arg, args = args[0], args[1:]
 	}
 	fs.Parse(args)
-	if src == "" && fs.NArg() == 1 {
-		src = fs.Arg(0)
-	} else if fs.NArg() > 0 {
-		return fmt.Errorf("shard takes one workload (profile name or .argograph path)")
+	switch {
+	case arg == "" && fs.NArg() == 1:
+		return fs.Arg(0), nil
+	case fs.NArg() > 0:
+		return "", errors.New(tooMany)
 	}
-	if src == "" || *k < 1 {
-		return fmt.Errorf("shard needs a workload and -k (try: argo-data shard tiny -k 4 -o shards/tiny)")
-	}
-	start := time.Now()
-	ds, err := datasets.Resolve(src, *seed)
-	if err != nil {
-		return err
-	}
-	loadTime := time.Since(start)
-	dir, base := ".", *out
-	if base == "" {
-		base = strings.TrimSuffix(filepath.Base(src), ".argograph")
-	} else {
-		// Always split and re-join through filepath so a "./base" spelling
-		// cannot leak into the manifest's File entries (OpenShardSet
-		// matches them against filepath.Base of the opened path).
-		dir, base = filepath.Dir(base), filepath.Base(base)
-		if dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-		}
-	}
-	start = time.Now()
-	man, paths, err := graph.WriteShardSet(ds, dir, base, graph.ShardOptions{
-		K: *k, Partitioner: *part, Seed: *seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d nodes, %d arcs → %d shards (%s partition) in %s (load/gen %s)\n",
-		man.Spec.Name, man.NumNodes, man.NumArcs, man.K, man.Partitioner,
-		time.Since(start).Round(time.Microsecond), loadTime.Round(time.Microsecond))
-	fmt.Printf("edge cut: %d arcs (%.1f%% of total) — the bound on rows read across shards\n",
-		man.TotalCutArcs(), 100*man.EdgeCutFraction())
-	fmt.Printf("  %-5s %-32s %8s %8s %10s %10s %7s\n", "SHARD", "FILE", "OWNED", "HALO", "ARCS", "CUT", "TRAIN")
-	for i, e := range man.Shards {
-		fmt.Printf("  %-5d %-32s %8d %8d %10d %10d %7d\n",
-			i, filepath.Base(paths[i]), e.Owned, e.Halo, e.Arcs, e.CutArcs, e.Train)
-	}
-	fmt.Printf("manifest carried by %s; train with: argo-train -shards -dataset %s\n", paths[0], paths[0])
-	return nil
+	return arg, nil
 }
 
 func runImport(args []string) error {
@@ -243,17 +194,9 @@ func runImport(args []string) error {
 	trainFrac := fs.Float64("train-frac", 0.5, "training split fraction; val/test halve the rest")
 	seed := fs.Int64("seed", 1, "seed for synthesis and the split shuffle")
 	featDtype := fs.String("feat-dtype", "fp32", "feature storage dtype: fp32 or fp16 (fp16 rounds once at import)")
-	// Accept both `import edges.csv -o out` and `import -o out edges.csv`.
-	var src string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		src = args[0]
-		args = args[1:]
-	}
-	fs.Parse(args)
-	if src == "" && fs.NArg() == 1 {
-		src = fs.Arg(0)
-	} else if fs.NArg() > 0 {
-		return fmt.Errorf("import takes one edge-list file")
+	src, err := parsePositional(fs, args, "import takes one edge-list file")
+	if err != nil {
+		return err
 	}
 	if src == "" || *out == "" {
 		return fmt.Errorf("import needs an edge-list file and -o (try: argo-data import edges.csv -o mygraph.argograph)")
@@ -379,15 +322,6 @@ func runInspect(args []string) error {
 		fmt.Printf("shard:      %d of %d — %d owned + %d halo nodes, %d cut arcs\n",
 			sh.Index, sh.Count, sh.Owned, sh.Halo, sh.CutArcs)
 	}
-	if man, ok, err := lz.ShardManifest(); err != nil {
-		return err
-	} else if ok {
-		fmt.Printf("manifest:   shard set %q: k=%d over %d nodes (%s partition, seed %d), edge cut %d arcs (%.1f%%)\n",
-			man.Base, man.K, man.NumNodes, man.Partitioner, man.Seed, man.TotalCutArcs(), 100*man.EdgeCutFraction())
-		for _, e := range man.Shards {
-			fmt.Printf("            shard %d: %-28s %6d owned %6d halo %8d arcs\n", e.Index, e.File, e.Owned, e.Halo, e.Arcs)
-		}
-	}
 	if secs := lz.Sections(); len(secs) > 0 {
 		fmt.Printf("sections:\n")
 		fmt.Printf("  %-10s %12s %14s %14s %10s\n", "NAME", "OFFSET", "ON-DISK", "DECODED", "CRC32C")
@@ -424,25 +358,6 @@ func runVerify(args []string) error {
 	st := check.Stats
 	fmt.Printf("%s: OK (format v%d dataset, %d nodes, %d arcs, %d classes, %s features, %d sections, checksums + invariants verified)\n",
 		args[0], graph.StoreVersion, st.NumNodes, st.NumArcs, st.NumClasses, check.FeatDtype, len(check.Sections))
-	// A manifest-carrying store is a shard-set handle: validate the set
-	// end to end too (topology-only — feature bytes stay untouched).
-	hasManifest := false
-	for _, s := range check.Sections {
-		if s.Name == "manifest" {
-			hasManifest = true
-		}
-	}
-	if hasManifest {
-		ss, err := graph.OpenShardSet(args[0])
-		if err != nil {
-			return err
-		}
-		defer ss.Close()
-		if err := ss.Validate(); err != nil {
-			return fmt.Errorf("shard set invalid: %w", err)
-		}
-		fmt.Printf("%s: shard set OK (k=%d, coverage + disjointness + halo consistency verified)\n", args[0], ss.K())
-	}
 	return nil
 }
 
@@ -450,18 +365,9 @@ func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	featDtype := fs.String("feat-dtype", "", "target feature dtype: fp32 or fp16 (required)")
 	out := fs.String("o", "", "output path (default: rewrite in place)")
-	// Accept both `convert store.argograph -feat-dtype fp16` and the
-	// flags-first spelling.
-	var src string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		src = args[0]
-		args = args[1:]
-	}
-	fs.Parse(args)
-	if src == "" && fs.NArg() == 1 {
-		src = fs.Arg(0)
-	} else if fs.NArg() > 0 {
-		return fmt.Errorf("convert takes one .argograph path (plus -feat-dtype and optional -o out)")
+	src, err := parsePositional(fs, args, "convert takes one .argograph path (plus -feat-dtype and optional -o out)")
+	if err != nil {
+		return err
 	}
 	if src == "" || *featDtype == "" {
 		return fmt.Errorf("convert needs a store and -feat-dtype (try: argo-data convert big.argograph -feat-dtype fp16)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -99,6 +100,60 @@ func TestOutOfRangeFlagsAreRefused(t *testing.T) {
 		if _, statErr := os.Stat(out); !errors.Is(statErr, os.ErrNotExist) {
 			t.Errorf("%s out of range: a store was written anyway (%v)", tc.flag, statErr)
 			os.Remove(out)
+		}
+	}
+}
+
+// import and convert take their one positional argument before or after
+// the flags: both spellings write byte-identical stores, and a second
+// positional argument is refused in either place.
+func TestPositionalArgumentBeforeOrAfterFlags(t *testing.T) {
+	dir := t.TempDir()
+	edges := filepath.Join(dir, "e.csv")
+	if err := os.WriteFile(edges, []byte("0,1\n1,2\n2,3\n3,4\n4,5\n5,6\n6,7\n7,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := genTiny(t)
+	out := func(name string) string { return filepath.Join(dir, name) }
+	for _, c := range []struct {
+		name         string
+		run          func([]string) error
+		first, after []string // the two spellings, writing out(name+"1") and out(name+"2")
+		tooMany      []string
+		want         string
+	}{
+		{"import", runImport,
+			[]string{edges, "-feat", "4", "-o", out("import1")},
+			[]string{"-feat", "4", "-o", out("import2"), edges},
+			[]string{edges, "-o", out("import3"), edges},
+			"import takes one edge-list file"},
+		{"convert", runConvert,
+			[]string{store, "-feat-dtype", "fp16", "-o", out("convert1")},
+			[]string{"-feat-dtype", "fp16", "-o", out("convert2"), store},
+			[]string{"-feat-dtype", "fp16", "-o", out("convert3"), store, store},
+			"convert takes one .argograph path (plus -feat-dtype and optional -o out)"},
+	} {
+		for _, args := range [][]string{c.first, c.after} {
+			if err := c.run(args); err != nil {
+				t.Fatalf("%s %v: %v", c.name, args, err)
+			}
+		}
+		a, err := os.ReadFile(out(c.name + "1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out(c.name + "2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: the flags-first spelling wrote different bytes", c.name)
+		}
+		if err := c.run(c.tooMany); err == nil || err.Error() != c.want {
+			t.Errorf("%s %v: error %v, want %q", c.name, c.tooMany, err, c.want)
+		}
+		if _, err := os.Stat(out(c.name + "3")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s with two positional arguments wrote a store anyway (%v)", c.name, err)
 		}
 	}
 }

@@ -22,8 +22,8 @@
 // GET /healthz, GET /statz (cache, hub, batcher, and server counters;
 // echoes the active cache policy).
 //
-// -direct bypasses the server entirely: it assembles the full dataset,
-// runs one reference forward pass for -nodes, and prints the same JSON
+// -direct bypasses the server entirely: it loads the full dataset, runs
+// one reference forward pass for -nodes, and prints the same JSON
 // a /v1/predict call returns. CI pins the served path against it —
 // the two must match bit for bit, whatever policy and hub settings are
 // in effect. A node id outside the store is an error, as it is a 400
@@ -54,8 +54,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("argo-serve: ")
 	var (
-		store       = flag.String("store", "", "dataset: registry name or .argograph path")
-		shards      = flag.String("shards", "", "shard set instead of -store: name#k or a .shard0 store path")
+		store       = flag.String("store", "", "dataset: registry name or .argograph path (required)")
 		checkpoint  = flag.String("checkpoint", "", "checkpoint written by argo-train -save-checkpoint (required)")
 		addr        = flag.String("addr", ":8090", "listen address")
 		window      = flag.Duration("batch-window", 2*time.Millisecond, "longest a batch waits for queries already on their way; a lone query never waits (0 disables the wait)")
@@ -64,7 +63,7 @@ func main() {
 		cachePolicy = flag.String("cache-policy", serve.PolicyLRU,
 			"cache replacement policy: "+strings.Join(serve.Policies(), ", "))
 		precompute = flag.Float64("precompute-hubs", 0, "precompute per-layer activations for the top fraction of nodes by degree (0..1; 0 disables)")
-		seed       = flag.Int64("seed", 1, "generation seed when -store/-shards is a registry name")
+		seed       = flag.Int64("seed", 1, "generation seed when -store is a registry name")
 		direct     = flag.Bool("direct", false, "no server: print the reference predictions for -nodes and exit")
 		nodes      = flag.String("nodes", "", "comma-separated node ids for -direct")
 	)
@@ -72,8 +71,8 @@ func main() {
 	if *checkpoint == "" {
 		log.Fatal("-checkpoint is required")
 	}
-	if (*store == "") == (*shards == "") {
-		log.Fatal("exactly one of -store or -shards is required")
+	if *store == "" {
+		log.Fatal("-store is required")
 	}
 	cfg := serveConfig{
 		window:      *window,
@@ -82,7 +81,7 @@ func main() {
 		cachePolicy: *cachePolicy,
 		precompute:  *precompute,
 	}
-	if err := run(*store, *shards, *checkpoint, *addr, cfg, *seed, *direct, *nodes); err != nil {
+	if err := run(*store, *checkpoint, *addr, cfg, *seed, *direct, *nodes); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -117,9 +116,9 @@ type serveConfig struct {
 	precompute  float64
 }
 
-func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, direct bool, nodeList string) error {
+func run(store, checkpoint, addr string, cfg serveConfig, seed int64, direct bool, nodeList string) error {
 	// Flag values first: a typo should not cost a store mapping, a
-	// topology assembly and a checkpoint load before it is reported.
+	// topology decode and a checkpoint load before it is reported.
 	if _, err := serve.NewCache(cfg.cachePolicy, serve.CacheConfig{}); err != nil {
 		return err
 	}
@@ -136,41 +135,15 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	}
 	// The store and its topology come before the model: the loader needs
 	// the degree array for GCN checkpoints.
-	var (
-		feats   serve.FeatureSource
-		g       *graph.CSR
-		dsName  string
-		closeFn func() error
-	)
-	switch {
-	case shards != "":
-		ss, err := datasets.ResolveShards(shards, seed)
-		if err != nil {
-			return err
-		}
-		closeFn = ss.Close
-		skel, err := ss.Skeleton()
-		if err != nil {
-			return err
-		}
-		g = skel.Graph
-		if feats, err = serve.NewShardFeatureSource(ss); err != nil {
-			return err
-		}
-		dsName = ss.Spec().Name
-	default:
-		lz, err := datasets.ResolveLazy(store, seed)
-		if err != nil {
-			return err
-		}
-		closeFn = lz.Close
-		if g, err = lz.Topology(); err != nil {
-			return err
-		}
-		feats = serve.NewLazyFeatureSource(lz)
-		dsName = lz.Spec().Name
+	lz, err := datasets.ResolveLazy(store, seed)
+	if err != nil {
+		return err
 	}
-	defer closeFn()
+	defer lz.Close()
+	g, err := lz.Topology()
+	if err != nil {
+		return err
+	}
 
 	model, err := nn.LoadModelFile(checkpoint, nn.Degrees(g))
 	if err != nil {
@@ -178,10 +151,10 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 	}
 
 	if direct {
-		return printDirect(model, store, shards, seed, nodeList)
+		return printDirect(model, store, seed, nodeList)
 	}
 
-	srv, err := serve.New(serve.Source{Graph: g, Features: feats}, model,
+	srv, err := serve.New(serve.Source{Graph: g, Features: serve.NewLazyFeatureSource(lz)}, model,
 		serve.WithPolicy(cfg.cachePolicy),
 		serve.WithCacheBytes(cfg.cacheBytes),
 		serve.WithPrecomputeHubs(cfg.precompute),
@@ -192,7 +165,7 @@ func run(store, shards, checkpoint, addr string, cfg serveConfig, seed int64, di
 		return err
 	}
 	log.Printf("serving %s (%s, %d nodes, %d classes) on %s with %s cache (%d bytes), %d precomputed hubs",
-		dsName, model.Spec.Kind, g.NumNodes, srv.Inferencer().NumClasses(), addr, cfg.cachePolicy, cfg.cacheBytes, srv.Inferencer().HubStats().Nodes)
+		lz.Spec().Name, model.Spec.Kind, g.NumNodes, srv.Inferencer().NumClasses(), addr, cfg.cachePolicy, cfg.cacheBytes, srv.Inferencer().HubStats().Nodes)
 	return listenAndServe(srv, addr)
 }
 
@@ -227,7 +200,7 @@ func listenAndServe(srv *serve.Server, addr string) error {
 // printDirect runs the reference single-batch forward pass on the fully
 // materialised dataset and prints a PredictResponse — the bytes CI
 // compares a served answer against.
-func printDirect(model *nn.GNN, store, shards string, seed int64, nodeList string) error {
+func printDirect(model *nn.GNN, store string, seed int64, nodeList string) error {
 	if nodeList == "" {
 		return fmt.Errorf("-direct needs -nodes")
 	}
@@ -239,20 +212,7 @@ func printDirect(model *nn.GNN, store, shards string, seed int64, nodeList strin
 		}
 		targets = append(targets, graph.NodeID(n))
 	}
-	var (
-		ds  *graph.Dataset
-		err error
-	)
-	if shards != "" {
-		ss, serr := datasets.ResolveShards(shards, seed)
-		if serr != nil {
-			return serr
-		}
-		defer ss.Close()
-		ds, err = ss.AssembleDataset()
-	} else {
-		ds, err = datasets.Resolve(store, seed)
-	}
+	ds, err := datasets.Resolve(store, seed)
 	if err != nil {
 		return err
 	}

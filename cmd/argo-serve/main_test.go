@@ -99,9 +99,26 @@ func tinyFixture(t *testing.T) (ds *graph.Dataset, model *nn.GNN, store, checkpo
 func TestDirectRejectsOutOfRangeNodes(t *testing.T) {
 	_, _, store, checkpoint := tinyFixture(t)
 	for _, nodes := range []string{"0,999", "-1", "120"} {
-		err := run(store, "", checkpoint, "", serveConfig{cachePolicy: serve.PolicyLRU}, 1, true, nodes)
+		err := run(store, checkpoint, "", serveConfig{cachePolicy: serve.PolicyLRU}, 1, true, nodes)
 		if !errors.Is(err, serve.ErrBadRequest) {
 			t.Fatalf("-direct -nodes %s: %v, want ErrBadRequest", nodes, err)
+		}
+	}
+}
+
+// A shard store given to -store is refused with the typed error before
+// a model is loaded or a server starts, with -direct too. The address
+// cannot be listened on, so reaching the server would fail differently.
+func TestShardStoreIsRefused(t *testing.T) {
+	ds, _, _, checkpoint := tinyFixture(t)
+	_, paths, err := graph.WriteShardSet(ds, t.TempDir(), "tiny", graph.ShardOptions{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, direct := range []bool{false, true} {
+		err := run(paths[0], checkpoint, "127.0.0.1:-1", serveConfig{cachePolicy: serve.PolicyLRU}, 1, direct, "0")
+		if !errors.Is(err, datasets.ErrShardStore) {
+			t.Fatalf("-store %s (direct %v): %v, want ErrShardStore", paths[0], direct, err)
 		}
 	}
 }
@@ -120,7 +137,7 @@ func TestFlagsValidatedBeforeStoreIsOpened(t *testing.T) {
 		{"-batch-max", serveConfig{cachePolicy: serve.PolicyLRU, batchMax: -256}},
 		{"-cache-bytes", serveConfig{cachePolicy: serve.PolicyLRU, cacheBytes: -1}},
 	} {
-		err := run("no-such.argograph", "", "no-such.ckpt", "", c.cfg, 1, false, "")
+		err := run("no-such.argograph", "no-such.ckpt", "", c.cfg, 1, false, "")
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%+v: error %v, want one about the %s", c.cfg, err, c.want)
 		}

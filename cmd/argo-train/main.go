@@ -14,10 +14,6 @@
 // .argograph store written by argo-data gen, so large graphs are
 // generated once and reloaded instantly on later runs.
 //
-// With -shards the dataset is a shard set (name#k or a .shard0 store):
-// it loads into one feature table, row v for node v, and trains exactly
-// as the single store it was cut from.
-//
 // -cores is the budget the tuner divides among n processes' s sampling
 // and t training workers; the workers are goroutines and no OS thread is
 // pinned to a core.
@@ -42,7 +38,6 @@ import (
 
 	"argo"
 	"argo/internal/datasets"
-	"argo/internal/graph"
 	"argo/internal/nn"
 	"argo/internal/sampler"
 )
@@ -73,9 +68,6 @@ func run(args []string, stdout io.Writer) error {
 	earlyStop := fs.Int("early-stop", 0, "stop searching after N stale search epochs (0 = off)")
 	reportPath := fs.String("report", "", "write the final report as JSON to this file")
 	warmPath := fs.String("warmstart", "", "warm-start the strategy from a previous -report JSON file")
-	shards := fs.Bool("shards", false,
-		"treat -dataset as a shard set: name#k (in-memory) or the path of a manifest-carrying .shard0 store; "+
-			"it loads into one feature table")
 	procs := fs.Int("procs", 0, "pin the process count: restrict the design space to exactly N processes (0 = tune freely)")
 	lossPath := fs.String("loss-json", "", "write the per-epoch mean training loss history as JSON to this file")
 	ckptPath := fs.String("save-checkpoint", "",
@@ -137,43 +129,24 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var ds *graph.Dataset
-	if *shards {
-		// The set is validated with topology-only opens, then assembled:
-		// the topology and splits, and each shard's owned rows decoded
-		// into one feature table, which holds every row the run reads.
-		shardSet, err := datasets.ResolveShards(*dataset, *seed)
-		if err != nil {
-			return err
-		}
-		if err = shardSet.Validate(); err == nil {
-			ds, err = shardSet.AssembleDataset()
-		}
-		shardSet.Close()
-		if err != nil {
-			return err
-		}
-		m := &shardSet.Manifest
-		fmt.Fprintf(stdout, "shard set %s (k=%d, %s partition): %d nodes, %d arcs, %d classes, %d train targets, edge cut %d arcs (%.1f%%)\n",
-			ds.Spec.Name, m.K, m.Partitioner, m.NumNodes, m.NumArcs, m.NumClasses, m.TrainCount,
-			m.TotalCutArcs(), 100*m.EdgeCutFraction())
-	} else {
-		// The lazy handle yields spec and stats from the store header
-		// before any section is decoded, so huge stores announce
-		// themselves instantly; training then materialises the sections
-		// it needs.
-		lz, err := datasets.ResolveLazy(*dataset, *seed)
-		if err != nil {
-			return err
-		}
-		defer lz.Close()
-		st := lz.Stats()
-		fmt.Fprintf(stdout, "dataset %s (scaled, %s): %d nodes, %d arcs, %d classes, %d train targets\n",
-			lz.Spec().Name, lz.AccessMode(), st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount)
-		ds, err = lz.Dataset()
-		if err != nil {
-			return err
-		}
+	// The lazy handle yields spec and stats from the store header before
+	// any section is decoded, so huge stores announce themselves
+	// instantly. Decoding copies every section out of the mapping, so the
+	// store is closed as soon as the dataset is built: the run's peak
+	// then holds the decoded dataset, not the mapping as well.
+	lz, err := datasets.ResolveLazy(*dataset, *seed)
+	if err != nil {
+		return err
+	}
+	st := lz.Stats()
+	fmt.Fprintf(stdout, "dataset %s (scaled, %s): %d nodes, %d arcs, %d classes, %d train targets\n",
+		lz.Spec().Name, lz.AccessMode(), st.NumNodes, st.NumArcs, st.NumClasses, st.TrainCount)
+	ds, err := lz.Dataset()
+	if cerr := lz.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 
 	layers := 3

@@ -1,9 +1,8 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,63 +13,26 @@ import (
 	"argo/internal/nn"
 )
 
-type lossFile struct {
-	Losses []float64 `json:"losses"`
-}
-
-// train runs the command with the pinned configuration the CI parity
-// jobs use, plus extra, and returns its -loss-json.
-func train(t *testing.T, extra ...string) lossFile {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "loss.json")
-	args := append([]string{"-procs", "2", "-cores", "4", "-strategy", "exhaustive",
-		"-epochs", "3", "-searches", "1", "-batch", "32", "-loss-json", path}, extra...)
-	if err := run(args, io.Discard); err != nil {
-		t.Fatalf("argo-train %s: %v", strings.Join(args, " "), err)
-	}
-	raw, err := os.ReadFile(path)
+// A shard store is not a dataset: -dataset refuses it with the typed
+// error before any training starts (shard 1 carries no manifest, shard 0
+// does; both are refused).
+func TestShardStoreIsRefused(t *testing.T) {
+	ds, err := datasets.Build("tiny", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out lossFile
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// The shard-smoke pairs, in process: sharded training matches
-// single-store training on an fp32 store and on an fp16 one.
-func TestShardedRunsMatchSingleStore(t *testing.T) {
-	ds, err := datasets.Resolve("tiny", 1)
+	_, paths, err := graph.WriteShardSet(ds, t.TempDir(), "tiny", graph.ShardOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.ConvertFeatures(graph.DtypeF16); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	store16 := filepath.Join(dir, "tiny16.argograph")
-	if err := ds.Save(store16); err != nil {
-		t.Fatal(err)
-	}
-	_, shards16, err := graph.WriteShardSet(ds, dir, "tiny16", graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct{ single, sharded string }{
-		{"tiny", "tiny#3"},
-		{store16, shards16[0]},
-	} {
-		single := train(t, "-dataset", c.single)
-		sharded := train(t, "-dataset", c.sharded, "-shards")
-		if len(sharded.Losses) != 3 || len(single.Losses) != 3 {
-			t.Fatalf("%d losses, single-store %d, want 3", len(sharded.Losses), len(single.Losses))
+	for _, path := range paths {
+		var out strings.Builder
+		err := run([]string{"-dataset", path, "-procs", "1", "-cores", "2", "-epochs", "1", "-searches", "1"}, &out)
+		if !errors.Is(err, datasets.ErrShardStore) {
+			t.Fatalf("-dataset %s: %v, want ErrShardStore", path, err)
 		}
-		for ep := range single.Losses {
-			if d := math.Abs(sharded.Losses[ep] - single.Losses[ep]); d > 1e-6 {
-				t.Fatalf("%s epoch %d: loss %v, single-store %v", c.sharded, ep, sharded.Losses[ep], single.Losses[ep])
-			}
+		if strings.Contains(out.String(), "strategy") {
+			t.Fatalf("-dataset %s: training set up before the refusal:\n%s", path, out.String())
 		}
 	}
 }

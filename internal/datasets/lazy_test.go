@@ -1,9 +1,11 @@
 package datasets
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"argo/internal/graph"
@@ -115,5 +117,36 @@ func TestResolveLazyEagerCatchesDeepCorruption(t *testing.T) {
 	}
 	if _, err := ResolveLazy(path, 0); err == nil {
 		t.Fatal("eager resolution accepted a corrupt store")
+	}
+}
+
+// A shard store where a single store is expected is refused with
+// ErrShardStore, naming the section that marks it: shardmap on every
+// shard, and shard 0 additionally carries the manifest.
+func TestResolveLazyRefusesShardStores(t *testing.T) {
+	ds, err := Build("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, paths, err := graph.WriteShardSet(ds, t.TempDir(), "tiny", graph.ShardOptions{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		lz, err := ResolveLazy(path, 0)
+		if !errors.Is(err, ErrShardStore) {
+			if lz != nil {
+				lz.Close()
+			}
+			t.Fatalf("ResolveLazy(%s) = %v, want ErrShardStore", path, err)
+		}
+		for _, want := range []string{"shardmap section", "argo-data gen", "argo-data import"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ResolveLazy(%s): %q does not mention %q", path, err, want)
+			}
+		}
+		if _, err := Resolve(path, 0); !errors.Is(err, ErrShardStore) {
+			t.Fatalf("Resolve(%s) = %v, want ErrShardStore", path, err)
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package datasets
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -183,13 +184,19 @@ func Resolve(nameOrPath string, seed int64) (*graph.Dataset, error) {
 	return lz.Dataset()
 }
 
+// ErrShardStore reports a store written as one shard of a shard set
+// where a single dataset store is expected: it holds one partition's
+// local graph, not the dataset.
+var ErrShardStore = errors.New("store is one shard of a shard set, not a dataset")
+
 // ResolveLazy turns a registry name or an .argograph path into a
 // LazyDataset handle. Names are generated with the given seed and
 // wrapped (already materialised); paths are opened through the lazy
 // reader, so spec and stats are available immediately and topology-only
 // consumers of a large store never pay for feature bytes. A store under
 // eagerBelowBytes is materialised and validated before the handle is
-// returned. The caller owns the handle and must Close it.
+// returned. A shard store is refused with ErrShardStore before any
+// section is decoded. The caller owns the handle and must Close it.
 func ResolveLazy(nameOrPath string, seed int64) (*graph.LazyDataset, error) {
 	p, gerr := Get(nameOrPath)
 	if gerr == nil {
@@ -206,6 +213,13 @@ func ResolveLazy(nameOrPath string, seed int64) (*graph.LazyDataset, error) {
 	lz, err := graph.OpenLazy(nameOrPath)
 	if err != nil {
 		return nil, err
+	}
+	for _, sec := range lz.Sections() {
+		if sec.Name == "shardmap" || sec.Name == "manifest" {
+			lz.Close()
+			return nil, fmt.Errorf("%s: %w (it carries a %s section); rebuild a single store with argo-data gen or argo-data import",
+				nameOrPath, ErrShardStore, sec.Name)
+		}
 	}
 	if fi.Size() < eagerBelowBytes {
 		if _, err := lz.Dataset(); err != nil {

@@ -7,10 +7,11 @@
 // size, so the result equals the gradient of the mean loss over the
 // *global* batch) into replica 0's gradients, which the engine's one
 // optimizer steps the shared weights with. Input features are frozen,
-// and every replica of a sharded run reads the one feature table its
-// shards load into (graph.ShardSet.AssembleDataset), so parameter
-// gradients are all that replicas exchange — as in the paper's engine,
-// whose processes share one node and one copy of the graph.
+// and every replica reads the one feature table of the dataset (the
+// repo benchmark's shard workloads load theirs with
+// graph.ShardSet.Rows), so parameter gradients are all that replicas
+// exchange — as in the paper's engine, whose processes share one node
+// and one copy of the graph.
 //
 // The transports (InprocTransport, TCPTransport, selected by name
 // through NewTransport) and their wire codec remain only as the repo

@@ -105,11 +105,7 @@ func BenchmarkLocalEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 4, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ss.Close()
+	ss := storedShardSet(b, ds, graph.ShardOptions{K: 4, Seed: 7})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		b.Fatal(err)

@@ -32,9 +32,9 @@ type Config struct {
 	// Sources, when non-nil, supplies each replica's feature/label
 	// source (len must equal NumProcs); Dataset may then carry only
 	// topology, splits, spec and class count. Nil means every replica
-	// reads the materialised Dataset, a sharded run's included
-	// (graph.ShardSet.AssembleDataset). Only the repo benchmark sets it,
-	// through the deprecated NewShardSourcesOpts.
+	// reads the materialised Dataset. Only the repo benchmark sets it,
+	// through the deprecated NewShardSourcesOpts over a shard set's
+	// Skeleton.
 	Sources []DataSource
 	// SamplingRegime selects exact (default: global batches split n
 	// ways, bit-identical to single-store) or partition-local sampling.

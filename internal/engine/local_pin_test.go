@@ -27,11 +27,7 @@ func TestLocalRegimeLossMatchesPinnedParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 4, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 4, Seed: seed})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)

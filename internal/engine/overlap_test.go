@@ -17,11 +17,7 @@ import (
 // the final weights.
 func runShardedEpochs(t *testing.T, ds *graph.Dataset, numProcs, epochs, s int) ([]float64, []*tensor.Matrix) {
 	t.Helper()
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ss.Close() })
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 3})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,7 @@ func reconfigureSetup(t *testing.T) (Config, DataSource) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ss.Close() })
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 3, Seed: seed})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)

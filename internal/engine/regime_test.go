@@ -34,11 +34,7 @@ func (f *flakySource) GatherFeatures(ids []graph.NodeID) (*tensor.Matrix, error)
 func newShardedEngine(t testing.TB, ds *graph.Dataset, regime SamplingRegime, wrap func(r int, s DataSource) DataSource) *Engine {
 	t.Helper()
 	const numProcs = 2
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ss.Close() })
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 3})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +84,7 @@ func runLocalRegime(t *testing.T, ds *graph.Dataset, epochs int) []EpochResult {
 // train split, and every target lives on one of its replica's shards.
 func TestPartitionSetupCoversTrainSplit(t *testing.T) {
 	ds := shardedTestDataset(t)
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 3})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)

@@ -62,11 +62,7 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 		baseLoss = append(baseLoss, res.MeanLoss)
 	}
 
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 3})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +108,23 @@ func TestShardedTrainingMatchesSingleStore(t *testing.T) {
 	}
 }
 
+// storedShardSet writes ds as a shard set into a fresh temporary
+// directory and opens it, as the repo benchmark does; the set is closed
+// when the test ends.
+func storedShardSet(t testing.TB, ds *graph.Dataset, opt graph.ShardOptions) *graph.ShardSet {
+	t.Helper()
+	_, paths, err := graph.WriteShardSet(ds, t.TempDir(), "engine", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := graph.OpenShardSet(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	return ss
+}
+
 // shardSources returns n replicas' sources over ss, built the way the
 // repo benchmark builds them.
 func shardSources(t testing.TB, ss *graph.ShardSet, n int) []DataSource {
@@ -126,11 +139,7 @@ func shardSources(t testing.TB, ss *graph.ShardSet, n int) []DataSource {
 // newShardSource returns one replica's source over a k-shard set of ds.
 func newShardSource(t testing.TB, ds *graph.Dataset, k int) DataSource {
 	t.Helper()
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ss.Close() })
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: k})
 	return shardSources(t, ss, 1)[0]
 }
 
@@ -256,11 +265,7 @@ func TestShardedAllocsNearSingleStore(t *testing.T) {
 // on the same neighbours.
 func TestShardedSkeletonTopologyExact(t *testing.T) {
 	ds := shardedTestDataset(t)
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 4})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)
@@ -297,11 +302,7 @@ func TestShardedSkeletonTopologyExact(t *testing.T) {
 // deprecated per-replica builder refuses zero replicas.
 func TestShardedConfigValidation(t *testing.T) {
 	ds := shardedTestDataset(t)
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := storedShardSet(t, ds, graph.ShardOptions{K: 2})
 	skel, err := ss.Skeleton()
 	if err != nil {
 		t.Fatal(err)

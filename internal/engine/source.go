@@ -12,10 +12,11 @@ import (
 
 // DataSource feeds one replica's feature and label lookups. The
 // engine's own source reads the materialised dataset's one feature
-// table, whether it came from a single store or from a shard set
-// (graph.ShardSet.AssembleDataset), so the training step is identical
-// either way — same values in, same gradients out — which is what makes
-// sharded training loss-equivalent to single-store training.
+// table; the repo benchmark's shard workloads hand it the same kind of
+// table, loaded from a shard set by graph.ShardSet.Rows, so the training
+// step is identical either way — same values in, same gradients out —
+// which is what makes sharded training loss-equivalent to single-store
+// training.
 type DataSource interface {
 	// GatherFeatures returns the feature rows of ids, in order. The
 	// returned matrix is freshly assembled and owned by the caller,
@@ -76,9 +77,9 @@ type ShardSourceOptions struct {
 // numProcs replicas, and a nil exchange. The engine hands each
 // replica's source that replica's buffer pool, as it does for its own.
 //
-// Deprecated: train on ss.AssembleDataset() with no Sources. It stays
-// only because the repo benchmark's benchmark/train.go calls it, and
-// the local sampling regime it drives there needs Sources.
+// Deprecated: train on a single store's dataset with no Sources. It
+// stays only because the repo benchmark's benchmark/train.go calls it,
+// and the local sampling regime it drives there needs Sources.
 func NewShardSourcesOpts(ss *graph.ShardSet, numProcs int, _ ShardSourceOptions) ([]DataSource, *ddp.HaloExchange, error) {
 	if numProcs < 1 {
 		return nil, nil, fmt.Errorf("engine: %d replicas for a shard set", numProcs)

@@ -227,11 +227,8 @@ func TestF16ShardRoundTripBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if err := ss.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < ss.K(); i++ {
-		lz, err := ss.Shard(i)
+		lz, err := ss.shard(i)
 		if err != nil {
 			t.Fatal(err)
 		}

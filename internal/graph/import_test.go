@@ -171,18 +171,7 @@ func TestImportedDatasetRoundTripsAndShards(t *testing.T) {
 	if !loaded.Features.Equal(ds.Features) || loaded.Graph.NumEdges() != ds.Graph.NumEdges() {
 		t.Fatal("imported store did not round-trip")
 	}
-	ss, err := ShardSetFromDataset(ds, ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	if err := ss.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ss.AssembleDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := assemble(t, openTestShards(t, ds, ShardOptions{K: 3}))
 	if !back.Features.Equal(ds.Features) {
 		t.Fatal("sharding an imported dataset is not invertible")
 	}

@@ -475,19 +475,10 @@ func (l *LazyDataset) FeatureRow(i int, dst []float32) ([]float32, error) {
 // ownedFeatureRows decodes the first len(at) rows of the features
 // section into rows at[0], at[1], … of dst, once the section's checksum
 // holds. The rows past that prefix are not decoded and nothing is
-// cached. A wrapped in-memory dataset copies from its matrix.
+// cached.
 func (l *LazyDataset) ownedFeatureRows(dst *tensor.Matrix, at []NodeID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if m := l.feats; m != nil {
-		if m.Cols != dst.Cols || m.Rows < len(at) {
-			return fmt.Errorf("graph: %dx%d features do not hold %d rows %d wide", m.Rows, m.Cols, len(at), dst.Cols)
-		}
-		for i, v := range at {
-			copy(dst.Row(int(v)), m.Row(i))
-		}
-		return nil
-	}
 	b, err := l.sectionBytes(l.featDtype.section())
 	if err != nil {
 		return err
@@ -604,16 +595,9 @@ func (l *LazyDataset) Dataset() (*Dataset, error) {
 // API, so registry-built workloads and file-backed ones flow through
 // one code path in callers.
 func LazyFromDataset(d *Dataset) *LazyDataset {
-	return lazyFromDatasetWithStats(d, ComputeStats(d))
-}
-
-// lazyFromDatasetWithStats is LazyFromDataset for callers that already
-// hold the dataset's stats (the in-memory shard constructor computes
-// per-shard stats once in buildShards).
-func lazyFromDatasetWithStats(d *Dataset, st Stats) *LazyDataset {
 	return &LazyDataset{
 		spec:      d.Spec,
-		stats:     st,
+		stats:     ComputeStats(d),
 		featDtype: d.FeatDtype,
 		graph:     d.Graph,
 		feats:     d.Features,

@@ -19,10 +19,7 @@ func TestLocationsAgreeWithManifestAndMaps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := ShardSetFromDataset(ds, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ss := openTestShards(t, ds, opt)
 			for v := 0; v < ds.Graph.NumNodes; v++ {
 				shard, row, err := ss.Locate(NodeID(v))
 				if err != nil {
@@ -47,7 +44,6 @@ func TestLocationsAgreeWithManifestAndMaps(t *testing.T) {
 					t.Fatalf("Locate(%d) accepted a node outside the set", v)
 				}
 			}
-			ss.Close()
 		}
 	}
 }
@@ -78,11 +74,12 @@ func TestLocationsRejectBadShardMaps(t *testing.T) {
 		{"train count", func(ss *ShardSet) { ss.Manifest.TrainCount++ }, "train/val/test nodes", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ss, err := ShardSetFromDataset(ds, ShardOptions{K: 3})
-			if err != nil {
-				t.Fatal(err)
+			ss := openTestShards(t, ds, ShardOptions{K: 3})
+			for s := 0; s < ss.K(); s++ { // decode every map, so corrupt edits the ones the readers use
+				if _, err := ss.ShardMap(s); err != nil {
+					t.Fatal(err)
+				}
 			}
-			defer ss.Close()
 			c.corrupt(ss)
 			if c.table {
 				for i := 0; i < 2; i++ {
@@ -94,11 +91,13 @@ func TestLocationsRejectBadShardMaps(t *testing.T) {
 					t.Fatal("Owner answered from a table that failed to build")
 				}
 			}
-			for name, read := range map[string]func() error{
-				"Skeleton":        func() error { _, err := ss.Skeleton(); return err },
-				"AssembleDataset": func() error { _, err := ss.AssembleDataset(); return err },
-				"Validate":        ss.Validate,
-			} {
+			readers := map[string]func() error{
+				"Skeleton": func() error { _, err := ss.Skeleton(); return err },
+			}
+			if c.table {
+				readers["Rows"] = func() error { _, _, err := ss.Rows(); return err }
+			}
+			for name, read := range readers {
 				if err := read(); err == nil || !strings.Contains(err.Error(), c.want) {
 					t.Errorf("%s() = %v, want an error containing %q", name, err, c.want)
 				}

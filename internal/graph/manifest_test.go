@@ -37,9 +37,6 @@ func TestShardSetAbove64kNodesOpens(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ss.Close()
-			if err := ss.Validate(); err != nil {
-				t.Fatal(err)
-			}
 			skel, err := ss.Skeleton()
 			if err != nil {
 				t.Fatal(err)
@@ -71,11 +68,7 @@ func TestWriteShardSetRefusesOversizedManifest(t *testing.T) {
 // count without overflowing, split counts sum to the manifest's, and
 // only schema versions 1 and 2 are read.
 func TestManifestValidateCounts(t *testing.T) {
-	ss, err := ShardSetFromDataset(shardTestDataset(t), ShardOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	_, _, man := writeTestShards(t, shardTestDataset(t), 2)
 	for _, c := range []struct {
 		name   string
 		edit   func(m *ShardManifest)
@@ -89,40 +82,13 @@ func TestManifestValidateCounts(t *testing.T) {
 		{"overflow", func(m *ShardManifest) { m.Shards[1].Owned = math.MaxInt64 }, "are left"},
 		{"val count", func(m *ShardManifest) { m.ValCount++ }, "train/val/test"},
 	} {
-		m := ss.Manifest
+		m := *man
 		m.Shards = slices.Clone(m.Shards)
 		c.edit(&m)
 		if err := m.Validate(); (err == nil) != (c.reason == "") || err != nil && !strings.Contains(err.Error(), c.reason) {
 			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.reason)
 		}
 	}
-}
-
-// Validate refuses a halo list that names a node its own shard owns.
-func TestValidateRejectsOwnedHaloNode(t *testing.T) {
-	ss, err := ShardSetFromDataset(shardTestDataset(t), ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	sm := ss.maps[1]
-	for j := range sm.Halo { // an owned node that keeps the halo list ascending at j
-		lo, hi := NodeID(-1), NodeID(math.MaxInt32)
-		if j > 0 {
-			lo = sm.Halo[j-1]
-		}
-		if j+1 < len(sm.Halo) {
-			hi = sm.Halo[j+1]
-		}
-		if i := slices.IndexFunc(sm.Owned, func(v NodeID) bool { return v > lo && v < hi }); i >= 0 {
-			sm.Halo[j] = sm.Owned[i]
-			if err := ss.Validate(); err == nil || !strings.Contains(err.Error(), "as halo") {
-				t.Fatalf("Validate() = %v, want an owned-as-halo error", err)
-			}
-			return
-		}
-	}
-	t.Fatal("no halo slot takes an owned node in order")
 }
 
 // v1Manifest re-encodes ss's manifest as schema version 1, which also
@@ -162,8 +128,8 @@ func v1Manifest(t testing.TB, ss *ShardSet) []byte {
 }
 
 // A set whose shard 0 carries a version-1 manifest, owner runs and all,
-// still opens, validates and reassembles: the runs are ignored, and
-// ownership is read from the shardmaps as for version 2.
+// still opens and reassembles: the runs are ignored, and ownership is
+// read from the shardmaps as for version 2.
 func TestVersion1ManifestStillOpens(t *testing.T) {
 	ds := shardTestDataset(t)
 	_, paths, man := writeTestShards(t, ds, 3)
@@ -196,13 +162,13 @@ func TestVersion1ManifestStillOpens(t *testing.T) {
 	if orig, _ := os.ReadFile(paths[0]); !bytes.Equal(rewrite(v2), orig) {
 		t.Fatal("re-encoding shard 0 with its own manifest changed its bytes")
 	}
-	mem, err := ShardSetFromDataset(ds, ShardOptions{K: 3})
+	orig, err := OpenShardSet(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mem.Close()
-	v1 := rewrite(v1Manifest(t, mem))
-	lz.Close() // shard0 and smap are views of its mapping, so only now
+	v1 := rewrite(v1Manifest(t, orig))
+	orig.Close()
+	lz.Close() // smap is a view of its mapping, so only now
 	if err := os.WriteFile(paths[0], v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +180,7 @@ func TestVersion1ManifestStillOpens(t *testing.T) {
 	if ss.Manifest.Version != 1 {
 		t.Fatalf("reopened manifest is version %d, want 1", ss.Manifest.Version)
 	}
-	if err := ss.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	asm, err := ss.AssembleDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeBytes(t, asm), encodeBytes(t, ds)) {
+	if !bytes.Equal(encodeBytes(t, assemble(t, ss)), encodeBytes(t, ds)) {
 		t.Fatal("a set with a v1 manifest does not reassemble the original dataset")
 	}
 }
@@ -230,11 +189,7 @@ func TestVersion1ManifestStillOpens(t *testing.T) {
 // the set's readers can trust: one entry per shard, owned counts that
 // sum to the node count, and plain file names only.
 func FuzzShardManifest(f *testing.F) {
-	ss, err := ShardSetFromDataset(shardTestDataset(f), ShardOptions{K: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer ss.Close()
+	ss := openTestShards(f, shardTestDataset(f), ShardOptions{K: 3})
 	v2, err := json.Marshal(ss.Manifest)
 	if err != nil {
 		f.Fatal(err)

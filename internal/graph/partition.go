@@ -31,8 +31,8 @@ func RandomPartition(g *CSR, k int, rng *rand.Rand) *Partition {
 // descending-degree order with ties broken by ascending node id, and the
 // BFS itself expands adjacency lists in their stored (sorted) order —
 // the same graph always yields the same partition, which is what lets
-// shard sets round-trip byte-stably and `argo-data shard` be
-// reproducible across runs. (The previous implementation seeded from a
+// shard sets round-trip byte-stably and be reproducible across runs.
+// (The previous implementation seeded from a
 // random permutation, so equal-degree nodes could land in different
 // parts run to run.)
 func GreedyPartition(g *CSR, k int) *Partition {

@@ -12,8 +12,7 @@ import (
 
 // Rows loads a shard set into one table: row v holds node v's features,
 // bit for bit, and labels[v] its label, on fp32 and fp16 sets at k = 1,
-// 3 and 4, file-backed and in memory. A file-backed shard keeps no
-// decoded feature matrix afterwards.
+// 3 and 4. No shard keeps a decoded feature matrix afterwards.
 func TestShardSetRowsMatchSource(t *testing.T) {
 	for _, dt := range []FeatDtype{DtypeF32, DtypeF16} {
 		ds := shardTestDataset(t)
@@ -21,41 +20,29 @@ func TestShardSetRowsMatchSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 4} {
-			_, paths, _ := writeTestShards(t, ds, k)
-			onDisk, err := OpenShardSet(paths[0])
+			ss := openTestShards(t, ds, ShardOptions{K: k})
+			feats, labels, err := ss.Rows()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s k=%d: %v", dt, k, err)
 			}
-			inMemory, err := ShardSetFromDataset(ds, ShardOptions{K: k})
-			if err != nil {
-				t.Fatal(err)
+			if feats.Rows != ds.Features.Rows || feats.Cols != ds.Features.Cols {
+				t.Fatalf("%s k=%d: table %dx%d, want %dx%d", dt, k,
+					feats.Rows, feats.Cols, ds.Features.Rows, ds.Features.Cols)
 			}
-			for name, ss := range map[string]*ShardSet{"file": onDisk, "memory": inMemory} {
-				feats, labels, err := ss.Rows()
-				if err != nil {
-					t.Fatalf("%s %s k=%d: %v", dt, name, k, err)
-				}
-				if feats.Rows != ds.Features.Rows || feats.Cols != ds.Features.Cols {
-					t.Fatalf("%s %s k=%d: table %dx%d, want %dx%d", dt, name, k,
-						feats.Rows, feats.Cols, ds.Features.Rows, ds.Features.Cols)
-				}
-				for i, x := range feats.Data {
-					if want := ds.Features.Data[i]; math.Float32bits(x) != math.Float32bits(want) {
-						t.Fatalf("%s %s k=%d: node %d column %d is %v, want %v", dt, name, k,
-							i/feats.Cols, i%feats.Cols, x, want)
-					}
-				}
-				if !slices.Equal(labels, ds.Labels) {
-					t.Fatalf("%s %s k=%d: labels differ from the source's", dt, name, k)
+			for i, x := range feats.Data {
+				if want := ds.Features.Data[i]; math.Float32bits(x) != math.Float32bits(want) {
+					t.Fatalf("%s k=%d: node %d column %d is %v, want %v", dt, k,
+						i/feats.Cols, i%feats.Cols, x, want)
 				}
 			}
-			for s, lz := range onDisk.lazies {
+			if !slices.Equal(labels, ds.Labels) {
+				t.Fatalf("%s k=%d: labels differ from the source's", dt, k)
+			}
+			for s, lz := range ss.lazies {
 				if lz.feats != nil {
 					t.Fatalf("%s k=%d: shard %d kept a %dx%d feature matrix", dt, k, s, lz.feats.Rows, lz.feats.Cols)
 				}
 			}
-			onDisk.Close()
-			inMemory.Close()
 		}
 	}
 }

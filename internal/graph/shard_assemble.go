@@ -9,8 +9,8 @@ import (
 
 // Skeleton reconstructs the global dataset's training scaffolding —
 // topology, splits (in original order), spec, class count — without
-// materialising any feature or label bytes: what `argo-serve -shards`
-// needs for its graph, and the first half of AssembleDataset.
+// materialising any feature or label bytes; Rows supplies those. It
+// stays only because benchmark/train.go calls it.
 func (ss *ShardSet) Skeleton() (*Dataset, error) {
 	g, err := ss.assembleTopology()
 	if err != nil {
@@ -35,30 +35,13 @@ func (ss *ShardSet) Skeleton() (*Dataset, error) {
 	}, nil
 }
 
-// AssembleDataset reconstructs the complete global dataset — the exact
-// inverse of sharding: the Skeleton plus the Rows. Reassembly is
-// bit-exact: writing the assembled dataset produces the same bytes as
-// writing the original.
-func (ss *ShardSet) AssembleDataset() (*Dataset, error) {
-	d, err := ss.Skeleton()
-	if err != nil {
-		return nil, err
-	}
-	if d.Features, d.Labels, err = ss.Rows(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: assembled dataset invalid: %w", err)
-	}
-	return d, nil
-}
-
 // Rows loads the set's one feature table and its labels: row v of feats
 // holds node v's features, as in the single store, and labels[v] its
 // label. Each shard's features section is checksummed once and only its
 // owned prefix (local ids put owned rows first) is decoded, straight
 // into the rows ShardMap.Owned names. Halo rows are never decoded, and
-// no shard keeps a decoded feature matrix.
+// no shard keeps a decoded feature matrix. It stays only because
+// engine.NewShardSourcesOpts, which benchmark/train.go calls, reads it.
 func (ss *ShardSet) Rows() (feats *tensor.Matrix, labels []int32, err error) {
 	shard, _, err := ss.Locations() // every node owned exactly once
 	if err != nil {
@@ -71,7 +54,7 @@ func (ss *ShardSet) Rows() (feats *tensor.Matrix, labels []int32, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		lz, err := ss.Shard(s)
+		lz, err := ss.shard(s)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -106,7 +89,7 @@ func (ss *ShardSet) assembleTopology() (*CSR, error) {
 		if maps[s], err = ss.ShardMap(s); err != nil {
 			return nil, err
 		}
-		lz, err := ss.Shard(s)
+		lz, err := ss.shard(s)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +149,7 @@ func (ss *ShardSet) assembleSplits() (train, val, test []NodeID, err error) {
 		out[si], filled[si] = make([]NodeID, c), make([]bool, c)
 	}
 	for s, sm := range maps {
-		lz, err := ss.Shard(s)
+		lz, err := ss.shard(s)
 		if err != nil {
 			return nil, nil, nil, err
 		}

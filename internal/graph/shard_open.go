@@ -56,25 +56,6 @@ func (m *ShardManifest) Validate() error {
 	return nil
 }
 
-// TotalCutArcs sums the per-shard cut-arc counts — the shard set's
-// whole edge cut, the upper bound on the set's distinct halo rows.
-func (m *ShardManifest) TotalCutArcs() int64 {
-	var cut int64
-	for _, e := range m.Shards {
-		cut += e.CutArcs
-	}
-	return cut
-}
-
-// EdgeCutFraction is the edge cut as a fraction of all arcs (0 when the
-// manifest records no arcs).
-func (m *ShardManifest) EdgeCutFraction() float64 {
-	if m.NumArcs == 0 {
-		return 0
-	}
-	return float64(m.TotalCutArcs()) / float64(m.NumArcs)
-}
-
 // GlobalID maps a shard-local node id to its global id.
 func (sm *ShardMap) GlobalID(local NodeID) (NodeID, error) {
 	if int(local) < len(sm.Owned) {
@@ -87,9 +68,10 @@ func (sm *ShardMap) GlobalID(local NodeID) (NodeID, error) {
 	return 0, fmt.Errorf("graph: local id %d outside shard %d's %d+%d nodes", local, sm.Shard, len(sm.Owned), len(sm.Halo))
 }
 
-// ShardManifest decodes the manifest section, reporting ok=false when
-// the store carries none (an ordinary, non-shard store).
-func (l *LazyDataset) ShardManifest() (*ShardManifest, bool, error) {
+// shardManifest decodes the manifest section, reporting ok=false when
+// the store carries none (an ordinary, non-shard store). It stays only
+// because OpenShardSet, which benchmark/train.go calls, reads it.
+func (l *LazyDataset) shardManifest() (*ShardManifest, bool, error) {
 	if _, found := findSection(l.sections, secManifest); !found {
 		return nil, false, nil
 	}
@@ -129,9 +111,8 @@ func (l *LazyDataset) shardMap() (*ShardMap, error) {
 }
 
 // ShardSet is an opened shard set: the manifest plus lazily opened
-// per-shard stores. File-backed sets open each shard's store on first
-// use (mmap on linux), so topology-only consumers — Validate, Skeleton —
-// never touch feature bytes.
+// per-shard stores. Each shard's store opens on first use (mmap on
+// linux), so Skeleton never touches feature bytes.
 type ShardSet struct {
 	Manifest ShardManifest
 	dir      string
@@ -144,15 +125,16 @@ type ShardSet struct {
 }
 
 // OpenShardSet opens the shard set whose manifest-carrying store
-// (shard 0, as written by WriteShardSet or `argo-data shard`) is at
-// path. Sibling shard files are resolved relative to path's directory
-// and opened lazily on first access. The caller must Close the set.
+// (shard 0, as written by WriteShardSet) is at path. Sibling shard files
+// are resolved relative to path's directory and opened lazily on first
+// access. The caller must Close the set. It stays only because
+// benchmark/train.go calls it.
 func OpenShardSet(path string) (*ShardSet, error) {
 	lz, err := OpenLazy(path)
 	if err != nil {
 		return nil, err
 	}
-	man, ok, err := lz.ShardManifest()
+	man, ok, err := lz.shardManifest()
 	if err != nil {
 		lz.Close()
 		return nil, fmt.Errorf("graph: %s: %w", path, err)
@@ -180,13 +162,12 @@ func OpenShardSet(path string) (*ShardSet, error) {
 // K returns the number of shards in the set.
 func (ss *ShardSet) K() int { return ss.Manifest.K }
 
-// Spec returns the global dataset's spec.
-func (ss *ShardSet) Spec() DatasetSpec { return ss.Manifest.Spec }
-
 // Locations returns the set's location table, the one answer to "where
 // does node v live": shard[v] owns global node v at row[v] of its feature
 // and label sections (v's index in ShardMap.Owned). 8 B/node, read-only,
 // built by the first call (safe to race), which fails unless each node is owned once.
+// It stays only because benchmark/train.go's shard workloads reach it,
+// through Rows, Skeleton and NewPartitionSetup's Owner.
 func (ss *ShardSet) Locations() (shard, row []int32, err error) {
 	ss.locOnce.Do(func() { ss.locShard, ss.locRow, ss.locErr = ss.buildLocations() })
 	return ss.locShard, ss.locRow, ss.locErr
@@ -227,7 +208,8 @@ func (ss *ShardSet) buildLocations() (shard, row []int32, err error) {
 	return shard, row, nil // in range, never twice and as many as nodes, so every node is owned
 }
 
-// Locate returns the shard owning global node v and v's row there.
+// Locate returns the shard owning global node v and v's row there (see
+// Locations for why it stays).
 func (ss *ShardSet) Locate(v NodeID) (shard, row int, err error) {
 	shards, rows, err := ss.Locations()
 	if err != nil {
@@ -239,15 +221,16 @@ func (ss *ShardSet) Locate(v NodeID) (shard, row int, err error) {
 	return int(shards[v]), int(rows[v]), nil
 }
 
-// Owner returns the shard owning global node v.
+// Owner returns the shard owning global node v. It stays only because
+// engine.NewPartitionSetup, which benchmark/train.go calls, reads it.
 func (ss *ShardSet) Owner(v NodeID) (shard int, err error) {
 	shard, _, err = ss.Locate(v)
 	return shard, err
 }
 
-// Shard returns shard i's store, opening it lazily for file-backed
-// sets. The set retains ownership; Close closes every opened shard.
-func (ss *ShardSet) Shard(i int) (*LazyDataset, error) {
+// shard returns shard i's store, opening it on first use. The set
+// retains ownership; Close closes every opened shard.
+func (ss *ShardSet) shard(i int) (*LazyDataset, error) {
 	if i < 0 || i >= ss.Manifest.K {
 		return nil, fmt.Errorf("graph: shard %d of %d", i, ss.Manifest.K)
 	}
@@ -263,7 +246,8 @@ func (ss *ShardSet) Shard(i int) (*LazyDataset, error) {
 }
 
 // ShardMap returns shard i's local↔global map, decoding the shardmap
-// section on first use.
+// section on first use. It stays only because benchmark/train.go's
+// shard workloads reach it, through Locations and NewPartitionSetup.
 func (ss *ShardSet) ShardMap(i int) (*ShardMap, error) {
 	if i < 0 || i >= ss.Manifest.K {
 		return nil, fmt.Errorf("graph: shard %d of %d", i, ss.Manifest.K)
@@ -271,7 +255,7 @@ func (ss *ShardSet) ShardMap(i int) (*ShardMap, error) {
 	if ss.maps[i] != nil {
 		return ss.maps[i], nil
 	}
-	lz, err := ss.Shard(i)
+	lz, err := ss.shard(i)
 	if err != nil {
 		return nil, err
 	}
@@ -296,97 +280,4 @@ func (ss *ShardSet) Close() error {
 		ss.lazies[i] = nil
 	}
 	return first
-}
-
-// Validate checks the shard set end to end using topology-only opens:
-// the manifest itself, the location table (each global node owned by
-// exactly one shard, as many per shard as its manifest entry says),
-// then every shard's map and local CSR — owned and halo lists
-// ascending, halo nodes foreign and exactly the targets of the shard's
-// cut arcs, with empty local rows — and the per-shard stats profile.
-// Feature bytes are never read.
-func (ss *ShardSet) Validate() error {
-	m := &ss.Manifest
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	owner, _, err := ss.Locations()
-	if err != nil {
-		return err
-	}
-	for s := 0; s < m.K; s++ {
-		e := m.Shards[s]
-		sm, err := ss.ShardMap(s)
-		if err != nil {
-			return err
-		}
-		if sm.Shard != s || sm.K != m.K {
-			return fmt.Errorf("graph: shard %d's map says shard %d of %d", s, sm.Shard, sm.K)
-		}
-		if len(sm.Halo) != e.Halo {
-			return fmt.Errorf("graph: shard %d map has %d halo nodes, manifest says %d", s, len(sm.Halo), e.Halo)
-		}
-		for j := 1; j < len(sm.Owned); j++ {
-			if sm.Owned[j-1] >= sm.Owned[j] {
-				return fmt.Errorf("graph: shard %d owned list not ascending at %d", s, j)
-			}
-		}
-		for j, v := range sm.Halo {
-			if j > 0 && sm.Halo[j-1] >= v {
-				return fmt.Errorf("graph: shard %d halo list not ascending at %d", s, j)
-			}
-			if v < 0 || int(v) >= len(owner) {
-				return fmt.Errorf("graph: shard %d halo node %d outside [0,%d)", s, v, len(owner))
-			}
-			if owner[v] == int32(s) {
-				return fmt.Errorf("graph: shard %d lists owned node %d as halo", s, v)
-			}
-		}
-		lz, err := ss.Shard(s)
-		if err != nil {
-			return err
-		}
-		if got := lz.FeatDtype().statsName(); got != m.FeatDtype {
-			return fmt.Errorf("graph: shard %d stores %s features, manifest says %q",
-				s, lz.FeatDtype(), m.FeatDtype)
-		}
-		lg, err := lz.Topology()
-		if err != nil {
-			return err
-		}
-		if lg.NumNodes != e.Owned+e.Halo {
-			return fmt.Errorf("graph: shard %d CSR has %d nodes, want %d+%d", s, lg.NumNodes, e.Owned, e.Halo)
-		}
-		if lg.NumEdges() != e.Arcs {
-			return fmt.Errorf("graph: shard %d CSR has %d arcs, manifest says %d", s, lg.NumEdges(), e.Arcs)
-		}
-		var cut int64
-		haloTouched := make([]bool, len(sm.Halo))
-		for l := 0; l < e.Owned; l++ {
-			for _, u := range lg.Neighbors(NodeID(l)) {
-				if int(u) >= e.Owned {
-					cut++
-					haloTouched[int(u)-e.Owned] = true
-				}
-			}
-		}
-		if cut != e.CutArcs {
-			return fmt.Errorf("graph: shard %d has %d cut arcs, manifest says %d", s, cut, e.CutArcs)
-		}
-		for h := e.Owned; h < lg.NumNodes; h++ {
-			if lg.Degree(NodeID(h)) != 0 {
-				return fmt.Errorf("graph: shard %d halo node %d has a local adjacency row", s, h)
-			}
-			if !haloTouched[h-e.Owned] {
-				return fmt.Errorf("graph: shard %d halo node %d (global %d) is referenced by no cut arc", s, h, sm.Halo[h-e.Owned])
-			}
-		}
-		if st := lz.Stats(); st.Shard != nil {
-			if st.Shard.Owned != e.Owned || st.Shard.Halo != e.Halo || st.Shard.CutArcs != e.CutArcs {
-				return fmt.Errorf("graph: shard %d stats profile (%d/%d/%d) disagrees with manifest (%d/%d/%d)",
-					s, st.Shard.Owned, st.Shard.Halo, st.Shard.CutArcs, e.Owned, e.Halo, e.CutArcs)
-			}
-		}
-	}
-	return nil
 }

@@ -36,6 +36,39 @@ func writeTestShards(t *testing.T, ds *Dataset, k int) (dir string, paths []stri
 	return dir, paths, man
 }
 
+// openTestShards writes ds as a shard set into a fresh temporary
+// directory and opens it; the set is closed when the test ends.
+func openTestShards(t testing.TB, ds *Dataset, opt ShardOptions) *ShardSet {
+	t.Helper()
+	_, paths, err := WriteShardSet(ds, t.TempDir(), "shardtest", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := OpenShardSet(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	return ss
+}
+
+// assemble rebuilds the dataset a shard set was cut from: the Skeleton
+// plus the Rows, validated.
+func assemble(t testing.TB, ss *ShardSet) *Dataset {
+	t.Helper()
+	d, err := ss.Skeleton()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Features, d.Labels, err = ss.Rows(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func encodeBytes(t *testing.T, d *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -48,7 +81,7 @@ func encodeBytes(t *testing.T, d *Dataset) []byte {
 // Sharding and reassembly are exact inverses, and both directions are
 // byte-stable: sharding the same dataset twice produces identical
 // files, and sharding the reassembled dataset reproduces the originals
-// byte for byte. This is the acceptance gate for `argo-data shard`.
+// byte for byte.
 func TestShardSetRoundTripByteStable(t *testing.T) {
 	ds := shardTestDataset(t)
 	_, paths, _ := writeTestShards(t, ds, 4)
@@ -72,13 +105,7 @@ func TestShardSetRoundTripByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if err := ss.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	asm, err := ss.AssembleDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
+	asm := assemble(t, ss)
 	if !bytes.Equal(encodeBytes(t, asm), encodeBytes(t, ds)) {
 		t.Fatal("assembled dataset does not re-encode to the original bytes")
 	}
@@ -143,9 +170,10 @@ func TestShardStoresArePlainStores(t *testing.T) {
 	}
 }
 
-// Validate and Skeleton are topology-only: no shard's feature section is
-// materialised, which is what lets a set be checked and its skeleton
-// built over out-of-core stores.
+// The set's validation — the ownership check of the location table and
+// the CSR checks, both run by Skeleton — is topology-only: no shard's
+// feature section is materialised, which is what lets a set be checked
+// and its skeleton built over out-of-core stores.
 func TestShardValidateIsTopologyOnly(t *testing.T) {
 	ds := shardTestDataset(t)
 	_, paths, _ := writeTestShards(t, ds, 4)
@@ -154,9 +182,6 @@ func TestShardValidateIsTopologyOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if err := ss.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ss.Skeleton(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,48 +195,11 @@ func TestShardValidateIsTopologyOnly(t *testing.T) {
 	}
 }
 
-// The in-memory constructor produces exactly the shards the file writer
-// stores, so `argo-train -shards name#k` and a pre-sharded store train
-// identically.
-func TestShardSetFromDatasetMatchesFiles(t *testing.T) {
-	ds := shardTestDataset(t)
-	_, paths, man := writeTestShards(t, ds, 3)
-	mem, err := ShardSetFromDataset(ds, ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if !reflect.DeepEqual(*man, mem.Manifest) {
-		t.Fatalf("in-memory manifest differs from written one:\n%+v\n%+v", mem.Manifest, *man)
-	}
-	for i := range paths {
-		onDisk, err := LoadDataset(paths[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		lz, err := mem.Shard(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inMem, err := lz.Dataset()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encodeBytes(t, onDisk), encodeBytes(t, inMem)) {
-			t.Fatalf("shard %d differs between file and in-memory construction", i)
-		}
-	}
-}
-
 // Owner resolution agrees with the shard maps, and LocalID/GlobalID are
 // inverses over every shard's node space.
 func TestShardOwnerAndLocalGlobalMaps(t *testing.T) {
 	ds := shardTestDataset(t)
-	ss, err := ShardSetFromDataset(ds, ShardOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := openTestShards(t, ds, ShardOptions{K: 4})
 	ownerOf := make([]int, ds.Graph.NumNodes)
 	for v := 0; v < ds.Graph.NumNodes; v++ {
 		o, err := ss.Owner(NodeID(v))
@@ -257,25 +245,28 @@ func TestShardOwnerAndLocalGlobalMaps(t *testing.T) {
 // manifest; unknown partitioners and degenerate shard counts fail fast.
 func TestShardOptionsPartitioners(t *testing.T) {
 	ds := shardTestDataset(t)
-	ss, err := ShardSetFromDataset(ds, ShardOptions{K: 2, Partitioner: "random", Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	ss := openTestShards(t, ds, ShardOptions{K: 2, Partitioner: "random", Seed: 5})
 	if ss.Manifest.Partitioner != "random" || ss.Manifest.Seed != 5 {
 		t.Fatalf("manifest records %q/%d", ss.Manifest.Partitioner, ss.Manifest.Seed)
 	}
-	if err := ss.Validate(); err != nil {
+	if _, err := ss.Skeleton(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ShardSetFromDataset(ds, ShardOptions{K: 2, Partitioner: "metis"}); err == nil {
-		t.Fatal("unknown partitioner accepted")
-	}
-	if _, err := ShardSetFromDataset(ds, ShardOptions{K: 0}); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := ShardSetFromDataset(ds, ShardOptions{K: ds.Graph.NumNodes + 1}); err == nil {
-		t.Fatal("k > nodes accepted")
+	for _, c := range []struct {
+		opt  ShardOptions
+		what string
+	}{
+		{ShardOptions{K: 2, Partitioner: "metis"}, "unknown partitioner"},
+		{ShardOptions{K: 0}, "k=0"},
+		{ShardOptions{K: ds.Graph.NumNodes + 1}, "k > nodes"},
+	} {
+		dir := t.TempDir()
+		if _, _, err := WriteShardSet(ds, dir, "shardtest", c.opt); err == nil {
+			t.Fatalf("%s accepted", c.what)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Fatalf("%s: %d files written", c.what, len(files))
+		}
 	}
 }
 
@@ -319,35 +310,9 @@ func TestShardSetRefusesTrainStarvedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ShardSetFromDataset(ds, ShardOptions{K: 8}); err == nil ||
+	if _, _, err := WriteShardSet(ds, t.TempDir(), "starve", ShardOptions{K: 8}); err == nil ||
 		!(strings.Contains(err.Error(), "training nodes") || strings.Contains(err.Error(), "owns no nodes")) {
 		t.Fatalf("train-starved sharding accepted: %v", err)
-	}
-}
-
-// The manifest cost accessors' totals must agree with the per-shard
-// entries.
-func TestManifestCostAccessors(t *testing.T) {
-	ds := shardTestDataset(t)
-	ss, err := ShardSetFromDataset(ds, ShardOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	m := &ss.Manifest
-	var want int64
-	for _, e := range m.Shards {
-		want += e.CutArcs
-	}
-	if got := m.TotalCutArcs(); got != want || got == 0 {
-		t.Fatalf("TotalCutArcs %d, want %d (non-zero)", got, want)
-	}
-	frac := m.EdgeCutFraction()
-	if frac <= 0 || frac >= 1 {
-		t.Fatalf("EdgeCutFraction %v", frac)
-	}
-	if frac != float64(want)/float64(m.NumArcs) {
-		t.Fatalf("EdgeCutFraction %v inconsistent with totals", frac)
 	}
 }
 
@@ -355,11 +320,7 @@ func TestManifestCostAccessors(t *testing.T) {
 // emits plain file names, and anything else is refused before a shard
 // is opened.
 func TestManifestValidateConfinesShardFiles(t *testing.T) {
-	ss, err := ShardSetFromDataset(shardTestDataset(t), ShardOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	_, _, man := writeTestShards(t, shardTestDataset(t), 2)
 	for _, c := range []struct {
 		file string
 		ok   bool
@@ -374,7 +335,7 @@ func TestManifestValidateConfinesShardFiles(t *testing.T) {
 		{".", false},
 		{"", false},
 	} {
-		m := ss.Manifest
+		m := *man
 		m.Shards = slices.Clone(m.Shards)
 		m.Shards[1].File = c.file
 		if err := m.Validate(); (err == nil) != c.ok {

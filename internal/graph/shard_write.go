@@ -31,11 +31,15 @@ import (
 //
 // A reader that predates these sections still verifies (CRC-only) and
 // loads every shard as a plain dataset store; that forward-compat
-// promise is pinned by TestShardStoresArePlainStores.
+// promise is pinned by TestShardStoresArePlainStores. The dataset
+// resolver behind the commands refuses such a store, so no command reads
+// or writes the format: it stays only because benchmark/train.go writes
+// a set (WriteShardSet), opens it (OpenShardSet) and trains on it
+// (Skeleton, Rows, and the ShardMap / Owner the local regime reads).
 //
-// This file writes and builds shard sets; shard_open.go opens, locates
-// and validates them, and shard_assemble.go reassembles the global
-// dataset.
+// This file writes shard sets; shard_open.go opens and locates them, and
+// shard_assemble.go rebuilds the global topology, splits and feature
+// table.
 
 // ShardManifest describes a shard set: the global shape and one entry
 // per shard. It is stored as JSON in the manifest section of shard 0.
@@ -111,7 +115,7 @@ func encodeShardMap(sm *ShardMap) []byte {
 	return e.buf
 }
 
-// ShardOptions configures WriteShardSet / ShardSetFromDataset.
+// ShardOptions configures WriteShardSet.
 type ShardOptions struct {
 	K int
 	// Partitioner selects the node-splitting strategy: "greedy" (the
@@ -154,8 +158,7 @@ type shardBuild struct {
 }
 
 // buildShards splits d according to p into k local datasets plus the
-// manifest. It is shared by the file writer and the in-memory
-// constructor, so both produce identical shard contents.
+// manifest, for WriteShardSet to encode.
 func buildShards(d *Dataset, p *Partition, opt ShardOptions, base string) ([]shardBuild, *ShardManifest, error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("graph: refusing to shard invalid dataset: %w", err)
@@ -317,7 +320,8 @@ func shardFileName(base string, s int) string {
 // manifest section and is the handle OpenShardSet takes. Writes are
 // atomic per file; the encoding is canonical, so sharding the same
 // dataset twice produces byte-identical files. Returns the manifest and
-// the written paths, shard order.
+// the written paths, shard order. It stays only because
+// benchmark/train.go calls it.
 func WriteShardSet(d *Dataset, dir, base string, opt ShardOptions) (*ShardManifest, []string, error) {
 	p, err := opt.partition(d.Graph)
 	if err != nil {
@@ -350,32 +354,4 @@ func WriteShardSet(d *Dataset, dir, base string, opt ShardOptions) (*ShardManife
 		}
 	}
 	return man, paths, nil
-}
-
-// ShardSetFromDataset builds a shard set in memory, without touching
-// disk — the path `argo-train -shards name#k` takes. The shard contents
-// are identical to what WriteShardSet would store.
-func ShardSetFromDataset(d *Dataset, opt ShardOptions) (*ShardSet, error) {
-	p, err := opt.partition(d.Graph)
-	if err != nil {
-		return nil, err
-	}
-	base := d.Spec.Name
-	if base == "" {
-		base = "dataset"
-	}
-	builds, man, err := buildShards(d, p, opt, base)
-	if err != nil {
-		return nil, err
-	}
-	ss := &ShardSet{
-		Manifest: *man,
-		lazies:   make([]*LazyDataset, man.K),
-		maps:     make([]*ShardMap, man.K),
-	}
-	for s, b := range builds {
-		ss.lazies[s] = lazyFromDatasetWithStats(b.ds, b.stats)
-		ss.maps[s] = b.sm
-	}
-	return ss, nil
 }

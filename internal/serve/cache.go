@@ -1,5 +1,5 @@
 // Package serve is ARGO's inference subsystem: a checkpoint-backed GNN
-// prediction server over a lazy or sharded .argograph store. Training
+// prediction server over a lazily opened .argograph store. Training
 // (the rest of the repo) produces a checkpoint; this package answers
 // node-classification queries against it at user-traffic scale, with a
 // per-request full-neighborhood k-hop gather, cross-request

@@ -216,8 +216,8 @@ func TestHalfCacheCapacityWin(t *testing.T) {
 	}
 }
 
-// f16Tagged marks a source's rows as fp16-exact, as the lazy and shard
-// sources do for an fp16 store.
+// f16Tagged marks a source's rows as fp16-exact, as the lazy source does
+// for an fp16 store.
 type f16Tagged struct{ FeatureSource }
 
 func (f16Tagged) FeatDtype() graph.FeatDtype { return graph.DtypeF16 }

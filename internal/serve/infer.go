@@ -40,47 +40,6 @@ func (s lazySource) FeatDtype() graph.FeatDtype { return s.lz.FeatDtype() }
 // NewLazyFeatureSource serves rows from an opened store.
 func NewLazyFeatureSource(lz *graph.LazyDataset) FeatureSource { return lazySource{lz} }
 
-// shardSource routes each row read to the shard that owns the node,
-// through that shard store's own row-granular reader. Only the set's
-// location table is built up front; feature bytes are read row by row
-// on demand.
-type shardSource struct {
-	ss  *graph.ShardSet
-	dim int
-	dt  graph.FeatDtype
-}
-
-// NewShardFeatureSource builds a row source over a shard set.
-func NewShardFeatureSource(ss *graph.ShardSet) (FeatureSource, error) {
-	dt, err := graph.ParseFeatDtype(ss.Manifest.FeatDtype)
-	if err != nil {
-		return nil, err
-	}
-	// Building the table decodes every shard map, which opens every shard:
-	// concurrent Row calls then only read the set.
-	if _, _, err := ss.Locations(); err != nil {
-		return nil, err
-	}
-	return &shardSource{ss: ss, dim: ss.Manifest.FeatDim, dt: dt}, nil
-}
-
-func (s *shardSource) Row(id graph.NodeID, dst []float32) ([]float32, error) {
-	shard, row, err := s.ss.Locate(id)
-	if err != nil {
-		return nil, err
-	}
-	lz, err := s.ss.Shard(shard)
-	if err != nil {
-		return nil, err
-	}
-	return lz.FeatureRow(row, dst)
-}
-
-func (s *shardSource) Dim() int { return s.dim }
-
-// FeatDtype reports the shard set's manifest-wide feature dtype.
-func (s *shardSource) FeatDtype() graph.FeatDtype { return s.dt }
-
 // matrixSource serves rows from a materialised feature matrix — the
 // reference path the bit-match gates compare against, and the fast path
 // for stores small enough to hold in memory.

@@ -99,48 +99,6 @@ func TestServedPredictionBitMatchesDirect(t *testing.T) {
 	}
 }
 
-// The sharded path must serve the same bits as the single-store path.
-func TestShardedServingBitMatchesDirect(t *testing.T) {
-	ds, m, _ := serveFixture(t)
-	dir := t.TempDir()
-	_, paths, err := graph.WriteShardSet(ds, dir, "tiny", graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := graph.OpenShardSet(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	skel, err := ss.Skeleton()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := skel.Graph
-	feats, err := NewShardFeatureSource(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := newInferencer(m, g, feats, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := []graph.NodeID{3, 60, 118}
-	direct, err := DirectPredict(m, ds, nodes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := inf.Predict(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range nodes {
-		if !logitsEqual(served[i].Logits, direct[i].Logits) {
-			t.Fatalf("node %d: sharded serving diverges from direct", nodes[i])
-		}
-	}
-}
-
 func TestNewInferencerRejectsDimMismatch(t *testing.T) {
 	ds, _, _ := serveFixture(t)
 	wrong, err := nn.NewModel(nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Features.Cols + 1, 4, ds.NumClasses}, Seed: 1}, nil)

@@ -25,6 +25,30 @@ func shardedCoreDataset(t *testing.T) *graph.Dataset {
 	return ds
 }
 
+// storedShardDataset writes ds as a shard set into a fresh temporary
+// directory, opens it, and loads it into one dataset: the set's Skeleton
+// plus its Rows, one feature table.
+func storedShardDataset(t *testing.T, ds *graph.Dataset, opt graph.ShardOptions) *graph.Dataset {
+	t.Helper()
+	_, paths, err := graph.WriteShardSet(ds, t.TempDir(), "argo", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := graph.OpenShardSet(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	asm, err := ss.Skeleton()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asm.Features, asm.Labels, err = ss.Rows(); err != nil {
+		t.Fatal(err)
+	}
+	return asm
+}
+
 // A trainer over a shard set's assembled dataset survives auto-tuner
 // re-launches: as the process count changes weights carry over, and the
 // loss trace stays equal to the single-store trainer driven through the
@@ -43,15 +67,7 @@ func TestShardedTrainerMatchesAcrossRelaunches(t *testing.T) {
 	}
 	defer single.Close()
 
-	ss, err := graph.ShardSetFromDataset(ds, graph.ShardOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	asm, err := ss.AssembleDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
+	asm := storedShardDataset(t, ds, graph.ShardOptions{K: 3})
 	sharded, err := NewGNNTrainer(GNNTrainerOptions{
 		Dataset: asm, Sampler: newSampler(asm.Graph), Model: model,
 		BatchSize: 24, LR: 0.01, Seed: 3,

@@ -13,9 +13,8 @@ import (
 
 // GNNTrainerOptions configures a real GNN training job managed by ARGO.
 type GNNTrainerOptions struct {
-	// Dataset is the materialised dataset every replica reads; a shard
-	// set trains on its AssembleDataset(), one feature table whatever
-	// the store.
+	// Dataset is the materialised dataset every replica reads, one
+	// feature table.
 	Dataset   *graph.Dataset
 	Sampler   sampler.Sampler
 	Model     nn.ModelSpec

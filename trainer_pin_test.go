@@ -18,7 +18,8 @@ import (
 // recorded when the sampler's per-entry reservoir draw became the keyed
 // Floyd draw; every loss bit must survive any change that does not
 // declare a new sampled stream. "single" trains on the tiny store,
-// "exact" on a 3-shard set of it, assembled into one feature table.
+// "exact" on a 3-shard set of it written to disk and loaded into one
+// feature table.
 var pinnedTrainerRuns = map[string]string{
 	"single": "0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
 	"exact":  "0x1.203f0d9d16f66p+00 0x1.b2e9f682bf784p-01 0x1.2b006979c0d2fp-01 0x1.c5e46b394c427p-02",
@@ -37,20 +38,14 @@ var pinnedSchedule = []Config{
 func pinnedTrainer(t *testing.T, regime string) *GNNTrainer {
 	t.Helper()
 	opts := GNNTrainerOptions{BatchSize: 32, LR: 0.01, Seed: 7}
-	var err error
-	if regime == "single" {
-		opts.Dataset, err = datasets.Resolve("tiny", 7)
-	} else {
-		var ss *graph.ShardSet
-		if ss, err = datasets.ResolveShards("tiny#3", 7); err == nil {
-			defer ss.Close()
-			opts.Dataset, err = ss.AssembleDataset()
-		}
-	}
+	ds, err := datasets.Resolve("tiny", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := opts.Dataset
+	if regime == "exact" {
+		ds = storedShardDataset(t, ds, graph.ShardOptions{K: 3, Seed: 7})
+	}
+	opts.Dataset = ds
 	opts.Sampler = sampler.NewNeighbor(ds.Graph, []int{4, 4})
 	opts.Model = nn.ModelSpec{Kind: nn.KindSAGE, Dims: []int{ds.Spec.ScaledF0, ds.Spec.ScaledHidden, ds.NumClasses}, Seed: 7}
 	tr, err := NewGNNTrainer(opts)
